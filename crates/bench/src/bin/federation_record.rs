@@ -3,8 +3,9 @@
 //! run three ways — pristine SimNet, SimNet under FaultPlan chaos
 //! (seeded loss + jitter + a partition/heal and crash/restart cycle),
 //! and a real multi-daemon TCP federation — with per-shape discovery
-//! latency percentiles, wallets-contacted percentiles, degraded rate,
-//! and revocation-propagation staleness.
+//! latency percentiles, wallets-contacted percentiles (overall and split
+//! by decision — grant / deny / degraded, which cost very different
+//! amounts), degraded rate, and revocation-propagation staleness.
 //!
 //! Full-run acceptance (enforced here, recorded by
 //! `scripts/bench_record.sh federation`):
@@ -21,7 +22,8 @@
 //! by default so the committed full-run artifact is never clobbered.
 
 use drbac_scenario::{
-    run_simnet, run_tcp, Family, LatencySummary, RunConfig, Scale, ScenarioSpec, SoakReport,
+    run_simnet, run_tcp, Decision, Family, LatencySummary, RunConfig, Scale, ScenarioSpec,
+    SoakReport,
 };
 
 const DEFAULT_SEED: u64 = 2002;
@@ -36,6 +38,22 @@ fn json_summary(l: &LatencySummary) -> String {
     )
 }
 
+/// `{"grant": {"discovery_ns": …, "wallets_contacted": …}, "deny": …, "degraded": …}`
+fn json_by_decision(r: &SoakReport) -> String {
+    let cells: Vec<String> = Decision::ALL
+        .iter()
+        .map(|&d| {
+            format!(
+                "\"{}\": {{\"discovery_ns\": {}, \"wallets_contacted\": {}}}",
+                d.name(),
+                json_summary(&r.latency_of(d)),
+                json_summary(&r.wallets_contacted_of(d)),
+            )
+        })
+        .collect();
+    format!("{{{}}}", cells.join(",\n       "))
+}
+
 fn json_report(r: &SoakReport) -> String {
     format!(
         "    {{\"family\": \"{}\", \"seed\": {}, \"substrate\": \"{}\", \"wallets\": {}, \
@@ -46,7 +64,8 @@ fn json_report(r: &SoakReport) -> String {
          \"termination_failures\": {}, \"spurious_terminations\": {}, \
          \"total_messages\": {}, \"push_messages\": {}, \"timeouts\": {}, \"retried_ops\": {}, \
          \"decision_digest\": \"{:016x}\",\n     \"discovery_ns\": {},\n     \
-         \"wallets_contacted\": {},\n     \"revocation_lag\": {}}}",
+         \"wallets_contacted\": {},\n     \"by_decision\":\n      {},\n     \
+         \"revocation_lag\": {}}}",
         r.family,
         r.seed,
         r.substrate,
@@ -73,6 +92,7 @@ fn json_report(r: &SoakReport) -> String {
         r.decision_digest(),
         json_summary(&r.latency()),
         json_summary(&r.wallets_contacted()),
+        json_by_decision(r),
         json_summary(&r.revocation_lag),
     )
 }

@@ -176,6 +176,7 @@ impl SignedDelegation {
         }
         let digest = sha256(&self.to_bytes());
         if self.sig_ok_digest.get() != Some(&digest) {
+            drbac_obs::static_counter!("drbac.core.cert.sig_check.count").inc();
             if !self
                 .issuer_key
                 .verify(&self.delegation.wire_bytes(), &self.signature)
@@ -190,6 +191,28 @@ impl SignedDelegation {
             }
         }
         Ok(())
+    }
+
+    /// Adopts `verified`'s signature memo when this credential is
+    /// byte-for-byte the same one (body, key, signature), so a copy
+    /// that arrives over the wire — decoding drops the memo — is not
+    /// re-checked against a signature an equal instance already
+    /// passed. Returns whether the memo was adopted; anything that
+    /// differs in any field adopts nothing and [`verify`](Self::verify)
+    /// takes the full check.
+    ///
+    /// Sound because the memo is the digest of the full wire form at
+    /// the time a check succeeded: equal bytes have an equal digest
+    /// and signature validity is a pure function of those bytes.
+    /// Expiry is not memoized and stays re-evaluated per call.
+    pub fn adopt_signature_memo(&self, verified: &SignedDelegation) -> bool {
+        match verified.sig_ok_digest.get() {
+            Some(digest) if self == verified => {
+                let _ = self.sig_ok_digest.set(*digest);
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -326,6 +349,47 @@ mod tests {
         let rt = SignedDelegation::from_bytes(&cert.to_bytes()).unwrap();
         assert!(rt.sig_ok_digest.get().is_none());
         assert!(rt.verify(Timestamp(0)).is_ok());
+    }
+
+    #[test]
+    fn memo_adoption_requires_a_byte_identical_verified_twin() {
+        let a = local("A", 1);
+        let b = local("B", 2);
+        let stored = a
+            .delegate(Node::entity(&b), Node::role(a.role("r")))
+            .sign(&a)
+            .unwrap();
+        let copy = SignedDelegation::from_bytes(&stored.to_bytes()).unwrap();
+
+        // Nothing to adopt from an instance that never verified.
+        assert!(!copy.adopt_signature_memo(&stored));
+        assert!(stored.verify(Timestamp(0)).is_ok());
+
+        // A byte-identical copy adopts, and then verifies on the memo.
+        assert!(copy.adopt_signature_memo(&stored));
+        assert_eq!(copy.sig_ok_digest.get(), stored.sig_ok_digest.get());
+        assert!(copy.verify(Timestamp(0)).is_ok());
+
+        // Same DelegationId, different signature bytes: no adoption,
+        // and the full check rejects it.
+        let other = a
+            .delegate(Node::entity(&b), Node::role(a.role("other")))
+            .sign(&a)
+            .unwrap();
+        let mut twin = SignedDelegation::from_bytes(&stored.to_bytes()).unwrap();
+        twin.signature = other.signature.clone();
+        assert_eq!(twin.id(), stored.id());
+        assert!(!twin.adopt_signature_memo(&stored));
+        assert_eq!(
+            twin.verify(Timestamp(0)),
+            Err(ValidationError::BadSignature)
+        );
+
+        // Same for different key bytes.
+        let mut rekeyed = SignedDelegation::from_bytes(&stored.to_bytes()).unwrap();
+        rekeyed.issuer_key = b.public_key().clone();
+        assert!(!rekeyed.adopt_signature_memo(&stored));
+        assert!(rekeyed.verify(Timestamp(0)).is_err());
     }
 
     #[test]

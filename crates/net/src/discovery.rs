@@ -8,13 +8,17 @@
 //! proofs serving as the roots for further searches", and the local wallet
 //! glues the segments into a complete proof.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
-use drbac_core::{AttrConstraint, DiscoveryTag, EntityId, Node, Proof, Timestamp, WalletAddr};
+use drbac_core::{
+    AttrConstraint, DelegationId, DiscoveryTag, EntityId, Node, Proof, Timestamp, WalletAddr,
+};
 use drbac_wallet::{ProofMonitor, Wallet};
 
 use crate::proto::{Reply, Request};
+use crate::sim::NetError;
 use crate::transport::{RetryPolicy, Transport};
 
 /// A stored discovery tag plus the time its TTL lapses (`None` =
@@ -275,7 +279,8 @@ pub struct DiscoveryOutcome {
     pub trace: Vec<DiscoveryStep>,
     /// Remote wallets contacted.
     pub wallets_contacted: BTreeSet<WalletAddr>,
-    /// The search mode the tags selected.
+    /// The search mode the tags selected ([`SearchMode::LocalOnly`] when
+    /// the local wallet answered before any tag was consulted).
     pub mode: SearchMode,
     /// `true` when the run did not complete cleanly: some remote hop
     /// needed retries, or a wallet stayed unreachable and was skipped.
@@ -292,12 +297,158 @@ impl DiscoveryOutcome {
     }
 }
 
+/// Which frontier a node sits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    /// Subject towards object: direct query, then a subject query.
+    Forward,
+    /// Object towards subject: direct query, then an object query.
+    Reverse,
+}
+
+impl Direction {
+    fn flip(self) -> Direction {
+        match self {
+            Direction::Forward => Direction::Reverse,
+            Direction::Reverse => Direction::Forward,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Direction::Forward => "forward",
+            Direction::Reverse => "reverse",
+        }
+    }
+}
+
+/// One direction's FIFO of nodes still to expand; a node enters at most
+/// once per run.
+#[derive(Default)]
+struct Frontier {
+    queue: VecDeque<Node>,
+    seen: BTreeSet<Node>,
+}
+
+impl Frontier {
+    fn push(&mut self, node: Node) {
+        if self.seen.insert(node.clone()) {
+            self.queue.push_back(node);
+        }
+    }
+}
+
+/// The state of one discovery run.
+struct Run<'q> {
+    subject: &'q Node,
+    object: &'q Node,
+    constraints: &'q [AttrConstraint],
+    trace: Vec<DiscoveryStep>,
+    contacted: BTreeSet<WalletAddr>,
+    mode: SearchMode,
+    /// Indexed by `Direction as usize`.
+    frontiers: [Frontier; 2],
+    /// Whose pop is next in the alternation.
+    turn: Direction,
+}
+
+impl Run<'_> {
+    fn frontier(&mut self, dir: Direction) -> &mut Frontier {
+        &mut self.frontiers[dir as usize]
+    }
+
+    /// Takes the next *level* off the frontiers: the longest run of
+    /// pops whose order does not depend on replies still to come. Nodes
+    /// come off alternately (forward first), each queue FIFO; an empty
+    /// queue is skipped, except that the level ends at a queue this
+    /// level has already drawn from — the expansion of those very nodes
+    /// may refill it, and its next node would be due right here. With
+    /// one live direction a level is the whole queue.
+    fn next_level(&mut self) -> Vec<(Direction, Node)> {
+        let mut level = Vec::new();
+        let mut drew = [false; 2];
+        while self.frontiers.iter().any(|f| !f.queue.is_empty()) {
+            match self.frontier(self.turn).queue.pop_front() {
+                Some(node) => {
+                    drew[self.turn as usize] = true;
+                    level.push((self.turn, node));
+                }
+                None if drew[self.turn as usize] => break,
+                None => {}
+            }
+            self.turn = self.turn.flip();
+        }
+        level
+    }
+
+    /// What expanding `node` asks of its home wallet: the paper's
+    /// "direct query for Sub => Obj directed towards Sub's home wallet"
+    /// — the frontier node standing in for the endpoint on its side —
+    /// then the subject (or object) query that enumerates onward.
+    fn requests_for(&self, dir: Direction, node: &Node) -> [Request; 2] {
+        let constraints = self.constraints.to_vec();
+        match dir {
+            Direction::Forward => [
+                Request::DirectQuery {
+                    subject: node.clone(),
+                    object: self.object.clone(),
+                    constraints: constraints.clone(),
+                },
+                Request::SubjectQuery {
+                    subject: node.clone(),
+                    constraints,
+                },
+            ],
+            Direction::Reverse => [
+                Request::DirectQuery {
+                    subject: self.subject.clone(),
+                    object: node.clone(),
+                    constraints: constraints.clone(),
+                },
+                Request::ObjectQuery {
+                    object: node.clone(),
+                    constraints,
+                },
+            ],
+        }
+    }
+
+    /// Puts unprocessed level entries back at the head of their queues
+    /// so the next level resumes exactly where this one stopped.
+    fn requeue(&mut self, rest: &[Planned]) {
+        if let Some(first) = rest.first() {
+            self.turn = first.dir;
+        }
+        for planned in rest.iter().rev() {
+            self.frontier(planned.dir)
+                .queue
+                .push_front(planned.node.clone());
+        }
+    }
+}
+
+/// One frontier node of a level, with the home wallet its requests were
+/// addressed to when the level's batch was built (`None`: no followable
+/// remote home, nothing was sent for it).
+struct Planned {
+    dir: Direction,
+    node: Node,
+    home: Option<WalletAddr>,
+}
+
 /// Executes tag-directed discovery over any [`Transport`] —
-/// deterministic ([`crate::SimNet`]) or threaded
-/// ([`crate::ServiceRegistry`]) — building the proof in a local trusted
-/// wallet.
+/// deterministic ([`crate::SimNet`]), threaded
+/// ([`crate::ServiceRegistry`]) or sockets ([`crate::TcpTransport`]) —
+/// building the proof in a local trusted wallet.
+///
+/// Expansion is level-synchronous: every request a frontier level needs
+/// goes out through one [`Transport::request_batch`] call, and the
+/// replies are then processed one node at a time in the frontier's
+/// FIFO/alternating order with a local check after every absorb — so
+/// the proof found is the one a strictly sequential walk finds, while a
+/// level costs one round trip per wallet instead of three per node.
 pub struct DiscoveryAgent {
-    transport: std::sync::Arc<dyn Transport>,
+    transport: Arc<dyn Transport>,
     local: Wallet,
     directory: Directory,
     /// Establish delegation subscriptions for absorbed credentials
@@ -312,6 +463,14 @@ pub struct DiscoveryAgent {
     /// Set when any hop of the current run retried or failed; copied
     /// into [`DiscoveryOutcome::degraded`].
     run_degraded: bool,
+    /// `(source, delegation)` subscriptions the source acknowledged to
+    /// this agent; not asked for again. A source's entries are dropped
+    /// the moment any request to it fails or needs a retry: it may have
+    /// restarted, and its subscriber registry is volatile.
+    subscribed: HashMap<WalletAddr, HashSet<DelegationId>>,
+    /// Subscriptions owed for credentials absorbed since the last
+    /// flush, per source (ordered, so a flush is deterministic).
+    pending_subscriptions: BTreeMap<WalletAddr, BTreeSet<DelegationId>>,
 }
 
 impl std::fmt::Debug for DiscoveryAgent {
@@ -331,24 +490,36 @@ impl DiscoveryAgent {
         directory: Directory,
     ) -> Self {
         DiscoveryAgent {
-            transport: std::sync::Arc::new(transport),
+            transport: Arc::new(transport),
             local: local.into(),
             directory,
             auto_subscribe: true,
             retry: RetryPolicy::standard(),
             repairing: false,
             run_degraded: false,
+            subscribed: HashMap::new(),
+            pending_subscriptions: BTreeMap::new(),
         }
     }
 
-    /// Sends one remote request under the agent's retry policy. A hop
-    /// that needed retries — or failed outright, skipping the wallet —
-    /// marks the whole run degraded. Returns `None` when the wallet
-    /// stayed unreachable after the attempt budget.
-    fn rpc(&mut self, to: &WalletAddr, req: Request) -> Option<Reply> {
-        let outcome = self.retry.run(self.transport.as_ref(), to, &req);
+    /// Settles one batch entry under the agent's retry policy: `first`
+    /// is the entry's own result and counts as attempt one. A hop that
+    /// needed retries — or failed outright, skipping the wallet — marks
+    /// the whole run degraded and forgets what `to` had acknowledged.
+    /// Returns `None` when the wallet stayed unreachable after the
+    /// attempt budget.
+    fn settle(
+        &mut self,
+        to: &WalletAddr,
+        req: &Request,
+        first: Option<Result<Reply, NetError>>,
+    ) -> Option<Reply> {
+        let first =
+            first.unwrap_or_else(|| Err(NetError::Protocol("batch ended before its entry".into())));
+        let outcome = self.retry.resume(self.transport.as_ref(), to, req, first);
         if outcome.degraded() {
             self.run_degraded = true;
+            self.subscribed.remove(to);
         }
         match outcome.reply {
             Ok(reply) => Some(reply),
@@ -398,165 +569,127 @@ impl DiscoveryAgent {
         );
         let _timer = drbac_obs::static_histogram!("drbac.net.discovery.round.ns").start_timer();
         drbac_obs::static_counter!("drbac.net.discovery.round.count").inc();
-        let outcome = self.discover_inner(subject, object, constraints, extra_seeds);
-        if outcome.found() {
+        let mut run = Run {
+            subject,
+            object,
+            constraints,
+            trace: Vec::new(),
+            contacted: BTreeSet::new(),
+            mode: SearchMode::LocalOnly,
+            frontiers: Default::default(),
+            turn: Direction::Forward,
+        };
+        self.run_degraded = false;
+        let monitor = self.search(&mut run, extra_seeds);
+        // Every credential behind a returned monitor has its coherence
+        // subscription in place (or the run says it is degraded).
+        self.flush_subscriptions();
+        if monitor.is_some() {
             drbac_obs::static_counter!("drbac.net.discovery.found.count").inc();
         } else {
             drbac_obs::static_counter!("drbac.net.discovery.miss.count").inc();
         }
-        outcome
+        DiscoveryOutcome {
+            monitor,
+            trace: run.trace,
+            wallets_contacted: run.contacted,
+            mode: run.mode,
+            degraded: self.run_degraded,
+        }
     }
 
-    fn discover_inner(
-        &mut self,
-        subject: &Node,
-        object: &Node,
-        constraints: &[AttrConstraint],
-        extra_seeds: &[Node],
-    ) -> DiscoveryOutcome {
-        let mut trace = Vec::new();
-        let mut contacted = BTreeSet::new();
-        self.run_degraded = false;
+    fn search(&mut self, run: &mut Run<'_>, extra_seeds: &[Node]) -> Option<ProofMonitor> {
+        // Step 1: the local wallet first — a proof it already holds
+        // costs one cached query, no tag lookups, no closures.
+        if let Some(monitor) = self.query_local(run) {
+            return Some(monitor);
+        }
 
-        let mut mode = self.pick_mode(subject, object);
+        // The search mode comes from the discovery flags of the
+        // endpoints *and* of the frontier the local wallet already
+        // connects them to — this is how the paper's server wallet
+        // "observes that the subject of the desired relationship,
+        // `BigISP.member`, has discovery search type 'S'" after
+        // combining Maria's presented credential. Flags are read off
+        // the unconstrained closures; the frontiers start from the
+        // constrained ones, which are the same sets when the query
+        // carries no constraints.
+        let fwd_roots = self.local_forward_roots(run.subject, &[]);
+        let rev_roots = self.local_reverse_roots(run.object, &[]);
+        let tagged = |nodes: &[Node], flag: fn(&DiscoveryTag) -> bool| {
+            nodes
+                .iter()
+                .any(|n| self.directory.tag_of(n).is_some_and(flag))
+        };
         // Searchable seed tags enable forward expansion even when the
         // subject's own roots carry no usable tag.
-        if matches!(mode, SearchMode::LocalOnly | SearchMode::Reverse)
-            && extra_seeds.iter().any(|n| {
-                self.directory
-                    .tag_of(n)
-                    .map(|t| t.searchable_from_subject())
-                    .unwrap_or(false)
-            })
-        {
-            mode = match mode {
-                SearchMode::Reverse => SearchMode::Bidirectional,
-                _ => SearchMode::Forward,
-            };
-        }
-
-        // Step 1: the local wallet first.
-        if let Some(monitor) = self.local.query_direct(subject, object, constraints) {
-            trace.push(DiscoveryStep::LocalQuery { found: true });
-            return DiscoveryOutcome {
-                monitor: Some(monitor),
-                trace,
-                wallets_contacted: contacted,
-                mode,
-                degraded: self.run_degraded,
-            };
-        }
-        trace.push(DiscoveryStep::LocalQuery { found: false });
-        if mode == SearchMode::LocalOnly {
-            return DiscoveryOutcome {
-                monitor: None,
-                trace,
-                wallets_contacted: contacted,
-                mode,
-                degraded: self.run_degraded,
-            };
-        }
+        let forward = tagged(&fwd_roots, DiscoveryTag::searchable_from_subject)
+            || tagged(extra_seeds, DiscoveryTag::searchable_from_subject);
+        let reverse = tagged(&rev_roots, DiscoveryTag::searchable_from_object);
+        run.mode = match (forward, reverse) {
+            (true, true) => SearchMode::Bidirectional,
+            (true, false) => SearchMode::Forward,
+            (false, true) => SearchMode::Reverse,
+            (false, false) => return None,
+        };
 
         // Frontiers seeded with the endpoints plus everything the local
         // wallet already connects them to, plus caller-provided seeds.
-        let mut fwd: VecDeque<Node> = VecDeque::new();
-        let mut rev: VecDeque<Node> = VecDeque::new();
-        let mut fwd_seen: BTreeSet<Node> = BTreeSet::new();
-        let mut rev_seen: BTreeSet<Node> = BTreeSet::new();
-        if matches!(mode, SearchMode::Forward | SearchMode::Bidirectional) {
-            let mut roots = self.local_forward_roots(subject, constraints);
-            roots.extend(extra_seeds.iter().cloned());
-            for node in roots {
-                if fwd_seen.insert(node.clone()) {
-                    fwd.push_back(node);
-                }
+        if forward {
+            let roots = match run.constraints {
+                [] => fwd_roots,
+                constrained => self.local_forward_roots(run.subject, constrained),
+            };
+            for node in roots.into_iter().chain(extra_seeds.iter().cloned()) {
+                run.frontier(Direction::Forward).push(node);
             }
         }
-        if matches!(mode, SearchMode::Reverse | SearchMode::Bidirectional) {
-            for node in self.local_reverse_roots(object, constraints) {
-                if rev_seen.insert(node.clone()) {
-                    rev.push_back(node);
-                }
+        if reverse {
+            let roots = match run.constraints {
+                [] => rev_roots,
+                constrained => self.local_reverse_roots(run.object, constrained),
+            };
+            for node in roots {
+                run.frontier(Direction::Reverse).push(node);
             }
         }
 
-        while !fwd.is_empty() || !rev.is_empty() {
-            // Alternate frontiers (bidirectional meets in the middle).
-            if let Some(node) = fwd.pop_front() {
-                if let Some(monitor) = self.expand_forward(
-                    &node,
-                    subject,
-                    object,
-                    constraints,
-                    &mut trace,
-                    &mut contacted,
-                    &mut fwd,
-                    &mut fwd_seen,
-                ) {
-                    return DiscoveryOutcome {
-                        monitor: Some(monitor),
-                        trace,
-                        wallets_contacted: contacted,
-                        mode,
-                        degraded: self.run_degraded,
-                    };
-                }
+        loop {
+            let level = run.next_level();
+            if level.is_empty() {
+                break;
             }
-            if let Some(node) = rev.pop_front() {
-                if let Some(monitor) = self.expand_reverse(
-                    &node,
-                    subject,
-                    object,
-                    constraints,
-                    &mut trace,
-                    &mut contacted,
-                    &mut rev,
-                    &mut rev_seen,
-                ) {
-                    return DiscoveryOutcome {
-                        monitor: Some(monitor),
-                        trace,
-                        wallets_contacted: contacted,
-                        mode,
-                        degraded: self.run_degraded,
-                    };
-                }
+            if let Some(monitor) = self.expand_level(run, level) {
+                return Some(monitor);
             }
+            self.flush_subscriptions();
         }
 
         // Last resort (§4.2.1): stored support proofs may have been
         // invalidated while fresh authority exists elsewhere — rebuild
         // them from the issuers' *acting-as* hints and retry once.
-        if !self.repairing && self.repair_supports(&mut trace, &mut contacted) {
-            if let Some(monitor) = self.local.query_direct(subject, object, constraints) {
-                trace.push(DiscoveryStep::LocalQuery { found: true });
-                return DiscoveryOutcome {
-                    monitor: Some(monitor),
-                    trace,
-                    wallets_contacted: contacted,
-                    mode,
-                    degraded: self.run_degraded,
-                };
-            }
+        if !self.repairing && self.repair_supports(run) {
+            return self.query_local(run);
         }
+        None
+    }
 
-        DiscoveryOutcome {
-            monitor: None,
-            trace,
-            wallets_contacted: contacted,
-            mode,
-            degraded: self.run_degraded,
-        }
+    /// Asks the local wallet for the complete proof and records the
+    /// attempt in the trace.
+    fn query_local(&self, run: &mut Run<'_>) -> Option<ProofMonitor> {
+        let monitor = self
+            .local
+            .query_direct(run.subject, run.object, run.constraints);
+        run.trace.push(DiscoveryStep::LocalQuery {
+            found: monitor.is_some(),
+        });
+        monitor
     }
 
     /// Re-discovers support proofs for third-party delegations whose
     /// issuer authority can no longer be proven locally. Returns `true`
     /// if at least one support was repaired.
-    fn repair_supports(
-        &mut self,
-        trace: &mut Vec<DiscoveryStep>,
-        contacted: &mut BTreeSet<WalletAddr>,
-    ) -> bool {
+    fn repair_supports(&mut self, run: &mut Run<'_>) -> bool {
         self.repairing = true;
         let broken = self.local.unsupported_third_party();
         let mut repaired = false;
@@ -566,8 +699,8 @@ impl DiscoveryAgent {
         for (issuer, right, acting_as) in broken {
             let outcome = self.discover_with_seeds(&Node::Entity(issuer), &right, &[], &acting_as);
             degraded |= outcome.degraded;
-            trace.extend(outcome.trace);
-            contacted.extend(outcome.wallets_contacted);
+            run.trace.extend(outcome.trace);
+            run.contacted.extend(outcome.wallets_contacted);
             if let Some(monitor) = outcome.monitor {
                 if self.local.provide_support(monitor.proof().clone()).is_ok() {
                     repaired = true;
@@ -577,32 +710,6 @@ impl DiscoveryAgent {
         self.run_degraded = degraded;
         self.repairing = false;
         repaired
-    }
-
-    /// Selects the search mode from the discovery flags of the endpoints
-    /// *and* of the frontier the local wallet already connects them to —
-    /// this is how the paper's server wallet "observes that the subject of
-    /// the desired relationship, `BigISP.member`, has discovery search
-    /// type 'S'" after combining Maria's presented credential.
-    fn pick_mode(&self, subject: &Node, object: &Node) -> SearchMode {
-        let fwd = self.local_forward_roots(subject, &[]).iter().any(|n| {
-            self.directory
-                .tag_of(n)
-                .map(|t| t.searchable_from_subject())
-                .unwrap_or(false)
-        });
-        let rev = self.local_reverse_roots(object, &[]).iter().any(|n| {
-            self.directory
-                .tag_of(n)
-                .map(|t| t.searchable_from_object())
-                .unwrap_or(false)
-        });
-        match (fwd, rev) {
-            (true, true) => SearchMode::Bidirectional,
-            (true, false) => SearchMode::Forward,
-            (false, true) => SearchMode::Reverse,
-            (false, false) => SearchMode::LocalOnly,
-        }
     }
 
     /// Everything the local wallet already proves the subject can reach.
@@ -623,221 +730,183 @@ impl DiscoveryAgent {
         roots
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn expand_forward(
+    /// Expands one level: builds the batch every node of it needs —
+    /// `FetchDeclarations` on first contact with a wallet, then the
+    /// node's two queries ([`Run::requests_for`]) — sends it in one
+    /// [`Transport::request_batch`] call, and processes the replies
+    /// node by node in level order. Returns as soon as the local wallet
+    /// can assemble the proof; replies not yet read are dropped (and on
+    /// a lazy transport their requests were never sent).
+    fn expand_level(
         &mut self,
-        node: &Node,
-        subject: &Node,
-        object: &Node,
-        constraints: &[AttrConstraint],
-        trace: &mut Vec<DiscoveryStep>,
-        contacted: &mut BTreeSet<WalletAddr>,
-        frontier: &mut VecDeque<Node>,
-        seen: &mut BTreeSet<Node>,
+        run: &mut Run<'_>,
+        level: Vec<(Direction, Node)>,
     ) -> Option<ProofMonitor> {
-        let home = self.home_of(node)?;
-        if &home == self.local.addr() {
-            return None;
+        drbac_obs::static_counter!("drbac.net.discovery.level.count").inc();
+        let mut batch: Vec<(WalletAddr, Request)> = Vec::new();
+        let mut greeted = run.contacted.clone();
+        let plan: Vec<Planned> = level
+            .into_iter()
+            .map(|(dir, node)| {
+                let home = self.peek_remote_home(&node);
+                if let Some(home) = &home {
+                    if greeted.insert(home.clone()) {
+                        batch.push((home.clone(), Request::FetchDeclarations));
+                    }
+                    let [direct, enumerate] = run.requests_for(dir, &node);
+                    batch.push((home.clone(), direct));
+                    batch.push((home.clone(), enumerate));
+                }
+                Planned { dir, node, home }
+            })
+            .collect();
+        if !batch.is_empty() {
+            drbac_obs::static_histogram!("drbac.net.discovery.batch.size")
+                .record(batch.len() as u64);
         }
-        drbac_obs::static_counter!("drbac.net.discovery.hop.count").inc();
-        drbac_obs::event!(
-            "drbac.net.discovery.hop",
-            "direction" => "forward",
-            "wallet" => home.to_string(),
-            "node" => node.to_string(),
-        );
-        self.prepare_wallet(&home, trace, contacted);
 
-        // Paper: "a direct query for Sub => Obj directed towards Sub's
-        // home wallet" first, then a subject query.
-        let direct = self.rpc(
-            &home,
-            Request::DirectQuery {
-                subject: node.clone(),
-                object: object.clone(),
-                constraints: constraints.to_vec(),
-            },
-        );
-        if let Some(Reply::Proofs(proofs)) = direct {
-            let found = !proofs.is_empty();
-            trace.push(DiscoveryStep::RemoteDirect {
-                wallet: home.clone(),
-                node: node.to_string(),
-                found,
-            });
-            if found {
-                self.absorb(&proofs, &home, trace);
-                if let Some(m) = self.local.query_direct(subject, object, constraints) {
+        let transport = Arc::clone(&self.transport);
+        let mut replies = transport.request_batch(&batch);
+        let mut entries = batch.iter();
+        for (at, planned) in plan.iter().enumerate() {
+            // Absorbing earlier nodes of this level may have taught the
+            // directory this node's home, and the clock may have run
+            // past a tag's TTL: the batch was built on a guess that no
+            // longer holds from here on, so rebuild it.
+            if self.peek_remote_home(&planned.node) != planned.home {
+                run.requeue(&plan[at..]);
+                return None;
+            }
+            let Some(home) = &planned.home else {
+                self.note_expired_tag(&planned.node);
+                continue;
+            };
+            drbac_obs::static_counter!("drbac.net.discovery.hop.count").inc();
+            drbac_obs::event!(
+                "drbac.net.discovery.hop",
+                "direction" => planned.dir.name(),
+                "wallet" => home.to_string(),
+                "node" => planned.node.to_string(),
+            );
+            let mut next = |agent: &mut Self| {
+                let (to, req) = entries.next().expect("one batch entry per planned request");
+                debug_assert_eq!(to, home);
+                agent.settle(to, req, replies.next())
+            };
+
+            // First contact with a wallet: pull its attribute
+            // declarations so the local wallet can compute effective
+            // values and constraints.
+            if run.contacted.insert(home.clone()) {
+                if let Some(Reply::Declarations(decls)) = next(self) {
+                    run.trace.push(DiscoveryStep::FetchedDeclarations {
+                        wallet: home.clone(),
+                        count: decls.len(),
+                    });
+                    for d in decls {
+                        let _ = self.local.publish_declaration(&d);
+                    }
+                }
+            }
+
+            if let Some(Reply::Proofs(proofs)) = next(self) {
+                let found = !proofs.is_empty();
+                run.trace.push(DiscoveryStep::RemoteDirect {
+                    wallet: home.clone(),
+                    node: planned.node.to_string(),
+                    found,
+                });
+                if found {
+                    self.absorb(&proofs, home, &mut run.trace);
+                    if let Some(m) =
+                        self.local
+                            .query_direct(run.subject, run.object, run.constraints)
+                    {
+                        return Some(m);
+                    }
+                }
+            }
+
+            if let Some(Reply::Proofs(proofs)) = next(self) {
+                let wallet = home.clone();
+                let node = planned.node.to_string();
+                run.trace.push(match planned.dir {
+                    Direction::Forward => DiscoveryStep::RemoteSubjectQuery {
+                        wallet,
+                        node,
+                        proofs: proofs.len(),
+                    },
+                    Direction::Reverse => DiscoveryStep::RemoteObjectQuery {
+                        wallet,
+                        node,
+                        proofs: proofs.len(),
+                    },
+                });
+                self.absorb(&proofs, home, &mut run.trace);
+                for p in &proofs {
+                    let far = match planned.dir {
+                        Direction::Forward => p.object(),
+                        Direction::Reverse => p.subject(),
+                    };
+                    run.frontier(planned.dir).push(far.clone());
+                }
+                if let Some(m) = self
+                    .local
+                    .query_direct(run.subject, run.object, run.constraints)
+                {
                     return Some(m);
                 }
-            }
-        }
-
-        let reply = self.rpc(
-            &home,
-            Request::SubjectQuery {
-                subject: node.clone(),
-                constraints: constraints.to_vec(),
-            },
-        );
-        if let Some(Reply::Proofs(proofs)) = reply {
-            trace.push(DiscoveryStep::RemoteSubjectQuery {
-                wallet: home.clone(),
-                node: node.to_string(),
-                proofs: proofs.len(),
-            });
-            self.absorb(&proofs, &home, trace);
-            for p in &proofs {
-                let next = p.object().clone();
-                if seen.insert(next.clone()) {
-                    frontier.push_back(next);
-                }
-            }
-            if let Some(m) = self.local.query_direct(subject, object, constraints) {
-                return Some(m);
             }
         }
         None
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn expand_reverse(
-        &mut self,
-        node: &Node,
-        subject: &Node,
-        object: &Node,
-        constraints: &[AttrConstraint],
-        trace: &mut Vec<DiscoveryStep>,
-        contacted: &mut BTreeSet<WalletAddr>,
-        frontier: &mut VecDeque<Node>,
-        seen: &mut BTreeSet<Node>,
-    ) -> Option<ProofMonitor> {
-        let home = self.home_of(node)?;
-        if &home == self.local.addr() {
-            return None;
-        }
-        drbac_obs::static_counter!("drbac.net.discovery.hop.count").inc();
-        drbac_obs::event!(
-            "drbac.net.discovery.hop",
-            "direction" => "reverse",
-            "wallet" => home.to_string(),
-            "node" => node.to_string(),
-        );
-        self.prepare_wallet(&home, trace, contacted);
-
-        let direct = self.rpc(
-            &home,
-            Request::DirectQuery {
-                subject: subject.clone(),
-                object: node.clone(),
-                constraints: constraints.to_vec(),
-            },
-        );
-        if let Some(Reply::Proofs(proofs)) = direct {
-            let found = !proofs.is_empty();
-            trace.push(DiscoveryStep::RemoteDirect {
-                wallet: home.clone(),
-                node: node.to_string(),
-                found,
-            });
-            if found {
-                self.absorb(&proofs, &home, trace);
-                if let Some(m) = self.local.query_direct(subject, object, constraints) {
-                    return Some(m);
-                }
-            }
-        }
-
-        let reply = self.rpc(
-            &home,
-            Request::ObjectQuery {
-                object: node.clone(),
-                constraints: constraints.to_vec(),
-            },
-        );
-        if let Some(Reply::Proofs(proofs)) = reply {
-            trace.push(DiscoveryStep::RemoteObjectQuery {
-                wallet: home.clone(),
-                node: node.to_string(),
-                proofs: proofs.len(),
-            });
-            self.absorb(&proofs, &home, trace);
-            for p in &proofs {
-                let next = p.subject().clone();
-                if seen.insert(next.clone()) {
-                    frontier.push_back(next);
-                }
-            }
-            if let Some(m) = self.local.query_direct(subject, object, constraints) {
-                return Some(m);
-            }
-        }
-        None
-    }
-
-    /// Resolves a frontier node's home wallet. A tag whose TTL lapsed
-    /// mid-discovery is *not* followed — the hint is stale — and the run
-    /// is marked degraded so a miss is reported as weaker evidence.
-    fn home_of(&mut self, node: &Node) -> Option<WalletAddr> {
-        let now = self.local.now();
-        match self.directory.lookup(node, now) {
-            TagLookup::Fresh(tag) => Some(tag.home().clone()),
-            TagLookup::Expired(tag) => {
-                drbac_obs::static_counter!("drbac.net.discovery.tag_expired.count").inc();
-                drbac_obs::event!(
-                    "drbac.net.discovery.tag_expired",
-                    "node" => node.to_string(),
-                    "home" => tag.home().to_string(),
-                );
-                self.run_degraded = true;
-                None
-            }
-            TagLookup::Unknown => None,
+    /// A frontier node's home wallet as the directory knows it right
+    /// now, when that is a live tag naming a wallet other than the
+    /// local one. No side effects: this is the planning-time view.
+    fn peek_remote_home(&self, node: &Node) -> Option<WalletAddr> {
+        match self.directory.lookup(node, self.local.now()) {
+            TagLookup::Fresh(tag) if tag.home() != self.local.addr() => Some(tag.home().clone()),
+            _ => None,
         }
     }
 
-    /// First contact with a wallet: pull its attribute declarations so
-    /// the local wallet can compute effective values and constraints.
-    fn prepare_wallet(
-        &mut self,
-        home: &WalletAddr,
-        trace: &mut Vec<DiscoveryStep>,
-        contacted: &mut BTreeSet<WalletAddr>,
-    ) {
-        if !contacted.insert(home.clone()) {
-            return;
-        }
-        if let Some(Reply::Declarations(decls)) = self.rpc(home, Request::FetchDeclarations) {
-            trace.push(DiscoveryStep::FetchedDeclarations {
-                wallet: home.clone(),
-                count: decls.len(),
-            });
-            for d in decls {
-                let _ = self.local.publish_declaration(&d);
-            }
+    /// A frontier node skipped for want of a home: when that is because
+    /// its tag's TTL lapsed mid-discovery — the hint is stale and is
+    /// *not* followed — the run is marked degraded, so a miss is
+    /// reported as weaker evidence.
+    fn note_expired_tag(&mut self, node: &Node) {
+        if let TagLookup::Expired(tag) = self.directory.lookup(node, self.local.now()) {
+            drbac_obs::static_counter!("drbac.net.discovery.tag_expired.count").inc();
+            drbac_obs::event!(
+                "drbac.net.discovery.tag_expired",
+                "node" => node.to_string(),
+                "home" => tag.home().to_string(),
+            );
+            self.run_degraded = true;
         }
     }
 
     /// Inserts remote sub-proofs into the local wallet, learns their
-    /// discovery tags, and subscribes at the source for coherence.
+    /// discovery tags, and queues a subscription at the source for each
+    /// credential the source has not already acknowledged.
     fn absorb(&mut self, proofs: &[Proof], source: &WalletAddr, trace: &mut Vec<DiscoveryStep>) {
         let mut certs = 0;
         for proof in proofs {
             if self.local.absorb_proof(proof, source).is_ok() {
                 let now = self.local.now();
                 self.directory.learn_from_proof_at(proof, now);
-                for id in proof.delegation_ids() {
-                    certs += 1;
-                    if self.auto_subscribe {
-                        let subscriber = self.local.addr().clone();
-                        let _ = self.rpc(
-                            source,
-                            Request::Subscribe {
-                                delegation: id,
-                                subscriber,
-                            },
-                        );
-                    }
+                let ids = proof.delegation_ids();
+                certs += ids.len();
+                if self.auto_subscribe {
+                    let acknowledged = self.subscribed.get(source);
+                    let owed = ids
+                        .into_iter()
+                        .filter(|id| !acknowledged.is_some_and(|a| a.contains(id)));
+                    self.pending_subscriptions
+                        .entry(source.clone())
+                        .or_default()
+                        .extend(owed);
                 }
             }
         }
@@ -845,6 +914,42 @@ impl DiscoveryAgent {
             drbac_obs::static_counter!("drbac.net.discovery.absorbed.certs.count")
                 .add(certs as u64);
             trace.push(DiscoveryStep::Absorbed { certs });
+        }
+    }
+
+    /// Sends the queued subscriptions as one batch and remembers the
+    /// acknowledged ones.
+    fn flush_subscriptions(&mut self) {
+        if self.pending_subscriptions.is_empty() {
+            return;
+        }
+        let subscriber = self.local.addr();
+        let batch: Vec<(WalletAddr, Request)> = std::mem::take(&mut self.pending_subscriptions)
+            .into_iter()
+            .flat_map(|(source, ids)| {
+                ids.into_iter().map(move |delegation| {
+                    let subscriber = subscriber.clone();
+                    let req = Request::Subscribe {
+                        delegation,
+                        subscriber,
+                    };
+                    (source.clone(), req)
+                })
+            })
+            .collect();
+        let transport = Arc::clone(&self.transport);
+        let mut replies = transport.request_batch(&batch);
+        for (to, req) in &batch {
+            let acknowledged = matches!(
+                self.settle(to, req, replies.next()),
+                Some(Reply::Subscribed)
+            );
+            if let (true, Request::Subscribe { delegation, .. }) = (acknowledged, req) {
+                self.subscribed
+                    .entry(to.clone())
+                    .or_default()
+                    .insert(*delegation);
+            }
         }
     }
 }
@@ -1030,6 +1135,226 @@ mod tests {
         let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(r2), &[]);
         assert_eq!(outcome.mode, SearchMode::Bidirectional);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
+    }
+
+    #[test]
+    fn sequential_transport_sends_nothing_speculative() {
+        // One level holds two expandable nodes, each homed at its own
+        // wallet; the first one's direct query already completes the
+        // proof. On SimNet — the lazy sequential batch — nothing
+        // planned after that reply may have been sent.
+        let w = world();
+        let local = host(&w, "local");
+        let target = w.a.role("target");
+        for role in ["r1", "r2"] {
+            local
+                .wallet()
+                .publish(
+                    w.a.delegate(Node::entity(&w.maria), Node::role(w.a.role(role)))
+                        .sign(&w.a)
+                        .unwrap(),
+                    vec![],
+                )
+                .unwrap();
+        }
+        // The frontier expands the local wallet's subject-query answers
+        // in order: home the first at wallet.first, the other at
+        // wallet.second.
+        let mut dir = Directory::new();
+        let roots = local.wallet().query_subject(&Node::entity(&w.maria), &[]);
+        assert_eq!(roots.len(), 2);
+        for (proof, home) in roots.iter().zip(["wallet.first", "wallet.second"]) {
+            dir.register(proof.object().clone(), search_tag(home));
+            host(&w, home);
+        }
+        w.net
+            .host(&"wallet.first".into())
+            .unwrap()
+            .wallet()
+            .publish(
+                w.a.delegate(roots[0].object().clone(), Node::role(target.clone()))
+                    .sign(&w.a)
+                    .unwrap(),
+                vec![],
+            )
+            .unwrap();
+        let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
+        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(target), &[]);
+        assert!(outcome.found(), "trace: {:?}", outcome.trace);
+        let stats = w.net.stats();
+        assert_eq!(stats.requests("fetch-declarations"), 1);
+        assert_eq!(stats.requests("direct-query"), 1);
+        assert_eq!(stats.requests("subject-query"), 0);
+        assert_eq!(stats.requests("subscribe"), 1);
+        assert_eq!(
+            outcome.wallets_contacted,
+            BTreeSet::from([WalletAddr::new("wallet.first")])
+        );
+    }
+
+    #[test]
+    fn a_home_learned_mid_level_replans_the_rest_of_the_level() {
+        // Both of Maria's roles sit in the first level, but only the
+        // first has a known home; the second's home is on a tag carried
+        // by a credential the first one's expansion absorbs. A
+        // sequential walk follows it — so must the batched one, by
+        // re-planning the level from the second role on.
+        let w = world();
+        let local = host(&w, "local");
+        let target = w.a.role("target");
+        for role in ["r1", "r2"] {
+            local
+                .wallet()
+                .publish(
+                    w.a.delegate(Node::entity(&w.maria), Node::role(w.a.role(role)))
+                        .sign(&w.a)
+                        .unwrap(),
+                    vec![],
+                )
+                .unwrap();
+        }
+        let roots = local.wallet().query_subject(&Node::entity(&w.maria), &[]);
+        let (first, second) = (roots[0].object().clone(), roots[1].object().clone());
+        let mut dir = Directory::new();
+        dir.register(first.clone(), search_tag("wallet.first"));
+        host(&w, "wallet.first")
+            .wallet()
+            .publish(
+                w.a.delegate(first, Node::role(w.a.role("elsewhere")))
+                    .subject_tag(search_tag("wallet.first"))
+                    .issuer_tag(search_tag("wallet.second"))
+                    .sign(&w.a)
+                    .unwrap(),
+                vec![],
+            )
+            .unwrap();
+        host(&w, "wallet.second")
+            .wallet()
+            .publish(
+                w.a.delegate(second, Node::role(target.clone()))
+                    .sign(&w.a)
+                    .unwrap(),
+                vec![],
+            )
+            .unwrap();
+        let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
+        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(target), &[]);
+        assert!(outcome.found(), "trace: {:?}", outcome.trace);
+        assert!(!outcome.degraded);
+        assert_eq!(outcome.wallets_contacted.len(), 2);
+    }
+
+    #[test]
+    fn bidirectional_levels_keep_the_alternating_order() {
+        // Forward has three roots, reverse one: the alternation is
+        // f, r, f and then the reverse queue — which r's expansion may
+        // refill — is due, so the level must stop there.
+        let nodes: Vec<Node> = {
+            let w = world();
+            (0..6)
+                .map(|i| Node::role(w.a.role(&format!("n{i}"))))
+                .collect()
+        };
+        let mut run = Run {
+            subject: &nodes[0],
+            object: &nodes[1],
+            constraints: &[],
+            trace: Vec::new(),
+            contacted: BTreeSet::new(),
+            mode: SearchMode::Bidirectional,
+            frontiers: Default::default(),
+            turn: Direction::Forward,
+        };
+        for n in &nodes[..3] {
+            run.frontier(Direction::Forward).push(n.clone());
+        }
+        run.frontier(Direction::Reverse).push(nodes[3].clone());
+        let level = run.next_level();
+        let order: Vec<(Direction, &Node)> = level.iter().map(|(d, n)| (*d, n)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (Direction::Forward, &nodes[0]),
+                (Direction::Reverse, &nodes[3]),
+                (Direction::Forward, &nodes[1]),
+            ]
+        );
+        // The reverse node produced a child: it is next, before n2.
+        run.frontier(Direction::Reverse).push(nodes[4].clone());
+        let level = run.next_level();
+        assert_eq!(level[0], (Direction::Reverse, nodes[4].clone()));
+        assert_eq!(level[1], (Direction::Forward, nodes[2].clone()));
+        // With reverse exhausted for good, forward drains in one level.
+        for n in &nodes[4..] {
+            run.frontier(Direction::Forward).push(n.clone());
+        }
+        assert_eq!(run.next_level().len(), 2);
+        assert!(run.next_level().is_empty());
+    }
+
+    #[test]
+    fn acknowledged_subscriptions_are_forgotten_when_the_source_errs() {
+        let w = world();
+        let local = host(&w, "local");
+        let wallet_a = host(&w, "wallet.a");
+        let (r1, r2, r3) = (w.a.role("r1"), w.a.role("r2"), w.a.role("r3"));
+        local
+            .wallet()
+            .publish(
+                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                    .sign(&w.a)
+                    .unwrap(),
+                vec![],
+            )
+            .unwrap();
+        let mut remote = Vec::new();
+        for to in [&r2, &r3] {
+            let cert =
+                w.a.delegate(Node::role(r1.clone()), Node::role(to.clone()))
+                    .sign(&w.a)
+                    .unwrap();
+            remote.push(cert.id());
+            wallet_a.wallet().publish(cert, vec![]).unwrap();
+        }
+        let mut dir = Directory::new();
+        dir.register(Node::role(r1), search_tag("wallet.a"));
+        let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir);
+        let maria = Node::entity(&w.maria);
+        let nowhere = Node::role(w.a.role("nowhere"));
+        let subscribes = || w.net.stats().requests("subscribe");
+
+        // The grant subscribes its one remote credential; the denial's
+        // subject query re-delivers it beside a new one, and only the
+        // new one is subscribed; a repeat of the denial subscribes
+        // nothing at all.
+        assert!(agent.discover(&maria, &Node::role(r2), &[]).found());
+        assert_eq!(subscribes(), 1);
+        assert!(!agent.discover(&maria, &nowhere, &[]).found());
+        assert_eq!(subscribes(), 2);
+        let again = agent.discover(&maria, &nowhere, &[]);
+        assert!(!again.found() && !again.degraded);
+        assert_eq!(subscribes(), 2);
+
+        // The source crashes: its subscriber registry dies with it, and
+        // the failed hop tells the agent so.
+        let addr = WalletAddr::new("wallet.a");
+        let store = w.net.crash_host(&addr).unwrap();
+        assert!(agent.discover(&maria, &nowhere, &[]).degraded);
+        w.net.restart_host(&addr, &store).unwrap();
+        for id in &remote {
+            assert!(wallet_a.subscribers_of(*id).is_empty());
+        }
+
+        // Re-absorbed from the restarted host, both are re-subscribed.
+        let healed = agent.discover(&maria, &nowhere, &[]);
+        assert!(!healed.found() && !healed.degraded);
+        assert_eq!(subscribes(), 4);
+        for id in &remote {
+            assert_eq!(
+                wallet_a.subscribers_of(*id),
+                BTreeSet::from([WalletAddr::new("local")])
+            );
+        }
     }
 
     #[test]

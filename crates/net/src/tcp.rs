@@ -20,8 +20,15 @@
 //! re-attempted once on a fresh connection before an error is
 //! reported, so a server-side idle close between requests is invisible
 //! to callers.
+//!
+//! [`Transport::request_batch`] is scatter-gather over the same pool:
+//! per destination one pooled connection is checked out exclusively,
+//! the destination's requests leave as wire-v3 (request-id) frames in
+//! one coalesced write, and the replies — in whatever order the
+//! daemon's workers finish — are gathered by id. No reader thread and
+//! no connection beyond the pooled one (see `docs/PROTOCOL.md` §5).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -222,6 +229,257 @@ impl TcpTransport {
     }
 }
 
+/// Requests one batch keeps in flight per connection: a quarter of the
+/// daemon's default `max_inflight` (128), so a default daemon never
+/// answers a batch with `overloaded:`. A daemon configured lower does,
+/// and [`BatchConn::gather`] resends exactly those entries.
+const BATCH_FLIGHT: usize = 32;
+
+/// Consecutive rounds in which a daemon answered nothing but
+/// `overloaded:` before the remaining entries fail as timeouts (the
+/// caller's [`RetryPolicy`](crate::RetryPolicy) takes over on the
+/// strict path, which the daemon serves inline and never sheds).
+const BATCH_STALLED_ROUNDS: u32 = 8;
+
+/// One destination's share of a [`Transport::request_batch`] call: an
+/// exclusively held connection plus the entries still owed a reply.
+struct BatchConn<'a> {
+    to: &'a WalletAddr,
+    stream: TcpStream,
+    /// Whether `stream` came out of the pool — it may have been closed
+    /// by the peer while idle, which only shows on first use.
+    pooled: bool,
+    /// Batch indices not yet written (or to be written again).
+    waiting: VecDeque<usize>,
+    /// Batch indices written and awaiting their reply; an index doubles
+    /// as the frame's request id.
+    flight: Vec<usize>,
+    /// How many entries the next write may carry.
+    window: usize,
+    sent: Instant,
+}
+
+impl TcpTransport {
+    /// The eager half of [`Transport::request_batch`]: every
+    /// destination's first window is on the wire before any reply is
+    /// awaited, then the destinations are gathered one after another
+    /// (the daemons work concurrently meanwhile).
+    fn scatter_gather(&self, batch: &[(WalletAddr, Request)]) -> Vec<Result<Reply, NetError>> {
+        let span = drbac_obs::span!("drbac.net.tcp.batch", "n" => batch.len());
+        let trace = (span.trace_id() != 0).then_some(wire::TraceContext {
+            trace_id: span.trace_id(),
+            parent_span: span.id(),
+        });
+        let mut results: Vec<Option<Result<Reply, NetError>>> = vec![None; batch.len()];
+        // Entries grouped per destination, destinations in first-use
+        // order.
+        let mut groups: Vec<(&WalletAddr, VecDeque<usize>)> = Vec::new();
+        for (i, (to, _)) in batch.iter().enumerate() {
+            match groups.iter_mut().find(|(dest, _)| *dest == to) {
+                Some((_, entries)) => entries.push_back(i),
+                None => groups.push((to, VecDeque::from([i]))),
+            }
+        }
+        let mut healthy = Vec::with_capacity(groups.len());
+        for (to, waiting) in groups {
+            let (stream, pooled) = match self.checkout(to) {
+                Some(stream) => (stream, true),
+                None => match self.connect(to) {
+                    Ok(stream) => (stream, false),
+                    Err(e) => {
+                        for i in waiting {
+                            results[i] = Some(Err(e.clone()));
+                        }
+                        continue;
+                    }
+                },
+            };
+            let mut conn = BatchConn {
+                to,
+                stream,
+                pooled,
+                waiting,
+                flight: Vec::new(),
+                window: BATCH_FLIGHT,
+                sent: Instant::now(),
+            };
+            match conn.scatter(self, batch, trace) {
+                Ok(()) => healthy.push(conn),
+                Err(e) => conn.fail(e, &mut results),
+            }
+        }
+        for mut conn in healthy {
+            match conn.gather(self, batch, trace, &mut results) {
+                Ok(()) => self.checkin(conn.to, conn.stream),
+                Err(e) => conn.fail(e, &mut results),
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(NetError::Protocol("batch entry unanswered".into()))))
+            .collect()
+    }
+}
+
+impl BatchConn<'_> {
+    /// Moves up to a window of waiting entries into flight and sends
+    /// them.
+    fn scatter(
+        &mut self,
+        transport: &TcpTransport,
+        batch: &[(WalletAddr, Request)],
+        trace: Option<wire::TraceContext>,
+    ) -> Result<(), NetError> {
+        debug_assert!(self.flight.is_empty());
+        let n = self.window.min(self.waiting.len());
+        self.flight.extend(self.waiting.drain(..n));
+        self.send_flight(transport, batch, trace)
+    }
+
+    /// Writes the entries in flight as one coalesced buffer of v3
+    /// frames. A pooled connection the peer closed while idle is
+    /// replaced once, invisibly, as [`TcpTransport::request`] does.
+    fn send_flight(
+        &mut self,
+        transport: &TcpTransport,
+        batch: &[(WalletAddr, Request)],
+        trace: Option<wire::TraceContext>,
+    ) -> Result<(), NetError> {
+        let mut buf: Vec<u8> = Vec::with_capacity(256 * self.flight.len());
+        for &i in &self.flight {
+            let payload = wire::encode_request(&batch[i].1);
+            wire::write_frame_mux(&mut buf, FrameKind::Request, &payload, i as u64, trace)
+                .map_err(|e| map_wire_error(e, self.to))?;
+        }
+        let mut written = self
+            .stream
+            .write_all(&buf)
+            .and_then(|()| self.stream.flush());
+        if written.is_err() && self.pooled {
+            self.reconnect(transport)?;
+            written = self
+                .stream
+                .write_all(&buf)
+                .and_then(|()| self.stream.flush());
+        }
+        written.map_err(|e| map_wire_error(WireError::Io(e), self.to))?;
+        self.sent = Instant::now();
+        drbac_obs::static_counter!("drbac.net.tcp.frame.tx.count").add(self.flight.len() as u64);
+        Ok(())
+    }
+
+    fn reconnect(&mut self, transport: &TcpTransport) -> Result<(), NetError> {
+        self.stream = transport.connect(self.to)?;
+        self.pooled = false;
+        Ok(())
+    }
+
+    /// Reads replies until nothing of this destination is owed any
+    /// more, matching them to entries by request id. `overloaded:`
+    /// replies put their entry back in line; the next write carries
+    /// only as many entries as the daemon just proved it admits.
+    fn gather(
+        &mut self,
+        transport: &TcpTransport,
+        batch: &[(WalletAddr, Request)],
+        trace: Option<wire::TraceContext>,
+        results: &mut [Option<Result<Reply, NetError>>],
+    ) -> Result<(), NetError> {
+        let mut stalled = 0;
+        while !self.flight.is_empty() {
+            let in_flight = self.flight.len();
+            let mut shed = 0;
+            // Buffered: the daemon's workers flush runs of replies, so
+            // one read collects many frames.
+            let mut reader = std::io::BufReader::with_capacity(16 * 1024, &self.stream);
+            let mut answered = 0;
+            while !self.flight.is_empty() {
+                let frame = match wire::read_frame(&mut reader) {
+                    Ok(frame) => frame,
+                    Err(_) if self.pooled && answered == 0 => {
+                        // Closed while idle in the pool: nothing of this
+                        // window was served, replay it on a fresh stream.
+                        drop(reader);
+                        self.reconnect(transport)?;
+                        self.send_flight(transport, batch, trace)?;
+                        reader = std::io::BufReader::with_capacity(16 * 1024, &self.stream);
+                        continue;
+                    }
+                    Err(e) => return Err(map_wire_error(e, self.to)),
+                };
+                drbac_obs::static_counter!("drbac.net.tcp.frame.rx.count").inc();
+                let slot = match (frame.kind, frame.request_id) {
+                    (FrameKind::Reply, Some(id)) => {
+                        self.flight.iter().position(|&i| i as u64 == id)
+                    }
+                    _ => None,
+                };
+                let Some(slot) = slot else {
+                    return Err(NetError::Protocol(format!(
+                        "unexpected {:?} frame (request id {:?}) inside a batch",
+                        frame.kind, frame.request_id
+                    )));
+                };
+                let i = self.flight.swap_remove(slot);
+                answered += 1;
+                drbac_obs::static_histogram!("drbac.net.tcp.request.ns")
+                    .record(self.sent.elapsed().as_nanos() as u64);
+                match wire::decode_reply(&frame.payload) {
+                    Ok(reply) if reply.is_overload() => {
+                        shed += 1;
+                        self.waiting.push_back(i);
+                    }
+                    Ok(reply) => results[i] = Some(Ok(reply)),
+                    Err(e) => {
+                        results[i] =
+                            Some(Err(NetError::Protocol(format!("undecodable reply: {e}"))))
+                    }
+                }
+            }
+            // Nothing but the owed replies may have arrived, or the
+            // stream would go back to the pool out of step.
+            if !reader.buffer().is_empty() {
+                return Err(NetError::Protocol(
+                    "bytes beyond the batch's replies".into(),
+                ));
+            }
+            // The stream has proven itself; a later failure is the
+            // daemon dying, not an idle close.
+            self.pooled = false;
+            if self.waiting.is_empty() {
+                return Ok(());
+            }
+            if shed == in_flight {
+                stalled += 1;
+                if stalled >= BATCH_STALLED_ROUNDS {
+                    for i in self.waiting.drain(..) {
+                        results[i] = Some(Err(NetError::Timeout(self.to.clone())));
+                    }
+                    return Ok(());
+                }
+                // The daemon frees a slot when its reply is written;
+                // give its worker the moment it needs to say so.
+                std::thread::sleep(Duration::from_micros(200 << stalled));
+            } else {
+                stalled = 0;
+            }
+            if shed > 0 {
+                self.window = (in_flight - shed).max(1);
+            }
+            self.scatter(transport, batch, trace)?;
+        }
+        Ok(())
+    }
+
+    /// Fails every entry of this destination still owed a reply; the
+    /// stream is dropped, never returned to the pool.
+    fn fail(self, err: NetError, results: &mut [Option<Result<Reply, NetError>>]) {
+        for i in self.flight.into_iter().chain(self.waiting) {
+            results[i] = Some(Err(err.clone()));
+        }
+    }
+}
+
 /// Classifies a wire-layer failure: deadline → `Timeout`, other stream
 /// death → `HostDown` (both retryable); anything structural →
 /// `Protocol` (permanent).
@@ -253,6 +511,13 @@ impl Transport for TcpTransport {
         let reply = self.exchange(&mut stream, to, &req)?;
         self.checkin(to, stream);
         Ok(reply)
+    }
+
+    fn request_batch<'a>(
+        &'a self,
+        batch: &'a [(WalletAddr, Request)],
+    ) -> Box<dyn Iterator<Item = Result<Reply, NetError>> + 'a> {
+        Box::new(self.scatter_gather(batch).into_iter())
     }
 
     /// Really sleeps: `delay × tick`, capped at

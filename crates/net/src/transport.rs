@@ -32,6 +32,23 @@ pub trait Transport: Send + Sync {
     /// request timed out in transit.
     fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError>;
 
+    /// Sends every request of `batch` and yields one result per entry,
+    /// in entry order. This default is sequential *and lazy*: entry `i`
+    /// goes out only when the caller asks for result `i`, so a caller
+    /// that stops reading (discovery found its proof) sends nothing
+    /// speculative. A transport with real latency overrides it to put
+    /// the whole batch on the wire before the first reply is awaited
+    /// ([`crate::TcpTransport`]: one coalesced write per destination).
+    ///
+    /// Each entry fails on its own; callers continue a failed entry's
+    /// retry schedule with [`RetryPolicy::resume`].
+    fn request_batch<'a>(
+        &'a self,
+        batch: &'a [(WalletAddr, Request)],
+    ) -> Box<dyn Iterator<Item = Result<Reply, NetError>> + 'a> {
+        Box::new(batch.iter().map(|(to, req)| self.request(to, req.clone())))
+    }
+
     /// Waits out a retry backoff delay. Transports with a notion of
     /// simulated time advance their clock; the default is a no-op
     /// (real transports would sleep).
@@ -46,6 +63,13 @@ pub trait Transport: Send + Sync {
 impl<T: Transport + ?Sized> Transport for std::sync::Arc<T> {
     fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError> {
         (**self).request(to, req)
+    }
+
+    fn request_batch<'a>(
+        &'a self,
+        batch: &'a [(WalletAddr, Request)],
+    ) -> Box<dyn Iterator<Item = Result<Reply, NetError>> + 'a> {
+        (**self).request_batch(batch)
     }
 
     fn backoff(&self, delay: Ticks) {
@@ -119,11 +143,23 @@ impl RetryPolicy {
     /// ([`NetError::UnknownHost`]) and successful replies return
     /// immediately.
     pub fn run(&self, transport: &dyn Transport, to: &WalletAddr, req: &Request) -> RetryOutcome {
+        self.resume(transport, to, req, transport.request(to, req.clone()))
+    }
+
+    /// Continues the schedule after a first attempt made elsewhere —
+    /// an entry of [`Transport::request_batch`] — so a batched request
+    /// spends exactly the attempts and backoffs a lone one would.
+    pub fn resume(
+        &self,
+        transport: &dyn Transport,
+        to: &WalletAddr,
+        req: &Request,
+        first: Result<Reply, NetError>,
+    ) -> RetryOutcome {
         let max_attempts = self.max_attempts.max(1);
-        let mut attempts = 0;
+        let mut attempts = 1;
+        let mut reply = first;
         loop {
-            attempts += 1;
-            let reply = transport.request(to, req.clone());
             match &reply {
                 Ok(_) => return RetryOutcome { reply, attempts },
                 Err(e) if !e.is_retryable() || attempts >= max_attempts => {
@@ -143,6 +179,8 @@ impl RetryPolicy {
                     transport.backoff(Ticks(self.base_backoff.0.saturating_mul(1u64 << exponent)));
                 }
             }
+            attempts += 1;
+            reply = transport.request(to, req.clone());
         }
     }
 }

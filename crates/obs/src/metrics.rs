@@ -446,15 +446,22 @@ impl Snapshot {
                 "histogram", "count", "mean", "p50", "p90", "p99", "p999"
             );
             for (name, h) in &self.histograms {
+                // `.ns` histograms hold durations; anything else (batch
+                // sizes) is a plain count.
+                let show = if name.ends_with(".ns") {
+                    format_scaled
+                } else {
+                    |v: u64| v.to_string()
+                };
                 let _ = writeln!(
                     out,
                     "{name:<52} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
                     h.count,
-                    format_scaled(h.mean() as u64),
-                    format_scaled(h.p50),
-                    format_scaled(h.p90),
-                    format_scaled(h.p99),
-                    format_scaled(h.p999),
+                    show(h.mean() as u64),
+                    show(h.p50),
+                    show(h.p90),
+                    show(h.p99),
+                    show(h.p999),
                 );
             }
         }
@@ -615,6 +622,23 @@ mod tests {
         merged.merge(other.snapshot());
         assert_eq!(merged.counters.len(), 4);
         assert!(merged.render_table().contains("drbac.c.w.count"));
+    }
+
+    #[test]
+    fn only_duration_histograms_render_with_time_units() {
+        let r = Registry::new();
+        r.histogram("drbac.test.op.ns").record(3);
+        r.histogram("drbac.test.batch.size").record(3);
+        let table = r.snapshot().render_table();
+        let row = |name: &str| {
+            table
+                .lines()
+                .find(|l| l.starts_with(name))
+                .unwrap()
+                .to_string()
+        };
+        assert!(row("drbac.test.op.ns").contains("3ns"));
+        assert!(!row("drbac.test.batch.size").contains("ns"));
     }
 
     #[test]

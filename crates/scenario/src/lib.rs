@@ -36,6 +36,6 @@ mod spec;
 
 pub use generate::{Event, QuerySpec, Scenario};
 pub use oracle::Oracle;
-pub use report::{fnv64, LatencySummary, QueryRecord, SoakReport};
+pub use report::{fnv64, Decision, LatencySummary, QueryRecord, SoakReport};
 pub use runner::{run_simnet, run_tcp, RunConfig, SimFederation, TcpFederation};
 pub use spec::{Family, Scale, ScenarioSpec};

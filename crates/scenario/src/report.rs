@@ -79,6 +79,42 @@ impl QueryRecord {
     pub fn mismatch(&self) -> bool {
         self.strict && self.granted != self.oracle_granted
     }
+
+    /// How the query ended, for cost accounting.
+    pub fn decision(&self) -> Decision {
+        match (self.degraded, self.granted) {
+            (true, _) => Decision::Degraded,
+            (false, true) => Decision::Grant,
+            (false, false) => Decision::Deny,
+        }
+    }
+}
+
+/// The three ways a query ends, which cost very different amounts: a
+/// grant stops at the first proof, a denial exhausts the frontier, and
+/// a degraded run (either answer) also paid for retries and timeouts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// A proof was found on a clean run.
+    Grant,
+    /// No proof exists, established on a clean run.
+    Deny,
+    /// Some hop retried, timed out or was skipped.
+    Degraded,
+}
+
+impl Decision {
+    /// All three, in reporting order.
+    pub const ALL: [Decision; 3] = [Decision::Grant, Decision::Deny, Decision::Degraded];
+
+    /// Lower-case name, as recorded in `BENCH_federation.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Decision::Grant => "grant",
+            Decision::Deny => "deny",
+            Decision::Degraded => "degraded",
+        }
+    }
 }
 
 /// Everything a soak run observed, per scenario × substrate.
@@ -182,6 +218,28 @@ impl SoakReport {
             self.records
                 .iter()
                 .map(|r| r.wallets_contacted as u64)
+                .collect(),
+        )
+    }
+
+    /// [`latency`](Self::latency) over the queries that ended in
+    /// `decision`.
+    pub fn latency_of(&self, decision: Decision) -> LatencySummary {
+        self.summary_of(decision, |r| r.wall_ns)
+    }
+
+    /// [`wallets_contacted`](Self::wallets_contacted) over the queries
+    /// that ended in `decision`.
+    pub fn wallets_contacted_of(&self, decision: Decision) -> LatencySummary {
+        self.summary_of(decision, |r| r.wallets_contacted as u64)
+    }
+
+    fn summary_of(&self, decision: Decision, sample: fn(&QueryRecord) -> u64) -> LatencySummary {
+        LatencySummary::from_samples(
+            self.records
+                .iter()
+                .filter(|r| r.decision() == decision)
+                .map(sample)
                 .collect(),
         )
     }

@@ -26,8 +26,8 @@ use drbac_core::{
 };
 use drbac_net::proto::{Reply, Request};
 use drbac_net::{
-    DiscoveryAgent, FaultPlan, NetError, RetryPolicy, SimNet, SubscriberLink, TcpConfig,
-    TcpTransport, WalletDaemon, WalletHost,
+    DaemonConfig, DiscoveryAgent, FaultPlan, NetError, RetryPolicy, SimNet, SubscriberLink,
+    TcpConfig, TcpTransport, WalletDaemon, WalletHost,
 };
 use drbac_wallet::{DelegationEvent, InvalidationReason, ProofMonitor, Wallet};
 use drbac_core::SimClock;
@@ -503,7 +503,14 @@ impl TcpFederation {
             if let Some(w) = workers {
                 wallet.set_search_workers(w);
             }
-            let daemon = WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::fast())
+            // One request worker per daemon: the default pool (one per
+            // core) is sized for a daemon that owns its host, and here a
+            // whole federation of them shares this process.
+            let sizing = DaemonConfig {
+                workers: 1,
+                ..DaemonConfig::default()
+            };
+            let daemon = WalletDaemon::bind_with("127.0.0.1:0", wallet, TcpConfig::fast(), sizing)
                 .map_err(|e| NetError::Protocol(format!("bind daemon {i}: {e}")))?;
             transport.add_route(addr.as_str(), daemon.local_addr());
             daemons.push(daemon);

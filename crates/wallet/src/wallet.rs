@@ -602,6 +602,15 @@ impl Wallet {
         );
         drbac_obs::static_counter!("drbac.wallet.absorb.count").inc();
         let now = self.now();
+        let certs = proof.all_certs();
+        // Discovery re-fetches credentials this wallet already holds and
+        // already verified; a byte-identical copy inherits that verdict
+        // instead of paying the signature check again.
+        for cert in &certs {
+            if let Some(stored) = self.state.graph.get(cert.id()) {
+                cert.adopt_signature_memo(&stored);
+            }
+        }
         {
             let ctx =
                 ValidationContext::at(now).with_declarations(self.state.graph.declarations());
@@ -615,7 +624,7 @@ impl Wallet {
         })?;
         let graph = &self.state.graph;
         let mut cache = self.state.cache_meta.lock();
-        for cert in proof.all_certs() {
+        for cert in certs {
             let ttl = cert
                 .delegation()
                 .subject_tag()

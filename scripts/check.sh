@@ -53,6 +53,9 @@ target/release/wallet_ops_record --guard
 echo "== daemon guard (pipelined front-door throughput vs committed artifact) =="
 target/release/load_test --guard
 
+echo "== benchmark selftest (all four workloads --quick, correctness oracles on) =="
+bash benchmark/selftest.sh
+
 echo "== durable store (unit suite + on-disk verify) =="
 cargo test -q -p drbac-store
 STORE_HOME="$(mktemp -d)"

@@ -345,3 +345,102 @@ fn same_name_different_key_is_a_different_role() {
         .query_direct(&Node::entity(&user), &Node::role(fake.role("admin")), &[])
         .is_some());
 }
+
+/// Memo adoption cannot be turned into a bypass: a twin of a stored
+/// credential — same body, hence the same `DelegationId` — whose
+/// signature or key bytes differ inherits nothing from the stored copy
+/// and is rejected by the full check, leaving the stored one in place.
+#[test]
+fn twin_of_a_stored_credential_with_altered_bytes_is_rejected() {
+    use drbac::core::{Encode, Writer};
+
+    let mut w = World::new();
+    let owner = w.entity("Owner");
+    let user = w.entity("User");
+    let mallory = w.entity("Mallory");
+    let wallet = Wallet::new("cache", SimClock::new());
+    let cert = owner
+        .delegate(Node::entity(&user), Node::role(owner.role("r")))
+        .sign(&owner)
+        .unwrap();
+    let absorb = |cert: SignedDelegation| {
+        let proof = Proof::from_steps(vec![ProofStep::new(cert)]).unwrap();
+        wallet.absorb_proof(&proof, &"home".into())
+    };
+    absorb(cert.clone()).unwrap();
+    let bytes = cert.to_bytes();
+
+    // The signature is the tail of the wire form: flip its last byte.
+    let mut resigned = bytes.clone();
+    *resigned.last_mut().unwrap() ^= 1;
+    let twin = SignedDelegation::from_bytes(&resigned).unwrap();
+    assert_eq!(twin.id(), cert.id());
+    assert_eq!(
+        absorb(twin),
+        Err(WalletError::Validation(ValidationError::BadSignature))
+    );
+
+    // Another entity's (perfectly valid) key spliced over the issuer's.
+    let encoded = |key: &drbac::crypto::PublicKey| {
+        let mut w = Writer::default();
+        key.encode(&mut w);
+        w.finish()
+    };
+    let own_key = encoded(owner.public_key());
+    let at = bytes
+        .windows(own_key.len())
+        .rposition(|window| window == own_key)
+        .expect("the wire form carries the issuer key");
+    let mut rekeyed = bytes[..at].to_vec();
+    rekeyed.extend(encoded(mallory.public_key()));
+    rekeyed.extend(&bytes[at + own_key.len()..]);
+    let twin = SignedDelegation::from_bytes(&rekeyed).unwrap();
+    assert_eq!(twin.id(), cert.id());
+    // A key that decodes at all has its own fingerprint, so this one is
+    // caught before the signature is even looked at.
+    assert!(matches!(
+        absorb(twin),
+        Err(WalletError::Validation(ValidationError::WrongSigner { .. }))
+    ));
+
+    assert_eq!(*wallet.get(cert.id()).unwrap(), cert);
+    assert!(wallet
+        .query_direct(&Node::entity(&user), &Node::role(owner.role("r")), &[])
+        .is_some());
+}
+
+/// The flip side: a byte-identical copy arriving in a remote proof —
+/// decoding dropped its memo — is admitted on the stored credential's
+/// verdict, without a second group exponentiation.
+#[test]
+fn byte_identical_copy_is_admitted_without_a_second_signature_check() {
+    let mut w = World::new();
+    let owner = w.entity("Owner");
+    let user = w.entity("User");
+    let wallet = Wallet::new("cache", SimClock::new());
+    let cert = owner
+        .delegate(Node::entity(&user), Node::role(owner.role("r")))
+        .sign(&owner)
+        .unwrap();
+    let sig_checks = || {
+        drbac::obs::global()
+            .counter("drbac.core.cert.sig_check.count")
+            .get()
+    };
+    let absorb_copy = || {
+        let copy = SignedDelegation::from_bytes(&cert.to_bytes()).unwrap();
+        let proof = Proof::from_steps(vec![ProofStep::new(copy)]).unwrap();
+        let before = sig_checks();
+        wallet.absorb_proof(&proof, &"home".into()).unwrap();
+        sig_checks() - before
+    };
+    // The first sighting pays the full check.
+    assert!(absorb_copy() >= 1);
+    // The counter is process-wide and other tests verify credentials
+    // concurrently, so look for one quiet absorb: a copy that did need
+    // its own check could never show zero.
+    assert!(
+        (0..200).any(|_| absorb_copy() == 0),
+        "every re-absorb of a stored credential re-checked its signature"
+    );
+}

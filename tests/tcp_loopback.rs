@@ -787,3 +787,327 @@ fn daemon_echoes_duplicate_request_ids_verbatim() {
     drop(s);
     daemon.shutdown();
 }
+
+/// A scripted stand-in for a daemon, for the batch-client paths a real
+/// daemon cannot be made to take on cue. Each accepted connection reads
+/// `expect` v3 request frames and hands them to `script` with the
+/// stream; the script writes whatever it wants and returns, which
+/// closes the connection. `accepts` counts connections.
+struct ScriptedPeer {
+    addr: std::net::SocketAddr,
+    accepts: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl ScriptedPeer {
+    fn spawn(
+        expect: usize,
+        script: impl Fn(&mut std::net::TcpStream, Vec<drbac::net::wire::Frame>) + Send + 'static,
+    ) -> ScriptedPeer {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&accepts);
+        // Detached on purpose: it parks in accept() until the test
+        // process exits.
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { return };
+                seen.fetch_add(1, Ordering::SeqCst);
+                let frames: Vec<_> = (0..expect)
+                    .map_while(|_| drbac::net::wire::read_frame(&mut stream).ok())
+                    .collect();
+                script(&mut stream, frames);
+            }
+        });
+        ScriptedPeer { addr, accepts }
+    }
+
+    fn accepts(&self) -> usize {
+        self.accepts.load(std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+fn subscribe_to(id_byte: u8) -> Request {
+    Request::Subscribe {
+        delegation: drbac::core::DelegationId([id_byte; 32]),
+        subscriber: "batch.client".into(),
+    }
+}
+
+/// The daemon's workers finish in any order; the batch client hands
+/// replies back in request order regardless, and returns the connection
+/// to the pool once every reply is in.
+#[test]
+fn batch_replies_land_in_request_order() {
+    use drbac::net::wire;
+    // Answers the whole batch in reverse, each reply naming the
+    // delegation its request named.
+    let peer = ScriptedPeer::spawn(5, |stream, frames| {
+        for frame in frames.iter().rev() {
+            let Ok(Request::Subscribe { delegation, .. }) = wire::decode_request(&frame.payload)
+            else {
+                return;
+            };
+            let payload = wire::encode_reply(&Reply::Published(delegation));
+            let id = frame.request_id.expect("batch frames are v3");
+            wire::write_frame_mux(stream, wire::FrameKind::Reply, &payload, id, None).unwrap();
+        }
+        // Stay open until the client hangs up, as a daemon would.
+        let _ = wire::read_frame(stream);
+    });
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("peer", peer.addr);
+    let batch: Vec<_> = (0..5u8).map(|i| ("peer".into(), subscribe_to(i))).collect();
+    let replies: Vec<_> = transport.request_batch(&batch).collect();
+    assert_eq!(replies.len(), 5);
+    for (i, reply) in replies.into_iter().enumerate() {
+        match reply {
+            Ok(Reply::Published(id)) => assert_eq!(id.0, [i as u8; 32], "entry {i}"),
+            other => panic!("entry {i}: {other:?}"),
+        }
+    }
+    assert_eq!(peer.accepts(), 1, "one connection carried the whole batch");
+}
+
+/// A daemon that dies mid-gather: entries it answered stand, the rest
+/// fail on their own, and the broken stream is not pooled — the next
+/// request opens a new connection.
+#[test]
+fn daemon_killed_mid_gather_fails_only_the_unanswered_entries() {
+    use drbac::net::wire;
+    // Answers the first frame it read, then hangs up.
+    let peer = ScriptedPeer::spawn(3, |stream, frames| {
+        if let Some(first) = frames.first() {
+            let payload = wire::encode_reply(&Reply::Subscribed);
+            let id = first.request_id.expect("batch frames are v3");
+            wire::write_frame_mux(stream, wire::FrameKind::Reply, &payload, id, None).unwrap();
+        }
+    });
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("peer", peer.addr);
+    let batch: Vec<_> = (0..3u8).map(|i| ("peer".into(), subscribe_to(i))).collect();
+    let replies: Vec<_> = transport.request_batch(&batch).collect();
+    assert!(
+        matches!(replies[0], Ok(Reply::Subscribed)),
+        "{:?}",
+        replies[0]
+    );
+    for reply in &replies[1..] {
+        let err = reply.as_ref().expect_err("unanswered entry");
+        assert!(err.is_retryable(), "a dead daemon may come back: {err}");
+    }
+    assert_eq!(peer.accepts(), 1);
+    let _ = transport.request(&"peer".into(), subscribe_to(9));
+    assert_eq!(peer.accepts(), 2, "the broken stream was not pooled");
+}
+
+/// The agent's side of the same failure: a home wallet that dies while
+/// a level's replies are being gathered costs the run its clean bill —
+/// each unanswered entry goes through the retry policy on its own, the
+/// wallet is skipped, and the outcome says degraded.
+#[test]
+fn discovery_degrades_when_a_home_dies_mid_level() {
+    use drbac::net::wire;
+    // Serves the declarations fetch of the first connection, then
+    // nothing: every later connection is closed on accept.
+    let peer = ScriptedPeer::spawn(1, |stream, frames| {
+        if let Some(frame) = frames.first() {
+            if let Some(id) = frame.request_id {
+                let payload = wire::encode_reply(&Reply::Declarations(vec![]));
+                wire::write_frame_mux(stream, wire::FrameKind::Reply, &payload, id, None).unwrap();
+            }
+        }
+    });
+    let chain = build_chain(43);
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    transport.add_route("w0", peer.addr);
+    let local = Wallet::new("agent.tcp", chain.clock.clone());
+    let mut agent = DiscoveryAgent::new(Arc::clone(&transport), local, directory_for(&chain));
+    let outcome = agent.discover(
+        &Node::entity(&chain.user),
+        &Node::role(chain.orgs[2].role("resource")),
+        &[],
+    );
+    assert!(!outcome.found());
+    assert!(outcome.degraded, "trace: {:?}", outcome.trace);
+    // The batch's connection, then each query's own retries.
+    let retries = RetryPolicy::standard().max_attempts as usize - 1;
+    assert!(
+        peer.accepts() > 2 * retries,
+        "both queries retried on their own ({} connections)",
+        peer.accepts()
+    );
+}
+
+/// Backpressure on the batch path: a level that puts far more requests
+/// on one connection than the daemon admits is chunked and the shed
+/// entries resent — `overloaded:` never reaches the agent, every
+/// frontier node gets its answer, and the run is not degraded.
+#[test]
+fn batch_backpressure_resends_overloaded_entries() {
+    use drbac::net::{DaemonConfig, DiscoveryStep};
+
+    const FANOUT: usize = 16;
+    let mut rng = StdRng::seed_from_u64(44);
+    let group = SchnorrGroup::test_256();
+    let clock = SimClock::new();
+    let org = LocalEntity::generate("Org", group.clone(), &mut rng);
+    let user = LocalEntity::generate("User", group, &mut rng);
+    let tag = |home: &str| DiscoveryTag::new(home).with_subject_flag(SubjectFlag::Search);
+
+    // w.wide holds User -> Org.r<i> for every i; w.far holds the one
+    // onward hop, Org.r0 -> Org.target.
+    let wide = Wallet::new("w.wide", clock.clone());
+    for i in 0..FANOUT {
+        let cert = org
+            .delegate(Node::entity(&user), Node::role(org.role(&format!("r{i}"))))
+            .sign(&org)
+            .unwrap();
+        wide.publish(cert, vec![]).unwrap();
+    }
+    let far = Wallet::new("w.far", clock.clone());
+    far.publish(
+        org.delegate(Node::role(org.role("r0")), Node::role(org.role("target")))
+            .sign(&org)
+            .unwrap(),
+        vec![],
+    )
+    .unwrap();
+
+    let tight = DaemonConfig {
+        max_inflight: 2,
+        ..DaemonConfig::default()
+    };
+    let wide_daemon =
+        WalletDaemon::bind_with("127.0.0.1:0", wide, TcpConfig::fast(), tight).unwrap();
+    let far_daemon = WalletDaemon::bind("127.0.0.1:0", far, TcpConfig::fast()).unwrap();
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    transport.add_route("w.wide", wide_daemon.local_addr());
+    transport.add_route("w.far", far_daemon.local_addr());
+
+    let mut directory = Directory::new();
+    directory.register(Node::entity(&user), tag("w.wide"));
+    directory.register_entity(org.id(), tag("w.wide"));
+    directory.register(Node::role(org.role("r0")), tag("w.far"));
+    let local = Wallet::new("agent.tcp", clock);
+    let mut agent = DiscoveryAgent::new(Arc::clone(&transport), local, directory);
+
+    // A denial walks the whole fan: one level carries two requests per
+    // role to a daemon that admits two at a time.
+    let shed_before = counter("drbac.net.tcp.overload.count");
+    let denied = agent.discover(&Node::entity(&user), &Node::role(org.role("nowhere")), &[]);
+    assert!(!denied.found());
+    assert!(!denied.degraded, "trace: {:?}", denied.trace);
+    assert!(
+        counter("drbac.net.tcp.overload.count") > shed_before,
+        "the tight daemon shed part of the level"
+    );
+    let answered =
+        |pick: fn(&DiscoveryStep) -> bool| denied.trace.iter().filter(|s| pick(s)).count();
+    // The user, every role, and Org.target (found behind r0), each
+    // with both of its answers.
+    assert_eq!(
+        answered(|s| matches!(s, DiscoveryStep::RemoteDirect { .. })),
+        FANOUT + 2
+    );
+    assert_eq!(
+        answered(|s| matches!(s, DiscoveryStep::RemoteSubjectQuery { .. })),
+        FANOUT + 2
+    );
+
+    // And a grant through the same fan still assembles.
+    let granted = agent.discover(&Node::entity(&user), &Node::role(org.role("target")), &[]);
+    assert!(granted.found(), "trace: {:?}", granted.trace);
+    assert!(!granted.degraded);
+    wide_daemon.shutdown();
+    far_daemon.shutdown();
+}
+
+/// The paper's Figure 2 world answers with the same proof bytes whether
+/// the two home wallets sit on SimNet or behind socket daemons.
+#[test]
+fn figure2_proof_is_byte_identical_over_simnet_and_tcp() {
+    use drbac::disco::scenario::{CoalitionScenario, AIRNET_WALLET, BIGISP_WALLET};
+
+    let sim = CoalitionScenario::build(&mut StdRng::seed_from_u64(45));
+    let sim_outcome = sim.establish_access();
+    assert!(sim_outcome.found(), "simnet trace: {:?}", sim_outcome.trace);
+
+    // The same world (same seed, same keys and certs), its two home
+    // wallets served by daemons instead of the simulator.
+    let tcp = CoalitionScenario::build(&mut StdRng::seed_from_u64(45));
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    let daemons: Vec<WalletDaemon> = [
+        (BIGISP_WALLET, &tcp.bigisp_home),
+        (AIRNET_WALLET, &tcp.airnet_home),
+    ]
+    .into_iter()
+    .map(|(addr, host)| {
+        let daemon =
+            WalletDaemon::bind("127.0.0.1:0", host.wallet().clone(), TcpConfig::fast()).unwrap();
+        transport.add_route(addr, daemon.local_addr());
+        daemon
+    })
+    .collect();
+    let presented = tcp.present_credentials();
+    let mut directory = Directory::new();
+    directory.learn_from_proof(&presented);
+    let mut agent = DiscoveryAgent::new(
+        Arc::clone(&transport),
+        tcp.server.wallet().clone(),
+        directory,
+    );
+    let tcp_outcome = agent.discover(
+        &Node::entity(&tcp.maria),
+        &Node::role(tcp.access_role()),
+        &[],
+    );
+    assert!(tcp_outcome.found(), "tcp trace: {:?}", tcp_outcome.trace);
+
+    assert_eq!(
+        sim_outcome.monitor.unwrap().proof().to_bytes(),
+        tcp_outcome.monitor.unwrap().proof().to_bytes(),
+        "same wire bytes"
+    );
+    assert_eq!(sim_outcome.trace, tcp_outcome.trace, "same walk");
+    assert_eq!(sim_outcome.wallets_contacted, tcp_outcome.wallets_contacted);
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// A pooled connection the peer closed while it sat idle is replaced
+/// inside the batch, exactly as a strict request would replace it: the
+/// caller sees a clean reply, not a failed entry.
+#[test]
+fn batch_replaces_a_pooled_connection_closed_while_idle() {
+    use drbac::net::wire;
+    // Answers one request per connection, in the version it was asked
+    // in, then hangs up.
+    let peer = ScriptedPeer::spawn(1, |stream, frames| {
+        let payload = wire::encode_reply(&Reply::Subscribed);
+        match frames.first().map(|f| f.request_id) {
+            Some(Some(id)) => {
+                wire::write_frame_mux(stream, wire::FrameKind::Reply, &payload, id, None).unwrap()
+            }
+            Some(None) => wire::write_frame(stream, wire::FrameKind::Reply, &payload).unwrap(),
+            None => {}
+        }
+    });
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("peer", peer.addr);
+    // A strict exchange leaves its connection in the pool; the peer has
+    // already closed its end.
+    assert!(matches!(
+        transport.request(&"peer".into(), subscribe_to(1)),
+        Ok(Reply::Subscribed)
+    ));
+    let batch = vec![("peer".into(), subscribe_to(2))];
+    let replies: Vec<_> = transport.request_batch(&batch).collect();
+    assert!(
+        matches!(replies[..], [Ok(Reply::Subscribed)]),
+        "{replies:?}"
+    );
+    assert_eq!(peer.accepts(), 2);
+}
