@@ -5,7 +5,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let b = BigUint::from(32u64);
 /// assert_eq!((&a * &b).to_string(), "320");
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BigUint {
     pub(crate) limbs: Vec<u64>,
 }

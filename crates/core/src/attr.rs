@@ -19,7 +19,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::entity::{EntityId, LocalEntity};
 use crate::error::{ModelError, ValidationError};
@@ -29,8 +28,7 @@ use drbac_crypto::{PublicKey, Signature};
 
 /// A validated attribute name (same rules as role names: 1–64 chars of
 /// `[A-Za-z0-9_-]`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(try_from = "String", into = "String")]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrName(String);
 
 impl AttrName {
@@ -65,21 +63,8 @@ impl fmt::Display for AttrName {
     }
 }
 
-impl TryFrom<String> for AttrName {
-    type Error = ModelError;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        AttrName::new(s)
-    }
-}
-
-impl From<AttrName> for String {
-    fn from(a: AttrName) -> String {
-        a.0
-    }
-}
-
 /// The monotone operator bound to a valued attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttrOp {
     /// `-=`: subtract a positive quantity. Identity operand: 0.
     Subtract,
@@ -156,7 +141,7 @@ impl fmt::Display for AttrOp {
 
 /// A reference to a valued attribute: namespace, name, and its bound
 /// operator, e.g. `AirNet.BW <=`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrRef {
     entity: EntityId,
     name: AttrName,
@@ -201,7 +186,7 @@ impl fmt::Display for AttrRef {
 }
 
 /// One `with A.attr <op>= <value>` clause on a delegation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrClause {
     attr: AttrRef,
     operand: f64,
@@ -257,7 +242,7 @@ impl fmt::Display for AttrClause {
 /// assert_eq!(acc.aggregate(&bw), Some(100.0));
 /// # Ok::<(), drbac_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttrAccumulator {
     aggregates: BTreeMap<AttrRef, f64>,
 }
@@ -333,7 +318,7 @@ fn natural_base(op: AttrOp) -> f64 {
 
 /// A lower-bound requirement on an attribute's effective value, used in
 /// authorization queries ("at least 50 units of bandwidth").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrConstraint {
     /// The constrained attribute.
     pub attr: AttrRef,
@@ -360,7 +345,7 @@ impl fmt::Display for AttrConstraint {
 /// The paper's case study applies modifiers to base quantities (storage
 /// `50 − 20`, hours `60 × 0.3`); declarations are where those bases come
 /// from. They are signed by the namespace owner like any credential.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrDeclaration {
     /// The declared attribute (namespace, name, operator binding).
     pub attr: AttrRef,
@@ -401,7 +386,7 @@ impl AttrDeclaration {
 }
 
 /// An [`AttrDeclaration`] signed by its namespace owner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignedAttrDeclaration {
     declaration: AttrDeclaration,
     issuer_key: PublicKey,
@@ -543,7 +528,7 @@ impl DeclarationSet {
 
 /// A human-readable summary of effective attribute values for a proof
 /// (what the AirNet server computes in paper §5, step 5).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttrSummary {
     /// `(attribute, effective value)` pairs in deterministic order.
     pub values: Vec<(AttrRef, f64)>,

@@ -4,7 +4,6 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use drbac_crypto::{sha256, PublicKey, Signature};
-use serde::{Deserialize, Serialize};
 
 use crate::clock::Timestamp;
 use crate::delegation::Delegation;
@@ -14,7 +13,7 @@ use crate::error::ValidationError;
 /// Content-addressed identity of a delegation: the SHA-256 of its
 /// canonical wire bytes. Two structurally identical delegations share an
 /// id; reissues are distinguished by the serial field inside the body.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DelegationId(pub [u8; 32]);
 
 impl DelegationId {
@@ -55,7 +54,7 @@ impl fmt::Debug for DelegationId {
 /// assert!(cert.verify(Timestamp(0)).is_ok());
 /// # Ok::<(), drbac_core::ValidationError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignedDelegation {
     delegation: Delegation,
     issuer_key: PublicKey,
@@ -65,7 +64,6 @@ pub struct SignedDelegation {
     /// for the id of every edge it touches (revocation filtering), so the
     /// first computation is cached here. Not part of the wire form or of
     /// equality.
-    #[serde(skip)]
     cached_id: OnceLock<DelegationId>,
     /// Digest of the full credential (body, key, signature) at the time a
     /// signature check last *succeeded*. Signature validity is immutable —
@@ -75,7 +73,6 @@ pub struct SignedDelegation {
     /// keying means any mutation of body, key, or signature misses the
     /// memo and takes the full check; clones of a verified instance keep
     /// it. Not part of the wire form or of equality.
-    #[serde(skip)]
     sig_ok_digest: OnceLock<[u8; 32]>,
 }
 

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::attr::{AttrClause, AttrRef};
 use crate::cert::SignedDelegation;
@@ -14,7 +13,7 @@ use crate::wire::{Encode, Writer};
 use crate::Node;
 
 /// The paper's delegation taxonomy along the authorization axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DelegationKind {
     /// `OEntity == Issuer`: "no additional authorization is required
     /// because an entity is permitted to delegate the permissions
@@ -39,7 +38,7 @@ impl fmt::Display for DelegationKind {
 ///
 /// Build with [`DelegationBuilder`] (see [`LocalEntity::delegate`]); sign
 /// into a [`SignedDelegation`] to make it a credential.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Delegation {
     pub(crate) subject: Node,
     pub(crate) object: Node,

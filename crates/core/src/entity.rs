@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use drbac_crypto::{KeyFingerprint, KeyPair, PublicKey, SchnorrGroup, Signature};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::role::{Role, RoleName};
 use crate::{AttrName, AttrOp, AttrRef};
@@ -15,7 +14,7 @@ use crate::{AttrName, AttrOp, AttrRef};
 /// dRBAC "does not distinguish between owners of resources ... and
 /// principals attempting to access them. Both are termed entities and
 /// represented by a unique PKI public identity."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub KeyFingerprint);
 
 impl EntityId {
@@ -36,7 +35,7 @@ impl fmt::Display for EntityId {
 ///
 /// The name is advisory (display only); the key fingerprint is the
 /// authoritative identity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     name: String,
     public_key: PublicKey,

@@ -79,9 +79,7 @@ pub use wire::{Decode, DecodeError, Encode, Reader, Writer};
 /// The paper treats rights-of-assignment "as if they were just another
 /// role"; modelling all four as one node type lets the delegation graph,
 /// discovery, and proofs handle them uniformly.
-#[derive(
-    Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Node {
     /// A principal or resource identified by its key fingerprint.
     Entity(EntityId),

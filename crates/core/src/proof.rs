@@ -16,7 +16,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 use crate::attr::{AttrAccumulator, AttrConstraint, AttrSummary, DeclarationSet};
 use crate::cert::{DelegationId, SignedDelegation};
@@ -26,7 +25,7 @@ use crate::Node;
 
 /// One link in a proof chain: a credential plus the support proofs that
 /// authorize it when it is third-party.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProofStep {
     cert: Arc<SignedDelegation>,
     supports: Vec<Proof>,
@@ -67,7 +66,7 @@ impl ProofStep {
 ///
 /// Construct with [`Proof::from_steps`] (which checks chain linkage) or
 /// [`Proof::trivial`] for the reflexive `S ⇒ S` proof.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Proof {
     subject: Node,
     object: Node,

@@ -9,7 +9,6 @@
 use std::fmt;
 
 use drbac_crypto::{PublicKey, Signature};
-use serde::{Deserialize, Serialize};
 
 use crate::cert::{DelegationId, SignedDelegation};
 use crate::clock::Timestamp;
@@ -18,7 +17,7 @@ use crate::error::ValidationError;
 use crate::wire::{Encode, Writer};
 
 /// An unsigned revocation body naming the delegation being withdrawn.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevocationNotice {
     /// The delegation being revoked.
     pub delegation: DelegationId,
@@ -55,7 +54,7 @@ impl RevocationNotice {
 /// assert!(revocation.verify_against(&cert).is_ok());
 /// # Ok::<(), drbac_core::ValidationError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignedRevocation {
     notice: RevocationNotice,
     issuer_key: PublicKey,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::entity::EntityId;
 use crate::error::ModelError;
@@ -11,8 +10,7 @@ use crate::error::ModelError;
 ///
 /// Validation keeps names unambiguous in the textual delegation syntax
 /// (`Entity.LocalName`) and in wire encodings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(try_from = "String", into = "String")]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RoleName(String);
 
 impl RoleName {
@@ -51,19 +49,6 @@ impl fmt::Display for RoleName {
     }
 }
 
-impl TryFrom<String> for RoleName {
-    type Error = ModelError;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        RoleName::new(s)
-    }
-}
-
-impl From<RoleName> for String {
-    fn from(r: RoleName) -> String {
-        r.0
-    }
-}
-
 /// A role: a [`RoleName`] in an entity's namespace, e.g. `BigISP.member`.
 ///
 /// "dRBAC roles represent classes of permissions controlled by their
@@ -80,7 +65,7 @@ impl From<RoleName> for String {
 /// assert_eq!(role.name().as_str(), "member");
 /// # Ok::<(), drbac_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Role {
     entity: EntityId,
     name: RoleName,

@@ -15,13 +15,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::clock::Ticks;
 use crate::role::Role;
 
 /// Logical address of a wallet host (e.g. `wallet.bigISP.com`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WalletAddr(String);
 
 impl WalletAddr {
@@ -49,7 +48,7 @@ impl From<&str> for WalletAddr {
 }
 
 /// Ternary subject-discovery flag (`-`, `s`, `S`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SubjectFlag {
     /// No storage requirement.
     #[default]
@@ -63,7 +62,7 @@ pub enum SubjectFlag {
 }
 
 /// Ternary object-discovery flag (`-`, `o`, `O`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ObjectFlag {
     /// No storage requirement.
     #[default]
@@ -111,7 +110,7 @@ impl fmt::Display for ObjectFlag {
 /// assert_eq!(tag.ttl(), Ticks(30));
 /// assert!(tag.to_string().contains(":So"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DiscoveryTag {
     home: WalletAddr,
     auth_role: Option<Role>,

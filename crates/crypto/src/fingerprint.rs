@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// SHA-256 fingerprint of a public key's canonical encoding.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let fp = kp.public_key().fingerprint();
 /// assert_eq!(fp.to_string().len(), 16); // 8-byte short hex form
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyFingerprint(pub [u8; 32]);
 
 impl KeyFingerprint {

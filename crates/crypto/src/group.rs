@@ -6,11 +6,10 @@ use std::sync::Arc;
 
 use drbac_bignum::{is_probable_prime, random_prime, BigUint, MontgomeryCtx};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier naming a [`SchnorrGroup`], carried inside signatures so a
 /// verifier can reject cross-group confusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupId {
     /// 256-bit safe-prime group. Fast, **not secure**; for tests and
     /// simulations only.

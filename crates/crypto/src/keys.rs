@@ -4,7 +4,6 @@ use std::fmt;
 
 use drbac_bignum::{random_biguint_below, BigUint};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::KeyFingerprint;
 use crate::group::{GroupId, SchnorrGroup};
@@ -50,55 +49,10 @@ impl Drop for SecretKey {
 /// let pk = kp.public_key();
 /// assert!(pk.group().is_subgroup_element(pk.y()));
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "PublicKeyRepr", into = "PublicKeyRepr")]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PublicKey {
     group: SchnorrGroup,
     y: BigUint,
-}
-
-/// Serde-friendly representation of a [`PublicKey`].
-#[derive(Serialize, Deserialize)]
-struct PublicKeyRepr {
-    group: GroupId,
-    /// `(p, q, g)` hex, present only for custom groups.
-    custom_params: Option<(String, String, String)>,
-    y: String,
-}
-
-impl From<PublicKey> for PublicKeyRepr {
-    fn from(pk: PublicKey) -> Self {
-        let custom_params = match pk.group.id() {
-            GroupId::Custom => Some((
-                pk.group.p().to_hex(),
-                pk.group.q().to_hex(),
-                pk.group.g().to_hex(),
-            )),
-            _ => None,
-        };
-        PublicKeyRepr {
-            group: pk.group.id(),
-            custom_params,
-            y: pk.y.to_hex(),
-        }
-    }
-}
-
-impl From<PublicKeyRepr> for PublicKey {
-    fn from(repr: PublicKeyRepr) -> Self {
-        let group = match repr.group {
-            GroupId::Test256 => SchnorrGroup::test_256(),
-            GroupId::Modp2048 => SchnorrGroup::modp_2048(),
-            GroupId::Custom => {
-                let (p, q, g) = repr.custom_params.unwrap_or_default();
-                SchnorrGroup::from_hex_parts(&p, &q, &g)
-            }
-        };
-        PublicKey {
-            group,
-            y: BigUint::from_hex(&repr.y).unwrap_or_default(),
-        }
-    }
 }
 
 impl fmt::Debug for PublicKey {
@@ -211,23 +165,6 @@ fn validated_keys() -> &'static std::sync::Mutex<std::collections::HashSet<[u8; 
     static VALIDATED: std::sync::OnceLock<std::sync::Mutex<std::collections::HashSet<[u8; 32]>>> =
         std::sync::OnceLock::new();
     VALIDATED.get_or_init(|| std::sync::Mutex::new(std::collections::HashSet::new()))
-}
-
-impl SchnorrGroup {
-    /// Reconstructs a custom group from hex parts (used by serde).
-    /// Invalid input yields a degenerate group that fails all
-    /// verifications rather than panicking.
-    pub fn from_hex_parts(p: &str, q: &str, g: &str) -> SchnorrGroup {
-        let p = BigUint::from_hex(p).unwrap_or_else(|_| BigUint::from(3u64));
-        let p = if p.is_even() || p <= BigUint::from(2u64) {
-            BigUint::from(3u64)
-        } else {
-            p
-        };
-        let q = BigUint::from_hex(q).unwrap_or_else(|_| BigUint::one());
-        let g = BigUint::from_hex(g).unwrap_or_else(|_| BigUint::from(2u64));
-        SchnorrGroup::custom_from_parts(p, q, g)
-    }
 }
 
 /// A secret/public key pair for one entity.

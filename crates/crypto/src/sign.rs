@@ -1,7 +1,6 @@
 //! Schnorr signatures with deterministic nonces.
 
 use drbac_bignum::BigUint;
-use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::KeyFingerprint;
 use crate::group::{GroupId, SchnorrGroup};
@@ -20,7 +19,7 @@ use crate::sha256::Sha256;
 ///
 /// Verification recomputes `r' = g^s · y^(q−e) mod p` and checks the
 /// challenge matches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     group: GroupId,
     e: BigUint,
@@ -242,16 +241,5 @@ mod tests {
         let sig = kp.sign(b"big group message");
         assert!(kp.public_key().verify(b"big group message", &sig));
         assert!(!kp.public_key().verify(b"other", &sig));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        // Exercise the serde derives through a binary-ish round trip using
-        // the `serde` test-friendly token stream via Debug equality after
-        // a manual clone. (No serde_json in the approved dependency set.)
-        let kp = pair(4);
-        let sig = kp.sign(b"x");
-        let cloned = sig.clone();
-        assert_eq!(sig, cloned);
     }
 }

@@ -1,9 +1,9 @@
 //! TCP wallet daemon and the persistent subscriber connection.
 //!
 //! [`WalletDaemon`] is the socket-facing counterpart of the simulator's
-//! [`WalletHost`](crate::WalletHost): it serves one wallet's
-//! [`Request`]/[`Reply`](crate::proto::Reply) protocol over
-//! [`wire`](crate::wire) frames. Since the multiplexing rewrite
+//! [`WalletHost`](crate::WalletHost): the same host core answers one
+//! wallet's [`Request`]/[`Reply`](crate::proto::Reply) protocol, here
+//! over [`wire`](crate::wire) frames. Since the multiplexing rewrite
 //! (DESIGN.md §4.10, `docs/PROTOCOL.md`) the hot path is built for
 //! heavy traffic instead of thread-per-connection request/reply:
 //!
@@ -46,10 +46,11 @@
 //! [`SubscriberLink`] is the client side of that connection. When the
 //! daemon dies mid-subscription the link notices (read error),
 //! reconnects with backoff, re-registers, and **resubscribes** every
-//! cached credential from that home — mirroring the simulator's
-//! `resubscribe_cached` recovery: the daemon's subscriber registry is
-//! volatile, so a daemon restart silently unsubscribed us, and any
-//! invalidation issued before we re-register would otherwise be lost.
+//! cached credential from that home — the same revalidation routine
+//! as the simulator's `resubscribe_cached`: the daemon's subscriber
+//! registry is volatile, so a daemon restart silently unsubscribed us,
+//! and any invalidation issued before we re-register would otherwise
+//! be lost.
 //! Each recovery increments `drbac.net.tcp.reconnect.count`.
 //!
 //! Shutdown joins every pump and worker: sockets are shut down to
@@ -60,7 +61,7 @@
 //! complete) is abandoned and counted in
 //! `drbac.net.tcp.shutdown.abandoned.count` — shutdown always returns.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -69,9 +70,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drbac_core::{DelegationId, WalletAddr};
-use drbac_wallet::{DelegationEvent, InvalidationReason, Wallet};
+use drbac_wallet::{DelegationEvent, Wallet};
 use parking_lot::Mutex;
 
+use crate::host::{Fanout, HostCore};
 use crate::proto::{HealthReport, OneWay, Reply, Request};
 use crate::sim::NetError;
 use crate::tcp::{TcpConfig, TcpTransport};
@@ -376,17 +378,13 @@ impl JobQueue {
 /// State shared between the accept loop, pumps, workers, and the
 /// daemon handle.
 struct DaemonShared {
-    wallet: Wallet,
+    /// The wallet, its subscriber registry and every request's
+    /// semantics — shared with the simulator's hosts.
+    core: HostCore,
     config: DaemonConfig,
-    /// delegation id → subscriber wallet addresses (volatile, like the
-    /// simulator host's registry — subscribers recover it by
-    /// resubscribing after a restart).
-    subscribers: Mutex<HashMap<DelegationId, BTreeSet<WalletAddr>>>,
     /// subscriber wallet address → the connection whose writer pump
     /// carries its pushes.
     push_links: Mutex<HashMap<WalletAddr, Arc<Conn>>>,
-    /// Events already fanned out (loop guard for cascaded pushes).
-    seen_events: Mutex<HashSet<DelegationEvent>>,
     /// Live connections: socket handle (for shutdown) + state.
     conns: Mutex<HashMap<u64, (TcpStream, Arc<Conn>)>>,
     /// Pending pipelined requests for the worker pool.
@@ -405,84 +403,29 @@ struct DaemonShared {
 }
 
 impl DaemonShared {
-    /// Handles one request. The dispatch mirrors the simulator's
-    /// `WalletHost::handle` so SimNet and TCP answer identically.
+    /// Handles one request: the scrapes need this process's uptime,
+    /// request and link counts; everything else is the host core's.
     fn handle(&self, req: Request) -> Reply {
         match req {
-            Request::DirectQuery {
-                subject,
-                object,
-                constraints,
-            } => match self.wallet.find_proof(&subject, &object, &constraints) {
-                Some(p) => Reply::Proofs(vec![p]),
-                None => Reply::Proofs(vec![]),
-            },
-            Request::SubjectQuery {
-                subject,
-                constraints,
-            } => Reply::Proofs(self.wallet.query_subject(&subject, &constraints)),
-            Request::ObjectQuery {
-                object,
-                constraints,
-            } => Reply::Proofs(self.wallet.query_object(&object, &constraints)),
-            Request::Publish { cert, supports } => match self.wallet.publish(cert, supports) {
-                Ok(id) => Reply::Published(id),
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::PublishDeclaration(decl) => match self.wallet.publish_declaration(&decl) {
-                Ok(()) => Reply::DeclarationPublished,
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::Subscribe {
-                delegation,
-                subscriber,
-            } => {
-                self.subscribers
-                    .lock()
-                    .entry(delegation)
-                    .or_default()
-                    .insert(subscriber);
-                Reply::Subscribed
-            }
-            Request::Unsubscribe {
-                delegation,
-                subscriber,
-            } => {
-                if let Some(set) = self.subscribers.lock().get_mut(&delegation) {
-                    set.remove(&subscriber);
-                }
-                Reply::Subscribed
-            }
-            Request::Revoke(revocation) => match self.wallet.revoke(&revocation) {
-                Ok(delivered) => {
-                    let event = DelegationEvent {
-                        delegation: revocation.delegation_id(),
-                        reason: InvalidationReason::Revoked,
-                    };
-                    self.seen_events.lock().insert(event);
-                    self.push_to_subscribers(event);
-                    Reply::Revoked(delivered)
-                }
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::FetchDeclarations => Reply::Declarations(self.wallet.signed_declarations()),
-            Request::FetchDelegation(id) => {
-                let now = self.wallet.now();
-                let live = self
-                    .wallet
-                    .get(id)
-                    .filter(|c| !self.wallet.is_revoked(id) && !c.delegation().is_expired(now));
-                Reply::Delegation(live)
-            }
             Request::Stats => Reply::Stats(drbac_obs::global().snapshot()),
-            Request::Health => Reply::Health(HealthReport {
-                ok: !self.closed.load(Ordering::SeqCst),
-                wallet: self.wallet.addr().to_string(),
-                uptime_ns: self.start.elapsed().as_nanos() as u64,
-                delegations: self.wallet.len() as u64,
-                subscribers: self.push_links.lock().len() as u64,
-                served_requests: self.served.load(Ordering::Relaxed),
-            }),
+            Request::Health => {
+                let wallet = self.core.wallet();
+                Reply::Health(HealthReport {
+                    ok: !self.closed.load(Ordering::SeqCst),
+                    wallet: wallet.addr().to_string(),
+                    uptime_ns: self.start.elapsed().as_nanos() as u64,
+                    delegations: wallet.len() as u64,
+                    subscribers: self.push_links.lock().len() as u64,
+                    served_requests: self.served.load(Ordering::Relaxed),
+                })
+            }
+            req => {
+                let (reply, fanout) = self.core.handle(req);
+                if let Some(fanout) = fanout {
+                    self.deliver(fanout);
+                }
+                reply
+            }
         }
     }
 
@@ -512,19 +455,13 @@ impl DaemonShared {
         reply
     }
 
-    /// Queues `event` as a push frame on every subscriber's writer
-    /// pump. A link whose queue is closed or full is dropped — the
-    /// subscriber's [`SubscriberLink`] will reconnect and resubscribe,
-    /// recovering anything it missed by revalidation.
-    fn push_to_subscribers(&self, event: DelegationEvent) {
-        let targets = self
-            .subscribers
-            .lock()
-            .get(&event.delegation)
-            .cloned()
-            .unwrap_or_default();
-        let payload = wire::encode_push(&OneWay::Invalidate(event));
-        for target in targets {
+    /// Queues `fanout`'s event as a push frame on every target's
+    /// writer pump. A link whose queue is closed or full is dropped —
+    /// the subscriber's [`SubscriberLink`] will reconnect and
+    /// resubscribe, recovering anything it missed by revalidation.
+    fn deliver(&self, fanout: Fanout) {
+        let payload = wire::encode_push(&OneWay::Invalidate(fanout.event));
+        for target in fanout.targets {
             let link = self.push_links.lock().get(&target).cloned();
             let Some(link) = link else { continue };
             let queued = link.send(OutFrame {
@@ -593,7 +530,7 @@ impl std::fmt::Debug for WalletDaemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalletDaemon")
             .field("local_addr", &self.local_addr)
-            .field("wallet", self.shared.wallet.addr())
+            .field("wallet", self.wallet().addr())
             .finish()
     }
 }
@@ -631,12 +568,10 @@ impl WalletDaemon {
         let local_addr = listener.local_addr()?;
         let workers = daemon.effective_workers();
         let shared = Arc::new(DaemonShared {
-            wallet,
+            core: HostCore::new(wallet),
             jobs: JobQueue::new(daemon.queue_capacity),
             config: daemon,
-            subscribers: Mutex::new(HashMap::new()),
             push_links: Mutex::new(HashMap::new()),
-            seen_events: Mutex::new(HashSet::new()),
             conns: Mutex::new(HashMap::new()),
             live: AtomicUsize::new(0),
             threads: Mutex::new(Vec::new()),
@@ -673,17 +608,12 @@ impl WalletDaemon {
 
     /// The served wallet (shared state).
     pub fn wallet(&self) -> &Wallet {
-        &self.shared.wallet
+        self.shared.core.wallet()
     }
 
     /// Subscriber wallet addresses currently registered for `id`.
     pub fn subscribers_of(&self, id: DelegationId) -> BTreeSet<WalletAddr> {
-        self.shared
-            .subscribers
-            .lock()
-            .get(&id)
-            .cloned()
-            .unwrap_or_default()
+        self.shared.core.subscribers_of(id)
     }
 
     /// Live pump/worker threads (for shutdown-accounting tests).
@@ -694,8 +624,8 @@ impl WalletDaemon {
     /// Fans a locally observed invalidation (e.g. an expiry sweep) out
     /// to subscribers, once per event.
     pub fn broadcast_invalidation(&self, event: DelegationEvent) {
-        if self.shared.seen_events.lock().insert(event) {
-            self.shared.push_to_subscribers(event);
+        if let Some(fanout) = self.shared.core.originate_once(event) {
+            self.shared.deliver(fanout);
         }
     }
 
@@ -1036,8 +966,8 @@ fn send_overload(conn: &Arc<Conn>, request_id: u64, what: &str) -> bool {
 /// Client side of the persistent push connection: registers with a
 /// wallet daemon, applies incoming [`OneWay::Invalidate`] events to the
 /// local wallet, and — when the connection drops — reconnects,
-/// re-registers, and resubscribes every tracked delegation, mirroring
-/// the simulator's `resubscribe_cached` recovery semantics.
+/// re-registers, and resubscribes every tracked delegation through the
+/// revalidation routine the simulator's `resubscribe_cached` runs.
 pub struct SubscriberLink {
     inner: Arc<LinkInner>,
     reader: Mutex<Option<JoinHandle<()>>>,
@@ -1047,8 +977,9 @@ struct LinkInner {
     /// Wallet address of the daemon we subscribe at.
     home: WalletAddr,
     /// The local wallet events are applied to (and whose cached
-    /// credentials are revalidated after a reconnect).
-    wallet: Wallet,
+    /// credentials are revalidated after a reconnect), as a host with
+    /// no subscribers of its own.
+    core: HostCore,
     /// Transport used for resubscribe/revalidate requests and for
     /// resolving `home` to a socket address.
     transport: Arc<TcpTransport>,
@@ -1064,7 +995,7 @@ impl std::fmt::Debug for SubscriberLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubscriberLink")
             .field("home", &self.inner.home)
-            .field("subscriber", self.inner.wallet.addr())
+            .field("subscriber", self.inner.core.wallet().addr())
             .finish()
     }
 }
@@ -1085,7 +1016,7 @@ impl SubscriberLink {
     ) -> Result<SubscriberLink, NetError> {
         let inner = Arc::new(LinkInner {
             home: home.into(),
-            wallet,
+            core: HostCore::new(wallet),
             transport,
             tracked: Mutex::new(BTreeSet::new()),
             current: Mutex::new(None),
@@ -1115,14 +1046,7 @@ impl SubscriberLink {
     /// wallet's cached credentials), and subscribes it now.
     pub fn track(&self, id: DelegationId) {
         self.inner.tracked.lock().insert(id);
-        let _ = RetryPolicy::standard().run(
-            self.inner.transport.as_ref(),
-            &self.inner.home,
-            &Request::Subscribe {
-                delegation: id,
-                subscriber: self.inner.wallet.addr().clone(),
-            },
-        );
+        self.inner.subscribe(id);
     }
 
     /// Stops the reader thread and closes the connection. Idempotent.
@@ -1154,7 +1078,7 @@ impl LinkInner {
         stream
             .set_read_timeout(None)
             .map_err(|e| NetError::Protocol(format!("cannot clear read deadline: {e}")))?;
-        let payload = wire::encode_push_register(self.wallet.addr());
+        let payload = wire::encode_push_register(self.core.wallet().addr());
         wire::write_frame(&mut stream, FrameKind::PushRegister, &payload)
             .map_err(|e| NetError::Protocol(format!("push-register failed: {e}")))?;
         stream
@@ -1163,50 +1087,47 @@ impl LinkInner {
         Ok(stream)
     }
 
+    /// Registers this link's wallet as a subscriber of `id` at `home`.
+    fn subscribe(&self, id: DelegationId) {
+        let _ = RetryPolicy::standard().run(
+            self.transport.as_ref(),
+            &self.home,
+            &Request::Subscribe {
+                delegation: id,
+                subscriber: self.core.wallet().addr().clone(),
+            },
+        );
+    }
+
     /// Re-registers every subscription this link is responsible for —
-    /// cached credentials sourced from `home` plus explicitly tracked
-    /// ids — then revalidates each cached credential. Entries the home
-    /// disowns are invalidated locally (the push we missed while
+    /// explicitly tracked ids plus cached credentials sourced from
+    /// `home` — and revalidates each cached credential. Entries the
+    /// home disowns are invalidated locally (the push we missed while
     /// disconnected is reconstructed from state, not replayed).
     fn resubscribe(&self) {
-        let retry = RetryPolicy::standard();
-        let subscriber = self.wallet.addr().clone();
-        let mut ids: BTreeSet<DelegationId> = self.tracked.lock().clone();
-        let cached: Vec<(DelegationId, drbac_wallet::CacheEntry)> = self
-            .wallet
+        let wallet = self.core.wallet();
+        let cached: Vec<(DelegationId, WalletAddr)> = wallet
             .cache_entries()
             .into_iter()
             .filter(|(_, entry)| entry.source == self.home)
+            .map(|(id, entry)| (id, entry.source))
             .collect();
-        ids.extend(cached.iter().map(|(id, _)| *id));
-        for id in &ids {
-            let _ = retry.run(
-                self.transport.as_ref(),
-                &self.home,
-                &Request::Subscribe {
-                    delegation: *id,
-                    subscriber: subscriber.clone(),
-                },
-            );
-        }
-        for (id, _) in cached {
-            match retry
-                .run(self.transport.as_ref(), &self.home, &Request::FetchDelegation(id))
-                .reply
-            {
-                Ok(Reply::Delegation(Some(_))) => {
-                    self.wallet.mark_refreshed(id);
-                }
-                Ok(Reply::Delegation(None)) => {
-                    // The home disowned it while we were out of touch.
-                    self.wallet.push_event(DelegationEvent {
-                        delegation: id,
-                        reason: InvalidationReason::Expired,
-                    });
-                }
-                _ => {} // still unreachable: TTL refresh remains the backstop
+        // Tracked ids the cache does not hold have nothing to
+        // revalidate: re-register them and move on.
+        let tracked = self.tracked.lock().clone();
+        for id in tracked {
+            if !cached.iter().any(|(c, _)| *c == id) {
+                self.subscribe(id);
             }
         }
+        // The link's wallet has no subscribers of its own to cascade to.
+        self.core.revalidate(
+            self.transport.as_ref(),
+            &RetryPolicy::standard(),
+            Some(wallet.addr()),
+            cached,
+            |_| {},
+        );
     }
 }
 
@@ -1218,7 +1139,7 @@ fn reader_loop(mut stream: TcpStream, inner: Arc<LinkInner>) {
             Ok(frame) if frame.kind == FrameKind::Push => {
                 if let Ok(OneWay::Invalidate(event)) = wire::decode_push(&frame.payload) {
                     drbac_obs::static_counter!("drbac.net.tcp.push.rx.count").inc();
-                    inner.wallet.push_event(event);
+                    inner.core.wallet().push_event(event);
                 }
             }
             Ok(_) => {} // unexpected kind: ignore, keep the link up
@@ -1232,7 +1153,7 @@ fn reader_loop(mut stream: TcpStream, inner: Arc<LinkInner>) {
                 drbac_obs::event!(
                     "drbac.net.tcp.reconnect",
                     "home" => inner.home.to_string(),
-                    "subscriber" => inner.wallet.addr().to_string(),
+                    "subscriber" => inner.core.wallet().addr().to_string(),
                 );
                 let mut attempt: u64 = 0;
                 let next = loop {

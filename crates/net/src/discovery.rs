@@ -437,9 +437,8 @@ struct Planned {
 }
 
 /// Executes tag-directed discovery over any [`Transport`] —
-/// deterministic ([`crate::SimNet`]), threaded
-/// ([`crate::ServiceRegistry`]) or sockets ([`crate::TcpTransport`]) —
-/// building the proof in a local trusted wallet.
+/// deterministic ([`crate::SimNet`]) or sockets
+/// ([`crate::TcpTransport`]) — building the proof in a local trusted wallet.
 ///
 /// Expansion is level-synchronous: every request a frontier level needs
 /// goes out through one [`Transport::request_batch`] call, and the

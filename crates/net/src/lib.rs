@@ -15,10 +15,7 @@
 //!   algorithm (forward, reverse, and bidirectional modes);
 //! * [`Switchboard`] — credentialed secure channels (handshake with real
 //!   signatures, optionally gated on a continuously monitored role proof),
-//!   modelled after the Switchboard abstraction the paper builds on (its reference \[8\]);
-//! * [`PushHub`] — a threaded (crossbeam) pub/sub fan-out demonstrating
-//!   the asynchronous event-push delivery model of delegation
-//!   subscriptions.
+//!   modelled after the Switchboard abstraction the paper builds on (its reference \[8\]).
 //!
 //! The simulator also injects faults deterministically: a seeded
 //! [`FaultPlan`] adds request loss, latency jitter and timeouts, and the
@@ -28,7 +25,11 @@
 //! [`DiscoveryOutcome::degraded`](DiscoveryOutcome) records when an
 //! answer survived on retries or skipped an unreachable wallet.
 //!
-//! Two deployment shapes sit under the same [`Transport`] trait:
+//! Two deployment shapes sit under the same [`Transport`] trait, and
+//! one wallet host answers behind both: the private `host` module owns
+//! the only `Request → Reply` dispatch, the subscriber registry, the
+//! push loop guard and cached-credential revalidation, and hands each
+//! deployment the invalidations to deliver.
 //!
 //! * **SimNet** (see DESIGN.md §4.2): wallet hosts inside one process on
 //!   a simulated clock, so chaos and parity experiments are exactly
@@ -43,12 +44,13 @@
 pub mod audit;
 mod daemon;
 mod discovery;
+mod host;
 pub mod proto;
-mod push;
-mod service;
 mod sim;
 mod switchboard;
 mod tcp;
+#[cfg(test)]
+mod testkit;
 mod transport;
 pub mod wire;
 
@@ -58,9 +60,7 @@ pub use discovery::{
     Directory, DiscoveryAgent, DiscoveryOutcome, DiscoveryStep, SearchMode, TagLookup,
 };
 pub use proto::HealthReport;
-pub use push::{PushHub, PushPublisher};
-pub use service::{ServiceClosed, WalletClient, WalletService};
 pub use sim::{FaultPlan, NetError, NetStats, SimNet, StoreHandle, WalletHost};
 pub use switchboard::{Channel, ChannelError, Switchboard};
 pub use tcp::{PipelinedClient, TcpConfig, TcpTransport};
-pub use transport::{RetryOutcome, RetryPolicy, ServiceRegistry, Transport};
+pub use transport::{RetryOutcome, RetryPolicy, Transport};

@@ -7,11 +7,13 @@ use std::sync::Arc;
 
 use drbac_core::{DelegationId, SimClock, Ticks, Timestamp, WalletAddr};
 use drbac_store::WalletStore;
-use drbac_wallet::{DelegationEvent, RecoveryReport, Wallet};
+use drbac_wallet::{RecoveryReport, Wallet};
 use parking_lot::{Mutex, RwLock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::host::{Fanout, HostCore};
 use crate::proto::{OneWay, Reply, Request};
+use crate::transport::RetryPolicy;
 
 /// The durable store backing a simulated host's wallet. Crashing a host
 /// hands this back to the caller; restarting recovers from it — the
@@ -191,16 +193,13 @@ impl NetStats {
     }
 }
 
-/// A wallet attached to the network, with the remote-subscriber registry
-/// that implements the push side of delegation subscriptions.
+/// A wallet attached to the network: the shared host core (wallet,
+/// subscriber registry, push guard) plus the write-ahead store handle
+/// that crash/restart recovery goes through.
 #[derive(Clone)]
 pub struct WalletHost {
     addr: WalletAddr,
-    wallet: Wallet,
-    /// delegation id → remote wallets subscribed to its status.
-    subscribers: Arc<Mutex<HashMap<DelegationId, BTreeSet<WalletAddr>>>>,
-    /// Events already applied locally (loop guard for cascaded pushes).
-    seen_events: Arc<Mutex<HashSet<DelegationEvent>>>,
+    core: Arc<HostCore>,
     /// The write-ahead store journaling this wallet's mutations.
     store: Arc<Mutex<StoreHandle>>,
 }
@@ -209,7 +208,7 @@ impl fmt::Debug for WalletHost {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WalletHost")
             .field("addr", &self.addr)
-            .field("wallet", &self.wallet)
+            .field("wallet", self.wallet())
             .finish()
     }
 }
@@ -217,13 +216,13 @@ impl fmt::Debug for WalletHost {
 impl From<WalletHost> for Wallet {
     /// A host's wallet (shared state), e.g. for [`crate::DiscoveryAgent`].
     fn from(host: WalletHost) -> Wallet {
-        host.wallet.clone()
+        host.wallet().clone()
     }
 }
 
 impl From<&WalletHost> for Wallet {
     fn from(host: &WalletHost) -> Wallet {
-        host.wallet.clone()
+        host.wallet().clone()
     }
 }
 
@@ -235,7 +234,7 @@ impl WalletHost {
 
     /// The wallet served by this host.
     pub fn wallet(&self) -> &Wallet {
-        &self.wallet
+        self.core.wallet()
     }
 
     /// The write-ahead store currently journaling this host's wallet.
@@ -245,119 +244,24 @@ impl WalletHost {
 
     /// Remote wallets currently subscribed to `id`.
     pub fn subscribers_of(&self, id: DelegationId) -> BTreeSet<WalletAddr> {
-        self.subscribers
-            .lock()
-            .get(&id)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Handles a request, possibly enqueueing pushes onto `net`.
-    fn handle(&self, net: &SimNet, req: Request) -> Reply {
-        match req {
-            Request::DirectQuery {
-                subject,
-                object,
-                constraints,
-            } => match self.wallet.find_proof(&subject, &object, &constraints) {
-                Some(p) => Reply::Proofs(vec![p]),
-                None => Reply::Proofs(vec![]),
-            },
-            Request::SubjectQuery {
-                subject,
-                constraints,
-            } => Reply::Proofs(self.wallet.query_subject(&subject, &constraints)),
-            Request::ObjectQuery {
-                object,
-                constraints,
-            } => Reply::Proofs(self.wallet.query_object(&object, &constraints)),
-            Request::Publish { cert, supports } => match self.wallet.publish(cert, supports) {
-                Ok(id) => Reply::Published(id),
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::PublishDeclaration(decl) => match self.wallet.publish_declaration(&decl) {
-                Ok(()) => Reply::DeclarationPublished,
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::Subscribe {
-                delegation,
-                subscriber,
-            } => {
-                self.subscribers
-                    .lock()
-                    .entry(delegation)
-                    .or_default()
-                    .insert(subscriber);
-                Reply::Subscribed
-            }
-            Request::Unsubscribe {
-                delegation,
-                subscriber,
-            } => {
-                if let Some(set) = self.subscribers.lock().get_mut(&delegation) {
-                    set.remove(&subscriber);
-                }
-                Reply::Subscribed
-            }
-            Request::Revoke(revocation) => match self.wallet.revoke(&revocation) {
-                Ok(delivered) => {
-                    let event = DelegationEvent {
-                        delegation: revocation.delegation_id(),
-                        reason: drbac_wallet::InvalidationReason::Revoked,
-                    };
-                    self.seen_events.lock().insert(event);
-                    self.push_to_subscribers(net, event);
-                    Reply::Revoked(delivered)
-                }
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::FetchDeclarations => Reply::Declarations(self.wallet.signed_declarations()),
-            Request::FetchDelegation(id) => {
-                let now = self.wallet.now();
-                let live = self.wallet.get(id).filter(|c| {
-                    !self.wallet.is_revoked(id) && !c.delegation().is_expired(now)
-                });
-                Reply::Delegation(live)
-            }
-            // The simulator shares one process (and one global metrics
-            // registry) across all hosts, so a per-host scrape would
-            // mislead; only real daemons answer these.
-            Request::Stats | Request::Health => {
-                Reply::Error("stats/health are served by TCP daemons".into())
-            }
-        }
+        self.core.subscribers_of(id)
     }
 
     /// Revalidates every stale cached credential against its recorded
     /// source wallet (TTL refresh). Entries the source no longer vouches
-    /// for are invalidated locally. Returns `(refreshed, dropped)`.
+    /// for are invalidated locally and cascaded; an unreachable source
+    /// leaves the stale entry for now. Returns `(refreshed, dropped)`.
     pub fn refresh_stale(&self, net: &SimNet) -> (usize, usize) {
-        let mut refreshed = 0;
-        let mut dropped = 0;
-        for id in self.wallet.stale_entries() {
-            let Some(entry) = self.wallet.cache_entry(id) else {
-                continue;
-            };
-            match net.request(&entry.source, Request::FetchDelegation(id)) {
-                Ok(Reply::Delegation(Some(_))) => {
-                    self.wallet.mark_refreshed(id);
-                    refreshed += 1;
-                }
-                Ok(Reply::Delegation(None)) => {
-                    // Source disowned it: invalidate locally and cascade.
-                    let event = DelegationEvent {
-                        delegation: id,
-                        reason: drbac_wallet::InvalidationReason::Expired,
-                    };
-                    self.seen_events.lock().insert(event);
-                    self.wallet.push_event(event);
-                    self.push_to_subscribers(net, event);
-                    dropped += 1;
-                }
-                _ => {} // unreachable source: keep the stale entry for now
-            }
-        }
-        (refreshed, dropped)
+        let wallet = self.wallet();
+        let stale: Vec<(DelegationId, WalletAddr)> = wallet
+            .stale_entries()
+            .into_iter()
+            .filter_map(|id| Some((id, wallet.cache_entry(id)?.source)))
+            .collect();
+        let done = self
+            .core
+            .revalidate(net, &RetryPolicy::none(), None, stale, |f| net.deliver(f));
+        (done.refreshed, done.dropped)
     }
 
     /// Re-registers this host's push subscriptions for every cached
@@ -371,82 +275,30 @@ impl WalletHost {
     /// Entries a source disowns are invalidated locally and cascaded.
     /// Returns `(resubscribed, dropped)`.
     pub fn resubscribe_cached(&self, net: &SimNet) -> (usize, usize) {
-        let retry = crate::transport::RetryPolicy::standard();
-        let mut resubscribed = 0;
-        let mut dropped = 0;
-        for (id, entry) in self.wallet.cache_entries() {
-            let sub = retry.run(
-                net,
-                &entry.source,
-                &Request::Subscribe {
-                    delegation: id,
-                    subscriber: self.addr.clone(),
-                },
-            );
-            if matches!(sub.reply, Ok(Reply::Subscribed)) {
-                resubscribed += 1;
-            }
-            match retry.run(net, &entry.source, &Request::FetchDelegation(id)).reply {
-                Ok(Reply::Delegation(Some(_))) => {
-                    self.wallet.mark_refreshed(id);
-                }
-                Ok(Reply::Delegation(None)) => {
-                    // The source disowned it while we were out of touch:
-                    // invalidate locally and cascade.
-                    let event = DelegationEvent {
-                        delegation: id,
-                        reason: drbac_wallet::InvalidationReason::Expired,
-                    };
-                    self.seen_events.lock().insert(event);
-                    self.wallet.push_event(event);
-                    self.push_to_subscribers(net, event);
-                    dropped += 1;
-                }
-                _ => {} // still unreachable: keep the entry for now
-            }
-        }
-        (resubscribed, dropped)
-    }
-
-    /// Fans `event` out to this host's remote subscribers.
-    fn push_to_subscribers(&self, net: &SimNet, event: DelegationEvent) {
-        let targets = self.subscribers_of(event.delegation);
-        for target in targets {
-            net.send(&target, OneWay::Invalidate(event));
-        }
-    }
-
-    /// Applies an incoming push: delivers to the local wallet (monitors,
-    /// subscriptions, graph) and cascades to this host's own subscribers
-    /// exactly once per event.
-    fn apply_push(&self, net: &SimNet, event: DelegationEvent) {
-        if !self.seen_events.lock().insert(event) {
-            return; // already applied; break forwarding cycles
-        }
-        self.wallet.push_event(event);
-        self.push_to_subscribers(net, event);
+        let cached = self
+            .wallet()
+            .cache_entries()
+            .into_iter()
+            .map(|(id, entry)| (id, entry.source));
+        let done = self.core.revalidate(
+            net,
+            &RetryPolicy::standard(),
+            Some(&self.addr),
+            cached,
+            |f| net.deliver(f),
+        );
+        (done.resubscribed, done.dropped)
     }
 
     /// Processes local expiries and pushes resulting invalidations to
     /// subscribers. Drive after advancing the clock.
     pub fn process_expiries(&self, net: &SimNet) -> usize {
-        let now = self.wallet.now();
-        let expired: Vec<DelegationId> = self.wallet.with_graph(|g| {
-            g.iter()
-                .filter(|c| c.delegation().is_expired(now))
-                .map(|c| c.id())
-                .collect()
-        });
-        self.wallet.process_expiries();
-        for id in &expired {
-            let event = DelegationEvent {
-                delegation: *id,
-                reason: drbac_wallet::InvalidationReason::Expired,
-            };
-            self.seen_events.lock().insert(event);
-            self.push_to_subscribers(net, event);
+        let expired = self.core.process_expiries();
+        let count = expired.len();
+        for fanout in expired {
+            net.deliver(fanout);
         }
-        expired.len()
+        count
     }
 }
 
@@ -637,10 +489,9 @@ impl SimNet {
     pub fn crash_host(&self, addr: &WalletAddr) -> Option<StoreHandle> {
         let host = self.host(addr)?;
         self.state.down.lock().insert(addr.clone());
-        host.subscribers.lock().clear();
-        host.seen_events.lock().clear();
-        host.wallet.detach_journal();
-        host.wallet.wipe();
+        host.core.forget_volatile();
+        host.wallet().detach_journal();
+        host.wallet().wipe();
         let store = host.store.lock().clone();
         store.lose_unsynced();
         drbac_obs::event!("drbac.net.sim.crash", "addr" => addr.to_string(),);
@@ -656,10 +507,10 @@ impl SimNet {
     /// `None` if no host lives at `addr` or the store's medium fails.
     pub fn restart_host(&self, addr: &WalletAddr, store: &StoreHandle) -> Option<RecoveryReport> {
         let host = self.host(addr)?;
-        host.wallet.detach_journal();
-        host.wallet.wipe();
-        let report = host.wallet.recover_from_store(store).ok()?;
-        host.wallet.attach_journal(Arc::clone(store));
+        host.wallet().detach_journal();
+        host.wallet().wipe();
+        let report = host.wallet().recover_from_store(store).ok()?;
+        host.wallet().attach_journal(Arc::clone(store));
         *host.store.lock() = Arc::clone(store);
         self.state.down.lock().remove(addr);
         drbac_obs::event!(
@@ -719,9 +570,7 @@ impl SimNet {
         wallet.attach_journal(Arc::clone(&store));
         let host = WalletHost {
             addr: addr.clone(),
-            wallet,
-            subscribers: Arc::new(Mutex::new(HashMap::new())),
-            seen_events: Arc::new(Mutex::new(HashSet::new())),
+            core: Arc::new(HostCore::new(wallet)),
             store: Arc::new(Mutex::new(store)),
         };
         self.state.hosts.write().insert(addr, host.clone());
@@ -820,7 +669,10 @@ impl SimNet {
             "kind" => req.kind(),
         );
         self.state.clock.advance(Ticks(self.state.latency.0 + jitter.0));
-        let reply = host.handle(self, req);
+        let (reply, fanout) = host.core.handle(req);
+        if let Some(fanout) = fanout {
+            self.deliver(fanout);
+        }
         self.state.clock.advance(self.state.latency);
         self.state.bytes_counter.add(reply.encoded_len() as u64);
         Ok(reply)
@@ -846,6 +698,13 @@ impl SimNet {
             to: to.clone(),
             msg,
         });
+    }
+
+    /// Enqueues `fanout`'s event as one push per subscriber.
+    pub(crate) fn deliver(&self, fanout: Fanout) {
+        for target in &fanout.targets {
+            self.send(target, OneWay::Invalidate(fanout.event));
+        }
     }
 
     /// Delivers queued pushes in timestamp order (advancing the clock to
@@ -878,8 +737,9 @@ impl SimNet {
             let Some(host) = self.host(&envelope.to) else {
                 continue; // host vanished; drop the message
             };
-            match envelope.msg {
-                OneWay::Invalidate(event) => host.apply_push(self, event),
+            let OneWay::Invalidate(event) = envelope.msg;
+            if let Some(cascade) = host.core.relay(event) {
+                self.deliver(cascade);
             }
         }
     }
@@ -907,32 +767,46 @@ impl SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drbac_core::{LocalEntity, Node, Proof, ProofStep, SignedRevocation};
-    use drbac_crypto::SchnorrGroup;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    struct Fx {
-        clock: SimClock,
-        net: SimNet,
-        a: LocalEntity,
-        m: LocalEntity,
-    }
-
-    fn fx() -> Fx {
-        let mut rng = StdRng::seed_from_u64(81);
-        let g = SchnorrGroup::test_256();
-        let clock = SimClock::new();
-        Fx {
-            net: SimNet::new(clock.clone(), Ticks(1)),
-            clock,
-            a: LocalEntity::generate("A", g.clone(), &mut rng),
-            m: LocalEntity::generate("M", g, &mut rng),
-        }
-    }
+    use crate::testkit::{fx, proof_of, publish, Fx};
+    use drbac_core::{Node, SignedDelegation};
+    use drbac_wallet::ProofMonitor;
 
     fn wallet(f: &Fx, addr: &str) -> WalletHost {
         f.net.add_host(addr, Wallet::new(addr, f.clock.clone()))
+    }
+
+    fn subscribe(f: &Fx, at: &str, delegation: DelegationId, subscriber: &WalletAddr) {
+        let subscriber = subscriber.clone();
+        let request = Request::Subscribe {
+            delegation,
+            subscriber,
+        };
+        f.net.request(&at.into(), request).unwrap();
+    }
+
+    fn revoke_at_home(f: &Fx, cert: &SignedDelegation) {
+        let reply = f.net.request(&"home".into(), f.revoke(cert));
+        assert!(matches!(reply, Ok(Reply::Revoked(_))));
+    }
+
+    /// `home` holds `M → A.r` (cacheable for 10 ticks); `cache` has
+    /// absorbed a copy, subscribed to it at `home`, and monitors a
+    /// proof built on it.
+    fn subscribed_cache(f: &Fx) -> (WalletHost, WalletHost, SignedDelegation, ProofMonitor) {
+        let home = wallet(f, "home");
+        let cache = wallet(f, "cache");
+        let cert = f.cert("r");
+        home.wallet().publish(cert.clone(), vec![]).unwrap();
+        cache
+            .wallet()
+            .absorb_proof(&proof_of(&cert), home.addr())
+            .unwrap();
+        subscribe(f, "home", cert.id(), cache.addr());
+        let monitor = cache
+            .wallet()
+            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
+            .unwrap();
+        (home, cache, cert, monitor)
     }
 
     #[test]
@@ -948,33 +822,11 @@ mod tests {
     fn publish_and_query_via_network() {
         let f = fx();
         wallet(&f, "w1");
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        let reply = f
-            .net
-            .request(
-                &"w1".into(),
-                Request::Publish {
-                    cert: Arc::new(cert),
-                    supports: vec![],
-                },
-            )
-            .unwrap();
+        let cert = f.cert("r");
+        let reply = f.net.request(&"w1".into(), publish(&cert)).unwrap();
         assert!(matches!(reply, Reply::Published(_)));
 
-        let reply = f
-            .net
-            .request(
-                &"w1".into(),
-                Request::DirectQuery {
-                    subject: Node::entity(&f.m),
-                    object: Node::role(f.a.role("r")),
-                    constraints: vec![],
-                },
-            )
-            .unwrap();
+        let reply = f.net.request(&"w1".into(), f.query("r")).unwrap();
         match reply {
             Reply::Proofs(proofs) => assert_eq!(proofs.len(), 1),
             other => panic!("unexpected reply {other:?}"),
@@ -989,245 +841,32 @@ mod tests {
     }
 
     #[test]
-    fn revocation_pushes_to_remote_subscribers() {
-        let f = fx();
-        let home = wallet(&f, "home");
-        let cache = wallet(&f, "cache");
-
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(cert.clone(), vec![]).unwrap();
-        // Cache absorbs a copy and subscribes at the home wallet.
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        cache.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        let monitor = cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
-            .unwrap();
-        f.net
-            .request(
-                &"home".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache".into(),
-                },
-            )
-            .unwrap();
-        assert_eq!(home.subscribers_of(cert.id()).len(), 1);
-
-        // Issuer revokes at the home wallet.
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        let reply = f
-            .net
-            .request(&"home".into(), Request::Revoke(revocation))
-            .unwrap();
-        assert!(matches!(reply, Reply::Revoked(_)));
-
-        // Push is queued, not yet delivered.
-        assert!(monitor.is_valid());
-        let delivered = f.net.run_until_idle();
-        assert_eq!(delivered, 1);
-        assert!(!monitor.is_valid(), "push invalidated the cached proof");
-        assert_eq!(f.net.stats().push_messages, 1);
-    }
-
-    #[test]
     fn cascaded_pushes_follow_subscription_chains() {
-        // home -> cache1 -> cache2 subscription chain: a revocation at home
-        // reaches cache2 through cache1.
+        // home -> cache -> cache2 subscription chain: a revocation at home
+        // reaches cache2 through cache.
         let f = fx();
-        let home = wallet(&f, "home");
-        let cache1 = wallet(&f, "cache1");
+        let (_, cache, cert, _) = subscribed_cache(&f);
         let cache2 = wallet(&f, "cache2");
-
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(cert.clone(), vec![]).unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        cache1.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        cache2.wallet().absorb_proof(&proof, cache1.addr()).unwrap();
-
-        f.net
-            .request(
-                &"home".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache1".into(),
-                },
-            )
+        cache2
+            .wallet()
+            .absorb_proof(&proof_of(&cert), cache.addr())
             .unwrap();
-        f.net
-            .request(
-                &"cache1".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache2".into(),
-                },
-            )
-            .unwrap();
+        subscribe(&f, "cache", cert.id(), cache2.addr());
 
         let m2 = cache2
             .wallet()
             .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
             .unwrap();
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        f.net
-            .request(&"home".into(), Request::Revoke(revocation))
-            .unwrap();
+        revoke_at_home(&f, &cert);
         let delivered = f.net.run_until_idle();
-        assert_eq!(delivered, 2, "home->cache1, cache1->cache2");
+        assert_eq!(delivered, 2, "home->cache, cache->cache2");
         assert!(!m2.is_valid());
-    }
-
-    #[test]
-    fn push_cycles_are_broken_by_seen_set() {
-        // Mutually subscribed hosts must not ping-pong forever.
-        let f = fx();
-        let w1 = wallet(&f, "w1");
-        let w2 = wallet(&f, "w2");
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        w1.wallet().publish(cert.clone(), vec![]).unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        w2.wallet().absorb_proof(&proof, w1.addr()).unwrap();
-        f.net
-            .request(
-                &"w1".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "w2".into(),
-                },
-            )
-            .unwrap();
-        f.net
-            .request(
-                &"w2".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "w1".into(),
-                },
-            )
-            .unwrap();
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        f.net
-            .request(&"w1".into(), Request::Revoke(revocation))
-            .unwrap();
-        let delivered = f.net.run_until_idle();
-        assert!(
-            delivered <= 2,
-            "delivered {delivered}, expected no ping-pong"
-        );
-    }
-
-    #[test]
-    fn expiry_pushes_like_revocation() {
-        let f = fx();
-        let home = wallet(&f, "home");
-        let cache = wallet(&f, "cache");
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .expires(Timestamp(5))
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(cert.clone(), vec![]).unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        cache.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        f.net
-            .request(
-                &"home".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache".into(),
-                },
-            )
-            .unwrap();
-        let monitor = cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
-            .unwrap();
-
-        f.clock.advance(Ticks(10));
-        assert_eq!(home.process_expiries(&f.net), 1);
-        f.net.run_until_idle();
-        assert!(!monitor.is_valid());
-    }
-
-    #[test]
-    fn ttl_refresh_revalidates_and_drops() {
-        let f = fx();
-        let home = wallet(&f, "home");
-        let cache = wallet(&f, "cache");
-        let tag = drbac_core::DiscoveryTag::new("home").with_ttl(Ticks(10));
-        let keep =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("keep")))
-                .subject_tag(tag.clone())
-                .sign(&f.a)
-                .unwrap();
-        let lose =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("lose")))
-                .subject_tag(tag)
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(keep.clone(), vec![]).unwrap();
-        home.wallet().publish(lose.clone(), vec![]).unwrap();
-        for cert in [&keep, &lose] {
-            let proof = Proof::from_steps(vec![ProofStep::new((*cert).clone())]).unwrap();
-            cache.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        }
-
-        // The home wallet revokes `lose`.
-        let revocation = SignedRevocation::revoke(&lose, &f.a, f.clock.now()).unwrap();
-        home.wallet().revoke(&revocation).unwrap();
-
-        // TTL lapses; refresh keeps `keep`, drops `lose`.
-        f.clock.advance(Ticks(11));
-        assert_eq!(cache.wallet().stale_entries().len(), 2);
-        let (refreshed, dropped) = cache.refresh_stale(&f.net);
-        assert_eq!((refreshed, dropped), (1, 1));
-        assert!(cache.wallet().stale_entries().is_empty());
-        assert!(cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("keep")), &[])
-            .is_some());
-        assert!(cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("lose")), &[])
-            .is_none());
     }
 
     #[test]
     fn downed_host_rejects_requests_and_loses_pushes() {
         let f = fx();
-        let home = wallet(&f, "home");
-        let cache = wallet(&f, "cache");
-        let tag = drbac_core::DiscoveryTag::new("home").with_ttl(Ticks(10));
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .subject_tag(tag)
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(cert.clone(), vec![]).unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        cache.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        f.net
-            .request(
-                &"home".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache".into(),
-                },
-            )
-            .unwrap();
-        let monitor = cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
-            .unwrap();
+        let (_, cache, cert, monitor) = subscribed_cache(&f);
 
         // Cache goes down; the revocation push is lost.
         f.net.fail_host(&"cache".into());
@@ -1235,10 +874,7 @@ mod tests {
             f.net.request(&"cache".into(), Request::FetchDeclarations),
             Err(NetError::HostDown(_))
         ));
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        f.net
-            .request(&"home".into(), Request::Revoke(revocation))
-            .unwrap();
+        revoke_at_home(&f, &cert);
         assert_eq!(f.net.run_until_idle(), 0, "push dropped while host down");
         assert!(
             monitor.is_valid(),
@@ -1258,29 +894,16 @@ mod tests {
         let f = fx();
         let home = wallet(&f, "home");
         let caches: Vec<WalletHost> = (0..4).map(|i| wallet(&f, &format!("c{i}"))).collect();
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
+        let cert = f.cert("r");
         home.wallet().publish(cert.clone(), vec![]).unwrap();
         for c in &caches {
-            let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-            c.wallet().absorb_proof(&proof, home.addr()).unwrap();
-            f.net
-                .request(
-                    &"home".into(),
-                    Request::Subscribe {
-                        delegation: cert.id(),
-                        subscriber: c.addr().clone(),
-                    },
-                )
+            c.wallet()
+                .absorb_proof(&proof_of(&cert), home.addr())
                 .unwrap();
+            subscribe(&f, "home", cert.id(), c.addr());
         }
         f.net.drop_every_nth_push(2); // lose half the pushes
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        f.net
-            .request(&"home".into(), Request::Revoke(revocation))
-            .unwrap();
+        revoke_at_home(&f, &cert);
         let delivered = f.net.run_until_idle();
         assert_eq!(delivered, 2, "2 of 4 pushes delivered");
         let revoked_count = caches
@@ -1295,20 +918,9 @@ mod tests {
         let f = fx();
         wallet(&f, "w1");
         assert_eq!(f.net.stats().total_bytes, 0);
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
+        let cert = f.cert("r");
         let cert_len = cert.to_bytes().len() as u64;
-        f.net
-            .request(
-                &"w1".into(),
-                Request::Publish {
-                    cert: Arc::new(cert),
-                    supports: vec![],
-                },
-            )
-            .unwrap();
+        f.net.request(&"w1".into(), publish(&cert)).unwrap();
         let after_publish = f.net.stats().total_bytes;
         assert!(
             after_publish >= cert_len,
@@ -1316,16 +928,7 @@ mod tests {
         );
 
         // A query reply carrying a proof adds more than a subscribe ack.
-        f.net
-            .request(
-                &"w1".into(),
-                Request::DirectQuery {
-                    subject: Node::entity(&f.m),
-                    object: Node::role(f.a.role("r")),
-                    constraints: vec![],
-                },
-            )
-            .unwrap();
+        f.net.request(&"w1".into(), f.query("r")).unwrap();
         let after_query = f.net.stats().total_bytes;
         assert!(
             after_query > after_publish + cert_len / 2,
@@ -1471,28 +1074,7 @@ mod tests {
     #[test]
     fn partitioned_host_parks_pushes_until_heal() {
         let f = fx();
-        let home = wallet(&f, "home");
-        let cache = wallet(&f, "cache");
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(cert.clone(), vec![]).unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        cache.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        f.net
-            .request(
-                &"home".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache".into(),
-                },
-            )
-            .unwrap();
-        let monitor = cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
-            .unwrap();
+        let (_, _, cert, monitor) = subscribed_cache(&f);
 
         // The cache drops behind a partition: requests to it time out
         // (even with no fault plan installed)...
@@ -1504,43 +1086,20 @@ mod tests {
         ));
 
         // ...and the revocation push is parked, not lost.
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        f.net
-            .request(&"home".into(), Request::Revoke(revocation))
-            .unwrap();
+        revoke_at_home(&f, &cert);
         assert_eq!(f.net.run_until_idle(), 0, "nothing deliverable yet");
         assert!(monitor.is_valid(), "stale until the partition heals");
 
         assert_eq!(f.net.heal_partitions(), 1, "one parked push released");
         assert_eq!(f.net.run_until_idle(), 1);
         assert!(!monitor.is_valid(), "parked push delivered after heal");
+        assert_eq!(f.net.stats().push_messages, 1);
     }
 
     #[test]
     fn crash_restart_and_resubscribe_recover_missed_revocations() {
         let f = fx();
-        let home = wallet(&f, "home");
-        let cache = wallet(&f, "cache");
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        home.wallet().publish(cert.clone(), vec![]).unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        cache.wallet().absorb_proof(&proof, home.addr()).unwrap();
-        f.net
-            .request(
-                &"home".into(),
-                Request::Subscribe {
-                    delegation: cert.id(),
-                    subscriber: "cache".into(),
-                },
-            )
-            .unwrap();
-        let monitor = cache
-            .wallet()
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &[])
-            .unwrap();
+        let (home, cache, cert, monitor) = subscribed_cache(&f);
 
         // The home wallet crashes: unreachable, and its (volatile)
         // subscriber registry dies with it.
@@ -1557,10 +1116,7 @@ mod tests {
         assert_eq!(report.skipped, 0);
         assert_eq!(report.replayed, 1, "the published delegation replays");
         assert!(home.subscribers_of(cert.id()).is_empty());
-        let revocation = SignedRevocation::revoke(&cert, &f.a, f.clock.now()).unwrap();
-        f.net
-            .request(&"home".into(), Request::Revoke(revocation))
-            .unwrap();
+        revoke_at_home(&f, &cert);
         assert_eq!(f.net.run_until_idle(), 0, "push lost: nobody subscribed");
         assert!(monitor.is_valid(), "cache is dangerously stale");
 
@@ -1576,10 +1132,7 @@ mod tests {
     fn restart_event_reports_recovery_counts_in_trace() {
         let f = fx();
         let home = wallet(&f, "obs-home");
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
+        let cert = f.cert("r");
         home.wallet().publish(cert, vec![]).unwrap();
         let store = f.net.crash_host(&"obs-home".into()).unwrap();
 
@@ -1634,30 +1187,5 @@ mod tests {
         // 8 fault-free requests cost 16 ticks; jitter only adds.
         assert!(elapsed(5) >= Timestamp(16));
         assert_eq!(elapsed(5), elapsed(5), "same seed, same clock");
-    }
-
-    #[test]
-    fn declarations_travel_over_the_wire() {
-        let f = fx();
-        wallet(&f, "w1");
-        let bw = f.a.attr("BW", drbac_core::AttrOp::Min);
-        let decl = drbac_core::SignedAttrDeclaration::sign(
-            drbac_core::AttrDeclaration::new(bw, 200.0).unwrap(),
-            &f.a,
-        )
-        .unwrap();
-        let reply = f
-            .net
-            .request(&"w1".into(), Request::PublishDeclaration(decl.clone()))
-            .unwrap();
-        assert!(matches!(reply, Reply::DeclarationPublished));
-        let reply = f
-            .net
-            .request(&"w1".into(), Request::FetchDeclarations)
-            .unwrap();
-        match reply {
-            Reply::Declarations(ds) => assert_eq!(ds, vec![decl]),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! [`DiscoveryAgent`](crate::DiscoveryAgent) only needs request/reply
 //! delivery to named wallets. [`crate::SimNet`] provides it
-//! deterministically for tests and experiments; [`ServiceRegistry`]
-//! provides it over real [`crate::WalletService`] threads; and
+//! deterministically for tests and experiments, and
 //! [`crate::TcpTransport`] provides it over sockets against a
-//! [`crate::WalletDaemon`] — same algorithm, three deployment shapes.
+//! [`crate::WalletDaemon`] — same algorithm, and behind both the same
+//! wallet host answering.
 //!
 //! [`RetryPolicy`] is transport-blind: it retries exactly the errors
 //! [`NetError::is_retryable`] marks transient (`Timeout`, `HostDown`)
@@ -13,13 +13,9 @@
 //! advances the simulated clock on [`crate::SimNet`] and really sleeps
 //! on [`crate::TcpTransport`].
 
-use std::collections::HashMap;
-
 use drbac_core::{Ticks, WalletAddr};
-use parking_lot::RwLock;
 
 use crate::proto::{Reply, Request};
-use crate::service::WalletClient;
 use crate::sim::{NetError, SimNet};
 
 /// Request/reply delivery to named wallet hosts.
@@ -185,89 +181,11 @@ impl RetryPolicy {
     }
 }
 
-/// A directory of threaded wallet services, addressable like a network.
-#[derive(Debug, Default)]
-pub struct ServiceRegistry {
-    services: RwLock<HashMap<WalletAddr, WalletClient>>,
-}
-
-impl ServiceRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a service client under an address.
-    pub fn register(&self, addr: impl Into<WalletAddr>, client: WalletClient) {
-        self.services.write().insert(addr.into(), client);
-    }
-
-    /// Removes a service.
-    pub fn deregister(&self, addr: &WalletAddr) {
-        self.services.write().remove(addr);
-    }
-}
-
-impl Transport for ServiceRegistry {
-    fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError> {
-        let client = self
-            .services
-            .read()
-            .get(to)
-            .cloned()
-            .ok_or_else(|| NetError::UnknownHost(to.clone()))?;
-        client.call(req).map_err(|_| NetError::HostDown(to.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::WalletService;
-    use drbac_core::{LocalEntity, Node, SimClock};
-    use drbac_crypto::SchnorrGroup;
+    use drbac_core::SimClock;
     use drbac_wallet::Wallet;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::sync::Arc;
-
-    #[test]
-    fn registry_routes_to_services() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = SchnorrGroup::test_256();
-        let a = LocalEntity::generate("A", g.clone(), &mut rng);
-        let m = LocalEntity::generate("M", g, &mut rng);
-        let service = WalletService::spawn(Wallet::new("w1", SimClock::new()));
-        let registry = ServiceRegistry::new();
-        registry.register("w1", service.client());
-
-        let cert = a
-            .delegate(Node::entity(&m), Node::role(a.role("r")))
-            .sign(&a)
-            .unwrap();
-        let reply = registry
-            .request(
-                &"w1".into(),
-                Request::Publish {
-                    cert: Arc::new(cert),
-                    supports: vec![],
-                },
-            )
-            .unwrap();
-        assert!(!reply.is_error());
-
-        assert!(matches!(
-            registry.request(&"nowhere".into(), Request::FetchDeclarations),
-            Err(NetError::UnknownHost(_))
-        ));
-
-        registry.deregister(&"w1".into());
-        assert!(matches!(
-            registry.request(&"w1".into(), Request::FetchDeclarations),
-            Err(NetError::UnknownHost(_))
-        ));
-        service.shutdown();
-    }
 
     /// Fails the first `failures` requests with a retryable error, then
     /// answers every request with `Reply::Subscribed`.
@@ -340,18 +258,5 @@ mod tests {
         // 3 attempts × 4-tick default timeout budget + backoffs of 1 and
         // 2 ticks between them.
         assert_eq!(clock.now().0, 3 * 4 + 1 + 2);
-    }
-
-    #[test]
-    fn dead_service_reports_host_down() {
-        let registry = ServiceRegistry::new();
-        let service = WalletService::spawn(Wallet::new("w1", SimClock::new()));
-        registry.register("w1", service.client());
-        service.shutdown();
-        // Channel is closed but the registry entry remains.
-        assert!(matches!(
-            registry.request(&"w1".into(), Request::FetchDeclarations),
-            Err(NetError::HostDown(_))
-        ));
     }
 }

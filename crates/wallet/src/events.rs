@@ -3,10 +3,9 @@
 use std::fmt;
 
 use drbac_core::DelegationId;
-use serde::{Deserialize, Serialize};
 
 /// Why a delegation stopped being usable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InvalidationReason {
     /// The issuer revoked it.
     Revoked,
@@ -28,7 +27,7 @@ impl fmt::Display for InvalidationReason {
 /// dRBAC's subscriptions "notify subscribers if the corresponding
 /// delegation is invalidated" (§4.2.2) using an event push model — no
 /// polling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DelegationEvent {
     /// The delegation whose status changed.
     pub delegation: DelegationId,

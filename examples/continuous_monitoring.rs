@@ -9,10 +9,11 @@
 
 use drbac::core::{LocalEntity, Node, SignedRevocation, SimClock};
 use drbac::crypto::SchnorrGroup;
-use drbac::net::{PushHub, Switchboard};
+use drbac::net::Switchboard;
 use drbac::wallet::Wallet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -66,12 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // A threaded push hub delivers the revocation event asynchronously —
-    // the push model of delegation subscriptions, no polling anywhere.
-    let hub = PushHub::new();
-    let events = hub.subscribe(enrollment.id());
-    let publisher = hub.publisher();
-    wallet.subscribe(enrollment.id(), move |event| publisher.publish(event));
+    // A delegation subscription pushes the revocation event onto a
+    // channel the moment it happens — the push model of §4.2.2, no
+    // polling anywhere.
+    let (publisher, events) = mpsc::channel();
+    wallet.subscribe(enrollment.id(), move |event| {
+        let _ = publisher.send(event);
+    });
 
     println!("\nbroker revokes the client's enrollment mid-stream...");
     let revocation = SignedRevocation::revoke(&enrollment, &broker, clock.now())?;
@@ -107,6 +109,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         String::from_utf8_lossy(&channel2.open(&sealed)?)
     );
 
-    hub.shutdown();
     Ok(())
 }

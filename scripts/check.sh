@@ -8,6 +8,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== vendor (every directory under vendor/ is a dependency of the workspace) =="
+# A shim nothing depends on is dead weight that still reads as an
+# approved dependency; the resolved graph is the judge, so a shim only
+# another shim uses counts, and one merely listed under
+# [workspace.dependencies] does not.
+metadata=$(cargo metadata --offline --format-version 1)
+for dir in vendor/*/; do
+    if ! grep -qF "\"manifest_path\":\"$PWD/${dir}Cargo.toml\"" <<<"$metadata"; then
+        echo "check.sh: ${dir%/} is not a dependency of any workspace manifest" >&2
+        exit 1
+    fi
+done
+
 echo "== build (release, deny warnings) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 

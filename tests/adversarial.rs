@@ -234,7 +234,7 @@ fn unauthorized_revocation_rejected() {
         .sign(&rival)
         .unwrap();
     let mut forged = SignedRevocation::revoke(&own_cert, &rival, clock.now()).unwrap();
-    // Re-target the notice at the victim delegation via serde cloning.
+    // Replay the notice against the victim delegation (see `retarget`).
     forged = retarget(forged, &cert);
     let reply = net
         .request(&"home".into(), Request::Revoke(forged))

@@ -326,87 +326,6 @@ fn resilient_session_survives_partnership_reissue() {
     assert!(session.generation() >= 2);
 }
 
-/// The same tag-directed discovery algorithm over *real threads*: each
-/// org wallet runs as a `WalletService`, and the agent's transport is a
-/// `ServiceRegistry` instead of the simulator.
-#[test]
-fn discovery_over_threaded_wallet_services() {
-    use drbac::net::{ServiceRegistry, WalletService};
-
-    let mut rng = StdRng::seed_from_u64(222);
-    let group = SchnorrGroup::test_256();
-    let clock = SimClock::new();
-    let orgs: Vec<LocalEntity> = (0..3)
-        .map(|i| LocalEntity::generate(format!("Org{i}"), group.clone(), &mut rng))
-        .collect();
-    let user = LocalEntity::generate("User", group, &mut rng);
-
-    let tag = |i: usize| {
-        DiscoveryTag::new(format!("svc{i}").as_str())
-            .with_ttl(Ticks(60))
-            .with_subject_flag(SubjectFlag::Search)
-    };
-
-    // Chain User -> Org0.p -> Org1.p -> Org2.resource, each hop stored in
-    // its subject's home wallet, each wallet behind its own service thread.
-    let registry = ServiceRegistry::new();
-    let mut services = Vec::new();
-    for i in 0..3 {
-        let wallet = Wallet::new(format!("svc{i}").as_str(), clock.clone());
-        let service = WalletService::spawn(wallet);
-        registry.register(format!("svc{i}").as_str(), service.client());
-        services.push(service);
-    }
-    services[0]
-        .wallet()
-        .publish(
-            orgs[0]
-                .delegate(Node::entity(&user), Node::role(orgs[0].role("p")))
-                .object_tag(tag(0))
-                .sign(&orgs[0])
-                .unwrap(),
-            vec![],
-        )
-        .unwrap();
-    for i in 0..2 {
-        let object = if i == 1 {
-            orgs[2].role("resource")
-        } else {
-            orgs[i + 1].role("p")
-        };
-        services[i]
-            .wallet()
-            .publish(
-                orgs[i + 1]
-                    .delegate(Node::role(orgs[i].role("p")), Node::role(object))
-                    .subject_tag(tag(i))
-                    .object_tag(tag(i + 1))
-                    .sign(&orgs[i + 1])
-                    .unwrap(),
-                vec![],
-            )
-            .unwrap();
-    }
-
-    let local = Wallet::new("agent.local", clock.clone());
-    let mut directory = Directory::new();
-    directory.register(Node::entity(&user), tag(0));
-    for (i, org) in orgs.iter().enumerate() {
-        directory.register_entity(org.id(), tag(i));
-    }
-    let mut agent = DiscoveryAgent::new(registry, local, directory);
-    let outcome = agent.discover(
-        &Node::entity(&user),
-        &Node::role(orgs[2].role("resource")),
-        &[],
-    );
-    assert!(outcome.found(), "trace: {:?}", outcome.trace);
-    assert_eq!(outcome.monitor.unwrap().proof().chain_len(), 3);
-    for service in services {
-        service.shutdown();
-    }
-}
-
 /// Full coalition under churn: repeated establish/revoke/re-establish
 /// cycles stay consistent (no stale grants leak through).
 #[test]

@@ -1111,3 +1111,114 @@ fn batch_replaces_a_pooled_connection_closed_while_idle() {
     );
     assert_eq!(peer.accepts(), 2);
 }
+
+/// One request script — publish, subscribe, the three query forms,
+/// revoke, fetch of the revoked id, unsubscribe — replayed against a
+/// SimNet host and a loopback daemon: every reply encodes to the same
+/// bytes and the subscriber registries move in step. Both shapes answer
+/// through one host core, so this pins a property, not a coincidence.
+#[test]
+fn request_script_replies_are_byte_identical_over_simnet_and_tcp() {
+    use drbac::net::wire;
+
+    let script = |rng: &mut StdRng, clock: &SimClock| {
+        let group = SchnorrGroup::test_256();
+        let owner = LocalEntity::generate("Owner", group.clone(), rng);
+        let member = LocalEntity::generate("Member", group, rng);
+        let cert = Arc::new(
+            owner
+                .delegate(Node::entity(&member), Node::role(owner.role("r")))
+                .sign(&owner)
+                .unwrap(),
+        );
+        let (subject, object) = (Node::entity(&member), Node::role(owner.role("r")));
+        let requests = vec![
+            Request::Publish {
+                cert: Arc::clone(&cert),
+                supports: vec![],
+            },
+            Request::Subscribe {
+                delegation: cert.id(),
+                subscriber: "peer".into(),
+            },
+            Request::DirectQuery {
+                subject: subject.clone(),
+                object: object.clone(),
+                constraints: vec![],
+            },
+            Request::SubjectQuery {
+                subject,
+                constraints: vec![],
+            },
+            Request::ObjectQuery {
+                object,
+                constraints: vec![],
+            },
+            Request::Revoke(SignedRevocation::revoke(&cert, &owner, clock.now()).unwrap()),
+            Request::FetchDelegation(cert.id()),
+            Request::Unsubscribe {
+                delegation: cert.id(),
+                subscriber: "peer".into(),
+            },
+        ];
+        (cert.id(), requests)
+    };
+    // Replays the script, returning each reply's encoding plus the
+    // subscriber count after each step.
+    let replay = |requests: Vec<Request>,
+                  send: &dyn Fn(Request) -> Reply,
+                  subscribers: &dyn Fn() -> usize| {
+        requests
+            .into_iter()
+            .map(|req| (wire::encode_reply(&send(req)), subscribers()))
+            .collect::<Vec<_>>()
+    };
+
+    let clock = SimClock::new();
+    let net = SimNet::new(clock.clone(), Ticks(1));
+    let host = net.add_host("home", Wallet::new("home", clock.clone()));
+    let (id, requests) = script(&mut StdRng::seed_from_u64(53), &clock);
+    let sim = replay(
+        requests,
+        &|req| net.request(&"home".into(), req).unwrap(),
+        &|| host.subscribers_of(id).len(),
+    );
+
+    let clock = SimClock::new();
+    let home = Wallet::new("home", clock.clone());
+    let daemon = WalletDaemon::bind("127.0.0.1:0", home, TcpConfig::fast()).unwrap();
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("home", daemon.local_addr());
+    let (tcp_id, requests) = script(&mut StdRng::seed_from_u64(53), &clock);
+    assert_eq!(id, tcp_id, "same seed, same credential");
+    let tcp = replay(
+        requests,
+        &|req| transport.request(&"home".into(), req).unwrap(),
+        &|| daemon.subscribers_of(id).len(),
+    );
+
+    assert_eq!(sim, tcp);
+    let registry: Vec<usize> = sim.iter().map(|(_, n)| *n).collect();
+    assert_eq!(registry, [0, 1, 1, 1, 1, 1, 1, 0]);
+    let kinds: Vec<Reply> = sim
+        .iter()
+        .map(|(bytes, _)| wire::decode_reply(bytes).unwrap())
+        .collect();
+    assert!(
+        matches!(
+            &kinds[..],
+            [
+                Reply::Published(_),
+                Reply::Subscribed,
+                Reply::Proofs(direct),
+                Reply::Proofs(by_subject),
+                Reply::Proofs(by_object),
+                Reply::Revoked(_),
+                Reply::Delegation(None),
+                Reply::Subscribed,
+            ] if direct.len() == 1 && by_subject.len() == 1 && by_object.len() == 1
+        ),
+        "{kinds:?}"
+    );
+    daemon.shutdown();
+}
