@@ -67,7 +67,7 @@ pub use clock::{SimClock, Ticks, Timestamp};
 pub use delegation::{Delegation, DelegationBuilder, DelegationKind};
 pub use entity::{Entity, EntityId, LocalEntity};
 pub use error::{ModelError, ValidationError};
-pub use proof::{Proof, ProofStep, ProofValidator, ValidationContext};
+pub use proof::{Proof, ProofStep, ProofValidator, RevocationLookup, ValidationContext};
 pub use revocation::{RevocationNotice, SignedRevocation};
 pub use role::{Role, RoleName};
 pub use tag::{DiscoveryTag, ObjectFlag, SubjectFlag, WalletAddr};

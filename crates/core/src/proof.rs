@@ -8,14 +8,14 @@
 //! validation is recursive with cycle detection and a depth limit.
 //!
 //! Validation is performed by a [`ProofValidator`] against a
-//! [`ValidationContext`] (logical time, attribute declarations, revocation
-//! set), and yields the [`AttrSummary`] of effective attribute values —
-//! exactly what the AirNet server computes in the paper's §5 walkthrough.
+//! [`ValidationContext`] (logical time, attribute declarations, a
+//! [`RevocationLookup`]), and yields the [`AttrSummary`] of effective
+//! attribute values — exactly what the AirNet server computes in the
+//! paper's §5 walkthrough.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-
 
 use crate::attr::{AttrAccumulator, AttrConstraint, AttrSummary, DeclarationSet};
 use crate::cert::{DelegationId, SignedDelegation};
@@ -308,15 +308,43 @@ impl fmt::Display for Proof {
     }
 }
 
-/// Everything a verifier knows when validating a proof.
+/// The one question a validator asks about revocation: is *this*
+/// credential revoked? It is asked once per credential a validation
+/// visits, supports included, so a validation costs O(proof) whatever
+/// the size of the revocation history behind the answer.
+///
+/// A stand-alone verifier answers from an explicit
+/// `BTreeSet<DelegationId>` (the default, filled by
+/// [`ValidationContext::with_revoked`]); a wallet answers from its live
+/// store ([`ValidationContext::with_revocations`]).
+pub trait RevocationLookup {
+    /// `true` if `id` is known to be revoked.
+    fn is_revoked(&self, id: DelegationId) -> bool;
+}
+
+impl RevocationLookup for BTreeSet<DelegationId> {
+    fn is_revoked(&self, id: DelegationId) -> bool {
+        self.contains(&id)
+    }
+}
+
+impl<T: RevocationLookup + ?Sized> RevocationLookup for &T {
+    fn is_revoked(&self, id: DelegationId) -> bool {
+        (**self).is_revoked(id)
+    }
+}
+
+/// Everything a verifier knows when validating a proof. `R` is where
+/// revocation is looked up (see [`RevocationLookup`]).
 #[derive(Debug, Clone, Default)]
-pub struct ValidationContext {
+pub struct ValidationContext<R = BTreeSet<DelegationId>> {
     /// Logical time of validation (expiry checks).
     pub now: Timestamp,
-    /// Verified attribute declarations (base values).
-    pub declarations: DeclarationSet,
-    /// Ids of delegations known to be revoked.
-    pub revoked: BTreeSet<DelegationId>,
+    /// Verified attribute declarations (base values), shared with
+    /// whoever holds them.
+    pub declarations: Arc<DeclarationSet>,
+    /// Answers "is this delegation revoked?".
+    pub revoked: R,
     /// Support-recursion depth limit (default 8).
     pub max_support_depth: usize,
 }
@@ -326,22 +354,36 @@ impl ValidationContext {
     pub fn at(now: Timestamp) -> Self {
         ValidationContext {
             now,
-            declarations: DeclarationSet::new(),
+            declarations: Arc::default(),
             revoked: BTreeSet::new(),
             max_support_depth: 8,
         }
     }
 
-    /// Replaces the declaration set.
-    pub fn with_declarations(mut self, declarations: DeclarationSet) -> Self {
-        self.declarations = declarations;
-        self
-    }
-
-    /// Marks a delegation as revoked.
+    /// Marks a delegation as revoked in the context's explicit set.
     pub fn with_revoked(mut self, id: DelegationId) -> Self {
         self.revoked.insert(id);
         self
+    }
+}
+
+impl<R> ValidationContext<R> {
+    /// Replaces the declaration set: an owned set, or the `Arc` a wallet
+    /// already holds (no copy).
+    pub fn with_declarations(mut self, declarations: impl Into<Arc<DeclarationSet>>) -> Self {
+        self.declarations = declarations.into();
+        self
+    }
+
+    /// Replaces where revocation is looked up — e.g. a reference to a
+    /// live store instead of a copy of its marks.
+    pub fn with_revocations<L: RevocationLookup>(self, revoked: L) -> ValidationContext<L> {
+        ValidationContext {
+            now: self.now,
+            declarations: self.declarations,
+            revoked,
+            max_support_depth: self.max_support_depth,
+        }
     }
 
     /// Sets the support-recursion depth limit.
@@ -384,42 +426,18 @@ impl ValidationContext {
 /// # Ok::<(), drbac_core::ValidationError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct ProofValidator {
-    ctx: ValidationContext,
-    /// Digests of proofs already validated by this validator (shared
-    /// across clones). Feeds `drbac.core.proof.validate.revalidation.count`
-    /// — each hit is work a validation cache would have saved.
-    seen: Arc<std::sync::Mutex<std::collections::HashSet<u64>>>,
+pub struct ProofValidator<R = BTreeSet<DelegationId>> {
+    ctx: ValidationContext<R>,
 }
 
-impl ProofValidator {
+impl<R: RevocationLookup> ProofValidator<R> {
     /// Creates a validator.
-    pub fn new(ctx: ValidationContext) -> Self {
-        ProofValidator {
-            ctx,
-            seen: Arc::default(),
-        }
-    }
-
-    /// Records `proof` as validated; true iff it was seen before (a
-    /// cache-able revalidation).
-    fn note_revalidation(&self, proof: &Proof) -> bool {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for id in proof.delegation_ids() {
-            id.hash(&mut hasher);
-        }
-        proof.chain_len().hash(&mut hasher);
-        let digest = hasher.finish();
-        let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
-        if seen.len() >= 8192 {
-            seen.clear();
-        }
-        !seen.insert(digest)
+    pub fn new(ctx: ValidationContext<R>) -> Self {
+        ProofValidator { ctx }
     }
 
     /// The context being validated against.
-    pub fn context(&self) -> &ValidationContext {
+    pub fn context(&self) -> &ValidationContext<R> {
         &self.ctx
     }
 
@@ -440,9 +458,6 @@ impl ProofValidator {
         );
         let _timer = drbac_obs::static_histogram!("drbac.core.proof.validate.ns").start_timer();
         drbac_obs::static_counter!("drbac.core.proof.validate.count").inc();
-        if self.note_revalidation(proof) {
-            drbac_obs::static_counter!("drbac.core.proof.validate.revalidation.count").inc();
-        }
         let mut stack = Vec::new();
         if let Err(err) = self.validate_inner(proof, 0, &mut stack) {
             drbac_obs::static_counter!("drbac.core.proof.validate.error.count").inc();
@@ -544,7 +559,8 @@ impl ProofValidator {
             if stack.contains(&id) {
                 return Err(ValidationError::SupportCycle);
             }
-            if self.ctx.revoked.contains(&id) {
+            drbac_obs::static_counter!("drbac.core.proof.revocation_read.count").inc();
+            if self.ctx.revoked.is_revoked(id) {
                 return Err(ValidationError::Revoked(id));
             }
             cert.verify(self.ctx.now)?;

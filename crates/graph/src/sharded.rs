@@ -30,8 +30,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use drbac_core::{
-    AttrDeclaration, DeclarationSet, DelegationId, EntityId, Node, Proof, SignedDelegation,
-    Timestamp,
+    AttrDeclaration, DeclarationSet, DelegationId, EntityId, Node, Proof, RevocationLookup,
+    SignedDelegation, Timestamp,
 };
 
 use crate::intern::{namespace_hash, FastMap, NodeId, NodeInterner};
@@ -76,7 +76,9 @@ struct IdShard {
 pub struct ShardedGraph {
     edge_shards: Box<[RwLock<EdgeShard>]>,
     id_shards: Box<[RwLock<IdShard>]>,
-    declarations: RwLock<DeclarationSet>,
+    /// Shared with every validation context the wallet builds; written
+    /// copy-on-write by the rare `insert_declaration`.
+    declarations: RwLock<Arc<DeclarationSet>>,
     /// Node ⇄ dense-id table. Append-only, so ids held by an in-flight
     /// search stay valid across concurrent writes; the cached namespace
     /// hash makes shard routing a table lookup.
@@ -101,7 +103,7 @@ impl ShardedGraph {
         ShardedGraph {
             edge_shards: (0..n).map(|_| RwLock::new(EdgeShard::default())).collect(),
             id_shards: (0..n).map(|_| RwLock::new(IdShard::default())).collect(),
-            declarations: RwLock::new(DeclarationSet::default()),
+            declarations: RwLock::default(),
             interner: NodeInterner::new(),
         }
     }
@@ -232,12 +234,13 @@ impl ShardedGraph {
 
     /// Records a verified attribute declaration.
     pub fn insert_declaration(&self, decl: &AttrDeclaration) {
-        self.declarations.write().insert(decl);
+        Arc::make_mut(&mut self.declarations.write()).insert(decl);
     }
 
-    /// Owned snapshot of the declaration set.
-    pub fn declarations(&self) -> DeclarationSet {
-        self.declarations.read().clone()
+    /// The declaration set as of now, shared rather than copied: a later
+    /// `insert_declaration` writes a fresh copy and leaves this one as is.
+    pub fn declarations(&self) -> Arc<DeclarationSet> {
+        Arc::clone(&self.declarations.read())
     }
 
     /// Marks a delegation revoked. Revoked edges are skipped by searches.
@@ -253,8 +256,13 @@ impl ShardedGraph {
         self.id_shard_of(id).read().revoked.contains(&id)
     }
 
-    /// The full revocation set (union over shards).
+    /// The full revocation set (union over shards): O(every mark ever
+    /// recorded), for index rebuilds only. Anything that asks about a
+    /// credential uses [`ShardedGraph::is_revoked`];
+    /// `drbac.graph.revoked_ids.count` counts the calls so a test can
+    /// hold the hot paths to zero.
     pub fn revoked_ids(&self) -> BTreeSet<DelegationId> {
+        drbac_obs::static_counter!("drbac.graph.revoked_ids.count").inc();
         let mut out = BTreeSet::new();
         for shard in self.id_shards.iter() {
             out.extend(shard.read().revoked.iter().copied());
@@ -351,7 +359,7 @@ impl ShardedGraph {
         for shard in self.id_shards.iter() {
             *shard.write() = IdShard::default();
         }
-        *self.declarations.write() = DeclarationSet::default();
+        *self.declarations.write() = Arc::default();
     }
 
     /// Materializes a single-threaded [`DelegationGraph`] with the same
@@ -393,7 +401,7 @@ impl ShardedGraph {
             by_object,
             by_id,
             supports,
-            declarations: self.declarations.read().clone(),
+            declarations: DeclarationSet::clone(&self.declarations.read()),
             revoked,
             interner: NodeInterner::new(),
         }
@@ -461,7 +469,15 @@ impl GraphView for ShardedGraph {
     }
 
     fn declaration_set(&self) -> DeclarationSet {
-        self.declarations.read().clone()
+        DeclarationSet::clone(&self.declarations.read())
+    }
+}
+
+/// A validation against this graph reads one id shard per credential it
+/// visits, never a copy of the marks.
+impl RevocationLookup for ShardedGraph {
+    fn is_revoked(&self, id: DelegationId) -> bool {
+        ShardedGraph::is_revoked(self, id)
     }
 }
 
@@ -474,7 +490,7 @@ impl From<DelegationGraph> for ShardedGraph {
         for support in graph.supports.values() {
             sharded.provide_support(support.clone());
         }
-        *sharded.declarations.write() = graph.declarations.clone();
+        *sharded.declarations.write() = Arc::new(graph.declarations.clone());
         for id in &graph.revoked {
             let mut shard = sharded.id_shard_of(*id).write();
             shard.revoked.insert(*id);

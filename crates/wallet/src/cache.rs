@@ -16,9 +16,10 @@
 //! *remove* edges, and search answers are monotone in the edge set, so a
 //! negative answer can only be flipped by an *addition* (publish, absorb,
 //! provide-support, import). Those paths call
-//! [`ProofCache::invalidate_negatives`]; declaration changes can flip
-//! either direction (they re-base constraint evaluation) and clear the
-//! whole cache.
+//! [`ProofCache::invalidate_negatives`], which drops the negatives — held
+//! in a set of their own — without visiting a cached proof; declaration
+//! changes can flip either direction (they re-base constraint
+//! evaluation) and clear the whole cache.
 //!
 //! Concurrency: a lost-invalidation race exists between a prover that
 //! searched stale data and an invalidator whose sweep ran before the
@@ -55,12 +56,12 @@ impl QueryKey {
     }
 }
 
-/// A memoized direct-query answer. `found: None` caches a negative.
+/// A memoized grant.
 #[derive(Debug, Clone)]
 struct CacheSlot {
-    found: Option<(Proof, AttrSummary)>,
+    found: (Proof, AttrSummary),
     /// Every delegation id the proof depends on (recursive, including
-    /// support proofs). Empty for negative answers.
+    /// support proofs).
     deps: BTreeSet<DelegationId>,
     /// Earliest expiry among the proof's credentials; `None` when none
     /// of them expire.
@@ -69,9 +70,14 @@ struct CacheSlot {
 
 #[derive(Debug, Default)]
 struct CacheInner {
+    /// Cached grants.
     entries: HashMap<QueryKey, CacheSlot>,
     /// Reverse index: delegation id → keys of entries depending on it.
     rev: HashMap<DelegationId, HashSet<QueryKey>>,
+    /// Cached denials, apart from the grants: a denial has no
+    /// dependencies and no expiry, and an addition drops all of them
+    /// without walking a single grant.
+    negatives: HashSet<QueryKey>,
 }
 
 /// See the module docs.
@@ -96,7 +102,7 @@ impl ProofCache {
     pub(crate) fn get(&self, key: &QueryKey, now: Timestamp) -> Option<Option<(Proof, AttrSummary)>> {
         let mut inner = self.inner.lock();
         let expired = match inner.entries.get(key) {
-            None => return None,
+            None => return inner.negatives.contains(key).then_some(None),
             Some(slot) => slot.min_expiry.is_some_and(|e| now > e),
         };
         if expired {
@@ -104,7 +110,7 @@ impl ProofCache {
             deregister(&mut inner, key, &slot);
             return None;
         }
-        inner.entries.get(key).map(|slot| slot.found.clone())
+        inner.entries.get(key).map(|slot| Some(slot.found.clone()))
     }
 
     /// Stores an answer computed while the cache was at `epoch_at_search`.
@@ -121,21 +127,21 @@ impl ProofCache {
             drbac_obs::static_counter!("drbac.graph.proof_cache.race_skip.count").inc();
             return;
         }
-        let (deps, min_expiry) = match &found {
-            None => (BTreeSet::new(), None),
-            Some((proof, _)) => {
-                let deps = proof.delegation_ids();
-                let min_expiry = proof
-                    .all_certs()
-                    .iter()
-                    .filter_map(|c| c.delegation().expires())
-                    .min();
-                (deps, min_expiry)
-            }
-        };
         if let Some(old) = inner.entries.remove(&key) {
             deregister(&mut inner, &key, &old);
         }
+        let Some(found) = found else {
+            inner.negatives.insert(key);
+            return;
+        };
+        inner.negatives.remove(&key);
+        let deps = found.0.delegation_ids();
+        let min_expiry = found
+            .0
+            .all_certs()
+            .iter()
+            .filter_map(|c| c.delegation().expires())
+            .min();
         for id in &deps {
             inner.rev.entry(*id).or_default().insert(key.clone());
         }
@@ -185,10 +191,15 @@ impl ProofCache {
     /// Drops every cached negative answer. Called on any path that adds
     /// edges (publish, absorb, provide-support, import): additions can
     /// flip a negative to a positive but never invalidate a cached proof.
+    /// Costs O(negatives held), whatever the number of cached proofs;
+    /// `drbac.graph.proof_cache.negative_sweep.visited.count` counts the
+    /// entries visited.
     pub(crate) fn invalidate_negatives(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         let mut inner = self.inner.lock();
-        inner.entries.retain(|_, slot| slot.found.is_some());
+        drbac_obs::static_counter!("drbac.graph.proof_cache.negative_sweep.visited.count")
+            .add(inner.negatives.len() as u64);
+        inner.negatives.clear();
     }
 
     /// Drops everything (declaration changes, imports, wipes, toggles).
@@ -197,11 +208,13 @@ impl ProofCache {
         let mut inner = self.inner.lock();
         inner.entries.clear();
         inner.rev.clear();
+        inner.negatives.clear();
     }
 
     /// Number of cached answers (diagnostics).
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        let inner = self.inner.lock();
+        inner.entries.len() + inner.negatives.len()
     }
 }
 
@@ -284,6 +297,26 @@ mod tests {
         );
         cache.invalidate_negatives();
         assert!(cache.get(&key(1), Timestamp(0)).is_none());
+    }
+
+    #[test]
+    fn negative_sweep_follows_replacement_and_spares_positives() {
+        let cache = ProofCache::default();
+        let (proof, _) = proof_with_expiry(None);
+        let positive = || Some((proof.clone(), AttrSummary::default()));
+        cache.insert(key(1), positive(), cache.epoch());
+        for k in 2..=4 {
+            cache.insert(key(k), None, cache.epoch());
+        }
+        // A negative answered again as a grant leaves the negative set.
+        cache.insert(key(2), positive(), cache.epoch());
+        assert_eq!(cache.inner.lock().negatives.len(), 2);
+        cache.invalidate_negatives();
+        assert_eq!(cache.len(), 2, "both positives survive");
+        assert!(cache
+            .get(&key(2), Timestamp(0))
+            .is_some_and(|a| a.is_some()));
+        assert!(cache.inner.lock().negatives.is_empty());
     }
 
     #[test]

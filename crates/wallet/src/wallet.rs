@@ -389,15 +389,24 @@ impl Wallet {
         opts
     }
 
-    /// A validation context carrying this wallet's declarations and full
-    /// revocation set.
-    fn validation_ctx(&self, now: Timestamp) -> ValidationContext {
-        let mut ctx =
-            ValidationContext::at(now).with_declarations(self.state.graph.declarations());
-        for id in self.state.graph.revoked_ids() {
-            ctx = ctx.with_revoked(id);
-        }
-        ctx
+    /// The context this wallet validates proofs in: the shared
+    /// declaration set (an `Arc` clone) and the live graph as the
+    /// revocation lookup. A validation reads one id shard per credential
+    /// it visits, so it costs O(proof) however long the wallet's
+    /// revocation history is. Built only where a proof is about to be
+    /// validated (`drbac.wallet.validation_ctx.count`).
+    ///
+    /// Reading marks live instead of from a snapshot taken up front is
+    /// safe on the answer path: `revoke` marks the graph *before* it
+    /// sweeps the proof cache (`invalidate_dep`), `cached_answer`
+    /// captures the cache epoch before it searches, so an answer that
+    /// raced a revoke is never stored, and `flight_answer_fresh`
+    /// re-checks every credential of a coalesced answer.
+    fn validation_ctx(&self, now: Timestamp) -> ValidationContext<&ShardedGraph> {
+        drbac_obs::static_counter!("drbac.wallet.validation_ctx.count").inc();
+        ValidationContext::at(now)
+            .with_declarations(self.state.graph.declarations())
+            .with_revocations(&self.state.graph)
     }
 
     /// This wallet's address.
@@ -481,13 +490,16 @@ impl Wallet {
         let now = self.now();
         cert.verify(now)?;
 
-        // Validate each provided support proof in isolation, under the
-        // full wallet context — including local revocation marks. This
-        // must match the context `provide_support` applies when the
-        // journaled `Support` event is replayed at recovery: anything
-        // accepted (and committed) here has to be re-accepted then, or
-        // replay would silently drop credentials the live wallet held.
-        {
+        // Validate each provided support proof in isolation against the
+        // wallet's declarations and its revocation marks as they stand
+        // now — the same reads `provide_support` makes when the journaled
+        // `Support` event is replayed at recovery. Replay applies events
+        // in journal order, so every mark that preceded this publish
+        // precedes it again: what is accepted (and committed) here is
+        // re-accepted then, and a support holding a locally revoked
+        // credential is refused both times. A first-party publish has no
+        // support to validate and builds no context at all.
+        if !supports.is_empty() {
             let validator = ProofValidator::new(self.validation_ctx(now));
             for support in &supports {
                 validator
@@ -611,13 +623,16 @@ impl Wallet {
                 cert.adopt_signature_memo(&stored);
             }
         }
-        {
-            let ctx =
-                ValidationContext::at(now).with_declarations(self.state.graph.declarations());
-            ProofValidator::new(ctx)
-                .validate(proof)
-                .map_err(WalletError::Validation)?;
-        }
+        // Deliberately blind to local revocation marks: discovery absorbs
+        // what the remote wallet served and the monitor registered next
+        // (`monitor_external_proof`) is what rejects a locally revoked
+        // credential. Checking here would change what discovery absorbs —
+        // a decision about semantics (ROADMAP item 6), not about cost.
+        ProofValidator::new(
+            ValidationContext::at(now).with_declarations(self.state.graph.declarations()),
+        )
+        .validate(proof)
+        .map_err(WalletError::Validation)?;
         self.journal(&StoreEvent::Absorb {
             proof: proof.clone(),
             source: source.clone(),
@@ -912,7 +927,9 @@ impl Wallet {
     pub fn unsupported_third_party(&self) -> Vec<(drbac_core::EntityId, Node, Vec<Node>)> {
         let now = self.now();
         let graph = &self.state.graph;
-        let validator = ProofValidator::new(self.validation_ctx(now));
+        // Built at the first credential that owes a support; a sweep that
+        // finds none validates nothing and builds nothing.
+        let mut validator = None;
         let mut out = Vec::new();
         // With an index attached, the candidate set is the `3/` audit
         // prefix — exactly the credentials carrying a support obligation
@@ -938,6 +955,8 @@ impl Wallet {
             if needed.is_empty() {
                 continue;
             }
+            let validator =
+                validator.get_or_insert_with(|| ProofValidator::new(self.validation_ctx(now)));
             // A lazily booted wallet must see the issuer's local
             // credentials before the derivation query below can run.
             self.plan_forward(&Node::Entity(d.issuer()));
@@ -1560,9 +1579,50 @@ mod tests {
                 .unwrap();
         let bogus = Proof::from_steps(vec![ProofStep::new(bogus_grant)]).unwrap();
         assert!(matches!(
-            f.wallet.publish(cert, vec![bogus]),
+            f.wallet.publish(cert.clone(), vec![bogus]),
             Err(WalletError::Validation(_))
         ));
+
+        // A well-formed support is accepted while its credential lives …
+        let store = Arc::new(drbac_store::WalletStore::in_memory());
+        f.wallet.attach_journal(Arc::clone(&store));
+        let grant =
+            f.a.delegate(Node::entity(&f.b), Node::role_admin(member.clone()))
+                .sign(&f.a)
+                .unwrap();
+        let support = Proof::from_steps(vec![ProofStep::new(grant.clone())]).unwrap();
+        f.wallet.publish(cert, vec![support.clone()]).unwrap();
+        let revocation = SignedRevocation::revoke(&grant, &f.a, f.clock.now()).unwrap();
+        f.wallet.revoke(&revocation).unwrap();
+        // … and once that credential is revoked here, a cold query across
+        // the third-party edge is denied (asked twice: nothing positive
+        // was cached), and the same support no longer admits anything.
+        let late =
+            f.b.delegate(Node::entity(&f.a), Node::role(member.clone()))
+                .sign(&f.b)
+                .unwrap();
+        let denied_everywhere = |wallet: &Wallet| {
+            for _ in 0..2 {
+                assert!(wallet
+                    .find_proof(&Node::entity(&f.m), &Node::role(member.clone()), &[])
+                    .is_none());
+            }
+            assert_eq!(
+                wallet.publish(late.clone(), vec![support.clone()]),
+                Err(WalletError::Validation(ValidationError::Revoked(
+                    grant.id()
+                )))
+            );
+        };
+        denied_everywhere(&f.wallet);
+        // Replay re-accepts the support journaled before the mark and
+        // ends in the same state: same credentials, same refusals.
+        let held = f.wallet.len();
+        f.wallet.wipe();
+        let report = f.wallet.recover_from_store(&store).unwrap();
+        assert_eq!(report.skipped, 0);
+        assert_eq!(f.wallet.len(), held);
+        denied_everywhere(&f.wallet);
     }
 
     #[test]
@@ -1936,9 +1996,29 @@ mod tests {
         f.wallet.publish(enrollment, vec![]).unwrap();
         assert!(f
             .wallet
-            .query_direct(&Node::entity(&f.m), &Node::role(member), &[])
+            .query_direct(&Node::entity(&f.m), &Node::role(member.clone()), &[])
             .is_some());
         assert!(f.wallet.unsupported_third_party().is_empty());
+
+        // A support holding a credential revoked here is refused, live
+        // and again after the journal is replayed into an empty wallet.
+        let store = Arc::new(drbac_store::WalletStore::in_memory());
+        f.wallet.attach_journal(Arc::clone(&store));
+        let doomed_grant =
+            f.a.delegate(Node::entity(&f.m), Node::role_admin(member))
+                .sign(&f.a)
+                .unwrap();
+        f.wallet.publish(doomed_grant.clone(), vec![]).unwrap();
+        let revocation = SignedRevocation::revoke(&doomed_grant, &f.a, f.clock.now()).unwrap();
+        f.wallet.revoke(&revocation).unwrap();
+        let dead = Proof::from_steps(vec![ProofStep::new(doomed_grant.clone())]).unwrap();
+        let refused = Err(WalletError::Validation(ValidationError::Revoked(
+            doomed_grant.id(),
+        )));
+        assert_eq!(f.wallet.provide_support(dead.clone()), refused);
+        f.wallet.wipe();
+        f.wallet.recover_from_store(&store).unwrap();
+        assert_eq!(f.wallet.provide_support(dead), refused);
     }
 
     #[test]
@@ -2035,6 +2115,40 @@ mod tests {
             f.wallet.monitor_external_proof(proof),
             Err(WalletError::Validation(ValidationError::Revoked(_)))
         ));
+
+        // The same holds for a support nested two levels below the chain:
+        // b enrolls m on c's say-so, c acts on a's.
+        let c = LocalEntity::generate(
+            "C",
+            SchnorrGroup::test_256(),
+            &mut StdRng::seed_from_u64(62),
+        );
+        let member = f.a.role("member");
+        let root =
+            f.a.delegate(Node::entity(&c), Node::role_admin(member.clone()))
+                .sign(&f.a)
+                .unwrap();
+        let root_id = root.id();
+        let inner = Proof::from_steps(vec![ProofStep::new(root)]).unwrap();
+        let relay = c
+            .delegate(Node::entity(&f.b), Node::role_admin(member.clone()))
+            .sign(&c)
+            .unwrap();
+        let outer = Proof::from_steps(vec![ProofStep::new(relay).with_support(inner)]).unwrap();
+        let enroll =
+            f.b.delegate(Node::entity(&f.m), Node::role(member))
+                .sign(&f.b)
+                .unwrap();
+        let nested = Proof::from_steps(vec![ProofStep::new(enroll).with_support(outer)]).unwrap();
+        assert!(f.wallet.monitor_external_proof(nested.clone()).is_ok());
+        f.wallet.push_event(DelegationEvent {
+            delegation: root_id,
+            reason: InvalidationReason::Revoked,
+        });
+        assert_eq!(
+            f.wallet.monitor_external_proof(nested).err(),
+            Some(WalletError::Validation(ValidationError::Revoked(root_id)))
+        );
     }
 
     #[test]

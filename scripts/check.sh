@@ -27,6 +27,23 @@ RUSTFLAGS="-D warnings" cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== work ledger (a write costs what it changes: counts, no clock) =="
+# `ShardedGraph::revoked_ids` copies every revocation mark the wallet
+# ever recorded; only the index rebuild in planner.rs may pay that.
+# Everything before a file's first #[cfg(test)] counts as a caller.
+callers=$(find crates src -name '*.rs' ! -name planner.rs -print0 | xargs -0 awk '
+    FNR == 1 { tests = 0 }
+    /#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && /revoked_ids\(/ && !/fn revoked_ids\(/ && !/^[[:space:]]*\/\// {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [ -n "$callers" ]; then
+    echo "check.sh: revoked_ids() has a non-test caller outside planner.rs:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
+cargo test -q --test work_ledger
+
 echo "== chaos suite (seed matrix) =="
 for seed in 1 2 3; do
     echo "-- DRBAC_CHAOS_SEED=$seed"

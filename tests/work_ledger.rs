@@ -1,0 +1,270 @@
+//! The work ledger: what the wallet's write and cold-read paths *do*,
+//! pinned as exact counts — no clock anywhere in this file.
+//!
+//! The claim held here is that a write costs what it changes and a cold
+//! answer costs what its proof holds: neither may grow with the wallet's
+//! revocation history. Every row is therefore measured twice, on the
+//! same seeded world with 0 and with 5,000 revocation marks, and the two
+//! ledgers must be equal.
+//!
+//! The counts are deltas of process-global `drbac.*` counters, so the
+//! whole ledger is ONE `#[test]` in its own test binary: nothing else in
+//! the process validates a proof while a row is being read.
+
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use drbac::core::{
+    DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator, RevocationLookup,
+    SignedDelegation, SignedRevocation, SimClock, Timestamp, ValidationContext,
+};
+use drbac::crypto::SchnorrGroup;
+use drbac::store::WalletStore;
+use drbac::wallet::{DelegationEvent, InvalidationReason, Wallet};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Revocation lookups made by any validator (one per credential visited).
+const READS: &str = "drbac.core.proof.revocation_read.count";
+/// Proofs handed to a validator.
+const VALIDATIONS: &str = "drbac.core.proof.validate.count";
+/// Validation contexts the wallet built.
+const CONTEXTS: &str = "drbac.wallet.validation_ctx.count";
+/// Calls of `ShardedGraph::revoked_ids` — the O(history) copy.
+const FULL_COPIES: &str = "drbac.graph.revoked_ids.count";
+/// Cache entries an addition's negative sweep looked at.
+const SWEPT: &str = "drbac.graph.proof_cache.negative_sweep.visited.count";
+
+fn counter(name: &str) -> u64 {
+    drbac::obs::global().counter(name).get()
+}
+
+/// Runs `op`; returns how far each named counter moved across it, and
+/// what `op` returned.
+fn delta<const N: usize, T>(names: [&str; N], op: impl FnOnce() -> T) -> ([u64; N], T) {
+    let before = names.map(counter);
+    let out = op();
+    let after = names.map(counter);
+    (std::array::from_fn(|i| after[i] - before[i]), out)
+}
+
+/// The lookup seam, counting: an explicit set that records every read.
+struct CountingLookup {
+    revoked: BTreeSet<DelegationId>,
+    reads: AtomicU64,
+}
+
+impl RevocationLookup for CountingLookup {
+    fn is_revoked(&self, id: DelegationId) -> bool {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.revoked.contains(&id)
+    }
+}
+
+/// Reads a stand-alone validation of `proof` makes through the seam.
+fn seam_reads(proof: &Proof) -> u64 {
+    let lookup = CountingLookup {
+        revoked: BTreeSet::new(),
+        reads: AtomicU64::new(0),
+    };
+    ProofValidator::new(ValidationContext::at(Timestamp(0)).with_revocations(&lookup))
+        .validate(proof)
+        .expect("the world's proofs are valid");
+    lookup.reads.load(Ordering::Relaxed)
+}
+
+/// Every row of the ledger. Two runs of [`ledger`] on worlds that differ
+/// only in revocation history must produce equal values.
+#[derive(Debug, PartialEq, Eq)]
+struct Ledger {
+    /// (a) first-party publish: `[reads, contexts, validations]`.
+    publish: [u64; 3],
+    /// (b) cold grant of the 4-credential ladder proof: `[reads, contexts]`.
+    ladder_grant: [u64; 2],
+    /// (b) cold grant across a third-party edge (chain 1 + support 1).
+    third_party_grant: [u64; 2],
+    /// A third-party publish carrying one 1-credential support.
+    supported_publish: [u64; 2],
+    /// `provide_support` of the ladder proof.
+    provide_support: [u64; 2],
+    /// `monitor_external_proof` of the third-party proof.
+    monitor_external: [u64; 2],
+    /// Full WAL replay of the journal: `[reads, contexts]`.
+    replay: [u64; 2],
+    /// (d) `revoked_ids()` calls over everything above.
+    full_copies: u64,
+    /// (e) entries visited by a publish into P positives + N negatives.
+    swept: u64,
+}
+
+const LADDER: usize = 4;
+const POSITIVES: usize = 6;
+const NEGATIVES: usize = 3;
+const REVOKES: usize = 5;
+
+fn ledger(marks: usize) -> Ledger {
+    let mut rng = StdRng::seed_from_u64(2002);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let admin = LocalEntity::generate("Admin", g.clone(), &mut rng);
+    let users: Vec<LocalEntity> = (0..POSITIVES + NEGATIVES)
+        .map(|i| LocalEntity::generate(format!("U{i}"), g.clone(), &mut rng))
+        .collect();
+    let sign = |issuer: &LocalEntity, subject: Node, object: Node| -> Arc<SignedDelegation> {
+        Arc::new(issuer.delegate(subject, object).sign(issuer).unwrap())
+    };
+
+    let clock = SimClock::new();
+    let wallet = Wallet::new("ledger.example", clock.clone());
+    let store = Arc::new(WalletStore::in_memory());
+    wallet.attach_journal(Arc::clone(&store));
+
+    // History: marks for credentials this wallet never held (what a
+    // long-lived coalition wallet accumulates), journaled like any other.
+    for i in 0..marks {
+        let mut id = [0xA5u8; 32];
+        id[..8].copy_from_slice(&(i as u64).to_be_bytes());
+        wallet.push_event(DelegationEvent {
+            delegation: DelegationId(id),
+            reason: InvalidationReason::Revoked,
+        });
+    }
+    let full_copies_before = counter(FULL_COPIES);
+
+    // (a) First-party publishes: the ladder's lower rungs and a user per
+    // cached grant on rung 0; the top rung is the measured row.
+    let rung = |i: usize| Node::role(org.role(&format!("rung{i}")));
+    for i in 1..LADDER - 1 {
+        wallet
+            .publish(sign(&org, rung(i - 1), rung(i)), vec![])
+            .unwrap();
+    }
+    let top = sign(&org, rung(LADDER - 2), rung(LADDER - 1));
+    for user in &users[..POSITIVES] {
+        wallet
+            .publish(sign(&org, Node::entity(user), rung(0)), vec![])
+            .unwrap();
+    }
+    let (publish, _) = delta([READS, CONTEXTS, VALIDATIONS], || {
+        wallet.publish(Arc::clone(&top), vec![]).unwrap()
+    });
+
+    // (b) A cold grant reads once per credential of the proof it serves.
+    let (ladder_grant, ladder_proof) = delta([READS, CONTEXTS], || {
+        wallet.find_proof(&Node::entity(&users[0]), &rung(LADDER - 1), &[])
+    });
+    let ladder_proof = ladder_proof.expect("the ladder is provable");
+    assert_eq!(ladder_proof.all_certs().len(), LADDER);
+    assert_eq!(ladder_grant[0], seam_reads(&ladder_proof));
+
+    // A third-party enrollment published with its support proof …
+    let member = org.role("member");
+    let grant = sign(&org, Node::entity(&admin), Node::role_admin(member.clone()));
+    let support = Proof::from_steps(vec![ProofStep::new(grant)]).unwrap();
+    let enroll = sign(&admin, Node::entity(&users[1]), Node::role(member.clone()));
+    let (supported_publish, _) = delta([READS, CONTEXTS], || {
+        wallet
+            .publish(Arc::clone(&enroll), vec![support.clone()])
+            .unwrap()
+    });
+    // … and the cold grant across it: chain credential + support credential.
+    let (third_party_grant, third_party_proof) = delta([READS, CONTEXTS], || {
+        wallet.find_proof(&Node::entity(&users[1]), &Node::role(member.clone()), &[])
+    });
+    let third_party_proof = third_party_proof.expect("the enrollment is provable");
+    assert_eq!(third_party_proof.all_certs().len(), 2);
+    assert_eq!(third_party_grant[0], seam_reads(&third_party_proof));
+
+    let (provide_support, ()) = delta([READS, CONTEXTS], || {
+        wallet.provide_support(ladder_proof.clone()).unwrap()
+    });
+    let (monitor_external, _monitor) = delta([READS, CONTEXTS], || {
+        wallet
+            .monitor_external_proof(third_party_proof.clone())
+            .unwrap()
+    });
+
+    // (e) A publish sweeps the negatives it might flip and nothing else.
+    for user in &users[..POSITIVES] {
+        assert!(wallet
+            .find_proof(&Node::entity(user), &rung(0), &[])
+            .is_some());
+    }
+    for user in &users[POSITIVES..] {
+        assert!(wallet
+            .find_proof(&Node::entity(user), &rung(0), &[])
+            .is_none());
+    }
+    let cached = wallet.cached_query_answers();
+    let ([swept], _) = delta([SWEPT], || {
+        wallet
+            .publish(sign(&org, Node::entity(&users[POSITIVES]), rung(0)), vec![])
+            .unwrap()
+    });
+    assert_eq!(wallet.cached_query_answers(), cached - NEGATIVES);
+
+    // Revokes, so the replay below holds N publishes + R revokes (+ the
+    // support, + the marks).
+    for user in &users[..REVOKES] {
+        let cert = wallet
+            .find_proof(&Node::entity(user), &rung(0), &[])
+            .expect("still granted")
+            .all_certs()[0]
+            .clone();
+        let revocation = SignedRevocation::revoke(&cert, &org, clock.now()).unwrap();
+        wallet.revoke(&revocation).unwrap();
+    }
+
+    // (d) Full recovery re-validates what the live wallet validated — the
+    // supports — and nothing per first-party publish, revoke or mark.
+    let held = wallet.len();
+    wallet.wipe();
+    let (replay, report) = delta([READS, CONTEXTS], || {
+        wallet.recover_from_store(&store).unwrap()
+    });
+    assert_eq!(report.skipped, 0);
+    assert_eq!(wallet.len(), held);
+    assert!(wallet
+        .find_proof(&Node::entity(&users[0]), &rung(0), &[])
+        .is_none());
+
+    Ledger {
+        publish,
+        ladder_grant,
+        third_party_grant,
+        supported_publish,
+        provide_support,
+        monitor_external,
+        replay,
+        full_copies: counter(FULL_COPIES) - full_copies_before,
+        swept,
+    }
+}
+
+#[test]
+fn a_write_costs_what_it_changes_whatever_the_history() {
+    let fresh = ledger(0);
+    assert_eq!(
+        fresh,
+        Ledger {
+            // No support, so no proof: nothing read, built or validated.
+            publish: [0, 0, 0],
+            ladder_grant: [LADDER as u64, 1],
+            third_party_grant: [2, 1],
+            supported_publish: [1, 1],
+            provide_support: [LADDER as u64, 1],
+            monitor_external: [2, 1],
+            // One `Support` event per `provide_support`-shaped write: the
+            // enrollment's support (1 credential) and the ladder proof.
+            replay: [1 + LADDER as u64, 2],
+            full_copies: 0,
+            swept: NEGATIVES as u64,
+        }
+    );
+    assert_eq!(
+        fresh,
+        ledger(5_000),
+        "a row moved with the revocation history"
+    );
+}
