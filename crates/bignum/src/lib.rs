@@ -31,5 +31,5 @@ mod modular;
 mod prime;
 
 pub use biguint::{BigUint, ParseBigUintError};
-pub use modular::MontgomeryCtx;
+pub use modular::{MontgomeryCtx, PowerTable};
 pub use prime::{is_probable_prime, random_biguint_below, random_prime};

@@ -2,10 +2,29 @@
 //! and modular inverse.
 //!
 //! Schnorr key generation, signing, and verification in `drbac-crypto` all
-//! reduce to [`BigUint::modpow`], so this module is the performance-critical
-//! core of the whole PKI substrate. Exponentiation over an odd modulus uses
-//! a [`MontgomeryCtx`] with a 4-bit fixed window; even moduli fall back to
-//! square-and-multiply with explicit division.
+//! reduce to exponentiation modulo the group prime, so this module is the
+//! performance-critical core of the whole PKI substrate.
+//!
+//! Everything over an odd modulus runs on **one kernel**: a CIOS Montgomery
+//! multiply of two `k`-limb operands into a caller-owned scratch buffer of
+//! `k + 1` limbs. Nothing is allocated per multiplication, and no
+//! [`BigUint`] is built until a result leaves Montgomery form.
+//!
+//! * A base's 4-bit window — its Montgomery-form powers `base^0..base^15`
+//!   — is one flat [`PowerTable`] of `16·k` limbs, built once per base (a
+//!   fixed base such as a group generator keeps its table for life).
+//! * [`MontgomeryCtx::multi_pow`] computes `Π base_i^exp_i` over any number
+//!   of tables Straus/Shamir-style: one pass over the exponents' 4-bit
+//!   windows from the top, the four squarings per window shared by every
+//!   term. [`MontgomeryCtx::modpow`] is its one-term case, and a Schnorr
+//!   verify's `g^s · y^(q−e)` its two-term case, which costs one
+//!   exponentiation's squarings instead of two.
+//! * [`MontgomeryCtx::mul`] is one conversion plus one kernel call.
+//!
+//! Exponentiation is variable-time (windows whose digit is zero skip their
+//! multiply), as it always was here; see DESIGN.md §4.1. Even moduli fall
+//! back to square-and-multiply with explicit division
+//! ([`BigUint::modpow_naive`], also the differential oracle in the tests).
 
 use crate::BigUint;
 
@@ -32,10 +51,45 @@ pub struct MontgomeryCtx {
     k: usize,
     /// -n^{-1} mod 2^64.
     n0inv: u64,
-    /// R mod n (the Montgomery form of 1).
-    r_mod_n: BigUint,
-    /// R^2 mod n, used to convert into Montgomery form.
-    r2_mod_n: BigUint,
+    /// R mod n (the Montgomery form of 1), `k` limbs.
+    one: Vec<u64>,
+    /// R^2 mod n, `k` limbs, used to convert into Montgomery form.
+    r2: Vec<u64>,
+    /// 1, `k` limbs, used to convert out of Montgomery form.
+    unit: Vec<u64>,
+}
+
+/// The Montgomery-form powers `base^0 .. base^15` of one base modulo one
+/// [`MontgomeryCtx`]'s modulus, as a flat array of `16·k` limbs: the 4-bit
+/// window [`MontgomeryCtx::multi_pow`] reads.
+///
+/// Built by [`MontgomeryCtx::power_table`]; only meaningful with the
+/// context that built it.
+#[derive(Debug, Clone)]
+pub struct PowerTable {
+    limbs: Vec<u64>,
+}
+
+impl PowerTable {
+    /// `base^digit` in Montgomery form.
+    fn entry(&self, digit: usize, k: usize) -> &[u64] {
+        &self.limbs[digit * k..(digit + 1) * k]
+    }
+}
+
+/// `n`'s `k` limbs, zero-padded (`n` has at most `k`).
+fn padded(n: &BigUint, k: usize) -> Vec<u64> {
+    let mut limbs = n.as_limbs().to_vec();
+    limbs.resize(k, 0);
+    limbs
+}
+
+/// The 4-bit digit `w` of `exp` (digit 0 is the least significant). A
+/// digit never straddles two limbs.
+fn digit(exp: &BigUint, w: usize) -> usize {
+    exp.as_limbs()
+        .get(w / 16)
+        .map_or(0, |&limb| ((limb >> ((w % 16) * 4)) & 0xf) as usize)
 }
 
 impl MontgomeryCtx {
@@ -64,8 +118,9 @@ impl MontgomeryCtx {
             n: modulus.clone(),
             k,
             n0inv,
-            r_mod_n,
-            r2_mod_n,
+            one: padded(&r_mod_n, k),
+            r2: padded(&r2_mod_n, k),
+            unit: padded(&BigUint::one(), k),
         })
     }
 
@@ -74,110 +129,163 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// Montgomery multiplication: computes `a * b * R^-1 mod n` on
-    /// Montgomery-form inputs (CIOS method).
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// The kernel: `t[..k] = a·b·R⁻¹ mod n` for a `k`-limb `a` below `n`
+    /// and any `k`-limb `b` (so `a·b < n·R` and one final subtraction
+    /// suffices). CIOS method, the multiply and reduce passes fused into
+    /// one loop; `t` is the caller's scratch of `k + 1` limbs, and nothing
+    /// is allocated.
+    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let k = self.k;
+        let (n, b, t) = (&self.n.as_limbs()[..k], &b[..k], &mut t[..=k]);
+        t.fill(0);
+        for &ai in &a[..k] {
+            // t = (t + ai·b + m·n) / 2^64, m chosen so the low limb
+            // vanishes; c1 carries the product row, c2 the reduction row.
+            let s = t[0] as u128 + ai as u128 * b[0] as u128;
+            let m = (s as u64).wrapping_mul(self.n0inv);
+            let r = (s as u64) as u128 + m as u128 * n[0] as u128;
+            let (mut c1, mut c2) = (s >> 64, r >> 64);
+            for j in 1..k {
+                let s = t[j] as u128 + ai as u128 * b[j] as u128 + c1;
+                let r = (s as u64) as u128 + m as u128 * n[j] as u128 + c2;
+                t[j - 1] = r as u64;
+                (c1, c2) = (s >> 64, r >> 64);
+            }
+            let s = t[k] as u128 + c1 + c2;
+            t[k - 1] = s as u64;
+            t[k] = (s >> 64) as u64;
+        }
+        self.final_subtract(t);
+    }
+
+    /// Brings `t[..=k]` (below `2n`) under `n` in place.
+    fn final_subtract(&self, t: &mut [u64]) {
         let k = self.k;
         let n = self.n.as_limbs();
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = if i < a.len() { a[i] } else { 0 };
-            // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..k {
-                let bj = if j < b.len() { b[j] } else { 0 };
-                let sum = t[j] as u128 + ai as u128 * bj as u128 + carry;
-                t[j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t[k] as u128 + carry;
-            t[k] = sum as u64;
-            t[k + 1] = (sum >> 64) as u64;
-
-            // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n0inv);
-            let sum = t[0] as u128 + m as u128 * n[0] as u128;
-            let mut carry = sum >> 64;
-            for j in 1..k {
-                let sum = t[j] as u128 + m as u128 * n[j] as u128 + carry;
-                t[j - 1] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t[k] as u128 + carry;
-            t[k - 1] = sum as u64;
-            t[k] = t[k + 1] + (sum >> 64) as u64;
-            t[k + 1] = 0;
+        if t[k] == 0 && t[..k].iter().rev().lt(n.iter().rev()) {
+            return;
         }
-        t.truncate(k + 1);
-        let mut result = BigUint::from_limbs(t);
-        if result >= self.n {
-            result = &result - &self.n;
+        let mut borrow = false;
+        for (tj, &nj) in t[..k].iter_mut().zip(n) {
+            let (d, b1) = tj.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            *tj = d;
+            borrow = b1 || b2;
         }
-        let mut limbs = result.limbs;
-        limbs.resize(k, 0);
-        limbs
+        t[k] = 0;
     }
 
-    /// Converts `a` (reduced mod n) into Montgomery form.
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        self.mont_mul(a.as_limbs(), self.r2_mod_n.as_limbs())
+    /// Writes `a mod n` in Montgomery form to `out` (`k` limbs).
+    fn to_mont(&self, a: &BigUint, out: &mut [u64], t: &mut [u64]) {
+        self.load(a, out);
+        self.mont_mul(out, &self.r2, t);
+        out.copy_from_slice(&t[..self.k]);
     }
 
-    /// Converts out of Montgomery form.
-    fn mont_reduce_out(&self, a: &[u64]) -> BigUint {
-        BigUint::from_limbs(self.mont_mul(a, &[1]))
+    /// Writes `a mod n` to `out` (`k` limbs), zero-padded.
+    fn load(&self, a: &BigUint, out: &mut [u64]) {
+        out.fill(0);
+        if a < &self.n {
+            out[..a.len()].copy_from_slice(a.as_limbs());
+        } else {
+            let r = a.rem_ref(&self.n);
+            out[..r.len()].copy_from_slice(r.as_limbs());
+        }
+    }
+
+    /// Leaves Montgomery form: `a·1·R⁻¹ mod n`, the first [`BigUint`]
+    /// the computation builds.
+    fn out_of_mont(&self, a: &[u64], t: &mut [u64]) -> BigUint {
+        self.mont_mul(a, &self.unit, t);
+        BigUint::from_limbs(t[..self.k].to_vec())
     }
 
     /// Modular multiplication `a * b mod n` for ordinary (non-Montgomery)
     /// inputs. Inputs need not be reduced.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let a = a.rem_ref(&self.n);
-        let b = b.rem_ref(&self.n);
-        let am = self.to_mont(&a);
-        let bm = self.to_mont(&b);
-        self.mont_reduce_out(&self.mont_mul(&am, &bm))
+        let k = self.k;
+        let mut t = vec![0u64; k + 1];
+        let mut am = vec![0u64; k];
+        let mut b_plain = vec![0u64; k];
+        // (a·R) · b · R⁻¹ = a·b: one conversion, one kernel call.
+        self.to_mont(a, &mut am, &mut t);
+        self.load(b, &mut b_plain);
+        self.mont_mul(&am, &b_plain, &mut t);
+        BigUint::from_limbs(t[..k].to_vec())
     }
 
-    /// Modular exponentiation `base^exp mod n` with a 4-bit fixed window.
-    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem_ref(&self.n);
+    /// The 4-bit window of `base` (reduced mod n first): its Montgomery
+    /// powers `base^0 .. base^15`, 15 kernel calls into one flat buffer.
+    pub fn power_table(&self, base: &BigUint) -> PowerTable {
+        let k = self.k;
+        let mut t = vec![0u64; k + 1];
+        let mut limbs = vec![0u64; 16 * k];
+        limbs[..k].copy_from_slice(&self.one);
+        self.to_mont(base, &mut limbs[k..2 * k], &mut t);
+        for i in 2..16 {
+            let (done, rest) = limbs.split_at_mut(i * k);
+            self.mont_mul(&done[(i - 1) * k..], &done[k..2 * k], &mut t);
+            rest[..k].copy_from_slice(&t[..k]);
         }
-        let base = base.rem_ref(&self.n);
-        let base_m = self.to_mont(&base);
+        PowerTable { limbs }
+    }
 
-        // Precompute base^0 .. base^15 in Montgomery form.
-        let mut one_m = self.r_mod_n.as_limbs().to_vec();
-        one_m.resize(self.k, 0);
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(16);
-        table.push(one_m);
-        for i in 1..16 {
-            table.push(self.mont_mul(&table[i - 1], &base_m));
+    /// `Π base_i^exp_i mod n` over `terms` of (window table, exponent) —
+    /// Straus/Shamir simultaneous exponentiation: one pass over the 4-bit
+    /// windows of the longest exponent, each window's four squarings
+    /// shared by every term, then one multiply per term whose digit is
+    /// non-zero. One scratch buffer and one accumulator for the whole
+    /// computation, however long the exponents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table was built by a context of a different size.
+    ///
+    /// ```
+    /// use drbac_bignum::{BigUint, MontgomeryCtx};
+    ///
+    /// let p = BigUint::from(1_000_003u64);
+    /// let ctx = MontgomeryCtx::new(&p).unwrap();
+    /// let (g, y) = (BigUint::from(2u64), BigUint::from(5u64));
+    /// let (a, b) = (BigUint::from(1234u64), BigUint::from(987u64));
+    /// let joint = ctx.multi_pow(&[(&ctx.power_table(&g), &a), (&ctx.power_table(&y), &b)]);
+    /// assert_eq!(joint, ctx.mul(&ctx.modpow(&g, &a), &ctx.modpow(&y, &b)));
+    /// ```
+    pub fn multi_pow(&self, terms: &[(&PowerTable, &BigUint)]) -> BigUint {
+        let k = self.k;
+        for (table, _) in terms {
+            assert_eq!(table.limbs.len(), 16 * k, "table from another modulus");
         }
-
-        let bits = exp.bits();
-        let windows = bits.div_ceil(4);
-        let mut acc: Option<Vec<u64>> = None;
+        let mut t = vec![0u64; k + 1];
+        let mut acc = self.one.clone();
+        let windows = terms
+            .iter()
+            .map(|(_, exp)| exp.bits())
+            .max()
+            .unwrap_or(0)
+            .div_ceil(4);
         for w in (0..windows).rev() {
-            if let Some(a) = acc.take() {
-                let mut sq = a;
+            if w + 1 < windows {
                 for _ in 0..4 {
-                    sq = self.mont_mul(&sq, &sq);
-                }
-                acc = Some(sq);
-            }
-            let mut digit = 0usize;
-            for b in 0..4 {
-                if exp.bit(w * 4 + b) {
-                    digit |= 1 << b;
+                    self.mont_mul(&acc, &acc, &mut t);
+                    acc.copy_from_slice(&t[..k]);
                 }
             }
-            match acc.take() {
-                None => acc = Some(table[digit].clone()),
-                Some(a) => acc = Some(self.mont_mul(&a, &table[digit])),
+            for (table, exp) in terms {
+                let d = digit(exp, w);
+                if d != 0 {
+                    self.mont_mul(&acc, table.entry(d, k), &mut t);
+                    acc.copy_from_slice(&t[..k]);
+                }
             }
         }
-        self.mont_reduce_out(&acc.expect("exp is nonzero"))
+        self.out_of_mont(&acc, &mut t)
+    }
+
+    /// Modular exponentiation `base^exp mod n` with a 4-bit fixed window:
+    /// [`Self::multi_pow`] with one term.
+    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        self.multi_pow(&[(&self.power_table(base), exp)])
     }
 }
 
@@ -406,16 +514,116 @@ mod tests {
         prop::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(BigUint::from_limbs)
     }
 
+    /// An odd modulus of 1–33 limbs; every other one has an all-ones top
+    /// limb, where the kernel's result most often lands in `[n, 2n)` and
+    /// the final subtraction fires.
+    fn arb_odd_modulus() -> impl Strategy<Value = BigUint> {
+        (prop::collection::vec(any::<u64>(), 1..=33), any::<bool>()).prop_map(
+            |(mut limbs, all_ones_top)| {
+                limbs[0] |= 1;
+                let top = limbs.len() - 1;
+                if all_ones_top {
+                    limbs[top] = u64::MAX;
+                } else if limbs[top] == 0 {
+                    limbs[top] = 1;
+                }
+                BigUint::from_limbs(limbs)
+            },
+        )
+    }
+
+    /// An exponent of up to 4 limbs (so the naive oracle stays quick at
+    /// 33-limb moduli), sometimes all ones.
+    fn arb_exponent() -> impl Strategy<Value = BigUint> {
+        (arb_biguint(4), any::<bool>()).prop_map(|(e, all_ones)| {
+            if all_ones {
+                BigUint::one().shl_bits(e.bits().max(1)) - BigUint::one()
+            } else {
+                e
+            }
+        })
+    }
+
+    /// A base up to one limb longer than any modulus, so `base ≥ n` is
+    /// exercised (and base 0 when the vector is empty).
+    fn arb_base() -> impl Strategy<Value = BigUint> {
+        arb_biguint(34)
+    }
+
+    #[test]
+    fn kernel_edge_cases_match_oracle() {
+        let all_ones_256 = BigUint::one().shl_bits(256) - BigUint::one();
+        let moduli = [
+            BigUint::one(),
+            BigUint::from(3u64),
+            BigUint::from(u64::MAX),
+            // Top limb all ones, low limbs small: results near R land in
+            // [n, 2n) and take the final subtraction.
+            BigUint::from_limbs(vec![0x61, 0, 0, u64::MAX]),
+            BigUint::one().shl_bits(2048) - BigUint::from(159u64),
+        ];
+        for n in &moduli {
+            let ctx = MontgomeryCtx::new(n).unwrap();
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                n - &BigUint::one(),
+                n.clone(),
+                n + &BigUint::from(5u64),
+                n * n,
+            ];
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from(16u64),
+                all_ones_256.clone(),
+            ];
+            for base in &bases {
+                for exp in &exps {
+                    let want = base.modpow_naive(exp, n);
+                    assert_eq!(ctx.modpow(base, exp), want, "n={n:?} b={base:?} e={exp:?}");
+                    let table = ctx.power_table(base);
+                    assert_eq!(ctx.multi_pow(&[(&table, exp)]), want);
+                }
+                assert_eq!(
+                    ctx.mul(base, &(n - &BigUint::one())),
+                    (base * &(n - &BigUint::one())).rem_ref(n)
+                );
+            }
+            assert_eq!(ctx.multi_pow(&[]), BigUint::one().rem_ref(n));
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_kernel_modpow_matches_naive(n in arb_odd_modulus(), base in arb_base(), exp in arb_exponent()) {
+            let ctx = MontgomeryCtx::new(&n).unwrap();
+            prop_assert_eq!(ctx.modpow(&base, &exp), base.modpow_naive(&exp, &n));
+        }
 
         #[test]
-        fn prop_mont_mul_matches_naive(a in arb_biguint(4), b in arb_biguint(4), mut m in arb_biguint(3)) {
-            m.limbs.push(1); // ensure nonzero and multi-limb-ish
-            if m.is_even() { m = &m + &BigUint::one(); }
-            let ctx = MontgomeryCtx::new(&m).unwrap();
-            prop_assert_eq!(ctx.mul(&a, &b), (&a * &b).rem_ref(&m));
+        fn prop_kernel_mul_matches_naive(n in arb_odd_modulus(), a in arb_base(), b in arb_base()) {
+            let ctx = MontgomeryCtx::new(&n).unwrap();
+            prop_assert_eq!(ctx.mul(&a, &b), (&a * &b).rem_ref(&n));
         }
+
+        #[test]
+        fn prop_joint_pow_matches_naive(
+            n in arb_odd_modulus(),
+            g in arb_base(),
+            a in arb_exponent(),
+            y in arb_base(),
+            b in arb_exponent(),
+        ) {
+            let ctx = MontgomeryCtx::new(&n).unwrap();
+            let joint = ctx.multi_pow(&[(&ctx.power_table(&g), &a), (&ctx.power_table(&y), &b)]);
+            let want = (&g.modpow_naive(&a, &n) * &y.modpow_naive(&b, &n)).rem_ref(&n);
+            prop_assert_eq!(joint, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn prop_modpow_multiplicative(a in arb_biguint(2), e1 in 0u64..64, e2 in 0u64..64, mut m in arb_biguint(2)) {

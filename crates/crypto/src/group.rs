@@ -4,7 +4,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use drbac_bignum::{is_probable_prime, random_prime, BigUint, MontgomeryCtx};
+use drbac_bignum::{is_probable_prime, random_prime, BigUint, MontgomeryCtx, PowerTable};
 use rand::Rng;
 
 /// Identifier naming a [`SchnorrGroup`], carried inside signatures so a
@@ -35,7 +35,12 @@ impl fmt::Display for GroupId {
 /// a generator `g` of the order-`q` subgroup of squares mod `p`.
 ///
 /// The struct is cheaply clonable (`Arc` internals, including a cached
-/// Montgomery context for exponentiations mod `p`).
+/// Montgomery context for exponentiations mod `p` and `g`'s 4-bit window
+/// table, built once per group).
+///
+/// Every exponentiation it performs counts one on
+/// `drbac.crypto.exp.count`, so a work ledger can pin how many an
+/// operation pays.
 ///
 /// # Example
 ///
@@ -58,6 +63,8 @@ struct GroupInner {
     q: BigUint,
     g: BigUint,
     mont_p: MontgomeryCtx,
+    /// `g^0 .. g^15` in Montgomery form (512 B at 256 bits).
+    g_table: PowerTable,
 }
 
 impl fmt::Debug for SchnorrGroup {
@@ -76,6 +83,10 @@ impl PartialEq for SchnorrGroup {
 }
 
 impl Eq for SchnorrGroup {}
+
+fn count_exponentiation() {
+    drbac_obs::static_counter!("drbac.crypto.exp.count").inc();
+}
 
 /// 256-bit safe prime (seeded generation; see `tools` note in DESIGN.md).
 const TEST256_P: &str = "b7e9f735f74bf461eb409d67747a627534f17ded4ba95a60790f978549c8c24f";
@@ -148,6 +159,7 @@ impl SchnorrGroup {
 
     fn from_parts(id: GroupId, p: BigUint, q: BigUint, g: BigUint) -> Self {
         let mont_p = MontgomeryCtx::new(&p).expect("group modulus is an odd prime");
+        let g_table = mont_p.power_table(&g);
         SchnorrGroup {
             inner: Arc::new(GroupInner {
                 id,
@@ -155,6 +167,7 @@ impl SchnorrGroup {
                 q,
                 g,
                 mont_p,
+                g_table,
             }),
         }
     }
@@ -179,19 +192,29 @@ impl SchnorrGroup {
         &self.inner.g
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p`, on the group's prebuilt table for `g`.
     pub fn pow_g(&self, e: &BigUint) -> BigUint {
-        self.inner.mont_p.modpow(&self.inner.g, e)
+        count_exponentiation();
+        let inner = &*self.inner;
+        inner.mont_p.multi_pow(&[(&inner.g_table, e)])
     }
 
     /// `base^e mod p`.
     pub fn pow(&self, base: &BigUint, e: &BigUint) -> BigUint {
+        count_exponentiation();
         self.inner.mont_p.modpow(base, e)
     }
 
-    /// `a * b mod p`.
-    pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.inner.mont_p.mul(a, b)
+    /// `g^a · base^b mod p` as one joint exponentiation: the squarings are
+    /// shared, so it costs little more than one [`Self::pow`]. Schnorr
+    /// verification's `g^s · y^(q−e)`.
+    pub fn pow_g_mul(&self, a: &BigUint, base: &BigUint, b: &BigUint) -> BigUint {
+        count_exponentiation();
+        let inner = &*self.inner;
+        let base_table = inner.mont_p.power_table(base);
+        inner
+            .mont_p
+            .multi_pow(&[(&inner.g_table, a), (&base_table, b)])
     }
 
     /// Checks that `y` is a valid subgroup element: `1 < y < p` and
@@ -260,6 +283,16 @@ mod tests {
         if !g.pow(&two, g.q()).is_one() {
             assert!(!g.is_subgroup_element(&two));
         }
+    }
+
+    #[test]
+    fn joint_exponentiation_matches_separate_powers() {
+        let g = SchnorrGroup::test_256();
+        let y = g.pow_g(&BigUint::from(777u64));
+        let (a, b) = (BigUint::from(123_456u64), g.q() - &BigUint::from(5u64));
+        let separate = (&g.pow_g(&a) * &g.pow(&y, &b)).rem_ref(g.p());
+        assert_eq!(g.pow_g_mul(&a, &y, &b), separate);
+        assert_eq!(g.pow_g(&a), g.pow(g.g(), &a));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Key pairs and public keys.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::{OnceLock, RwLock};
 
 use drbac_bignum::{random_biguint_below, BigUint};
 use rand::Rng;
@@ -49,11 +51,24 @@ impl Drop for SecretKey {
 /// let pk = kp.public_key();
 /// assert!(pk.group().is_subgroup_element(pk.y()));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct PublicKey {
     group: SchnorrGroup,
     y: BigUint,
+    /// [`Self::fingerprint`], computed on first use: every signature
+    /// check and signer comparison asks for it. Not part of equality.
+    fingerprint: OnceLock<KeyFingerprint>,
 }
+
+/// Equality is over `(group, y)` alone — a derived impl would also compare
+/// whether the fingerprint cache has been filled.
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.group == other.group && self.y == other.y
+    }
+}
+
+impl Eq for PublicKey {}
 
 impl fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -71,7 +86,11 @@ impl PublicKey {
     /// Reassembles a public key from its parts (wire decoding). Check
     /// [`PublicKey::is_valid`] before trusting a key received this way.
     pub fn from_parts(group: SchnorrGroup, y: BigUint) -> Self {
-        PublicKey { group, y }
+        PublicKey {
+            group,
+            y,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// The group this key lives in.
@@ -104,67 +123,81 @@ impl PublicKey {
     }
 
     /// SHA-256 fingerprint of [`Self::canonical_bytes`]; the entity
-    /// identity in dRBAC.
+    /// identity in dRBAC. Computed once per key instance.
     pub fn fingerprint(&self) -> KeyFingerprint {
-        let mut h = Sha256::new();
-        h.update(&self.canonical_bytes());
-        KeyFingerprint(h.finalize())
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update(&self.canonical_bytes());
+            KeyFingerprint(h.finalize())
+        })
     }
 
     /// Verifies a Schnorr signature over `msg`.
     ///
     /// Returns `false` for signatures from a different group, out-of-range
-    /// scalars, or any verification failure — never panics.
+    /// scalars, a key that is not a subgroup element, or any verification
+    /// failure — never panics. Membership comes from [`Self::is_valid`]'s
+    /// memo, so a key seen before costs one joint exponentiation and a
+    /// never-seen key one more.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        sig.verify_with(&self.group, &self.y, self.fingerprint(), msg)
+        sig.verify_with(self, msg)
     }
 
     /// Structural validity: `y` is a proper subgroup element.
     ///
-    /// The membership check costs a full `y^q mod p` exponentiation,
-    /// and wire decoding runs it on every received key — while a busy
-    /// reply stream repeats the same few issuer keys thousands of
-    /// times. Membership is a pure function of the key material, so
-    /// results are memoized in a bounded process-wide cache: the first
-    /// sighting of a key pays the modpow, the rest cost one hash
-    /// lookup. Invalid keys are never cached (re-checking them is the
-    /// safe direction).
+    /// The membership check costs a full `y^q mod p` exponentiation, and
+    /// wire decoding and every signature check need it — while a busy
+    /// reply stream repeats the same few issuer keys thousands of times.
+    /// For the two named groups membership is a pure function of
+    /// `(GroupId, y)` (their `p`, `q`, `g` are constants), so valid `y`s
+    /// are memoized in a bounded process-wide set: the first sighting of
+    /// a key pays the exponentiation, the rest cost one hash of `y`.
+    /// Invalid keys are never cached (re-checking them is the safe
+    /// direction). Custom-group keys are checked every time: their `p`
+    /// comes off the wire at any size, and the memo stays bounded in
+    /// bytes.
     pub fn is_valid(&self) -> bool {
-        let mut h = Sha256::new();
-        h.update(&self.canonical_bytes());
-        // `q` is not part of the canonical encoding but membership
-        // depends on it; bind it so two custom groups sharing (p, g)
-        // with different subgroup orders cannot alias.
-        h.update(&self.group.q().to_bytes_be());
-        let digest = h.finalize();
-        let cache = validated_keys();
-        if let Ok(seen) = cache.lock() {
-            if seen.contains(&digest) {
-                return true;
-            }
+        let Some(slot) = memo_slot(self.group.id()) else {
+            return self.group.is_subgroup_element(&self.y);
+        };
+        let memo = validated_keys();
+        if memo.read().is_ok_and(|seen| seen[slot].contains(&self.y)) {
+            return true;
         }
         let ok = self.group.is_subgroup_element(&self.y);
         if ok {
-            if let Ok(mut seen) = cache.lock() {
-                if seen.len() >= VALIDATED_KEY_CAP {
+            if let Ok(mut seen) = memo.write() {
+                if seen.iter().map(HashSet::len).sum::<usize>() >= VALIDATED_KEY_CAP {
                     // Wholesale reset over LRU bookkeeping: a working
                     // set beyond the cap just re-validates.
-                    seen.clear();
+                    seen.iter_mut().for_each(HashSet::clear);
                 }
-                seen.insert(digest);
+                seen[slot].insert(self.y.clone());
             }
         }
         ok
     }
 }
 
-/// Upper bound on memoized [`PublicKey::is_valid`] results.
+/// Upper bound on memoized [`PublicKey::is_valid`] results, across both
+/// named groups.
 const VALIDATED_KEY_CAP: usize = 4096;
 
-fn validated_keys() -> &'static std::sync::Mutex<std::collections::HashSet<[u8; 32]>> {
-    static VALIDATED: std::sync::OnceLock<std::sync::Mutex<std::collections::HashSet<[u8; 32]>>> =
-        std::sync::OnceLock::new();
-    VALIDATED.get_or_init(|| std::sync::Mutex::new(std::collections::HashSet::new()))
+/// The memo's set for a named group; `None` for custom groups, which are
+/// never memoized.
+fn memo_slot(id: GroupId) -> Option<usize> {
+    match id {
+        GroupId::Test256 => Some(0),
+        GroupId::Modp2048 => Some(1),
+        GroupId::Custom => None,
+    }
+}
+
+/// Validated `y`s, one set per named group (see [`memo_slot`]). Read on
+/// every signature check, written only on a key's first sighting.
+fn validated_keys() -> &'static RwLock<[HashSet<BigUint>; 2]> {
+    static VALIDATED: OnceLock<RwLock<[HashSet<BigUint>; 2]>> = OnceLock::new();
+    VALIDATED.get_or_init(|| RwLock::new([HashSet::new(), HashSet::new()]))
 }
 
 /// A secret/public key pair for one entity.
@@ -198,10 +231,7 @@ impl KeyPair {
         let x = if x.is_zero() { BigUint::one() } else { x };
         let y = group.pow_g(&x);
         KeyPair {
-            public: PublicKey {
-                group: group.clone(),
-                y,
-            },
+            public: PublicKey::from_parts(group.clone(), y),
             secret: SecretKey { group, x },
         }
     }
@@ -319,6 +349,19 @@ mod tests {
         let b = pair(2);
         assert_eq!(a.fingerprint(), a.public_key().fingerprint());
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn equality_ignores_the_fingerprint_cache() {
+        let kp = pair(4);
+        let warm = kp.public_key().clone();
+        let _ = warm.fingerprint();
+        let cold = PublicKey::from_parts(warm.group().clone(), warm.y().clone());
+        assert_eq!(warm, cold);
+        assert_eq!(warm.fingerprint(), cold.fingerprint());
+        let mut h = Sha256::new();
+        h.update(&cold.canonical_bytes());
+        assert_eq!(cold.fingerprint(), KeyFingerprint(h.finalize()));
     }
 
     #[test]

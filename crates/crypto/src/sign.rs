@@ -2,7 +2,6 @@
 
 use drbac_bignum::BigUint;
 
-use crate::fingerprint::KeyFingerprint;
 use crate::group::{GroupId, SchnorrGroup};
 use crate::keys::PublicKey;
 use crate::sha256::Sha256;
@@ -17,7 +16,9 @@ use crate::sha256::Sha256;
 /// * challenge: `e = H(tag_e ‖ fingerprint ‖ r ‖ msg) mod q`,
 /// * response: `s = k + x·e mod q`.
 ///
-/// Verification recomputes `r' = g^s · y^(q−e) mod p` and checks the
+/// Verification checks `y` is in the order-`q` subgroup (from the key
+/// validity memo when `y` was seen before), recomputes
+/// `r' = g^s · y^(q−e) mod p` as one joint exponentiation, and checks the
 /// challenge matches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
@@ -28,6 +29,15 @@ pub struct Signature {
 
 const NONCE_TAG: &[u8] = b"drbac-nonce-v1";
 const CHALLENGE_TAG: &[u8] = b"drbac-challenge-v1";
+
+/// `q − e mod q`: `y^(q−e) = y^(−e)` for `y` of order q.
+fn neg(e: &BigUint, q: &BigUint) -> BigUint {
+    if e.is_zero() {
+        BigUint::zero()
+    } else {
+        q - e
+    }
+}
 
 fn hash_to_scalar(parts: &[&[u8]], q: &BigUint) -> BigUint {
     // Expand to 512 bits before reducing so the bias is negligible even for
@@ -75,14 +85,10 @@ impl Signature {
         }
     }
 
-    /// Verifies against a public key's group, element, and fingerprint.
-    pub(crate) fn verify_with(
-        &self,
-        group: &SchnorrGroup,
-        y: &BigUint,
-        fingerprint: KeyFingerprint,
-        msg: &[u8],
-    ) -> bool {
+    /// Verifies against a public key; called through
+    /// [`PublicKey::verify`].
+    pub(crate) fn verify_with(&self, key: &PublicKey, msg: &[u8]) -> bool {
+        let group = key.group();
         if self.group != group.id() {
             return false;
         }
@@ -90,21 +96,23 @@ impl Signature {
         if &self.s >= q || &self.e >= q {
             return false;
         }
-        if !group.is_subgroup_element(y) {
+        // The equation below only binds `e` when `y` has order q: for
+        // `y = p − 1` (order 2) and odd `e` it collapses to `r = g^s`, a
+        // forgery anyone can compute. Membership comes from the memo
+        // wire decoding fills, so only a never-seen key pays for it.
+        if !key.is_valid() {
             return false;
         }
-        // r' = g^s * y^(q - e) == g^s * y^(-e)   (y has order q)
-        let neg_e = if self.e.is_zero() {
-            BigUint::zero()
-        } else {
-            q - &self.e
-        };
-        let gs = group.pow_g(&self.s);
-        let ye = group.pow(y, &neg_e);
-        let r = group.mul(&gs, &ye);
+        let r = group.pow_g_mul(&self.s, key.y(), &neg(&self.e, q));
+        self.challenge_matches(key, &r, msg)
+    }
+
+    /// `H(tag ‖ fingerprint ‖ r ‖ msg) mod q == e`.
+    fn challenge_matches(&self, key: &PublicKey, r: &BigUint, msg: &[u8]) -> bool {
+        let fp = key.fingerprint();
         let expected = hash_to_scalar(
-            &[CHALLENGE_TAG, fingerprint.as_bytes(), &r.to_bytes_be(), msg],
-            q,
+            &[CHALLENGE_TAG, fp.as_bytes(), &r.to_bytes_be(), msg],
+            key.group().q(),
         );
         expected == self.e
     }
@@ -140,11 +148,30 @@ impl Signature {
 mod tests {
     use super::*;
     use crate::KeyPair;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn pair(seed: u64) -> KeyPair {
         KeyPair::generate(SchnorrGroup::test_256(), &mut StdRng::seed_from_u64(seed))
+    }
+
+    fn arb_scalar() -> impl Strategy<Value = BigUint> {
+        prop::collection::vec(any::<u64>(), 0..=4)
+            .prop_map(|limbs| BigUint::from_limbs(limbs).rem_ref(SchnorrGroup::test_256().q()))
+    }
+
+    proptest! {
+        /// The joint exponentiation verify runs equals the two separate
+        /// exponentiations and multiply it replaced, on the naive oracle.
+        #[test]
+        fn prop_joint_verify_equation_matches_oracle(x in arb_scalar(), s in arb_scalar(), e in arb_scalar()) {
+            let group = SchnorrGroup::test_256();
+            let p = group.p();
+            let y = group.pow_g(&x);
+            let oracle = (&group.g().modpow_naive(&s, p) * &y.modpow_naive(&neg(&e, group.q()), p)).rem_ref(p);
+            prop_assert_eq!(group.pow_g_mul(&s, &y, &neg(&e, group.q())), oracle);
+        }
     }
 
     #[test]
@@ -224,6 +251,49 @@ mod tests {
             "27a82f24d4292c73577ef182232a7b48cb80b8b2d8e998b6a94db7a993eb177a"
         );
         assert!(kp.public_key().verify(b"known-answer test message", &sig));
+    }
+
+    /// A signature under `y = p − 1` (order 2, outside the subgroup) that
+    /// satisfies the verify equation: pick `s`, set `r = g^s` and
+    /// `e = H(fp ‖ r ‖ msg)`, and retry until `e` is odd — then
+    /// `y^(q−e) = (−1)^even = 1`, so `r' = g^s = r`.
+    fn small_subgroup_forgery(msg: &[u8]) -> (PublicKey, Signature) {
+        let group = SchnorrGroup::test_256();
+        let bad = PublicKey::from_parts(group.clone(), group.p() - &BigUint::one());
+        (1u64..)
+            .find_map(|i| {
+                let s = BigUint::from(i);
+                let r = group.pow_g(&s);
+                let fp = bad.fingerprint();
+                let e = hash_to_scalar(
+                    &[CHALLENGE_TAG, fp.as_bytes(), &r.to_bytes_be(), msg],
+                    group.q(),
+                );
+                e.is_odd().then(|| Signature::from_parts(group.id(), e, s))
+            })
+            .map(|sig| (bad, sig))
+            .expect("half of all challenges are odd")
+    }
+
+    #[test]
+    fn small_subgroup_forgery_is_rejected_cold_and_warm() {
+        let msg = b"forged delegation";
+        let (bad, forged) = small_subgroup_forgery(msg);
+        let group = bad.group();
+        // The forgery is meaningful: the equation alone accepts it.
+        let r = group.pow_g_mul(forged.s(), bad.y(), &neg(forged.e(), group.q()));
+        assert!(forged.challenge_matches(&bad, &r, msg));
+
+        assert!(!bad.verify(msg, &forged), "cold");
+        let good = pair(7);
+        assert!(good.public_key().is_valid());
+        assert!(good.public_key().verify(b"m", &good.sign(b"m")));
+        assert!(!bad.verify(msg, &forged), "after a valid key is memoised");
+        assert!(!bad.is_valid());
+        assert!(
+            !bad.verify(msg, &forged),
+            "after is_valid on the bad key (invalid keys are never cached)"
+        );
     }
 
     #[test]

@@ -27,6 +27,9 @@ RUSTFLAGS="-D warnings" cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== arithmetic kernel (differential proptests against the naive oracle, 1024 cases) =="
+PROPTEST_CASES=1024 cargo test -q --release -p drbac-bignum -p drbac-crypto
+
 echo "== work ledger (a write costs what it changes: counts, no clock) =="
 # `ShardedGraph::revoked_ids` copies every revocation mark the wallet
 # ever recorded; only the index rebuild in planner.rs may pay that.

@@ -7,23 +7,83 @@
 //! same seeded world with 0 and with 5,000 revocation marks, and the two
 //! ledgers must be equal.
 //!
+//! The second claim is that a signature check costs one exponentiation
+//! for a key seen before, on a kernel that allocates nothing per
+//! multiplication: exponentiations are counted, and a counting global
+//! allocator shows the heap allocations of an exponentiation do not grow
+//! with its exponent.
+//!
 //! The counts are deltas of process-global `drbac.*` counters, so the
-//! whole ledger is ONE `#[test]` in its own test binary: nothing else in
-//! the process validates a proof while a row is being read.
+//! ledger lives in its own test binary and its tests run one at a time
+//! (they hold [`SERIAL`]): nothing else in the process validates a proof
+//! or exponentiates while a row is being read.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use drbac::bignum::BigUint;
 use drbac::core::{
     DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator, RevocationLookup,
     SignedDelegation, SignedRevocation, SimClock, Timestamp, ValidationContext,
 };
-use drbac::crypto::SchnorrGroup;
+use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::store::WalletStore;
-use drbac::wallet::{DelegationEvent, InvalidationReason, Wallet};
+use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The system allocator, counting allocations per thread (so a row is
+/// not disturbed by the test harness's own threads).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heap allocations this thread made while running `op`.
+fn allocations<T>(op: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    drop(op());
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Revocation lookups made by any validator (one per credential visited).
 const READS: &str = "drbac.core.proof.revocation_read.count";
@@ -35,6 +95,8 @@ const CONTEXTS: &str = "drbac.wallet.validation_ctx.count";
 const FULL_COPIES: &str = "drbac.graph.revoked_ids.count";
 /// Cache entries an addition's negative sweep looked at.
 const SWEPT: &str = "drbac.graph.proof_cache.negative_sweep.visited.count";
+/// Modular exponentiations in the signature group.
+const EXPS: &str = "drbac.crypto.exp.count";
 
 fn counter(name: &str) -> u64 {
     drbac::obs::global().counter(name).get()
@@ -244,6 +306,7 @@ fn ledger(marks: usize) -> Ledger {
 
 #[test]
 fn a_write_costs_what_it_changes_whatever_the_history() {
+    let _serial = serial();
     let fresh = ledger(0);
     assert_eq!(
         fresh,
@@ -266,5 +329,111 @@ fn a_write_costs_what_it_changes_whatever_the_history() {
         fresh,
         ledger(5_000),
         "a row moved with the revocation history"
+    );
+}
+
+/// Exponentiations per signature operation, and per admitted write.
+#[derive(Debug, PartialEq, Eq)]
+struct CryptoLedger {
+    sign: u64,
+    /// Verify under a key whose membership is memoised.
+    verify_memoised: u64,
+    /// Verify under a key never seen before: membership + the joint one.
+    verify_never_seen: u64,
+    /// Decoding a credential whose issuer key was seen before.
+    decode_seen_key: u64,
+    /// First-party durable publish of a credential off the wire: the
+    /// issuer's first, then any later one.
+    publish_first_sighting: u64,
+    publish: u64,
+}
+
+#[test]
+fn a_verify_costs_one_exponentiation_for_a_key_seen_before() {
+    let _serial = serial();
+    let mut rng = StdRng::seed_from_u64(2525);
+    let g = SchnorrGroup::test_256();
+    let exps = |op: &mut dyn FnMut()| delta([EXPS], op).0[0];
+
+    let seen = KeyPair::generate(g.clone(), &mut rng);
+    assert!(seen.public_key().is_valid());
+    let mut sig = None;
+    let sign = exps(&mut || sig = Some(seen.sign(b"row")));
+    let sig = sig.unwrap();
+    let verify_memoised = exps(&mut || assert!(seen.public_key().verify(b"row", &sig)));
+
+    let fresh = KeyPair::generate(g.clone(), &mut rng);
+    let fresh_sig = fresh.sign(b"row");
+    let verify_never_seen = exps(&mut || assert!(fresh.public_key().verify(b"row", &fresh_sig)));
+    assert_eq!(
+        exps(&mut || assert!(fresh.public_key().verify(b"row", &fresh_sig))),
+        1,
+        "the first verify memoised the key"
+    );
+
+    // Certificates off the wire into a durable wallet.
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let (wallet, _) = DurableWallet::open(
+        "ledger.example",
+        SimClock::new(),
+        Arc::new(WalletStore::in_memory()),
+    )
+    .unwrap();
+    let wire = |i: usize| {
+        let member = org.role(&format!("m{i}"));
+        org.delegate(Node::entity(&org), Node::role(member))
+            .sign(&org)
+            .unwrap()
+            .to_bytes()
+    };
+    let publish_bytes = |bytes: Vec<u8>| {
+        exps(&mut || {
+            let cert = SignedDelegation::from_bytes(&bytes).unwrap();
+            wallet.publish(Arc::new(cert), vec![]).unwrap();
+        })
+    };
+    let publish_first_sighting = publish_bytes(wire(0));
+    let publish = publish_bytes(wire(1));
+    let bytes = wire(2);
+    let decode_seen_key = exps(&mut || {
+        SignedDelegation::from_bytes(&bytes).unwrap();
+    });
+
+    assert_eq!(
+        CryptoLedger {
+            sign,
+            verify_memoised,
+            verify_never_seen,
+            decode_seen_key,
+            publish_first_sighting,
+            publish,
+        },
+        CryptoLedger {
+            sign: 1,
+            verify_memoised: 1,
+            verify_never_seen: 2,
+            decode_seen_key: 0,
+            publish_first_sighting: 2,
+            publish: 1,
+        }
+    );
+
+    // Allocation-free multiply: an exponentiation's heap allocations (its
+    // window tables, scratch, accumulator and result) do not depend on
+    // how many multiplications the exponent asks for.
+    let y = seen.public_key().y();
+    let short = BigUint::from(0xdead_beef_cafe_f00du64);
+    let long = g.p() - &BigUint::from(2u64);
+    assert_eq!((short.bits(), long.bits()), (64, 256));
+    g.pow_g_mul(&short, y, &short); // warm the counter handle
+    assert_eq!(
+        allocations(|| g.pow(y, &short)),
+        allocations(|| g.pow(y, &long)),
+        "modpow allocations grew with the exponent"
+    );
+    assert_eq!(
+        allocations(|| g.pow_g_mul(&short, y, &short)),
+        allocations(|| g.pow_g_mul(&long, y, &long)),
+        "joint exponentiation allocations grew with the exponent"
     );
 }
