@@ -166,7 +166,7 @@ mod tests {
         let user = LocalEntity::generate("User", SchnorrGroup::test_256(), &mut rng);
         let enc = drbac_encoding(&owner, &admins, &roles(3)).unwrap();
 
-        let mut graph = DelegationGraph::new();
+        let graph = DelegationGraph::new();
         for cert in enc.setup {
             graph.insert(cert);
         }
@@ -199,7 +199,7 @@ mod tests {
         let user = LocalEntity::generate("User", SchnorrGroup::test_256(), &mut rng);
         let enc = phantom_encoding(&owner, &admins, &roles(3)).unwrap();
 
-        let mut graph = DelegationGraph::new();
+        let graph = DelegationGraph::new();
         for cert in enc.setup {
             graph.insert(cert);
         }

@@ -61,12 +61,14 @@ fn directed_search(
         stats.nodes_expanded += 1;
         let neighbors: Vec<Node> = if forward {
             graph
-                .outgoing(&node, now)
+                .edges_from(&node, now)
+                .iter()
                 .map(|c| c.delegation().object().clone())
                 .collect()
         } else {
             graph
-                .incoming(&node, now)
+                .edges_to(&node, now)
+                .iter()
                 .map(|c| c.delegation().subject().clone())
                 .collect()
         };
@@ -112,7 +114,7 @@ pub fn bidirectional_search(
         if expand_forward {
             if let Some(node) = fwd_queue.pop_front() {
                 stats.nodes_expanded += 1;
-                for cert in graph.outgoing(&node, now) {
+                for cert in graph.edges_from(&node, now) {
                     stats.edges_considered += 1;
                     let next = cert.delegation().object().clone();
                     if rev_visited.contains(&next) {
@@ -126,7 +128,7 @@ pub fn bidirectional_search(
             }
         } else if let Some(node) = rev_queue.pop_front() {
             stats.nodes_expanded += 1;
-            for cert in graph.incoming(&node, now) {
+            for cert in graph.edges_to(&node, now) {
                 stats.edges_considered += 1;
                 let next = cert.delegation().subject().clone();
                 if fwd_visited.contains(&next) {

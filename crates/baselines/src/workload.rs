@@ -45,7 +45,7 @@ pub fn layered_dag<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Workloa
     let subject = Node::entity(&user);
     let object = Node::role(owner.role("target"));
 
-    let mut graph = DelegationGraph::new();
+    let graph = DelegationGraph::new();
     let layers: Vec<Vec<Node>> = (0..spec.depth)
         .map(|layer| {
             (0..spec.width)
@@ -54,7 +54,7 @@ pub fn layered_dag<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Workloa
         })
         .collect();
 
-    let connect = |graph: &mut DelegationGraph, from: &Node, targets: &[Node], rng: &mut R| {
+    let connect = |graph: &DelegationGraph, from: &Node, targets: &[Node], rng: &mut R| {
         let mut picks: Vec<&Node> = targets.iter().collect();
         picks.shuffle(rng);
         for to in picks.into_iter().take(spec.branching) {
@@ -68,11 +68,11 @@ pub fn layered_dag<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Workloa
     };
 
     if let Some(first) = layers.first() {
-        connect(&mut graph, &subject, first, rng);
+        connect(&graph, &subject, first, rng);
     }
     for window in layers.windows(2) {
         for from in &window[0] {
-            connect(&mut graph, from, &window[1], rng);
+            connect(&graph, from, &window[1], rng);
         }
     }
     if let Some(last) = layers.last() {
@@ -124,7 +124,7 @@ pub fn funnel<R: Rng + ?Sized>(
     let user = LocalEntity::generate("User", SchnorrGroup::test_256(), rng);
     let subject = Node::entity(&user);
     let object = Node::role(owner.role("target"));
-    let mut graph = DelegationGraph::new();
+    let graph = DelegationGraph::new();
     let _ = rng; // topology is deterministic; rng only seeds the entities
 
     // The real chain subject → p0 → … → p(depth-1) → object.
@@ -154,7 +154,7 @@ pub fn funnel<R: Rng + ?Sized>(
     // cannot starve the anchors nearest one endpoint.
     let per_anchor_cap = 1500usize;
     let mut decoy_id = 0usize;
-    let mut spawn = |graph: &mut DelegationGraph, anchor: &Node, forward: bool| {
+    let mut spawn = |graph: &DelegationGraph, anchor: &Node, forward: bool| {
         let budget_end = decoy_id + per_anchor_cap;
         let mut frontier = vec![anchor.clone()];
         for _ in 0..depth {
@@ -197,7 +197,7 @@ pub fn funnel<R: Rng + ?Sized>(
     for anchor in &anchors {
         // narrow_reverse: decoys point forward (wide forward search);
         // otherwise decoys point backward (wide reverse search).
-        spawn(&mut graph, anchor, narrow_reverse);
+        spawn(&graph, anchor, narrow_reverse);
     }
 
     Workload {
@@ -219,7 +219,7 @@ pub fn random_mesh<R: Rng + ?Sized>(n: usize, roles: usize, rng: &mut R) -> Work
         .map(|i| Node::role(owner.role(&format!("m{i}"))))
         .collect();
     let object = nodes[roles - 1].clone();
-    let mut graph = DelegationGraph::new();
+    let graph = DelegationGraph::new();
     graph.insert(
         owner
             .delegate(subject.clone(), nodes[0].clone())
@@ -255,7 +255,7 @@ pub fn chain<R: Rng + ?Sized>(len: usize, rng: &mut R) -> Workload {
     let owner = LocalEntity::generate("Owner", SchnorrGroup::test_256(), rng);
     let user = LocalEntity::generate("User", SchnorrGroup::test_256(), rng);
     let subject = Node::entity(&user);
-    let mut graph = DelegationGraph::new();
+    let graph = DelegationGraph::new();
     let mut prev = subject.clone();
     for i in 0..len - 1 {
         let next = Node::role(owner.role(&format!("c{i}")));

@@ -31,7 +31,7 @@ fn build(rng: &mut StdRng, width: usize, depth: usize, branching: usize) -> Prun
     let bw = owner.attr("bw", AttrOp::Min);
     let subject = Node::entity(&user);
     let object = Node::role(owner.role("target"));
-    let mut graph = DelegationGraph::new();
+    let graph = DelegationGraph::new();
     graph.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
 
     let layers: Vec<Vec<Node>> = (0..depth)
@@ -41,7 +41,7 @@ fn build(rng: &mut StdRng, width: usize, depth: usize, branching: usize) -> Prun
                 .collect()
         })
         .collect();
-    let connect = |graph: &mut DelegationGraph, from: &Node, to: &Node, rng: &mut StdRng| {
+    let connect = |graph: &DelegationGraph, from: &Node, to: &Node, rng: &mut StdRng| {
         // Edge bandwidth: uniform in [0, 1000).
         let cap = rng.gen_range(0.0..1000.0);
         graph.insert(
@@ -59,20 +59,20 @@ fn build(rng: &mut StdRng, width: usize, depth: usize, branching: usize) -> Prun
         .cloned()
         .collect::<Vec<_>>()
     {
-        connect(&mut graph, &subject, &target, rng);
+        connect(&graph, &subject, &target, rng);
     }
     for w in 0..depth.saturating_sub(1) {
         for from in layers[w].clone() {
             for _ in 0..branching {
                 let to = layers[w + 1][rng.gen_range(0..width)].clone();
                 if from != to {
-                    connect(&mut graph, &from, &to, rng);
+                    connect(&graph, &from, &to, rng);
                 }
             }
         }
     }
     for from in layers[depth - 1].clone() {
-        connect(&mut graph, &from, &object, rng);
+        connect(&graph, &from, &object, rng);
     }
     // One guaranteed high-bandwidth path so every constraint <= 900 is
     // satisfiable.

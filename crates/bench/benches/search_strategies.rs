@@ -150,21 +150,6 @@ fn bench_strategies(c: &mut Criterion) {
             ))
         })
     });
-
-    // Parallel frontier expansion: the same query at pool sizes 1/2/4.
-    // Results must be identical (deterministic ordering); this measures
-    // the coordination overhead/benefit of the worker pool.
-    let mut group = c.benchmark_group("search_strategies/workers");
-    for workers in [1usize, 2, 4] {
-        let mut opts = drbac_graph::SearchOptions::at(Timestamp(0));
-        opts.workers = workers;
-        group.bench_with_input(
-            BenchmarkId::new("graph_direct_query_layered_b3_d5", workers),
-            &workers,
-            |b, _| b.iter(|| black_box(w.graph.direct_query(&w.subject, &w.object, &opts))),
-        );
-    }
-    group.finish();
 }
 
 criterion_group! {

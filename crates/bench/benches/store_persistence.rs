@@ -40,7 +40,7 @@ fn journaled_store(certs: usize) -> Arc<WalletStore> {
     let wallet = Wallet::new("bench.store", SimClock::new());
     let store = Arc::new(WalletStore::in_memory());
     wallet.attach_journal(Arc::clone(&store));
-    for cert in workload.graph.iter() {
+    for cert in &workload.graph.iter_certs() {
         wallet.publish(Arc::clone(cert), vec![]).unwrap();
     }
     store

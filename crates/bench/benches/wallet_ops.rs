@@ -21,7 +21,7 @@ fn bench_wallet_scaling(c: &mut Criterion) {
         let workload = random_mesh(size, (size / 10).max(4), &mut rng);
         let wallet = Wallet::new("bench.wallet", SimClock::new());
         wallet.set_query_cache(false); // measure real search cost below
-        for cert in workload.graph.iter() {
+        for cert in &workload.graph.iter_certs() {
             wallet.publish(Arc::clone(cert), vec![]).unwrap();
         }
 
@@ -83,7 +83,7 @@ fn bench_wallet_scaling(c: &mut Criterion) {
 fn bench_publication(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let workload = random_mesh(1000, 100, &mut rng);
-    let certs: Vec<_> = workload.graph.iter().cloned().collect();
+    let certs = workload.graph.iter_certs();
 
     c.bench_function("wallet_ops/publish_1000_self_certified", |b| {
         b.iter_with_setup(
@@ -102,7 +102,7 @@ fn bench_monitoring(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     let workload = drbac_baselines::workload::chain(8, &mut rng);
     let wallet = Wallet::new("mon.wallet", SimClock::new());
-    for cert in workload.graph.iter() {
+    for cert in &workload.graph.iter_certs() {
         wallet.publish(Arc::clone(cert), vec![]).unwrap();
     }
     c.bench_function("wallet_ops/query_and_monitor_chain8", |b| {
@@ -115,7 +115,7 @@ fn bench_monitoring(c: &mut Criterion) {
     });
 
     c.bench_function("wallet_ops/subscribe_unsubscribe", |b| {
-        let id = workload.graph.iter().next().unwrap().id();
+        let id = workload.graph.iter_certs()[0].id();
         b.iter(|| {
             let sub = wallet.subscribe(id, |_| {});
             black_box(wallet.unsubscribe(sub))

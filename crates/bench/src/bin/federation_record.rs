@@ -154,7 +154,7 @@ fn main() {
             // TCP on every full-run cell; smoke keeps TCP to its one
             // dedicated parity cell below.
             if !smoke {
-                let tcp = run_tcp(&scenario, None).expect("tcp federation deploys");
+                let tcp = run_tcp(&scenario).expect("tcp federation deploys");
                 assert_invariants(&tcp);
                 assert_eq!(
                     clean.decision_digest(),
@@ -182,7 +182,7 @@ fn main() {
             .with_scale(Scale::federation(SMOKE_TCP_WALLETS))
             .generate();
         let clean = run_simnet(&scenario, &RunConfig::fault_free());
-        let tcp = run_tcp(&scenario, None).expect("tcp federation deploys");
+        let tcp = run_tcp(&scenario).expect("tcp federation deploys");
         assert_invariants(&clean);
         assert_invariants(&tcp);
         assert_eq!(

@@ -11,7 +11,8 @@
 //! The table is append-only: ids are never reused or remapped, so a
 //! search may keep ids across lock acquisitions and a concurrent writer
 //! interning new nodes can never invalidate them. Interning an existing
-//! node takes a read lock only.
+//! node takes a read lock only. Nothing here is visible outside the
+//! crate.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -25,11 +26,10 @@ use drbac_core::Node;
 /// Ids are only meaningful relative to the [`NodeInterner`] that issued
 /// them; they are *not* stable across graphs or process runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub(crate) u32);
+pub(crate) struct NodeId(u32);
 
 impl NodeId {
-    /// The raw index.
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -38,7 +38,7 @@ impl NodeId {
 /// integer keys). Fibonacci-style multiply-xor, in the spirit of FxHash;
 /// not DoS-resistant, which is fine for ids we assign ourselves.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FastIdHasher(u64);
+pub(crate) struct FastIdHasher(u64);
 
 const FAST_SEED: u64 = 0x517c_c1b7_2722_0a95;
 
@@ -67,24 +67,17 @@ impl Hasher for FastIdHasher {
 }
 
 /// `HashMap` keyed by interned ids, using [`FastIdHasher`].
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastIdHasher>>;
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastIdHasher>>;
 
 /// `HashSet` of interned ids, using [`FastIdHasher`].
-pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FastIdHasher>>;
-
-/// Per-node metadata cached at intern time.
-#[derive(Debug, Clone)]
-struct NodeMeta {
-    node: Node,
-    /// `DefaultHasher` hash of `node.namespace()` — the shard-routing key,
-    /// computed once here instead of per access.
-    ns_hash: u64,
-}
+pub(crate) type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FastIdHasher>>;
 
 #[derive(Debug, Default)]
 struct Table {
     ids: HashMap<Node, NodeId>,
-    meta: Vec<NodeMeta>,
+    /// `DefaultHasher` hash of each node's namespace, indexed by id — the
+    /// shard-routing key, computed once here instead of per access.
+    ns_hashes: Vec<u64>,
 }
 
 /// Append-only `Node` ⇄ [`NodeId`] table with interior mutability.
@@ -92,7 +85,7 @@ struct Table {
 /// All methods take `&self`; `intern` takes the write lock only when the
 /// node is genuinely new.
 #[derive(Debug, Default)]
-pub struct NodeInterner {
+pub(crate) struct NodeInterner {
     table: RwLock<Table>,
 }
 
@@ -105,13 +98,8 @@ pub(crate) fn namespace_hash(entity: drbac_core::EntityId) -> u64 {
 }
 
 impl NodeInterner {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The id of `node`, assigning a fresh one if it was never seen.
-    pub fn intern(&self, node: &Node) -> NodeId {
+    pub(crate) fn intern(&self, node: &Node) -> NodeId {
         if let Some(id) = self.table.read().ids.get(node) {
             return *id;
         }
@@ -119,27 +107,15 @@ impl NodeInterner {
         if let Some(id) = table.ids.get(node) {
             return *id; // raced with another interning writer
         }
-        let id = NodeId(u32::try_from(table.meta.len()).expect("interner full"));
-        table.meta.push(NodeMeta {
-            node: node.clone(),
-            ns_hash: namespace_hash(node.namespace()),
-        });
+        let id = NodeId(u32::try_from(table.ns_hashes.len()).expect("interner full"));
+        table.ns_hashes.push(namespace_hash(node.namespace()));
         table.ids.insert(node.clone(), id);
         id
     }
 
     /// The id of `node` if it has been interned.
-    pub fn get(&self, node: &Node) -> Option<NodeId> {
+    pub(crate) fn get(&self, node: &Node) -> Option<NodeId> {
         self.table.read().ids.get(node).copied()
-    }
-
-    /// The node behind `id` (owned clone).
-    ///
-    /// # Panics
-    ///
-    /// If `id` was not issued by this interner.
-    pub fn resolve(&self, id: NodeId) -> Node {
-        self.table.read().meta[id.index()].node.clone()
     }
 
     /// The cached namespace hash of `id` (shard-routing key).
@@ -147,30 +123,8 @@ impl NodeInterner {
     /// # Panics
     ///
     /// If `id` was not issued by this interner.
-    pub fn ns_hash(&self, id: NodeId) -> u64 {
-        self.table.read().meta[id.index()].ns_hash
-    }
-
-    /// Number of interned nodes.
-    pub fn len(&self) -> usize {
-        self.table.read().meta.len()
-    }
-
-    /// `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Clone for NodeInterner {
-    fn clone(&self) -> Self {
-        let table = self.table.read();
-        NodeInterner {
-            table: RwLock::new(Table {
-                ids: table.ids.clone(),
-                meta: table.meta.clone(),
-            }),
-        }
+    pub(crate) fn ns_hash(&self, id: NodeId) -> u64 {
+        self.table.read().ns_hashes[id.index()]
     }
 }
 
@@ -186,7 +140,7 @@ mod tests {
     fn intern_is_stable_and_dense() {
         let mut rng = StdRng::seed_from_u64(5);
         let a = LocalEntity::generate("A", SchnorrGroup::test_256(), &mut rng);
-        let interner = NodeInterner::new();
+        let interner = NodeInterner::default();
         let n1 = Node::entity(&a);
         let n2 = Node::role(a.role("r"));
         let id1 = interner.intern(&n1);
@@ -194,9 +148,6 @@ mod tests {
         assert_ne!(id1, id2);
         assert_eq!(interner.intern(&n1), id1, "re-interning is stable");
         assert_eq!(interner.get(&n2), Some(id2));
-        assert_eq!(interner.resolve(id1), n1);
-        assert_eq!(interner.resolve(id2), n2);
-        assert_eq!(interner.len(), 2);
         assert_eq!((id1.index(), id2.index()), (0, 1), "ids are dense");
     }
 
@@ -204,7 +155,7 @@ mod tests {
     fn ns_hash_matches_default_hasher_of_namespace() {
         let mut rng = StdRng::seed_from_u64(6);
         let a = LocalEntity::generate("A", SchnorrGroup::test_256(), &mut rng);
-        let interner = NodeInterner::new();
+        let interner = NodeInterner::default();
         let node = Node::role(a.role("r"));
         let id = interner.intern(&node);
         assert_eq!(interner.ns_hash(id), namespace_hash(node.namespace()));
@@ -214,7 +165,7 @@ mod tests {
     fn concurrent_interning_yields_one_id_per_node() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = LocalEntity::generate("A", SchnorrGroup::test_256(), &mut rng);
-        let interner = NodeInterner::new();
+        let interner = NodeInterner::default();
         let nodes: Vec<Node> = (0..32).map(|i| Node::role(a.role(&format!("r{i}")))).collect();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -225,10 +176,10 @@ mod tests {
                 });
             }
         });
-        assert_eq!(interner.len(), nodes.len());
-        let clone = interner.clone();
-        for n in &nodes {
-            assert_eq!(interner.get(n), clone.get(n));
-        }
+        let mut ids: Vec<NodeId> = nodes.iter().map(|n| interner.get(n).unwrap()).collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), nodes.len());
+        assert_eq!(ids.last().map(|id| id.index()), Some(nodes.len() - 1));
     }
 }

@@ -1,14 +1,13 @@
 //! Reference search engine: the pre-interning, clone-heavy sequential
 //! implementation, preserved verbatim as a behavioral oracle.
 //!
-//! The live engine (`search.rs`) interns nodes, assembles proofs from
-//! parent pointers, and expands frontiers in batches; this module keeps
-//! the original `Node`-keyed, eager-proof breadth-first search so tests
-//! can assert that the optimized engine produces **byte-identical**
-//! proofs across seeds, graph shapes, and worker-pool sizes. It is
-//! `#[doc(hidden)]` and compiled into the library solely for oracle
-//! tests and the bench harness; production callers use
-//! [`crate::direct_query_on`] and friends.
+//! The live engine (`search.rs`) interns nodes and assembles proofs from
+//! parent pointers; this module keeps the original `Node`-keyed,
+//! eager-proof breadth-first search so tests can assert that the
+//! optimized engine produces **byte-identical** proofs across seeds and
+//! graph shapes. It is `#[doc(hidden)]` and compiled into the library
+//! solely for oracle tests; production callers use
+//! [`DelegationGraph::direct_query`] and friends.
 //!
 //! Do not "improve" this module: its value is that it does not change.
 
@@ -20,7 +19,7 @@ use drbac_core::{
 };
 
 use crate::search::{dominates, SearchOptions, SearchStats};
-use crate::view::GraphView;
+use crate::DelegationGraph;
 
 /// One search state: a node plus the proof and accumulation that reach it.
 struct State {
@@ -35,16 +34,16 @@ enum Direction {
     Reverse,
 }
 
-struct RefEngine<'g, G: GraphView + ?Sized> {
-    graph: &'g G,
+struct RefEngine<'g> {
+    graph: &'g DelegationGraph,
     opts: &'g SearchOptions,
-    decls: DeclarationSet,
+    decls: Arc<DeclarationSet>,
     stats: SearchStats,
 }
 
 /// Reference direct query: first satisfying proof `subject ⇒ object`.
-pub fn direct_query_ref<G: GraphView + ?Sized>(
-    graph: &G,
+pub fn direct_query_ref(
+    graph: &DelegationGraph,
     subject: &Node,
     object: &Node,
     opts: &SearchOptions,
@@ -57,9 +56,9 @@ pub fn direct_query_ref<G: GraphView + ?Sized>(
 }
 
 /// Reference subject query: one proof per reachable node, in the same
-/// deterministic order as [`crate::subject_query_on`].
-pub fn subject_query_ref<G: GraphView + ?Sized>(
-    graph: &G,
+/// deterministic order as [`DelegationGraph::subject_query`].
+pub fn subject_query_ref(
+    graph: &DelegationGraph,
     subject: &Node,
     opts: &SearchOptions,
 ) -> (Vec<Proof>, SearchStats) {
@@ -71,9 +70,9 @@ pub fn subject_query_ref<G: GraphView + ?Sized>(
 }
 
 /// Reference object query: one proof per reaching node, in the same
-/// deterministic order as [`crate::object_query_on`].
-pub fn object_query_ref<G: GraphView + ?Sized>(
-    graph: &G,
+/// deterministic order as [`DelegationGraph::object_query`].
+pub fn object_query_ref(
+    graph: &DelegationGraph,
     object: &Node,
     opts: &SearchOptions,
 ) -> (Vec<Proof>, SearchStats) {
@@ -84,12 +83,12 @@ pub fn object_query_ref<G: GraphView + ?Sized>(
     (proofs, engine.stats)
 }
 
-impl<'g, G: GraphView + ?Sized> RefEngine<'g, G> {
-    fn new(graph: &'g G, opts: &'g SearchOptions) -> Self {
+impl<'g> RefEngine<'g> {
+    fn new(graph: &'g DelegationGraph, opts: &'g SearchOptions) -> Self {
         RefEngine {
             graph,
             opts,
-            decls: graph.declaration_set(),
+            decls: graph.declarations(),
             stats: SearchStats::default(),
         }
     }
@@ -234,9 +233,9 @@ impl<'g, G: GraphView + ?Sized> RefEngine<'g, G> {
         resolving: &mut Vec<(EntityId, Node)>,
         depth: usize,
     ) -> Option<Proof> {
-        if let Some(p) = self.graph.support_for(issuer, right) {
+        if let Some(p) = self.graph.provided_support(issuer, right) {
             let usable = p.all_certs().iter().all(|c| {
-                !self.graph.id_revoked(c.id()) && !c.delegation().is_expired(self.opts.now)
+                !self.graph.is_revoked(c.id()) && !c.delegation().is_expired(self.opts.now)
             });
             if usable {
                 return Some(p);

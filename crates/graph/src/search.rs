@@ -1,35 +1,29 @@
 //! Chain search over the delegation graph: the three wallet query forms
 //! (§4.1) with monotonicity-based pruning (§4.2.3).
 //!
-//! The engine is generic over [`GraphView`] so the same traversal runs
-//! against the single-threaded [`DelegationGraph`] and the concurrent
-//! [`crate::ShardedGraph`]. Three structural choices keep the cold path
+//! One sequential engine over the one store, [`DelegationGraph`]. A
+//! search reads the graph through short per-call shard locks, so it can
+//! overlap with writers and with other searches; it never holds a lock
+//! across steps. Two structural choices keep the cold path
 //! allocation-light:
 //!
 //! * **Interned ids.** Nodes are dense `u32` ids from the graph-owned
-//!   [`crate::NodeInterner`]; frontier dedup, result keying, and
-//!   edge-endpoint comparisons are integer ops, never `Node` hashing or
-//!   cloning.
+//!   intern table; frontier dedup, result keying, and edge-endpoint
+//!   comparisons are integer ops, never `Node` hashing or cloning.
 //! * **Parent-pointer proofs.** Reached states form an arena; each state
 //!   records only `(predecessor, step)`. Full [`Proof`]s are materialized
 //!   once, for final answers, by walking the predecessor chain — the old
 //!   per-edge clone-and-concat of whole proofs (O(depth²) per path) is
 //!   gone.
-//! * **Batched frontier expansion.** With `workers > 1`, a queue batch is
-//!   expanded by a bounded pool: workers claim chunks of states through
-//!   an atomic cursor and return their candidate lists through their join
-//!   handles (no shared mutex to poison; a worker panic is re-raised with
-//!   its original payload). Batches smaller than a threshold are expanded
-//!   inline, so tiny frontiers never pay thread hand-off. A sequential
-//!   merge then replays dominance checks, frontier updates, and result
-//!   insertion in exactly the order the single-threaded search would have
-//!   used — so query *results* are identical at every pool size. Only the
-//!   work counters may differ (speculative support resolution for edges
-//!   the merge later dominance-prunes, and whole-batch expansion where
-//!   the sequential search would have returned mid-batch).
+//!
+//! Expanding a state is two passes: [`Engine::expand_state`] turns its
+//! edges into candidates (constraint pruning, a first dominance check,
+//! transitive-trust limits, support resolution), then [`Engine::merge`]
+//! admits them to the frontier in edge order, re-checking dominance
+//! against siblings admitted just before. `reference.rs` holds the
+//! original engine as the oracle this one is compared against.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drbac_core::{
@@ -38,15 +32,8 @@ use drbac_core::{
 };
 
 use crate::intern::{FastMap, FastSet, NodeId};
-use crate::view::GraphView;
 use crate::DelegationGraph;
 
-/// Queue batches smaller than this are expanded inline by the merging
-/// thread even when `workers > 1`: for one or two states, thread hand-off
-/// costs more than the expansion itself.
-const PAR_MIN_BATCH: usize = 3;
-/// States claimed per atomic-cursor bump during batched expansion.
-const PAR_CHUNK: usize = 4;
 /// Sentinel predecessor index of the root state.
 const NO_PRED: u32 = u32::MAX;
 
@@ -65,9 +52,6 @@ pub struct SearchOptions {
     pub prune_by_constraints: bool,
     /// Depth limit for recursive support-proof resolution (default 8).
     pub max_support_depth: usize,
-    /// Worker threads for frontier expansion (default 1 = sequential).
-    /// Results are identical for any value; see the module docs.
-    pub workers: usize,
 }
 
 impl SearchOptions {
@@ -79,7 +63,6 @@ impl SearchOptions {
             max_depth: 64,
             prune_by_constraints: true,
             max_support_depth: 8,
-            workers: 1,
         }
     }
 
@@ -98,12 +81,6 @@ impl SearchOptions {
     /// Sets the primary-chain depth limit.
     pub fn with_max_depth(mut self, depth: usize) -> Self {
         self.max_depth = depth;
-        self
-    }
-
-    /// Sets the frontier-expansion worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 }
@@ -139,10 +116,11 @@ pub(crate) enum Direction {
     Reverse,
 }
 
-pub(crate) struct Engine<'g, G: GraphView + ?Sized> {
-    graph: &'g G,
+pub(crate) struct Engine<'g> {
+    graph: &'g DelegationGraph,
     opts: &'g SearchOptions,
-    decls: DeclarationSet,
+    /// The store's declaration set as of the search's start, shared.
+    decls: Arc<DeclarationSet>,
     stats: SearchStats,
 }
 
@@ -167,10 +145,9 @@ struct StateRec {
     acc: AttrAccumulator,
 }
 
-/// Frontier-independent expansion of one edge, produced by
-/// [`Engine::expand_state`] and consumed by the sequential merge. Note
-/// what is *not* here: no cloned proof — the merge links the candidate to
-/// its parent state by index.
+/// One edge's expansion, produced by [`Engine::expand_state`] and
+/// consumed by [`Engine::merge`]. Note what is *not* here: no cloned
+/// proof — the merge links the candidate to its parent state by index.
 struct Candidate {
     far: NodeId,
     step: ProofStep,
@@ -180,11 +157,6 @@ struct Candidate {
     slack: u64,
     satisfies: bool,
 }
-
-/// Per-state expansion results tagged with the state's position in its
-/// batch, so the sequential merge can restore submission order after the
-/// workers hand their chunks back.
-type IndexedCandidates = Vec<(usize, Vec<Candidate>)>;
 
 /// Pareto frontier of accumulations seen per node. Unconstrained searches
 /// degrade to a plain visited set (any previous visit dominates). For
@@ -225,9 +197,9 @@ impl Frontier {
     }
 
     /// `true` if a previously admitted accumulation dominates `vals` at
-    /// `node`. Sound against a stale snapshot: admitted entries are only
-    /// ever displaced by entries that dominate them, so "dominated once"
-    /// stays true forever.
+    /// `node`. Sound to ask early, before the state's sibling candidates
+    /// are admitted: admitted entries are only ever displaced by entries
+    /// that dominate them, so "dominated once" stays true forever.
     fn is_dominated(&self, node: NodeId, vals: &[f64]) -> bool {
         let Some(entries) = self.seen.get(&node) else {
             return false;
@@ -285,67 +257,6 @@ fn materialize(arena: &[StateRec], idx: u32, dir: Direction, start: &Node) -> Pr
     Proof::from_steps(steps).expect("linked by construction")
 }
 
-/// Direct query (§4.1) against any [`GraphView`]: does a proof
-/// `subject ⇒ object` exist that satisfies the constraints? Returns the
-/// first one found (breadth-first, so minimal chain length) and the search
-/// work done.
-pub fn direct_query_on<G: GraphView + ?Sized>(
-    graph: &G,
-    subject: &Node,
-    object: &Node,
-    opts: &SearchOptions,
-) -> (Option<Proof>, SearchStats) {
-    let start = std::time::Instant::now();
-    let mut engine = Engine::new(graph, opts);
-    let (arena, results) = engine.search(subject, Some(object), Direction::Forward);
-    let found = graph
-        .interner()
-        .get(object)
-        .and_then(|id| results.get(&id).copied())
-        .map(|idx| materialize(&arena, idx, Direction::Forward, subject));
-    drbac_obs::static_histogram!("drbac.graph.search.direct.ns")
-        .record(start.elapsed().as_nanos() as u64);
-    (found, engine.stats)
-}
-
-/// Subject query (§4.1) against any [`GraphView`]: enumerate proofs
-/// `subject ⇒ *` that do not violate the constraints, one per reachable
-/// node, in deterministic order (chain length, then delegation ids).
-pub fn subject_query_on<G: GraphView + ?Sized>(
-    graph: &G,
-    subject: &Node,
-    opts: &SearchOptions,
-) -> (Vec<Proof>, SearchStats) {
-    let mut engine = Engine::new(graph, opts);
-    let (arena, results) = engine.search(subject, None, Direction::Forward);
-    let mut proofs: Vec<Proof> = results
-        .values()
-        .filter(|&&idx| idx != 0) // the root's trivial proof is not an answer
-        .map(|&idx| materialize(&arena, idx, Direction::Forward, subject))
-        .collect();
-    proofs.sort_by_cached_key(|p| order_key(p, p.object()));
-    (proofs, engine.stats)
-}
-
-/// Object query (§4.1) against any [`GraphView`]: enumerate proofs
-/// `* ⇒ object` that do not violate the constraints, one per reaching
-/// node, in deterministic order (chain length, then delegation ids).
-pub fn object_query_on<G: GraphView + ?Sized>(
-    graph: &G,
-    object: &Node,
-    opts: &SearchOptions,
-) -> (Vec<Proof>, SearchStats) {
-    let mut engine = Engine::new(graph, opts);
-    let (arena, results) = engine.search(object, None, Direction::Reverse);
-    let mut proofs: Vec<Proof> = results
-        .values()
-        .filter(|&&idx| idx != 0)
-        .map(|&idx| materialize(&arena, idx, Direction::Reverse, object))
-        .collect();
-    proofs.sort_by_cached_key(|p| order_key(p, p.subject()));
-    (proofs, engine.stats)
-}
-
 /// Deterministic multi-proof ordering: chain length first (shortest
 /// proofs lead), then the proof's full delegation-id set, then the far
 /// endpoint as a tiebreak. Independent of hash-map iteration order and
@@ -365,23 +276,55 @@ impl DelegationGraph {
         object: &Node,
         opts: &SearchOptions,
     ) -> (Option<Proof>, SearchStats) {
-        direct_query_on(self, subject, object, opts)
+        let start = std::time::Instant::now();
+        let mut engine = Engine::new(self, opts);
+        let (arena, results) = engine.search(subject, Some(object), Direction::Forward);
+        let found = self
+            .interner
+            .get(object)
+            .and_then(|id| results.get(&id).copied())
+            .map(|idx| materialize(&arena, idx, Direction::Forward, subject));
+        drbac_obs::static_histogram!("drbac.graph.search.direct.ns")
+            .record(start.elapsed().as_nanos() as u64);
+        (found, engine.stats)
     }
 
     /// Subject query (§4.1): enumerate proofs `subject ⇒ *` that do not
-    /// violate the constraints, one per reachable node.
+    /// violate the constraints, one per reachable node, in deterministic
+    /// order (chain length, then delegation ids).
     pub fn subject_query(&self, subject: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        subject_query_on(self, subject, opts)
+        self.every_proof_from(subject, Direction::Forward, opts)
     }
 
     /// Object query (§4.1): enumerate proofs `* ⇒ object` that do not
-    /// violate the constraints, one per reaching node.
+    /// violate the constraints, one per reaching node, in deterministic
+    /// order (chain length, then delegation ids).
     pub fn object_query(&self, object: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        object_query_on(self, object, opts)
+        self.every_proof_from(object, Direction::Reverse, opts)
     }
-}
 
-impl DelegationGraph {
+    /// One proof per node a full search from `start` reaches, sorted by
+    /// [`order_key`] on the far endpoint.
+    fn every_proof_from(
+        &self,
+        start: &Node,
+        dir: Direction,
+        opts: &SearchOptions,
+    ) -> (Vec<Proof>, SearchStats) {
+        let mut engine = Engine::new(self, opts);
+        let (arena, results) = engine.search(start, None, dir);
+        let mut proofs: Vec<Proof> = results
+            .values()
+            .filter(|&&idx| idx != 0) // the root's trivial proof is not an answer
+            .map(|&idx| materialize(&arena, idx, dir, start))
+            .collect();
+        proofs.sort_by_cached_key(|p| match dir {
+            Direction::Forward => order_key(p, p.object()),
+            Direction::Reverse => order_key(p, p.subject()),
+        });
+        (proofs, engine.stats)
+    }
+
     /// Enumerates *all* distinct proofs `subject ⇒ object` (simple paths,
     /// no node repeated) satisfying the constraints, up to `max_proofs`.
     ///
@@ -414,12 +357,12 @@ impl DelegationGraph {
     }
 }
 
-impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
-    pub(crate) fn new(graph: &'g G, opts: &'g SearchOptions) -> Self {
+impl<'g> Engine<'g> {
+    fn new(graph: &'g DelegationGraph, opts: &'g SearchOptions) -> Self {
         Engine {
             graph,
             opts,
-            decls: graph.declaration_set(),
+            decls: graph.declarations(),
             stats: SearchStats::default(),
         }
     }
@@ -493,7 +436,7 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
         target: Option<&Node>,
         dir: Direction,
     ) -> (Vec<StateRec>, FastMap<NodeId, u32>) {
-        let interner = self.graph.interner();
+        let interner = &self.graph.interner;
         let start_id = interner.intern(start);
         let target_id = target.map(|t| interner.intern(t));
 
@@ -513,54 +456,30 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
         let mut queue: VecDeque<u32> = VecDeque::new();
         queue.push_back(0);
 
-        while !queue.is_empty() {
-            if self.opts.workers <= 1 || queue.len() < PAR_MIN_BATCH {
-                // Inline expansion: exactly the sequential order, one
-                // state at a time.
-                let idx = queue.pop_front().expect("nonempty");
-                let cands = self.expand_state(&arena, idx, dir, &frontier);
-                if self
-                    .merge(
-                        idx,
-                        cands,
-                        &mut arena,
-                        &mut frontier,
-                        &mut results,
-                        &mut queue,
-                        target_id,
-                    )
-                    .is_some()
-                {
-                    return (arena, results);
-                }
-            } else {
-                let batch: Vec<u32> = queue.drain(..).collect();
-                let expansions = self.expand_batch(&arena, &batch, dir, &frontier);
-                for (i, cands) in expansions.into_iter().enumerate() {
-                    if self
-                        .merge(
-                            batch[i],
-                            cands,
-                            &mut arena,
-                            &mut frontier,
-                            &mut results,
-                            &mut queue,
-                            target_id,
-                        )
-                        .is_some()
-                    {
-                        return (arena, results);
-                    }
-                }
+        while let Some(idx) = queue.pop_front() {
+            let cands = self.expand_state(&arena, idx, dir, &frontier);
+            if self
+                .merge(
+                    idx,
+                    cands,
+                    &mut arena,
+                    &mut frontier,
+                    &mut results,
+                    &mut queue,
+                    target_id,
+                )
+                .is_some()
+            {
+                break;
             }
         }
         (arena, results)
     }
 
-    /// Replays the frontier-dependent part of expansion — dominance
-    /// checks, frontier admission, result insertion, enqueueing — in the
-    /// exact order the sequential search would have used. Returns the
-    /// arena index of a satisfying target state, ending the search.
+    /// The frontier-dependent part of expansion — dominance checks,
+    /// frontier admission, result insertion, enqueueing — over one
+    /// state's candidates in edge order. Returns the arena index of a
+    /// satisfying target state, ending the search.
     #[allow(clippy::too_many_arguments)]
     fn merge(
         &mut self,
@@ -607,84 +526,10 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
         None
     }
 
-    /// Expands every state of one queue batch on a bounded worker pool.
-    /// Workers claim chunks of states through an atomic cursor (cheap
-    /// work stealing: an idle worker takes the next unclaimed chunk, so
-    /// uneven expansion costs balance out) and hand their candidates back
-    /// through their join handles — there is no shared collection mutex,
-    /// so a panicking worker cannot poison anything; its original panic
-    /// payload is re-raised here after every worker has been joined.
-    fn expand_batch(
-        &mut self,
-        arena: &[StateRec],
-        batch: &[u32],
-        dir: Direction,
-        frontier: &Frontier,
-    ) -> Vec<Vec<Candidate>> {
-        drbac_obs::static_counter!("drbac.graph.search.parallel_batch.count").inc();
-        let workers = self.opts.workers.min(batch.len());
-        let cursor = AtomicUsize::new(0);
-        let graph = self.graph;
-        let opts = self.opts;
-        let decls = &self.decls;
-        let mut outputs: Vec<(IndexedCandidates, SearchStats)> = Vec::with_capacity(workers);
-        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Engine {
-                            graph,
-                            opts,
-                            decls: decls.clone(),
-                            stats: SearchStats::default(),
-                        };
-                        let mut out: IndexedCandidates = Vec::new();
-                        loop {
-                            let begin = cursor.fetch_add(PAR_CHUNK, Ordering::Relaxed);
-                            if begin >= batch.len() {
-                                break;
-                            }
-                            let end = (begin + PAR_CHUNK).min(batch.len());
-                            for (i, &state) in batch[begin..end].iter().enumerate() {
-                                let i = begin + i;
-                                out.push((i, local.expand_state(arena, state, dir, frontier)));
-                            }
-                        }
-                        (out, local.stats)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(output) => outputs.push(output),
-                    Err(payload) => {
-                        // Keep the first worker's payload; the rest have
-                        // already been joined, so nothing leaks.
-                        panic_payload.get_or_insert(payload);
-                    }
-                }
-            }
-        });
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        let mut collected: IndexedCandidates = Vec::with_capacity(batch.len());
-        for (out, stats) in outputs {
-            self.stats.absorb(stats);
-            collected.extend(out);
-        }
-        collected.sort_unstable_by_key(|(i, _)| *i);
-        collected.into_iter().map(|(_, cands)| cands).collect()
-    }
-
-    /// The frontier-independent part of expanding one state: fetch edges,
-    /// absorb attributes, constraint-prune, dominance-prune against the
-    /// (possibly stale — see [`Frontier::is_dominated`]) frontier, check
-    /// transitive-trust limits, resolve supports. Support resolution is
-    /// speculative under `workers > 1` — the merge may still
-    /// dominance-prune the candidate — which can only increase the work
-    /// counters, never change results.
+    /// The first pass of expanding one state: fetch edges, absorb
+    /// attributes, constraint-prune, dominance-prune against the frontier
+    /// as it stood before this state (see [`Frontier::is_dominated`]),
+    /// check transitive-trust limits, resolve supports.
     fn expand_state(
         &mut self,
         arena: &[StateRec],
@@ -817,7 +662,7 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
     /// Wraps a credential in a proof step, attaching support proofs for
     /// third-party authority and foreign attribute clauses. Provided
     /// supports are preferred; otherwise a recursive search runs.
-    pub(crate) fn build_step(
+    fn build_step(
         &mut self,
         cert: &Arc<SignedDelegation>,
         resolving: &mut Vec<(EntityId, Node)>,
@@ -852,12 +697,12 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
         resolving: &mut Vec<(EntityId, Node)>,
         depth: usize,
     ) -> Option<Proof> {
-        if let Some(p) = self.graph.support_for(issuer, right) {
+        if let Some(p) = self.graph.provided_support(issuer, right) {
             // A provided support is only usable while none of its
             // credentials have been revoked or expired; otherwise fall
             // through to a fresh search.
             let usable = p.all_certs().iter().all(|c| {
-                !self.graph.id_revoked(c.id()) && !c.delegation().is_expired(self.opts.now)
+                !self.graph.is_revoked(c.id()) && !c.delegation().is_expired(self.opts.now)
             });
             if usable {
                 return Some(p);
@@ -894,7 +739,7 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
             step: Option<ProofStep>,
             depth: u32,
         }
-        let interner = self.graph.interner();
+        let interner = &self.graph.interner;
         let start_id = interner.intern(start);
         let target_id = interner.intern(target);
         let mut arena: Vec<SupRec> = vec![SupRec {
@@ -1019,7 +864,7 @@ mod tests {
     #[test]
     fn multi_hop_chain_found_and_validates() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         let r3 = f.a.role("r3");
@@ -1050,7 +895,7 @@ mod tests {
     #[test]
     fn no_path_returns_none() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         g.insert(
             f.a.delegate(Node::entity(&f.maria), Node::role(f.a.role("r1")))
                 .sign(&f.a)
@@ -1067,7 +912,7 @@ mod tests {
     #[test]
     fn bfs_finds_shortest_chain() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let target = f.a.role("target");
         let hop = f.a.role("hop");
         // Long path Maria -> hop -> target, and short path Maria -> target.
@@ -1093,7 +938,7 @@ mod tests {
     #[test]
     fn third_party_edge_uses_provided_support() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let member = f.a.role("member");
         // A grants B member'.
         let grant =
@@ -1121,7 +966,7 @@ mod tests {
     #[test]
     fn third_party_support_discovered_from_graph() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let member = f.a.role("member");
         // Support material is in the graph but not pre-packaged.
         g.insert(
@@ -1145,7 +990,7 @@ mod tests {
     #[test]
     fn unsupported_third_party_edge_is_unusable() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let member = f.a.role("member");
         g.insert(
             f.b.delegate(Node::entity(&f.maria), Node::role(member.clone()))
@@ -1159,7 +1004,7 @@ mod tests {
     #[test]
     fn subject_query_enumerates_reachable() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         g.insert(
@@ -1189,7 +1034,7 @@ mod tests {
     #[test]
     fn object_query_enumerates_reaching() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         g.insert(
@@ -1218,7 +1063,7 @@ mod tests {
     #[test]
     fn constraint_pruning_cuts_work_but_preserves_answers() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let target = f.a.role("target");
@@ -1270,7 +1115,7 @@ mod tests {
         );
         assert!(p1
             .accumulate()
-            .satisfies(&pruned_opts.constraints, g.declarations()));
+            .satisfies(&pruned_opts.constraints, &g.declarations()));
         assert!(
             s1.edges_considered <= s2.edges_considered,
             "pruning should not examine more edges ({} vs {})",
@@ -1285,7 +1130,7 @@ mod tests {
         // The Pareto frontier must keep the second path alive even though
         // the violating path reaches nodes first.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let mid = f.a.role("mid");
@@ -1329,7 +1174,7 @@ mod tests {
     #[test]
     fn depth_limit_bounds_search() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let mut prev = Node::entity(&f.maria);
         for i in 0..10 {
             let r = f.a.role(&format!("r{i}"));
@@ -1350,7 +1195,7 @@ mod tests {
     #[test]
     fn cyclic_graph_terminates() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         g.insert(
@@ -1380,7 +1225,7 @@ mod tests {
         // self-certified root exists, so no proof should be found (and the
         // search must terminate).
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let r = f.a.role("r");
         let b = &f.b;
         let mut rng = StdRng::seed_from_u64(99);
@@ -1407,7 +1252,7 @@ mod tests {
     #[test]
     fn enumerate_proofs_finds_every_simple_path() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let target = f.a.role("target");
         // Diamond: Maria -> {l, r} -> target, plus a direct edge: 3 paths.
         for name in ["l", "r"] {
@@ -1455,7 +1300,7 @@ mod tests {
         // Layered graph with branching 2 between layers: path count 2^depth.
         let f = fx();
         for depth in [2usize, 3, 4] {
-            let mut g = DelegationGraph::new();
+            let g = DelegationGraph::new();
             let mut prev_layer = vec![Node::entity(&f.maria)];
             for l in 0..depth {
                 let layer: Vec<Node> = (0..2)
@@ -1484,7 +1329,7 @@ mod tests {
     #[test]
     fn enumerate_proofs_respects_cap_and_constraints() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let target = f.a.role("target");
@@ -1523,7 +1368,7 @@ mod tests {
         // Two routes to the target: a short depth-0 grant reachable only
         // via one hop (violates) and a longer unrestricted route.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let hop = f.a.role("hop");
         let target = f.a.role("target");
         g.insert(
@@ -1565,7 +1410,7 @@ mod tests {
     #[test]
     fn reverse_search_respects_depth_limits() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let hop = f.a.role("hop");
         let target = f.a.role("target");
         g.insert(
@@ -1594,7 +1439,7 @@ mod tests {
         // examined first; it must not enter the Pareto frontier and
         // dominance-prune the usable one.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let member = f.a.role("member");
         g.insert(
             f.b.delegate(Node::entity(&f.maria), Node::role(member.clone()))
@@ -1619,7 +1464,7 @@ mod tests {
         // unpruned search walks it anyway for measurement, but must not
         // return a constraint-violating proof as a positive answer.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let target = f.a.role("target");
@@ -1650,7 +1495,7 @@ mod tests {
     #[test]
     fn expired_edges_ignored_at_query_time() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let r = f.a.role("r");
         g.insert(
             f.a.delegate(Node::entity(&f.maria), Node::role(r.clone()))
@@ -1674,11 +1519,10 @@ mod tests {
 
     /// A moderately tangled fixture: role ladders with cross links, a
     /// constrained branch, a supported third-party edge, and a cycle.
-    fn tangled_graph(f: &Fx) -> (DelegationGraph, Vec<Node>) {
-        let mut g = DelegationGraph::new();
+    fn tangled_graph(f: &Fx) -> DelegationGraph {
+        let g = DelegationGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
-        let mut nodes = vec![Node::entity(&f.maria), Node::entity(&f.b)];
         for chain in 0..3 {
             let mut prev = Node::entity(&f.maria);
             for depth in 0..4 {
@@ -1688,7 +1532,6 @@ mod tests {
                     b = b.with_attr(bw.clone(), 400.0 - 100.0 * depth as f64).unwrap();
                 }
                 g.insert(b.sign(&f.a).unwrap());
-                nodes.push(r.clone());
                 prev = r;
             }
         }
@@ -1699,7 +1542,6 @@ mod tests {
         // A cycle.
         g.insert(f.a.delegate(c2, c0).serial(7).sign(&f.a).unwrap());
         // Third-party edge with discoverable support.
-        let member = Node::role(f.a.role("member"));
         g.insert(
             f.a.delegate(
                 Node::entity(&f.b),
@@ -1709,50 +1551,17 @@ mod tests {
             .unwrap(),
         );
         g.insert(
-            f.b.delegate(Node::role(f.a.role("c0d3")), member.clone())
+            f.b.delegate(Node::role(f.a.role("c0d3")), Node::role(f.a.role("member")))
                 .sign(&f.b)
                 .unwrap(),
         );
-        nodes.push(member);
-        (g, nodes)
-    }
-
-    #[test]
-    fn parallel_search_matches_sequential_results() {
-        let f = fx();
-        let (g, nodes) = tangled_graph(&f);
-        let bw = f.a.attr("BW", AttrOp::Min);
-        let variants = [
-            opts(),
-            opts().with_constraint(AttrConstraint::at_least(bw, 150.0)),
-        ];
-        for o in &variants {
-            for workers in [2usize, 4, 8] {
-                let par = o.clone().with_workers(workers);
-                for target in &nodes {
-                    let (seq_proof, _) = g.direct_query(&Node::entity(&f.maria), target, o);
-                    let (par_proof, _) = g.direct_query(&Node::entity(&f.maria), target, &par);
-                    assert_eq!(
-                        seq_proof, par_proof,
-                        "direct_query disagrees at workers={workers} target={target}"
-                    );
-                }
-                let (seq_s, _) = g.subject_query(&Node::entity(&f.maria), o);
-                let (par_s, _) = g.subject_query(&Node::entity(&f.maria), &par);
-                assert_eq!(seq_s, par_s, "subject_query disagrees at workers={workers}");
-                for target in &nodes {
-                    let (seq_o, _) = g.object_query(target, o);
-                    let (par_o, _) = g.object_query(target, &par);
-                    assert_eq!(seq_o, par_o, "object_query disagrees at workers={workers}");
-                }
-            }
-        }
+        g
     }
 
     #[test]
     fn multi_proof_order_is_deterministic_and_id_sorted() {
         let f = fx();
-        let (g, _) = tangled_graph(&f);
+        let g = tangled_graph(&f);
         let (first, _) = g.subject_query(&Node::entity(&f.maria), &opts());
         for _ in 0..5 {
             let (again, _) = g.subject_query(&Node::entity(&f.maria), &opts());
@@ -1767,95 +1576,13 @@ mod tests {
         }
     }
 
-    /// A view that injects a panic while expanding one specific node,
-    /// standing in for any worker-thread fault (bug, OOM-adjacent abort in
-    /// a dependency, etc.).
-    struct PoisonedView<'a> {
-        inner: &'a DelegationGraph,
-        poison: Node,
-    }
-
-    impl GraphView for PoisonedView<'_> {
-        fn interner(&self) -> &crate::intern::NodeInterner {
-            GraphView::interner(self.inner)
-        }
-
-        fn edges_from_ids(&self, node: crate::intern::NodeId, now: Timestamp) -> Vec<crate::view::InternedEdge> {
-            if GraphView::interner(self.inner).resolve(node) == self.poison {
-                panic!("injected fault while expanding poisoned node");
-            }
-            self.inner.edges_from_ids(node, now)
-        }
-
-        fn edges_to_ids(&self, node: crate::intern::NodeId, now: Timestamp) -> Vec<crate::view::InternedEdge> {
-            self.inner.edges_to_ids(node, now)
-        }
-
-        fn support_for(&self, issuer: EntityId, right: &Node) -> Option<Proof> {
-            self.inner.support_for(issuer, right)
-        }
-
-        fn id_revoked(&self, id: DelegationId) -> bool {
-            GraphView::id_revoked(self.inner, id)
-        }
-
-        fn declaration_set(&self) -> DeclarationSet {
-            self.inner.declaration_set()
-        }
-    }
-
-    #[test]
-    fn worker_panic_propagates_original_payload() {
-        // Regression: a panicking search worker used to poison the shared
-        // collection mutex, so the caller's unwrap reported an opaque
-        // `PoisonError` instead of the worker's own panic. The batched
-        // design has no shared mutex; the payload must surface verbatim.
-        let f = fx();
-        let mut g = DelegationGraph::new();
-        let target = f.a.role("target");
-        for i in 0..4 {
-            let mid = f.a.role(&format!("mid{i}"));
-            g.insert(
-                f.a.delegate(Node::entity(&f.maria), Node::role(mid.clone()))
-                    .sign(&f.a)
-                    .unwrap(),
-            );
-            g.insert(
-                f.a.delegate(Node::role(mid), Node::role(target.clone()))
-                    .sign(&f.a)
-                    .unwrap(),
-            );
-        }
-        let view = PoisonedView {
-            inner: &g,
-            poison: Node::role(f.a.role("mid2")),
-        };
-        let o = opts().with_workers(4);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            direct_query_on(&view, &Node::entity(&f.maria), &Node::role(target.clone()), &o)
-        }))
-        .expect_err("worker panic must propagate to the caller");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("injected fault"),
-            "caller must see the worker's own payload, got: {msg:?}"
-        );
-        // The graph itself holds no poisoned state: the same parallel
-        // query against the unpoisoned view still succeeds.
-        let (proof, _) = g.direct_query(&Node::entity(&f.maria), &Node::role(target), &o);
-        assert!(proof.is_some());
-    }
-
     #[test]
     fn incomparable_attribute_fanout_keeps_pareto_alternatives() {
         // Ten parallel edges whose (BW, CPU) pairs are pairwise
         // incomparable (BW falls as CPU rises): none may dominance-prune
         // another, and every threshold pair picks out exactly its edge.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = DelegationGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         let cpu = f.a.attr("CPU", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());

@@ -1,8 +1,6 @@
-//! A delegation store sharded behind per-shard reader–writer locks.
-//!
-//! [`ShardedGraph`] holds the same data as [`DelegationGraph`] but splits
-//! it across independent lock domains so concurrent provers don't
-//! serialize on a single graph lock:
+//! The delegation graph: one store, sharded behind per-shard
+//! reader–writer locks so concurrent provers and publishers don't
+//! serialize on a single graph lock.
 //!
 //! * **edge shards** — `by_subject` / `by_object` adjacency and provided
 //!   support proofs, sharded by the *namespace entity* of the keying node
@@ -23,8 +21,7 @@
 //! revocation marks — the safety-critical signal — live in a single id
 //! shard per id, so a revoke is observed atomically.
 
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -35,17 +32,23 @@ use drbac_core::{
 };
 
 use crate::intern::{namespace_hash, FastMap, NodeId, NodeInterner};
-use crate::search::{direct_query_on, object_query_on, subject_query_on};
-use crate::view::{GraphView, InternedEdge};
-use crate::{DelegationGraph, GraphMetrics, SearchOptions, SearchStats};
 
-/// Default number of edge/id shards.
-const DEFAULT_SHARDS: usize = 16;
+/// Number of edge and id shards.
+const SHARDS: usize = 16;
+
+/// One adjacency entry: a credential plus the interned id of its far
+/// endpoint (the object for subject-indexed edges, the subject for
+/// object-indexed ones), so a search never hashes or clones a [`Node`]
+/// per edge.
+#[derive(Debug, Clone)]
+pub(crate) struct InternedEdge {
+    pub(crate) cert: Arc<SignedDelegation>,
+    pub(crate) far: NodeId,
+}
 
 #[derive(Debug, Default)]
 struct EdgeShard {
-    /// Adjacency keyed by interned subject id; each entry carries the
-    /// object endpoint pre-interned so searches never hash a `Node`.
+    /// Adjacency keyed by interned subject id; `far` is the object.
     by_subject: FastMap<NodeId, Vec<InternedEdge>>,
     /// Adjacency keyed by interned object id; `far` is the subject.
     by_object: FastMap<NodeId, Vec<InternedEdge>>,
@@ -69,74 +72,88 @@ struct IdShard {
     revoked: BTreeSet<DelegationId>,
 }
 
-/// A concurrently usable delegation graph: the [`DelegationGraph`] data
-/// model behind per-shard `RwLock`s. See the module docs for the shard
-/// layout and lock rules.
+/// The graph of delegations a wallet holds, indexed by subject, object
+/// and id.
+///
+/// This is the data structure at the heart of a wallet (paper Figure 1):
+/// nodes are entities/roles/rights, edges are delegations. Alongside the
+/// edges it stores the *support proofs* that issuers of third-party
+/// delegations are required to provide at publication, the attribute
+/// declarations for base values, and the revocation marks. See the
+/// module docs for the shard layout and lock rules.
+///
+/// # Example
+///
+/// ```
+/// use drbac_core::{LocalEntity, Node, Timestamp};
+/// use drbac_crypto::SchnorrGroup;
+/// use drbac_graph::{DelegationGraph, SearchOptions};
+/// # use rand::SeedableRng;
+/// # let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+/// # let g = SchnorrGroup::test_256();
+/// let a = LocalEntity::generate("A", g.clone(), &mut rng);
+/// let m = LocalEntity::generate("M", g, &mut rng);
+///
+/// let graph = DelegationGraph::new();
+/// graph.insert(a.delegate(Node::entity(&m), Node::role(a.role("r"))).sign(&a)?);
+///
+/// let (proof, _stats) = graph.direct_query(
+///     &Node::entity(&m),
+///     &Node::role(a.role("r")),
+///     &SearchOptions::at(Timestamp(0)),
+/// );
+/// assert!(proof.is_some());
+/// # Ok::<(), drbac_core::ValidationError>(())
+/// ```
 #[derive(Debug)]
-pub struct ShardedGraph {
+pub struct DelegationGraph {
     edge_shards: Box<[RwLock<EdgeShard>]>,
     id_shards: Box<[RwLock<IdShard>]>,
-    /// Shared with every validation context the wallet builds; written
+    /// Shared with every search and validation context; written
     /// copy-on-write by the rare `insert_declaration`.
     declarations: RwLock<Arc<DeclarationSet>>,
     /// Node ⇄ dense-id table. Append-only, so ids held by an in-flight
     /// search stay valid across concurrent writes; the cached namespace
     /// hash makes shard routing a table lookup.
-    interner: NodeInterner,
+    pub(crate) interner: NodeInterner,
 }
 
-impl Default for ShardedGraph {
+impl Default for DelegationGraph {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl ShardedGraph {
-    /// An empty graph with the default shard count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty graph with `shards` lock domains (clamped to at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1);
-        ShardedGraph {
-            edge_shards: (0..n).map(|_| RwLock::new(EdgeShard::default())).collect(),
-            id_shards: (0..n).map(|_| RwLock::new(IdShard::default())).collect(),
+        DelegationGraph {
+            edge_shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            id_shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             declarations: RwLock::default(),
-            interner: NodeInterner::new(),
+            interner: NodeInterner::default(),
         }
     }
+}
 
-    /// Number of shard lock domains.
-    pub fn shard_count(&self) -> usize {
-        self.edge_shards.len()
+impl DelegationGraph {
+    /// An empty graph.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Shard routing by interned id: the namespace hash was computed once
     /// at intern time, so this is a table lookup, not a fingerprint hash.
     fn edge_shard_of_id(&self, id: NodeId) -> &RwLock<EdgeShard> {
-        let idx = (self.interner.ns_hash(id) as usize) % self.edge_shards.len();
-        &self.edge_shards[idx]
+        &self.edge_shards[self.interner.ns_hash(id) as usize % SHARDS]
     }
 
     fn edge_shard_of_entity(&self, entity: EntityId) -> &RwLock<EdgeShard> {
-        let idx = (namespace_hash(entity) as usize) % self.edge_shards.len();
-        &self.edge_shards[idx]
+        &self.edge_shards[namespace_hash(entity) as usize % SHARDS]
     }
 
     fn id_shard_of(&self, id: DelegationId) -> &RwLock<IdShard> {
-        &self.id_shards[id.0[0] as usize % self.id_shards.len()]
+        &self.id_shards[id.0[0] as usize % SHARDS]
     }
 
     /// Read-locks an edge shard, counting contention: if the lock can't be
     /// taken immediately (a writer holds it) the
     /// `drbac.graph.shard.contention.count` counter is bumped before
     /// blocking.
-    fn read_edges<'a>(
-        &'a self,
-        shard: &'a RwLock<EdgeShard>,
-    ) -> parking_lot::RwLockReadGuard<'a, EdgeShard> {
+    fn read_edges(shard: &RwLock<EdgeShard>) -> parking_lot::RwLockReadGuard<'_, EdgeShard> {
         match shard.try_read() {
             Some(guard) => guard,
             None => {
@@ -190,7 +207,8 @@ impl ShardedGraph {
     }
 
     /// Inserts a third-party delegation together with the support proofs
-    /// its issuer must provide.
+    /// its issuer must provide (paper §4.1: wallets are freed "from having
+    /// to conduct recursive searches to collect the supporting chains").
     pub fn insert_with_supports(
         &self,
         cert: impl Into<Arc<SignedDelegation>>,
@@ -218,9 +236,8 @@ impl ShardedGraph {
 
     /// Looks up a provided support proof for `(issuer, right)`.
     pub fn provided_support(&self, issuer: EntityId, right: &Node) -> Option<Proof> {
-        let shard = self.edge_shard_of_entity(issuer);
-        let guard = self.read_edges(shard);
-        guard.supports.get(&(issuer, right.clone())).cloned()
+        let shard = Self::read_edges(self.edge_shard_of_entity(issuer));
+        shard.supports.get(&(issuer, right.clone())).cloned()
     }
 
     /// Every provided support proof (for persistence).
@@ -237,14 +254,16 @@ impl ShardedGraph {
         Arc::make_mut(&mut self.declarations.write()).insert(decl);
     }
 
-    /// The declaration set as of now, shared rather than copied: a later
-    /// `insert_declaration` writes a fresh copy and leaves this one as is.
+    /// The declaration set (base values for effective-value computation)
+    /// as of now, shared rather than copied: a later `insert_declaration`
+    /// writes a fresh copy and leaves this one as is, so one search or
+    /// validation sees one consistent set.
     pub fn declarations(&self) -> Arc<DeclarationSet> {
         Arc::clone(&self.declarations.read())
     }
 
-    /// Marks a delegation revoked. Revoked edges are skipped by searches.
-    /// Returns `true` if the id was known.
+    /// Marks a delegation revoked. Revoked edges are skipped by searches
+    /// and fail validation. Returns `true` if the id was known.
     pub fn revoke(&self, id: DelegationId) -> bool {
         let mut ids = self.id_shard_of(id).write();
         ids.revoked.insert(id);
@@ -257,8 +276,8 @@ impl ShardedGraph {
     }
 
     /// The full revocation set (union over shards): O(every mark ever
-    /// recorded), for index rebuilds only. Anything that asks about a
-    /// credential uses [`ShardedGraph::is_revoked`];
+    /// recorded), for whole-wallet rebuilds only. Anything that asks about
+    /// a credential uses [`DelegationGraph::is_revoked`];
     /// `drbac.graph.revoked_ids.count` counts the calls so a test can
     /// hold the hot paths to zero.
     pub fn revoked_ids(&self) -> BTreeSet<DelegationId> {
@@ -276,17 +295,21 @@ impl ShardedGraph {
         let cert = self.id_shard_of(id).write().by_id.remove(&id)?;
         let subject = self.interner.intern(cert.delegation().subject());
         let object = self.interner.intern(cert.delegation().object());
+        if let Some(v) = self
+            .edge_shard_of_id(subject)
+            .write()
+            .by_subject
+            .get_mut(&subject)
         {
-            let mut shard = self.edge_shard_of_id(subject).write();
-            if let Some(v) = shard.by_subject.get_mut(&subject) {
-                v.retain(|e| e.cert.id() != id);
-            }
+            v.retain(|e| e.cert.id() != id);
         }
+        if let Some(v) = self
+            .edge_shard_of_id(object)
+            .write()
+            .by_object
+            .get_mut(&object)
         {
-            let mut shard = self.edge_shard_of_id(object).write();
-            if let Some(v) = shard.by_object.get_mut(&object) {
-                v.retain(|e| e.cert.id() != id);
-            }
+            v.retain(|e| e.cert.id() != id);
         }
         Some(cert)
     }
@@ -314,41 +337,21 @@ impl ShardedGraph {
     /// Every stored delegation (owned; order unspecified).
     pub fn iter_certs(&self) -> Vec<Arc<SignedDelegation>> {
         let mut out = Vec::new();
-        for shard in self.id_shards.iter() {
-            out.extend(shard.read().by_id.values().cloned());
-        }
+        self.for_each_cert(&mut |cert| out.push(Arc::clone(cert)));
         out
     }
 
     /// Streams every stored delegation through `f`, one shard at a time
     /// (order unspecified), without materializing the whole set. Used by
-    /// index rebuilds and snapshot-adjacent sweeps over large wallets.
-    /// The shard lock is held across each callback; don't re-enter the
-    /// graph from `f`.
+    /// index rebuilds and whole-graph sweeps over large wallets. The shard
+    /// lock is held across each callback; don't re-enter the graph from
+    /// `f`.
     pub fn for_each_cert(&self, f: &mut dyn FnMut(&Arc<SignedDelegation>)) {
         for shard in self.id_shards.iter() {
             for cert in shard.read().by_id.values() {
                 f(cert);
             }
         }
-    }
-
-    /// Drops expired delegations given the current time; returns how many
-    /// were removed.
-    pub fn purge_expired(&self, now: Timestamp) -> usize {
-        let expired: Vec<DelegationId> = self
-            .iter_certs()
-            .into_iter()
-            .filter(|c| c.delegation().is_expired(now))
-            .map(|c| c.id())
-            .collect();
-        let mut n = 0;
-        for id in expired {
-            if self.remove(id).is_some() {
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Drops every delegation, support, declaration, and revocation mark.
@@ -362,146 +365,157 @@ impl ShardedGraph {
         *self.declarations.write() = Arc::default();
     }
 
-    /// Materializes a single-threaded [`DelegationGraph`] with the same
-    /// contents. This walks every shard — it's for diagnostics, export,
-    /// and oracle checks, not for the query hot path.
-    pub fn snapshot(&self) -> DelegationGraph {
-        let mut by_subject: HashMap<Node, Vec<Arc<SignedDelegation>>> = HashMap::new();
-        let mut by_object: HashMap<Node, Vec<Arc<SignedDelegation>>> = HashMap::new();
-        let mut supports: HashMap<(EntityId, Node), Proof> = HashMap::new();
-        for shard in self.edge_shards.iter() {
-            let guard = shard.read();
-            for (k, v) in &guard.by_subject {
-                by_subject.insert(
-                    self.interner.resolve(*k),
-                    v.iter().map(|e| Arc::clone(&e.cert)).collect(),
-                );
-            }
-            for (k, v) in &guard.by_object {
-                by_object.insert(
-                    self.interner.resolve(*k),
-                    v.iter().map(|e| Arc::clone(&e.cert)).collect(),
-                );
-            }
-            for (k, v) in &guard.supports {
-                supports.insert(k.clone(), v.clone());
-            }
-        }
-        let mut by_id: HashMap<DelegationId, Arc<SignedDelegation>> = HashMap::new();
-        let mut revoked: BTreeSet<DelegationId> = BTreeSet::new();
-        for shard in self.id_shards.iter() {
-            let guard = shard.read();
-            for (k, v) in &guard.by_id {
-                by_id.insert(*k, Arc::clone(v));
-            }
-            revoked.extend(guard.revoked.iter().copied());
-        }
-        DelegationGraph {
-            by_subject,
-            by_object,
-            by_id,
-            supports,
-            declarations: DeclarationSet::clone(&self.declarations.read()),
-            revoked,
-            interner: NodeInterner::new(),
+    /// Usable (unrevoked, unexpired at `now`) delegations whose subject
+    /// is the interned `node`, in id order, each with its object endpoint
+    /// pre-interned. The search hot path.
+    pub(crate) fn edges_from_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge> {
+        let edges = Self::read_edges(self.edge_shard_of_id(node))
+            .by_subject
+            .get(&node)
+            .cloned();
+        self.usable(edges, now)
+    }
+
+    /// Usable delegations whose object is the interned `node`, in id
+    /// order, each with its subject endpoint pre-interned.
+    pub(crate) fn edges_to_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge> {
+        let edges = Self::read_edges(self.edge_shard_of_id(node))
+            .by_object
+            .get(&node)
+            .cloned();
+        self.usable(edges, now)
+    }
+
+    /// Drops the expired and revoked edges of one adjacency list, read
+    /// with its shard lock already released.
+    fn usable(&self, edges: Option<Vec<InternedEdge>>, now: Timestamp) -> Vec<InternedEdge> {
+        let mut edges = edges.unwrap_or_default();
+        edges.retain(|e| !e.cert.delegation().is_expired(now) && !self.is_revoked(e.cert.id()));
+        edges
+    }
+
+    /// Usable (unrevoked, unexpired at `now`) delegations whose subject
+    /// is `node` (outgoing edges), in id order.
+    pub fn edges_from(&self, node: &Node, now: Timestamp) -> Vec<Arc<SignedDelegation>> {
+        match self.interner.get(node) {
+            Some(id) => self
+                .edges_from_ids(id, now)
+                .into_iter()
+                .map(|e| e.cert)
+                .collect(),
+            None => Vec::new(),
         }
     }
 
-    /// Structural metrics (via [`ShardedGraph::snapshot`]; diagnostics
-    /// only).
+    /// Usable delegations whose object is `node` (incoming edges), in id
+    /// order.
+    pub fn edges_to(&self, node: &Node, now: Timestamp) -> Vec<Arc<SignedDelegation>> {
+        match self.interner.get(node) {
+            Some(id) => self
+                .edges_to_ids(id, now)
+                .into_iter()
+                .map(|e| e.cert)
+                .collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// Structural metrics over the stored graph (diagnostics and
+    /// experiment reporting), streamed shard by shard.
     pub fn metrics(&self) -> GraphMetrics {
-        self.snapshot().metrics()
-    }
-
-    /// Direct query (§4.1) against the live sharded store; see
-    /// [`DelegationGraph::direct_query`].
-    pub fn direct_query(
-        &self,
-        subject: &Node,
-        object: &Node,
-        opts: &SearchOptions,
-    ) -> (Option<Proof>, SearchStats) {
-        direct_query_on(self, subject, object, opts)
-    }
-
-    /// Subject query (§4.1); see [`DelegationGraph::subject_query`].
-    pub fn subject_query(&self, subject: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        subject_query_on(self, subject, opts)
-    }
-
-    /// Object query (§4.1); see [`DelegationGraph::object_query`].
-    pub fn object_query(&self, object: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        object_query_on(self, object, opts)
-    }
-}
-
-impl GraphView for ShardedGraph {
-    fn interner(&self) -> &NodeInterner {
-        &self.interner
-    }
-
-    fn edges_from_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge> {
-        let mut edges: Vec<InternedEdge> = {
-            let shard = self.edge_shard_of_id(node);
-            let guard = self.read_edges(shard);
-            guard.by_subject.get(&node).cloned().unwrap_or_default()
-        };
-        edges.retain(|e| !e.cert.delegation().is_expired(now) && !self.is_revoked(e.cert.id()));
-        edges
-    }
-
-    fn edges_to_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge> {
-        let mut edges: Vec<InternedEdge> = {
-            let shard = self.edge_shard_of_id(node);
-            let guard = self.read_edges(shard);
-            guard.by_object.get(&node).cloned().unwrap_or_default()
-        };
-        edges.retain(|e| !e.cert.delegation().is_expired(now) && !self.is_revoked(e.cert.id()));
-        edges
-    }
-
-    fn support_for(&self, issuer: EntityId, right: &Node) -> Option<Proof> {
-        self.provided_support(issuer, right)
-    }
-
-    fn id_revoked(&self, id: DelegationId) -> bool {
-        self.is_revoked(id)
-    }
-
-    fn declaration_set(&self) -> DeclarationSet {
-        DeclarationSet::clone(&self.declarations.read())
+        let mut m = GraphMetrics::default();
+        let mut entities: BTreeSet<EntityId> = BTreeSet::new();
+        let mut roles: BTreeSet<Node> = BTreeSet::new();
+        let mut issuers: BTreeSet<EntityId> = BTreeSet::new();
+        self.for_each_cert(&mut |cert| {
+            let d = cert.delegation();
+            m.delegations += 1;
+            for node in [d.subject(), d.object()] {
+                if node.is_role_like() {
+                    roles.insert(node.clone());
+                }
+                entities.insert(node.namespace());
+            }
+            issuers.insert(d.issuer());
+            entities.insert(d.issuer());
+            if d.kind() == drbac_core::DelegationKind::ThirdParty {
+                m.third_party += 1;
+            }
+            if !d.clauses().is_empty() {
+                m.with_attributes += 1;
+            }
+        });
+        for shard in self.edge_shards.iter() {
+            let shard = shard.read();
+            let widest = shard.by_subject.values().map(Vec::len).max().unwrap_or(0);
+            m.max_out_degree = m.max_out_degree.max(widest);
+            m.provided_supports += shard.supports.len();
+        }
+        m.revoked = self.id_shards.iter().map(|s| s.read().revoked.len()).sum();
+        m.entities = entities.len();
+        m.roles = roles.len();
+        m.issuers = issuers.len();
+        m.declarations = self.declarations.read().len();
+        m
     }
 }
 
 /// A validation against this graph reads one id shard per credential it
 /// visits, never a copy of the marks.
-impl RevocationLookup for ShardedGraph {
+impl RevocationLookup for DelegationGraph {
     fn is_revoked(&self, id: DelegationId) -> bool {
-        ShardedGraph::is_revoked(self, id)
+        DelegationGraph::is_revoked(self, id)
     }
 }
 
-impl From<DelegationGraph> for ShardedGraph {
-    fn from(graph: DelegationGraph) -> Self {
-        let sharded = ShardedGraph::new();
-        for cert in graph.by_id.values() {
-            sharded.insert(Arc::clone(cert));
-        }
-        for support in graph.supports.values() {
-            sharded.provide_support(support.clone());
-        }
-        *sharded.declarations.write() = Arc::new(graph.declarations.clone());
-        for id in &graph.revoked {
-            let mut shard = sharded.id_shard_of(*id).write();
-            shard.revoked.insert(*id);
-        }
-        sharded
+/// Structural summary of a delegation graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GraphMetrics {
+    /// Stored delegations (including revoked ones still marked).
+    pub delegations: usize,
+    /// Revocation marks.
+    pub revoked: usize,
+    /// Distinct entities appearing anywhere.
+    pub entities: usize,
+    /// Distinct role-like nodes.
+    pub roles: usize,
+    /// Distinct issuing entities.
+    pub issuers: usize,
+    /// Third-party delegations.
+    pub third_party: usize,
+    /// Delegations carrying attribute clauses.
+    pub with_attributes: usize,
+    /// Largest out-degree of any node.
+    pub max_out_degree: usize,
+    /// Provided support proofs on file.
+    pub provided_supports: usize,
+    /// Attribute declarations on file.
+    pub declarations: usize,
+}
+
+impl std::fmt::Display for GraphMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} delegations ({} third-party, {} with attributes, {} revoked), \
+             {} roles across {} entities, max out-degree {}, {} supports, {} declarations",
+            self.delegations,
+            self.third_party,
+            self.with_attributes,
+            self.revoked,
+            self.roles,
+            self.entities,
+            self.max_out_degree,
+            self.provided_supports,
+            self.declarations,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SearchOptions;
     use drbac_core::{LocalEntity, ProofStep};
     use drbac_crypto::SchnorrGroup;
     use rand::rngs::StdRng;
@@ -520,10 +534,53 @@ mod tests {
     }
 
     #[test]
+    fn insert_is_idempotent_and_indexed() {
+        let a = local("A", 1);
+        let m = local("M", 2);
+        let cert = a
+            .delegate(Node::entity(&m), Node::role(a.role("r")))
+            .sign(&a)
+            .unwrap();
+        let g = DelegationGraph::new();
+        let id1 = g.insert(cert.clone());
+        let id2 = g.insert(cert);
+        assert_eq!(id1, id2);
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(0)).len(), 1);
+        assert_eq!(g.edges_to(&Node::role(a.role("r")), Timestamp(0)).len(), 1);
+        assert!(g.contains(id1));
+        assert!(g.get(id1).is_some());
+    }
+
+    #[test]
+    fn revoked_and_expired_edges_are_skipped() {
+        let a = local("A", 1);
+        let m = local("M", 2);
+        let c1 = a
+            .delegate(Node::entity(&m), Node::role(a.role("r1")))
+            .sign(&a)
+            .unwrap();
+        let c2 = a
+            .delegate(Node::entity(&m), Node::role(a.role("r2")))
+            .expires(Timestamp(5))
+            .sign(&a)
+            .unwrap();
+        let g = DelegationGraph::new();
+        let id1 = g.insert(c1);
+        g.insert(c2);
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(0)).len(), 2);
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(6)).len(), 1);
+        assert!(g.revoke(id1));
+        assert!(g.is_revoked(id1));
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(6)).len(), 0);
+        assert_eq!(g.revoked_ids().len(), 1);
+    }
+
+    #[test]
     fn insert_query_revoke_roundtrip() {
         let a = local("A", 1);
         let m = local("M", 2);
-        let g = ShardedGraph::new();
+        let g = DelegationGraph::new();
         let r1 = a.role("r1");
         let r2 = a.role("r2");
         let id = g.insert(
@@ -536,144 +593,103 @@ mod tests {
                 .sign(&a)
                 .unwrap(),
         );
-        assert_eq!(g.len(), 2);
-        assert!(g.contains(id));
-        let (proof, _) = g.direct_query(&Node::entity(&m), &Node::role(r2.clone()), &opts());
+        let (proof, stats) = g.direct_query(&Node::entity(&m), &Node::role(r2.clone()), &opts());
         assert_eq!(proof.expect("chain").chain_len(), 2);
+        assert!(stats.nodes_expanded >= 1);
 
-        assert!(g.revoke(id));
-        assert!(g.is_revoked(id));
+        g.revoke(id);
         let (proof, _) = g.direct_query(&Node::entity(&m), &Node::role(r2), &opts());
         assert!(proof.is_none(), "revoked first hop breaks the chain");
-        assert_eq!(g.revoked_ids().len(), 1);
     }
 
     #[test]
-    fn queries_match_unsharded_graph_across_shard_counts() {
+    fn remove_unindexes_and_clear_empties() {
         let a = local("A", 1);
-        let b = local("B", 7);
         let m = local("M", 2);
-        let mut plain = DelegationGraph::new();
-        let mut certs = Vec::new();
-        // A few ladders, a third-party edge with support, one revocation.
-        let mut prev = Node::entity(&m);
-        for d in 0..4 {
-            let r = Node::role(a.role(&format!("d{d}")));
-            certs.push(a.delegate(prev.clone(), r.clone()).sign(&a).unwrap());
-            prev = r;
-        }
-        certs.push(
-            a.delegate(Node::entity(&b), Node::role_admin(a.role("member")))
+        let g = DelegationGraph::new();
+        let id = g.insert(
+            a.delegate(Node::entity(&m), Node::role(a.role("r")))
                 .sign(&a)
                 .unwrap(),
         );
-        certs.push(
-            b.delegate(Node::role(a.role("d3")), Node::role(a.role("member")))
-                .sign(&b)
+        g.insert(
+            a.delegate(Node::entity(&m), Node::role(a.role("other")))
+                .sign(&a)
                 .unwrap(),
         );
-        for c in &certs {
-            plain.insert(c.clone());
-        }
-        let revoked_id = certs[1].id();
-        plain.revoke(revoked_id);
-
-        for shards in [1usize, 3, 16] {
-            let g = ShardedGraph::with_shards(shards);
-            for c in &certs {
-                g.insert(c.clone());
-            }
-            g.revoke(revoked_id);
-            for target in ["d0", "d1", "d2", "d3", "member"] {
-                let t = Node::role(a.role(target));
-                let (want, _) = plain.direct_query(&Node::entity(&m), &t, &opts());
-                let (got, _) = g.direct_query(&Node::entity(&m), &t, &opts());
-                assert_eq!(want, got, "target {target}, shards {shards}");
-            }
-            let (want_s, _) = plain.subject_query(&Node::entity(&m), &opts());
-            let (got_s, _) = g.subject_query(&Node::entity(&m), &opts());
-            assert_eq!(want_s, got_s, "subject query, shards {shards}");
-            let t = Node::role(a.role("member"));
-            let (want_o, _) = plain.object_query(&t, &opts());
-            let (got_o, _) = g.object_query(&t, &opts());
-            assert_eq!(want_o, got_o, "object query, shards {shards}");
-        }
+        assert!(g.remove(id).is_some());
+        assert!(g.remove(id).is_none());
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(0)).len(), 1);
+        g.clear();
+        assert!(g.is_empty());
+        assert!(g.edges_from(&Node::entity(&m), Timestamp(0)).is_empty());
     }
 
     #[test]
-    fn snapshot_preserves_contents() {
+    fn supports_are_keyed_by_issuer_and_right() {
         let a = local("A", 1);
-        let b = local("B", 5);
-        let m = local("M", 2);
-        let g = ShardedGraph::new();
+        let b = local("B", 2);
         let member = a.role("member");
         let grant = a
             .delegate(Node::entity(&b), Node::role_admin(member.clone()))
             .sign(&a)
             .unwrap();
         let support = Proof::from_steps(vec![ProofStep::new(grant)]).unwrap();
-        let id = g.insert_with_supports(
-            b.delegate(Node::entity(&m), Node::role(member.clone()))
-                .sign(&b)
-                .unwrap(),
-            vec![support.clone()],
-        );
-        let other = g.insert(
-            a.delegate(Node::entity(&m), Node::role(a.role("r")))
-                .sign(&a)
-                .unwrap(),
-        );
-        g.revoke(other);
-
-        let snap = g.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(snap.is_revoked(other));
-        assert!(snap.contains(id));
+        let g = DelegationGraph::new();
+        g.provide_support(support.clone());
         assert_eq!(
-            snap.provided_support(b.id(), &Node::role_admin(member.clone())),
-            Some(&support)
+            g.provided_support(b.id(), &Node::role_admin(member.clone())),
+            Some(support)
         );
-        // The snapshot answers queries like the sharded original.
-        let (want, _) = g.direct_query(&Node::entity(&m), &Node::role(member.clone()), &opts());
-        let (got, _) = snap.direct_query(&Node::entity(&m), &Node::role(member), &opts());
-        assert_eq!(want, got);
-        // And converting back keeps everything too.
-        let back = ShardedGraph::from(snap);
-        assert_eq!(back.len(), 2);
-        assert!(back.is_revoked(other));
+        assert_eq!(g.provided_support(a.id(), &Node::role_admin(member)), None);
+        assert_eq!(g.all_supports().len(), 1);
     }
 
     #[test]
-    fn remove_and_purge_unindex_across_shards() {
+    fn metrics_count_structure() {
         let a = local("A", 1);
-        let m = local("M", 2);
-        let g = ShardedGraph::with_shards(4);
-        let keep = g.insert(
-            a.delegate(Node::entity(&m), Node::role(a.role("keep")))
-                .sign(&a)
-                .unwrap(),
-        );
-        g.insert(
-            a.delegate(Node::entity(&m), Node::role(a.role("drop")))
-                .expires(Timestamp(3))
-                .sign(&a)
-                .unwrap(),
-        );
-        assert_eq!(g.purge_expired(Timestamp(10)), 1);
-        assert_eq!(g.len(), 1);
-        assert!(g.remove(keep).is_some());
-        assert!(g.remove(keep).is_none());
-        assert!(g.is_empty());
-        assert!(g.edges_from(&Node::entity(&m), Timestamp(0)).is_empty());
-        g.clear();
-        assert!(g.is_empty());
+        let b = local("B", 2);
+        let m = local("M", 3);
+        let g = DelegationGraph::new();
+        assert_eq!(g.metrics(), GraphMetrics::default());
+
+        let bw = a.attr("bw", drbac_core::AttrOp::Min);
+        g.insert_declaration(&drbac_core::AttrDeclaration::new(bw.clone(), 10.0).unwrap());
+        // Self-certified with attribute.
+        let c1 = a
+            .delegate(Node::entity(&m), Node::role(a.role("r1")))
+            .with_attr(bw, 5.0)
+            .unwrap()
+            .sign(&a)
+            .unwrap();
+        // Third-party.
+        let c2 = b
+            .delegate(Node::role(a.role("r1")), Node::role(a.role("r2")))
+            .sign(&b)
+            .unwrap();
+        let id1 = g.insert(c1);
+        g.insert(c2);
+        g.revoke(id1);
+
+        let metrics = g.metrics();
+        assert_eq!(metrics.delegations, 2);
+        assert_eq!(metrics.revoked, 1);
+        assert_eq!(metrics.third_party, 1);
+        assert_eq!(metrics.with_attributes, 1);
+        assert_eq!(metrics.roles, 2);
+        assert_eq!(metrics.issuers, 2);
+        assert_eq!(metrics.entities, 3, "A, B, M");
+        assert_eq!(metrics.max_out_degree, 1);
+        assert_eq!(metrics.declarations, 1);
+        assert!(metrics.to_string().contains("2 delegations"));
     }
 
     #[test]
     fn concurrent_readers_and_writers_smoke() {
         let a = local("A", 1);
         let users: Vec<LocalEntity> = (0..4).map(|i| local(&format!("U{i}"), 100 + i)).collect();
-        let g = Arc::new(ShardedGraph::new());
+        let g = DelegationGraph::new();
         let role = a.role("r");
         let mut certs = Vec::new();
         for (i, u) in users.iter().enumerate() {
@@ -686,7 +702,7 @@ mod tests {
         }
         std::thread::scope(|s| {
             for chunk in certs.chunks(2) {
-                let g = Arc::clone(&g);
+                let g = &g;
                 s.spawn(move || {
                     for c in chunk {
                         g.insert(c.clone());
@@ -694,7 +710,7 @@ mod tests {
                 });
             }
             for u in &users {
-                let g = Arc::clone(&g);
+                let g = &g;
                 let subject = Node::entity(u);
                 let target = Node::role(role.clone());
                 s.spawn(move || {

@@ -79,8 +79,7 @@ pub fn audit_store_compliance(net: &SimNet, hosts: &[WalletAddr]) -> Vec<StoreVi
     let mut seen: HashSet<(drbac_core::DelegationId, AuditEndpoint)> = HashSet::new();
     for addr in hosts {
         let Some(host) = net.host(addr) else { continue };
-        let certs: Vec<Arc<SignedDelegation>> =
-            host.wallet().with_graph(|g| g.iter().cloned().collect());
+        let certs: Vec<Arc<SignedDelegation>> = host.wallet().with_graph(|g| g.iter_certs());
         for cert in certs {
             let d = cert.delegation();
             if let Some(tag) = d.subject_tag() {
@@ -133,7 +132,7 @@ pub fn redelegations_of(net: &SimNet, registry: &WalletAddr, node: &Node) -> Vec
     let now = host.wallet().now();
     let mut out: BTreeSet<String> = BTreeSet::new();
     host.wallet().with_graph(|g| {
-        for cert in g.outgoing(node, now) {
+        for cert in g.edges_from(node, now) {
             out.insert(cert.delegation().to_string());
         }
     });

@@ -188,16 +188,11 @@ impl HostCore {
     }
 
     /// Drops locally expired delegations and originates one
-    /// invalidation per expiry. Drive after advancing the clock.
+    /// invalidation per expiry. Drive after advancing the clock. Costs
+    /// O(expired): the wallet names the ids it swept, so a lazily booted
+    /// wallet is never hydrated for it.
     pub fn process_expiries(&self) -> Vec<Fanout> {
-        let now = self.wallet.now();
-        let expired: Vec<DelegationId> = self.wallet.with_graph(|g| {
-            g.iter()
-                .filter(|c| c.delegation().is_expired(now))
-                .map(|c| c.id())
-                .collect()
-        });
-        self.wallet.process_expiries();
+        let (expired, _) = self.wallet.process_expiries();
         expired
             .into_iter()
             .map(|delegation| {
@@ -280,6 +275,9 @@ mod tests {
     use crate::testkit::{fx, proof_of, publish, Fx};
     use crate::wire::encode_reply;
     use drbac_core::{AttrDeclaration, AttrOp, Node, SignedAttrDeclaration, Ticks, Timestamp};
+    use drbac_index::{DelegationIndex, MemTable};
+    use drbac_store::WalletStore;
+    use drbac_wallet::DurableWallet;
     use std::sync::Arc;
 
     fn host_at(f: &Fx, addr: &str) -> HostCore {
@@ -471,6 +469,49 @@ mod tests {
         };
         assert_eq!(host.process_expiries(), [owed]);
         assert_eq!(host.process_expiries(), [], "swept once");
+    }
+
+    /// On a lazily booted indexed wallet the sweep finds what lapsed in
+    /// the index's expiry range: it owes the same push and pulls nothing
+    /// else of the wallet off disk.
+    #[test]
+    fn expiry_sweep_of_a_lazily_booted_wallet_hydrates_nothing() {
+        let f = fx();
+        let store = Arc::new(WalletStore::in_memory());
+        let index = Arc::new(DelegationIndex::open(Box::new(MemTable::new())).unwrap());
+        let short = (f.a)
+            .delegate(Node::entity(&f.m), Node::role(f.a.role("short")))
+            .expires(Timestamp(5))
+            .sign(&f.a)
+            .unwrap();
+        {
+            let (w, _) = DurableWallet::open("home", f.clock.clone(), Arc::clone(&store)).unwrap();
+            w.attach_index(Arc::clone(&index));
+            w.publish(short.clone(), vec![]).unwrap();
+            for role in ["r1", "r2", "r3"] {
+                w.publish(f.cert(role), vec![]).unwrap();
+            }
+        }
+        let (wallet, boot) =
+            DurableWallet::open_indexed("home", f.clock.clone(), store, index).unwrap();
+        assert!(boot.lazy && wallet.is_empty(), "nothing hydrated at boot");
+        let host = HostCore::new(wallet.wallet().clone());
+        host.handle(sub(short.id(), "cache"));
+
+        f.clock.advance(Ticks(10));
+        let full_hydrations = || {
+            drbac_obs::global()
+                .counter("drbac.index.hydrate.full.count")
+                .get()
+        };
+        let before = full_hydrations();
+        let owed = Fanout {
+            targets: addrs(&["cache"]),
+            event: event(short.id(), InvalidationReason::Expired),
+        };
+        assert_eq!(host.process_expiries(), [owed]);
+        assert_eq!(full_hydrations(), before, "the sweep hydrated the wallet");
+        assert!(wallet.is_empty());
     }
 
     /// Answers `FetchDelegation` from a script (`Ok(true)` = still

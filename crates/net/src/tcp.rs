@@ -542,9 +542,9 @@ impl Transport for TcpTransport {
 ///
 /// Contrast with [`TcpTransport::request`], which is strict
 /// request/reply per pooled connection: a pipelined client keeps one
-/// socket saturated instead of paying a round trip per request, which
-/// is where the ≥5x single-connection throughput at depth 16 in
-/// `BENCH_daemon.json` comes from.
+/// socket saturated instead of paying a round trip per request. The
+/// benchmark's `front_door` workload (window 16) measures it against
+/// the strict `guard_strict` workload.
 ///
 /// Usage shapes:
 ///

@@ -1,12 +1,11 @@
-//! The centralized oracle: a single [`DelegationGraph`] that receives
-//! every schedule event and defines ground truth for each query.
+//! The centralized oracle: one [`DelegationGraph`] — the same store a
+//! wallet searches — that receives every schedule event and defines
+//! ground truth for each query.
 //!
 //! Generated worlds contain no expiring credentials, so an oracle
 //! answer is a pure function of the delegation/revocation set — it does
 //! not drift with the simulated clock, which is what lets the same
 //! schedule be checked on substrates whose clocks advance differently.
-
-use std::collections::BTreeSet;
 
 use drbac_core::{DelegationId, Proof, Timestamp};
 use drbac_graph::{DelegationGraph, SearchOptions};
@@ -55,9 +54,9 @@ impl Oracle {
         self.graph.direct_query(&q.subject, &q.object, &opts).0
     }
 
-    /// Ids revoked so far.
-    pub fn revoked(&self) -> &BTreeSet<DelegationId> {
-        self.graph.revoked()
+    /// `true` if `id` has been revoked so far.
+    pub fn is_revoked(&self, id: DelegationId) -> bool {
+        self.graph.is_revoked(id)
     }
 
     /// The underlying union graph (e.g. for declaration lookups).

@@ -44,8 +44,6 @@ pub struct RunConfig {
     /// Additionally run a partition→heal and a crash→restart cycle at
     /// 1/3, 1/2, and 2/3 of the schedule.
     pub chaos_cycle: bool,
-    /// Override the proof-search worker count on every wallet.
-    pub workers: Option<usize>,
 }
 
 impl RunConfig {
@@ -67,14 +65,7 @@ impl RunConfig {
                     .with_latency_jitter(Ticks(1)),
             ),
             chaos_cycle: true,
-            workers: None,
         }
-    }
-
-    /// Sets the per-wallet proof-search worker count.
-    pub fn with_workers(mut self, workers: usize) -> RunConfig {
-        self.workers = Some(workers);
-        self
     }
 }
 
@@ -218,7 +209,7 @@ pub(crate) fn execute<S: Substrate>(
                         && (q.constraints.is_empty()
                             || proof
                                 .accumulate()
-                                .satisfies(&q.constraints, st.oracle.graph().declarations()));
+                                .satisfies(&q.constraints, &st.oracle.graph().declarations()));
                     if !sound {
                         unsound += 1;
                     }
@@ -264,10 +255,11 @@ pub(crate) fn execute<S: Substrate>(
     // Session termination: every monitor whose proof depends on a
     // revoked delegation must be dead — by push, or failing that by
     // the pull-based recovery sweep.
-    let revoked = st.oracle.revoked().clone();
+    let depends_on_revoked =
+        |ids: &BTreeSet<DelegationId>| ids.iter().any(|id| st.oracle.is_revoked(*id));
     let expected_dead: Vec<&(ProofMonitor, BTreeSet<DelegationId>)> = monitors
         .iter()
-        .filter(|(_, ids)| ids.iter().any(|id| revoked.contains(id)))
+        .filter(|(_, ids)| depends_on_revoked(ids))
         .collect();
     sub.await_terminations(&mut || expected_dead.iter().all(|(m, _)| !m.is_valid()));
     let alive_before_sweep = expected_dead.iter().filter(|(m, _)| m.is_valid()).count();
@@ -279,7 +271,7 @@ pub(crate) fn execute<S: Substrate>(
     let monitors_repaired = alive_before_sweep - termination_failures;
     let spurious_terminations = monitors
         .iter()
-        .filter(|(m, ids)| !m.is_valid() && !ids.iter().any(|id| revoked.contains(id)))
+        .filter(|(m, ids)| !m.is_valid() && !depends_on_revoked(ids))
         .count();
 
     let (publishes, declarations, revocations, _) = scenario.counts();
@@ -324,25 +316,17 @@ pub struct SimFederation {
 
 impl SimFederation {
     /// Deploys `scenario`'s federation on a fresh [`SimNet`] under
-    /// `cfg` (faults installed, workers applied), without running the
-    /// schedule yet.
+    /// `cfg` (faults installed), without running the schedule yet.
     pub fn deploy(scenario: &Scenario, cfg: &RunConfig) -> SimFederation {
         let clock = SimClock::new();
         let net = SimNet::new(clock.clone(), Ticks(1));
         let hosts: Vec<WalletHost> = (0..scenario.wallets())
             .map(|i| {
                 let addr = Scenario::wallet_addr(i);
-                let host = net.add_host(addr.as_str(), Wallet::new(addr.as_str(), clock.clone()));
-                if let Some(w) = cfg.workers {
-                    host.wallet().set_search_workers(w);
-                }
-                host
+                net.add_host(addr.as_str(), Wallet::new(addr.as_str(), clock.clone()))
             })
             .collect();
         let gateway = net.add_host("fed.gateway", Wallet::new("fed.gateway", clock.clone()));
-        if let Some(w) = cfg.workers {
-            gateway.wallet().set_search_workers(w);
-        }
         let agent = DiscoveryAgent::new(net.clone(), &gateway, scenario.directory());
         net.set_fault_plan(cfg.faults.clone());
         let wallets = scenario.wallets();
@@ -493,16 +477,17 @@ pub struct TcpFederation {
 impl TcpFederation {
     /// Binds one daemon per org wallet on `127.0.0.1:0`, routes the
     /// transport, and opens the per-daemon push links.
-    pub fn deploy(scenario: &Scenario, workers: Option<usize>) -> Result<TcpFederation, NetError> {
+    ///
+    /// `_workers` is ignored: proof search is sequential. The parameter
+    /// stays only because the benchmark harness calls
+    /// `deploy(&scenario, None)` and its source is frozen.
+    pub fn deploy(scenario: &Scenario, _workers: Option<usize>) -> Result<TcpFederation, NetError> {
         let clock = SimClock::new();
         let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
         let mut daemons = Vec::with_capacity(scenario.wallets());
         for i in 0..scenario.wallets() {
             let addr = Scenario::wallet_addr(i);
             let wallet = Wallet::new(addr.as_str(), clock.clone());
-            if let Some(w) = workers {
-                wallet.set_search_workers(w);
-            }
             // One request worker per daemon: the default pool (one per
             // core) is sized for a daemon that owns its host, and here a
             // whole federation of them shares this process.
@@ -516,9 +501,6 @@ impl TcpFederation {
             daemons.push(daemon);
         }
         let gateway = Wallet::new("fed.gateway", clock.clone());
-        if let Some(w) = workers {
-            gateway.set_search_workers(w);
-        }
         let links = (0..daemons.len())
             .map(|i| {
                 SubscriberLink::open(
@@ -636,8 +618,8 @@ pub fn run_simnet(scenario: &Scenario, cfg: &RunConfig) -> SoakReport {
 }
 
 /// Deploys and soaks `scenario` on a real TCP daemon federation.
-pub fn run_tcp(scenario: &Scenario, workers: Option<usize>) -> Result<SoakReport, NetError> {
-    let mut fed = TcpFederation::deploy(scenario, workers)?;
+pub fn run_tcp(scenario: &Scenario) -> Result<SoakReport, NetError> {
+    let mut fed = TcpFederation::deploy(scenario, None)?;
     let report = fed.soak(scenario);
     fed.shutdown();
     Ok(report)

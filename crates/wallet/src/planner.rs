@@ -386,13 +386,10 @@ impl Wallet {
         index: &DelegationIndex,
         watermark: u64,
     ) -> Result<(), StoreError> {
-        let mut certs: Vec<Arc<SignedDelegation>> = Vec::new();
-        self.state
-            .graph
-            .for_each_cert(&mut |cert| certs.push(Arc::clone(cert)));
+        let certs = self.state.graph.iter_certs();
         let supports = self.state.graph.all_supports();
         let declarations = self.state.signed_declarations.lock().clone();
-        let revoked: Vec<DelegationId> = self.state.graph.revoked_ids().into_iter().collect();
+        let revoked = self.revocation_history();
         let absorbed: Vec<_> = self
             .state
             .cache_meta
@@ -410,5 +407,12 @@ impl Wallet {
             },
             watermark,
         )
+    }
+
+    /// Every revocation mark the wallet ever recorded, in id order: the
+    /// O(history) read that only whole-wallet rebuilds pay — the index
+    /// rebuild above and the image export (`Wallet::export_bytes`).
+    pub(crate) fn revocation_history(&self) -> Vec<DelegationId> {
+        self.state.graph.revoked_ids().into_iter().collect()
     }
 }

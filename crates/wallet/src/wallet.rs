@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use drbac_core::{
@@ -10,7 +10,7 @@ use drbac_core::{
     SignedDelegation, SignedRevocation, SimClock, Ticks, Timestamp, ValidationContext,
     ValidationError, WalletAddr,
 };
-use drbac_graph::{DelegationGraph, SearchOptions, SearchStats, ShardedGraph};
+use drbac_graph::{DelegationGraph, SearchOptions, SearchStats};
 use drbac_store::{StoreEvent, WalletStore};
 use parking_lot::Mutex;
 
@@ -200,7 +200,7 @@ pub(crate) struct WalletState {
     /// The delegation store, sharded behind per-shard locks so concurrent
     /// provers and publishers don't serialize (there is deliberately no
     /// outer wallet-wide graph lock any more).
-    pub(crate) graph: ShardedGraph,
+    pub(crate) graph: DelegationGraph,
     subscriptions: Mutex<HashMap<DelegationId, Vec<(SubscriptionId, SubCallback)>>>,
     monitors: Mutex<HashMap<DelegationId, Vec<Weak<MonitorCore>>>>,
     watches: Mutex<Vec<ProofWatch>>,
@@ -215,8 +215,6 @@ pub(crate) struct WalletState {
     /// (singleflight) instead of repeating it.
     inflight: Mutex<HashMap<QueryKey, Arc<Flight>>>,
     cache_enabled: std::sync::atomic::AtomicBool,
-    /// Worker threads used for parallel proof search (1 = sequential).
-    search_workers: AtomicUsize,
     /// The attached write-ahead store, if any. Mutations are journaled
     /// here *before* they are applied to the graph.
     pub(crate) journal: Mutex<Option<Arc<WalletStore>>>,
@@ -284,7 +282,7 @@ impl Wallet {
             state: Arc::new(WalletState {
                 addr: addr.into(),
                 clock,
-                graph: ShardedGraph::new(),
+                graph: DelegationGraph::new(),
                 subscriptions: Mutex::new(HashMap::new()),
                 monitors: Mutex::new(HashMap::new()),
                 watches: Mutex::new(Vec::new()),
@@ -294,7 +292,6 @@ impl Wallet {
                 proof_cache: ProofCache::default(),
                 inflight: Mutex::new(HashMap::new()),
                 cache_enabled: std::sync::atomic::AtomicBool::new(true),
-                search_workers: AtomicUsize::new(1),
                 journal: Mutex::new(None),
                 index: Mutex::new(None),
                 expiry_heap: Mutex::new(std::collections::BinaryHeap::new()),
@@ -361,31 +358,16 @@ impl Wallet {
         }
     }
 
-    /// Sets how many worker threads proof searches may use (clamped to at
-    /// least 1; 1 means sequential search).
-    pub fn set_search_workers(&self, workers: usize) {
-        self.state
-            .search_workers
-            .store(workers.max(1), Ordering::SeqCst);
-    }
-
-    /// Current proof-search worker-pool size.
-    pub fn search_workers(&self) -> usize {
-        self.state.search_workers.load(Ordering::SeqCst)
-    }
-
     /// Number of direct-query answers currently held in the proof cache
     /// (diagnostics; both positive and negative answers count).
     pub fn cached_query_answers(&self) -> usize {
         self.state.proof_cache.len()
     }
 
-    /// Search options for the current time/constraints, carrying the
-    /// configured worker-pool size.
+    /// Search options for the current time and constraints.
     fn search_opts(&self, now: Timestamp, constraints: &[AttrConstraint]) -> SearchOptions {
         let mut opts = SearchOptions::at(now);
         opts.constraints = constraints.to_vec();
-        opts.workers = self.search_workers();
         opts
     }
 
@@ -402,7 +384,7 @@ impl Wallet {
     /// captures the cache epoch before it searches, so an answer that
     /// raced a revoke is never stored, and `flight_answer_fresh`
     /// re-checks every credential of a coalesced answer.
-    fn validation_ctx(&self, now: Timestamp) -> ValidationContext<&ShardedGraph> {
+    fn validation_ctx(&self, now: Timestamp) -> ValidationContext<&DelegationGraph> {
         drbac_obs::static_counter!("drbac.wallet.validation_ctx.count").inc();
         ValidationContext::at(now)
             .with_declarations(self.state.graph.declarations())
@@ -1103,9 +1085,11 @@ impl Wallet {
     }
 
     /// Drops expired delegations, notifying their subscribers and
-    /// monitors. Returns `(expired_count, notifications)`. Drive this
-    /// after advancing the clock.
-    pub fn process_expiries(&self) -> (usize, usize) {
+    /// monitors. Returns `(expired_ids, notifications)`: the ids it
+    /// removed, found in O(expired), so a caller that fans the expiries
+    /// out never has to look at the rest of the wallet. Drive this after
+    /// advancing the clock.
+    pub fn process_expiries(&self) -> (Vec<DelegationId>, usize) {
         let now = self.now();
         // Route via the `e/` expiry index when attached (one range scan
         // over exactly the lapsed entries), else the in-memory min-heap;
@@ -1130,7 +1114,7 @@ impl Wallet {
             });
         }
         drbac_obs::static_counter!("drbac.wallet.expired.count").add(expired.len() as u64);
-        (expired.len(), notifications)
+        (expired, notifications)
     }
 
     /// Delivers an event to local subscribers and proof monitors. Used
@@ -1201,16 +1185,16 @@ impl Wallet {
         delivered
     }
 
-    /// Read access to a point-in-time [`DelegationGraph`] snapshot of the
-    /// sharded store, for diagnostics, experiments, and oracle checks.
-    /// This materializes the whole graph — prefer the direct accessors
-    /// ([`Wallet::is_revoked`], [`Wallet::get`], the query methods) on
-    /// hot paths.
+    /// Read access to the wallet's live [`DelegationGraph`], for
+    /// diagnostics, experiments, and oracle checks. A lazily booted
+    /// wallet is fully hydrated from its index first, so this is a
+    /// whole-wallet view and costs O(wallet) once — prefer the direct
+    /// accessors ([`Wallet::is_revoked`], [`Wallet::get`], the query
+    /// methods) on hot paths. The graph is not frozen: writes that race
+    /// `f` may or may not be visible to it.
     pub fn with_graph<T>(&self, f: impl FnOnce(&DelegationGraph) -> T) -> T {
-        // A whole-wallet view: a lazily booted wallet must pull the
-        // rest of its credentials from the index first.
         self.hydrate_all();
-        f(&self.state.graph.snapshot())
+        f(&self.state.graph)
     }
 
     /// Serializes the wallet's durable contents — credentials, provided
@@ -1225,10 +1209,10 @@ impl Wallet {
         // The export must cover *everything* — a lazily booted wallet
         // would otherwise snapshot only its hydrated neighborhoods.
         self.hydrate_all();
-        let graph = self.state.graph.snapshot();
+        let graph = &self.state.graph;
         let mut w = Writer::tagged(b"drbac-wallet-v1");
 
-        let certs: Vec<Arc<SignedDelegation>> = graph.iter().cloned().collect();
+        let certs = graph.iter_certs();
         w.u64(certs.len() as u64);
         for cert in &certs {
             cert.as_ref().encode(&mut w);
@@ -1246,7 +1230,7 @@ impl Wallet {
             w.bytes(&decl.to_bytes());
         }
 
-        let revoked: Vec<DelegationId> = graph.revoked().iter().copied().collect();
+        let revoked = self.revocation_history();
         w.u64(revoked.len() as u64);
         for id in revoked {
             w.bytes(&id.0);
@@ -1467,7 +1451,7 @@ pub struct RecoveryReport {
 }
 
 /// Recursively registers every support proof found in `proof`.
-fn register_supports(graph: &ShardedGraph, proof: &Proof) {
+fn register_supports(graph: &DelegationGraph, proof: &Proof) {
     for step in proof.steps() {
         for support in step.supports() {
             graph.provide_support(support.clone());
@@ -1688,7 +1672,7 @@ mod tests {
 
         f.clock.advance(Ticks(11));
         let (expired, notified) = f.wallet.process_expiries();
-        assert_eq!(expired, 1);
+        assert_eq!(expired.len(), 1);
         assert_eq!(notified, 1);
         assert!(!monitor.is_valid());
         assert!(f.wallet.is_empty());

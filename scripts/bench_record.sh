@@ -2,8 +2,6 @@
 # Records the benchmark artifacts at the repo root:
 #   proof  -> BENCH_proof_engine.json  (proof-query throughput at
 #             1/2/4/8 prover threads, cold vs warm proof cache)
-#   daemon -> BENCH_daemon.json        (loopback daemon throughput and
-#             latency percentiles under concurrent mixed load)
 #   wallet -> BENCH_wallet_ops.json    (indexed boot + query latency vs
 #             journal replay / graph walk at 10^4..10^6 delegations)
 #   federation -> BENCH_federation.json (coalition-scale soak: every
@@ -11,7 +9,7 @@
 #             SimNet, and a ≥100-daemon TCP federation, with oracle
 #             equivalence and cross-substrate proof parity enforced)
 #
-# Usage: scripts/bench_record.sh [proof|daemon|wallet|federation|all] [--smoke]
+# Usage: scripts/bench_record.sh [proof|wallet|federation|all] [--smoke]
 #   --smoke   tiny op counts, no acceptance thresholds — used by
 #             scripts/check.sh to keep the pipeline honest and fast.
 #             Smoke runs write to throwaway paths so the committed
@@ -27,9 +25,9 @@ target="all"
 smoke=""
 for arg in "$@"; do
     case "$arg" in
-        proof|daemon|wallet|federation|all) target="$arg" ;;
+        proof|wallet|federation|all) target="$arg" ;;
         --smoke) smoke="--smoke" ;;
-        *) echo "usage: scripts/bench_record.sh [proof|daemon|wallet|federation|all] [--smoke]" >&2; exit 2 ;;
+        *) echo "usage: scripts/bench_record.sh [proof|wallet|federation|all] [--smoke]" >&2; exit 2 ;;
     esac
 done
 
@@ -48,15 +46,4 @@ if [[ "$target" == "federation" || "$target" == "all" ]]; then
     # Smoke writes to target/BENCH_federation.smoke.json by default, so
     # the committed full-run artifact is never clobbered.
     target/release/federation_record $smoke
-fi
-
-if [[ "$target" == "daemon" || "$target" == "all" ]]; then
-    cargo build --release -p drbac-bench --bin load_test
-    if [[ -n "$smoke" ]]; then
-        out="$(mktemp /tmp/bench_daemon_smoke.XXXXXX.json)"
-        target/release/load_test --smoke --out "$out"
-        rm -f "$out"
-    else
-        target/release/load_test
-    fi
 fi

@@ -31,8 +31,9 @@ echo "== arithmetic kernel (differential proptests against the naive oracle, 102
 PROPTEST_CASES=1024 cargo test -q --release -p drbac-bignum -p drbac-crypto
 
 echo "== work ledger (a write costs what it changes: counts, no clock) =="
-# `ShardedGraph::revoked_ids` copies every revocation mark the wallet
-# ever recorded; only the index rebuild in planner.rs may pay that.
+# `DelegationGraph::revoked_ids` copies every revocation mark the wallet
+# ever recorded; only the whole-wallet rebuilds routed through planner.rs
+# (the index rebuild and the image export) may pay that.
 # Everything before a file's first #[cfg(test)] counts as a caller.
 callers=$(find crates src -name '*.rs' ! -name planner.rs -print0 | xargs -0 awk '
     FNR == 1 { tests = 0 }
@@ -71,7 +72,7 @@ for seed in 1 2 3; do
     DRBAC_CHAOS_SEED=$seed cargo test -q --test distributed_soak --test scenario_determinism
 done
 
-echo "== bench smoke (proof engine + wallet ops + daemon load + federation soak) =="
+echo "== bench smoke (proof engine + wallet ops + federation soak) =="
 scripts/bench_record.sh all --smoke >/dev/null
 test -s target/BENCH_proof_engine.smoke.json
 test -s target/BENCH_wallet_ops.smoke.json
@@ -82,9 +83,6 @@ target/release/proof_engine_record --guard
 
 echo "== boot guard (indexed wallet boot vs committed artifact) =="
 target/release/wallet_ops_record --guard
-
-echo "== daemon guard (pipelined front-door throughput vs committed artifact) =="
-target/release/load_test --guard
 
 echo "== benchmark selftest (all four workloads --quick, correctness oracles on) =="
 bash benchmark/selftest.sh

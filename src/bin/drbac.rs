@@ -70,7 +70,6 @@ fn main() -> ExitCode {
 
 fn run(mut args: Vec<String>) -> Result<String, String> {
     let home = extract_home(&mut args)?;
-    let workers = extract_workers(&mut args)?;
     let remote = extract_remote(&mut args)?;
     let Some(command) = args.first().cloned() else {
         return Err(usage());
@@ -93,7 +92,6 @@ fn run(mut args: Vec<String>) -> Result<String, String> {
         }
     }
     let mut ctx = Context::load(&home)?;
-    ctx.wallet.wallet().set_search_workers(workers);
     // `--remote` routes wallet operations to a `drbac serve` daemon
     // over TCP; signing still happens locally with this context's keys.
     if let Some(addr) = remote {
@@ -128,8 +126,7 @@ fn run(mut args: Vec<String>) -> Result<String, String> {
 }
 
 fn usage() -> String {
-    "usage: drbac [--home DIR] [--workers N] [--remote HOST:PORT] <command>\n\
-     (--workers N / DRBAC_WORKERS sizes the parallel proof-search pool; default 1)\n\
+    "usage: drbac [--home DIR] [--remote HOST:PORT] <command>\n\
      (--remote ADDR / DRBAC_REMOTE routes query/delegate/declare/revoke to a daemon)\n\
      commands:\n\
      \x20 serve <host:port> [--trace-out FILE] [--io-workers N] [--max-conns N] [--max-inflight N]\n\
@@ -742,30 +739,6 @@ fn extract_home(args: &mut Vec<String>) -> Result<PathBuf, String> {
     Ok(PathBuf::from("drbac-home"))
 }
 
-/// Pulls a global `--workers N` flag (fallback: `DRBAC_WORKERS`) sizing
-/// the wallet's parallel proof-search pool. Defaults to 1 (sequential).
-fn extract_workers(args: &mut Vec<String>) -> Result<usize, String> {
-    let raw = if let Some(pos) = args.iter().position(|a| a == "--workers") {
-        if pos + 1 >= args.len() {
-            return Err("--workers requires a thread count".into());
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        Some(value)
-    } else {
-        std::env::var("DRBAC_WORKERS").ok()
-    };
-    match raw {
-        None => Ok(1),
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "--workers must be a positive integer, got {value:?}"
-            )),
-        },
-    }
-}
-
 /// Pulls a global `--remote ADDR` flag (fallback: `DRBAC_REMOTE`)
 /// routing wallet operations to a `drbac serve` daemon.
 fn extract_remote(args: &mut Vec<String>) -> Result<Option<String>, String> {
@@ -1014,7 +987,7 @@ impl Context {
         let ctx = self.syntax();
         let mut out = String::new();
         self.wallet.with_graph(|g| {
-            for cert in g.iter() {
+            for cert in g.iter_certs() {
                 let revoked = if g.is_revoked(cert.id()) {
                     " [revoked]"
                 } else {
@@ -1144,9 +1117,9 @@ impl Context {
             return Err("usage: export-cert <id-prefix> <file>".into());
         };
         let matches: Vec<_> = self.wallet.with_graph(|g| {
-            g.iter()
+            g.iter_certs()
+                .into_iter()
                 .filter(|c| c.id().to_string().starts_with(prefix.as_str()))
-                .cloned()
                 .collect()
         });
         let cert = match matches.as_slice() {
@@ -1183,9 +1156,9 @@ impl Context {
             return Err("usage: revoke <id-prefix> (see `drbac list`)".into());
         };
         let matches: Vec<_> = self.wallet.with_graph(|g| {
-            g.iter()
+            g.iter_certs()
+                .into_iter()
                 .filter(|c| c.id().to_string().starts_with(prefix.as_str()))
-                .cloned()
                 .collect()
         });
         let cert = match matches.as_slice() {
@@ -1407,9 +1380,9 @@ impl Context {
             return Err("usage: revoke <id-prefix> (see `drbac list`)".into());
         };
         let matches: Vec<_> = self.wallet.with_graph(|g| {
-            g.iter()
+            g.iter_certs()
+                .into_iter()
                 .filter(|c| c.id().to_string().starts_with(prefix.as_str()))
-                .cloned()
                 .collect()
         });
         let cert = match matches.as_slice() {

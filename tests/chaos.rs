@@ -187,8 +187,11 @@ fn store_backed_restart_recovers_committed_state_across_seeds() {
         let snapshot = |h: &drbac::net::WalletHost| {
             h.wallet().with_graph(|g| {
                 (
-                    g.iter().map(|c| c.id()).collect::<BTreeSet<_>>(),
-                    g.revoked().clone(),
+                    g.iter_certs()
+                        .iter()
+                        .map(|c| c.id())
+                        .collect::<BTreeSet<_>>(),
+                    g.revoked_ids(),
                 )
             })
         };

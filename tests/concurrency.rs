@@ -167,13 +167,6 @@ fn shared_clock_and_wallet_clones_are_coherent() {
     assert!(wallet.is_empty());
 }
 
-/// Normalizes a query result set to the delegation-id sets of its
-/// proofs, preserving order — the deterministic-ordering guarantee means
-/// two searches over the *same graph* must produce the same list.
-fn id_sets(proofs: &[Proof]) -> Vec<BTreeSet<DelegationId>> {
-    proofs.iter().map(|p| p.delegation_ids()).collect()
-}
-
 /// Normalizes a query result set to the proven relationships. Two
 /// wallets holding the same credentials must prove the same
 /// relationships, though each may pick a different representative proof
@@ -186,7 +179,7 @@ fn relationships(proofs: &[Proof]) -> BTreeSet<String> {
 }
 
 /// Prover threads hammer direct/subject/object queries (through the
-/// proof cache and the parallel search pool) while writer threads
+/// proof cache) while writer threads
 /// publish and revoke. After quiesce, every answer must equal a fresh
 /// single-threaded, cache-disabled search over the same credentials
 /// (oracle check), and a post-quiesce revocation sweep must fire the
@@ -201,7 +194,6 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
         .collect();
     let clock = SimClock::new();
     let wallet = Wallet::new("oracle-race", clock.clone());
-    wallet.set_search_workers(4);
 
     let per_user = 10usize;
     let mut certs: Vec<Vec<SignedDelegation>> = Vec::new();
@@ -240,7 +232,7 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
             });
         }
         // Provers: direct queries (cache + monitors) and subject/object
-        // sweeps (parallel frontier), racing the writers.
+        // sweeps, racing the writers.
         for prover in 0..3usize {
             let wallet = wallet.clone();
             let owner = Arc::clone(&owner);
@@ -289,12 +281,11 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
         }
     }
 
-    // Build the oracle: a fresh wallet on the same clock with
-    // the cache off and a single-threaded search pool, fed the exported
-    // image (credentials, supports, and revocation marks).
+    // Build the oracle: a fresh wallet on the same clock with the cache
+    // off, fed the exported image (credentials, supports, and revocation
+    // marks).
     let oracle = Wallet::new("oracle", clock);
     oracle.set_query_cache(false);
-    oracle.set_search_workers(1);
     let report = oracle.import_bytes(&wallet.export_bytes()).unwrap();
     assert_eq!(report.credentials, users.len() * per_user);
 
@@ -321,30 +312,6 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
         relationships(&oracle.query_object(&role, &[])),
         "object query diverged from the oracle"
     );
-
-    // Determinism across pool sizes: on the SAME graph, the 4-worker
-    // pool must produce exactly the single-threaded result list, order
-    // included.
-    let parallel_subject: Vec<Vec<BTreeSet<DelegationId>>> = users
-        .iter()
-        .map(|u| id_sets(&wallet.query_subject(&Node::entity(u.as_ref()), &[])))
-        .collect();
-    let parallel_object = id_sets(&wallet.query_object(&role, &[]));
-    wallet.set_search_workers(1);
-    for (u, expected) in users.iter().zip(&parallel_subject) {
-        assert_eq!(
-            &id_sets(&wallet.query_subject(&Node::entity(u.as_ref()), &[])),
-            expected,
-            "{}: worker pool size changed the subject-query ordering",
-            u.name()
-        );
-    }
-    assert_eq!(
-        id_sets(&wallet.query_object(&role, &[])),
-        parallel_object,
-        "worker pool size changed the object-query ordering"
-    );
-    wallet.set_search_workers(4);
 
     // Post-quiesce sweep: revoke every surviving credential of the first
     // user. Every monitor holding a (possibly cached) proof that depends
@@ -384,19 +351,17 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
     assert!(checked > 0, "the sweep invalidated at least one monitored proof");
 }
 
-/// Cross-seed, cross-pool-size engine oracle: the optimized search
-/// engine (interned ids, parent-pointer proof assembly, batched frontier
-/// expansion) must produce **byte-identical** proofs to the preserved
-/// pre-interning reference engine (`drbac::graph::reference`) on
-/// randomized tangled graphs — for every query form, with and without
-/// constraints, at every worker-pool size. Seeds come from
+/// Cross-seed engine oracle: the optimized search engine (interned ids,
+/// parent-pointer proof assembly) must produce **byte-identical** proofs
+/// to the preserved pre-interning reference engine
+/// (`drbac::graph::reference`) on randomized tangled graphs — for every
+/// query form, with and without constraints. Seeds come from
 /// `DRBAC_CHAOS_SEED` (default 2002) plus two derived values, so CI runs
 /// with different seeds cover different graph shapes.
 #[test]
 fn optimized_engine_matches_reference_engine_byte_for_byte() {
     use drbac::core::{AttrConstraint, AttrDeclaration, AttrOp, Timestamp};
-    use drbac::graph::{direct_query_on, object_query_on, reference, subject_query_on};
-    use drbac::graph::{DelegationGraph, SearchOptions};
+    use drbac::graph::{reference, DelegationGraph, SearchOptions};
     use rand::Rng;
 
     let base: u64 = std::env::var("DRBAC_CHAOS_SEED")
@@ -411,7 +376,7 @@ fn optimized_engine_matches_reference_engine_byte_for_byte() {
         let partner = LocalEntity::generate("Par", g.clone(), &mut rng);
         let maria = LocalEntity::generate("Maria", g.clone(), &mut rng);
         let bw = owner.attr("BW", AttrOp::Min);
-        let mut graph = DelegationGraph::new();
+        let graph = DelegationGraph::new();
         graph.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
 
         // Random layered mesh: 12 roles, 40 random edges (possible
@@ -464,33 +429,30 @@ fn optimized_engine_matches_reference_engine_byte_for_byte() {
         ];
         for opts in &variants {
             let bytes = |p: &Proof| p.to_bytes();
-            for workers in [1usize, 2, 4, 8] {
-                let o = opts.clone().with_workers(workers);
-                for target in &nodes {
-                    let (want, _) = reference::direct_query_ref(&graph, &subject, target, opts);
-                    let (got, _) = direct_query_on(&graph, &subject, target, &o);
-                    assert_eq!(
-                        want.as_ref().map(bytes),
-                        got.as_ref().map(bytes),
-                        "seed {seed} workers {workers}: direct_query({target}) diverged"
-                    );
-                }
-                let (want, _) = reference::subject_query_ref(&graph, &subject, opts);
-                let (got, _) = subject_query_on(&graph, &subject, &o);
+            for target in &nodes {
+                let (want, _) = reference::direct_query_ref(&graph, &subject, target, opts);
+                let (got, _) = graph.direct_query(&subject, target, opts);
+                assert_eq!(
+                    want.as_ref().map(bytes),
+                    got.as_ref().map(bytes),
+                    "seed {seed}: direct_query({target}) diverged"
+                );
+            }
+            let (want, _) = reference::subject_query_ref(&graph, &subject, opts);
+            let (got, _) = graph.subject_query(&subject, opts);
+            assert_eq!(
+                want.iter().map(bytes).collect::<Vec<_>>(),
+                got.iter().map(bytes).collect::<Vec<_>>(),
+                "seed {seed}: subject_query diverged"
+            );
+            for target in &roles {
+                let (want, _) = reference::object_query_ref(&graph, target, opts);
+                let (got, _) = graph.object_query(target, opts);
                 assert_eq!(
                     want.iter().map(bytes).collect::<Vec<_>>(),
                     got.iter().map(bytes).collect::<Vec<_>>(),
-                    "seed {seed} workers {workers}: subject_query diverged"
+                    "seed {seed}: object_query({target}) diverged"
                 );
-                for target in &roles {
-                    let (want, _) = reference::object_query_ref(&graph, target, opts);
-                    let (got, _) = object_query_on(&graph, target, &o);
-                    assert_eq!(
-                        want.iter().map(bytes).collect::<Vec<_>>(),
-                        got.iter().map(bytes).collect::<Vec<_>>(),
-                        "seed {seed} workers {workers}: object_query({target}) diverged"
-                    );
-                }
             }
         }
     }

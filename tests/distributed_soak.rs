@@ -104,7 +104,7 @@ fn simnet_and_tcp_federations_produce_byte_identical_proofs() {
             .with_scale(Scale::smoke())
             .generate();
         let sim = run_simnet(&scenario, &RunConfig::fault_free());
-        let tcp = run_tcp(&scenario, None).expect("tcp federation deploys");
+        let tcp = run_tcp(&scenario).expect("tcp federation deploys");
         assert_eq!(tcp.unsound, 0, "{family}: tcp proofs validate");
         assert_eq!(tcp.hard_mismatches(), 0, "{family}: tcp oracle divergence");
         assert_eq!(tcp.termination_failures, 0, "{family}: tcp termination");
@@ -208,7 +208,7 @@ mod completeness_property {
                 }
             };
 
-            let mut oracle = DelegationGraph::new();
+            let oracle = DelegationGraph::new();
             for (serial, (s, o)) in world.edges.iter().enumerate() {
                 let subject = node(*s);
                 let object = node(o + 2);

@@ -471,7 +471,7 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     // The audit sweep (index-routed vs full scan) and revocation lookups.
     if audit_report(&reborn) != audit_report(&full) {
         let ids = |w: &DurableWallet| {
-            w.with_graph(|g| g.iter().map(|c| format!("{:?}", c.id())).collect::<BTreeSet<_>>())
+            w.with_graph(|g| g.iter_certs().iter().map(|c| format!("{:?}", c.id())).collect::<BTreeSet<_>>())
         };
         let (ri, fi) = (ids(&reborn), ids(&full));
         let only_r: Vec<_> = ri.difference(&fi).collect();
@@ -501,17 +501,17 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     let swept_reborn = reborn.process_expiries();
     let swept_full = full.process_expiries();
     assert!(
-        swept_reborn.0 >= swept_full.0,
+        swept_reborn.0.len() >= swept_full.0.len(),
         "{ctx}: indexed sweep removed fewer certs ({} < {})",
-        swept_reborn.0,
-        swept_full.0
+        swept_reborn.0.len(),
+        swept_full.0.len()
     );
 
     let graph_view = |w: &DurableWallet| {
         w.with_graph(|g| {
             (
-                g.iter().map(|c| c.id()).collect::<BTreeSet<_>>(),
-                g.revoked().clone(),
+                g.iter_certs().iter().map(|c| c.id()).collect::<BTreeSet<_>>(),
+                g.revoked_ids(),
             )
         })
     };

@@ -13,6 +13,11 @@
 //! allocator shows the heap allocations of an exponentiation do not grow
 //! with its exponent.
 //!
+//! The third claim is the paper's §4.2.3 search argument (experiment
+//! F-A): the edges each strategy considers on the funnels and layered
+//! DAGs of `crates/bench/benches/search_strategies.rs`, built from the
+//! same seeds, are pinned whole.
+//!
 //! The counts are deltas of process-global `drbac.*` counters, so the
 //! ledger lives in its own test binary and its tests run one at a time
 //! (they hold [`SERIAL`]): nothing else in the process validates a proof
@@ -24,12 +29,15 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use drbac::baselines::strategy::{bidirectional_search, forward_search, reverse_search};
+use drbac::baselines::workload::{funnel, layered_dag, WorkloadSpec};
 use drbac::bignum::BigUint;
 use drbac::core::{
     DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator, RevocationLookup,
     SignedDelegation, SignedRevocation, SimClock, Timestamp, ValidationContext,
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
+use drbac::graph::SearchOptions;
 use drbac::store::WalletStore;
 use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
@@ -91,7 +99,7 @@ const READS: &str = "drbac.core.proof.revocation_read.count";
 const VALIDATIONS: &str = "drbac.core.proof.validate.count";
 /// Validation contexts the wallet built.
 const CONTEXTS: &str = "drbac.wallet.validation_ctx.count";
-/// Calls of `ShardedGraph::revoked_ids` — the O(history) copy.
+/// Calls of `DelegationGraph::revoked_ids` — the O(history) copy.
 const FULL_COPIES: &str = "drbac.graph.revoked_ids.count";
 /// Cache entries an addition's negative sweep looked at.
 const SWEPT: &str = "drbac.graph.proof_cache.negative_sweep.visited.count";
@@ -435,5 +443,94 @@ fn a_verify_costs_one_exponentiation_for_a_key_seen_before() {
         allocations(|| g.pow_g_mul(&short, y, &short)),
         allocations(|| g.pow_g_mul(&long, y, &long)),
         "joint exponentiation allocations grew with the exponent"
+    );
+}
+
+/// Edges considered by `(forward, reverse, bidirectional)` search on a
+/// funnel built exactly as the F-A bench builds it.
+fn funnel_edges(branching: usize, depth: usize, wide_forward: bool, seed: u64) -> [usize; 3] {
+    let w = funnel(
+        branching,
+        depth,
+        wide_forward,
+        &mut StdRng::seed_from_u64(seed),
+    );
+    let now = Timestamp(0);
+    let runs = [
+        forward_search(&w.graph, &w.subject, &w.object, now),
+        reverse_search(&w.graph, &w.subject, &w.object, now),
+        bidirectional_search(&w.graph, &w.subject, &w.object, now),
+    ];
+    assert!(runs.iter().all(|r| r.found));
+    runs.map(|r| r.edges_considered)
+}
+
+/// F-A's three funnel tables: branching 2…5 at depth 5 and depth 2…7 at
+/// branching 3 (wide forward side), and the mirrored funnel.
+#[test]
+fn f_a_edges_considered_on_the_funnels() {
+    let _serial = serial();
+    let by_branching: Vec<[usize; 3]> = (2..=5)
+        .map(|b| funnel_edges(b, 5, true, b as u64))
+        .collect();
+    assert_eq!(
+        by_branching,
+        [[82, 6, 7], [556, 6, 8], [2149, 6, 9], [2728, 6, 10]]
+    );
+    let by_depth: Vec<[usize; 3]> = (2..=7)
+        .map(|d| funnel_edges(3, d, true, d as u64))
+        .collect();
+    assert_eq!(
+        by_depth,
+        [
+            [19, 3, 5],
+            [63, 4, 6],
+            [180, 5, 7],
+            [413, 6, 8],
+            [1098, 7, 9],
+            [3171, 8, 10]
+        ]
+    );
+    let mirrored: Vec<[usize; 3]> = [3usize, 5, 7]
+        .into_iter()
+        .map(|d| funnel_edges(3, d, false, d as u64 + 100))
+        .collect();
+    assert_eq!(mirrored, [[4, 43, 4], [6, 540, 6], [8, 3817, 8]]);
+}
+
+/// F-A's path-count table on layered DAGs (branching 3, width 3): as
+/// `(paths, enumeration edges, single-answer BFS edges)` per depth 2…6.
+#[test]
+fn f_a_paths_grow_as_branching_to_the_depth() {
+    let _serial = serial();
+    let opts = SearchOptions::at(Timestamp(0));
+    let rows: Vec<[usize; 3]> = (2..=6)
+        .map(|depth| {
+            let spec = WorkloadSpec {
+                branching: 3,
+                depth,
+                width: 3,
+            };
+            let w = layered_dag(&spec, &mut StdRng::seed_from_u64(depth as u64));
+            let (paths, enumeration) = w
+                .graph
+                .enumerate_proofs(&w.subject, &w.object, &opts, 1_000_000);
+            let (_, bfs) = w.graph.direct_query(&w.subject, &w.object, &opts);
+            [
+                paths.len(),
+                enumeration.edges_considered,
+                bfs.edges_considered,
+            ]
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            [9, 21, 13],
+            [27, 66, 22],
+            [81, 201, 31],
+            [243, 606, 40],
+            [729, 1821, 49]
+        ]
     );
 }
