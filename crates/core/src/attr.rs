@@ -19,12 +19,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-
-use crate::entity::{EntityId, LocalEntity};
-use crate::error::{ModelError, ValidationError};
-use crate::wire::Encode;
+use crate::entity::EntityId;
+use crate::error::ModelError;
+use crate::signed::{Body, Expiring, Signed};
+use crate::wire::{Decode, DecodeError, Encode, Reader, Writer};
 use crate::Timestamp;
-use drbac_crypto::{PublicKey, Signature};
 
 /// A validated attribute name (same rules as role names: 1–64 chars of
 /// `[A-Za-z0-9_-]`).
@@ -374,121 +373,52 @@ impl AttrDeclaration {
             expires: None,
         })
     }
+}
 
-    /// Canonical signing bytes.
-    pub fn wire_bytes(&self) -> Vec<u8> {
-        let mut w = crate::wire::Writer::tagged(b"drbac-attrdecl-v1");
-        self.attr.encode(&mut w);
+impl Body for AttrDeclaration {
+    const SIGN_TAG: &'static [u8] = b"drbac-attrdecl-v1";
+    const WIRE_TAG: &'static [u8] = b"drbac-signed-attrdecl-v1";
+
+    /// The namespace owner.
+    fn signer(&self) -> EntityId {
+        self.attr.entity()
+    }
+}
+
+impl Expiring for AttrDeclaration {
+    fn expires(&self) -> Option<Timestamp> {
+        self.expires
+    }
+}
+
+impl Encode for AttrDeclaration {
+    fn encode(&self, w: &mut Writer) {
+        self.attr.encode(w);
         w.f64(self.base);
         w.opt_u64(self.expires.map(|t| t.0));
-        w.finish()
+    }
+}
+
+impl Decode for AttrDeclaration {
+    /// Re-checks [`AttrDeclaration::new`]'s finite base.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let attr = AttrRef::decode(r)?;
+        let base = r.f64()?;
+        let expires = r.opt_u64()?.map(Timestamp);
+        let mut declaration =
+            AttrDeclaration::new(attr, base).map_err(|e| DecodeError::Invalid(e.to_string()))?;
+        declaration.expires = expires;
+        Ok(declaration)
     }
 }
 
 /// An [`AttrDeclaration`] signed by its namespace owner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SignedAttrDeclaration {
-    declaration: AttrDeclaration,
-    issuer_key: PublicKey,
-    signature: Signature,
-}
+pub type SignedAttrDeclaration = Signed<AttrDeclaration>;
 
-impl SignedAttrDeclaration {
-    /// Signs `declaration` with `issuer`, which must own the attribute's
-    /// namespace.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::WrongSigner`] if `issuer` is not the namespace
-    /// owner.
-    pub fn sign(
-        declaration: AttrDeclaration,
-        issuer: &LocalEntity,
-    ) -> Result<Self, ValidationError> {
-        if issuer.id() != declaration.attr.entity() {
-            return Err(ValidationError::WrongSigner {
-                expected: declaration.attr.entity(),
-                got: issuer.id(),
-            });
-        }
-        let signature = issuer.sign_bytes(&declaration.wire_bytes());
-        Ok(SignedAttrDeclaration {
-            declaration,
-            issuer_key: issuer.public_key().clone(),
-            signature,
-        })
-    }
-
+impl Signed<AttrDeclaration> {
     /// The declaration body.
     pub fn declaration(&self) -> &AttrDeclaration {
-        &self.declaration
-    }
-
-    /// Verifies signature, signer identity, and expiry at time `now`.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError`] describing the first failed check.
-    pub fn verify(&self, now: Timestamp) -> Result<(), ValidationError> {
-        let owner = self.declaration.attr.entity();
-        if EntityId(self.issuer_key.fingerprint()) != owner {
-            return Err(ValidationError::WrongSigner {
-                expected: owner,
-                got: EntityId(self.issuer_key.fingerprint()),
-            });
-        }
-        if !self
-            .issuer_key
-            .verify(&self.declaration.wire_bytes(), &self.signature)
-        {
-            return Err(ValidationError::BadSignature);
-        }
-        if let Some(exp) = self.declaration.expires {
-            if now > exp {
-                return Err(ValidationError::Expired { at: exp, now });
-            }
-        }
-        Ok(())
-    }
-}
-
-impl SignedAttrDeclaration {
-    /// Serializes the signed declaration into its canonical wire form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::wire::Writer;
-        let mut w = Writer::tagged(b"drbac-signed-attrdecl-v1");
-        self.declaration.attr.encode(&mut w);
-        w.f64(self.declaration.base);
-        w.opt_u64(self.declaration.expires.map(|t| t.0));
-        crate::wire::Encode::encode(&self.issuer_key, &mut w);
-        crate::wire::Encode::encode(&self.signature, &mut w);
-        w.finish()
-    }
-
-    /// Deserializes a declaration produced by
-    /// [`SignedAttrDeclaration::to_bytes`]; call
-    /// [`SignedAttrDeclaration::verify`] before trusting it.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::wire::DecodeError`] on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, crate::wire::DecodeError> {
-        use crate::wire::{Decode, DecodeError, Reader};
-        let mut r = Reader::tagged(bytes, b"drbac-signed-attrdecl-v1")?;
-        let attr = AttrRef::decode(&mut r)?;
-        let base = r.f64()?;
-        let expires = r.opt_u64()?.map(Timestamp);
-        let issuer_key = PublicKey::decode(&mut r)?;
-        let signature = Signature::decode(&mut r)?;
-        r.finish()?;
-        let mut declaration =
-            AttrDeclaration::new(attr, base).map_err(|e| DecodeError::Invalid(e.to_string()))?;
-        declaration.expires = expires;
-        Ok(SignedAttrDeclaration {
-            declaration,
-            issuer_key,
-            signature,
-        })
+        self.body()
     }
 }
 
@@ -578,6 +508,7 @@ impl fmt::Display for AttrSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LocalEntity, ValidationError};
     use drbac_crypto::{KeyFingerprint, SchnorrGroup};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -2,12 +2,12 @@
 
 use std::fmt;
 
-
 use crate::attr::{AttrClause, AttrRef};
 use crate::cert::SignedDelegation;
 use crate::clock::Timestamp;
 use crate::entity::{EntityId, LocalEntity};
 use crate::error::{ModelError, ValidationError};
+use crate::signed::{Body, Expiring};
 use crate::tag::DiscoveryTag;
 use crate::wire::{Encode, Writer};
 use crate::Node;
@@ -165,9 +165,22 @@ impl Delegation {
 
     /// Canonical signing bytes.
     pub fn wire_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(b"drbac-delegation-v1");
-        self.encode(&mut w);
-        w.finish()
+        self.signing_bytes()
+    }
+}
+
+impl Body for Delegation {
+    const SIGN_TAG: &'static [u8] = b"drbac-delegation-v1";
+    const WIRE_TAG: &'static [u8] = b"drbac-cert-v1";
+
+    fn signer(&self) -> EntityId {
+        self.issuer
+    }
+}
+
+impl Expiring for Delegation {
+    fn expires(&self) -> Option<Timestamp> {
+        self.expires
     }
 }
 

@@ -54,6 +54,7 @@ mod error;
 mod proof;
 mod revocation;
 mod role;
+mod signed;
 pub mod syntax;
 mod tag;
 mod wire;
@@ -70,6 +71,7 @@ pub use error::{ModelError, ValidationError};
 pub use proof::{Proof, ProofStep, ProofValidator, RevocationLookup, ValidationContext};
 pub use revocation::{RevocationNotice, SignedRevocation};
 pub use role::{Role, RoleName};
+pub use signed::Signed;
 pub use tag::{DiscoveryTag, ObjectFlag, SubjectFlag, WalletAddr};
 pub use wire::{Decode, DecodeError, Encode, Reader, Writer};
 

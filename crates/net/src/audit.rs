@@ -142,31 +142,16 @@ pub fn redelegations_of(net: &SimNet, registry: &WalletAddr, node: &Node) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drbac_core::{LocalEntity, SimClock, Ticks};
-    use drbac_crypto::SchnorrGroup;
+    use crate::testkit::{self, Fx};
     use drbac_wallet::Wallet;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    struct Fx {
-        net: SimNet,
-        a: LocalEntity,
-        m: LocalEntity,
-    }
-
+    /// The shared fixture with two wallets, `home` and `elsewhere`.
     fn fx() -> Fx {
-        let mut rng = StdRng::seed_from_u64(0xa1d17);
-        let g = SchnorrGroup::test_256();
-        let clock = SimClock::new();
-        let net = SimNet::new(clock.clone(), Ticks(1));
+        let f = testkit::fx();
         for addr in ["home", "elsewhere"] {
-            net.add_host(addr, Wallet::new(addr, clock.clone()));
+            f.net.add_host(addr, Wallet::new(addr, f.clock.clone()));
         }
-        Fx {
-            net,
-            a: LocalEntity::generate("A", g.clone(), &mut rng),
-            m: LocalEntity::generate("M", g, &mut rng),
-        }
+        f
     }
 
     fn store_tag(home: &str) -> DiscoveryTag {

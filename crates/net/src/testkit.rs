@@ -1,4 +1,5 @@
-//! The two-entity fixture the host and simulator unit tests share.
+//! The two-entity fixture the host, simulator, audit and wire unit tests
+//! share.
 
 use drbac_core::{
     DiscoveryTag, LocalEntity, Node, Proof, ProofStep, SignedDelegation, SignedRevocation,

@@ -893,19 +893,7 @@ pub fn decode_push_register(bytes: &[u8]) -> Result<WalletAddr, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drbac_core::{LocalEntity, Node, Proof, ProofStep};
-    use drbac_crypto::SchnorrGroup;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn fixture() -> (LocalEntity, LocalEntity) {
-        let mut rng = StdRng::seed_from_u64(0x17);
-        let g = SchnorrGroup::test_256();
-        (
-            LocalEntity::generate("A", g.clone(), &mut rng),
-            LocalEntity::generate("M", g, &mut rng),
-        )
-    }
+    use crate::testkit::{fx, proof_of};
 
     #[test]
     fn frame_round_trip() {
@@ -1091,21 +1079,13 @@ mod tests {
 
     #[test]
     fn request_payloads_round_trip() {
-        let (a, m) = fixture();
-        let cert = a
-            .delegate(Node::entity(&m), Node::role(a.role("r")))
-            .sign(&a)
-            .unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
+        let f = fx();
+        let cert = f.cert("r");
         let requests = vec![
-            Request::DirectQuery {
-                subject: Node::entity(&m),
-                object: Node::role(a.role("r")),
-                constraints: vec![],
-            },
+            f.query("r"),
             Request::Publish {
+                supports: vec![proof_of(&cert)],
                 cert: Arc::new(cert),
-                supports: vec![proof],
             },
             Request::Subscribe {
                 delegation: DelegationId([7; 32]),
@@ -1124,14 +1104,9 @@ mod tests {
 
     #[test]
     fn reply_payloads_round_trip() {
-        let (a, m) = fixture();
-        let cert = a
-            .delegate(Node::entity(&m), Node::role(a.role("r")))
-            .sign(&a)
-            .unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
+        let cert = fx().cert("r");
         let replies = vec![
-            Reply::Proofs(vec![proof]),
+            Reply::Proofs(vec![proof_of(&cert)]),
             Reply::Published(DelegationId([1; 32])),
             Reply::Subscribed,
             Reply::Revoked(3),

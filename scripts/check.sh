@@ -46,6 +46,21 @@ if [ -n "$callers" ]; then
     echo "$callers" >&2
     exit 1
 fi
+# Delegations, revocations and attribute declarations are one signed
+# envelope (signed.rs), whose signature check is drbac-core's only
+# two-argument `.verify(` call — `PublicKey::verify(msg, sig)`. A
+# hand-rolled signed type would add a second.
+sites=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { tests = 0 }
+    /#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && (/\.verify\(.*,/ || /verify_with\(/) && !/^[[:space:]]*\/\// {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [ "$(grep -c . <<<"$sites")" -ne 1 ] || ! grep -q '^crates/core/src/signed\.rs:' <<<"$sites"; then
+    echo "check.sh: PublicKey::verify must have exactly one caller in drbac-core, in signed.rs:" >&2
+    echo "$sites" >&2
+    exit 1
+fi
 cargo test -q --test work_ledger
 
 echo "== chaos suite (seed matrix) =="

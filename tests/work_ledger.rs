@@ -13,6 +13,11 @@
 //! allocator shows the heap allocations of an exponentiation do not grow
 //! with its exponent.
 //!
+//! The second claim extends to the signed envelope: a credential whose
+//! signature has checked is not checked again. Re-verifying it, or
+//! re-validating a proof built from such credentials, costs no
+//! exponentiation and no allocation.
+//!
 //! The third claim is the paper's §4.2.3 search argument (experiment
 //! F-A): the edges each strategy considers on the funnels and layered
 //! DAGs of `crates/bench/benches/search_strategies.rs`, built from the
@@ -33,8 +38,9 @@ use drbac::baselines::strategy::{bidirectional_search, forward_search, reverse_s
 use drbac::baselines::workload::{funnel, layered_dag, WorkloadSpec};
 use drbac::bignum::BigUint;
 use drbac::core::{
-    DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator, RevocationLookup,
-    SignedDelegation, SignedRevocation, SimClock, Timestamp, ValidationContext,
+    AttrDeclaration, AttrOp, DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator,
+    RevocationLookup, SignedAttrDeclaration, SignedDelegation, SignedRevocation, SimClock,
+    Timestamp, ValidationContext,
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::graph::SearchOptions;
@@ -105,6 +111,8 @@ const FULL_COPIES: &str = "drbac.graph.revoked_ids.count";
 const SWEPT: &str = "drbac.graph.proof_cache.negative_sweep.visited.count";
 /// Modular exponentiations in the signature group.
 const EXPS: &str = "drbac.crypto.exp.count";
+/// Full signature checks of a signed credential (any kind).
+const SIG_CHECKS: &str = "drbac.core.cert.sig_check.count";
 
 fn counter(name: &str) -> u64 {
     drbac::obs::global().counter(name).get()
@@ -443,6 +451,83 @@ fn a_verify_costs_one_exponentiation_for_a_key_seen_before() {
         allocations(|| g.pow_g_mul(&short, y, &short)),
         allocations(|| g.pow_g_mul(&long, y, &long)),
         "joint exponentiation allocations grew with the exponent"
+    );
+}
+
+/// What checking an already-verified credential costs, for each kind the
+/// signed envelope carries.
+#[derive(Debug, PartialEq, Eq)]
+struct EnvelopeLedger {
+    /// Heap allocations of `SignedDelegation::verify` on a verified instance.
+    memo_hit_allocations: u64,
+    /// Exponentiations for verifying one revocation instance twice.
+    revocation_twice: u64,
+    /// The same for one attribute declaration instance.
+    declaration_twice: u64,
+    /// Re-validating a proof whose credentials all verified: exponentiations
+    /// and full signature checks.
+    revalidate_exps: u64,
+    revalidate_sig_checks: u64,
+}
+
+#[test]
+fn a_verified_credential_is_not_checked_again() {
+    let _serial = serial();
+    let mut rng = StdRng::seed_from_u64(2929);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    // Both keys seen, so a first check costs exactly one exponentiation.
+    assert!(org.public_key().is_valid() && member.public_key().is_valid());
+    let exps = |op: &mut dyn FnMut()| delta([EXPS], op).0[0];
+
+    let grant = org
+        .delegate(Node::entity(&member), Node::role(org.role("staff")))
+        .sign(&org)
+        .unwrap();
+    let widen = org
+        .delegate(Node::role(org.role("staff")), Node::role(org.role("all")))
+        .sign(&org)
+        .unwrap();
+    grant.verify(Timestamp(0)).unwrap();
+    let memo_hit_allocations = allocations(|| grant.verify(Timestamp(0)));
+
+    let revocation = SignedRevocation::revoke(&grant, &org, Timestamp(0)).unwrap();
+    let revocation_twice = exps(&mut || {
+        revocation.verify().unwrap();
+        revocation.verify().unwrap();
+    });
+    let declaration = SignedAttrDeclaration::sign(
+        AttrDeclaration::new(org.attr("quota", AttrOp::Min), 10.0).unwrap(),
+        &org,
+    )
+    .unwrap();
+    let declaration_twice = exps(&mut || {
+        declaration.verify(Timestamp(0)).unwrap();
+        declaration.verify(Timestamp(0)).unwrap();
+    });
+
+    let proof = Proof::from_steps(vec![ProofStep::new(grant), ProofStep::new(widen)]).unwrap();
+    let validator = ProofValidator::new(ValidationContext::at(Timestamp(0)));
+    validator.validate(&proof).unwrap();
+    let ([revalidate_exps, revalidate_sig_checks], _) =
+        delta([EXPS, SIG_CHECKS], || validator.validate(&proof).unwrap());
+
+    assert_eq!(
+        EnvelopeLedger {
+            memo_hit_allocations,
+            revocation_twice,
+            declaration_twice,
+            revalidate_exps,
+            revalidate_sig_checks,
+        },
+        EnvelopeLedger {
+            memo_hit_allocations: 0,
+            revocation_twice: 1,
+            declaration_twice: 1,
+            revalidate_exps: 0,
+            revalidate_sig_checks: 0,
+        }
     );
 }
 
