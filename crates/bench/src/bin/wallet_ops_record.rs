@@ -2,12 +2,12 @@
 //! `BENCH_wallet_ops.json`: boot time and query latency at 10^4, 10^5,
 //! and 10^6 delegations, indexed boot vs full journal replay.
 //!
-//! The world at each size is a wallet store whose log has been
-//! compacted behind a snapshot, plus a current `FileTable`-backed
-//! delegation index — the state a long-lived wallet is actually in
-//! when it restarts. Worlds are built by signing real certificates but
-//! *bypassing* `Wallet::publish` (direct `WalletStore::append`, a
-//! synthesized snapshot image, a bulk `DelegationIndex::rebuild`):
+//! The world at each size is a wallet store whose log a checkpoint has
+//! truncated, plus a current `FileTable`-backed delegation index — the
+//! state a long-lived wallet is actually in when it restarts — and an
+//! untruncated copy of the same log for the replay side. Worlds are
+//! built by signing real certificates but *bypassing* `Wallet::publish`
+//! (direct `WalletStore::append`, a bulk `DelegationIndex::rebuild`):
 //! publish-side verification costs ~140 µs per certificate and would
 //! turn a 10^6 build into a re-verification benchmark of its own.
 //! Everything measured afterwards goes through the production paths.
@@ -18,11 +18,12 @@
 //! 10^6) belongs to other subjects. What the index buys is **cost
 //! proportional to the answer, not the wallet**:
 //!
-//! * **indexed boot** — `DurableWallet::open_indexed`: snapshot header
-//!   probe + index trailer read + empty-tail scan; milliseconds at any
-//!   size, and the graph hydrates lazily from the index on demand.
-//! * **replay boot** — `DurableWallet::open`: decodes and re-verifies
-//!   every snapshotted credential (~140 µs each ⇒ ~2 minutes at 10^6).
+//! * **indexed boot** — `DurableWallet::open_indexed`: index trailer
+//!   read + a one-record log scan; milliseconds at any size, and the
+//!   graph hydrates lazily from the index on demand.
+//! * **replay boot** — `DurableWallet::open` over the untruncated log:
+//!   decodes and re-verifies every credential (~140 µs each ⇒ ~2
+//!   minutes at 10^6).
 //! * **queries** — `query_subject` on the probe users: the planner's
 //!   prefix scans + neighborhood hydration (cold) vs the warm in-memory
 //!   graph walk of a fully replayed wallet.
@@ -61,7 +62,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use drbac_core::{Encode, LocalEntity, Node, SignedDelegation, SimClock, Writer};
+use drbac_core::{LocalEntity, Node, SignedDelegation, SimClock};
 use drbac_crypto::SchnorrGroup;
 use drbac_index::{DelegationIndex, FileTable, RebuildSource};
 use drbac_store::{MemMedium, StoreEvent, WalletStore};
@@ -82,28 +83,15 @@ const AUDIT_TP: usize = 64;
 /// committed artifact (see the module docs for why 1.5x, not 1.25x).
 const GUARD_MAX_REGRESSION: f64 = 1.5;
 
-/// A prebuilt restart state: compacted store + current index media.
+/// A prebuilt restart state: checkpointed store + current index media,
+/// and the whole log for the replay side.
 struct World {
     store: Arc<WalletStore>,
+    checkpointed: Arc<WalletStore>,
     tab: MemMedium,
     log: MemMedium,
     probes: Vec<Node>,
     delegations: usize,
-}
-
-/// Synthesizes the `drbac-wallet-v1` snapshot image directly from the
-/// certificate list (no supports, declarations, or revocations — the
-/// bulk build has none).
-fn snapshot_image(certs: &[Arc<SignedDelegation>]) -> Vec<u8> {
-    let mut w = Writer::tagged(b"drbac-wallet-v1");
-    w.u64(certs.len() as u64);
-    for cert in certs {
-        cert.as_ref().encode(&mut w);
-    }
-    w.u64(0); // supports
-    w.u64(0); // declarations
-    w.u64(0); // revocations
-    w.finish()
 }
 
 fn build_world(n: usize) -> World {
@@ -175,13 +163,24 @@ fn build_world(n: usize) -> World {
             .append(&StoreEvent::Publish(Arc::clone(cert)))
             .expect("bulk append");
     }
-    let image = snapshot_image(&certs);
-    store.install_snapshot(move || image).expect("snapshot");
+    // The checkpoint's log step, on a copy: everything but the anchor
+    // record lives in the index rebuilt below.
+    let checkpointed = Arc::new(WalletStore::from_log_bytes(
+        store.log_bytes().expect("log bytes"),
+    ));
+    checkpointed
+        .truncate_through(certs.len() as u64)
+        .expect("checkpoint truncation");
 
     let tab = MemMedium::new();
     let log = MemMedium::new();
     let index = DelegationIndex::open(Box::new(
-        FileTable::from_media(Box::new(tab.clone()), Box::new(log.clone())).unwrap(),
+        FileTable::from_media(
+            Box::new(tab.clone()),
+            Box::new(log.clone()),
+            Box::new(MemMedium::new()),
+        )
+        .unwrap(),
     ))
     .expect("open index");
     index
@@ -200,6 +199,7 @@ fn build_world(n: usize) -> World {
 
     World {
         store,
+        checkpointed,
         tab,
         log,
         probes: probe_users.iter().map(Node::entity).collect(),
@@ -210,8 +210,12 @@ fn build_world(n: usize) -> World {
 fn open_index(world: &World) -> Arc<DelegationIndex> {
     Arc::new(
         DelegationIndex::open(Box::new(
-            FileTable::from_media(Box::new(world.tab.clone()), Box::new(world.log.clone()))
-                .unwrap(),
+            FileTable::from_media(
+                Box::new(world.tab.clone()),
+                Box::new(world.log.clone()),
+                Box::new(MemMedium::new()),
+            )
+            .unwrap(),
         ))
         .expect("reopen index"),
     )
@@ -264,7 +268,7 @@ fn boot_indexed_ms(world: &World, reps: usize) -> Stat {
         let (wallet, report) = DurableWallet::open_indexed(
             "bench.wallet-ops",
             SimClock::new(),
-            Arc::clone(&world.store),
+            Arc::clone(&world.checkpointed),
             index,
         )
         .expect("indexed boot");
@@ -300,7 +304,7 @@ fn measure_size(n: usize, smoke: bool) -> SizePoint {
     let (indexed, report) = DurableWallet::open_indexed(
         "bench.wallet-ops",
         SimClock::new(),
-        Arc::clone(&world.store),
+        Arc::clone(&world.checkpointed),
         open_index(&world),
     )
     .expect("indexed boot");

@@ -38,6 +38,16 @@
 //! [`TableBackend::compact`] merges the overlay into a fresh base
 //! (atomic [`Medium::replace`]) and resets the log, keeping reopen
 //! replay bounded.
+//!
+//! ## Previous run (`index.prev`)
+//!
+//! An explicit compaction first copies the base run it is about to
+//! replace into `index.prev`. That previous run is the recovery source
+//! for a current run that goes bad: [`FileTable::restore_previous`] puts
+//! it back, and the wallet catches up from the journal above its
+//! watermark, which a checkpoint never truncates past
+//! ([`TableBackend::previous_get`]). The size-triggered fold inside
+//! `apply` leaves it alone.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Bound;
@@ -46,7 +56,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use drbac_store::{crc32, FileMedium, Medium, StoreError};
+use drbac_store::{crc32, FileMedium, MemMedium, Medium, StoreError};
 
 use crate::table::{TableBackend, TableOp, TableStats};
 
@@ -178,15 +188,19 @@ struct BaseState {
 
 impl BaseState {
     fn open(medium: Box<dyn Medium>) -> Result<Self, StoreError> {
-        let mut state = BaseState {
+        let mut state = Self::unloaded(medium);
+        state.reload()?;
+        Ok(state)
+    }
+
+    fn unloaded(medium: Box<dyn Medium>) -> Self {
+        BaseState {
             medium,
             meta: None,
             group_cache: HashMap::new(),
             block_cache: HashMap::new(),
             block_order: VecDeque::new(),
-        };
-        state.reload()?;
-        Ok(state)
+        }
     }
 
     /// (Re)parses the trailer and L2 without touching data blocks.
@@ -551,31 +565,42 @@ impl DeltaState {
 }
 
 /// The file-backed [`TableBackend`]: immutable sorted base + delta
-/// overlay, both over [`Medium`] so the oracle tests can run it on
-/// in-memory media with power-loss simulation.
+/// overlay + the previous base run, all over [`Medium`] so the oracle
+/// tests can run it on in-memory media with power-loss simulation.
 pub struct FileTable {
     delta: Mutex<DeltaState>,
     base: Mutex<BaseState>,
+    /// The previous run. A damaged one reads as absent: it then licenses
+    /// no journal truncation, which is the safe side.
+    prev: Mutex<BaseState>,
 }
 
 impl FileTable {
-    /// Opens a table over explicit media (base run, delta log). Reads
-    /// only the base trailer + top fences and replays the delta log —
-    /// open cost is bounded by the delta, not the table.
+    /// Opens a table over explicit media (base run, delta log, previous
+    /// run). Reads only the base trailer + top fences and replays the
+    /// delta log — open cost is bounded by the delta, not the table.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure; [`StoreError::Corrupt`] if
     /// the base file fails its framing or CRCs (a torn delta *tail* is
     /// not an error — the longest valid prefix is used).
-    pub fn from_media(base: Box<dyn Medium>, log: Box<dyn Medium>) -> Result<Self, StoreError> {
+    pub fn from_media(
+        base: Box<dyn Medium>,
+        log: Box<dyn Medium>,
+        prev: Box<dyn Medium>,
+    ) -> Result<Self, StoreError> {
+        let mut prev = BaseState::unloaded(prev);
+        let _ = prev.reload();
         Ok(FileTable {
             delta: Mutex::new(DeltaState::open(log)?),
             base: Mutex::new(BaseState::open(base)?),
+            prev: Mutex::new(prev),
         })
     }
 
-    /// Opens (creating as needed) `index.tab` + `index.log` in `dir`.
+    /// Opens (creating as needed) `index.tab` + `index.log` +
+    /// `index.prev` in `dir`.
     ///
     /// # Errors
     ///
@@ -583,9 +608,42 @@ impl FileTable {
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(StoreError::from)?;
-        let base = FileMedium::open(dir.join("index.tab"))?;
-        let log = FileMedium::open(dir.join("index.log"))?;
-        Self::from_media(Box::new(base), Box::new(log))
+        let [base, log, prev] = Self::files(dir).map(FileMedium::open);
+        Self::from_media(Box::new(base?), Box::new(log?), Box::new(prev?))
+    }
+
+    /// The base run, delta log and previous run of the index in `dir`.
+    pub fn files(dir: &Path) -> [std::path::PathBuf; 3] {
+        ["index.tab", "index.log", "index.prev"].map(|f| dir.join(f))
+    }
+
+    /// Makes the previous base run of the index in `dir` current again:
+    /// empties the delta log (its batches belong to the run being
+    /// replaced), then copies the previous run over the base. A wallet
+    /// booted over the result catches up from the journal above the
+    /// run's watermark. The previous run is read in full first, so a
+    /// damaged one is an error and nothing changes; so is a missing one,
+    /// reported as `Ok(false)`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on file failure, [`StoreError::Corrupt`] when
+    /// the previous run fails its framing or CRCs.
+    pub fn restore_previous(dir: impl AsRef<Path>) -> Result<bool, StoreError> {
+        let [base, log, prev] = Self::files(dir.as_ref());
+        let bytes = if prev.exists() { std::fs::read(&prev)? } else { Vec::new() };
+        if bytes.is_empty() {
+            return Ok(false);
+        }
+        let check = FileTable::from_media(
+            Box::new(MemMedium::with_contents(bytes.clone())),
+            Box::new(MemMedium::new()),
+            Box::new(MemMedium::new()),
+        )?;
+        check.entries()?;
+        FileMedium::open(log)?.replace(&INDEX_LOG_MAGIC)?;
+        FileMedium::open(base)?.replace(&bytes)?;
+        Ok(true)
     }
 
     /// Power-loss simulation passthrough (meaningful on [`MemMedium`]
@@ -601,9 +659,13 @@ impl FileTable {
         Ok(())
     }
 
+    /// Folds the overlay into a new base run. With `prev`, the run being
+    /// replaced is copied there first; its blocks were all CRC-checked
+    /// by the merge scan.
     fn compact_locked(
         delta: &mut DeltaState,
         base: &mut BaseState,
+        prev: Option<&mut BaseState>,
     ) -> Result<(), StoreError> {
         let mut merged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         merged_scan(base, &delta.map, &[], None, &mut |k, v| {
@@ -611,6 +673,10 @@ impl FileTable {
             true
         })?;
         let image = build_base(&mut merged.into_iter())?;
+        if let Some(prev) = prev {
+            prev.medium.replace(&base.medium.read_all()?)?;
+            let _ = prev.reload();
+        }
         base.medium.replace(&image)?;
         base.reload()?;
         delta.map.clear();
@@ -711,7 +777,7 @@ impl TableBackend for FileTable {
         }
         if delta.map.len() >= DELTA_MAX_OPS || delta.valid_len >= DELTA_MAX_BYTES {
             let mut base = self.base.lock();
-            Self::compact_locked(&mut delta, &mut base)?;
+            Self::compact_locked(&mut delta, &mut base, None)?;
         }
         Ok(())
     }
@@ -760,7 +826,12 @@ impl TableBackend for FileTable {
     fn compact(&self) -> Result<(), StoreError> {
         let mut delta = self.delta.lock();
         let mut base = self.base.lock();
-        Self::compact_locked(&mut delta, &mut base)
+        let mut prev = self.prev.lock();
+        Self::compact_locked(&mut delta, &mut base, Some(&mut prev))
+    }
+
+    fn previous_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.prev.lock().get(key)
     }
 
     fn reset_with(
@@ -796,8 +867,12 @@ mod tests {
     fn mem_table() -> (FileTable, MemMedium, MemMedium) {
         let base = MemMedium::new();
         let log = MemMedium::new();
-        let t = FileTable::from_media(Box::new(base.clone()), Box::new(log.clone())).unwrap();
+        let t = reopen(&base, &log, &MemMedium::new()).unwrap();
         (t, base, log)
+    }
+
+    fn reopen(base: &MemMedium, log: &MemMedium, prev: &MemMedium) -> Result<FileTable, StoreError> {
+        FileTable::from_media(Box::new(base.clone()), Box::new(log.clone()), Box::new(prev.clone()))
     }
 
     fn key(i: u32) -> Vec<u8> {
@@ -816,8 +891,7 @@ mod tests {
             .unwrap();
         t.flush().unwrap();
 
-        let reopened =
-            FileTable::from_media(Box::new(base.clone()), Box::new(log.clone())).unwrap();
+        let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
         assert_eq!(reopened.get(&key(42)).unwrap(), Some(b"fresh".to_vec()));
         assert_eq!(reopened.get(&key(43)).unwrap(), None);
         assert_eq!(reopened.get(&key(7)).unwrap(), Some(7u32.to_be_bytes().to_vec()));
@@ -852,7 +926,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         log.replace(&bytes).unwrap();
-        let reopened = FileTable::from_media(Box::new(base), Box::new(log)).unwrap();
+        let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
         assert_eq!(reopened.get(b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(reopened.get(b"d").unwrap(), None);
     }
@@ -867,7 +941,7 @@ mod tests {
         let mut bytes = base.read_all().unwrap();
         bytes[40] ^= 0x01; // damage a data block
         base.replace(&bytes).unwrap();
-        let reopened = FileTable::from_media(Box::new(base), Box::new(log)).unwrap();
+        let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
         // Open succeeds (trailer + L2 intact); the damaged block is
         // caught by its fence CRC on first touch.
         let err = reopened.get(&key(0)).unwrap_err();
@@ -917,5 +991,56 @@ mod tests {
         assert!(keys.contains(&b"zzz".to_vec()), "overlay tail emitted");
         let v10 = seen.iter().find(|(k, _)| *k == key(10)).unwrap();
         assert_eq!(v10.1, b"new");
+    }
+
+    #[test]
+    fn explicit_compaction_keeps_the_run_it_replaces() {
+        let (base, log, prev) = (MemMedium::new(), MemMedium::new(), MemMedium::new());
+        let t = reopen(&base, &log, &prev).unwrap();
+        t.apply(&[put(b"w", b"1")]).unwrap();
+        t.compact().unwrap();
+        assert_eq!(t.previous_get(b"w").unwrap(), None, "the first run replaced an empty one");
+        t.apply(&[put(b"w", b"2")]).unwrap();
+        t.compact().unwrap();
+        assert_eq!(t.get(b"w").unwrap(), Some(b"2".to_vec()));
+        assert_eq!(t.previous_get(b"w").unwrap(), Some(b"1".to_vec()));
+        // A damaged previous run reads as absent, never as an error at open.
+        prev.replace(b"junk").unwrap();
+        let reopened = reopen(&base, &log, &prev).unwrap();
+        assert_eq!(reopened.previous_get(b"w").unwrap(), None);
+    }
+
+    #[test]
+    fn restore_previous_swaps_the_run_back_and_refuses_a_damaged_one() {
+        let dir = std::env::temp_dir().join(format!(
+            "drbac-index-restore-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!FileTable::restore_previous(&dir).unwrap(), "no previous run yet");
+        {
+            let t = FileTable::open_dir(&dir).unwrap();
+            t.apply(&[put(b"w", b"1")]).unwrap();
+            t.compact().unwrap();
+            t.apply(&[put(b"w", b"2")]).unwrap();
+            t.compact().unwrap();
+            t.apply(&[put(b"w", b"3")]).unwrap();
+            t.flush().unwrap();
+        }
+        let [tab, _, prev] = FileTable::files(&dir);
+        std::fs::write(&tab, b"damaged").unwrap();
+        assert!(FileTable::open_dir(&dir).is_err());
+        assert!(FileTable::restore_previous(&dir).unwrap());
+        let t = FileTable::open_dir(&dir).unwrap();
+        assert_eq!(t.get(b"w").unwrap(), Some(b"1".to_vec()), "delta log dropped with the run");
+
+        let mut bytes = std::fs::read(&prev).unwrap();
+        bytes[0] ^= 0xFF;
+        std::fs::write(&prev, &bytes).unwrap();
+        std::fs::write(&tab, b"damaged").unwrap();
+        assert!(FileTable::restore_previous(&dir).is_err());
+        assert_eq!(std::fs::read(&tab).unwrap(), b"damaged", "nothing changed");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

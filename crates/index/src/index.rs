@@ -9,10 +9,12 @@
 //! themselves hydrate lazily from `c/` rows as queries touch their
 //! graph neighborhoods — decoded *without* re-verifying signatures,
 //! because every indexed credential was admission-verified before it
-//! was journaled (the same trust argument the snapshot restore path
-//! already leans on is deliberately *not* made here: snapshots re-verify
-//! because images travel between wallets; the index never leaves the
-//! wallet that wrote it).
+//! was journaled, and the index never leaves the wallet that wrote it.
+//!
+//! The index is also the wallet's only checkpoint: its compacted base
+//! run holds every record up to its watermark, so the journal below the
+//! *previous* run's watermark ([`DelegationIndex::previous_watermark`])
+//! can be truncated.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -101,15 +103,23 @@ impl DelegationIndex {
     /// batch (one CRC-framed record on the file backend). Re-applying an
     /// already-applied event is harmless — every op is an idempotent
     /// put or delete — which is what makes log-tail catch-up after a
-    /// crash between WAL append and index apply safe.
+    /// crash between WAL append and index apply safe. Skipping one is
+    /// not: an event past `watermark + 1` is refused, so after a failed
+    /// apply the watermark stays below the lost event and the next boot
+    /// catches up from there.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on backend I/O failure; the caller (the wallet)
-    /// degrades to graph-walk on any error here.
+    /// [`StoreError`] on backend I/O failure or a sequence gap; the
+    /// caller (the wallet) degrades its planner on any error here.
     pub fn apply(&self, seq: u64, event: &StoreEvent) -> Result<(), StoreError> {
         drbac_obs::static_counter!("drbac.index.apply.count").inc();
         let mut meta = self.meta.lock();
+        if let Some(w) = meta.watermark.filter(|w| seq > w + 1) {
+            return Err(StoreError::Corrupt(format!(
+                "index at watermark {w} cannot apply seq {seq}: the records between were never applied"
+            )));
+        }
         let mut staged = *meta;
         let mut batch = Vec::new();
         match event {
@@ -555,13 +565,31 @@ impl DelegationIndex {
         self.table.flush()
     }
 
-    /// Folds the delta log into the sorted base.
+    /// Folds the delta log into the sorted base. On a file backend the
+    /// base run it replaces becomes the previous run.
     ///
     /// # Errors
     ///
     /// [`StoreError`] on backend failure.
     pub fn compact(&self) -> Result<(), StoreError> {
         self.table.compact()
+    }
+
+    /// The watermark of the previous base run: how far a checkpoint may
+    /// truncate the journal and still rebuild this index from that run
+    /// plus the journal, should the current run go bad. `None` when there
+    /// is no previous run (first compaction, or a backend with no durable
+    /// runs such as [`MemTable`](crate::MemTable)): the journal then stays
+    /// whole.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] on backend failure.
+    pub fn previous_watermark(&self) -> Result<Option<u64>, StoreError> {
+        match self.table.previous_get(&keys::meta_key("watermark"))? {
+            None => Ok(None),
+            Some(v) => decode_u64(&v).map(Some),
+        }
     }
 
     /// Rebuilds the whole index from a fully recovered wallet's durable
@@ -637,56 +665,49 @@ impl DelegationIndex {
         Ok(())
     }
 
-    /// Cross-checks this index against the recovered journal: every id
-    /// the event stream says should be live must be indexed, and every
-    /// indexed id must be derivable from the stream. `snapshot` is the
-    /// store's snapshot image (the wallet export format), whose
-    /// credentials seed the expected set before `events` replay over it.
+    /// Cross-checks this index against the journal's records `events`,
+    /// after reading every entry so a damaged block fails its CRC here.
+    /// A journal that starts at seq 1 holds every record the index ever
+    /// applied, so both directions are checked: every id the records
+    /// leave live is indexed, and nothing else is. A checkpointed journal
+    /// starts later: entries at or below its first record are trusted
+    /// from the base run, so only the ids its records name are checked —
+    /// published ones must be indexed, expired ones must be gone.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on backend failure (disagreement is reported in
-    /// the [`IndexCheck`], not as an error).
-    pub fn verify_against(
-        &self,
-        snapshot: Option<&[u8]>,
-        events: &[(u64, StoreEvent)],
-    ) -> Result<IndexCheck, StoreError> {
+    /// [`StoreError`] on backend failure or a damaged block
+    /// (disagreement is reported in the [`IndexCheck`], not as an error).
+    pub fn verify_against(&self, events: &[(u64, StoreEvent)]) -> Result<IndexCheck, StoreError> {
+        use std::collections::BTreeSet;
         let mut check = IndexCheck {
             watermark: self.watermark(),
             ..IndexCheck::default()
         };
-        let mut expected: std::collections::BTreeSet<DelegationId> =
-            std::collections::BTreeSet::new();
-        if let Some(image) = snapshot {
-            match snapshot_cert_ids(image) {
-                Ok(ids) => expected.extend(ids),
-                Err(e) => {
-                    check.corruption = Some(format!("snapshot image: {e}"));
-                }
-            }
-        }
-        let mut last_seq = None;
-        for (seq, event) in events {
-            last_seq = Some(*seq);
-            match event {
-                StoreEvent::Publish(cert) => {
-                    expected.insert(cert.id());
-                }
-                StoreEvent::Support(proof) => {
-                    expected.extend(proof.all_certs().iter().map(|c| c.id()));
-                }
-                StoreEvent::Absorb { proof, .. } => {
-                    expected.extend(proof.all_certs().iter().map(|c| c.id()));
+        self.table.entries()?;
+        let mut expected: BTreeSet<DelegationId> = BTreeSet::new();
+        let mut expired: BTreeSet<DelegationId> = BTreeSet::new();
+        for (_, event) in events {
+            let published = match event {
+                StoreEvent::Publish(cert) => vec![cert.id()],
+                StoreEvent::Support(proof) | StoreEvent::Absorb { proof, .. } => {
+                    proof.all_certs().iter().map(|c| c.id()).collect()
                 }
                 StoreEvent::Expire(id) => {
                     expected.remove(id);
+                    expired.insert(*id);
+                    continue;
                 }
-                StoreEvent::Declare(_) | StoreEvent::Revoke(_) | StoreEvent::RevokeMark(_) => {}
+                StoreEvent::Declare(_) | StoreEvent::Revoke(_) | StoreEvent::RevokeMark(_) => {
+                    continue
+                }
+            };
+            for id in published {
+                expired.remove(&id);
+                expected.insert(id);
             }
         }
-        let mut indexed: std::collections::BTreeSet<DelegationId> =
-            std::collections::BTreeSet::new();
+        let mut indexed: BTreeSet<DelegationId> = BTreeSet::new();
         self.table.scan_prefix(&[keys::P_ROW], &mut |k, _| {
             if let Some(id) = keys::id_suffix(k) {
                 indexed.insert(id);
@@ -695,13 +716,22 @@ impl DelegationIndex {
         })?;
         check.entries = indexed.len() as u64;
         check.missing = expected.difference(&indexed).count() as u64;
-        check.orphaned = indexed.difference(&expected).count() as u64;
-        if check.corruption.is_none() {
-            if let (Some(w), Some(last)) = (check.watermark, last_seq) {
-                if w > last {
-                    check.corruption =
-                        Some(format!("watermark {w} ahead of journal tail {last}"));
-                }
+        let whole = events.first().is_some_and(|(seq, _)| *seq == 1);
+        check.orphaned = if whole {
+            indexed.difference(&expected).count()
+        } else {
+            indexed.intersection(&expired).count()
+        } as u64;
+        if let (Some(w), Some((first, _)), Some((last, _))) =
+            (check.watermark, events.first(), events.last())
+        {
+            if w > *last {
+                check.corruption = Some(format!("watermark {w} ahead of journal tail {last}"));
+            } else if w + 1 < *first {
+                check.corruption = Some(format!(
+                    "watermark {w} behind the journal's first record {first}: \
+                     the records between were truncated before the index applied them"
+                ));
             }
         }
         Ok(check)
@@ -723,24 +753,6 @@ pub struct RebuildSource<'a> {
     pub absorbed: &'a [(DelegationId, WalletAddr)],
 }
 
-/// Shallow parse of the wallet snapshot image ("drbac-wallet-v1"):
-/// just the credential ids, for index verification.
-fn snapshot_cert_ids(image: &[u8]) -> Result<Vec<DelegationId>, drbac_core::DecodeError> {
-    use drbac_core::{Decode, Reader};
-    let mut r = Reader::tagged(image, b"drbac-wallet-v1")?;
-    let n = r.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(SignedDelegation::decode(&mut r)?.id());
-    }
-    let n = r.u64()?;
-    for _ in 0..n {
-        out.extend(Proof::decode(&mut r)?.all_certs().iter().map(|c| c.id()));
-    }
-    // Declarations and revocation marks follow but carry no cert ids.
-    Ok(out)
-}
-
 fn put_u64(key: Vec<u8>, v: u64) -> TableOp {
     TableOp::Put {
         key,
@@ -749,16 +761,14 @@ fn put_u64(key: Vec<u8>, v: u64) -> TableOp {
 }
 
 fn read_u64(table: &dyn TableBackend, key: &[u8]) -> Result<Option<u64>, StoreError> {
-    match table.get(key)? {
-        None => Ok(None),
-        Some(v) => {
-            let bytes: [u8; 8] = v
-                .as_slice()
-                .try_into()
-                .map_err(|_| StoreError::Corrupt("index metadata not 8 bytes".into()))?;
-            Ok(Some(u64::from_be_bytes(bytes)))
-        }
-    }
+    table.get(key)?.map(|v| decode_u64(&v)).transpose()
+}
+
+fn decode_u64(v: &[u8]) -> Result<u64, StoreError> {
+    let bytes: [u8; 8] = v
+        .try_into()
+        .map_err(|_| StoreError::Corrupt("index metadata not 8 bytes".into()))?;
+    Ok(u64::from_be_bytes(bytes))
 }
 
 #[cfg(test)]
@@ -858,24 +868,49 @@ mod tests {
         idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert1)))
             .unwrap();
         let clean = idx
-            .verify_against(None, &[(1, StoreEvent::Publish(Arc::clone(&cert1)))])
+            .verify_against(&[(1, StoreEvent::Publish(Arc::clone(&cert1)))])
             .unwrap();
         assert!(clean.is_clean(), "{clean:?}");
         // Journal shows cert2 too: it is missing from the index.
         let check = idx
-            .verify_against(
-                None,
-                &[
-                    (1, StoreEvent::Publish(Arc::clone(&cert1))),
-                    (2, StoreEvent::Publish(Arc::clone(&cert2))),
-                ],
-            )
+            .verify_against(&[
+                (1, StoreEvent::Publish(Arc::clone(&cert1))),
+                (2, StoreEvent::Publish(Arc::clone(&cert2))),
+            ])
             .unwrap();
         assert_eq!(check.missing, 1);
         assert_eq!(check.orphaned, 0);
-        // Journal shows nothing: cert1 is orphaned.
-        let check = idx.verify_against(None, &[]).unwrap();
+        // A whole journal that only expires cert1: it is orphaned.
+        let check = idx
+            .verify_against(&[
+                (1, StoreEvent::Publish(Arc::clone(&cert1))),
+                (2, StoreEvent::Expire(cert1.id())),
+            ])
+            .unwrap();
         assert_eq!(check.orphaned, 1);
+        // A checkpointed journal (first record above 1) trusts the base
+        // run for what it no longer holds: cert1 is not orphaned.
+        let check = idx
+            .verify_against(&[(1, StoreEvent::Publish(Arc::clone(&cert1)))][1..])
+            .unwrap();
+        assert!(check.is_clean(), "{check:?}");
+        // ...but a watermark behind the first record is damage.
+        let check = idx
+            .verify_against(&[(5, StoreEvent::Publish(Arc::clone(&cert2)))])
+            .unwrap();
+        assert!(check.corruption.is_some());
+    }
+
+    #[test]
+    fn apply_refuses_a_sequence_gap() {
+        let (a, b) = entities();
+        let idx = index();
+        let cert = Arc::new(a.delegate(Node::entity(&b), Node::role(a.role("r"))).sign(&a).unwrap());
+        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert))).unwrap();
+        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert))).unwrap();
+        assert!(idx.apply(3, &StoreEvent::RevokeMark(cert.id())).is_err());
+        assert_eq!(idx.watermark(), Some(1));
+        idx.apply(2, &StoreEvent::RevokeMark(cert.id())).unwrap();
     }
 
     #[test]

@@ -118,12 +118,29 @@ pub trait TableBackend: Send + Sync {
     fn flush(&self) -> Result<(), StoreError>;
 
     /// Merges accumulated deltas into the sorted base so the next open
-    /// replays (almost) nothing. A no-op for in-memory backends.
+    /// replays (almost) nothing. A backend whose runs live on a durable
+    /// medium keeps the run this replaces as the *previous run* (see
+    /// [`TableBackend::previous_get`]). A no-op for in-memory backends.
     ///
     /// # Errors
     ///
     /// [`StoreError`] on backend I/O failure.
     fn compact(&self) -> Result<(), StoreError>;
+
+    /// Reads `key` from the previous run: the base run the last
+    /// [`TableBackend::compact`] replaced, kept on the medium as the
+    /// recovery source for a current run that goes bad. `None` when the
+    /// key is absent or the backend keeps no runs that outlive the
+    /// process — which is how the checkpoint knows such an index licenses
+    /// no journal truncation.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] on backend I/O failure or framing corruption.
+    fn previous_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        let _ = key;
+        Ok(None)
+    }
 
     /// Replaces the whole table with `entries`, which must arrive in
     /// strictly increasing key order (bulk load for rebuilds).

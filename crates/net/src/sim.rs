@@ -499,9 +499,10 @@ impl SimNet {
     }
 
     /// Restarts a crashed host from its write-ahead `store`: the wallet
-    /// is rebuilt from the latest valid snapshot plus log-tail replay
-    /// (every credential re-verified; a torn tail truncated, never a
-    /// panic), the journal is re-attached, and the host becomes
+    /// is rebuilt by replaying the whole journal (every credential
+    /// re-verified; a torn tail truncated, never a panic; simulated hosts
+    /// never checkpoint, so it starts at seq 1), the journal is
+    /// re-attached, and the host becomes
     /// reachable again. Peers that held push subscriptions here must
     /// re-register — see [`WalletHost::resubscribe_cached`]. Returns
     /// `None` if no host lives at `addr` or the store's medium fails.
@@ -516,11 +517,6 @@ impl SimNet {
         drbac_obs::event!(
             "drbac.net.sim.restart",
             "addr" => addr.to_string(),
-            "from_snapshot" => report.from_snapshot,
-            "credentials" => report.snapshot.credentials,
-            "declarations" => report.snapshot.declarations,
-            "revocations" => report.snapshot.revocations,
-            "rejected" => report.snapshot.rejected,
             "replayed" => report.replayed,
             "skipped" => report.skipped,
             "truncated_bytes" => report.truncated_bytes,
@@ -554,18 +550,23 @@ impl SimNet {
 
     /// Attaches `wallet` at `addr` and returns the host handle. A fresh
     /// in-memory write-ahead store is bound to the wallet: contents the
-    /// wallet already holds are captured as the store's base snapshot,
-    /// and every subsequent mutation is journaled, so a later
+    /// wallet already holds are journaled into it first, in an order
+    /// replay accepts (`Wallet::import_bytes`: declarations, supports,
+    /// first-party then third-party credentials, marks), and every
+    /// subsequent mutation is journaled, so a later
     /// [`SimNet::crash_host`] / [`SimNet::restart_host`] cycle recovers
     /// through real log replay.
     pub fn add_host(&self, addr: impl Into<WalletAddr>, wallet: Wallet) -> WalletHost {
         let addr = addr.into();
         let store = Arc::new(WalletStore::in_memory());
-        if !wallet.is_empty() || !wallet.signed_declarations().is_empty() {
-            let snapshot_of = wallet.clone();
-            store
-                .install_snapshot(move || snapshot_of.export_bytes())
-                .expect("in-memory media cannot fail");
+        let image = (!wallet.is_empty() || !wallet.signed_declarations().is_empty())
+            .then(|| wallet.export_bytes());
+        if let Some(image) = image {
+            wallet.wipe();
+            wallet.attach_journal(Arc::clone(&store));
+            wallet
+                .import_bytes(&image)
+                .expect("a wallet's own export imports");
         }
         wallet.attach_journal(Arc::clone(&store));
         let host = WalletHost {
@@ -768,7 +769,7 @@ impl SimNet {
 mod tests {
     use super::*;
     use crate::testkit::{fx, proof_of, publish, Fx};
-    use drbac_core::{Node, SignedDelegation};
+    use drbac_core::{LocalEntity, Node, SignedDelegation};
     use drbac_wallet::ProofMonitor;
 
     fn wallet(f: &Fx, addr: &str) -> WalletHost {
@@ -1129,6 +1130,48 @@ mod tests {
     }
 
     #[test]
+    fn prepopulated_host_with_a_third_party_credential_survives_restart() {
+        use rand::SeedableRng;
+        let f = fx();
+        let u = LocalEntity::generate(
+            "U",
+            drbac_crypto::SchnorrGroup::test_256(),
+            &mut rand::rngs::StdRng::seed_from_u64(5),
+        );
+        // M may grant A.tp (A's admin grant); M grants it to U: a
+        // third-party credential whose support is derivable in-wallet.
+        let admin = f.a
+            .delegate(Node::entity(&f.m), Node::role_admin(f.a.role("tp")))
+            .sign(&f.a)
+            .unwrap();
+        let granted = f.m
+            .delegate(Node::entity(&u), Node::role(f.a.role("tp")))
+            .sign(&f.m)
+            .unwrap();
+        let pre = Wallet::new("pre", f.clock.clone());
+        pre.publish(admin, vec![]).unwrap();
+        pre.publish(granted, vec![]).unwrap();
+        f.net.add_host("pre", pre);
+
+        let query = || Request::DirectQuery {
+            subject: Node::entity(&u),
+            object: Node::role(f.a.role("tp")),
+            constraints: vec![],
+        };
+        let proofs = |reply| match reply {
+            Ok(Reply::Proofs(proofs)) => proofs.iter().map(|p| p.to_bytes()).collect::<Vec<_>>(),
+            other => panic!("unexpected reply {other:?}"),
+        };
+        let before = proofs(f.net.request(&"pre".into(), query()));
+        assert_eq!(before.len(), 1, "granted through the third-party credential");
+
+        let store = f.net.crash_host(&"pre".into()).unwrap();
+        let report = f.net.restart_host(&"pre".into(), &store).unwrap();
+        assert_eq!((report.replayed, report.skipped), (2, 0));
+        assert_eq!(proofs(f.net.request(&"pre".into(), query())), before);
+    }
+
+    #[test]
     fn restart_event_reports_recovery_counts_in_trace() {
         let f = fx();
         let home = wallet(&f, "obs-home");
@@ -1160,12 +1203,7 @@ mod tests {
         };
         assert_eq!(field("replayed"), Some(drbac_obs::FieldValue::from(1usize)));
         assert_eq!(field("skipped"), Some(drbac_obs::FieldValue::from(0usize)));
-        assert_eq!(
-            field("from_snapshot"),
-            Some(drbac_obs::FieldValue::from(false))
-        );
         assert_eq!(field("torn_tail"), Some(drbac_obs::FieldValue::from(false)));
-        assert_eq!(field("rejected"), Some(drbac_obs::FieldValue::from(0usize)));
         assert!(field("truncated_bytes").is_some());
     }
 

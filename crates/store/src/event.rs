@@ -9,10 +9,10 @@ use drbac_core::{
 };
 
 /// A single durable wallet mutation, as journaled by the write-ahead
-/// log. Replaying the events of a log (after restoring the latest
-/// snapshot) reconstructs the wallet's durable state; every credential
-/// is re-verified on replay, so a journal is no more trusted than the
-/// wire.
+/// log. Replaying the events of a log that starts at seq 1 — or the
+/// records above the delegation index's watermark, on top of the index —
+/// reconstructs the wallet's durable state; every replayed credential is
+/// re-verified, so a journal is no more trusted than the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreEvent {
     /// A credential accepted by `Wallet::publish` (its issuer-provided

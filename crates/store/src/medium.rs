@@ -38,9 +38,9 @@ pub trait Medium: Send + Sync {
     /// Propagates backend I/O errors.
     fn truncate(&self, len: u64) -> io::Result<()>;
 
-    /// Atomically replaces the entire contents (used by snapshot
-    /// installation and compaction). The replacement is durable once
-    /// this returns.
+    /// Atomically replaces the entire contents (used by log truncation
+    /// and index compaction). The replacement is durable once this
+    /// returns.
     ///
     /// # Errors
     ///
@@ -257,6 +257,11 @@ impl Medium for FileMedium {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
+        // The rename lives in the parent directory's entries: fsync the
+        // directory too, or power loss may bring back the old file.
+        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            File::open(dir)?.sync_all()?;
+        }
         // Swap the append handle onto the new inode.
         let mut file = self.file.lock();
         *file = self.reopen()?;

@@ -1,6 +1,6 @@
 //! The write-ahead log proper: record framing, log scanning with a
 //! corruption taxonomy, and the [`WalletStore`] handle providing
-//! group-committed appends, snapshots, compaction, and crash recovery.
+//! group-committed appends, checkpoint truncation, and crash recovery.
 //!
 //! ## Frame format
 //!
@@ -13,12 +13,11 @@
 //!
 //! Sequence numbers start at 1 and are strictly increasing; the CRC and
 //! the length prefix together detect torn and bit-flipped tails. A
-//! snapshot file is [`SNAPSHOT_MAGIC`], the highest sequence number the
-//! image covers, then a crc-framed wallet image:
-//!
-//! ```text
-//! snapshot := magic:8 | seq:u64be | len:u32be | crc:u32be | image
-//! ```
+//! checkpoint drops a prefix of records ([`WalletStore::truncate_through`])
+//! but always keeps the last record it covers, so the log never empties
+//! and numbering never restarts: a log whose first record is seq 1 still
+//! holds the whole history, and one that starts later holds the tail
+//! above a checkpoint kept elsewhere (the delegation index's base runs).
 
 use std::fmt;
 use std::io;
@@ -35,15 +34,11 @@ use crate::medium::{FileMedium, MemMedium, Medium};
 /// Leading magic of a write-ahead log.
 pub const LOG_MAGIC: [u8; 8] = *b"drbacWL1";
 
-/// Leading magic of a snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"drbacSN1";
-
 /// Upper bound on a single record payload (64 MiB). A length prefix
 /// above this is treated as corruption rather than an allocation request.
 const MAX_RECORD: usize = 1 << 26;
 
 const FRAME_HEADER: usize = 8; // len:u32 + crc:u32
-const SNAPSHOT_HEADER: usize = 24; // magic:8 + seq:8 + len:4 + crc:4
 
 /// Errors from store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -316,48 +311,11 @@ fn encode_frame(seq: u64, event: &StoreEvent) -> Vec<u8> {
     frame
 }
 
-/// Parses only a snapshot's header: magic, covered sequence number, and
-/// the length envelope — *without* CRC-checking the image. Open uses
-/// this so a store over a multi-hundred-megabyte snapshot starts in
-/// microseconds; [`WalletStore::recover`] and [`WalletStore::verify`]
-/// still run the full CRC before the image is trusted.
-fn parse_snapshot_header(header: &[u8], total_len: u64) -> Option<u64> {
-    if header.len() < SNAPSHOT_HEADER || header[..8] != SNAPSHOT_MAGIC {
-        return None;
-    }
-    let seq = u64::from_be_bytes(header[8..16].try_into().expect("8 bytes"));
-    let len = u32::from_be_bytes(header[16..20].try_into().expect("4 bytes")) as u64;
-    if total_len != SNAPSHOT_HEADER as u64 + len {
-        return None;
-    }
-    Some(seq)
-}
-
-fn parse_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
-    if bytes.len() < SNAPSHOT_HEADER || bytes[..8] != SNAPSHOT_MAGIC {
-        return None;
-    }
-    let seq = u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let len = u32::from_be_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_be_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    if bytes.len() != SNAPSHOT_HEADER + len {
-        return None;
-    }
-    let image = &bytes[SNAPSHOT_HEADER..];
-    if crc32(image) != crc {
-        return None;
-    }
-    Some((seq, image.to_vec()))
-}
-
-/// Everything recovery produced: the snapshot (if any) plus the log
-/// tail to replay on top of it.
+/// Everything recovery produced: the log's records, after healing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
-    /// The latest valid snapshot: the sequence number it covers and the
-    /// wallet image bytes (`Wallet::export_bytes` format).
-    pub snapshot: Option<(u64, Vec<u8>)>,
-    /// Log records with sequence numbers above the snapshot's, in order.
+    /// Every valid log record, in order. The first is seq 1 unless a
+    /// checkpoint truncated the log.
     pub events: Vec<(u64, StoreEvent)>,
     /// Bytes dropped from the log tail because they were torn or
     /// corrupt (already truncated from the medium when this is returned).
@@ -367,9 +325,6 @@ pub struct Recovered {
     pub torn_tail: bool,
     /// Human-readable description of the damage, if any.
     pub corruption: Option<String>,
-    /// Whether a snapshot file was present but failed its own framing
-    /// or CRC and was ignored (recovery then replays the full log).
-    pub snapshot_discarded: bool,
 }
 
 /// A point-in-time summary of a store.
@@ -381,8 +336,10 @@ pub struct StoreStatus {
     pub log_bytes: u64,
     /// The sequence number the next append will use.
     pub next_seq: u64,
-    /// The sequence number covered by the installed snapshot, if any.
-    pub snapshot_seq: Option<u64>,
+    /// The first record's sequence number: 1 while the log holds the
+    /// whole history, later once a checkpoint truncated it, `None` for
+    /// an empty log.
+    pub first_seq: Option<u64>,
 }
 
 /// The result of a read-only integrity check (`drbac store verify`).
@@ -404,12 +361,6 @@ pub struct VerifyReport {
     pub corruption: Option<String>,
     /// Whether the damage is an ordinary torn tail.
     pub torn_tail: bool,
-    /// The snapshot's covered sequence number, if a valid snapshot exists.
-    pub snapshot_seq: Option<u64>,
-    /// Snapshot file size in bytes (0 if absent).
-    pub snapshot_bytes: u64,
-    /// False if a snapshot file exists but fails its framing or CRC.
-    pub snapshot_ok: bool,
     /// Cross-check of the delegation index against the recovered event
     /// stream, when an index sits next to this store. `None` means no
     /// index was checked (absent, or the caller did not ask). The store
@@ -446,25 +397,25 @@ impl IndexCheck {
 }
 
 impl VerifyReport {
-    /// True when the log parses end-to-end and the snapshot (if present)
-    /// is intact — including the index cross-check when one was run.
+    /// True when the log parses end-to-end — including the index
+    /// cross-check when one was run.
     pub fn is_clean(&self) -> bool {
         self.corruption.is_none()
             && self.trailing_bytes == 0
-            && self.snapshot_ok
             && self.index.as_ref().is_none_or(IndexCheck::is_clean)
     }
 }
 
 struct Inner {
     log: Box<dyn Medium>,
-    snap: Box<dyn Medium>,
     /// Sequence number for the next append.
     next_seq: u64,
+    /// Lowest `next_seq` may go (see [`WalletStore::continue_after`]).
+    floor: u64,
     /// Valid records currently in the log.
     records: u64,
-    /// Highest sequence number covered by the installed snapshot.
-    snapshot_seq: Option<u64>,
+    /// The first valid record's sequence number.
+    first_seq: Option<u64>,
     /// Appends since the last fsync.
     unsynced: u64,
     /// Length of the log's longest valid prefix.
@@ -481,16 +432,39 @@ impl Inner {
     fn reload(&mut self) -> Result<ScanOutcome, StoreError> {
         let bytes = self.log.read_all()?;
         let outcome = scan_log(&bytes);
-        self.records = outcome.records.len() as u64;
-        let last_seq = outcome.records.last().map_or(0, |r| r.seq);
-        // Header-only snapshot probe: open must not pay a CRC pass over
-        // the full image (recover/verify still do).
-        let snap_header = self.snap.read_at(0, SNAPSHOT_HEADER)?;
-        self.snapshot_seq = parse_snapshot_header(&snap_header, self.snap.len()?);
-        self.next_seq = last_seq.max(self.snapshot_seq.unwrap_or(0)) + 1;
+        self.count(&outcome);
         self.valid_len = outcome.valid_len as u64;
         self.dirty_tail = outcome.valid_len < bytes.len();
         Ok(outcome)
+    }
+
+    /// Record bookkeeping from a scan of the surviving records.
+    fn count(&mut self, outcome: &ScanOutcome) {
+        self.records = outcome.records.len() as u64;
+        self.first_seq = outcome.records.first().map(|r| r.seq);
+        let last_seq = outcome.records.last().map_or(0, |r| r.seq);
+        self.next_seq = (last_seq + 1).max(self.floor);
+    }
+
+    /// Truncates a torn or corrupt tail found by `outcome` (or writes
+    /// the magic into an empty or headless log) and refreshes the
+    /// bookkeeping. Returns the bytes dropped.
+    fn heal(&mut self, bytes_len: usize, outcome: &ScanOutcome) -> Result<u64, StoreError> {
+        let truncated = (bytes_len - outcome.valid_len) as u64;
+        if outcome.valid_len < LOG_MAGIC.len() {
+            self.log.replace(&LOG_MAGIC)?;
+        } else if truncated > 0 {
+            self.log.truncate(outcome.valid_len as u64)?;
+            self.log.sync()?;
+        }
+        if truncated > 0 {
+            drbac_obs::static_counter!("drbac.store.recover.truncated.bytes.total").add(truncated);
+        }
+        self.count(outcome);
+        self.valid_len = outcome.valid_len.max(LOG_MAGIC.len()) as u64;
+        self.dirty_tail = false;
+        self.unsynced = 0;
+        Ok(truncated)
     }
 
     /// Makes the log tail appendable: truncates a dirty tail, or writes
@@ -509,27 +483,23 @@ impl Inner {
     }
 }
 
-/// A durable, append-only journal of [`StoreEvent`]s with snapshot and
-/// compaction support. Thread-safe; typically shared as an
-/// `Arc<WalletStore>` between a wallet (journaling writes) and the
-/// host runtime (crash/restart, snapshots).
+/// A durable, append-only journal of [`StoreEvent`]s with checkpoint
+/// truncation. Thread-safe; typically shared as an `Arc<WalletStore>`
+/// between a wallet (journaling writes) and the host runtime
+/// (crash/restart, checkpoints).
 pub struct WalletStore {
     config: StoreConfig,
     inner: Mutex<Inner>,
 }
 
 impl WalletStore {
-    fn from_media(
-        log: Box<dyn Medium>,
-        snap: Box<dyn Medium>,
-        config: StoreConfig,
-    ) -> Result<Self, StoreError> {
+    fn from_media(log: Box<dyn Medium>, config: StoreConfig) -> Result<Self, StoreError> {
         let mut inner = Inner {
             log,
-            snap,
             next_seq: 1,
+            floor: 1,
             records: 0,
-            snapshot_seq: None,
+            first_seq: None,
             unsynced: 0,
             valid_len: 0,
             dirty_tail: false,
@@ -548,30 +518,24 @@ impl WalletStore {
 
     /// An empty in-memory store with an explicit configuration.
     pub fn in_memory_with(config: StoreConfig) -> Self {
-        Self::from_media(
-            Box::new(MemMedium::new()),
-            Box::new(MemMedium::new()),
-            config,
-        )
-        .expect("in-memory media cannot fail")
+        Self::from_media(Box::new(MemMedium::new()), config).expect("in-memory media cannot fail")
     }
 
     /// An in-memory store over an existing (possibly damaged) log
-    /// image, with an empty snapshot. The constructor never modifies
-    /// the image; damage is handled lazily by append/recover.
+    /// image. The constructor never modifies the image; damage is
+    /// handled lazily by append/recover.
     pub fn from_log_bytes(bytes: Vec<u8>) -> Self {
         Self::from_media(
             Box::new(MemMedium::with_contents(bytes)),
-            Box::new(MemMedium::new()),
             StoreConfig::default(),
         )
         .expect("in-memory media cannot fail")
     }
 
     /// Opens (creating as needed) a file-backed store in directory
-    /// `dir`, using `wal.log` and `snapshot.bin` within it. An existing
-    /// damaged log is *not* modified by opening — only by the first
-    /// append or an explicit [`WalletStore::recover`].
+    /// `dir`, using `wal.log` within it. An existing damaged log is
+    /// *not* modified by opening — only by the first append or an
+    /// explicit [`WalletStore::recover`].
     ///
     /// # Errors
     ///
@@ -580,8 +544,7 @@ impl WalletStore {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let log = FileMedium::open(dir.join("wal.log"))?;
-        let snap = FileMedium::open(dir.join("snapshot.bin"))?;
-        Self::from_media(Box::new(log), Box::new(snap), StoreConfig::default())
+        Self::from_media(Box::new(log), StoreConfig::default())
     }
 
     /// Journals one event and returns its sequence number. The record
@@ -608,6 +571,7 @@ impl WalletStore {
         inner.valid_len += frame.len() as u64;
         inner.next_seq = seq + 1;
         inner.records += 1;
+        inner.first_seq.get_or_insert(seq);
         inner.unsynced += 1;
         drbac_obs::static_counter!("drbac.store.append.count").inc();
         drbac_obs::static_counter!("drbac.store.append.bytes.total").add(frame.len() as u64);
@@ -638,141 +602,76 @@ impl WalletStore {
         Ok(())
     }
 
-    /// Recovers the store's contents: the latest valid snapshot plus
-    /// the log records above it, after truncating any torn or corrupt
-    /// log tail on the medium. Never panics on a damaged log — the
-    /// longest valid prefix is recovered and the rest dropped.
+    /// Recovers the store's contents: every valid log record, after
+    /// truncating any torn or corrupt log tail on the medium. Never
+    /// panics on a damaged log — the longest valid prefix is recovered
+    /// and the rest dropped.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure. Corruption is *not* an
     /// error: it is reported in the returned [`Recovered`].
     pub fn recover(&self) -> Result<Recovered, StoreError> {
-        let mut inner = self.inner.lock();
         let _timer = drbac_obs::static_histogram!("drbac.store.recover.scan.ns").start_timer();
-        let bytes = inner.log.read_all()?;
-        let outcome = scan_log(&bytes);
-        let truncated_bytes = (bytes.len() - outcome.valid_len) as u64;
-        if outcome.valid_len < LOG_MAGIC.len() {
-            // Empty or headless log: (re)establish the leading magic so
-            // subsequent appends land on a well-formed file.
-            inner.log.replace(&LOG_MAGIC)?;
-        } else if truncated_bytes > 0 {
-            inner.log.truncate(outcome.valid_len as u64)?;
-            inner.log.sync()?;
-        }
-        if truncated_bytes > 0 {
-            drbac_obs::static_counter!("drbac.store.recover.truncated.bytes.total")
-                .add(truncated_bytes);
-        }
-
-        let snap_bytes = inner.snap.read_all()?;
-        let snapshot = parse_snapshot(&snap_bytes);
-        let snapshot_discarded = snapshot.is_none() && !snap_bytes.is_empty();
-        let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-
-        let last_seq = outcome.records.last().map_or(0, |r| r.seq);
-        inner.records = outcome.records.len() as u64;
-        inner.next_seq = last_seq.max(snap_seq) + 1;
-        inner.valid_len = outcome.valid_len.max(LOG_MAGIC.len()) as u64;
-        inner.snapshot_seq = snapshot.as_ref().map(|(seq, _)| *seq);
-        inner.dirty_tail = false;
-        inner.unsynced = 0;
-
-        let events = outcome
-            .records
-            .into_iter()
-            .filter(|r| r.seq > snap_seq)
-            .map(|r| (r.seq, r.event))
-            .collect();
+        let (outcome, truncated_bytes) = self.scan_and_heal()?;
         Ok(Recovered {
-            snapshot,
-            events,
+            events: outcome.records.into_iter().map(|r| (r.seq, r.event)).collect(),
             truncated_bytes,
             torn_tail: outcome.corruption.as_ref().is_some_and(Corruption::is_torn),
             corruption: outcome.corruption.map(|c| c.to_string()),
-            snapshot_discarded,
         })
     }
 
-    /// Installs a snapshot covering every record journaled so far, then
-    /// compacts the log. `image_fn` is called *without* the store lock
-    /// held (so it may itself journal — e.g. a wallet export that races
-    /// with concurrent publishes); any records appended while the image
-    /// is being built simply stay in the log after compaction, and
-    /// replay is idempotent, so a snapshot that is slightly ahead of
-    /// its covered sequence number is benign.
-    ///
-    /// Returns the covered sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on medium failure; [`StoreError::Corrupt`]
-    /// for an implausibly large image.
-    pub fn install_snapshot(
-        &self,
-        image_fn: impl FnOnce() -> Vec<u8>,
-    ) -> Result<u64, StoreError> {
-        let covered = self.inner.lock().next_seq - 1;
-        let image = image_fn();
-        if image.len() > u32::MAX as usize {
-            return Err(StoreError::Corrupt(format!(
-                "snapshot image of {} bytes exceeds the format's 4 GiB cap",
-                image.len()
-            )));
-        }
-        let mut buf = Vec::with_capacity(SNAPSHOT_HEADER + image.len());
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&covered.to_be_bytes());
-        buf.extend_from_slice(&(image.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&crc32(&image).to_be_bytes());
-        buf.extend_from_slice(&image);
-
+    fn scan_and_heal(&self) -> Result<(ScanOutcome, u64), StoreError> {
         let mut inner = self.inner.lock();
-        inner.snap.replace(&buf)?;
-        inner.snapshot_seq = Some(covered);
-        drbac_obs::static_counter!("drbac.store.snapshot.count").inc();
-        Self::compact_locked(&mut inner)?;
-        Ok(covered)
-    }
-
-    /// Drops log records already covered by the installed snapshot.
-    /// A no-op if no snapshot has been installed.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on medium failure.
-    pub fn compact(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        Self::compact_locked(&mut inner)
-    }
-
-    fn compact_locked(inner: &mut Inner) -> Result<(), StoreError> {
-        let Some(snap_seq) = inner.snapshot_seq else {
-            return Ok(());
-        };
         let bytes = inner.log.read_all()?;
         let outcome = scan_log(&bytes);
-        // Sequence numbers increase, so the survivors are a suffix.
-        let keep_from = match outcome.records.iter().position(|r| r.seq > snap_seq) {
-            Some(0) => LOG_MAGIC.len(),
-            Some(idx) => outcome.records[idx - 1].end,
-            None => outcome.valid_len,
+        let truncated = inner.heal(bytes.len(), &outcome)?;
+        Ok((outcome, truncated))
+    }
+
+    /// The checkpoint's log step: drops every record below the last one
+    /// at or under `seq`, which stays as the anchor that keeps sequence
+    /// numbers continuous. Call it only once everything up to `seq` is
+    /// durable elsewhere. A no-op when no record lies at or under `seq`
+    /// beyond the first. The rewrite is one atomic [`Medium::replace`].
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on medium failure (the log is then unchanged).
+    pub fn truncate_through(&self, seq: u64) -> Result<(), StoreError> {
+        let mut inner = self.inner.lock();
+        let bytes = inner.log.read_all()?;
+        let outcome = scan_log(&bytes);
+        // Sequence numbers increase, so the survivors are a suffix
+        // starting at the anchor.
+        let anchor = outcome.records.iter().rposition(|r| r.seq <= seq);
+        let Some(anchor @ 1..) = anchor else {
+            return Ok(());
         };
+        let keep_from = outcome.records[anchor - 1].end;
         let mut rebuilt = Vec::with_capacity(LOG_MAGIC.len() + outcome.valid_len - keep_from);
         rebuilt.extend_from_slice(&LOG_MAGIC);
         rebuilt.extend_from_slice(&bytes[keep_from..outcome.valid_len]);
         inner.log.replace(&rebuilt)?;
-        inner.records = outcome.records.iter().filter(|r| r.seq > snap_seq).count() as u64;
-        inner.valid_len = rebuilt.len() as u64;
-        inner.dirty_tail = false;
-        inner.unsynced = 0;
         drbac_obs::static_counter!("drbac.store.compact.count").inc();
+        let survivors = scan_log(&rebuilt);
+        inner.heal(rebuilt.len(), &survivors)?;
         Ok(())
     }
 
-    /// A read-only integrity check of the log and snapshot as they sit
-    /// on the medium. Never modifies either file.
+    /// Makes the next append use a sequence number above `seq`. For a
+    /// log that holds no records while a checkpoint elsewhere covers
+    /// history up to `seq`, so numbering continues instead of
+    /// restarting at 1.
+    pub fn continue_after(&self, seq: u64) {
+        let mut inner = self.inner.lock();
+        inner.floor = inner.floor.max(seq + 1);
+        inner.next_seq = inner.next_seq.max(inner.floor);
+    }
+
+    /// A read-only integrity check of the log as it sits on the medium.
+    /// Never modifies it.
     ///
     /// # Errors
     ///
@@ -781,8 +680,6 @@ impl WalletStore {
         let inner = self.inner.lock();
         let bytes = inner.log.read_all()?;
         let outcome = scan_log(&bytes);
-        let snap_bytes = inner.snap.read_all()?;
-        let snapshot = parse_snapshot(&snap_bytes);
         Ok(VerifyReport {
             log_bytes: bytes.len() as u64,
             records: outcome.records.len() as u64,
@@ -792,9 +689,6 @@ impl WalletStore {
             trailing_bytes: (bytes.len() - outcome.valid_len) as u64,
             torn_tail: outcome.corruption.as_ref().is_some_and(Corruption::is_torn),
             corruption: outcome.corruption.map(|c| c.to_string()),
-            snapshot_seq: snapshot.map(|(seq, _)| seq),
-            snapshot_bytes: snap_bytes.len() as u64,
-            snapshot_ok: snap_bytes.is_empty() || parse_snapshot(&snap_bytes).is_some(),
             index: None,
         })
     }
@@ -807,53 +701,21 @@ impl WalletStore {
             records: inner.records,
             log_bytes: inner.valid_len,
             next_seq: inner.next_seq,
-            snapshot_seq: inner.snapshot_seq,
+            first_seq: inner.first_seq,
         }
     }
 
     /// Scans the log and truncates any torn or corrupt tail — the
-    /// healing [`WalletStore::recover`] performs, without reading the
-    /// snapshot or replaying anything. The indexed boot path uses this
-    /// so a crash-interrupted append can't linger just because the full
+    /// healing [`WalletStore::recover`] performs, without handing the
+    /// events over. The indexed boot path uses this so a
+    /// crash-interrupted append can't linger just because the full
     /// replay was skipped. Returns the scan of the surviving prefix.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure.
     pub fn heal_tail(&self) -> Result<ScanOutcome, StoreError> {
-        let mut inner = self.inner.lock();
-        let bytes = inner.log.read_all()?;
-        let outcome = scan_log(&bytes);
-        let truncated = (bytes.len() - outcome.valid_len) as u64;
-        if outcome.valid_len < LOG_MAGIC.len() {
-            inner.log.replace(&LOG_MAGIC)?;
-        } else if truncated > 0 {
-            inner.log.truncate(outcome.valid_len as u64)?;
-            inner.log.sync()?;
-        }
-        if truncated > 0 {
-            drbac_obs::static_counter!("drbac.store.recover.truncated.bytes.total").add(truncated);
-        }
-        let last_seq = outcome.records.last().map_or(0, |r| r.seq);
-        inner.records = outcome.records.len() as u64;
-        inner.next_seq = last_seq.max(inner.snapshot_seq.unwrap_or(0)) + 1;
-        inner.valid_len = outcome.valid_len.max(LOG_MAGIC.len()) as u64;
-        inner.dirty_tail = false;
-        inner.unsynced = 0;
-        Ok(outcome)
-    }
-
-    /// The installed snapshot exactly as it sits on the medium, CRC
-    /// checked — or `None` when absent or damaged. Read-only (unlike
-    /// [`WalletStore::recover`], which heals torn tails); used by the
-    /// index cross-check in `drbac store verify`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on medium failure.
-    pub fn read_snapshot(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-        let inner = self.inner.lock();
-        Ok(parse_snapshot(&inner.snap.read_all()?))
+        Ok(self.scan_and_heal()?.0)
     }
 
     /// Scans the log as found on the medium (for `drbac store inspect`).
@@ -876,12 +738,11 @@ impl WalletStore {
         Ok(inner.log.read_all()?)
     }
 
-    /// Power-loss simulation: drops unsynced bytes from both media (a
+    /// Power-loss simulation: drops unsynced bytes from the medium (a
     /// no-op for file-backed stores) and refreshes bookkeeping.
     pub fn lose_unsynced(&self) {
         let mut inner = self.inner.lock();
         inner.log.lose_unsynced();
-        inner.snap.lose_unsynced();
         let _ = inner.reload();
     }
 }
@@ -916,7 +777,7 @@ mod tests {
         let status = store.status();
         assert_eq!(status.records, 3);
         assert_eq!(status.next_seq, 4);
-        assert_eq!(status.snapshot_seq, None);
+        assert_eq!(status.first_seq, Some(1));
     }
 
     #[test]
@@ -959,25 +820,40 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compacts_log_and_recovery_replays_tail() {
+    fn truncation_keeps_an_anchor_and_numbering_continues() {
         let store = WalletStore::in_memory();
         for b in 1..=5 {
             store.append(&mark(b)).unwrap();
         }
-        let covered = store.install_snapshot(|| b"image-bytes".to_vec()).unwrap();
-        assert_eq!(covered, 5);
-        assert_eq!(store.status().records, 0, "log compacted");
-        store.append(&expire(6)).unwrap();
-        store.append(&expire(7)).unwrap();
+        store.truncate_through(3).unwrap();
+        let status = store.status();
+        assert_eq!((status.first_seq, status.records), (Some(3), 3), "seq 3 is the anchor");
+        // Truncating through the tip keeps the tip: the log never
+        // empties, so numbering cannot restart.
+        store.truncate_through(5).unwrap();
+        assert_eq!(store.status().first_seq, Some(5));
+        assert_eq!(store.status().records, 1);
+        // Below the first record it is a no-op.
+        store.truncate_through(2).unwrap();
+        assert_eq!(store.status().records, 1);
+        assert_eq!(store.append(&expire(6)).unwrap(), 6);
 
         let recovered = store.recover().unwrap();
-        assert_eq!(recovered.snapshot, Some((5, b"image-bytes".to_vec())));
         assert_eq!(
             recovered.events.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![6, 7]
+            vec![5, 6]
         );
         assert_eq!(recovered.truncated_bytes, 0);
         assert!(!recovered.torn_tail);
+    }
+
+    #[test]
+    fn an_empty_log_continues_after_an_outside_checkpoint() {
+        let store = WalletStore::in_memory();
+        store.continue_after(41);
+        assert_eq!(store.status().next_seq, 42);
+        assert_eq!(store.append(&mark(1)).unwrap(), 42);
+        assert_eq!(store.status().first_seq, Some(42));
     }
 
     #[test]
@@ -1060,35 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_snapshot_is_discarded_and_full_log_replayed() {
-        let store = WalletStore::in_memory();
-        for b in 1..=4 {
-            store.append(&mark(b)).unwrap();
-        }
-        store.install_snapshot(|| b"good".to_vec()).unwrap();
-        store.append(&mark(5)).unwrap();
-        // Damage the snapshot in place.
-        {
-            let inner = store.inner.lock();
-            let mut snap = inner.snap.read_all().unwrap();
-            let last = snap.len() - 1;
-            snap[last] ^= 0xFF;
-            inner.snap.replace(&snap).unwrap();
-        }
-        let recovered = store.recover().unwrap();
-        assert!(recovered.snapshot.is_none());
-        assert!(recovered.snapshot_discarded);
-        // Only the post-compaction log tail survives — snapshot loss
-        // after compaction is real data loss, which is why snapshot
-        // installation is atomic (write-then-rename) in the first place.
-        assert_eq!(
-            recovered.events.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![5]
-        );
-        assert!(!store.verify().unwrap().snapshot_ok);
-    }
-
-    #[test]
     fn file_backed_store_survives_reopen() {
         let dir = std::env::temp_dir().join(format!(
             "drbac-store-wal-{}-{:?}",
@@ -1101,15 +948,14 @@ mod tests {
             for b in 1..=3 {
                 store.append(&mark(b)).unwrap();
             }
-            store.install_snapshot(|| b"disk-image".to_vec()).unwrap();
+            store.truncate_through(3).unwrap();
             store.append(&expire(4)).unwrap();
         }
         {
             let store = WalletStore::open_dir(&dir).unwrap();
             assert_eq!(store.status().next_seq, 5);
             let recovered = store.recover().unwrap();
-            assert_eq!(recovered.snapshot, Some((3, b"disk-image".to_vec())));
-            assert_eq!(recovered.events.len(), 1);
+            assert_eq!(recovered.events.len(), 2, "anchor 3 and record 4");
             // Appending after reopen continues the sequence.
             assert_eq!(store.append(&mark(7)).unwrap(), 5);
         }

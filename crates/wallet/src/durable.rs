@@ -11,10 +11,14 @@ use drbac_store::{StoreEvent, WalletStore};
 use crate::wallet::{CacheEntry, RecoveryReport, Wallet, WalletError};
 
 /// A [`Wallet`] permanently bound to a [`WalletStore`]: opening
-/// recovers whatever the store holds (latest snapshot + log-tail
-/// replay) and attaches the journal, so every subsequent mutating call
-/// is logged before it is applied. Dereferences to [`Wallet`] for the
-/// whole query/publish/monitor API.
+/// recovers whatever the store holds and attaches the journal, so every
+/// subsequent mutating call is logged before it is applied.
+/// Dereferences to [`Wallet`] for the whole query/publish/monitor API.
+///
+/// A home boots by one route, [`DurableWallet::open_indexed`]: the
+/// delegation index's base run is the checkpoint, and the journal holds
+/// the records above it. [`DurableWallet::open`] is that route's
+/// full-replay case, for a journal that still starts at seq 1.
 ///
 /// # Example
 ///
@@ -47,13 +51,16 @@ pub struct DurableWallet {
 }
 
 impl DurableWallet {
-    /// Opens a durable wallet at `addr` over `store`: recovers the
-    /// store's contents into a fresh wallet, then attaches the journal.
+    /// Opens a durable wallet at `addr` over `store` by full replay:
+    /// recovers every journal record into a fresh wallet, then attaches
+    /// the journal.
     ///
     /// # Errors
     ///
-    /// [`WalletError::Storage`] if the store's medium fails (corrupt
-    /// contents are recovered-around, not errors).
+    /// [`WalletError::Storage`] if the store's medium fails, or if a
+    /// checkpoint truncated the journal (it no longer starts at seq 1, so
+    /// only [`DurableWallet::open_indexed`] can boot it). Corrupt
+    /// contents are recovered-around, not errors.
     pub fn open(
         addr: impl Into<WalletAddr>,
         clock: SimClock,
@@ -65,27 +72,32 @@ impl DurableWallet {
         Ok((DurableWallet { wallet, store }, report))
     }
 
-    /// Opens a durable wallet with a delegation index, skipping the full
-    /// replay when the index is current: boot becomes *snapshot header +
-    /// index open + log-tail catch-up*. The graph starts out lazily
-    /// hydrated — queries pull only the neighborhoods they can reach
-    /// from the index's `c/` rows — so a million-credential wallet is
-    /// answering in milliseconds instead of re-verifying its history.
+    /// Opens a durable wallet with a delegation index — the one boot
+    /// route: *index open + log-tail heal + catch-up*. The graph starts
+    /// out lazily hydrated — queries pull only the neighborhoods they can
+    /// reach from the index's `c/` rows — so a million-credential wallet
+    /// is answering in milliseconds instead of re-verifying its history.
     ///
-    /// The index is current when its watermark `w` satisfies
-    /// `snapshot_seq ≤ w ≤ last logged seq`: everything at or below `w`
-    /// is served from the index, and the log records above `w` (the
-    /// tail) are replayed through the ordinary verify path. Otherwise —
-    /// missing watermark, index behind a compaction, or ahead of a
-    /// truncated log — the wallet falls back to a full
-    /// [`DurableWallet::open`] replay and rebuilds the index from the
-    /// recovered contents, so a stale or corrupt index costs time, not
-    /// correctness.
+    /// The index covers the journal when its watermark `w` satisfies
+    /// `first logged seq − 1 ≤ w ≤ last logged seq`: everything at or
+    /// below `w` is served from the index, and the records above `w`
+    /// (the tail) are replayed through the ordinary verify path. An
+    /// empty journal next to a watermark means the index holds all
+    /// history; numbering continues after `w`. Otherwise — missing
+    /// watermark, index behind the first record or ahead of the tail,
+    /// unreadable index — the index is stale:
+    /// - while the journal still starts at seq 1, the wallet falls back to
+    ///   a full [`DurableWallet::open`] replay and rebuilds the index from
+    ///   the recovered contents;
+    /// - once a checkpoint has truncated the journal, nothing else holds
+    ///   the records below it, so boot refuses.
     ///
     /// # Errors
     ///
-    /// [`WalletError::Storage`] if the store's medium fails. Index
-    /// failures are never errors: they degrade to the rebuild path.
+    /// [`WalletError::Storage`] if the store's medium fails, or when the
+    /// index is stale over a truncated journal (the message names
+    /// `drbac store verify`; `FileTable::restore_previous` is the
+    /// repair).
     pub fn open_indexed(
         addr: impl Into<WalletAddr> + Clone,
         clock: SimClock,
@@ -102,6 +114,20 @@ impl DurableWallet {
             }
             Err(why) => {
                 drop(timer);
+                // The journal holds the whole history only while it starts
+                // at seq 1, or is empty beside an index that never applied
+                // anything.
+                let whole = match store.status().first_seq {
+                    Some(seq) => seq == 1,
+                    None => index.watermark().is_none(),
+                };
+                if !whole {
+                    return Err(WalletError::Storage(format!(
+                        "{why}; the journal was truncated by a checkpoint and holds only \
+                         the records above it, so it cannot rebuild the index \
+                         (run `drbac store verify`)"
+                    )));
+                }
                 drbac_obs::static_counter!("drbac.index.degraded.count").inc();
                 drbac_obs::event!(
                     "drbac.index.boot.fallback",
@@ -136,20 +162,18 @@ impl DurableWallet {
     /// wallet's eager state (declarations, support proofs, revocation
     /// marks, cache coherence metadata) from the index, attaches it
     /// lazily, and replays the log tail above the watermark. Any index
-    /// trouble returns `Err(reason)` and the caller falls back to a
-    /// full replay.
+    /// trouble returns `Err(reason)` before the tail is applied.
     fn seed_from_index(
         wallet: &Wallet,
         store: &Arc<WalletStore>,
         index: &Arc<DelegationIndex>,
     ) -> Result<IndexedBootReport, String> {
-        let status = store.status();
-        let snap_seq = status.snapshot_seq.unwrap_or(0);
         // Heal while scanning: a torn final append must be truncated
         // here exactly as a full recover() would, since this boot path
         // otherwise never touches the damaged bytes.
         let tail = store.heal_tail().map_err(|e| format!("log scan: {e}"))?;
-        let last_seq = tail.records.last().map_or(0, |r| r.seq).max(snap_seq);
+        let first_seq = tail.records.first().map(|r| r.seq);
+        let last_seq = tail.records.last().map_or(0, |r| r.seq);
 
         let watermark = match index.watermark() {
             Some(w) => w,
@@ -165,16 +189,21 @@ impl DurableWallet {
             }
             None => return Err("index has no watermark for a non-empty store".into()),
         };
-        if watermark < snap_seq {
-            return Err(format!(
-                "index watermark {watermark} is behind the snapshot ({snap_seq}); \
-                 the missing records were compacted away"
-            ));
-        }
-        if watermark > last_seq {
-            return Err(format!(
-                "index watermark {watermark} is ahead of the log tail ({last_seq})"
-            ));
+        match first_seq {
+            // Every record the index lacks is still in the log.
+            Some(first) if watermark + 1 < first => {
+                return Err(format!(
+                    "index watermark {watermark} is behind the log's first record ({first})"
+                ));
+            }
+            Some(_) if watermark > last_seq => {
+                return Err(format!(
+                    "index watermark {watermark} is ahead of the log tail ({last_seq})"
+                ));
+            }
+            Some(_) => {}
+            // An empty log beside a watermark: the index is all there is.
+            None => store.continue_after(watermark),
         }
 
         // Eager state. Declarations and support proofs feed every
@@ -282,28 +311,33 @@ impl DurableWallet {
         &self.store
     }
 
-    /// Installs a snapshot of the wallet's current durable contents and
-    /// compacts the log behind it. Returns the sequence number the
-    /// snapshot covers.
+    /// Checkpoints the wallet: syncs the journal, folds the index delta
+    /// into a new durable base run (the run it replaces becomes the
+    /// previous run), and only then truncates the journal through the
+    /// *previous* run's watermark. Either run plus the journal above it
+    /// rebuilds the index, so a crash at any step, or a current run that
+    /// goes bad later, loses no acknowledged write. Returns the seq the
+    /// journal was truncated through: `None` when the journal stays whole
+    /// — no index, no previous run yet, or an index with no durable runs
+    /// (a `MemTable`).
     ///
     /// # Errors
     ///
-    /// [`WalletError::Storage`] if the store's medium fails.
-    pub fn snapshot(&self) -> Result<u64, WalletError> {
-        let wallet = self.wallet.clone();
-        let covered = self
-            .store
-            .install_snapshot(move || wallet.export_bytes())
-            .map_err(|e| WalletError::Storage(e.to_string()))?;
-        // Persist the index's delta log alongside the snapshot so the
-        // `snapshot_seq ≤ watermark` boot invariant survives a crash
-        // right after compaction.
-        if let Some(index) = self.wallet.index() {
-            if let Err(e) = index.flush() {
-                self.wallet.degrade_index(&format!("flush at snapshot: {e}"));
-            }
+    /// [`WalletError::Storage`] if the store's or the index's medium
+    /// fails; the journal is then left whole.
+    pub fn checkpoint(&self) -> Result<Option<u64>, WalletError> {
+        let storage = |e: drbac_store::StoreError| WalletError::Storage(e.to_string());
+        self.store.sync().map_err(storage)?;
+        let Some(index) = self.wallet.index() else {
+            return Ok(None);
+        };
+        index.flush().map_err(storage)?;
+        index.compact().map_err(storage)?;
+        let through = index.previous_watermark().map_err(storage)?;
+        if let Some(seq) = through {
+            self.store.truncate_through(seq).map_err(storage)?;
         }
-        Ok(covered)
+        Ok(through)
     }
 }
 
@@ -413,8 +447,8 @@ mod tests {
                     .unwrap();
                 w.publish(cert, vec![]).unwrap();
             }
-            w.snapshot().unwrap();
-            // Two more after the snapshot, with the index detached (a
+            w.checkpoint().unwrap();
+            // Two more after the checkpoint, with the index detached (a
             // crash before its delta log synced): the log tail the next
             // boot must catch up on.
             w.detach_index().unwrap();
@@ -499,5 +533,124 @@ mod tests {
         assert_eq!(w.len(), 5);
         // Idempotent: nothing left in the lapsed range.
         assert!(w.process_expiries().0.is_empty());
+    }
+
+    /// A file-backed index over shared in-memory media whose reads fail
+    /// while `fail` is set.
+    struct Flaky {
+        table: drbac_index::FileTable,
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Flaky {
+        fn check(&self) -> Result<(), drbac_store::StoreError> {
+            if self.fail.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(drbac_store::StoreError::Io("injected read failure".into()));
+            }
+            Ok(())
+        }
+    }
+
+    impl drbac_index::TableBackend for Flaky {
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, drbac_store::StoreError> {
+            self.check()?;
+            self.table.get(key)
+        }
+        fn apply(&self, batch: &[drbac_index::TableOp]) -> Result<(), drbac_store::StoreError> {
+            self.table.apply(batch)
+        }
+        fn scan(
+            &self,
+            start: &[u8],
+            end: Option<&[u8]>,
+            f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+        ) -> Result<(), drbac_store::StoreError> {
+            self.check()?;
+            self.table.scan(start, end, f)
+        }
+        fn stats(&self) -> drbac_index::TableStats {
+            self.table.stats()
+        }
+        fn flush(&self) -> Result<(), drbac_store::StoreError> {
+            self.table.flush()
+        }
+        fn compact(&self) -> Result<(), drbac_store::StoreError> {
+            self.table.compact()
+        }
+        fn previous_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, drbac_store::StoreError> {
+            self.table.previous_get(key)
+        }
+        fn reset_with(
+            &self,
+            entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>,
+        ) -> Result<(), drbac_store::StoreError> {
+            self.table.reset_with(entries)
+        }
+    }
+
+    /// A home whose journal three checkpoints truncated (it starts at
+    /// seq 2), holding `A.r0`..`A.r2` for M, and a way to reopen its index.
+    fn checkpointed_home() -> (
+        Arc<WalletStore>,
+        impl Fn(Arc<std::sync::atomic::AtomicBool>) -> Arc<DelegationIndex>,
+        LocalEntity,
+        LocalEntity,
+    ) {
+        let mut rng = StdRng::seed_from_u64(31);
+        let g = SchnorrGroup::test_256();
+        let a = LocalEntity::generate("A", g.clone(), &mut rng);
+        let m = LocalEntity::generate("M", g, &mut rng);
+        let store = Arc::new(WalletStore::in_memory());
+        let media = [(); 3].map(|_| drbac_store::MemMedium::new());
+        let index = move |fail| {
+            let [tab, log, prev] = media.clone().map(|m| Box::new(m) as Box<dyn drbac_store::Medium>);
+            let table = drbac_index::FileTable::from_media(tab, log, prev).unwrap();
+            Arc::new(DelegationIndex::open(Box::new(Flaky { table, fail })).unwrap())
+        };
+        let never = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (w, _) =
+            DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index(never))
+                .unwrap();
+        for i in 0..3 {
+            let cert = a
+                .delegate(Node::entity(&m), Node::role(a.role(&format!("r{i}"))))
+                .sign(&a)
+                .unwrap();
+            w.publish(cert, vec![]).unwrap();
+            if i > 0 {
+                w.checkpoint().unwrap();
+            }
+        }
+        w.checkpoint().unwrap();
+        assert_eq!(store.status().first_seq, Some(3));
+        (store, index, a, m)
+    }
+
+    #[test]
+    fn a_checkpointed_journal_without_its_index_refuses_to_boot() {
+        let (store, _, _, _) = checkpointed_home();
+        let err = DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), mem_index())
+            .unwrap_err();
+        assert!(err.to_string().contains("drbac store verify"), "{err}");
+        let err = DurableWallet::open("w", SimClock::new(), store).unwrap_err();
+        assert!(err.to_string().contains("drbac store verify"), "{err}");
+    }
+
+    #[test]
+    fn a_lazy_checkpointed_wallet_keeps_its_index_through_a_read_failure() {
+        let (store, index, a, m) = checkpointed_home();
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (w, report) =
+            DurableWallet::open_indexed("w", SimClock::new(), store, index(Arc::clone(&fail)))
+                .unwrap();
+        assert!(report.lazy);
+        let (subject, object) = (Node::entity(&m), Node::role(a.role("r0")));
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        // The failed hydration may deny a grant (never the reverse)...
+        assert!(w.query_direct(&subject, &object, &[]).is_none());
+        assert!(w.indexed(), "the index holds the only copy of the history: kept");
+        // ...and the next query that needs the neighborhood retries it.
+        fail.store(false, std::sync::atomic::Ordering::SeqCst);
+        assert!(w.query_direct(&subject, &object, &[]).is_some());
     }
 }

@@ -20,7 +20,14 @@
 //! `drbac.index.degraded.count`, detaches the index, and falls back to
 //! graph walks; a lazily booted wallet first restores the full graph
 //! from the attached journal. Queries keep being answered; nothing
-//! panics.
+//! panics. A lazily booted wallet whose journal a checkpoint truncated
+//! cannot restore its graph that way — the index holds the only copy of
+//! the history below the journal — so it keeps the index: a failed
+//! hydration is retried by the next query that needs it (meanwhile that
+//! neighborhood may answer *deny* for a grant, never the reverse:
+//! revocation marks load eagerly at boot), and a failed apply leaves the
+//! watermark behind the lost event, which the index then refuses to
+//! skip, so the next boot catches up from the journal.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,18 +126,34 @@ impl Wallet {
     /// Drops the index after a failure: counts, traces, and — for a
     /// lazily booted wallet — restores the full graph from the attached
     /// journal so graph walks see everything. Never panics; a wallet
-    /// with a dead index is a slower wallet, not a dead one.
+    /// with a dead index is a slower wallet, not a dead one. A lazily
+    /// booted wallet over a truncated journal keeps its index instead
+    /// (see the module docs).
     pub(crate) fn degrade_index(&self, why: &str) {
-        let Some(handle) = self.state.index.lock().take() else {
+        let store = self.state.journal.lock().clone();
+        let mut slot = self.state.index.lock();
+        let Some(handle) = slot.as_ref() else {
             return;
         };
+        let keep = handle.is_lazy()
+            && store
+                .as_ref()
+                .is_some_and(|s| s.status().first_seq.is_some_and(|seq| seq > 1));
         drbac_obs::static_counter!("drbac.index.degraded.count").inc();
         drbac_obs::event!(
             "drbac.index.degraded",
             "why" => why.to_string(),
+            "kept" => keep,
         );
+        if keep {
+            drop(slot);
+            // Denials computed over the partial graph must not be cached.
+            self.state.proof_cache.invalidate_negatives();
+            return;
+        }
+        let handle = slot.take().expect("checked above");
+        drop(slot);
         if handle.is_lazy() {
-            let store = self.state.journal.lock().clone();
             if let Some(store) = store {
                 if let Err(e) = self.recover_from_store(&store) {
                     drbac_obs::event!(
@@ -174,49 +197,64 @@ impl Wallet {
         let mut queue: VecDeque<(Node, bool)> = VecDeque::new();
         queue.push_back((start.clone(), forward));
         while let Some((node, fwd)) = queue.pop_front() {
-            let key = node_key(&node);
-            {
-                let set = if fwd {
-                    &handle.hydrated_fwd
-                } else {
-                    &handle.hydrated_rev
-                };
-                if !set.lock().insert(key) {
-                    continue;
-                }
-            }
-            let ids = if fwd {
-                handle.index.ids_by_subject(&node)?
+            let set = if fwd {
+                &handle.hydrated_fwd
             } else {
-                handle.index.ids_by_object(&node)?
+                &handle.hydrated_rev
             };
-            for id in ids {
-                let cert = match self.state.graph.get(id) {
-                    Some(cert) => cert,
-                    None => match handle.index.cert(id)? {
-                        Some(cert) => {
-                            drbac_obs::static_counter!("drbac.index.hydrate.cert.count").inc();
-                            self.insert_cert(Arc::clone(&cert));
-                            cert
-                        }
-                        None => continue,
-                    },
-                };
-                let d = cert.delegation();
-                let far = if fwd { d.object() } else { d.subject() };
-                queue.push_back((far.clone(), fwd));
-                // Crossing a third-party edge may spawn a forward
-                // support search from its issuer.
-                if d.required_support().is_some() || d.foreign_clauses().next().is_some() {
-                    queue.push_back((Node::Entity(d.issuer()), true));
-                }
+            if !set.lock().insert(node_key(&node)) {
+                continue;
+            }
+            // A node whose scan fails is not hydrated: the next query
+            // that reaches it tries again.
+            self.hydrate_node(handle, &node, fwd, &mut queue)
+                .inspect_err(|_| {
+                    set.lock().remove(&node_key(&node));
+                })?;
+        }
+        Ok(())
+    }
+
+    /// Loads `node`'s edges in one direction and queues the moves a
+    /// search can make from them.
+    fn hydrate_node(
+        &self,
+        handle: &IndexHandle,
+        node: &Node,
+        fwd: bool,
+        queue: &mut VecDeque<(Node, bool)>,
+    ) -> Result<(), StoreError> {
+        let ids = if fwd {
+            handle.index.ids_by_subject(node)?
+        } else {
+            handle.index.ids_by_object(node)?
+        };
+        for id in ids {
+            let cert = match self.state.graph.get(id) {
+                Some(cert) => cert,
+                None => match handle.index.cert(id)? {
+                    Some(cert) => {
+                        drbac_obs::static_counter!("drbac.index.hydrate.cert.count").inc();
+                        self.insert_cert(Arc::clone(&cert));
+                        cert
+                    }
+                    None => continue,
+                },
+            };
+            let d = cert.delegation();
+            let far = if fwd { d.object() } else { d.subject() };
+            queue.push_back((far.clone(), fwd));
+            // Crossing a third-party edge may spawn a forward
+            // support search from its issuer.
+            if d.required_support().is_some() || d.foreign_clauses().next().is_some() {
+                queue.push_back((Node::Entity(d.issuer()), true));
             }
         }
         Ok(())
     }
 
     /// Fully hydrates a lazily booted wallet from the index. Called
-    /// before whole-wallet views — listings, snapshot export — whose
+    /// before whole-wallet views — listings, image export — whose
     /// answers must cover every credential, not just the hydrated
     /// neighborhoods. A no-op unless the wallet is lazily index-booted;
     /// afterwards the lazy bookkeeping is retired (the index keeps

@@ -209,7 +209,7 @@ pub(crate) struct WalletState {
     next_subscription: AtomicU64,
     /// The revocation-coherent direct-query answer cache; entries track
     /// the delegation ids their proofs depend on and die with them.
-    proof_cache: ProofCache,
+    pub(crate) proof_cache: ProofCache,
     /// Cold queries currently being answered, keyed like the proof cache.
     /// Concurrent identical queries coalesce onto the leader's search
     /// (singleflight) instead of repeating it.
@@ -814,8 +814,10 @@ impl Wallet {
         // timeslice when nobody else is waiting.
         std::thread::yield_now();
 
-        self.plan_forward(subject);
+        // The epoch is taken before hydration: an index read failure
+        // inside it moves the epoch, so a denial it caused is not cached.
         let epoch = self.state.proof_cache.epoch();
+        self.plan_forward(subject);
         let opts = self.search_opts(now, constraints);
         let (proof, stats) = self.state.graph.direct_query(subject, object, &opts);
         let answer = proof.and_then(|proof| {
@@ -1207,7 +1209,7 @@ impl Wallet {
     pub fn export_bytes(&self) -> Vec<u8> {
         use drbac_core::{Encode, Writer};
         // The export must cover *everything* — a lazily booted wallet
-        // would otherwise snapshot only its hydrated neighborhoods.
+        // would otherwise export only its hydrated neighborhoods.
         self.hydrate_all();
         let graph = &self.state.graph;
         let mut w = Writer::tagged(b"drbac-wallet-v1");
@@ -1290,7 +1292,13 @@ impl Wallet {
         r.finish().map_err(malformed)?;
 
         // Declarations first (constraint bases), then supports, then
-        // credentials, then revocations.
+        // credentials, then revocations — and credentials first-party
+        // before third-party: that is an order in which a replay of the
+        // journal, running `publish`'s support rule, accepts every one.
+        certs.sort_by_key(|c| {
+            let d = c.delegation();
+            (d.required_support().is_some() || d.foreign_clauses().next().is_some(), c.id())
+        });
         for decl in declarations {
             match self.publish_declaration(&decl) {
                 Ok(()) => report.declarations += 1,
@@ -1334,20 +1342,22 @@ impl Wallet {
         self.clear_volatile();
     }
 
-    /// Rebuilds this wallet's durable contents from `store`: restores
-    /// the latest valid snapshot (if any), then replays the log tail on
-    /// top of it. A torn or corrupt log tail is truncated by the store,
-    /// never a panic. Every credential is re-verified on the way in;
-    /// events that no longer apply (e.g. replaying a publication that
-    /// has since expired) are counted as skipped.
+    /// Rebuilds this wallet's durable contents from `store` by replaying
+    /// every journal record. A torn or corrupt log tail is truncated by
+    /// the store, never a panic. Every credential is re-verified on the
+    /// way in; events that no longer apply (e.g. replaying a publication
+    /// that has since expired) are counted as skipped.
     ///
     /// The attached journal (if any) is suspended for the duration so
     /// recovery does not re-journal its own replay.
     ///
     /// # Errors
     ///
-    /// [`WalletError::Storage`] if the store's medium fails. Corruption
-    /// is *not* an error — it is reported in the [`RecoveryReport`].
+    /// [`WalletError::Storage`] if the store's medium fails, or if a
+    /// checkpoint truncated the journal: its records then start above
+    /// seq 1 and the history below lives only in the delegation index,
+    /// so a replay would silently drop it. Corruption is *not* an error —
+    /// it is reported in the [`RecoveryReport`].
     pub fn recover_from_store(
         &self,
         store: &Arc<WalletStore>,
@@ -1368,22 +1378,18 @@ impl Wallet {
         let recovered = store
             .recover()
             .map_err(|e| WalletError::Storage(e.to_string()))?;
+        if let Some((first, _)) = recovered.events.first().filter(|(seq, _)| *seq > 1) {
+            return Err(WalletError::Storage(format!(
+                "the journal starts at seq {first}: a checkpoint moved the records below it \
+                 into the delegation index, so only an indexed boot can recover this wallet \
+                 (run `drbac store verify`)"
+            )));
+        }
         let mut report = RecoveryReport {
             truncated_bytes: recovered.truncated_bytes,
             torn_tail: recovered.torn_tail,
             ..RecoveryReport::default()
         };
-        if let Some((_, image)) = &recovered.snapshot {
-            match self.import_bytes(image) {
-                Ok(snapshot) => {
-                    report.from_snapshot = true;
-                    report.snapshot = snapshot;
-                }
-                // A snapshot that does not decode is treated like any
-                // other damage: fall through to pure log replay.
-                Err(_) => report.skipped += 1,
-            }
-        }
         for (_, event) in recovered.events {
             match self.apply_event(event) {
                 Ok(()) => report.replayed += 1,
@@ -1436,13 +1442,9 @@ pub struct ImportReport {
 /// Counts from a [`Wallet::recover_from_store`] restore.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Whether a valid snapshot image was restored.
-    pub from_snapshot: bool,
-    /// Import counts from the snapshot image (all zero when none).
-    pub snapshot: ImportReport,
-    /// Log records replayed successfully on top of the snapshot.
+    /// Log records replayed successfully.
     pub replayed: usize,
-    /// Log records (or an undecodable snapshot) that no longer applied.
+    /// Log records that no longer applied.
     pub skipped: usize,
     /// Log-tail bytes dropped because they were torn or corrupt.
     pub truncated_bytes: u64,
@@ -2165,7 +2167,6 @@ mod tests {
         assert!(f.wallet.is_empty());
 
         let report = f.wallet.recover_from_store(&store).unwrap();
-        assert!(!report.from_snapshot);
         assert_eq!(report.replayed, 4, "3 publishes + 1 revocation");
         assert_eq!(report.skipped, 0);
         assert_eq!(report.truncated_bytes, 0);
@@ -2181,48 +2182,36 @@ mod tests {
     }
 
     #[test]
-    fn recovery_from_snapshot_plus_tail_and_torn_log() {
+    fn recovery_heals_a_torn_log_and_refuses_a_truncated_one() {
         let f = fx();
         let store = Arc::new(drbac_store::WalletStore::in_memory());
         f.wallet.attach_journal(Arc::clone(&store));
-
-        let first =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        f.wallet.publish(first, vec![]).unwrap();
-        // Snapshot covers the first publish; the log is compacted.
-        let wallet = f.wallet.clone();
-        store
-            .install_snapshot(move || wallet.export_bytes())
-            .unwrap();
-        let second =
-            f.a.delegate(Node::entity(&f.b), Node::role(f.a.role("r")))
-                .sign(&f.a)
-                .unwrap();
-        f.wallet.publish(second, vec![]).unwrap();
+        for (subject, role) in [(&f.m, "r"), (&f.b, "r")] {
+            let cert =
+                f.a.delegate(Node::entity(subject), Node::role(f.a.role(role)))
+                    .sign(&f.a)
+                    .unwrap();
+            f.wallet.publish(cert, vec![]).unwrap();
+        }
 
         // Tear the final record on a copy of the log.
         let mut bytes = store.log_bytes().unwrap();
         let cut = bytes.len() - 5;
         bytes.truncate(cut);
         let torn = Arc::new(drbac_store::WalletStore::from_log_bytes(bytes));
-        // A torn log with no snapshot medium: only the snapshot-covered
-        // first publish would be lost, so re-plant the snapshot by
-        // recovering from the original store's snapshot via export.
         let restored = Wallet::new("restored", f.clock.clone());
         let report = restored.recover_from_store(&torn).unwrap();
         assert!(report.torn_tail);
         assert!(report.truncated_bytes > 0);
-        assert_eq!(report.replayed, 0, "the only tail record was torn");
+        assert_eq!(report.replayed, 1, "the torn second record is dropped");
 
-        // The intact store recovers snapshot + tail.
+        // Once a checkpoint truncated the log, a replay would lose the
+        // first publish without a word: it refuses instead.
+        store.truncate_through(2).unwrap();
         let full = Wallet::new("full", f.clock.clone());
-        let report = full.recover_from_store(&store).unwrap();
-        assert!(report.from_snapshot);
-        assert_eq!(report.snapshot.credentials, 1);
-        assert_eq!(report.replayed, 1);
-        assert_eq!(full.len(), 2);
+        let err = full.recover_from_store(&store).unwrap_err();
+        assert!(err.to_string().contains("drbac store verify"), "{err}");
+        assert!(full.is_empty());
     }
 
     #[test]

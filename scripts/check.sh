@@ -63,6 +63,19 @@ if [ "$(grep -c . <<<"$sites")" -ne 1 ] || ! grep -q '^crates/core/src/signed\.r
 fi
 cargo test -q --test work_ledger
 
+echo "== one checkpoint (the index base run; no snapshot image comes back) =="
+# The delegation index's base run is a durable home's only checkpoint.
+# The snapshot image, its framing and its boot branch are gone; the
+# pattern names only them (`NetStats::from_snapshot` reads the metrics
+# registry and is unrelated).
+stale=$(grep -rnE 'install_snapshot|read_snapshot|SNAPSHOT_MAGIC|report\.from_snapshot|"from_snapshot"|snapshot\.bin' crates || true)
+if [ -n "$stale" ]; then
+    echo "check.sh: the snapshot image is back under crates/:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+cargo test -q --test checkpoint_crash
+
 echo "== chaos suite (seed matrix) =="
 for seed in 1 2 3; do
     echo "-- DRBAC_CHAOS_SEED=$seed"
@@ -116,6 +129,9 @@ done
 "$DRBAC" --home "$STORE_HOME" store verify
 "$DRBAC" --home "$STORE_HOME" store compact >/dev/null
 "$DRBAC" --home "$STORE_HOME" store verify
+"$DRBAC" --home "$STORE_HOME" store compact | grep -q 'log truncated through seq 3'
+"$DRBAC" --home "$STORE_HOME" store verify
+test ! -e "$STORE_HOME/store/snapshot.bin"
 "$DRBAC" --home "$STORE_HOME" query Maria BigISP.member | grep -q GRANTED
 
 echo "== tcp (loopback parity suite + shutdown accounting + serve/--remote round trip) =="

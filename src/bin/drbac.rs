@@ -5,19 +5,22 @@
 //!
 //! * `keys/<name>.sk` — key pairs (plaintext; protect the directory),
 //! * `entities.bin` — known entities (name → public key),
-//! * `store/wal.log` + `store/snapshot.bin` — the wallet's write-ahead
-//!   log and latest snapshot (credentials, supports, declarations,
-//!   revocations). Every mutating command journals before it applies,
-//!   and startup recovers snapshot + log-tail replay, so an interrupted
-//!   command can tear at most the final record — which recovery
-//!   truncates. A legacy `wallet.bin` image is migrated into the store
-//!   on first load,
-//! * `index/index.tab` + `index/index.log` — the delegation index: an
-//!   ordered table over the store's contents that turns startup into
-//!   snapshot + index open + log-tail catch-up and queries into prefix
-//!   scans. Stale or corrupt index files are never fatal: boot falls
-//!   back to a full replay (rebuilding the index when possible) and
-//!   `drbac store index rebuild` regenerates them on demand.
+//! * `store/wal.log` — the wallet's write-ahead log (credentials,
+//!   supports, declarations, revocations). Every mutating command
+//!   journals before it applies, so an interrupted command can tear at
+//!   most the final record — which startup truncates. A legacy
+//!   `wallet.bin` image is migrated into the store on first load,
+//! * `index/index.tab` + `index/index.log` + `index/index.prev` — the
+//!   delegation index: an ordered table over the store's contents, and
+//!   the wallet's only checkpoint. Startup is *index open + log-tail
+//!   catch-up*; queries are prefix scans. A checkpoint (`drbac store
+//!   compact`, and automatically once the index delta grows) folds the
+//!   delta into a new base run, keeps the run it replaced as
+//!   `index.prev`, and truncates the log through that previous run's
+//!   watermark. A stale or unreadable index is rebuilt by full replay
+//!   while the log still starts at seq 1, and restored from
+//!   `index.prev` plus the log once it does not; without a usable
+//!   previous run startup refuses and points at `drbac store verify`.
 //!
 //! ```text
 //! drbac keygen <Name>                          create an identity
@@ -52,7 +55,7 @@ use drbac::index::{DelegationIndex, FileTable};
 use drbac::net::proto::{Reply, Request};
 use drbac::net::{RetryPolicy, TcpConfig, TcpTransport, Transport, WalletDaemon};
 use drbac::store::WalletStore;
-use drbac::wallet::DurableWallet;
+use drbac::wallet::{DurableWallet, IndexedBootReport};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,12 +155,14 @@ fn usage() -> String {
      \x20 trace --follow <file.jsonl> [trace-id] tail a daemon's trace export live,\n\
      \x20                                       optionally filtered to one trace id\n\
      \x20 store inspect                         list the write-ahead log's records\n\
-     \x20 store verify                          read-only integrity check, log + snapshot +\n\
-     \x20                                       index cross-check (exit 1 if damaged)\n\
-     \x20 store compact                         snapshot the wallet and drop covered records\n\
+     \x20 store verify                          read-only integrity check, log + index\n\
+     \x20                                       cross-check (exit 1 if damaged)\n\
+     \x20 store compact                         checkpoint: fold the index delta into a new\n\
+     \x20                                       base run and drop the log records it covers\n\
      \x20 store index status                    delegation-index watermark and table shape\n\
      \x20 store index verify                    cross-check the index against the log\n\
-     \x20 store index rebuild                   regenerate the index files from the log\n"
+     \x20 store index rebuild                   regenerate the index from the log (and its\n\
+     \x20                                       previous base run, once the log is truncated)\n"
         .to_string()
 }
 
@@ -412,9 +417,12 @@ fn run_coalition_walkthrough(chaos: Option<u64>) -> Result<(drbac::obs::Snapshot
     Ok((snapshot, out))
 }
 
+/// The address a context's wallet opens under.
+const WALLET_ADDR: &str = "drbac-cli";
+
 /// Opens the context's delegation index (`index/index.tab` +
-/// `index/index.log`). An `Err` means the files are unusable — callers
-/// degrade to graph walks rather than failing the command.
+/// `index/index.log` + `index/index.prev`). An `Err` means the current
+/// run is unusable; [`repair_index`] is the way back.
 fn open_index(home: &Path) -> Result<Arc<DelegationIndex>, String> {
     let table = FileTable::open_dir(home.join("index")).map_err(|e| e.to_string())?;
     DelegationIndex::open(Box::new(table))
@@ -422,12 +430,71 @@ fn open_index(home: &Path) -> Result<Arc<DelegationIndex>, String> {
         .map_err(|e| e.to_string())
 }
 
+/// The one boot route: open the index, then `open_indexed` heals the log
+/// and catches up on the records above the index's watermark (a full
+/// replay that rebuilds the index while the log starts at seq 1).
+fn boot(home: &Path, store: Arc<WalletStore>) -> Result<(DurableWallet, IndexedBootReport), String> {
+    let index = open_index(home)?;
+    DurableWallet::open_indexed(WALLET_ADDR, SimClock::new(), store, index)
+        .map_err(|e| e.to_string())
+}
+
+/// Boots the context's wallet; when the index will not open or no
+/// longer covers the log, repairs it once ([`repair_index`]) and boots
+/// again.
+fn open_wallet(home: &Path, store: Arc<WalletStore>) -> Result<DurableWallet, String> {
+    boot(home, Arc::clone(&store))
+        .or_else(|why| {
+            drbac::obs::global().counter("drbac.index.degraded.count").inc();
+            eprintln!("warning: delegation index unusable ({why}); repairing it");
+            repair_index(home, &store)?;
+            boot(home, store)
+        })
+        .map(|(wallet, _)| wallet)
+}
+
+/// Puts the context's index where the next boot can rebuild or catch it
+/// up. While the log starts at seq 1 it holds the whole history: the
+/// index files are removed and the boot rebuilds them by full replay.
+/// A checkpointed log holds only the records above the previous base
+/// run's watermark, so that run is restored ([`FileTable::restore_previous`]);
+/// without a usable one this refuses *before changing any file*.
+fn repair_index(home: &Path, store: &WalletStore) -> Result<(), String> {
+    let dir = home.join("index");
+    if store.status().first_seq == Some(1) {
+        for file in FileTable::files(&dir) {
+            if file.exists() {
+                fs::remove_file(&file).map_err(|e| format!("clear {file:?}: {e}"))?;
+            }
+        }
+        return Ok(());
+    }
+    let refuse = |why: String| {
+        format!(
+            "{why}; the log was truncated by a checkpoint, so nothing else holds the \
+             records below it — nothing was changed (run `drbac store verify`)"
+        )
+    };
+    match FileTable::restore_previous(&dir) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(refuse("the index keeps no previous base run".into())),
+        Err(e) => Err(refuse(format!("the index's previous base run is damaged ({e})"))),
+    }
+}
+
+/// The journal's records as they sit on disk, for the index
+/// cross-check.
+fn journal_events(store: &WalletStore) -> Result<Vec<(u64, drbac::store::StoreEvent)>, String> {
+    let scan = store.read_log().map_err(|e| e.to_string())?;
+    Ok(scan.records.into_iter().map(|r| (r.seq, r.event)).collect())
+}
+
 /// `drbac store <inspect|verify|compact|index …>` — direct access to
 /// the context's write-ahead store and its delegation index. `inspect`
 /// and `verify` are read-only (they report damage rather than healing
-/// it); `compact` snapshots the recovered wallet and drops the records
-/// the snapshot covers; `index rebuild` regenerates the index files
-/// from the recovered store.
+/// it); `compact` boots the wallet and checkpoints it; `index rebuild`
+/// regenerates the index from the log (and its previous base run, once
+/// the log is truncated).
 fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: store <inspect|verify|compact|index status|index verify|index rebuild>";
     let sub = match args {
@@ -448,9 +515,12 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 status.records, status.log_bytes, status.next_seq
             )
             .unwrap();
-            match status.snapshot_seq {
-                Some(seq) => writeln!(out, "snapshot: covers seq {seq}").unwrap(),
-                None => writeln!(out, "snapshot: (none)").unwrap(),
+            if let Some(seq) = status.first_seq.filter(|seq| *seq > 1) {
+                writeln!(
+                    out,
+                    "checkpointed: records below seq {seq} live in the index's base runs"
+                )
+                .unwrap();
             }
             for record in &scan.records {
                 writeln!(out, "  #{:>6} {}", record.seq, record.event.describe()).unwrap();
@@ -484,8 +554,8 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                     Err(e) => {
                         writeln!(
                             out,
-                            "index: UNUSABLE ({e}) — wallets degrade to graph walks; \
-                             run `drbac store index rebuild`"
+                            "index: UNUSABLE ({e}) — the next boot repairs it; \
+                             run `drbac store index rebuild` to repair it now"
                         )
                         .unwrap();
                     }
@@ -503,17 +573,9 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             if index_present {
                 report.index = Some(match open_index(home) {
                     Ok(index) => {
-                        let snapshot = store.read_snapshot().map_err(|e| e.to_string())?;
-                        let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-                        let scan = store.read_log().map_err(|e| e.to_string())?;
-                        let events: Vec<_> = scan
-                            .records
-                            .iter()
-                            .filter(|r| r.seq > snap_seq)
-                            .map(|r| (r.seq, r.event.clone()))
-                            .collect();
+                        let events = journal_events(&store)?;
                         index
-                            .verify_against(snapshot.as_ref().map(|(_, b)| b.as_slice()), &events)
+                            .verify_against(&events)
                             .unwrap_or_else(|e| drbac::store::IndexCheck {
                                 corruption: Some(e.to_string()),
                                 ..Default::default()
@@ -534,17 +596,6 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 report.last_seq.unwrap_or(0),
                 report.valid_len,
                 report.log_bytes
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "snapshot: {}",
-                match (report.snapshot_ok, report.snapshot_seq) {
-                    (true, Some(seq)) =>
-                        format!("ok, covers seq {seq} ({} bytes)", report.snapshot_bytes),
-                    (true, None) => "(none)".into(),
-                    (false, _) => "CORRUPT (will be ignored at recovery)".into(),
-                }
             )
             .unwrap();
             match &report.index {
@@ -576,21 +627,13 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                     .index
                     .as_ref()
                     .is_some_and(|check| !check.is_clean());
-                let log_or_snap_dirty = report.corruption.is_some()
-                    || report.trailing_bytes > 0
-                    || !report.snapshot_ok;
+                let log_dirty = report.corruption.is_some() || report.trailing_bytes > 0;
                 let detail = report.corruption.clone().unwrap_or_else(|| {
-                    if log_or_snap_dirty {
-                        "corrupt snapshot".into()
-                    } else {
-                        "index disagrees with the recovered event stream \
-                         (run `drbac store index rebuild`)"
-                            .into()
-                    }
+                    "index disagrees with the log (run `drbac store index rebuild`)".into()
                 });
                 let kind = if report.torn_tail {
                     "torn tail"
-                } else if log_or_snap_dirty {
+                } else if log_dirty {
                     "corruption"
                 } else if index_dirty {
                     "index mismatch"
@@ -604,17 +647,19 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             }
         }
         "compact" => {
-            let before = store.status();
-            let (wallet, report) =
-                DurableWallet::open("drbac-cli", SimClock::new(), Arc::new(store))
-                    .map_err(|e| e.to_string())?;
-            let seq = wallet.snapshot().map_err(|e| e.to_string())?;
+            let wallet = open_wallet(home, Arc::new(store))?;
+            let before = wallet.store().status();
+            let through = wallet.checkpoint().map_err(|e| e.to_string())?;
             let after = wallet.store().status();
+            let index = wallet.index().ok_or("the index detached during the boot")?;
             Ok(format!(
-                "recovered {} event(s) ({} skipped), snapshot now covers seq {seq}\n\
+                "checkpointed: index base run at watermark {}; {}\n\
                  log: {} record(s) ({} bytes) -> {} record(s) ({} bytes)\n",
-                report.replayed,
-                report.skipped,
+                index.watermark().map_or("(none)".into(), |w| w.to_string()),
+                match through {
+                    Some(seq) => format!("log truncated through seq {seq}"),
+                    None => "no previous base run yet, log kept whole".into(),
+                },
                 before.records,
                 before.log_bytes,
                 after.records,
@@ -659,21 +704,22 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 index.cert_count().map_err(|e| e.to_string())?
             )
             .unwrap();
+            writeln!(
+                out,
+                "previous base run: {}",
+                match index.previous_watermark() {
+                    Ok(Some(w)) => format!("watermark {w} (the log is kept from there)"),
+                    Ok(None) => "(none; the next checkpoint keeps the log whole)".into(),
+                    Err(e) => format!("UNREADABLE ({e})"),
+                }
+            )
+            .unwrap();
             Ok(out)
         }
         "index verify" => {
             let index = open_index(home).map_err(|e| format!("index unusable: {e}"))?;
-            let snapshot = store.read_snapshot().map_err(|e| e.to_string())?;
-            let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-            let scan = store.read_log().map_err(|e| e.to_string())?;
-            let events: Vec<_> = scan
-                .records
-                .iter()
-                .filter(|r| r.seq > snap_seq)
-                .map(|r| (r.seq, r.event.clone()))
-                .collect();
             let check = index
-                .verify_against(snapshot.as_ref().map(|(_, b)| b.as_slice()), &events)
+                .verify_against(&journal_events(&store)?)
                 .map_err(|e| e.to_string())?;
             let summary = format!(
                 "{} entr{}, watermark {}, {} missing, {} orphaned\n",
@@ -694,30 +740,24 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             }
         }
         "index rebuild" => {
-            // Full replay of the store, then bulk-load fresh index files
-            // from the recovered truth. This is both the repair path for
-            // a corrupt index and the store → indexed-store migration.
-            let (wallet, report) =
-                DurableWallet::open("drbac-cli", SimClock::new(), Arc::new(store))
-                    .map_err(|e| e.to_string())?;
-            let index_dir = home.join("index");
-            for file in ["index.tab", "index.log"] {
-                let path = index_dir.join(file);
-                if path.exists() {
-                    fs::remove_file(&path).map_err(|e| format!("clear {path:?}: {e}"))?;
-                }
-            }
-            let index = open_index(home)?;
-            let watermark = wallet.store().status().next_seq.saturating_sub(1);
-            wallet
-                .rebuild_index_into(&index, watermark)
-                .map_err(|e| e.to_string())?;
+            // Remove the index (log at seq 1) or restore its previous base
+            // run (checkpointed log) — refusing before any file changes
+            // when neither can work — then boot: a full replay rebuilds
+            // the removed index, a catch-up completes the restored one.
+            // Also the store → indexed-store migration.
+            let store = Arc::new(store);
+            repair_index(home, &store)?;
+            let (wallet, report) = boot(home, store)?;
+            let index = wallet.index().ok_or("the rebuilt index did not attach")?;
             index.flush().map_err(|e| e.to_string())?;
             Ok(format!(
-                "rebuilt from {} replayed event(s) ({} skipped): {} delegation(s) indexed, watermark {watermark}\n",
-                report.replayed,
-                report.skipped,
-                index.cert_count().map_err(|e| e.to_string())?
+                "rebuilt by {}: {} delegation(s) indexed, watermark {}\n",
+                match report.recovery {
+                    Some(r) => format!("full replay of {} event(s) ({} skipped)", r.replayed, r.skipped),
+                    None => format!("catching up {} record(s) on the previous base run", report.caught_up),
+                },
+                index.cert_count().map_err(|e| e.to_string())?,
+                report.watermark
             ))
         }
         other => Err(format!("unknown store command {other:?}\n{USAGE}")),
@@ -753,9 +793,12 @@ fn extract_remote(args: &mut Vec<String>) -> Result<Option<String>, String> {
     Ok(std::env::var("DRBAC_REMOTE").ok())
 }
 
-/// Snapshot + compact once the log exceeds this many records, so a
-/// long-lived context's startup replay stays short.
-const SNAPSHOT_EVERY: u64 = 64;
+/// Checkpoint once the index delta holds this many ops (about 64
+/// writes), so a long-lived context's startup replays a short delta and
+/// its log holds about two checkpoints' worth of records. The trigger is
+/// the delta, not the log: right after a checkpoint the log still holds
+/// the records since the previous one.
+const CHECKPOINT_DELTA_OPS: u64 = 512;
 
 struct Context {
     home: PathBuf,
@@ -805,38 +848,23 @@ impl Context {
             WalletStore::open_dir(home.join("store"))
                 .map_err(|e| format!("open store in {home:?}: {e}"))?,
         );
-        let status = store.status();
-        let store_empty = status.records == 0 && status.snapshot_seq.is_none();
-        // Boot through the delegation index when its files open: a
-        // current index turns startup into snapshot header + index open
-        // + log-tail catch-up, and a stale one is rebuilt from a full
-        // replay inside `open_indexed`. Files that won't even open
-        // (corrupt framing, I/O trouble) degrade to the plain replay
-        // path — the wallet keeps serving, `drbac store inspect` warns,
-        // and `drbac store index rebuild` repairs.
-        let wallet = match open_index(home) {
-            Ok(index) => {
-                let (wallet, _boot) =
-                    DurableWallet::open_indexed("drbac-cli", SimClock::new(), store, index)
-                        .map_err(|e| e.to_string())?;
-                wallet
-            }
-            Err(why) => {
-                drbac::obs::global()
-                    .counter("drbac.index.degraded.count")
-                    .inc();
-                eprintln!("warning: delegation index unusable ({why}); falling back to replay");
-                let (wallet, _) = DurableWallet::open("drbac-cli", SimClock::new(), store)
-                    .map_err(|e| e.to_string())?;
-                wallet
-            }
-        };
-        // One-time migration from the pre-store image format: an empty
-        // store next to a legacy wallet.bin means this context predates
-        // the write-ahead log. Importing journals every credential (and
-        // feeds the attached index), so from here on the store is
-        // authoritative.
+        let wallet = open_wallet(home, store)?;
+        // A home written before the index became the only checkpoint may
+        // still carry the image the log used to be compacted behind. The
+        // index covers everything it held (the boot above checked the
+        // watermark against the log), so it goes.
+        let legacy_snapshot = home.join("store").join("snapshot.bin");
+        if legacy_snapshot.exists() {
+            fs::remove_file(&legacy_snapshot)
+                .map_err(|e| format!("remove {legacy_snapshot:?}: {e}"))?;
+        }
+        // One-time migration from the pre-store image format: a store
+        // that never journaled anything next to a legacy wallet.bin
+        // means this context predates the write-ahead log. Importing
+        // journals every credential (and feeds the attached index), so
+        // from here on the store is authoritative.
         let wallet_path = home.join("wallet.bin");
+        let store_empty = wallet.store().status().next_seq == 1;
         if store_empty && wallet_path.exists() {
             let bytes = fs::read(&wallet_path).map_err(|e| e.to_string())?;
             wallet
@@ -864,15 +892,15 @@ impl Context {
         // force the tail to disk and keep the log short.
         self.wallet.store().sync().map_err(|e| e.to_string())?;
         // Same for the index's delta log — an unsynced index is merely
-        // stale at next boot (rebuilt from the log), but syncing here
+        // behind at next boot (caught up from the log), but syncing here
         // keeps the fast boot path fast.
         if let Some(index) = self.wallet.index() {
             if let Err(e) = index.flush() {
-                eprintln!("warning: index flush failed ({e}); next boot will rebuild");
+                eprintln!("warning: index flush failed ({e}); next boot catches it up");
             }
-        }
-        if self.wallet.store().status().records >= SNAPSHOT_EVERY {
-            self.wallet.snapshot().map_err(|e| e.to_string())?;
+            if index.stats().delta_ops >= CHECKPOINT_DELTA_OPS {
+                self.wallet.checkpoint().map_err(|e| e.to_string())?;
+            }
         }
         Ok(())
     }

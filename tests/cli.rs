@@ -4,6 +4,9 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
+use drbac::core::{SignedDelegation, SimClock};
+use drbac::wallet::Wallet;
+
 fn drbac(home: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_drbac"))
         .arg("--home")
@@ -203,8 +206,9 @@ fn two_homes_exchange_credentials_through_files() {
 }
 
 /// The store subcommands over a real on-disk context: inspect lists the
-/// journaled records, verify reports a clean log, compact snapshots and
-/// shrinks it, and the wallet still answers afterwards.
+/// journaled records, verify reports a clean log, compact checkpoints
+/// (the second checkpoint truncates the log through the first one's base
+/// run), and the wallet still answers afterwards.
 #[test]
 fn store_subcommands_inspect_verify_compact() {
     let home = temp_home("store");
@@ -236,18 +240,24 @@ fn store_subcommands_inspect_verify_compact() {
     assert!(verified.contains("clean"), "{verified}");
 
     let compacted = ok(&home, &["store", "compact"]);
-    assert!(compacted.contains("snapshot now covers seq 3"), "{compacted}");
+    assert!(compacted.contains("log kept whole"), "{compacted}");
+    let compacted = ok(&home, &["store", "compact"]);
+    assert!(compacted.contains("log truncated through seq 3"), "{compacted}");
     let inspected = ok(&home, &["store", "inspect"]);
-    assert!(inspected.contains("0 record(s)"), "{inspected}");
-    assert!(inspected.contains("covers seq 3"), "{inspected}");
+    assert!(inspected.contains("1 record(s)"), "{inspected}");
+    assert!(inspected.contains("records below seq 3"), "{inspected}");
+    assert!(!home.join("store").join("snapshot.bin").exists());
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("clean"), "{verified}");
 
-    // The wallet state survives compaction: queries answer from the
-    // snapshot, and new mutations journal on top of it.
+    // The wallet state survives the checkpoint: queries answer from the
+    // index, and new mutations journal on top of it.
     let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
     assert!(answer.starts_with("GRANTED"), "{answer}");
     ok(&home, &["delegate", "[Maria -> BigISP.memberServices] BigISP"]);
     let inspected = ok(&home, &["store", "inspect"]);
-    assert!(inspected.contains("1 record(s)"), "{inspected}");
+    assert!(inspected.contains("2 record(s)"), "{inspected}");
+    assert!(inspected.contains("#     4"), "numbering continues: {inspected}");
 
     let _ = std::fs::remove_dir_all(&home);
 }
@@ -300,15 +310,20 @@ fn legacy_wallet_image_is_migrated_into_the_store() {
     ok(&home, &["keygen", "Maria"]);
     ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
 
-    // Fake the pre-store layout: export the wallet image the old code
-    // would have written, then delete the store directory entirely.
+    // Fake the pre-store layout: the wallet image the old code would
+    // have written, built through the library from the exported
+    // credential, with the store and index directories deleted.
     let inspected = ok(&home, &["store", "inspect"]);
     assert!(inspected.contains("1 record(s)"), "{inspected}");
-    ok(&home, &["store", "compact"]);
-    let snapshot = std::fs::read(home.join("store").join("snapshot.bin")).unwrap();
-    // snapshot.bin = magic(8) + seq(8) + len(4) + crc(4) + image.
-    std::fs::write(home.join("wallet.bin"), &snapshot[24..]).unwrap();
+    let listing = ok(&home, &["list"]);
+    let cert_file = home.join("membership.cert");
+    ok(&home, &["export-cert", &listing[1..9], cert_file.to_str().unwrap()]);
+    let cert = SignedDelegation::from_bytes(&std::fs::read(&cert_file).unwrap()).unwrap();
+    let legacy = Wallet::new("legacy", SimClock::new());
+    legacy.publish(cert, vec![]).unwrap();
+    std::fs::write(home.join("wallet.bin"), legacy.export_bytes()).unwrap();
     std::fs::remove_dir_all(home.join("store")).unwrap();
+    std::fs::remove_dir_all(home.join("index")).unwrap();
 
     let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
     assert!(answer.starts_with("GRANTED"), "{answer}");
@@ -317,6 +332,79 @@ fn legacy_wallet_image_is_migrated_into_the_store() {
         inspected.contains("publish"),
         "migration journals the legacy credentials: {inspected}"
     );
+
+    let _ = std::fs::remove_dir_all(&home);
+}
+
+/// A home written before the index became the only checkpoint: its log
+/// was compacted behind `store/snapshot.bin` (here, down to the bare
+/// magic) while the index stayed current. It boots from the index,
+/// answers, continues the sequence numbering, and drops the old image.
+#[test]
+fn pre_checkpoint_home_with_a_snapshot_image_boots_from_its_index() {
+    let home = temp_home("prechange");
+    ok(&home, &["keygen", "BigISP"]);
+    ok(&home, &["keygen", "Maria"]);
+    ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    let store = home.join("store");
+    std::fs::write(store.join("wal.log"), b"drbacWL1").unwrap();
+    std::fs::write(store.join("snapshot.bin"), b"drbacSN1 an image the log was compacted behind").unwrap();
+
+    let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
+    assert!(answer.starts_with("GRANTED"), "{answer}");
+    assert!(!store.join("snapshot.bin").exists(), "the old image is removed");
+    ok(&home, &["delegate", "[BigISP -> BigISP.member] BigISP"]);
+    let inspected = ok(&home, &["store", "inspect"]);
+    assert!(inspected.contains("#     2"), "numbering continues after the index: {inspected}");
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("clean"), "{verified}");
+
+    let _ = std::fs::remove_dir_all(&home);
+}
+
+/// A checkpointed home: a damaged current base run is restored from the
+/// previous one plus the log; with no previous run left, boot and `store
+/// index rebuild` refuse — naming `drbac store verify` — and change no
+/// file.
+#[test]
+fn checkpointed_home_restores_its_index_or_refuses() {
+    let home = temp_home("checkpointed");
+    ok(&home, &["keygen", "BigISP"]);
+    ok(&home, &["keygen", "Maria"]);
+    ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    ok(&home, &["delegate", "[BigISP -> BigISP.member] BigISP"]);
+    let compacted = ok(&home, &["store", "compact"]);
+    assert!(compacted.contains("log truncated through seq 1"), "{compacted}");
+    ok(&home, &["delegate", "[Maria -> BigISP.admin] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    let inspected = ok(&home, &["store", "inspect"]);
+    assert!(inspected.contains("records below seq 2"), "{inspected}");
+
+    // The current run goes bad: verify says so, the next boot restores
+    // the previous run and catches up from the log.
+    let tab = home.join("index").join("index.tab");
+    std::fs::write(&tab, b"not an index").unwrap();
+    let err = fails(&home, &["store", "verify"]);
+    assert!(err.contains("NOT CLEAN"), "{err}");
+    let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
+    assert!(answer.starts_with("GRANTED"), "{answer}");
+    let answer = ok(&home, &["query", "Maria", "BigISP.admin"]);
+    assert!(answer.starts_with("GRANTED"), "{answer}");
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("clean"), "{verified}");
+
+    // Every run lost: nothing else holds the records below the log.
+    let index = home.join("index");
+    std::fs::remove_dir_all(&index).unwrap();
+    std::fs::create_dir_all(&index).unwrap();
+    std::fs::write(index.join("index.tab"), b"not an index").unwrap();
+    let err = fails(&home, &["query", "Maria", "BigISP.member"]);
+    assert!(err.contains("drbac store verify"), "{err}");
+    let err = fails(&home, &["store", "index", "rebuild"]);
+    assert!(err.contains("nothing was changed"), "{err}");
+    assert_eq!(std::fs::read(index.join("index.tab")).unwrap(), b"not an index");
+    assert!(std::fs::read(home.join("store").join("wal.log")).unwrap().len() > 8);
 
     let _ = std::fs::remove_dir_all(&home);
 }

@@ -17,8 +17,12 @@
 //!     tail, and the index either loses its unflushed delta batches
 //!     (`FileTable`) or is wiped entirely (`MemTable`), forcing either
 //!     a log-tail catch-up or a full fallback rebuild;
-//!   - `Compacted`: a snapshot + log compaction mid-workload, so the
-//!     boot path crosses a snapshot boundary.
+//!   - `Compacted`: two checkpoints mid-workload. On the file backend
+//!     the second truncates the journal through the first one's base
+//!     run, so the boot path crosses a truncation boundary and the
+//!     oracle replays an uncompacted copy of the same event stream; a
+//!     `MemTable` keeps no base run that outlives the process, so there
+//!     the journal stays whole.
 //!
 //! The equality contract checked for each (seed, backend, scenario)
 //! cell: encoded proof bytes for `query_subject`/`query_object` on
@@ -36,7 +40,7 @@ use drbac::core::{
 };
 use drbac::crypto::SchnorrGroup;
 use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
-use drbac::store::{Medium, MemMedium, StoreConfig, StoreError, WalletStore};
+use drbac::store::{scan_log, Medium, MemMedium, StoreConfig, StoreError, WalletStore};
 use drbac::wallet::DurableWallet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,9 +88,9 @@ impl TableBackend for SharedMem {
 /// The index storage that outlives wallet handles in a case.
 enum Backend {
     Mem(Arc<MemTable>),
-    /// `(index.tab, index.log)` as shared in-memory media with
-    /// power-loss simulation.
-    File(MemMedium, MemMedium),
+    /// `(index.tab, index.log, index.prev)` as shared in-memory media
+    /// with power-loss simulation.
+    File(MemMedium, MemMedium, MemMedium),
 }
 
 impl Backend {
@@ -95,7 +99,7 @@ impl Backend {
     }
 
     fn file() -> Self {
-        Backend::File(MemMedium::new(), MemMedium::new())
+        Backend::File(MemMedium::new(), MemMedium::new(), MemMedium::new())
     }
 
     fn label(&self) -> &'static str {
@@ -109,9 +113,13 @@ impl Backend {
     fn open(&self) -> Arc<DelegationIndex> {
         let table: Box<dyn TableBackend> = match self {
             Backend::Mem(t) => Box::new(SharedMem(Arc::clone(t))),
-            Backend::File(tab, log) => Box::new(
-                FileTable::from_media(Box::new(tab.clone()), Box::new(log.clone()))
-                    .expect("reopen index media"),
+            Backend::File(tab, log, prev) => Box::new(
+                FileTable::from_media(
+                    Box::new(tab.clone()),
+                    Box::new(log.clone()),
+                    Box::new(prev.clone()),
+                )
+                .expect("reopen index media"),
             ),
         };
         Arc::new(DelegationIndex::open(table).expect("open index"))
@@ -124,7 +132,7 @@ impl Backend {
     fn crash(&mut self) {
         match self {
             Backend::Mem(t) => *t = Arc::new(MemTable::new()),
-            Backend::File(_, log) => log.lose_unsynced(),
+            Backend::File(_, log, _) => log.lose_unsynced(),
         }
     }
 }
@@ -176,6 +184,8 @@ struct Touched {
     /// `(certificate, signer)` — the signer is the issuer index into
     /// the revocation candidates, so a revocation can be re-signed.
     certs: Vec<Arc<SignedDelegation>>,
+    /// The journal as it stood before each checkpoint.
+    log_images: Vec<Vec<u8>>,
 }
 
 const STEPS: usize = 48;
@@ -204,6 +214,7 @@ fn run_workload(
         subjects: Vec::new(),
         objects: Vec::new(),
         certs: Vec::new(),
+        log_images: Vec::new(),
     };
     for u in users {
         touched.subjects.push(Node::entity(u));
@@ -247,8 +258,9 @@ fn run_workload(
         .collect();
 
     for step in 0..STEPS {
-        if scenario == Scenario::Compacted && step == STEPS / 2 {
-            wallet.snapshot().expect("mid-workload snapshot");
+        if scenario == Scenario::Compacted && (step == STEPS / 3 || step == 2 * STEPS / 3) {
+            touched.log_images.push(wallet.store().log_bytes().unwrap());
+            wallet.checkpoint().expect("mid-workload checkpoint");
         }
         if scenario == Scenario::Crash && step == STEPS / 2 {
             // The surviving prefix of the index's delta log.
@@ -370,6 +382,22 @@ fn run_workload(
     touched
 }
 
+/// Splices journal images into one journal from seq 1: the uncompacted
+/// copy of the event stream a truncated journal came from.
+fn uncompacted(images: &[Vec<u8>]) -> Arc<WalletStore> {
+    let whole = WalletStore::in_memory();
+    let mut last = 0;
+    for image in images {
+        for record in scan_log(image).records {
+            if record.seq > last {
+                assert_eq!(whole.append(&record.event).unwrap(), record.seq);
+                last = record.seq;
+            }
+        }
+    }
+    Arc::new(whole)
+}
+
 fn proof_bytes(proofs: Vec<Proof>) -> Vec<Vec<u8>> {
     proofs.iter().map(|p| p.to_bytes()).collect()
 }
@@ -419,10 +447,18 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     }
 
     // The oracle: full journal replay, no index anywhere.
+    let oracle_store = if scenario == Scenario::Compacted {
+        let truncated = store.status().first_seq != Some(1);
+        assert_eq!(truncated, backend.label() == "file", "{ctx}: truncation follows the backend");
+        let mut images = touched.log_images.clone();
+        images.push(store.log_bytes().unwrap());
+        uncompacted(&images)
+    } else {
+        Arc::clone(&store)
+    };
     let clock_full = SimClock::new();
     clock_full.advance(Ticks(end));
-    let (full, _) =
-        DurableWallet::open("w.oracle", clock_full.clone(), Arc::clone(&store)).unwrap();
+    let (full, _) = DurableWallet::open("w.oracle", clock_full.clone(), oracle_store).unwrap();
 
     // The subject: an indexed boot over whatever survived the scenario.
     let clock_idx = SimClock::new();

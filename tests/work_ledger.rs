@@ -18,6 +18,11 @@
 //! re-validating a proof built from such credentials, costs no
 //! exponentiation and no allocation.
 //!
+//! The recovery trust boundary is a row too: an indexed boot trusts the
+//! delegation index's base run and re-verifies only the journal records
+//! above its watermark, so it costs one signature check per tail record,
+//! whatever the checkpointed history.
+//!
 //! The third claim is the paper's §4.2.3 search argument (experiment
 //! F-A): the edges each strategy considers on the funnels and layered
 //! DAGs of `crates/bench/benches/search_strategies.rs`, built from the
@@ -44,7 +49,8 @@ use drbac::core::{
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::graph::SearchOptions;
-use drbac::store::WalletStore;
+use drbac::index::{DelegationIndex, FileTable};
+use drbac::store::{Medium, MemMedium, WalletStore};
 use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -529,6 +535,48 @@ fn a_verified_credential_is_not_checked_again() {
             revalidate_sig_checks: 0,
         }
     );
+}
+
+/// Signature checks an indexed boot pays on a home that checkpointed
+/// `history` credentials (twice, so the journal is truncated) and then
+/// took `tail` publishes whose index batches a power loss dropped.
+fn boot_sig_checks(history: usize, tail: usize) -> u64 {
+    let mut rng = StdRng::seed_from_u64(3232);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    let store = Arc::new(WalletStore::in_memory());
+    let media = [MemMedium::new(), MemMedium::new(), MemMedium::new()];
+    let index = || {
+        let [tab, log, prev] = media.clone().map(|m| Box::new(m) as Box<dyn Medium>);
+        let table = FileTable::from_media(tab, log, prev).unwrap();
+        Arc::new(DelegationIndex::open(Box::new(table)).unwrap())
+    };
+    let boot = || DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index()).unwrap();
+    {
+        let (wallet, _) = boot();
+        for i in 0..history + tail {
+            let cert = org
+                .delegate(Node::entity(&member), Node::role(org.role(&format!("r{i}"))))
+                .sign(&org)
+                .unwrap();
+            wallet.publish(cert, vec![]).unwrap();
+            if i + 1 == history / 2 || i + 1 == history {
+                wallet.checkpoint().unwrap();
+            }
+        }
+    }
+    media[1].lose_unsynced();
+    assert!(store.status().first_seq > Some(1), "the journal was truncated");
+    let ([sig_checks], (_, report)) = delta([SIG_CHECKS], boot);
+    assert_eq!((report.lazy, report.caught_up), (true, tail));
+    sig_checks
+}
+
+#[test]
+fn an_indexed_boot_re_verifies_only_the_journal_tail() {
+    let _serial = serial();
+    assert_eq!([boot_sig_checks(8, 3), boot_sig_checks(64, 3)], [3, 3]);
 }
 
 /// Edges considered by `(forward, reverse, bidirectional)` search on a
