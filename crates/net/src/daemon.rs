@@ -11,14 +11,17 @@
 //!   and executed by a fixed pool of [`DaemonConfig::workers`] threads
 //!   fed from one bounded job queue — connection count no longer
 //!   dictates handler concurrency.
-//! * **Per-connection read/write pumps.** Each accepted connection gets
-//!   a reader thread (frames in) and a writer pump (frames out). All
-//!   writes serialize through one `BufWriter` behind a mutex whose
-//!   holder always flushes before releasing: workers write runs of
-//!   pipelined replies directly (no handoff), while pushes, v1/v2
-//!   replies, and overload notices drain through the pump — either
-//!   way consecutive frames coalesce into few syscalls
-//!   (`drbac.net.tcp.write.coalesced.count`).
+//! * **One reader per connection; a writer pump only for push links.**
+//!   Each accepted connection gets a reader thread (frames in). Every
+//!   reply is written by the thread that produced it — the reader for
+//!   v1/v2 replies and overload notices, a worker for runs of pipelined
+//!   replies — through one `BufWriter` behind a mutex whose holder
+//!   first writes any queued pushes, then its own frames, and flushes
+//!   before releasing, so consecutive frames coalesce into few
+//!   syscalls (`drbac.net.tcp.write.coalesced.count`) and leave in the
+//!   order the daemon produced them. Only a connection that
+//!   push-registers gets a second thread, a writer pump that carries
+//!   pushes while no reply is on its way.
 //! * **Explicit backpressure.** A connection may have at most
 //!   [`DaemonConfig::max_inflight`] pipelined requests outstanding and
 //!   the daemon at most [`DaemonConfig::queue_capacity`] queued jobs;
@@ -37,11 +40,12 @@
 //! Delegation-subscription pushes (paper §4.2.2) travel over a
 //! *persistent subscriber connection*: a client opens a dedicated
 //! stream, sends a push-register frame naming its wallet address, and
-//! the daemon writes [`OneWay::Invalidate`] frames down that stream's
-//! writer pump whenever a delegation the client subscribed to is
-//! invalidated — pushes and any replies on the same connection
-//! serialize through the single pump, so they can never interleave
-//! mid-frame.
+//! the daemon queues [`OneWay::Invalidate`] frames for that stream
+//! whenever a delegation the client subscribed to is invalidated. The
+//! writer pump the register started, or a reply written first, takes
+//! them under the socket lock — pushes and replies on one connection
+//! never interleave mid-frame, and a push queued while a request was
+//! served precedes that request's reply.
 //!
 //! [`SubscriberLink`] is the client side of that connection. When the
 //! daemon dies mid-subscription the link notices (read error),
@@ -54,7 +58,7 @@
 //! Each recovery increments `drbac.net.tcp.reconnect.count`.
 //!
 //! Shutdown joins every pump and worker: sockets are shut down to
-//! unblock readers, queues are closed to unblock writers and workers,
+//! unblock readers, queues are closed to unblock writer pumps and workers,
 //! and remaining threads are joined under
 //! [`DaemonConfig::shutdown_deadline`]. A thread still live past the
 //! deadline (e.g. wedged in a blocking syscall a peer refuses to
@@ -129,15 +133,14 @@ impl DaemonConfig {
             .max(1)
     }
 
-    /// Writer-queue bound: replies are capped by `max_inflight`, the
-    /// rest is headroom for pushes to a slow subscriber before the
-    /// daemon gives up on the link.
+    /// Push-queue bound: headroom for pushes to a slow subscriber
+    /// before the daemon gives up on the link.
     fn out_capacity(&self) -> usize {
         (2 * self.max_inflight + 16).max(64)
     }
 }
 
-/// One frame awaiting the connection's writer pump.
+/// One frame on its way to a connection's socket.
 struct OutFrame {
     kind: FrameKind,
     /// `Some` → emit a wire v3 frame echoing this request id; `None` →
@@ -146,21 +149,26 @@ struct OutFrame {
     payload: Vec<u8>,
 }
 
-/// State of one accepted connection, shared between its reader pump,
-/// its writer pump, the worker pool, and the push fan-out.
+/// State of one accepted connection, shared between its reader, the
+/// worker pool, the push fan-out and — once the connection
+/// push-registers — its writer pump.
 struct Conn {
     id: u64,
-    /// Outbound frames; drained in batches by the writer pump.
+    /// Pushes awaiting the socket. Whichever thread next holds `sock`
+    /// writes them first; the writer pump exists to take them when no
+    /// reply is on its way.
     out: StdMutex<OutState>,
     out_cv: Condvar,
     out_capacity: usize,
-    /// The buffered write half of the socket. Both the writer pump and
-    /// workers (replying directly) take this lock per batch; every
-    /// holder flushes before releasing, so the buffer never carries
-    /// another thread's partial frames.
+    /// The buffered write half of the socket. The reader (strict and
+    /// overload replies), workers (pipelined replies) and the writer
+    /// pump take this lock per batch and empty `out` ahead of their own
+    /// frames while holding it, so frames leave in the order the daemon
+    /// produced them; every holder flushes before releasing, so the
+    /// buffer never carries another thread's partial frames.
     sock: StdMutex<Option<BufWriter<TcpStream>>>,
     /// Outstanding pipelined requests (incremented at admission,
-    /// decremented when the reply is queued).
+    /// decremented when the reply is written).
     inflight: AtomicUsize,
 }
 
@@ -184,24 +192,28 @@ impl Conn {
         }
     }
 
-    /// Writes a batch of frames straight to the socket and flushes —
-    /// the worker fast path, which skips the writer-pump handoff (one
-    /// lock instead of a queue, a wakeup, and a thread switch). `false`
+    /// Writes any queued pushes, then `frames`, straight to the socket
+    /// and flushes — on the calling thread, with no handoff. `false`
     /// when the connection is gone or the write fails; failure shuts
-    /// the socket down and closes the outbound queue so both pumps
-    /// unwind.
-    fn write_now(&self, frames: impl ExactSizeIterator<Item = OutFrame>) -> bool {
+    /// the socket down and closes the push queue so the connection's
+    /// threads unwind.
+    fn write_now(&self, frames: impl IntoIterator<Item = OutFrame>) -> bool {
         let Ok(mut sock) = self.sock.lock() else {
             return false;
         };
         let Some(writer) = sock.as_mut() else {
             return false;
         };
-        let coalesced = frames.len().saturating_sub(1);
+        // Taken under `sock`: a push queued before this point leaves
+        // ahead of the frames produced after it.
+        let queued = match self.out.lock() {
+            Ok(mut state) => std::mem::take(&mut state.items),
+            Err(_) => VecDeque::new(),
+        };
         let mut tx: u64 = 0;
         let mut push_tx: u64 = 0;
         let mut healthy = true;
-        for frame in frames {
+        for frame in queued.into_iter().chain(frames) {
             let written = match frame.request_id {
                 Some(id) => wire::write_frame_mux(writer, frame.kind, &frame.payload, id, None),
                 None => wire::write_frame(writer, frame.kind, &frame.payload),
@@ -215,6 +227,7 @@ impl Conn {
                 _ => tx += 1,
             }
         }
+        let sent = tx + push_tx;
         if healthy {
             healthy = writer.flush().is_ok();
         }
@@ -224,13 +237,12 @@ impl Conn {
         if push_tx > 0 {
             drbac_obs::static_counter!("drbac.net.tcp.push.tx.count").add(push_tx);
         }
-        if coalesced > 0 {
-            drbac_obs::static_counter!("drbac.net.tcp.write.coalesced.count")
-                .add(coalesced as u64);
+        if sent > 1 {
+            drbac_obs::static_counter!("drbac.net.tcp.write.coalesced.count").add(sent - 1);
         }
         if !healthy {
             // The peer stopped reading: drop the write half and unblock
-            // our reader/writer twins.
+            // the reader and writer pump.
             let _ = writer.get_ref().shutdown(Shutdown::Both);
             *sock = None;
             drop(sock);
@@ -240,32 +252,25 @@ impl Conn {
         true
     }
 
-    /// Queues a frame for the writer pump. `false` when the connection
-    /// is closed or its writer queue is full — the frame was dropped.
+    /// Queues a push for the next holder of `sock`. `false` when the
+    /// connection is closed or its push queue is full — the frame was
+    /// dropped. Only [`DaemonShared::deliver`] calls this: replies are
+    /// written by the thread that produced them.
     fn send(&self, frame: OutFrame) -> bool {
-        self.send_batch(std::iter::once(frame))
-    }
-
-    /// Queues a batch under one lock with one writer wakeup — workers
-    /// completing a run of jobs for the same connection hand the whole
-    /// run over at once, which is what lets the writer coalesce them
-    /// into one flush. `false` when the connection is closed or the
-    /// batch would overflow the queue (nothing is enqueued).
-    fn send_batch(&self, frames: impl ExactSizeIterator<Item = OutFrame>) -> bool {
         let mut state = match self.out.lock() {
             Ok(s) => s,
             Err(_) => return false,
         };
-        if state.closed || state.items.len() + frames.len() > self.out_capacity {
+        if state.closed || state.items.len() >= self.out_capacity {
             return false;
         }
-        state.items.extend(frames);
+        state.items.push_back(frame);
         self.out_cv.notify_one();
         true
     }
 
-    /// Closes the writer queue; the pump exits after draining what it
-    /// already holds.
+    /// Closes the push queue; the writer pump exits after writing what
+    /// it already holds.
     fn close_out(&self) {
         if let Ok(mut state) = self.out.lock() {
             state.closed = true;
@@ -273,18 +278,24 @@ impl Conn {
         self.out_cv.notify_all();
     }
 
-    /// Blocks for the next batch of outbound frames; `None` once the
-    /// queue is closed and drained.
-    fn next_batch(&self) -> Option<VecDeque<OutFrame>> {
-        let mut state = self.out.lock().ok()?;
+    /// Blocks until a push is queued; `false` once the queue is closed
+    /// and empty. The caller takes the pushes under `sock`
+    /// ([`Conn::write_now`]), not here.
+    fn wait_queued(&self) -> bool {
+        let Ok(mut state) = self.out.lock() else {
+            return false;
+        };
         loop {
             if !state.items.is_empty() {
-                return Some(std::mem::take(&mut state.items));
+                return true;
             }
             if state.closed {
-                return None;
+                return false;
             }
-            state = self.out_cv.wait(state).ok()?;
+            state = match self.out_cv.wait(state) {
+                Ok(s) => s,
+                Err(_) => return false,
+            };
         }
     }
 }
@@ -382,8 +393,7 @@ struct DaemonShared {
     /// semantics — shared with the simulator's hosts.
     core: HostCore,
     config: DaemonConfig,
-    /// subscriber wallet address → the connection whose writer pump
-    /// carries its pushes.
+    /// subscriber wallet address → the connection its pushes travel on.
     push_links: Mutex<HashMap<WalletAddr, Arc<Conn>>>,
     /// Live connections: socket handle (for shutdown) + state.
     conns: Mutex<HashMap<u64, (TcpStream, Arc<Conn>)>>,
@@ -456,7 +466,7 @@ impl DaemonShared {
     }
 
     /// Queues `fanout`'s event as a push frame on every target's
-    /// writer pump. A link whose queue is closed or full is dropped —
+    /// connection. A link whose queue is closed or full is dropped —
     /// the subscriber's [`SubscriberLink`] will reconnect and
     /// resubscribe, recovering anything it missed by revalidation.
     fn deliver(&self, fanout: Fanout) {
@@ -694,7 +704,7 @@ const WORKER_BATCH: usize = 32;
 /// Executes pipelined requests from the shared job queue until the
 /// queue closes at shutdown. Jobs are taken in batches, their replies
 /// grouped per connection and written straight to each socket — one
-/// lock, one flush per run, no writer-pump handoff.
+/// lock, one flush per run, no handoff.
 fn worker_loop(shared: Arc<DaemonShared>) {
     while let Some(jobs) = shared.jobs.pop_batch(WORKER_BATCH) {
         // Serve in arrival order, grouping replies per connection.
@@ -717,7 +727,7 @@ fn worker_loop(shared: Arc<DaemonShared>) {
             let n = frames.len();
             // A batch that cannot be written means the connection died;
             // the client will observe the close and resubmit elsewhere.
-            let _ = conn.write_now(frames.into_iter());
+            let _ = conn.write_now(frames);
             conn.inflight.fetch_sub(n, Ordering::SeqCst);
         }
     }
@@ -750,7 +760,7 @@ fn accept_loop(
         }
         // Serving reads block indefinitely (idle pooled client
         // connections stay alive); writes keep the configured deadline
-        // so one stuck subscriber cannot wedge the writer pump.
+        // so one stuck peer cannot wedge the thread writing to it.
         let _ = stream.set_read_timeout(None);
         let _ = stream.set_write_timeout(write_timeout);
         let _ = stream.set_nodelay(true);
@@ -769,18 +779,13 @@ fn accept_loop(
             .conns
             .lock()
             .insert(conn.id, (shutdown_handle, Arc::clone(&conn)));
-        let writer_conn = Arc::clone(&conn);
-        let writer_ok = shared
-            .spawn_tracked("drbac-daemon-write".into(), move || writer_pump(writer_conn))
-            .is_ok();
         let reader_shared = Arc::clone(&shared);
         let reader_conn = Arc::clone(&conn);
-        let reader_ok = writer_ok
-            && shared
-                .spawn_tracked("drbac-daemon-read".into(), move || {
-                    reader_pump(stream, reader_conn, reader_shared)
-                })
-                .is_ok();
+        let reader_ok = shared
+            .spawn_tracked("drbac-daemon-read".into(), move || {
+                reader_pump(stream, reader_conn, reader_shared)
+            })
+            .is_ok();
         if !reader_ok {
             shared.conns.lock().remove(&conn.id);
             conn.close_out();
@@ -788,15 +793,15 @@ fn accept_loop(
     }
 }
 
-/// Drains the connection's outbound queue — pushes, v1 replies,
-/// overload replies — in batches: every frame in a batch goes through
-/// the shared `BufWriter` under one lock, then one flush. Worker
-/// replies bypass this queue entirely via [`Conn::write_now`].
+/// Writes the pushes queued on a push-registered connection while no
+/// reply is on its way to carry them — spawned at the connection's
+/// first push-register, so a connection that never registers costs one
+/// thread, its reader.
 fn writer_pump(conn: Arc<Conn>) {
-    while let Some(batch) = conn.next_batch() {
-        if !conn.write_now(batch.into_iter()) {
+    while conn.wait_queued() {
+        if !conn.write_now(std::iter::empty()) {
             // write_now already shut the socket down and closed the
-            // queue; nothing left to drain.
+            // queue; nothing left to write.
             return;
         }
     }
@@ -807,18 +812,25 @@ fn writer_pump(conn: Arc<Conn>) {
 /// malformed, or the daemon shuts down. Never panics on bad input — a
 /// protocol violation just drops the connection.
 ///
-/// v1/v2 requests are served inline here (strict request/reply order);
-/// v3 requests are admitted against the in-flight and queue bounds and
-/// handed to the worker pool.
+/// v1/v2 requests are served inline here and their replies written
+/// from this thread (strict request/reply order); v3 requests are
+/// admitted against the in-flight and queue bounds and handed to the
+/// worker pool, and the overload replies for those refused are written
+/// from here too.
 fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     // Buffered reads: one syscall slurps every frame a pipelining
     // client flushed in a batch, instead of 2+ syscalls per frame.
     let mut reader = io::BufReader::with_capacity(64 * 1024, stream);
     // The wallet address this connection push-registered, if any.
     let mut registered: Option<WalletAddr> = None;
+    // Whether this connection's writer pump is running (spawned at the
+    // first push-register).
+    let mut pump = false;
     // v3 jobs accumulated across one drain of the read buffer, admitted
     // to the worker queue in a single lock + wakeup.
     let mut jobs: Vec<Job> = Vec::new();
+    // Overload replies owed from the same drain, written in one batch.
+    let mut overloads: Vec<OutFrame> = Vec::new();
     'conn: loop {
         let Ok(first) = wire::read_frame(&mut reader) else {
             break 'conn;
@@ -866,10 +878,7 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
                         // the global queue bound. Either rejection is an
                         // immediate overload reply, never a silent queue.
                         if conn.inflight.load(Ordering::SeqCst) >= shared.config.max_inflight {
-                            if !send_overload(&conn, request_id, "per-connection in-flight cap") {
-                                dead = true;
-                                break;
-                            }
+                            overloads.push(overload(request_id, "per-connection in-flight cap"));
                             continue;
                         }
                         conn.inflight.fetch_add(1, Ordering::SeqCst);
@@ -884,15 +893,15 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
                     None => {
                         // Strict request/reply (wire v1/v2): serve inline on
                         // this thread so replies keep arrival order, and
-                        // route the reply through the writer pump so it
-                        // serializes with any pushes on this connection.
+                        // write the reply from here — behind any pushes the
+                        // request itself queued on this connection.
                         let reply = shared.serve(&frame.payload, frame.trace, Instant::now());
-                        let queued = conn.send(OutFrame {
+                        let written = conn.write_now([OutFrame {
                             kind: FrameKind::Reply,
                             request_id: None,
                             payload: wire::encode_reply(&reply),
-                        });
-                        if !queued {
+                        }]);
+                        if !written {
                             dead = true;
                             break;
                         }
@@ -903,6 +912,21 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
                         dead = true;
                         break;
                     };
+                    // Pushes may now arrive while no reply is on its way
+                    // to carry them: start the pump before the link is
+                    // visible to the fan-out.
+                    if !pump {
+                        let pump_conn = Arc::clone(&conn);
+                        let spawned = shared
+                            .spawn_tracked("drbac-daemon-write".into(), move || {
+                                writer_pump(pump_conn)
+                            });
+                        if spawned.is_err() {
+                            dead = true;
+                            break;
+                        }
+                        pump = true;
+                    }
                     shared
                         .push_links
                         .lock()
@@ -926,9 +950,13 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
             // Whatever the queue had no room for is still in `jobs`.
             for job in jobs.drain(..) {
                 job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-                if !send_overload(&job.conn, job.request_id, "job queue full") {
-                    dead = true;
-                }
+                overloads.push(overload(job.request_id, "job queue full"));
+            }
+        }
+        if !overloads.is_empty() {
+            drbac_obs::static_counter!("drbac.net.tcp.overload.count").add(overloads.len() as u64);
+            if !conn.write_now(overloads.drain(..)) {
+                dead = true;
             }
         }
         if dead {
@@ -952,15 +980,13 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     let _ = reader.get_ref().shutdown(Shutdown::Both);
 }
 
-/// Queues an overload reply for `request_id`; `false` when the
-/// connection is already unwritable.
-fn send_overload(conn: &Arc<Conn>, request_id: u64, what: &str) -> bool {
-    drbac_obs::static_counter!("drbac.net.tcp.overload.count").inc();
-    conn.send(OutFrame {
+/// The overload reply refusing pipelined request `request_id`.
+fn overload(request_id: u64, what: &str) -> OutFrame {
+    OutFrame {
         kind: FrameKind::Reply,
         request_id: Some(request_id),
         payload: wire::encode_reply(&Reply::overloaded(what)),
-    })
+    }
 }
 
 /// Client side of the persistent push connection: registers with a
@@ -1078,12 +1104,16 @@ impl LinkInner {
         stream
             .set_read_timeout(None)
             .map_err(|e| NetError::Protocol(format!("cannot clear read deadline: {e}")))?;
+        // The frame leaves in one write: one segment on a no-delay
+        // socket, one wakeup for the daemon's reader.
         let payload = wire::encode_push_register(self.core.wallet().addr());
-        wire::write_frame(&mut stream, FrameKind::PushRegister, &payload)
+        let mut frame = Vec::with_capacity(wire::FRAME_HEADER_LEN + payload.len());
+        wire::write_frame(&mut frame, FrameKind::PushRegister, &payload)
             .map_err(|e| NetError::Protocol(format!("push-register failed: {e}")))?;
         stream
-            .flush()
-            .map_err(|e| NetError::Protocol(format!("push-register flush failed: {e}")))?;
+            .write_all(&frame)
+            .and_then(|()| stream.flush())
+            .map_err(|e| NetError::Protocol(format!("push-register failed: {e}")))?;
         Ok(stream)
     }
 

@@ -1179,9 +1179,11 @@ mod tests {
         home.wallet().publish(cert, vec![]).unwrap();
         let store = f.net.crash_host(&"obs-home".into()).unwrap();
 
+        let recorder_lock = crate::testkit::RECORDER.lock().unwrap();
         let ring = drbac_obs::RingRecorder::install(256);
         let report = f.net.restart_host(&"obs-home".into(), &store).unwrap();
         drbac_obs::clear_recorder();
+        drop(recorder_lock);
         assert_eq!(report.replayed, 1);
 
         // The restart event carries the full recovery accounting, so

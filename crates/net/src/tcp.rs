@@ -29,7 +29,7 @@
 //! no connection beyond the pooled one (see `docs/PROTOCOL.md` §5).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -193,12 +193,14 @@ impl TcpTransport {
         PipelinedClient::connect(self, to)
     }
 
-    /// One request/reply exchange on an open stream. While tracing is
-    /// on, the request frame carries this span's trace context so the
-    /// daemon's spans stitch into the same distributed trace.
-    fn exchange(
+    /// One request/reply exchange on an open stream. The request frame is
+    /// assembled first and leaves in one write — one segment on a no-delay
+    /// socket, so the daemon's reader wakes once per request. While tracing
+    /// is on, the frame carries this span's trace context so the daemon's
+    /// spans stitch into the same distributed trace.
+    fn exchange<S: Read + Write>(
         &self,
-        stream: &mut TcpStream,
+        stream: &mut S,
         to: &WalletAddr,
         req: &Request,
     ) -> Result<Reply, NetError> {
@@ -209,8 +211,15 @@ impl TcpTransport {
             parent_span: span.id(),
         });
         let payload = wire::encode_request(req);
-        wire::write_frame_traced(stream, FrameKind::Request, &payload, trace)
-            .and_then(|()| stream.flush().map_err(WireError::Io))
+        // Header, optional 19-byte trace extension, payload.
+        let mut frame = Vec::with_capacity(wire::FRAME_HEADER_LEN + 19 + payload.len());
+        wire::write_frame_traced(&mut frame, FrameKind::Request, &payload, trace)
+            .and_then(|()| {
+                stream
+                    .write_all(&frame)
+                    .and_then(|()| stream.flush())
+                    .map_err(WireError::Io)
+            })
             .map_err(|e| map_wire_error(e, to))?;
         drbac_obs::static_counter!("drbac.net.tcp.frame.tx.count").inc();
         let frame = wire::read_frame(stream).map_err(|e| map_wire_error(e, to))?;
@@ -866,7 +875,7 @@ impl Drop for PipelinedClient {
 /// counted in `drbac.net.tcp.pipeline.orphan.count` — they are not an
 /// error, just late. A read failure fans out to every waiter.
 fn pipeline_reader(stream: TcpStream, pending: Arc<PendingMap>, to: WalletAddr) {
-    // Buffered reads: the daemon's writer pump flushes reply batches,
+    // Buffered reads: the daemon's workers flush reply batches,
     // so one syscall here collects many replies.
     let mut stream = std::io::BufReader::with_capacity(64 * 1024, stream);
     let mut batch: Vec<wire::Frame> = Vec::new();
@@ -957,6 +966,68 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, NetError::HostDown(_)));
         assert!(err.is_retryable());
+    }
+
+    /// A stream whose reads replay one scripted reply frame and whose
+    /// writes are counted and kept.
+    struct CountingStream {
+        reply: std::io::Cursor<Vec<u8>>,
+        sent: Vec<u8>,
+        writes: usize,
+    }
+
+    impl CountingStream {
+        fn replying(reply: &Reply) -> Self {
+            let mut frame = Vec::new();
+            wire::write_frame(&mut frame, FrameKind::Reply, &wire::encode_reply(reply)).unwrap();
+            CountingStream {
+                reply: std::io::Cursor::new(frame),
+                sent: Vec::new(),
+                writes: 0,
+            }
+        }
+    }
+
+    impl Read for CountingStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reply.read(buf)
+        }
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.sent.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_strict_request_leaves_in_one_write_traced_or_not() {
+        let to: WalletAddr = "home".into();
+        for traced in [false, true] {
+            let _recorder_lock = crate::testkit::RECORDER.lock().unwrap();
+            let ring = traced.then(|| drbac_obs::RingRecorder::install(64));
+            let mut stream = CountingStream::replying(&Reply::Declarations(vec![]));
+            let transport = TcpTransport::new(TcpConfig::fast());
+            let reply = transport.exchange(&mut stream, &to, &Request::FetchDeclarations);
+            if ring.is_some() {
+                drbac_obs::clear_recorder();
+            }
+            assert!(matches!(reply, Ok(Reply::Declarations(_))));
+            assert_eq!(stream.writes, 1, "one write per request (traced: {traced})");
+            let frame = wire::read_frame(&mut stream.sent.as_slice()).unwrap();
+            assert_eq!(frame.kind, FrameKind::Request);
+            assert_eq!(frame.trace.is_some(), traced);
+            assert!(matches!(
+                wire::decode_request(&frame.payload),
+                Ok(Request::FetchDeclarations)
+            ));
+        }
     }
 
     #[test]

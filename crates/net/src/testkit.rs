@@ -1,5 +1,5 @@
 //! The two-entity fixture the host, simulator, audit and wire unit tests
-//! share.
+//! share, and the lock the tests that install a trace recorder take.
 
 use drbac_core::{
     DiscoveryTag, LocalEntity, Node, Proof, ProofStep, SignedDelegation, SignedRevocation,
@@ -19,6 +19,10 @@ pub(crate) struct Fx {
     pub a: LocalEntity,
     pub m: LocalEntity,
 }
+
+/// The process has one trace recorder: a unit test that installs one
+/// holds this lock until it has cleared it again.
+pub(crate) static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 pub(crate) fn fx() -> Fx {
     let mut rng = StdRng::seed_from_u64(81);

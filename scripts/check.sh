@@ -135,6 +135,22 @@ test ! -e "$STORE_HOME/store/snapshot.bin"
 "$DRBAC" --home "$STORE_HOME" query Maria BigISP.member | grep -q GRANTED
 
 echo "== tcp (loopback parity suite + shutdown accounting + serve/--remote round trip) =="
+# A daemon connection's out-queue carries only pushes: every reply is
+# written by the thread that produced it, and only push-registered
+# connections run the writer pump that drains the queue. So the only
+# caller of `Conn::send`/`send_batch` is the push fan-out,
+# `DaemonShared::deliver`. `Conn` is private to daemon.rs.
+senders=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.send(_batch)?\(/ && !/^[[:space:]]*\/\// && cur != "deliver" {
+        print FILENAME ":" FNR ": " $0
+    }' crates/net/src/daemon.rs)
+if [ -n "$senders" ]; then
+    echo "check.sh: Conn::send/send_batch has a caller other than DaemonShared::deliver:" >&2
+    echo "$senders" >&2
+    exit 1
+fi
 cargo test -q --test tcp_loopback --test wire_roundtrip --test daemon_shutdown
 PORT=$((20000 + RANDOM % 20000))
 "$DRBAC" --home "$STORE_HOME" serve "127.0.0.1:$PORT" &

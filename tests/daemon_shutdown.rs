@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use drbac::core::SimClock;
 use drbac::net::proto::{Reply, Request};
+use drbac::net::wire::{self, FrameKind};
 use drbac::net::{DaemonConfig, TcpConfig, TcpTransport, Transport, WalletDaemon};
 use drbac::wallet::Wallet;
 
@@ -107,4 +108,67 @@ fn shutdown_joins_connection_pumps_despite_hung_client() {
         "shutdown returned promptly, took {took:?}"
     );
     drop(hung); // the clients outlived the daemon the whole time
+}
+
+/// One strict round trip on a raw connection: once its reply is read,
+/// the daemon has served the frames sent before it on this connection.
+fn round_trip(s: &mut std::net::TcpStream) {
+    let request = wire::encode_request(&Request::FetchDeclarations);
+    wire::write_frame(s, FrameKind::Request, &request).unwrap();
+    let frame = wire::read_frame(s).unwrap();
+    assert!(matches!(
+        wire::decode_reply(&frame.payload),
+        Ok(Reply::Declarations(_))
+    ));
+}
+
+/// Thread accounting per connection: a strict connection costs one
+/// thread, its reader, which writes its own replies. Push-registering
+/// adds the connection's writer pump, once however often it registers.
+/// Shutdown joins them all.
+#[test]
+fn a_connection_costs_one_thread_until_it_push_registers() {
+    const WORKERS: usize = 2;
+    const K: usize = 3;
+    let daemon = WalletDaemon::bind_with(
+        "127.0.0.1:0",
+        Wallet::new("home.threads", SimClock::new()),
+        TcpConfig::fast(),
+        DaemonConfig {
+            workers: WORKERS,
+            ..DaemonConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(daemon.live_threads(), WORKERS, "the worker pool alone");
+
+    let mut conns: Vec<std::net::TcpStream> = (0..K)
+        .map(|_| {
+            let mut s = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.set_nodelay(true).unwrap();
+            round_trip(&mut s);
+            s
+        })
+        .collect();
+    assert_eq!(
+        daemon.live_threads(),
+        WORKERS + K,
+        "one thread per strict connection"
+    );
+
+    let register = wire::encode_push_register(&"subscriber".into());
+    for _ in 0..2 {
+        wire::write_frame(&mut conns[0], FrameKind::PushRegister, &register).unwrap();
+        round_trip(&mut conns[0]);
+        assert_eq!(
+            daemon.live_threads(),
+            WORKERS + K + 1,
+            "a push link adds its writer pump, once"
+        );
+    }
+
+    daemon.shutdown();
+    assert_eq!(daemon.live_threads(), 0, "every thread joined");
+    drop(conns);
 }

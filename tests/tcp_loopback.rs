@@ -1222,3 +1222,76 @@ fn request_script_replies_are_byte_identical_over_simnet_and_tcp() {
     );
     daemon.shutdown();
 }
+
+/// Frames on one connection leave in the order the daemon produced
+/// them: a connection push-registers wallet `W`, subscribes `W` to a
+/// delegation and then revokes it with a strict request. The revocation
+/// queues an `Invalidate` push for that same connection while it is
+/// served, so the push must arrive before the `Revoked` reply — every
+/// time, whichever daemon thread happens to write it.
+#[test]
+fn a_push_queued_while_serving_precedes_the_strict_reply() {
+    use drbac::net::proto::OneWay;
+    use drbac::net::wire::{self, FrameKind};
+
+    const ROUNDS: usize = 50;
+    let mut rng = StdRng::seed_from_u64(47);
+    let group = SchnorrGroup::test_256();
+    let clock = SimClock::new();
+    let owner = LocalEntity::generate("Owner", group.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", group, &mut rng);
+    let home = Wallet::new("home.order", clock.clone());
+    let certs: Vec<SignedDelegation> = (0..ROUNDS)
+        .map(|i| {
+            let cert = owner
+                .delegate(
+                    Node::entity(&member),
+                    Node::role(owner.role(format!("r{i}").as_str())),
+                )
+                .sign(&owner)
+                .unwrap();
+            home.publish(cert.clone(), vec![]).unwrap();
+            cert
+        })
+        .collect();
+    let daemon = WalletDaemon::bind("127.0.0.1:0", home, TcpConfig::fast()).unwrap();
+    let send = |s: &mut std::net::TcpStream, req: &Request| {
+        wire::write_frame(s, FrameKind::Request, &wire::encode_request(req)).unwrap();
+    };
+
+    for cert in &certs {
+        let mut s = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.set_nodelay(true).unwrap();
+        let register = wire::encode_push_register(&"W".into());
+        wire::write_frame(&mut s, FrameKind::PushRegister, &register).unwrap();
+        send(
+            &mut s,
+            &Request::Subscribe {
+                delegation: cert.id(),
+                subscriber: "W".into(),
+            },
+        );
+        let subscribed = wire::read_frame(&mut s).unwrap();
+        assert!(matches!(
+            wire::decode_reply(&subscribed.payload),
+            Ok(Reply::Subscribed)
+        ));
+
+        let revocation = SignedRevocation::revoke(cert, &owner, clock.now()).unwrap();
+        send(&mut s, &Request::Revoke(revocation));
+        let first = wire::read_frame(&mut s).unwrap();
+        assert_eq!(first.kind, FrameKind::Push, "the push leaves first");
+        assert!(matches!(
+            wire::decode_push(&first.payload),
+            Ok(OneWay::Invalidate(event)) if event.delegation == cert.id()
+        ));
+        let second = wire::read_frame(&mut s).unwrap();
+        assert_eq!(second.kind, FrameKind::Reply, "then the reply");
+        assert!(matches!(
+            wire::decode_reply(&second.payload),
+            Ok(Reply::Revoked(_))
+        ));
+    }
+    daemon.shutdown();
+}
