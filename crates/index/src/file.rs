@@ -630,20 +630,42 @@ impl FileTable {
     /// [`StoreError::Io`] on file failure, [`StoreError::Corrupt`] when
     /// the previous run fails its framing or CRCs.
     pub fn restore_previous(dir: impl AsRef<Path>) -> Result<bool, StoreError> {
-        let [base, log, prev] = Self::files(dir.as_ref());
+        let Some((bytes, _)) = Self::checked_previous(dir.as_ref())? else {
+            return Ok(false);
+        };
+        let [base, log, _] = Self::files(dir.as_ref());
+        FileMedium::open(log)?.replace(&INDEX_LOG_MAGIC)?;
+        FileMedium::open(base)?.replace(&bytes)?;
+        Ok(true)
+    }
+
+    /// The previous base run of the index in `dir` as a read-only table
+    /// in memory, every block CRC-checked first; `Ok(None)` when there
+    /// is none. Unlike the run a table opens beside its base, a damaged
+    /// one is an error here, not absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileTable::restore_previous`].
+    pub fn read_previous(dir: impl AsRef<Path>) -> Result<Option<FileTable>, StoreError> {
+        Ok(Self::checked_previous(dir.as_ref())?.map(|(_, table)| table))
+    }
+
+    /// The bytes of the previous run in `dir` and a table over them,
+    /// once every block has been read.
+    fn checked_previous(dir: &Path) -> Result<Option<(Vec<u8>, FileTable)>, StoreError> {
+        let [_, _, prev] = Self::files(dir);
         let bytes = if prev.exists() { std::fs::read(&prev)? } else { Vec::new() };
         if bytes.is_empty() {
-            return Ok(false);
+            return Ok(None);
         }
-        let check = FileTable::from_media(
+        let table = FileTable::from_media(
             Box::new(MemMedium::with_contents(bytes.clone())),
             Box::new(MemMedium::new()),
             Box::new(MemMedium::new()),
         )?;
-        check.entries()?;
-        FileMedium::open(log)?.replace(&INDEX_LOG_MAGIC)?;
-        FileMedium::open(base)?.replace(&bytes)?;
-        Ok(true)
+        table.entries()?;
+        Ok(Some((bytes, table)))
     }
 
     /// Power-loss simulation passthrough (meaningful on [`MemMedium`]

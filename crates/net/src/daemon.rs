@@ -7,14 +7,14 @@
 //! (DESIGN.md §4.10, `docs/PROTOCOL.md`) the hot path is built for
 //! heavy traffic instead of thread-per-connection request/reply:
 //!
-//! * **Bounded worker pool.** Pipelined (wire v3) requests are decoded
-//!   and executed by a fixed pool of [`DaemonConfig::workers`] threads
-//!   fed from one bounded job queue — connection count no longer
-//!   dictates handler concurrency.
+//! * **Bounded worker pool.** Pipelined requests (those carrying a
+//!   request id) are decoded and executed by a fixed pool of
+//!   [`DaemonConfig::workers`] threads fed from one bounded job queue —
+//!   connection count no longer dictates handler concurrency.
 //! * **One reader per connection; a writer pump only for push links.**
 //!   Each accepted connection gets a reader thread (frames in). Every
 //!   reply is written by the thread that produced it — the reader for
-//!   v1/v2 replies and overload notices, a worker for runs of pipelined
+//!   strict replies and overload notices, a worker for runs of pipelined
 //!   replies — through one `BufWriter` behind a mutex whose holder
 //!   first writes any queued pushes, then its own frames, and flushes
 //!   before releasing, so consecutive frames coalesce into few
@@ -31,11 +31,11 @@
 //!   Beyond [`DaemonConfig::max_connections`] concurrent connections,
 //!   new accepts are closed on arrival
 //!   (`drbac.net.tcp.conn.rejected.count`).
-//! * **Version compatibility.** v1/v2 frames keep their strict
-//!   request/reply semantics: they are served inline on the reader
-//!   thread, in order, with byte-identical reply frames — an old peer
-//!   cannot tell the daemons apart. Only v3 frames enter the
-//!   multiplexed path. See `docs/PROTOCOL.md` §6 for the matrix.
+//! * **Strict requests stay inline.** A request without a request id
+//!   is served on the reader thread, in order, and answered by a reply
+//!   without one — the cheaper round trip for a lone request. Only
+//!   requests with an id enter the worker pool. See `docs/PROTOCOL.md`
+//!   §5.
 //!
 //! Delegation-subscription pushes (paper §4.2.2) travel over a
 //! *persistent subscriber connection*: a client opens a dedicated
@@ -90,7 +90,8 @@ use crate::wire::{self, FrameKind, TraceContext};
 /// overload replies, or stale pools — lives in `docs/OPERATIONS.md`.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Worker threads executing pipelined (wire v3) requests. `0`
+    /// Worker threads executing pipelined requests (those carrying a
+    /// request id). `0`
     /// means auto: one per available core (minimum 1).
     pub workers: usize,
     /// Global cap on concurrent connections; accepts beyond it are
@@ -143,8 +144,8 @@ impl DaemonConfig {
 /// One frame on its way to a connection's socket.
 struct OutFrame {
     kind: FrameKind,
-    /// `Some` → emit a wire v3 frame echoing this request id; `None` →
-    /// emit a plain v1 frame (replies to v1/v2 peers, pushes).
+    /// `Some` → the frame echoes this request id (replies to pipelined
+    /// requests); `None` → strict replies and pushes.
     request_id: Option<u64>,
     payload: Vec<u8>,
 }
@@ -812,11 +813,11 @@ fn writer_pump(conn: Arc<Conn>) {
 /// malformed, or the daemon shuts down. Never panics on bad input — a
 /// protocol violation just drops the connection.
 ///
-/// v1/v2 requests are served inline here and their replies written
-/// from this thread (strict request/reply order); v3 requests are
-/// admitted against the in-flight and queue bounds and handed to the
-/// worker pool, and the overload replies for those refused are written
-/// from here too.
+/// Requests without an id are served inline here and their replies
+/// written from this thread (strict request/reply order); requests with
+/// an id are admitted against the in-flight and queue bounds and handed
+/// to the worker pool, and the overload replies for those refused are
+/// written from here too.
 fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     // Buffered reads: one syscall slurps every frame a pipelining
     // client flushed in a batch, instead of 2+ syscalls per frame.
@@ -826,50 +827,24 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     // Whether this connection's writer pump is running (spawned at the
     // first push-register).
     let mut pump = false;
-    // v3 jobs accumulated across one drain of the read buffer, admitted
-    // to the worker queue in a single lock + wakeup.
+    // Pipelined jobs accumulated across one drain of the read buffer,
+    // admitted to the worker queue in a single lock + wakeup.
     let mut jobs: Vec<Job> = Vec::new();
     // Overload replies owed from the same drain, written in one batch.
     let mut overloads: Vec<OutFrame> = Vec::new();
+    // Frames of one drain of the read buffer.
+    let mut batch: Vec<wire::Frame> = Vec::new();
     'conn: loop {
-        let Ok(first) = wire::read_frame(&mut reader) else {
-            break 'conn;
-        };
+        let read = wire::read_frames(&mut reader, WORKER_BATCH, &mut batch);
         if shared.closed.load(Ordering::SeqCst) {
             break 'conn;
         }
-        let mut rx_count: u64 = 1;
+        let rx_count = batch.len() as u64;
         let mut mux_count: u64 = 0;
-        let mut dead = false;
-        let mut pending = Some(first);
-        loop {
-            let frame = match pending.take() {
-                Some(f) => f,
-                None => {
-                    // Keep draining only frames that are *completely*
-                    // buffered: a torn frame would otherwise block this
-                    // batch behind a trickling peer.
-                    if jobs.len() >= WORKER_BATCH {
-                        break;
-                    }
-                    let buf = reader.buffer();
-                    match wire::buffered_frame_len(buf) {
-                        Some(total) if buf.len() >= total => {
-                            match wire::read_frame(&mut reader) {
-                                Ok(f) => {
-                                    rx_count += 1;
-                                    f
-                                }
-                                Err(_) => {
-                                    dead = true;
-                                    break;
-                                }
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-            };
+        // A frame that failed to read leaves the stream unusable; the
+        // frames before it are still served.
+        let mut dead = read.is_err();
+        for frame in batch.drain(..) {
             match frame.kind {
                 FrameKind::Request => match frame.request_id {
                     Some(request_id) => {
@@ -891,10 +866,10 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
                         });
                     }
                     None => {
-                        // Strict request/reply (wire v1/v2): serve inline on
-                        // this thread so replies keep arrival order, and
-                        // write the reply from here — behind any pushes the
-                        // request itself queued on this connection.
+                        // Strict request/reply: serve inline on this thread
+                        // so replies keep arrival order, and write the reply
+                        // from here — behind any pushes the request itself
+                        // queued on this connection.
                         let reply = shared.serve(&frame.payload, frame.trace, Instant::now());
                         let written = conn.write_now([OutFrame {
                             kind: FrameKind::Reply,
@@ -1107,7 +1082,7 @@ impl LinkInner {
         // The frame leaves in one write: one segment on a no-delay
         // socket, one wakeup for the daemon's reader.
         let payload = wire::encode_push_register(self.core.wallet().addr());
-        let mut frame = Vec::with_capacity(wire::FRAME_HEADER_LEN + payload.len());
+        let mut frame = Vec::new();
         wire::write_frame(&mut frame, FrameKind::PushRegister, &payload)
             .map_err(|e| NetError::Protocol(format!("push-register failed: {e}")))?;
         stream

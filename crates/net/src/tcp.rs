@@ -23,7 +23,7 @@
 //!
 //! [`Transport::request_batch`] is scatter-gather over the same pool:
 //! per destination one pooled connection is checked out exclusively,
-//! the destination's requests leave as wire-v3 (request-id) frames in
+//! the destination's requests leave as frames carrying request ids in
 //! one coalesced write, and the replies — in whatever order the
 //! daemon's workers finish — are gathered by id. No reader thread and
 //! no connection beyond the pooled one (see `docs/PROTOCOL.md` §5).
@@ -181,7 +181,7 @@ impl TcpTransport {
         Ok(stream)
     }
 
-    /// Opens a pipelined (wire v3) client connection to `to`: many
+    /// Opens a pipelined client connection to `to`: many
     /// requests in flight on one stream, replies matched by request id
     /// and completed out of order. See [`PipelinedClient`].
     ///
@@ -211,8 +211,7 @@ impl TcpTransport {
             parent_span: span.id(),
         });
         let payload = wire::encode_request(req);
-        // Header, optional 19-byte trace extension, payload.
-        let mut frame = Vec::with_capacity(wire::FRAME_HEADER_LEN + 19 + payload.len());
+        let mut frame = Vec::new();
         wire::write_frame_traced(&mut frame, FrameKind::Request, &payload, trace)
             .and_then(|()| {
                 stream
@@ -345,9 +344,10 @@ impl BatchConn<'_> {
         self.send_flight(transport, batch, trace)
     }
 
-    /// Writes the entries in flight as one coalesced buffer of v3
-    /// frames. A pooled connection the peer closed while idle is
-    /// replaced once, invisibly, as [`TcpTransport::request`] does.
+    /// Writes the entries in flight as one coalesced buffer of frames
+    /// carrying request ids. A pooled connection the peer closed while
+    /// idle is replaced once, invisibly, as [`TcpTransport::request`]
+    /// does.
     fn send_flight(
         &mut self,
         transport: &TcpTransport,
@@ -543,11 +543,10 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A single-connection pipelined client speaking wire v3 (see
-/// `docs/PROTOCOL.md` §5): every request frame carries a fresh
-/// `request_id`, many requests ride in flight at once, and the daemon's
-/// replies — which may arrive out of order — are matched back to their
-/// waiters by id.
+/// A single-connection pipelined client (see `docs/PROTOCOL.md` §5.2):
+/// every request frame carries a fresh request id, many requests ride
+/// in flight at once, and the daemon's replies — which may arrive out
+/// of order — are matched back to their waiters by id.
 ///
 /// Contrast with [`TcpTransport::request`], which is strict
 /// request/reply per pooled connection: a pipelined client keeps one
@@ -880,32 +879,9 @@ fn pipeline_reader(stream: TcpStream, pending: Arc<PendingMap>, to: WalletAddr) 
     let mut stream = std::io::BufReader::with_capacity(64 * 1024, stream);
     let mut batch: Vec<wire::Frame> = Vec::new();
     loop {
-        let frame = match wire::read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(e) => {
-                let err = map_wire_error(e, &to);
-                if let Ok(mut state) = pending.state.lock() {
-                    if state.dead.is_none() {
-                        state.dead = Some(err);
-                    }
-                }
-                pending.cv.notify_all();
-                return;
-            }
-        };
-        // Drain every further reply that is already completely buffered,
-        // then settle the whole batch under one lock with one wakeup.
-        batch.push(frame);
-        loop {
-            let buf = stream.buffer();
-            match wire::buffered_frame_len(buf) {
-                Some(total) if buf.len() >= total => match wire::read_frame(&mut stream) {
-                    Ok(f) => batch.push(f),
-                    Err(_) => break,
-                },
-                _ => break,
-            }
-        }
+        // Every reply already completely buffered is settled with this
+        // one under one lock and one wakeup.
+        let read = wire::read_frames(&mut stream, usize::MAX, &mut batch);
         drbac_obs::static_counter!("drbac.net.tcp.frame.rx.count").add(batch.len() as u64);
         let Ok(mut state) = pending.state.lock() else {
             return;
@@ -929,9 +905,20 @@ fn pipeline_reader(stream: TcpStream, pending: Arc<PendingMap>, to: WalletAddr) 
                 }
             }
         }
+        // A read failure fans out to every waiter still owed a reply.
+        let failed = match read {
+            Ok(()) => false,
+            Err(e) => {
+                state.dead.get_or_insert_with(|| map_wire_error(e, &to));
+                true
+            }
+        };
         drop(state);
-        if settled {
+        if settled || failed {
             pending.cv.notify_all();
+        }
+        if failed {
+            return;
         }
     }
 }
@@ -974,6 +961,7 @@ mod tests {
         reply: std::io::Cursor<Vec<u8>>,
         sent: Vec<u8>,
         writes: usize,
+        reads: usize,
     }
 
     impl CountingStream {
@@ -984,12 +972,14 @@ mod tests {
                 reply: std::io::Cursor::new(frame),
                 sent: Vec::new(),
                 writes: 0,
+                reads: 0,
             }
         }
     }
 
     impl Read for CountingStream {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
             self.reply.read(buf)
         }
     }
@@ -1020,6 +1010,7 @@ mod tests {
             }
             assert!(matches!(reply, Ok(Reply::Declarations(_))));
             assert_eq!(stream.writes, 1, "one write per request (traced: {traced})");
+            assert_eq!(stream.reads, 2, "the reply's header, then its payload");
             let frame = wire::read_frame(&mut stream.sent.as_slice()).unwrap();
             assert_eq!(frame.kind, FrameKind::Request);
             assert_eq!(frame.trace.is_some(), traced);

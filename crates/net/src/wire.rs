@@ -11,50 +11,43 @@
 //!
 //! # Frame layout
 //!
-//! The byte-level layouts, the TLV extension-tag registry, the
-//! request/reply/push state machines, and the version-negotiation and
-//! compatibility rules are specified normatively in
+//! The byte-level layout, the extension-tag registry and the
+//! request/reply/push state machines are specified normatively in
 //! [`docs/PROTOCOL.md`](https://github.com/drbac/drbac/blob/main/docs/PROTOCOL.md)
 //! — that document is the contract; this module is one implementation
-//! of it. In brief:
+//! of it, and the only code that knows the layout. In brief:
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic   b"dRBW"
-//! 4       1     version 0x01 (bare), 0x02 (+ ext block),
-//!               or 0x03 (+ request id + ext block)
-//! 5       1     kind    1=request 2=reply 3=push 4=push-register
-//! 6       4     len     payload length, u32 big-endian (max 16 MiB)
-//! 10      4     crc     CRC-32 (IEEE) of the payload bytes
-//! --- version 0x03 only: multiplexing id ---
-//! 14      8     request_id  u64 big-endian, echoed verbatim in the reply
-//! --- versions 0x02 and 0x03: extension block (at 14 for v2, 22 for v3) ---
-//!         1     ext_count  number of TLV extensions (max 16; may be 0)
-//!         per extension:
-//!         1     tag     1=trace-context (unknown tags are skipped)
-//!         1     elen    extension byte length
-//!         elen  ebody   tag 1: trace_id u64 BE ++ parent_span u64 BE
+//! 0       4     magic     b"dRBW"
+//! 4       1     version   0x04 (anything else is BadVersion)
+//! 5       1     kind      1=request 2=reply 3=push 4=push-register
+//! 6       1     ext_count number of extensions (max 16; usually 0)
+//! 7       4     len       payload length, u32 big-endian (max 16 MiB)
+//! 11      4     crc       CRC-32 (IEEE) of the payload bytes
+//! --- ext_count extensions ---
+//!         1     tag       1=trace-context 2=request-id (others skipped)
+//!         1     elen      extension byte length
+//!         elen  ebody     tag 1: trace_id u64 BE ++ parent_span u64 BE
+//!                         tag 2: request_id u64 BE
 //! --- then ---
-//!         len   payload canonical encoding of the message
+//!         len   payload   canonical encoding of the message
 //! ```
 //!
-//! Version 0x01 frames have no extension block; senders only emit
-//! version 0x02 when a trace context is attached, so a peer that
-//! predates tracing keeps interoperating until a trace actually
-//! crosses to it (and then fails cleanly with `BadVersion`). Version
-//! 0x03 frames carry a `request_id` so one connection can multiplex
-//! many in-flight requests ([`crate::PipelinedClient`]): the daemon
-//! treats the id as an opaque token and echoes it on the matching
-//! reply, which may arrive out of order. Senders only emit version
-//! 0x03 after explicitly opting into pipelining, so peers that never
-//! pipeline keep exchanging byte-identical v1/v2 frames. Decoders here
-//! accept all three versions and skip unknown extension tags, so newer
-//! peers can add extensions without breaking us.
+//! A frame with neither a request id nor a trace context is the
+//! 15-byte header and the payload, so a strict client reads a reply in
+//! two reads. A request id lets one connection multiplex many in-flight
+//! requests ([`crate::PipelinedClient`]): the daemon treats it as an
+//! opaque token and echoes it on the matching reply, which may arrive
+//! out of order; a request without one is answered in order. Unknown
+//! extension tags are skipped, so a newer peer can add extensions
+//! without breaking this one.
 //!
 //! # Invariants
 //!
 //! * **A decoder never panics and never over-allocates.** A length
-//!   above [`MAX_FRAME_LEN`] is rejected *before* any allocation
+//!   above [`MAX_FRAME_LEN`] or an extension count above
+//!   [`MAX_FRAME_EXTS`] is rejected *before* any further read
 //!   ([`WireError::Oversized`]); torn input surfaces as
 //!   [`WireError::Io`] / [`WireError::Decode`], bit flips as
 //!   [`WireError::Crc`] — all errors, never a crash.
@@ -75,7 +68,7 @@
 //! malformed conversation does not repair it.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::Arc;
 
 use drbac_core::{
@@ -90,20 +83,17 @@ use crate::proto::{OneWay, Reply, Request};
 /// Leading magic of every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"dRBW";
 
-/// Base protocol version (no extension block).
-pub const WIRE_VERSION: u8 = 1;
-
-/// Protocol version carrying a TLV extension block (trace context).
-pub const WIRE_VERSION_TRACED: u8 = 2;
-
-/// Protocol version carrying a multiplexing `request_id` (plus the TLV
-/// extension block). Emitted only by peers that explicitly opted into
-/// pipelining — see [`crate::PipelinedClient`].
-pub const WIRE_VERSION_MUX: u8 = 3;
+/// The protocol version every frame carries. Frames of the retired
+/// layouts (0x01–0x03) fail with [`WireError::BadVersion`].
+pub const WIRE_VERSION: u8 = 4;
 
 /// Extension tag: distributed trace context (16 bytes — trace_id u64
 /// BE followed by parent_span u64 BE).
 pub const EXT_TRACE_CONTEXT: u8 = 1;
+
+/// Extension tag: multiplexing request id (8 bytes, u64 BE), echoed
+/// verbatim on the reply.
+pub const EXT_REQUEST_ID: u8 = 2;
 
 /// Upper bound on extensions per frame; more is a protocol violation.
 pub const MAX_FRAME_EXTS: usize = 16;
@@ -113,15 +103,16 @@ pub const MAX_FRAME_EXTS: usize = 16;
 /// decoder rejects it before reserving a single byte.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Fixed frame header size (magic + version + kind + len + crc).
-pub const FRAME_HEADER_LEN: usize = 14;
+/// Fixed frame header size (magic + version + kind + extension count +
+/// len + crc).
+pub const FRAME_HEADER_LEN: usize = 15;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// A [`Request`] awaiting a reply on the same connection.
     Request,
-    /// A [`Reply`] to the connection's previous request.
+    /// A [`Reply`] to one of the connection's requests.
     Reply,
     /// A one-way push ([`OneWay`]); no reply is sent.
     Push,
@@ -153,9 +144,9 @@ impl FrameKind {
     }
 }
 
-/// Distributed trace context carried in a frame's extension block:
-/// which trace the message belongs to and which peer-side span it hangs
-/// under. See `drbac-obs`'s `set_current_trace`.
+/// Distributed trace context carried in a frame's trace-context
+/// extension: which trace the message belongs to and which peer-side
+/// span it hangs under. See `drbac-obs`'s `set_current_trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Fleet-unique id of the distributed trace (never 0 on the wire).
@@ -169,13 +160,12 @@ pub struct TraceContext {
 pub struct Frame {
     /// What the payload is.
     pub kind: FrameKind,
-    /// Multiplexing request id (version 0x03 frames only). On a
+    /// Multiplexing request id from the request-id extension. On a
     /// request, the id the reply must echo; on a reply, the id of the
-    /// request it answers. `None` on v1/v2 frames: strict
-    /// request/reply alternation.
+    /// request it answers. `None`: strict request/reply order.
     pub request_id: Option<u64>,
-    /// Trace context from the frame's extension block, if the sender
-    /// attached one (version 0x02/0x03 frames only).
+    /// Trace context from the trace-context extension, if the sender
+    /// attached one.
     pub trace: Option<TraceContext>,
     /// The payload's canonical encoding (CRC already verified).
     pub payload: Vec<u8>,
@@ -189,13 +179,16 @@ pub enum WireError {
     Io(std::io::Error),
     /// The first four bytes were not [`FRAME_MAGIC`].
     BadMagic([u8; 4]),
-    /// The peer speaks a protocol version we do not.
+    /// The frame is not [`WIRE_VERSION`].
     BadVersion(u8),
     /// The kind byte had no meaning.
     UnknownKind(u8),
-    /// The length prefix exceeds [`MAX_FRAME_LEN`] — rejected before
-    /// allocation.
+    /// The length prefix exceeds [`MAX_FRAME_LEN`], or the extension
+    /// count [`MAX_FRAME_EXTS`] — rejected before allocation.
     Oversized(u64),
+    /// A known extension the frame cannot carry as sent: a request id
+    /// that is not 8 bytes, or a second one.
+    BadExtension(&'static str),
     /// The payload's CRC-32 did not match the header.
     Crc {
         /// CRC the header claimed.
@@ -217,8 +210,12 @@ impl fmt::Display for WireError {
             WireError::Oversized(n) => {
                 write!(f, "frame length {n} exceeds the {MAX_FRAME_LEN}-byte cap")
             }
+            WireError::BadExtension(what) => write!(f, "bad frame extension: {what}"),
             WireError::Crc { expected, found } => {
-                write!(f, "payload CRC mismatch (header {expected:#010x}, data {found:#010x})")
+                write!(
+                    f,
+                    "payload CRC mismatch (header {expected:#010x}, data {found:#010x})"
+                )
             }
             WireError::Decode(e) => write!(f, "payload decode error: {e}"),
         }
@@ -254,12 +251,11 @@ impl From<DecodeError> for WireError {
 /// [`WireError::Oversized`] if the payload exceeds [`MAX_FRAME_LEN`];
 /// [`WireError::Io`] if the stream fails.
 pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, payload: &[u8]) -> Result<(), WireError> {
-    write_frame_traced(w, kind, payload, None)
+    write_frame_inner(w, kind, payload, None, None)
 }
 
-/// Writes one frame, attaching `trace` in a version-0x02 extension
-/// block when present. Without a trace this emits a plain version-0x01
-/// frame, so tracing-off peers keep interoperating with old decoders.
+/// Writes one frame carrying `trace`, when present, in a trace-context
+/// extension.
 ///
 /// # Errors
 ///
@@ -273,10 +269,9 @@ pub fn write_frame_traced<W: Write>(
     write_frame_inner(w, kind, payload, None, trace)
 }
 
-/// Writes one version-0x03 (multiplexed) frame carrying `request_id`,
-/// with an optional trace context in the extension block. Only peers
-/// that explicitly opted into pipelining speak this version — see the
-/// compatibility rules in `docs/PROTOCOL.md`.
+/// Writes one frame carrying `request_id` in a request-id extension,
+/// plus `trace` when present — a pipelined request, or the reply to
+/// one.
 ///
 /// # Errors
 ///
@@ -291,6 +286,10 @@ pub fn write_frame_mux<W: Write>(
     write_frame_inner(w, kind, payload, Some(request_id), trace)
 }
 
+/// Bytes of a trace-context and a request-id extension, tag and length
+/// included.
+const MAX_EXT_BYTES: usize = (2 + 16) + (2 + 8);
+
 fn write_frame_inner<W: Write>(
     w: &mut W,
     kind: FrameKind,
@@ -301,77 +300,83 @@ fn write_frame_inner<W: Write>(
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::Oversized(payload.len() as u64));
     }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4] = if request_id.is_some() {
-        WIRE_VERSION_MUX
-    } else if trace.is_some() {
-        WIRE_VERSION_TRACED
-    } else {
-        WIRE_VERSION
+    // Header and extensions leave in one write, the payload in another.
+    let mut head = [0u8; FRAME_HEADER_LEN + MAX_EXT_BYTES];
+    head[..4].copy_from_slice(&FRAME_MAGIC);
+    head[4] = WIRE_VERSION;
+    head[5] = kind.to_byte();
+    head[7..11].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    head[11..15].copy_from_slice(&crc32(payload).to_be_bytes());
+    let mut end = FRAME_HEADER_LEN;
+    let mut ext = |tag: u8, body: &[u8]| {
+        head[6] += 1;
+        head[end] = tag;
+        head[end + 1] = body.len() as u8;
+        head[end + 2..end + 2 + body.len()].copy_from_slice(body);
+        end += 2 + body.len();
     };
-    header[5] = kind.to_byte();
-    header[6..10].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    header[10..14].copy_from_slice(&crc32(payload).to_be_bytes());
-    w.write_all(&header)?;
-    if let Some(id) = request_id {
-        w.write_all(&id.to_be_bytes())?;
-        // v3 always carries an extension block, possibly empty.
-        match trace {
-            Some(ctx) => write_trace_ext(w, ctx)?,
-            None => w.write_all(&[0])?,
-        }
-    } else if let Some(ctx) = trace {
-        write_trace_ext(w, ctx)?;
+    if let Some(ctx) = trace {
+        // trace_id BE followed by parent_span BE.
+        let body = (u128::from(ctx.trace_id) << 64 | u128::from(ctx.parent_span)).to_be_bytes();
+        ext(EXT_TRACE_CONTEXT, &body);
     }
+    if let Some(id) = request_id {
+        ext(EXT_REQUEST_ID, &id.to_be_bytes());
+    }
+    w.write_all(&head[..end])?;
     w.write_all(payload)?;
     Ok(())
 }
 
-fn write_trace_ext<W: Write>(w: &mut W, ctx: TraceContext) -> Result<(), WireError> {
-    let mut ext = [0u8; 19];
-    ext[0] = 1; // one extension
-    ext[1] = EXT_TRACE_CONTEXT;
-    ext[2] = 16;
-    ext[3..11].copy_from_slice(&ctx.trace_id.to_be_bytes());
-    ext[11..19].copy_from_slice(&ctx.parent_span.to_be_bytes());
-    w.write_all(&ext)?;
-    Ok(())
+/// The fixed header's fields, every one checked.
+struct Header {
+    kind: FrameKind,
+    exts: usize,
+    len: usize,
+    crc: u32,
 }
 
-/// Total encoded length of the frame at the head of `buf`, when enough
-/// of its header is present to tell. `None` means "can't tell yet" —
-/// either too few bytes are buffered or the head is not a well-formed
-/// header (the blocking [`read_frame`] path will surface the actual
-/// error).
-///
-/// This exists for batched readers: a pump that has already pulled one
-/// frame can peek its buffer and keep draining *complete* frames
-/// without ever risking a block on a torn one.
-pub fn buffered_frame_len(buf: &[u8]) -> Option<usize> {
-    if buf.len() < FRAME_HEADER_LEN || buf[..4] != FRAME_MAGIC {
-        return None;
+fn parse_header(h: &[u8; FRAME_HEADER_LEN]) -> Result<Header, WireError> {
+    if h[..4] != FRAME_MAGIC {
+        return Err(WireError::BadMagic([h[0], h[1], h[2], h[3]]));
     }
-    let payload_len = u32::from_be_bytes(buf[6..10].try_into().expect("4 bytes")) as usize;
-    let mut off = FRAME_HEADER_LEN;
-    if buf[4] == WIRE_VERSION_MUX {
-        off += 8;
+    if h[4] != WIRE_VERSION {
+        return Err(WireError::BadVersion(h[4]));
     }
-    if buf[4] == WIRE_VERSION_TRACED || buf[4] == WIRE_VERSION_MUX {
-        let count = *buf.get(off)? as usize;
-        off += 1;
-        for _ in 0..count {
-            let len = *buf.get(off + 1)? as usize;
-            off += 2 + len;
-        }
-    } else if buf[4] != WIRE_VERSION {
-        return None;
+    let kind = FrameKind::from_byte(h[5]).ok_or(WireError::UnknownKind(h[5]))?;
+    let exts = usize::from(h[6]);
+    if exts > MAX_FRAME_EXTS {
+        return Err(WireError::Oversized(exts as u64));
     }
-    Some(off + payload_len)
+    let len = u32::from_be_bytes(h[7..11].try_into().expect("4 bytes")) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversized(len as u64));
+    }
+    let crc = u32::from_be_bytes(h[11..15].try_into().expect("4 bytes"));
+    Ok(Header {
+        kind,
+        exts,
+        len,
+        crc,
+    })
 }
 
-/// Reads one frame from `r`, verifying magic, version, length bound,
-/// and payload CRC. Blocks until a full frame (or an error) arrives.
+/// Total encoded length of the frame at the head of `buf`, when its
+/// header and extension headers are buffered and the header is valid.
+/// `None` means "can't tell yet" — the blocking [`read_frame`] path
+/// surfaces any actual error.
+fn buffered_frame_len(buf: &[u8]) -> Option<usize> {
+    let header = parse_header(buf.get(..FRAME_HEADER_LEN)?.try_into().ok()?).ok()?;
+    let mut end = FRAME_HEADER_LEN;
+    for _ in 0..header.exts {
+        end += 2 + usize::from(*buf.get(end + 1)?);
+    }
+    Some(end + header.len)
+}
+
+/// Reads one frame from `r`, verifying magic, version, extensions,
+/// length bound, and payload CRC. Blocks until a full frame (or an
+/// error) arrives.
 ///
 /// # Errors
 ///
@@ -380,67 +385,79 @@ pub fn buffered_frame_len(buf: &[u8]) -> Option<usize> {
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut header)?;
-    if header[..4] != FRAME_MAGIC {
-        return Err(WireError::BadMagic([header[0], header[1], header[2], header[3]]));
-    }
-    if header[4] != WIRE_VERSION
-        && header[4] != WIRE_VERSION_TRACED
-        && header[4] != WIRE_VERSION_MUX
-    {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let kind = FrameKind::from_byte(header[5]).ok_or(WireError::UnknownKind(header[5]))?;
-    let len = u32::from_be_bytes(header[6..10].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized(len as u64));
-    }
-    let expected = u32::from_be_bytes(header[10..14].try_into().expect("4 bytes"));
-    let mut request_id = None;
-    if header[4] == WIRE_VERSION_MUX {
-        let mut id = [0u8; 8];
-        r.read_exact(&mut id)?;
-        request_id = Some(u64::from_be_bytes(id));
-    }
-    let mut trace = None;
-    if header[4] == WIRE_VERSION_TRACED || header[4] == WIRE_VERSION_MUX {
-        let mut count = [0u8; 1];
-        r.read_exact(&mut count)?;
-        let count = count[0] as usize;
-        if count > MAX_FRAME_EXTS {
-            return Err(WireError::Oversized(count as u64));
-        }
-        for _ in 0..count {
-            let mut tl = [0u8; 2];
-            r.read_exact(&mut tl)?;
-            let mut body = vec![0u8; tl[1] as usize];
-            r.read_exact(&mut body)?;
-            // Known tag with the expected shape → adopt; anything else
-            // (future tags, future shapes of known tags) is skipped so
-            // newer peers can extend frames without breaking us.
-            if tl[0] == EXT_TRACE_CONTEXT && body.len() == 16 {
-                let trace_id = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
-                let parent_span = u64::from_be_bytes(body[8..].try_into().expect("8 bytes"));
+    let header = parse_header(&header)?;
+    let mut frame = Frame {
+        kind: header.kind,
+        request_id: None,
+        trace: None,
+        payload: Vec::new(),
+    };
+    let mut body = [0u8; 255];
+    for _ in 0..header.exts {
+        let mut tl = [0u8; 2];
+        r.read_exact(&mut tl)?;
+        let body = &mut body[..usize::from(tl[1])];
+        r.read_exact(body)?;
+        match tl[0] {
+            EXT_REQUEST_ID => {
+                // Skipping a malformed id would silently turn a
+                // pipelined request into a strict one.
+                let id = <[u8; 8]>::try_from(&*body)
+                    .map_err(|_| WireError::BadExtension("request id is not 8 bytes"))?;
+                if frame.request_id.replace(u64::from_be_bytes(id)).is_some() {
+                    return Err(WireError::BadExtension("second request id"));
+                }
+            }
+            EXT_TRACE_CONTEXT if body.len() == 16 => {
+                let ctx = u128::from_be_bytes((&*body).try_into().expect("16 bytes"));
+                let trace_id = (ctx >> 64) as u64;
                 if trace_id != 0 {
-                    trace = Some(TraceContext {
+                    frame.trace = Some(TraceContext {
                         trace_id,
-                        parent_span,
+                        parent_span: ctx as u64,
                     });
                 }
             }
+            // Unknown tags and other shapes of the trace context are
+            // skipped, so newer peers can extend frames.
+            _ => {}
         }
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let found = crc32(&payload);
-    if found != expected {
-        return Err(WireError::Crc { expected, found });
+    frame.payload = vec![0u8; header.len];
+    r.read_exact(&mut frame.payload)?;
+    let found = crc32(&frame.payload);
+    if found != header.crc {
+        return Err(WireError::Crc {
+            expected: header.crc,
+            found,
+        });
     }
-    Ok(Frame {
-        kind,
-        request_id,
-        trace,
-        payload,
-    })
+    Ok(frame)
+}
+
+/// Reads one frame from `r`, blocking until it arrives, then every
+/// further frame already completely in `r`'s buffer, appending at most
+/// `cap` frames to `out` in all. A partly buffered frame is left for
+/// the next call, so a batched reader never blocks behind a trickling
+/// peer.
+///
+/// # Errors
+///
+/// As [`read_frame`]. `out` keeps the frames read before the error;
+/// the stream is unusable after it.
+pub fn read_frames<R: Read>(
+    r: &mut BufReader<R>,
+    cap: usize,
+    out: &mut Vec<Frame>,
+) -> Result<(), WireError> {
+    out.push(read_frame(r)?);
+    for _ in 1..cap {
+        match buffered_frame_len(r.buffer()) {
+            Some(total) if total <= r.buffer().len() => out.push(read_frame(r)?),
+            _ => break,
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -895,13 +912,42 @@ mod tests {
     use super::*;
     use crate::testkit::{fx, proof_of};
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A hand-built frame: header, then `exts` as (tag, body), then
+    /// `payload`.
+    fn frame_with(kind: u8, exts: &[(u8, &[u8])], payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&FRAME_MAGIC);
+        buf.push(WIRE_VERSION);
+        buf.push(kind);
+        buf.push(exts.len() as u8);
+        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        buf.extend_from_slice(&crc32(payload).to_be_bytes());
+        for (tag, body) in exts {
+            buf.push(*tag);
+            buf.push(body.len() as u8);
+            buf.extend_from_slice(body);
+        }
+        buf.extend_from_slice(payload);
+        buf
+    }
+
     #[test]
     fn frame_round_trip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Request, b"hello").unwrap();
-        assert_eq!(buf[4], WIRE_VERSION, "trace-less frames stay version 1");
+        assert_eq!(buf[4], WIRE_VERSION);
+        assert_eq!(
+            buf.len(),
+            FRAME_HEADER_LEN + 5,
+            "no id and no trace: the header, then the payload"
+        );
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.kind, FrameKind::Request);
+        assert_eq!(frame.request_id, None);
         assert_eq!(frame.trace, None);
         assert_eq!(frame.payload, b"hello");
     }
@@ -914,61 +960,24 @@ mod tests {
         };
         let mut buf = Vec::new();
         write_frame_traced(&mut buf, FrameKind::Request, b"hello", Some(ctx)).unwrap();
-        assert_eq!(buf[4], WIRE_VERSION_TRACED);
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.kind, FrameKind::Request);
+        assert_eq!(frame.request_id, None);
         assert_eq!(frame.trace, Some(ctx));
         assert_eq!(frame.payload, b"hello");
     }
 
     #[test]
-    fn unknown_extension_tags_are_skipped() {
-        // Hand-build a v2 frame with an unknown ext followed by a trace
-        // context — the decoder must skip the former and keep the latter.
-        let payload = b"payload";
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC);
-        buf.push(WIRE_VERSION_TRACED);
-        buf.push(1); // kind: request
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&crc32(payload).to_be_bytes());
-        buf.push(2); // two extensions
-        buf.push(0xEE); // unknown tag
-        buf.push(3);
-        buf.extend_from_slice(&[1, 2, 3]);
-        buf.push(EXT_TRACE_CONTEXT);
-        buf.push(16);
-        buf.extend_from_slice(&7u64.to_be_bytes());
-        buf.extend_from_slice(&9u64.to_be_bytes());
-        buf.extend_from_slice(payload);
-        let frame = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(
-            frame.trace,
-            Some(TraceContext {
-                trace_id: 7,
-                parent_span: 9
-            })
-        );
-        assert_eq!(frame.payload, payload);
-    }
-
-    #[test]
-    fn future_version_fails_cleanly() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, b"x").unwrap();
-        buf[4] = 4; // a version from the future
-        assert!(matches!(
-            read_frame(&mut buf.as_slice()),
-            Err(WireError::BadVersion(4))
-        ));
-    }
-
-    #[test]
     fn mux_frame_round_trip() {
         let mut buf = Vec::new();
-        write_frame_mux(&mut buf, FrameKind::Request, b"hello", 0x0123_4567_89ab_cdef, None)
-            .unwrap();
-        assert_eq!(buf[4], WIRE_VERSION_MUX);
+        write_frame_mux(
+            &mut buf,
+            FrameKind::Request,
+            b"hello",
+            0x0123_4567_89ab_cdef,
+            None,
+        )
+        .unwrap();
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.kind, FrameKind::Request);
         assert_eq!(frame.request_id, Some(0x0123_4567_89ab_cdef));
@@ -989,31 +998,201 @@ mod tests {
         assert_eq!(frame.trace, Some(ctx));
     }
 
+    /// The exact bytes of one frame of each shape the protocol sends.
+    /// Header: magic, version 04, kind, extension count, len, crc; then
+    /// the extensions (trace context first), then the payload.
     #[test]
-    fn trace_less_and_id_less_sends_stay_version_1() {
-        // The compatibility contract: a peer that never pipelines and
-        // never traces emits byte-identical v1 frames forever.
-        let mut buf = Vec::new();
-        write_frame_traced(&mut buf, FrameKind::Request, b"q", None).unwrap();
-        assert_eq!(buf[4], WIRE_VERSION);
-        assert_eq!(buf.len(), FRAME_HEADER_LEN + 1);
+    fn known_answer_bytes() {
+        let ctx = TraceContext {
+            trace_id: 0x0102_0304_0506_0708,
+            parent_span: 0x1112_1314_1516_1718,
+        };
+        let id = 0x2122_2324_2526_2728;
+        let frame = |write: &dyn Fn(&mut Vec<u8>) -> Result<(), WireError>| {
+            let mut buf = Vec::new();
+            write(&mut buf).unwrap();
+            hex(&buf)
+        };
+        let health = encode_request(&Request::Health);
+        assert_eq!(
+            frame(&|b| write_frame(b, FrameKind::Request, &health)),
+            concat!(
+                "64524257",
+                "04",
+                "01",
+                "00",
+                "00000015",
+                "7679cf58",
+                "000000000000000c64726261632d7265712d76310c",
+            )
+        );
+        assert_eq!(
+            frame(&|b| write_frame_traced(b, FrameKind::Request, &health, Some(ctx))),
+            concat!(
+                "64524257",
+                "04",
+                "01",
+                "01",
+                "00000015",
+                "7679cf58",
+                "011001020304050607081112131415161718",
+                "000000000000000c64726261632d7265712d76310c",
+            )
+        );
+        assert_eq!(
+            frame(&|b| write_frame_mux(b, FrameKind::Request, &health, id, None)),
+            concat!(
+                "64524257",
+                "04",
+                "01",
+                "01",
+                "00000015",
+                "7679cf58",
+                "02082122232425262728",
+                "000000000000000c64726261632d7265712d76310c",
+            )
+        );
+        let subscribed = encode_reply(&Reply::Subscribed);
+        assert_eq!(
+            frame(&|b| write_frame_mux(b, FrameKind::Reply, &subscribed, id, None)),
+            concat!(
+                "64524257",
+                "04",
+                "02",
+                "01",
+                "00000015",
+                "45c26eda",
+                "02082122232425262728",
+                "000000000000000c64726261632d7265702d763104",
+            )
+        );
+        let push = encode_push(&OneWay::Invalidate(DelegationEvent {
+            delegation: DelegationId([7; 32]),
+            reason: InvalidationReason::Revoked,
+        }));
+        assert_eq!(
+            frame(&|b| write_frame(b, FrameKind::Push, &push)),
+            concat!(
+                "64524257",
+                "04",
+                "03",
+                "00",
+                "0000003f",
+                "8ca604e1",
+                "000000000000000d64726261632d707573682d7631",
+                "01",
+                "0000000000000020",
+                "0707070707070707070707070707070707070707070707070707070707070707",
+                "01",
+            )
+        );
+        let register = encode_push_register(&"wallet.b".into());
+        assert_eq!(
+            frame(&|b| write_frame(b, FrameKind::PushRegister, &register)),
+            concat!(
+                "64524257",
+                "04",
+                "04",
+                "00",
+                "00000024",
+                "a4c9708c",
+                "000000000000000c64726261632d7375622d7631000000000000000877616c6c65742e62",
+            )
+        );
     }
 
     #[test]
-    fn oversized_extension_count_is_rejected() {
-        let payload = b"p";
+    fn retired_and_future_versions_fail_cleanly() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC);
-        buf.push(WIRE_VERSION_TRACED);
-        buf.push(1);
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&crc32(payload).to_be_bytes());
-        buf.push(255); // far over MAX_FRAME_EXTS
-        buf.extend_from_slice(payload);
+        write_frame(&mut buf, FrameKind::Request, b"x").unwrap();
+        for version in [0x01, 0x02, 0x03, 0x05, 0xff] {
+            buf[4] = version;
+            assert!(matches!(
+                read_frame(&mut buf.as_slice()),
+                Err(WireError::BadVersion(v)) if v == version
+            ));
+        }
+    }
+
+    #[test]
+    fn unknown_extension_tags_are_skipped() {
+        // An unknown extension, then a trace context and a request id:
+        // the decoder skips the first and keeps the others.
+        let trace = [7u64.to_be_bytes(), 9u64.to_be_bytes()].concat();
+        let buf = frame_with(
+            1,
+            &[
+                (0xEE, &[1, 2, 3]),
+                (EXT_TRACE_CONTEXT, &trace),
+                (EXT_REQUEST_ID, &5u64.to_be_bytes()),
+            ],
+            b"payload",
+        );
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            frame.trace,
+            Some(TraceContext {
+                trace_id: 7,
+                parent_span: 9
+            })
+        );
+        assert_eq!(frame.request_id, Some(5));
+        assert_eq!(frame.payload, b"payload");
+    }
+
+    #[test]
+    fn a_malformed_or_repeated_request_id_is_rejected_not_skipped() {
+        for body in [&[0u8; 7][..], &[0u8; 9], &[]] {
+            let buf = frame_with(1, &[(EXT_REQUEST_ID, body)], b"p");
+            assert!(
+                matches!(
+                    read_frame(&mut buf.as_slice()),
+                    Err(WireError::BadExtension(_))
+                ),
+                "a {}-byte request id",
+                body.len()
+            );
+        }
+        let id = 5u64.to_be_bytes();
+        let buf = frame_with(1, &[(EXT_REQUEST_ID, &id), (EXT_REQUEST_ID, &id)], b"p");
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
-            Err(WireError::Oversized(255))
+            Err(WireError::BadExtension(_))
         ));
+    }
+
+    #[test]
+    fn an_extension_count_over_the_cap_is_rejected_at_the_header() {
+        for count in [MAX_FRAME_EXTS + 1, 255] {
+            let mut buf = frame_with(1, &[], b"p");
+            buf[6] = count as u8;
+            // Only the header is readable: any read past it would fail
+            // with end-of-stream instead.
+            assert!(matches!(
+                read_frame(&mut &buf[..FRAME_HEADER_LEN]),
+                Err(WireError::Oversized(n)) if n == count as u64
+            ));
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_with_both_extensions_errors() {
+        let mut buf = Vec::new();
+        let ctx = TraceContext {
+            trace_id: 1,
+            parent_span: 2,
+        };
+        write_frame_mux(&mut buf, FrameKind::Request, b"query", 3, Some(ctx)).unwrap();
+        for len in 0..buf.len() {
+            assert!(matches!(
+                read_frame(&mut &buf[..len]),
+                Err(WireError::Io(_))
+            ));
+            assert!(buffered_frame_len(&buf[..len]).is_none_or(|total| total == buf.len()));
+        }
+        assert_eq!(buffered_frame_len(&buf), Some(buf.len()));
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!((frame.request_id, frame.trace), (Some(3), Some(ctx)));
     }
 
     #[test]

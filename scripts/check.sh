@@ -151,6 +151,26 @@ if [ -n "$senders" ]; then
     echo "$senders" >&2
     exit 1
 fi
+# One frame format, and only wire.rs knows its layout: the retired
+# version constants stay gone, and no non-test code elsewhere builds,
+# sizes or peeks a frame header itself.
+retired=$(grep -rnE 'WIRE_VERSION_(TRACED|MUX)' crates src tests || true)
+if [ -n "$retired" ]; then
+    echo "check.sh: a retired wire version is back:" >&2
+    echo "$retired" >&2
+    exit 1
+fi
+layout=$(find crates src -name '*.rs' ! -path crates/net/src/wire.rs -print0 | xargs -0 awk '
+    FNR == 1 { tests = 0 }
+    /#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && /FRAME_MAGIC|FRAME_HEADER_LEN|buffered_frame_len|b"dRBW"/ && !/^[[:space:]]*\/\// {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [ -n "$layout" ]; then
+    echo "check.sh: the frame layout is used outside crates/net/src/wire.rs:" >&2
+    echo "$layout" >&2
+    exit 1
+fi
 cargo test -q --test tcp_loopback --test wire_roundtrip --test daemon_shutdown
 PORT=$((20000 + RANDOM % 20000))
 "$DRBAC" --home "$STORE_HOME" serve "127.0.0.1:$PORT" &

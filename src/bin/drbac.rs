@@ -619,7 +619,33 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 }
                 None => writeln!(out, "index: (none)").unwrap(),
             }
+            // The previous base run is the recovery source for a damaged
+            // current one once the log no longer starts at seq 1, so
+            // damage to it fails verify exactly then.
+            let truncated = report.first_seq.is_some_and(|seq| seq > 1);
+            let mut prev_damage = None;
+            match FileTable::read_previous(&index_dir)
+                .and_then(|run| run.map(|t| DelegationIndex::open(Box::new(t))).transpose())
+            {
+                Ok(Some(prev)) => writeln!(
+                    out,
+                    "previous base run: watermark {}",
+                    prev.watermark().map_or("(none)".into(), |w| w.to_string())
+                )
+                .unwrap(),
+                Ok(None) => writeln!(out, "previous base run: (none)").unwrap(),
+                Err(e) => {
+                    writeln!(out, "previous base run: DAMAGED — index/index.prev: {e}").unwrap();
+                    prev_damage = truncated.then_some(e);
+                }
+            }
             if report.is_clean() {
+                if let Some(e) = prev_damage {
+                    return Err(format!(
+                        "{out}NOT CLEAN — index/index.prev is damaged ({e}); the log is truncated, \
+                         so it is the only recovery source should index/index.tab go bad"
+                    ));
+                }
                 out.push_str("clean\n");
                 Ok(out)
             } else {

@@ -409,6 +409,49 @@ fn checkpointed_home_restores_its_index_or_refuses() {
     let _ = std::fs::remove_dir_all(&home);
 }
 
+/// `store verify` reads every block of the previous base run. Damage to
+/// it is reported; it fails verify once the log no longer starts at seq
+/// 1, because the run is then the only recovery source for a damaged
+/// current run.
+#[test]
+fn store_verify_checks_the_previous_base_run() {
+    let home = temp_home("prevrun");
+    let prev = home.join("index").join("index.prev");
+    let flip = |at: usize| {
+        let mut bytes = std::fs::read(&prev).unwrap();
+        bytes[at] ^= 0x01;
+        std::fs::write(&prev, bytes).unwrap();
+    };
+    ok(&home, &["keygen", "BigISP"]);
+    ok(&home, &["keygen", "Maria"]);
+    ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("previous base run: (none)"), "{verified}");
+    ok(&home, &["delegate", "[BigISP -> BigISP.member] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("previous base run: watermark 1"), "{verified}");
+
+    // The log still starts at seq 1: it can rebuild everything alone.
+    flip(40);
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("(seq 1..2)"), "{verified}");
+    assert!(verified.contains("DAMAGED — index/index.prev"), "{verified}");
+
+    // The next checkpoint replaces the run and truncates the log.
+    ok(&home, &["delegate", "[Maria -> BigISP.admin] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("(seq 2..3)"), "{verified}");
+    assert!(verified.contains("previous base run: watermark 2"), "{verified}");
+    flip(40);
+    let err = fails(&home, &["store", "verify"]);
+    assert!(err.contains("NOT CLEAN — index/index.prev is damaged"), "{err}");
+
+    let _ = std::fs::remove_dir_all(&home);
+}
+
 #[test]
 fn cli_error_paths() {
     let home = temp_home("errors");

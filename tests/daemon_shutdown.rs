@@ -80,10 +80,12 @@ fn shutdown_joins_connection_pumps_despite_hung_client() {
         let mut s = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
         let mut frame = Vec::new();
         frame.extend_from_slice(b"dRBW");
-        frame.push(1); // version
+        frame.push(wire::WIRE_VERSION);
         frame.push(1); // kind: request
+        frame.push(0); // no extensions
         frame.extend_from_slice(&1024u32.to_be_bytes()); // promised length...
         frame.extend_from_slice(&0u32.to_be_bytes()); // (bogus crc)
+        assert_eq!(frame.len(), wire::FRAME_HEADER_LEN);
         s.write_all(&frame).unwrap(); // ...and no payload, ever
         hung.push(s);
     }

@@ -562,6 +562,7 @@ fn query_trace_spans_client_and_daemon_sides() {
 /// length prefix — stays alive and keeps serving well-formed clients.
 #[test]
 fn daemon_survives_garbage_connections() {
+    use drbac::net::wire;
     use std::io::Write as _;
 
     let clock = SimClock::new();
@@ -573,25 +574,26 @@ fn daemon_survives_garbage_connections() {
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
     drop(s);
+    // A valid header (magic, version, kind request, no extensions)
+    // promising `len` payload bytes.
+    let header = |len: u32| {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(b"dRBW");
+        frame.push(wire::WIRE_VERSION);
+        frame.push(1); // kind: request
+        frame.push(0); // no extensions
+        frame.extend_from_slice(&len.to_be_bytes());
+        frame.extend_from_slice(&0u32.to_be_bytes()); // crc
+        assert_eq!(frame.len(), wire::FRAME_HEADER_LEN);
+        frame
+    };
     // Garbage: valid magic, absurd length prefix.
     let mut s = std::net::TcpStream::connect(addr).unwrap();
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"dRBW");
-    frame.push(1); // version
-    frame.push(1); // kind: request
-    frame.extend_from_slice(&u32::MAX.to_be_bytes()); // oversized length
-    frame.extend_from_slice(&0u32.to_be_bytes());
-    s.write_all(&frame).unwrap();
+    s.write_all(&header(u32::MAX)).unwrap();
     drop(s);
     // Torn frame: header promises bytes that never arrive.
     let mut s = std::net::TcpStream::connect(addr).unwrap();
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"dRBW");
-    frame.push(1);
-    frame.push(1);
-    frame.extend_from_slice(&1024u32.to_be_bytes());
-    frame.extend_from_slice(&0u32.to_be_bytes());
-    s.write_all(&frame).unwrap(); // ...and no payload
+    s.write_all(&header(1024)).unwrap(); // ...and no payload
     drop(s);
 
     // A well-formed client still gets served.
@@ -604,7 +606,7 @@ fn daemon_survives_garbage_connections() {
     daemon.shutdown();
 }
 
-/// A pipelined (wire v3) client gets byte-identical proofs to the same
+/// A pipelined client gets byte-identical proofs to the same
 /// queries over SimNet — and waiting on the replies in reverse send
 /// order still pairs every reply with its own request.
 #[test]
@@ -680,8 +682,8 @@ fn pipelined_query_parity_simnet_vs_tcp() {
 
 /// Backpressure is an explicit reply, not a silent stall: with the job
 /// queue bound set to zero every pipelined request is shed with an
-/// `overloaded:` error echoing its id — while strict v1 requests on
-/// the same daemon still serve (they never touch the queue).
+/// `overloaded:` error echoing its id — while strict requests (no id)
+/// on the same daemon still serve (they never touch the queue).
 #[test]
 fn pipelined_overload_is_explicit_and_v1_still_serves() {
     use drbac::net::DaemonConfig;
@@ -716,7 +718,7 @@ fn pipelined_overload_is_explicit_and_v1_still_serves() {
         );
     }
 
-    // Strict v1 requests are served inline on the reader thread and
+    // Strict requests are served inline on the reader thread and
     // never queue — the shed daemon still answers them.
     let reply = transport
         .request(&"home.shed".into(), Request::FetchDeclarations)
@@ -727,16 +729,15 @@ fn pipelined_overload_is_explicit_and_v1_still_serves() {
     daemon.shutdown();
 }
 
-/// A pre-v3 peer speaking version 0x01 gets a byte-identical v1
-/// exchange from the multiplexed daemon: the reply frame's version
-/// byte is 0x01 and carries no request id.
+/// A strict request gets the one frame format back: version
+/// `WIRE_VERSION`, kind reply, zero extensions, then the payload.
 #[test]
-fn v1_peer_interoperates_byte_identically() {
+fn a_strict_reply_is_the_bare_frame() {
     use drbac::net::wire;
     use std::io::Read as _;
 
     let clock = SimClock::new();
-    let wallet = Wallet::new("home.v1", clock);
+    let wallet = Wallet::new("home.strict", clock);
     let daemon = WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::fast()).unwrap();
 
     let mut s = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
@@ -744,17 +745,125 @@ fn v1_peer_interoperates_byte_identically() {
     let payload = wire::encode_request(&Request::FetchDeclarations);
     wire::write_frame(&mut s, wire::FrameKind::Request, &payload).unwrap();
 
-    // Read the reply's raw header: magic, version 0x01, kind Reply.
-    let mut header = [0u8; 14];
+    // Read the reply's raw header: magic, version, kind, extensions.
+    let mut header = [0u8; wire::FRAME_HEADER_LEN];
     s.read_exact(&mut header).unwrap();
     assert_eq!(&header[0..4], b"dRBW", "reply carries the frame magic");
-    assert_eq!(header[4], 0x01, "reply to a v1 request is a v1 frame");
+    assert_eq!(header[4], wire::WIRE_VERSION, "the one version");
     assert_eq!(header[5], 0x02, "reply kind");
-    let len = u32::from_be_bytes(header[6..10].try_into().unwrap()) as usize;
+    assert_eq!(header[6], 0, "a strict reply carries no extension");
+    let len = u32::from_be_bytes(header[7..11].try_into().unwrap()) as usize;
     let mut reply_payload = vec![0u8; len];
     s.read_exact(&mut reply_payload).unwrap();
     let reply = wire::decode_reply(&reply_payload).unwrap();
     assert!(matches!(reply, Reply::Declarations(_)));
+    drop(s);
+    daemon.shutdown();
+}
+
+/// A peer still speaking a retired layout (version 0x01, 0x02 or 0x03)
+/// is refused: the decoder says `BadVersion`, and the daemon closes
+/// that connection while it keeps serving the next well-formed client.
+#[test]
+fn retired_wire_versions_are_refused_and_the_daemon_serves_on() {
+    use drbac::net::wire;
+    use std::io::{Read as _, Write as _};
+
+    let clock = SimClock::new();
+    let wallet = Wallet::new("home.retired", clock);
+    let daemon = WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::fast()).unwrap();
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("home.retired", daemon.local_addr());
+
+    let payload = wire::encode_request(&Request::FetchDeclarations);
+    for version in 0x01..=0x03u8 {
+        // The retired layouts shared a 14-byte header: magic, version,
+        // kind, len, crc. Version 0x03 put an 8-byte request id and an
+        // extension count after it, version 0x02 the count alone.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(b"dRBW");
+        frame.push(version);
+        frame.push(1); // kind: request
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&drbac::store::crc32(&payload).to_be_bytes());
+        if version == 0x03 {
+            frame.extend_from_slice(&7u64.to_be_bytes());
+        }
+        if version >= 0x02 {
+            frame.push(0);
+        }
+        frame.extend_from_slice(&payload);
+        assert!(
+            matches!(
+                wire::read_frame(&mut frame.as_slice()),
+                Err(wire::WireError::BadVersion(v)) if v == version
+            ),
+            "version {version:#04x}"
+        );
+
+        let mut s = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&frame).unwrap();
+        // No reply: the daemon hangs up (end of stream or a reset).
+        let mut buf = [0u8; 64];
+        assert!(
+            !matches!(s.read(&mut buf), Ok(n) if n > 0),
+            "version {version:#04x} got an answer"
+        );
+
+        let reply = transport
+            .request(&"home.retired".into(), Request::FetchDeclarations)
+            .unwrap();
+        assert!(matches!(reply, Reply::Declarations(_)));
+    }
+    daemon.shutdown();
+}
+
+/// Strict and pipelined requests may share one connection: the replies
+/// without an id come back in request order and carry no id, the others
+/// echo theirs.
+#[test]
+fn strict_and_pipelined_requests_mix_on_one_connection() {
+    use drbac::core::DelegationId;
+    use drbac::net::wire::{self, FrameKind};
+    use std::io::Write as _;
+
+    let clock = SimClock::new();
+    let wallet = Wallet::new("home.mixed", clock);
+    let daemon = WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::fast()).unwrap();
+
+    let mut s = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let declarations = wire::encode_request(&Request::FetchDeclarations);
+    let delegation = wire::encode_request(&Request::FetchDelegation(DelegationId([1; 32])));
+    // Id 5, no id, id 6, no id — in one write.
+    let mut buf = Vec::new();
+    wire::write_frame_mux(&mut buf, FrameKind::Request, &declarations, 5, None).unwrap();
+    wire::write_frame(&mut buf, FrameKind::Request, &declarations).unwrap();
+    wire::write_frame_mux(&mut buf, FrameKind::Request, &declarations, 6, None).unwrap();
+    wire::write_frame(&mut buf, FrameKind::Request, &delegation).unwrap();
+    s.write_all(&buf).unwrap();
+
+    let mut strict = Vec::new();
+    let mut echoed = Vec::new();
+    for _ in 0..4 {
+        let frame = wire::read_frame(&mut s).unwrap();
+        assert_eq!(frame.kind, FrameKind::Reply);
+        let reply = wire::decode_reply(&frame.payload).unwrap();
+        match frame.request_id {
+            Some(id) => {
+                assert!(matches!(reply, Reply::Declarations(_)), "{reply:?}");
+                echoed.push(id);
+            }
+            None => strict.push(reply),
+        }
+    }
+    echoed.sort_unstable();
+    assert_eq!(echoed, [5, 6]);
+    assert!(
+        matches!(strict.as_slice(), [Reply::Declarations(_), Reply::Delegation(None)]),
+        "the id-less replies keep request order: {strict:?}"
+    );
     drop(s);
     daemon.shutdown();
 }
@@ -790,7 +899,7 @@ fn daemon_echoes_duplicate_request_ids_verbatim() {
 
 /// A scripted stand-in for a daemon, for the batch-client paths a real
 /// daemon cannot be made to take on cue. Each accepted connection reads
-/// `expect` v3 request frames and hands them to `script` with the
+/// `expect` request frames carrying ids and hands them to `script` with the
 /// stream; the script writes whatever it wants and returns, which
 /// closes the connection. `accepts` counts connections.
 struct ScriptedPeer {
@@ -850,7 +959,7 @@ fn batch_replies_land_in_request_order() {
                 return;
             };
             let payload = wire::encode_reply(&Reply::Published(delegation));
-            let id = frame.request_id.expect("batch frames are v3");
+            let id = frame.request_id.expect("batch frames carry ids");
             wire::write_frame_mux(stream, wire::FrameKind::Reply, &payload, id, None).unwrap();
         }
         // Stay open until the client hangs up, as a daemon would.
@@ -880,7 +989,7 @@ fn daemon_killed_mid_gather_fails_only_the_unanswered_entries() {
     let peer = ScriptedPeer::spawn(3, |stream, frames| {
         if let Some(first) = frames.first() {
             let payload = wire::encode_reply(&Reply::Subscribed);
-            let id = first.request_id.expect("batch frames are v3");
+            let id = first.request_id.expect("batch frames carry ids");
             wire::write_frame_mux(stream, wire::FrameKind::Reply, &payload, id, None).unwrap();
         }
     });
@@ -1083,8 +1192,8 @@ fn figure2_proof_is_byte_identical_over_simnet_and_tcp() {
 #[test]
 fn batch_replaces_a_pooled_connection_closed_while_idle() {
     use drbac::net::wire;
-    // Answers one request per connection, in the version it was asked
-    // in, then hangs up.
+    // Answers one request per connection, echoing its id if it carried
+    // one, then hangs up.
     let peer = ScriptedPeer::spawn(1, |stream, frames| {
         let payload = wire::encode_reply(&Reply::Subscribed);
         match frames.first().map(|f| f.request_id) {

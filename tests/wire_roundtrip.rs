@@ -192,6 +192,7 @@ fn bit_flips_never_yield_a_verifying_forgery() {
 mod frame {
     use drbac::net::wire::{
         read_frame, write_frame, FrameKind, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+        WIRE_VERSION,
     };
     use proptest::prelude::*;
 
@@ -223,10 +224,12 @@ mod frame {
         for promised in [MAX_FRAME_LEN as u32 + 1, u32::MAX] {
             let mut frame = Vec::new();
             frame.extend_from_slice(b"dRBW");
-            frame.push(1); // version
+            frame.push(WIRE_VERSION);
             frame.push(1); // kind: request
+            frame.push(0); // no extensions
             frame.extend_from_slice(&promised.to_be_bytes());
             frame.extend_from_slice(&0u32.to_be_bytes()); // crc (unread)
+            assert_eq!(frame.len(), FRAME_HEADER_LEN);
             let err = read_frame(&mut frame.as_slice()).unwrap_err();
             assert!(
                 matches!(err, WireError::Oversized(n) if n == u64::from(promised)),
@@ -245,13 +248,18 @@ mod frame {
             read_frame(&mut bad.as_slice()).unwrap_err(),
             WireError::BadMagic(_)
         ));
-        // Unknown version.
-        let mut bad = good.clone();
-        bad[4] = 0x7f;
-        assert!(matches!(
-            read_frame(&mut bad.as_slice()).unwrap_err(),
-            WireError::BadVersion(0x7f)
-        ));
+        // Unknown version, the retired layouts 0x01..=0x03 included.
+        for version in [0x01, 0x02, 0x03, 0x7f] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert!(
+                matches!(
+                    read_frame(&mut bad.as_slice()).unwrap_err(),
+                    WireError::BadVersion(v) if v == version
+                ),
+                "version {version:#04x}"
+            );
+        }
         // Unknown frame kind.
         let mut bad = good.clone();
         bad[5] = 0xee;
@@ -274,12 +282,12 @@ mod frame {
         }
     }
 
-    // -- traced (version-2) frames and the Stats/Health payloads -------
+    // -- traced frames, extension combinations, Stats/Health payloads --
 
     use drbac::net::proto::{Reply, Request};
     use drbac::net::wire::{
-        decode_reply, decode_request, encode_reply, encode_request, write_frame_traced,
-        TraceContext, WIRE_VERSION_TRACED,
+        decode_reply, decode_request, encode_reply, encode_request, write_frame_mux,
+        write_frame_traced, TraceContext,
     };
     use drbac::store::crc32;
 
@@ -296,7 +304,6 @@ mod frame {
             parent_span: 0x99aa_bbcc_ddee_ff00,
         };
         let frame = encode_traced(FrameKind::Request, b"stats probe", ctx);
-        assert_eq!(frame[4], WIRE_VERSION_TRACED);
         for len in 0..frame.len() {
             let err = read_frame(&mut &frame[..len]).expect_err("torn traced frame must error");
             assert!(
@@ -314,9 +321,10 @@ mod frame {
             trace_id: 7,
             parent_span: 0,
         };
-        let frame = encode_traced(FrameKind::Request, b"health probe", ctx);
-        // Everything after the header + 19-byte ext block is payload.
-        for pos in FRAME_HEADER_LEN + 19..frame.len() {
+        let payload = b"health probe";
+        let frame = encode_traced(FrameKind::Request, payload, ctx);
+        // The payload is the frame's tail.
+        for pos in frame.len() - payload.len()..frame.len() {
             let mut bad = frame.clone();
             bad[pos] ^= 0x40;
             assert!(
@@ -327,18 +335,37 @@ mod frame {
     }
 
     #[test]
-    fn old_peer_v1_frames_still_decode_without_trace() {
-        // A sender that predates tracing emits version-1 frames; they
-        // must decode exactly as before, with no trace context.
+    fn every_extension_combination_round_trips() {
+        // One layout for {id, no id} × {trace, no trace}: the version
+        // byte never changes, the extension count says what follows, and
+        // a frame with neither extension is the header and the payload.
         let payload = encode_request(&Request::Stats);
-        let buf = encode_frame(FrameKind::Request, &payload);
-        assert_eq!(buf[4], 1, "trace-less sends stay version 1");
-        let frame = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.trace, None);
-        assert!(matches!(
-            decode_request(&frame.payload).unwrap(),
-            Request::Stats
-        ));
+        let ctx = TraceContext {
+            trace_id: 11,
+            parent_span: 12,
+        };
+        for id in [None, Some(13)] {
+            for trace in [None, Some(ctx)] {
+                let mut buf = Vec::new();
+                match id {
+                    Some(id) => write_frame_mux(&mut buf, FrameKind::Request, &payload, id, trace),
+                    None => write_frame_traced(&mut buf, FrameKind::Request, &payload, trace),
+                }
+                .unwrap();
+                assert_eq!(buf[4], WIRE_VERSION);
+                let exts = usize::from(id.is_some()) + usize::from(trace.is_some());
+                assert_eq!(usize::from(buf[6]), exts, "extension count");
+                if exts == 0 {
+                    assert_eq!(buf.len(), FRAME_HEADER_LEN + payload.len());
+                }
+                let frame = read_frame(&mut buf.as_slice()).unwrap();
+                assert_eq!((frame.request_id, frame.trace), (id, trace));
+                assert!(matches!(
+                    decode_request(&frame.payload).unwrap(),
+                    Request::Stats
+                ));
+            }
+        }
     }
 
     #[test]
@@ -411,16 +438,20 @@ mod frame {
             }
         }
 
-        /// Arbitrary extension blocks spliced into a version-2 header
-        /// never panic the reader — unknown tags are skipped, malformed
-        /// blocks error cleanly.
+        /// Arbitrary extension bytes behind any extension count never
+        /// panic the reader — unknown tags are skipped, malformed
+        /// extensions error cleanly.
         #[test]
-        fn prop_extension_blocks_never_panic(ext in prop::collection::vec(any::<u8>(), 0..64)) {
+        fn prop_extension_blocks_never_panic(
+            count in 0u8..=17,
+            ext in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
             let payload = b"p";
             let mut buf = Vec::new();
             buf.extend_from_slice(b"dRBW");
-            buf.push(WIRE_VERSION_TRACED);
+            buf.push(WIRE_VERSION);
             buf.push(1); // kind: request
+            buf.push(count);
             buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
             buf.extend_from_slice(&crc32(payload).to_be_bytes());
             buf.extend_from_slice(&ext);
@@ -452,15 +483,17 @@ mod frame {
 }
 
 // ---------------------------------------------------------------------------
-// Multiplexed (version-3) frames: request ids survive interleaving and
-// reordering, torn v3 frames error cleanly, and the batched-reader
-// helper `buffered_frame_len` never lies about a frame boundary.
+// Multiplexed frames (with a request id): ids survive interleaving and
+// reordering, torn frames error cleanly, and the batched reader
+// `read_frames` never takes a frame that is only partly buffered.
 // ---------------------------------------------------------------------------
 
 mod mux {
+    use std::io::BufReader;
+
     use drbac::net::wire::{
-        buffered_frame_len, read_frame, write_frame, write_frame_mux, write_frame_traced,
-        FrameKind, TraceContext, WireError, WIRE_VERSION_MUX,
+        read_frame, read_frames, write_frame, write_frame_mux, write_frame_traced, Frame,
+        FrameKind, TraceContext, WireError, WIRE_VERSION,
     };
     use proptest::prelude::*;
 
@@ -472,9 +505,9 @@ mod mux {
 
     #[test]
     fn interleaved_streams_keep_their_ids() {
-        // One connection carrying two logical request streams plus a
-        // v1 push register and a v2 traced request, concatenated the
-        // way a pipelining client would write them. Every frame must
+        // One connection carrying two logical request streams plus an
+        // id-less push register and an id-less traced request,
+        // concatenated the way a pipelining client would write them. Every frame must
         // come back with exactly its own id (or none).
         let ctx = TraceContext {
             trace_id: 5,
@@ -535,7 +568,6 @@ mod mux {
                 parent_span: 2,
             }),
         );
-        assert_eq!(frame[4], WIRE_VERSION_MUX);
         for len in 0..frame.len() {
             let err = read_frame(&mut &frame[..len]).expect_err("torn mux frame must error");
             assert!(
@@ -549,35 +581,55 @@ mod mux {
         );
     }
 
+    /// Drains every frame buffered in `bytes` with up to `cap` frames per
+    /// call, the way the daemon's and the pipelined client's readers do.
+    fn drain(bytes: &[u8], cap: usize) -> Result<Vec<Vec<Frame>>, WireError> {
+        let mut r = BufReader::new(bytes);
+        let mut calls = Vec::new();
+        while !r.buffer().is_empty() || calls.is_empty() {
+            let mut out = Vec::new();
+            read_frames(&mut r, cap, &mut out)?;
+            calls.push(out);
+        }
+        Ok(calls)
+    }
+
     #[test]
-    fn buffered_frame_len_matches_all_three_versions() {
+    fn drain_splits_every_extension_combination() {
         let ctx = TraceContext {
             trace_id: 3,
             parent_span: 4,
         };
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, FrameKind::Request, b"abc").unwrap();
-        let mut v2 = Vec::new();
-        write_frame_traced(&mut v2, FrameKind::Request, b"abcd", Some(ctx)).unwrap();
-        let v3 = mux_frame(FrameKind::Reply, b"abcde", 7, None);
-        let v3t = mux_frame(FrameKind::Reply, b"abcdef", 7, Some(ctx));
-        for frame in [v1, v2, v3, v3t] {
-            assert_eq!(buffered_frame_len(&frame), Some(frame.len()));
-            // With trailing bytes of a next frame present, the answer
-            // must still be this frame's boundary.
-            let mut two = frame.clone();
-            two.extend_from_slice(&frame);
-            assert_eq!(buffered_frame_len(&two), Some(frame.len()));
+        let mut bare = Vec::new();
+        write_frame(&mut bare, FrameKind::Request, b"abc").unwrap();
+        let mut traced = Vec::new();
+        write_frame_traced(&mut traced, FrameKind::Request, b"abcd", Some(ctx)).unwrap();
+        let with_id = mux_frame(FrameKind::Reply, b"abcde", 7, None);
+        let with_both = mux_frame(FrameKind::Reply, b"abcdef", 7, Some(ctx));
+        for frame in [bare, traced, with_id, with_both] {
+            assert_eq!(frame[4], WIRE_VERSION);
+            let alone = drain(&frame, usize::MAX).unwrap();
+            assert_eq!(alone.len(), 1);
+            assert_eq!(alone[0].len(), 1);
+            // Two back to back come out of one call, each whole.
+            let two = [frame.clone(), frame.clone()].concat();
+            let calls = drain(&two, usize::MAX).unwrap();
+            assert_eq!(calls.len(), 1, "both frames were buffered");
+            assert_eq!(calls[0][0], calls[0][1]);
+            assert_eq!(calls[0][0], read_frame(&mut frame.as_slice()).unwrap());
+            // The cap splits them across calls.
+            let capped = drain(&two, 1).unwrap();
+            assert_eq!(capped.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1]);
         }
     }
 
     #[test]
-    fn buffered_frame_len_never_overclaims_on_prefixes() {
-        // For every prefix of a valid frame the helper either says
-        // "can't tell yet" or names the true total — a wrong Some
-        // would make a batched reader block on a frame it believed
-        // complete.
-        let frame = mux_frame(
+    fn drain_never_takes_a_partly_buffered_frame() {
+        // For every prefix of two frames, one call either fails on the
+        // first (torn) frame or returns exactly the frames that are
+        // whole — a frame taken while partly buffered would block a
+        // batched reader on bytes that may never come.
+        let first = mux_frame(
             FrameKind::Request,
             b"window",
             42,
@@ -586,15 +638,25 @@ mod mux {
                 parent_span: 0,
             }),
         );
-        for len in 0..frame.len() {
-            let peek = buffered_frame_len(&frame[..len]);
-            assert!(
-                peek.is_none() || peek == Some(frame.len()),
-                "prefix of {len} bytes claimed total {peek:?}, real total {}",
-                frame.len()
-            );
+        let second = mux_frame(FrameKind::Request, b"next", 43, None);
+        let both = [first.clone(), second.clone()].concat();
+        for len in 0..=both.len() {
+            let mut r = BufReader::new(&both[..len]);
+            let mut out = Vec::new();
+            let read = read_frames(&mut r, usize::MAX, &mut out);
+            if len < first.len() {
+                assert!(matches!(read, Err(WireError::Io(_))), "prefix of {len} bytes");
+                continue;
+            }
+            read.unwrap();
+            let whole = if len == both.len() { 2 } else { 1 };
+            assert_eq!(out.len(), whole, "prefix of {len} bytes");
+            assert_eq!(r.buffer().len(), len - first.len() - (whole - 1) * second.len());
         }
-        assert_eq!(buffered_frame_len(b"not a frame at all"), None);
+        let mut out = Vec::new();
+        let read = read_frames(&mut BufReader::new(&b"not a frame at all"[..]), 8, &mut out);
+        assert!(matches!(read, Err(WireError::BadMagic(_))));
+        assert!(out.is_empty());
     }
 
     proptest! {
@@ -609,40 +671,46 @@ mod mux {
             prop_assert_eq!(frame.request_id, Some(id));
         }
 
-        /// Arbitrary bytes after a v3 header (fuzzing the id + ext
-        /// region) never panic the reader, and `buffered_frame_len`
-        /// never panics on any byte soup.
+        /// Arbitrary bytes after a header (fuzzing the extension
+        /// region) never panic the reader or the batched drain.
         #[test]
-        fn prop_mux_tail_never_panics(tail in prop::collection::vec(any::<u8>(), 0..64)) {
+        fn prop_mux_tail_never_panics(
+            count in any::<u8>(),
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
             let mut buf = Vec::new();
             buf.extend_from_slice(b"dRBW");
-            buf.push(WIRE_VERSION_MUX);
+            buf.push(WIRE_VERSION);
             buf.push(2); // kind: reply
+            buf.push(count);
             buf.extend_from_slice(&1u32.to_be_bytes());
             buf.extend_from_slice(&0u32.to_be_bytes());
             buf.extend_from_slice(&tail);
             let _ = read_frame(&mut buf.as_slice());
-            let _ = buffered_frame_len(&buf);
+            let _ = read_frames(&mut BufReader::new(buf.as_slice()), 4, &mut Vec::new());
+            // A whole frame ahead of the soup still lands.
+            let mut stream = mux_frame(FrameKind::Reply, b"r", 1, None);
+            stream.extend_from_slice(&buf);
+            let mut out = Vec::new();
+            let _ = read_frames(&mut BufReader::new(stream.as_slice()), usize::MAX, &mut out);
+            prop_assert_eq!(out[0].request_id, Some(1));
         }
 
-        /// A stream of many v3 frames with arbitrary ids drains frame
-        /// by frame via `buffered_frame_len`, reproducing the batched
-        /// reader's loop: every boundary is exact, every id lands.
+        /// A stream of many frames with arbitrary ids drains through
+        /// `read_frames` at any cap: every boundary is exact, every id
+        /// lands, in order.
         #[test]
-        fn prop_batched_drain_recovers_every_frame(ids in prop::collection::vec(any::<u64>(), 1..12)) {
+        fn prop_batched_drain_recovers_every_frame(
+            ids in prop::collection::vec(any::<u64>(), 1..12),
+            cap in 1usize..6,
+        ) {
             let mut stream = Vec::new();
             for &id in &ids {
                 stream.extend_from_slice(&mux_frame(FrameKind::Reply, &id.to_be_bytes(), id, None));
             }
-            let mut rest = stream.as_slice();
-            let mut seen = Vec::new();
-            while let Some(total) = buffered_frame_len(rest) {
-                prop_assert!(total <= rest.len());
-                let frame = read_frame(&mut &rest[..total]).unwrap();
-                seen.push(frame.request_id.unwrap());
-                rest = &rest[total..];
-            }
-            prop_assert!(rest.is_empty());
+            let calls = drain(&stream, cap).unwrap();
+            prop_assert!(calls.iter().all(|c| !c.is_empty() && c.len() <= cap));
+            let seen: Vec<u64> = calls.iter().flatten().map(|f| f.request_id.unwrap()).collect();
             prop_assert_eq!(seen, ids);
         }
     }
