@@ -163,6 +163,15 @@ impl Delegation {
         })
     }
 
+    /// `true` when a proof through this delegation must carry issuer
+    /// support: the delegation is third-party, or it has a foreign
+    /// attribute clause. This is the wallet's audit set and the set whose
+    /// issuers a proof search may search from, so every consumer asks
+    /// this one function.
+    pub fn needs_support(&self) -> bool {
+        self.required_support().is_some() || self.foreign_clauses().next().is_some()
+    }
+
     /// Canonical signing bytes.
     pub fn wire_bytes(&self) -> Vec<u8> {
         self.signing_bytes()
@@ -500,6 +509,39 @@ mod tests {
         let foreigns: Vec<_> = d.foreign_clauses().collect();
         assert_eq!(foreigns.len(), 1);
         assert_eq!(foreigns[0].attr(), &foreign);
+    }
+
+    #[test]
+    fn needs_support_covers_third_party_objects_and_foreign_clauses() {
+        let a = local("A", 1);
+        let b = local("B", 2);
+        // First-party: [B -> A.r] A.
+        let d = a
+            .delegate(Node::entity(&b), Node::role(a.role("r")))
+            .build();
+        assert!(!d.needs_support());
+        // Third-party object: [B -> A.r] B.
+        let d = b
+            .delegate(Node::entity(&b), Node::role(a.role("r")))
+            .build();
+        assert!(d.needs_support());
+        // First-party object with a clause on another entity's attribute.
+        let d = b
+            .delegate(Node::entity(&a), Node::role(b.role("r")))
+            .with_attr(a.attr("y", AttrOp::Min), 2.0)
+            .unwrap()
+            .build();
+        assert!(d.needs_support());
+        // Assignment: needs support exactly when issued into a foreign
+        // namespace.
+        let d = a
+            .delegate(Node::entity(&b), Node::role_admin(a.role("r")))
+            .build();
+        assert!(!d.needs_support());
+        let d = b
+            .delegate(Node::entity(&b), Node::role_admin(a.role("r")))
+            .build();
+        assert!(d.needs_support());
     }
 
     #[test]

@@ -20,17 +20,18 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use drbac_core::{
-    DelegationId, EntityId, Node, Proof, SignedAttrDeclaration, SignedDelegation, Timestamp,
-    WalletAddr,
+    DelegationId, Node, Proof, SignedAttrDeclaration, SignedDelegation, Timestamp, WalletAddr,
 };
 use drbac_store::{StoreError, StoreEvent};
 use parking_lot::Mutex;
 
-use crate::keys::{self, CertRow};
+use crate::keys;
 use crate::table::{TableBackend, TableOp, TableStats};
 
-/// Current on-table format version, stored under `m/format`.
-const FORMAT_VERSION: u64 = 1;
+/// Current on-table format version, stored under `m/format`. Format 1
+/// also kept `d/`, `i/` and `g/` rows that no read path used; a format-1
+/// table is read as is, those rows inert, and restamped.
+const FORMAT_VERSION: u64 = 2;
 
 /// A delegation mark under `r/`: the id was revoked or expired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,14 @@ impl DelegationIndex {
     /// Opens the index stored in `table`, reading its metadata row. A
     /// fresh (empty) table is a valid empty index with no watermark.
     ///
+    /// A format-1 table opens too: every family this format reads is laid
+    /// out the same, and its `d/`, `i/` and `g/` rows are left in place,
+    /// unread (an expiry drops only the current families' keys; a rebuild
+    /// drops them all). The table is stamped format 2 — not rewritten,
+    /// since a large table's retired rows would not fit one delta batch —
+    /// so a binary that still maintains those rows refuses it instead of
+    /// misreading credentials written without them.
+    ///
     /// # Errors
     ///
     /// [`StoreError`] on backend I/O failure, or [`StoreError::Corrupt`]
@@ -70,10 +79,10 @@ impl DelegationIndex {
     pub fn open(table: Box<dyn TableBackend>) -> Result<DelegationIndex, StoreError> {
         let format = read_u64(&*table, &keys::meta_key("format"))?;
         match format {
-            None => {
-                // Fresh table: stamp the version eagerly so a crash
-                // between first apply and first flush still leaves a
-                // self-describing file.
+            // A fresh table is stamped eagerly so a crash between first
+            // apply and first flush still leaves a self-describing file;
+            // a format-1 table is restamped in place (see above).
+            None | Some(1) => {
                 table.apply(&[put_u64(keys::meta_key("format"), FORMAT_VERSION)])?;
             }
             Some(FORMAT_VERSION) => {}
@@ -123,7 +132,7 @@ impl DelegationIndex {
         let mut staged = *meta;
         let mut batch = Vec::new();
         match event {
-            StoreEvent::Publish(cert) => self.stage_cert(&mut batch, seq, cert),
+            StoreEvent::Publish(cert) => stage_cert(&mut batch, cert),
             StoreEvent::Declare(decl) => {
                 batch.push(TableOp::Put {
                     key: keys::counter_key(keys::P_DECL, staged.decl_next),
@@ -133,11 +142,11 @@ impl DelegationIndex {
                 batch.push(put_u64(keys::meta_key("decl_next"), staged.decl_next));
             }
             StoreEvent::Support(proof) => {
-                self.stage_support(&mut batch, &mut staged, seq, proof);
+                stage_support(&mut batch, &mut staged, proof);
             }
             StoreEvent::Absorb { proof, source } => {
                 for cert in proof.all_certs() {
-                    self.stage_cert(&mut batch, seq, &cert);
+                    stage_cert(&mut batch, &cert);
                     batch.push(TableOp::Put {
                         key: keys::absorbed_key(cert.id()),
                         value: source.as_str().as_bytes().to_vec(),
@@ -145,7 +154,7 @@ impl DelegationIndex {
                 }
                 // Nested supports re-register on boot exactly like the
                 // live absorb path's recursive registration.
-                self.stage_nested_supports(&mut batch, &mut staged, seq, proof);
+                stage_nested_supports(&mut batch, &mut staged, proof);
             }
             StoreEvent::Revoke(revocation) => {
                 batch.push(TableOp::Put {
@@ -170,130 +179,32 @@ impl DelegationIndex {
         Ok(())
     }
 
-    /// Stages every key for one credential.
-    fn stage_cert(&self, batch: &mut Vec<TableOp>, seq: u64, cert: &SignedDelegation) {
-        let id = cert.id();
-        let row = CertRow::of(seq, cert);
-        batch.push(TableOp::Put {
-            key: keys::cert_key(id),
-            value: cert.to_bytes(),
-        });
-        batch.push(TableOp::Put {
-            key: keys::subject_key(&row.subject_enc, id),
-            value: Vec::new(),
-        });
-        batch.push(TableOp::Put {
-            key: keys::object_key(&row.object_enc, id),
-            value: Vec::new(),
-        });
-        batch.push(TableOp::Put {
-            key: keys::issuer_key(row.issuer, id),
-            value: Vec::new(),
-        });
-        if let Some(at) = row.expiry {
-            batch.push(TableOp::Put {
-                key: keys::expiry_key(at, id),
-                value: Vec::new(),
-            });
-        }
-        for home in &row.tag_homes {
-            batch.push(TableOp::Put {
-                key: keys::tag_key(home, id),
-                value: Vec::new(),
-            });
-        }
-        if row.needs_support {
-            batch.push(TableOp::Put {
-                key: keys::third_party_key(id),
-                value: Vec::new(),
-            });
-        }
-        batch.push(TableOp::Put {
-            key: keys::row_key(id),
-            value: row.to_bytes(),
-        });
-    }
-
-    /// Stages one support proof and (recursively, matching the graph's
-    /// registration) the proof's own credentials.
-    fn stage_support(
-        &self,
-        batch: &mut Vec<TableOp>,
-        staged: &mut MetaCache,
-        seq: u64,
-        proof: &Proof,
-    ) {
-        batch.push(TableOp::Put {
-            key: keys::counter_key(keys::P_SUPPORT, staged.support_next),
-            value: proof.to_bytes(),
-        });
-        staged.support_next += 1;
-        batch.push(put_u64(
-            keys::meta_key("support_next"),
-            staged.support_next,
-        ));
-        for cert in proof.all_certs() {
-            self.stage_cert(batch, seq, &cert);
-        }
-    }
-
-    /// Stages every support proof found *inside* `proof`'s steps,
-    /// recursively — the absorb path's registration shape (the absorbed
-    /// proof itself is not a provided support).
-    fn stage_nested_supports(
-        &self,
-        batch: &mut Vec<TableOp>,
-        staged: &mut MetaCache,
-        seq: u64,
-        proof: &Proof,
-    ) {
-        for step in proof.steps() {
-            for support in step.supports() {
-                self.stage_support(batch, staged, seq, support);
-                self.stage_nested_supports(batch, staged, seq, support);
-            }
-        }
-    }
-
-    /// Stages removal of every key for an expired credential, using its
-    /// `d/` row so the credential itself never needs decoding. A missing
-    /// row (expiry raced a revocation purge, or the event is being
-    /// re-applied) stages only the tombstone.
+    /// Stages removal of every key for an expired credential, worked out
+    /// from its `c/` row, decoded without re-verifying (as
+    /// [`DelegationIndex::cert`] does). A missing row (expiry raced a
+    /// revocation purge, or the event is being re-applied) stages only
+    /// the tombstone.
     fn stage_expire(&self, batch: &mut Vec<TableOp>, id: DelegationId) -> Result<(), StoreError> {
-        if let Some(bytes) = self.table.get(&keys::row_key(id))? {
-            let row = CertRow::from_bytes(&bytes)
-                .map_err(|e| StoreError::Corrupt(format!("index row for {id:?}: {e}")))?;
+        if let Some(cert) = self.cert(id)? {
+            let d = cert.delegation();
             batch.push(TableOp::Delete {
-                key: keys::subject_key(&row.subject_enc, id),
+                key: keys::subject_key(&keys::node_key(d.subject()), id),
             });
             batch.push(TableOp::Delete {
-                key: keys::object_key(&row.object_enc, id),
+                key: keys::object_key(&keys::node_key(d.object()), id),
             });
-            batch.push(TableOp::Delete {
-                key: keys::issuer_key(row.issuer, id),
-            });
-            if let Some(at) = row.expiry {
+            if let Some(at) = d.expires() {
                 batch.push(TableOp::Delete {
                     key: keys::expiry_key(at, id),
                 });
             }
-            for home in &row.tag_homes {
-                batch.push(TableOp::Delete {
-                    key: keys::tag_key(home, id),
-                });
+            for key in [
+                keys::third_party_key(id),
+                keys::cert_key(id),
+                keys::absorbed_key(id),
+            ] {
+                batch.push(TableOp::Delete { key });
             }
-            batch.push(TableOp::Delete {
-                key: keys::third_party_key(id),
-            });
-            batch.push(TableOp::Delete {
-                key: keys::cert_key(id),
-            });
-            batch.push(TableOp::Delete {
-                key: keys::row_key(id),
-            });
-            batch.push(TableOp::Delete {
-                key: keys::absorbed_key(id),
-            });
         }
         batch.push(TableOp::Put {
             key: keys::mark_key(id),
@@ -322,24 +233,6 @@ impl DelegationIndex {
     /// [`StoreError`] on backend failure.
     pub fn ids_by_object(&self, node: &Node) -> Result<Vec<DelegationId>, StoreError> {
         self.collect_ids(&keys::object_prefix(&keys::node_key(node)))
-    }
-
-    /// Ids of delegations issued by `issuer`, in id order.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on backend failure.
-    pub fn ids_by_issuer(&self, issuer: EntityId) -> Result<Vec<DelegationId>, StoreError> {
-        self.collect_ids(&keys::issuer_prefix(issuer))
-    }
-
-    /// Ids of delegations carrying a discovery tag homed at `home`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on backend failure.
-    pub fn ids_by_tag(&self, home: &str) -> Result<Vec<DelegationId>, StoreError> {
-        self.collect_ids(&keys::tag_prefix(home))
     }
 
     /// The audit set: ids of delegations that need issuer support.
@@ -440,20 +333,6 @@ impl DelegationIndex {
         }
     }
 
-    /// The `d/` metadata row for `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on backend failure or undecodable stored bytes.
-    pub fn row(&self, id: DelegationId) -> Result<Option<CertRow>, StoreError> {
-        match self.table.get(&keys::row_key(id))? {
-            None => Ok(None),
-            Some(bytes) => CertRow::from_bytes(&bytes)
-                .map(Some)
-                .map_err(|e| StoreError::Corrupt(format!("index row for {id:?}: {e}"))),
-        }
-    }
-
     /// Every indexed signed declaration, in admission order.
     ///
     /// # Errors
@@ -522,14 +401,14 @@ impl DelegationIndex {
         Ok(out)
     }
 
-    /// Number of indexed live credentials (`d/` rows).
+    /// Number of indexed live credentials (`c/` rows).
     ///
     /// # Errors
     ///
     /// [`StoreError`] on backend failure.
     pub fn cert_count(&self) -> Result<u64, StoreError> {
         let mut n = 0u64;
-        self.table.scan_prefix(&[keys::P_ROW], &mut |_, _| {
+        self.table.scan_prefix(&[keys::P_CERT], &mut |_, _| {
             n += 1;
             true
         })?;
@@ -615,11 +494,9 @@ impl DelegationIndex {
                 }
             }
         };
-        // Sequence numbers inside d/ rows are not recoverable from a
-        // live wallet; the watermark stands in for all of them.
         for cert in contents.certs {
             let mut batch = Vec::new();
-            self.stage_cert(&mut batch, watermark, cert);
+            stage_cert(&mut batch, cert);
             stage(batch);
         }
         let mut meta = MetaCache {
@@ -708,7 +585,7 @@ impl DelegationIndex {
             }
         }
         let mut indexed: BTreeSet<DelegationId> = BTreeSet::new();
-        self.table.scan_prefix(&[keys::P_ROW], &mut |k, _| {
+        self.table.scan_prefix(&[keys::P_CERT], &mut |k, _| {
             if let Some(id) = keys::id_suffix(k) {
                 indexed.insert(id);
             }
@@ -751,6 +628,52 @@ pub struct RebuildSource<'a> {
     pub revoked: &'a [DelegationId],
     /// Absorbed-credential coherence seeds.
     pub absorbed: &'a [(DelegationId, WalletAddr)],
+}
+
+/// Stages every key for one credential: its bytes, both adjacency keys,
+/// and its expiry and audit-set keys when it has them.
+fn stage_cert(batch: &mut Vec<TableOp>, cert: &SignedDelegation) {
+    let id = cert.id();
+    let d = cert.delegation();
+    batch.push(TableOp::Put {
+        key: keys::cert_key(id),
+        value: cert.to_bytes(),
+    });
+    let mut key = |key| batch.push(TableOp::Put { key, value: Vec::new() });
+    key(keys::subject_key(&keys::node_key(d.subject()), id));
+    key(keys::object_key(&keys::node_key(d.object()), id));
+    if let Some(at) = d.expires() {
+        key(keys::expiry_key(at, id));
+    }
+    if d.needs_support() {
+        key(keys::third_party_key(id));
+    }
+}
+
+/// Stages one support proof and (recursively, matching the graph's
+/// registration) the proof's own credentials.
+fn stage_support(batch: &mut Vec<TableOp>, staged: &mut MetaCache, proof: &Proof) {
+    batch.push(TableOp::Put {
+        key: keys::counter_key(keys::P_SUPPORT, staged.support_next),
+        value: proof.to_bytes(),
+    });
+    staged.support_next += 1;
+    batch.push(put_u64(keys::meta_key("support_next"), staged.support_next));
+    for cert in proof.all_certs() {
+        stage_cert(batch, &cert);
+    }
+}
+
+/// Stages every support proof found *inside* `proof`'s steps,
+/// recursively — the absorb path's registration shape (the absorbed
+/// proof itself is not a provided support).
+fn stage_nested_supports(batch: &mut Vec<TableOp>, staged: &mut MetaCache, proof: &Proof) {
+    for step in proof.steps() {
+        for support in step.supports() {
+            stage_support(batch, staged, support);
+            stage_nested_supports(batch, staged, support);
+        }
+    }
 }
 
 fn put_u64(key: Vec<u8>, v: u64) -> TableOp {
@@ -806,13 +729,22 @@ mod tests {
         let id = cert.id();
         idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert))).unwrap();
 
+        // Only families a read path uses: bytes, adjacency, expiry, meta.
+        let mut families = Vec::new();
+        idx.table
+            .scan(&[], None, &mut |k, _| {
+                families.push(k[0]);
+                true
+            })
+            .unwrap();
+        families.dedup();
+        assert_eq!(families, b"cemos".to_vec());
         assert_eq!(idx.watermark(), Some(1));
         assert_eq!(idx.ids_by_subject(&Node::entity(&b)).unwrap(), vec![id]);
         assert_eq!(
             idx.ids_by_object(&Node::role(a.role("member"))).unwrap(),
             vec![id]
         );
-        assert_eq!(idx.ids_by_issuer(a.id()).unwrap(), vec![id]);
         // Self-issued: not in the audit set.
         assert!(idx.third_party_ids().unwrap().is_empty());
         // Strict `now > at`: not expired at exactly t=100.

@@ -6,21 +6,22 @@
 //! length-prefixed (the canonical wire encoding) — so no key is a
 //! strict prefix of another and prefix scans are unambiguous.
 //!
-//! | prefix | key layout                          | value                         |
-//! |--------|-------------------------------------|-------------------------------|
-//! | `d`    | id(32)                              | [`CertRow`] metadata          |
-//! | `c`    | id(32)                              | cert wire bytes               |
-//! | `s`    | subject node enc ‖ id(32)           | (empty)                       |
-//! | `o`    | object node enc ‖ id(32)            | (empty)                       |
-//! | `i`    | issuer fingerprint(32) ‖ id(32)     | (empty)                       |
-//! | `e`    | be64(expiry) ‖ id(32)               | (empty)                       |
-//! | `g`    | be64-len ‖ tag home ‖ id(32)        | (empty)                       |
-//! | `3`    | id(32)                              | (empty, third-party audit set)|
-//! | `r`    | id(32)                              | `[1]` revoked / `[2]` expired |
-//! | `b`    | id(32)                              | absorbed-from wallet address  |
-//! | `a`    | be64(counter)                       | signed declaration bytes      |
-//! | `p`    | be64(counter)                       | support proof bytes           |
-//! | `m`    | name                                | metadata (watermark, counters)|
+//! | prefix | key layout                  | value                          | read by                  |
+//! |--------|-----------------------------|--------------------------------|--------------------------|
+//! | `c`    | id(32)                      | cert wire bytes                | hydration, audit, expiry |
+//! | `s`    | subject node enc ‖ id(32)   | (empty)                        | forward hydration        |
+//! | `o`    | object node enc ‖ id(32)    | (empty)                        | reverse hydration        |
+//! | `e`    | be64(expiry) ‖ id(32)       | (empty)                        | expiry sweep             |
+//! | `3`    | id(32)                      | (empty, third-party audit set) | audit                    |
+//! | `r`    | id(32)                      | `[1]` revoked / `[2]` expired  | boot seeding             |
+//! | `b`    | id(32)                      | absorbed-from wallet address   | boot seeding             |
+//! | `a`    | be64(counter)               | signed declaration bytes       | boot seeding             |
+//! | `p`    | be64(counter)               | support proof bytes            | boot seeding             |
+//! | `m`    | name                        | format, watermark, counters    | boot                     |
+//!
+//! Format 1 also wrote `d/` (per-credential metadata), `i/` (issuer) and
+//! `g/` (tag home) rows that nothing read; a format-1 table opens with
+//! them inert (see [`DelegationIndex::open`](crate::DelegationIndex::open)).
 //!
 //! The node encoding is the workspace's canonical [`Encode`] form, which
 //! is deterministic and self-delimiting; the expiry key is the raw
@@ -28,18 +29,13 @@
 //! exactly the delegations with `expires < now` — the wallet's strict
 //! `now > at` expiry rule.
 
-use drbac_core::{
-    DecodeError, DelegationId, Encode, EntityId, Node, Reader, SignedDelegation, Timestamp, Writer,
-};
+use drbac_core::{DelegationId, Encode, Node, Timestamp, Writer};
 
 /// Prefix bytes, one per keyspace.
-pub(crate) const P_ROW: u8 = b'd';
 pub(crate) const P_CERT: u8 = b'c';
 pub(crate) const P_SUBJECT: u8 = b's';
 pub(crate) const P_OBJECT: u8 = b'o';
-pub(crate) const P_ISSUER: u8 = b'i';
 pub(crate) const P_EXPIRY: u8 = b'e';
-pub(crate) const P_TAG: u8 = b'g';
 pub(crate) const P_THIRD_PARTY: u8 = b'3';
 pub(crate) const P_MARK: u8 = b'r';
 pub(crate) const P_ABSORBED: u8 = b'b';
@@ -65,11 +61,6 @@ fn id_key(prefix: u8, id: DelegationId) -> Vec<u8> {
     k.push(prefix);
     k.extend_from_slice(&id.0);
     k
-}
-
-/// `d/` row key.
-pub(crate) fn row_key(id: DelegationId) -> Vec<u8> {
-    id_key(P_ROW, id)
 }
 
 /// `c/` cert-bytes key.
@@ -110,22 +101,9 @@ pub(crate) fn object_key(object_enc: &[u8], id: DelegationId) -> Vec<u8> {
     composite(P_OBJECT, object_enc, id)
 }
 
-/// `i/` secondary key for an issuer.
-pub(crate) fn issuer_key(issuer: EntityId, id: DelegationId) -> Vec<u8> {
-    composite(P_ISSUER, &issuer.0 .0, id)
-}
-
 /// `e/` secondary key for an expiry instant.
 pub(crate) fn expiry_key(at: Timestamp, id: DelegationId) -> Vec<u8> {
     composite(P_EXPIRY, &at.0.to_be_bytes(), id)
-}
-
-/// The scan prefix for one issuer's delegations.
-pub(crate) fn issuer_prefix(issuer: EntityId) -> Vec<u8> {
-    let mut k = Vec::with_capacity(33);
-    k.push(P_ISSUER);
-    k.extend_from_slice(&issuer.0 .0);
-    k
 }
 
 /// The scan prefix for one subject node's delegations.
@@ -141,27 +119,6 @@ pub(crate) fn object_prefix(object_enc: &[u8]) -> Vec<u8> {
     let mut k = Vec::with_capacity(1 + object_enc.len());
     k.push(P_OBJECT);
     k.extend_from_slice(object_enc);
-    k
-}
-
-/// Length-prefixed tag-home component, keeping `g/ab` scans from
-/// matching `g/abc` entries.
-fn tag_mid(home: &str) -> Vec<u8> {
-    let mut mid = Vec::with_capacity(8 + home.len());
-    mid.extend_from_slice(&(home.len() as u64).to_be_bytes());
-    mid.extend_from_slice(home.as_bytes());
-    mid
-}
-
-/// `g/` secondary key for a discovery-tag home wallet.
-pub(crate) fn tag_key(home: &str, id: DelegationId) -> Vec<u8> {
-    composite(P_TAG, &tag_mid(home), id)
-}
-
-/// The scan prefix for one tag home.
-pub(crate) fn tag_prefix(home: &str) -> Vec<u8> {
-    let mut k = vec![P_TAG];
-    k.extend_from_slice(&tag_mid(home));
     k
 }
 
@@ -191,115 +148,10 @@ pub(crate) fn id_suffix(key: &[u8]) -> Option<DelegationId> {
     Some(DelegationId(id))
 }
 
-/// The decoded `d/` row: everything needed to maintain and drop a
-/// delegation's secondary keys without re-decoding the credential, plus
-/// the flags the query planner filters on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CertRow {
-    /// The journal sequence number that admitted this delegation.
-    pub seq: u64,
-    /// Whether the credential needs issuer support (third-party subject
-    /// or foreign attribute clauses) — the audit set.
-    pub needs_support: bool,
-    /// The expiry instant, when bounded.
-    pub expiry: Option<Timestamp>,
-    /// Canonical encoding of the subject node.
-    pub subject_enc: Vec<u8>,
-    /// Canonical encoding of the object node.
-    pub object_enc: Vec<u8>,
-    /// The issuing entity.
-    pub issuer: EntityId,
-    /// Distinct discovery-tag home wallets on the credential.
-    pub tag_homes: Vec<String>,
-}
-
-impl CertRow {
-    /// Builds the row for a credential admitted at journal `seq`.
-    pub fn of(seq: u64, cert: &SignedDelegation) -> CertRow {
-        let d = cert.delegation();
-        let needs_support =
-            d.required_support().is_some() || d.foreign_clauses().next().is_some();
-        let mut tag_homes: Vec<String> = Vec::new();
-        for tag in [d.subject_tag(), d.object_tag(), d.issuer_tag()]
-            .into_iter()
-            .flatten()
-        {
-            let home = tag.home().as_str().to_string();
-            if !tag_homes.contains(&home) {
-                tag_homes.push(home);
-            }
-        }
-        CertRow {
-            seq,
-            needs_support,
-            expiry: d.expires(),
-            subject_enc: node_key(d.subject()),
-            object_enc: node_key(d.object()),
-            issuer: d.issuer(),
-            tag_homes,
-        }
-    }
-
-    /// Encodes the row value.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u64(self.seq);
-        w.u8(u8::from(self.needs_support));
-        w.opt_u64(self.expiry.map(|t| t.0));
-        w.bytes(&self.subject_enc);
-        w.bytes(&self.object_enc);
-        w.bytes(&self.issuer.0 .0);
-        w.u64(self.tag_homes.len() as u64);
-        for home in &self.tag_homes {
-            w.str(home);
-        }
-        w.finish()
-    }
-
-    /// Decodes a row value.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] for truncated or malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CertRow, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let seq = r.u64()?;
-        let needs_support = r.u8()? != 0;
-        let expiry = r.opt_u64()?.map(Timestamp);
-        let subject_enc = r.bytes()?.to_vec();
-        let object_enc = r.bytes()?.to_vec();
-        let fp: [u8; 32] = r
-            .bytes()?
-            .try_into()
-            .map_err(|_| DecodeError::UnexpectedEof)?;
-        let issuer = EntityId(drbac_crypto_fingerprint(fp));
-        let n = r.u64()?;
-        let mut tag_homes = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            tag_homes.push(r.str()?.to_string());
-        }
-        r.finish()?;
-        Ok(CertRow {
-            seq,
-            needs_support,
-            expiry,
-            subject_enc,
-            object_enc,
-            issuer,
-            tag_homes,
-        })
-    }
-}
-
-/// [`drbac_core`] re-exports the crypto fingerprint type through
-/// [`EntityId`]'s public field; this helper names the round-trip.
-fn drbac_crypto_fingerprint(fp: [u8; 32]) -> drbac_crypto::KeyFingerprint {
-    drbac_crypto::KeyFingerprint(fp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drbac_core::EntityId;
 
     #[test]
     fn node_keys_are_prefix_free() {

@@ -8,10 +8,10 @@
 //! recovery re-verifies every journaled credential — fine at thousands
 //! of delegations, minutes at a million. This crate adds a *second
 //! storage backend*, not a cache: a totally ordered byte-key table
-//! ([`TableBackend`]) holding secondary indexes keyed by subject,
-//! object, issuer, expiry time, and discovery-tag home, maintained
-//! transactionally (one atomic batch per journaled event) alongside the
-//! in-memory delegation graph.
+//! ([`TableBackend`]) holding the credentials and the secondary indexes
+//! the wallet reads — by subject, object and expiry time, plus the
+//! third-party audit set — maintained transactionally (one atomic batch
+//! per journaled event) alongside the in-memory delegation graph.
 //!
 //! * [`TableBackend`] — the ordered-table seam: `get`, atomic `apply`
 //!   batches, ordered range scans, bulk load.
@@ -44,5 +44,5 @@ mod table;
 
 pub use file::{FileTable, INDEX_LOG_MAGIC, INDEX_TAB_MAGIC};
 pub use index::{DelegationIndex, IndexCheck, Mark, RebuildSource};
-pub use keys::{node_key, CertRow};
+pub use keys::node_key;
 pub use table::{prefix_end, MemTable, TableBackend, TableOp, TableStats};

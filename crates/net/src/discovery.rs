@@ -956,35 +956,12 @@ impl DiscoveryAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{SimNet, WalletHost};
-    use drbac_core::{LocalEntity, ObjectFlag, SimClock, SubjectFlag, Ticks};
-    use drbac_crypto::SchnorrGroup;
+    use crate::sim::WalletHost;
+    use crate::testkit::{fx, Fx};
+    use drbac_core::{ObjectFlag, SubjectFlag, Ticks};
     use drbac_wallet::Wallet;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    struct World {
-        clock: SimClock,
-        net: SimNet,
-        a: LocalEntity,
-        b: LocalEntity,
-        maria: LocalEntity,
-    }
-
-    fn world() -> World {
-        let mut rng = StdRng::seed_from_u64(91);
-        let g = SchnorrGroup::test_256();
-        let clock = SimClock::new();
-        World {
-            net: SimNet::new(clock.clone(), Ticks(1)),
-            clock,
-            a: LocalEntity::generate("A", g.clone(), &mut rng),
-            b: LocalEntity::generate("B", g.clone(), &mut rng),
-            maria: LocalEntity::generate("Maria", g, &mut rng),
-        }
-    }
-
-    fn host(w: &World, addr: &str) -> WalletHost {
+    fn host(w: &Fx, addr: &str) -> WalletHost {
         w.net.add_host(addr, Wallet::new(addr, w.clock.clone()))
     }
 
@@ -996,16 +973,16 @@ mod tests {
 
     #[test]
     fn local_hit_requires_no_network() {
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let cert =
-            w.a.delegate(Node::entity(&w.maria), Node::role(w.a.role("r")))
+            w.a.delegate(Node::entity(&w.m), Node::role(w.a.role("r")))
                 .sign(&w.a)
                 .unwrap();
         local.wallet().publish(cert, vec![]).unwrap();
 
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, Directory::new());
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(w.a.role("r")), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(w.a.role("r")), &[]);
         assert!(outcome.found());
         assert_eq!(
             outcome.trace,
@@ -1019,7 +996,7 @@ mod tests {
     fn forward_discovery_across_two_wallets() {
         // local knows Maria => A.r1; wallet-a knows A.r1 => A.r2 (its home);
         // discovery stitches Maria => A.r2.
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
 
@@ -1028,7 +1005,7 @@ mod tests {
         local
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
@@ -1047,14 +1024,14 @@ mod tests {
         let mut dir = Directory::new();
         dir.register(Node::role(r1.clone()), search_tag("wallet.a"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(r2.clone()), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(r2.clone()), &[]);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
         assert_eq!(outcome.mode, SearchMode::Forward);
         assert!(outcome
             .wallets_contacted
             .contains(&WalletAddr::new("wallet.a")));
         let proof = outcome.monitor.as_ref().unwrap().proof();
-        assert_eq!(proof.subject(), &Node::entity(&w.maria));
+        assert_eq!(proof.subject(), &Node::entity(&w.m));
         assert_eq!(proof.object(), &Node::role(r2));
         // The remote credential is now cached locally with coherence
         // subscription registered at the source.
@@ -1064,7 +1041,7 @@ mod tests {
 
     #[test]
     fn reverse_discovery_when_only_object_searchable() {
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
 
@@ -1083,7 +1060,7 @@ mod tests {
         wallet_a
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
@@ -1096,14 +1073,14 @@ mod tests {
         dir.register(Node::role(r1.clone()), tag.clone());
         dir.register(Node::role(r2.clone()), tag);
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(r2), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(r2), &[]);
         assert_eq!(outcome.mode, SearchMode::Reverse);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
     }
 
     #[test]
     fn bidirectional_mode_selected_when_both_flags_set() {
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
         let wallet_b = host(&w, "wallet.b");
@@ -1114,7 +1091,7 @@ mod tests {
         wallet_a
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
@@ -1127,11 +1104,11 @@ mod tests {
         wallet_b.wallet().publish(grant, vec![]).unwrap();
 
         let mut dir = Directory::new();
-        dir.register(Node::entity(&w.maria), search_tag("wallet.a"));
+        dir.register(Node::entity(&w.m), search_tag("wallet.a"));
         dir.register(Node::role(r1.clone()), search_tag("wallet.a"));
         dir.register(Node::role(r2.clone()), search_tag("wallet.b"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(r2), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(r2), &[]);
         assert_eq!(outcome.mode, SearchMode::Bidirectional);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
     }
@@ -1142,14 +1119,14 @@ mod tests {
         // wallet; the first one's direct query already completes the
         // proof. On SimNet — the lazy sequential batch — nothing
         // planned after that reply may have been sent.
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let target = w.a.role("target");
         for role in ["r1", "r2"] {
             local
                 .wallet()
                 .publish(
-                    w.a.delegate(Node::entity(&w.maria), Node::role(w.a.role(role)))
+                    w.a.delegate(Node::entity(&w.m), Node::role(w.a.role(role)))
                         .sign(&w.a)
                         .unwrap(),
                     vec![],
@@ -1160,7 +1137,7 @@ mod tests {
         // in order: home the first at wallet.first, the other at
         // wallet.second.
         let mut dir = Directory::new();
-        let roots = local.wallet().query_subject(&Node::entity(&w.maria), &[]);
+        let roots = local.wallet().query_subject(&Node::entity(&w.m), &[]);
         assert_eq!(roots.len(), 2);
         for (proof, home) in roots.iter().zip(["wallet.first", "wallet.second"]) {
             dir.register(proof.object().clone(), search_tag(home));
@@ -1178,7 +1155,7 @@ mod tests {
             )
             .unwrap();
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(target), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(target), &[]);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
         let stats = w.net.stats();
         assert_eq!(stats.requests("fetch-declarations"), 1);
@@ -1198,21 +1175,21 @@ mod tests {
         // by a credential the first one's expansion absorbs. A
         // sequential walk follows it — so must the batched one, by
         // re-planning the level from the second role on.
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let target = w.a.role("target");
         for role in ["r1", "r2"] {
             local
                 .wallet()
                 .publish(
-                    w.a.delegate(Node::entity(&w.maria), Node::role(w.a.role(role)))
+                    w.a.delegate(Node::entity(&w.m), Node::role(w.a.role(role)))
                         .sign(&w.a)
                         .unwrap(),
                     vec![],
                 )
                 .unwrap();
         }
-        let roots = local.wallet().query_subject(&Node::entity(&w.maria), &[]);
+        let roots = local.wallet().query_subject(&Node::entity(&w.m), &[]);
         let (first, second) = (roots[0].object().clone(), roots[1].object().clone());
         let mut dir = Directory::new();
         dir.register(first.clone(), search_tag("wallet.first"));
@@ -1237,7 +1214,7 @@ mod tests {
             )
             .unwrap();
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(target), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(target), &[]);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
         assert!(!outcome.degraded);
         assert_eq!(outcome.wallets_contacted.len(), 2);
@@ -1249,7 +1226,7 @@ mod tests {
         // f, r, f and then the reverse queue — which r's expansion may
         // refill — is due, so the level must stop there.
         let nodes: Vec<Node> = {
-            let w = world();
+            let w = fx();
             (0..6)
                 .map(|i| Node::role(w.a.role(&format!("n{i}"))))
                 .collect()
@@ -1293,14 +1270,14 @@ mod tests {
 
     #[test]
     fn acknowledged_subscriptions_are_forgotten_when_the_source_errs() {
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
         let (r1, r2, r3) = (w.a.role("r1"), w.a.role("r2"), w.a.role("r3"));
         local
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
@@ -1318,7 +1295,7 @@ mod tests {
         let mut dir = Directory::new();
         dir.register(Node::role(r1), search_tag("wallet.a"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir);
-        let maria = Node::entity(&w.maria);
+        let maria = Node::entity(&w.m);
         let nowhere = Node::role(w.a.role("nowhere"));
         let subscribes = || w.net.stats().requests("subscribe");
 
@@ -1358,10 +1335,10 @@ mod tests {
 
     #[test]
     fn no_tags_means_local_only() {
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, Directory::new());
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(w.a.role("r")), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(w.a.role("r")), &[]);
         assert_eq!(outcome.mode, SearchMode::LocalOnly);
         assert!(!outcome.found());
         assert_eq!(w.net.stats().total_messages, 0);
@@ -1369,25 +1346,25 @@ mod tests {
 
     #[test]
     fn unreachable_target_exhausts_frontier() {
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
         let r1 = w.a.role("r1");
         wallet_a
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
             )
             .unwrap();
         let mut dir = Directory::new();
-        dir.register(Node::entity(&w.maria), search_tag("wallet.a"));
+        dir.register(Node::entity(&w.m), search_tag("wallet.a"));
         dir.register(Node::role(r1), search_tag("wallet.a"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
         let outcome = agent.discover(
-            &Node::entity(&w.maria),
+            &Node::entity(&w.m),
             &Node::role(w.a.role("unrelated")),
             &[],
         );
@@ -1402,7 +1379,7 @@ mod tests {
         // revoked, the issuer regains authority through a fresh grant at
         // the owner's home wallet, and discovery repairs the support
         // using the delegation's acting-as hint.
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
         let owner = &w.a; // controls the role namespace
@@ -1428,7 +1405,7 @@ mod tests {
         // The third-party enrollment, with its acting-as hint, lives in
         // the local wallet together with the (soon stale) support.
         let enrollment = broker
-            .delegate(Node::entity(&w.maria), Node::role(role.clone()))
+            .delegate(Node::entity(&w.m), Node::role(role.clone()))
             .acting_as(Node::role(admins.clone()))
             .sign(broker)
             .unwrap();
@@ -1446,7 +1423,7 @@ mod tests {
         dir.register_entity(broker.id(), search_tag("wallet.a"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir.clone());
         assert!(agent
-            .discover(&Node::entity(&w.maria), &Node::role(role.clone()), &[])
+            .discover(&Node::entity(&w.m), &Node::role(role.clone()), &[])
             .found());
 
         // The owner revokes the broker's admin grant; the local wallet
@@ -1458,7 +1435,7 @@ mod tests {
         assert!(
             local
                 .wallet()
-                .query_direct(&Node::entity(&w.maria), &Node::role(role.clone()), &[])
+                .query_direct(&Node::entity(&w.m), &Node::role(role.clone()), &[])
                 .is_none(),
             "revoked support must invalidate the local answer"
         );
@@ -1467,7 +1444,7 @@ mod tests {
         // Without fresh authority anywhere, repair fails...
         let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir.clone());
         assert!(!agent
-            .discover(&Node::entity(&w.maria), &Node::role(role.clone()), &[])
+            .discover(&Node::entity(&w.m), &Node::role(role.clone()), &[])
             .found());
 
         // ...the owner re-grants at its home wallet, and discovery heals.
@@ -1479,7 +1456,7 @@ mod tests {
         wallet_a.wallet().publish(grant_v2, vec![]).unwrap();
 
         let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(role), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(role), &[]);
         assert!(outcome.found(), "support repaired: {:?}", outcome.trace);
         assert!(local.wallet().unsupported_third_party().is_empty());
     }
@@ -1492,7 +1469,7 @@ mod tests {
         // direction, so by the time the frontier reaches r2 the tag has
         // lapsed — it must NOT be followed (no contact with wallet.b) and
         // the run must be marked degraded.
-        let w = world();
+        let w = fx();
         let local = host(&w, "local");
         let wallet_a = host(&w, "wallet.a");
         let wallet_b = host(&w, "wallet.b");
@@ -1503,7 +1480,7 @@ mod tests {
         local
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
@@ -1535,7 +1512,7 @@ mod tests {
         let mut dir = Directory::new();
         dir.register(Node::role(r1.clone()), search_tag("wallet.a"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local.clone(), dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(r3.clone()), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(r3.clone()), &[]);
         assert!(!outcome.found(), "trace: {:?}", outcome.trace);
         assert!(
             outcome.degraded,
@@ -1556,7 +1533,7 @@ mod tests {
         local2
             .wallet()
             .publish(
-                w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+                w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                     .sign(&w.a)
                     .unwrap(),
                 vec![],
@@ -1579,7 +1556,7 @@ mod tests {
         let mut dir = Directory::new();
         dir.register(Node::role(r1), search_tag("wallet.a2"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local2, dir);
-        let outcome = agent.discover(&Node::entity(&w.maria), &Node::role(r3), &[]);
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(r3), &[]);
         assert!(outcome.found(), "trace: {:?}", outcome.trace);
         assert!(!outcome.degraded);
         assert!(outcome
@@ -1589,10 +1566,10 @@ mod tests {
 
     #[test]
     fn directory_lookup_distinguishes_fresh_expired_unknown() {
-        let w = world();
+        let w = fx();
         let r1 = w.a.role("r1");
         let cert =
-            w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+            w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                 .object_tag(search_tag("a.home").with_ttl(Ticks(5)))
                 .sign(&w.a)
                 .unwrap();
@@ -1625,10 +1602,10 @@ mod tests {
 
     #[test]
     fn directory_learns_tags_from_proofs() {
-        let w = world();
+        let w = fx();
         let r1 = w.a.role("r1");
         let cert =
-            w.a.delegate(Node::entity(&w.maria), Node::role(r1.clone()))
+            w.a.delegate(Node::entity(&w.m), Node::role(r1.clone()))
                 .subject_tag(search_tag("maria.home"))
                 .object_tag(search_tag("a.home"))
                 .issuer_tag(search_tag("a.home"))
@@ -1639,7 +1616,7 @@ mod tests {
         assert!(dir.is_empty());
         dir.learn_from_proof(&proof);
         assert_eq!(
-            dir.tag_of(&Node::entity(&w.maria)).unwrap().home().as_str(),
+            dir.tag_of(&Node::entity(&w.m)).unwrap().home().as_str(),
             "maria.home"
         );
         assert_eq!(

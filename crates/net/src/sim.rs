@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use drbac_core::{DelegationId, SimClock, Ticks, Timestamp, WalletAddr};
-use drbac_store::WalletStore;
+use drbac_store::{StoreEvent, WalletStore};
 use drbac_wallet::{RecoveryReport, Wallet};
 use parking_lot::{Mutex, RwLock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -551,22 +551,23 @@ impl SimNet {
     /// Attaches `wallet` at `addr` and returns the host handle. A fresh
     /// in-memory write-ahead store is bound to the wallet: contents the
     /// wallet already holds are journaled into it first, in an order
-    /// replay accepts (`Wallet::import_bytes`: declarations, supports,
-    /// first-party then third-party credentials, marks), and every
-    /// subsequent mutation is journaled, so a later
-    /// [`SimNet::crash_host`] / [`SimNet::restart_host`] cycle recovers
-    /// through real log replay.
+    /// replay accepts — declarations, supports, first-party then
+    /// third-party credentials, marks — and every subsequent mutation is
+    /// journaled, so a later [`SimNet::crash_host`] /
+    /// [`SimNet::restart_host`] cycle recovers through real log replay.
     pub fn add_host(&self, addr: impl Into<WalletAddr>, wallet: Wallet) -> WalletHost {
         let addr = addr.into();
         let store = Arc::new(WalletStore::in_memory());
-        let image = (!wallet.is_empty() || !wallet.signed_declarations().is_empty())
-            .then(|| wallet.export_bytes());
-        if let Some(image) = image {
-            wallet.wipe();
-            wallet.attach_journal(Arc::clone(&store));
-            wallet
-                .import_bytes(&image)
-                .expect("a wallet's own export imports");
+        let (mut certs, supports) = wallet.with_graph(|g| (g.iter_certs(), g.all_supports()));
+        certs.sort_by_key(|c| (c.delegation().needs_support(), c.id()));
+        let declarations = wallet.signed_declarations();
+        let marks = wallet.revocation_history();
+        let events = (declarations.into_iter().map(StoreEvent::Declare))
+            .chain(supports.into_iter().map(StoreEvent::Support))
+            .chain(certs.into_iter().map(StoreEvent::Publish))
+            .chain(marks.into_iter().map(StoreEvent::RevokeMark));
+        for event in events {
+            store.append(&event).expect("an in-memory store appends");
         }
         wallet.attach_journal(Arc::clone(&store));
         let host = WalletHost {

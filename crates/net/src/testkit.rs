@@ -1,4 +1,4 @@
-//! The two-entity fixture the host, simulator, audit and wire unit tests
+//! The fixture the host, simulator, audit, wire and discovery unit tests
 //! share, and the lock the tests that install a trace recorder take.
 
 use drbac_core::{
@@ -18,6 +18,8 @@ pub(crate) struct Fx {
     pub net: SimNet,
     pub a: LocalEntity,
     pub m: LocalEntity,
+    /// A second namespace owner, for cross-namespace chains.
+    pub b: LocalEntity,
 }
 
 /// The process has one trace recorder: a unit test that installs one
@@ -32,7 +34,8 @@ pub(crate) fn fx() -> Fx {
         net: SimNet::new(clock.clone(), Ticks(1)),
         clock,
         a: LocalEntity::generate("A", g.clone(), &mut rng),
-        m: LocalEntity::generate("M", g, &mut rng),
+        m: LocalEntity::generate("M", g.clone(), &mut rng),
+        b: LocalEntity::generate("B", g, &mut rng),
     }
 }
 

@@ -15,7 +15,7 @@
 //! Negative answers carry no dependencies: revocation and expiry only
 //! *remove* edges, and search answers are monotone in the edge set, so a
 //! negative answer can only be flipped by an *addition* (publish, absorb,
-//! provide-support, import). Those paths call
+//! provide-support). Those paths call
 //! [`ProofCache::invalidate_negatives`], which drops the negatives — held
 //! in a set of their own — without visiting a cached proof; declaration
 //! changes can flip either direction (they re-base constraint
@@ -189,7 +189,7 @@ impl ProofCache {
     }
 
     /// Drops every cached negative answer. Called on any path that adds
-    /// edges (publish, absorb, provide-support, import): additions can
+    /// edges (publish, absorb, provide-support): additions can
     /// flip a negative to a positive but never invalidate a cached proof.
     /// Costs O(negatives held), whatever the number of cached proofs;
     /// `drbac.graph.proof_cache.negative_sweep.visited.count` counts the
@@ -202,7 +202,7 @@ impl ProofCache {
         inner.negatives.clear();
     }
 
-    /// Drops everything (declaration changes, imports, wipes, toggles).
+    /// Drops everything (declaration changes, wipes, toggles).
     pub(crate) fn clear(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         let mut inner = self.inner.lock();

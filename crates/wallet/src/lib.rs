@@ -30,4 +30,4 @@ mod wallet;
 pub use durable::{DurableWallet, IndexedBootReport};
 pub use events::{DelegationEvent, InvalidationReason, SubscriptionId};
 pub use monitor::{MonitorStatus, ProofMonitor};
-pub use wallet::{CacheEntry, ImportReport, RecoveryReport, Wallet, WalletError};
+pub use wallet::{CacheEntry, RecoveryReport, Wallet, WalletError};

@@ -33,7 +33,7 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use drbac_core::{DelegationId, EntityId, Node, SignedDelegation, Timestamp};
+use drbac_core::{DelegationId, Node, SignedDelegation, Timestamp};
 use drbac_index::{node_key, DelegationIndex};
 use drbac_store::{StoreError, StoreEvent};
 use parking_lot::Mutex;
@@ -246,7 +246,7 @@ impl Wallet {
             queue.push_back((far.clone(), fwd));
             // Crossing a third-party edge may spawn a forward
             // support search from its issuer.
-            if d.required_support().is_some() || d.foreign_clauses().next().is_some() {
+            if d.needs_support() {
                 queue.push_back((Node::Entity(d.issuer()), true));
             }
         }
@@ -254,7 +254,7 @@ impl Wallet {
     }
 
     /// Fully hydrates a lazily booted wallet from the index. Called
-    /// before whole-wallet views — listings, image export — whose
+    /// before whole-wallet views — listings, graph access — whose
     /// answers must cover every credential, not just the hydrated
     /// neighborhoods. A no-op unless the wallet is lazily index-booted;
     /// afterwards the lazy bookkeeping is retired (the index keeps
@@ -278,52 +278,6 @@ impl Wallet {
             }
             Err(e) => self.degrade_index(&format!("full hydration: {e}")),
         }
-    }
-
-    /// Issuer query: every live (unexpired, unrevoked) delegation issued
-    /// by `issuer`, in id order. With an index attached this is one
-    /// `i/` prefix scan; otherwise a full graph walk.
-    pub fn query_issuer(&self, issuer: EntityId) -> Vec<Arc<SignedDelegation>> {
-        let now = self.now();
-        let mut out: Vec<Arc<SignedDelegation>> = Vec::new();
-        if let Some(handle) = self.index_handle() {
-            let fetched: Result<(), StoreError> = (|| {
-                for id in handle.index.ids_by_issuer(issuer)? {
-                    let cert = match self.state.graph.get(id) {
-                        Some(cert) => cert,
-                        None => match handle.index.cert(id)? {
-                            Some(cert) => cert,
-                            None => continue,
-                        },
-                    };
-                    out.push(cert);
-                }
-                Ok(())
-            })();
-            match fetched {
-                Ok(()) => {
-                    out.retain(|c| {
-                        !self.state.graph.is_revoked(c.id())
-                            && !c.delegation().is_expired(now)
-                    });
-                    return out;
-                }
-                Err(e) => {
-                    self.degrade_index(&format!("issuer scan: {e}"));
-                    out.clear();
-                }
-            }
-        }
-        self.state.graph.for_each_cert(&mut |cert| {
-            if cert.delegation().issuer() == issuer {
-                out.push(Arc::clone(cert));
-            }
-        });
-        out.retain(|c| {
-            !self.state.graph.is_revoked(c.id()) && !c.delegation().is_expired(now)
-        });
-        out.sort_by_key(|c| c.id());
-        out
     }
 
     /// The audit sweep's candidate set via the `3/` index: every
@@ -413,8 +367,8 @@ impl Wallet {
     /// Rebuilds `index` from this wallet's full in-memory contents,
     /// bulk-loading the backend; `watermark` must be the journal
     /// sequence the wallet is current to (the store's `next_seq - 1`).
-    /// This is the wallet.bin → store → indexed-store migration step
-    /// and the repair path for a corrupt index.
+    /// This is the store → indexed-store migration step and the repair
+    /// path for a corrupt index.
     ///
     /// # Errors
     ///
@@ -448,9 +402,10 @@ impl Wallet {
     }
 
     /// Every revocation mark the wallet ever recorded, in id order: the
-    /// O(history) read that only whole-wallet rebuilds pay — the index
-    /// rebuild above and the image export (`Wallet::export_bytes`).
-    pub(crate) fn revocation_history(&self) -> Vec<DelegationId> {
+    /// O(history) read that only whole-wallet copies pay — the index
+    /// rebuild above and the journal `SimNet::add_host` writes for a
+    /// prepopulated wallet.
+    pub fn revocation_history(&self) -> Vec<DelegationId> {
         self.state.graph.revoked_ids().into_iter().collect()
     }
 }

@@ -680,9 +680,7 @@ impl Wallet {
     /// Drops all volatile state — subscriptions, proof monitors, pending
     /// proof watches, cache-coherence metadata and cached query answers —
     /// the way a process crash would. Durable contents (credentials,
-    /// supports, declarations, revocations) are untouched; pair with
-    /// [`Wallet::export_bytes`] / [`Wallet::import_bytes`] to model a
-    /// full crash/restart cycle.
+    /// supports, declarations, revocations) are untouched.
     pub fn clear_volatile(&self) {
         self.state.subscriptions.lock().clear();
         self.state.monitors.lock().clear();
@@ -1199,139 +1197,6 @@ impl Wallet {
         f(&self.state.graph)
     }
 
-    /// Serializes the wallet's durable contents — credentials, provided
-    /// support proofs, signed declarations, and the revocation set — into
-    /// the canonical wire format, for persistence across restarts.
-    ///
-    /// Volatile state (subscriptions, monitors, watches, cache TTLs) is
-    /// deliberately not persisted: monitors belong to live sessions, and
-    /// cached entries must be revalidated after a restart anyway.
-    pub fn export_bytes(&self) -> Vec<u8> {
-        use drbac_core::{Encode, Writer};
-        // The export must cover *everything* — a lazily booted wallet
-        // would otherwise export only its hydrated neighborhoods.
-        self.hydrate_all();
-        let graph = &self.state.graph;
-        let mut w = Writer::tagged(b"drbac-wallet-v1");
-
-        let certs = graph.iter_certs();
-        w.u64(certs.len() as u64);
-        for cert in &certs {
-            cert.as_ref().encode(&mut w);
-        }
-
-        let supports = graph.all_supports();
-        w.u64(supports.len() as u64);
-        for support in &supports {
-            support.encode(&mut w);
-        }
-
-        let declarations = self.state.signed_declarations.lock();
-        w.u64(declarations.len() as u64);
-        for decl in declarations.iter() {
-            w.bytes(&decl.to_bytes());
-        }
-
-        let revoked = self.revocation_history();
-        w.u64(revoked.len() as u64);
-        for id in revoked {
-            w.bytes(&id.0);
-        }
-        w.finish()
-    }
-
-    /// Restores contents exported by [`Wallet::export_bytes`] into this
-    /// wallet. Every credential and declaration is re-verified; entries
-    /// that no longer verify (e.g. expired since export) are skipped and
-    /// counted in [`ImportReport::rejected`].
-    ///
-    /// # Errors
-    ///
-    /// [`WalletError::Validation`] wrapping a decode failure for
-    /// structurally malformed input.
-    pub fn import_bytes(&self, bytes: &[u8]) -> Result<ImportReport, WalletError> {
-        use drbac_core::{Decode, Proof, Reader};
-        let malformed = |e: drbac_core::DecodeError| {
-            WalletError::Validation(drbac_core::ValidationError::Model(
-                drbac_core::ModelError::InvalidName(format!("wallet image: {e}")),
-            ))
-        };
-        let mut r = Reader::tagged(bytes, b"drbac-wallet-v1").map_err(malformed)?;
-        let now = self.now();
-        let mut report = ImportReport::default();
-
-        let n = r.u64().map_err(malformed)?;
-        let mut certs = Vec::new();
-        for _ in 0..n {
-            certs.push(Arc::new(
-                SignedDelegation::decode(&mut r).map_err(malformed)?,
-            ));
-        }
-        let n = r.u64().map_err(malformed)?;
-        let mut supports = Vec::new();
-        for _ in 0..n {
-            supports.push(Proof::decode(&mut r).map_err(malformed)?);
-        }
-        let n = r.u64().map_err(malformed)?;
-        let mut declarations = Vec::new();
-        for _ in 0..n {
-            let blob = r.bytes().map_err(malformed)?;
-            declarations
-                .push(drbac_core::SignedAttrDeclaration::from_bytes(blob).map_err(malformed)?);
-        }
-        let n = r.u64().map_err(malformed)?;
-        let mut revoked = Vec::new();
-        for _ in 0..n {
-            let id: [u8; 32] = r
-                .bytes()
-                .map_err(malformed)?
-                .try_into()
-                .map_err(|_| malformed(drbac_core::DecodeError::UnexpectedEof))?;
-            revoked.push(DelegationId(id));
-        }
-        r.finish().map_err(malformed)?;
-
-        // Declarations first (constraint bases), then supports, then
-        // credentials, then revocations — and credentials first-party
-        // before third-party: that is an order in which a replay of the
-        // journal, running `publish`'s support rule, accepts every one.
-        certs.sort_by_key(|c| {
-            let d = c.delegation();
-            (d.required_support().is_some() || d.foreign_clauses().next().is_some(), c.id())
-        });
-        for decl in declarations {
-            match self.publish_declaration(&decl) {
-                Ok(()) => report.declarations += 1,
-                Err(_) => report.rejected += 1,
-            }
-        }
-        for support in &supports {
-            self.journal_best_effort(&StoreEvent::Support(support.clone()));
-        }
-        for support in supports {
-            self.state.graph.provide_support(support);
-        }
-        for cert in certs {
-            if cert.verify(now).is_err() {
-                report.rejected += 1;
-                continue;
-            }
-            self.journal_best_effort(&StoreEvent::Publish(Arc::clone(&cert)));
-            self.insert_cert(cert);
-            report.credentials += 1;
-        }
-        for id in revoked {
-            self.journal_best_effort(&StoreEvent::RevokeMark(id));
-            self.state.graph.revoke(id);
-            report.revocations += 1;
-        }
-        // An import can add and revoke in one sweep — reset the cache
-        // wholesale rather than reasoning per entry.
-        self.state.proof_cache.clear();
-        self.run_watches();
-        Ok(report)
-    }
-
     /// Clears *all* state — durable and volatile — returning the wallet
     /// to empty, the way a process crash loses everything in memory.
     /// Pair with [`Wallet::recover_from_store`] to model a full
@@ -1424,19 +1289,6 @@ impl Wallet {
         }
         Ok(())
     }
-}
-
-/// Counts from a [`Wallet::import_bytes`] restore.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ImportReport {
-    /// Credentials restored (re-verified).
-    pub credentials: usize,
-    /// Signed declarations restored.
-    pub declarations: usize,
-    /// Revocation marks restored.
-    pub revocations: usize,
-    /// Entries skipped because they no longer verify.
-    pub rejected: usize,
 }
 
 /// Counts from a [`Wallet::recover_from_store`] restore.
@@ -2005,83 +1857,6 @@ mod tests {
         f.wallet.wipe();
         f.wallet.recover_from_store(&store).unwrap();
         assert_eq!(f.wallet.provide_support(dead), refused);
-    }
-
-    #[test]
-    fn export_import_round_trip_restores_answers() {
-        let f = fx();
-        let member = f.a.role("member");
-        // Third-party credential with support, a declaration, and a
-        // revocation — all four durable categories.
-        let bw = f.a.attr("bw", drbac_core::AttrOp::Min);
-        let decl = drbac_core::SignedAttrDeclaration::sign(
-            drbac_core::AttrDeclaration::new(bw.clone(), 100.0).unwrap(),
-            &f.a,
-        )
-        .unwrap();
-        f.wallet.publish_declaration(&decl).unwrap();
-
-        let grant =
-            f.a.delegate(Node::entity(&f.b), Node::role_admin(member.clone()))
-                .sign(&f.a)
-                .unwrap();
-        let support = Proof::from_steps(vec![drbac_core::ProofStep::new(grant)]).unwrap();
-        let enrollment =
-            f.b.delegate(Node::entity(&f.m), Node::role(member.clone()))
-                .sign(&f.b)
-                .unwrap();
-        f.wallet.publish(enrollment, vec![support]).unwrap();
-
-        let dead =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("dead")))
-                .sign(&f.a)
-                .unwrap();
-        f.wallet.publish(dead.clone(), vec![]).unwrap();
-        let revocation = SignedRevocation::revoke(&dead, &f.a, f.clock.now()).unwrap();
-        f.wallet.revoke(&revocation).unwrap();
-
-        let image = f.wallet.export_bytes();
-        let restored = Wallet::new("restored", f.clock.clone());
-        let report = restored.import_bytes(&image).unwrap();
-        assert_eq!(report.rejected, 0);
-        assert_eq!(report.declarations, 1);
-        assert!(report.credentials >= 3);
-        assert_eq!(report.revocations, 1);
-
-        // Same answers as the original: member provable, dead role not.
-        assert!(restored
-            .query_direct(&Node::entity(&f.m), &Node::role(member), &[])
-            .is_some());
-        assert!(restored
-            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("dead")), &[])
-            .is_none());
-        // Declarations restored: constraint uses the declared base.
-        assert_eq!(restored.signed_declarations().len(), 1);
-    }
-
-    #[test]
-    fn import_rejects_expired_and_garbage() {
-        let f = fx();
-        let cert =
-            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
-                .expires(Timestamp(5))
-                .sign(&f.a)
-                .unwrap();
-        f.wallet.publish(cert, vec![]).unwrap();
-        let image = f.wallet.export_bytes();
-
-        // Time passes beyond the expiry: the restored wallet skips it.
-        f.clock.advance(drbac_core::Ticks(10));
-        let restored = Wallet::new("restored", f.clock.clone());
-        let report = restored.import_bytes(&image).unwrap();
-        assert_eq!(report.credentials, 0);
-        assert_eq!(report.rejected, 1);
-
-        // Garbage fails cleanly.
-        assert!(restored.import_bytes(b"not a wallet image").is_err());
-        let mut truncated = image.clone();
-        truncated.truncate(image.len() / 2);
-        assert!(restored.import_bytes(&truncated).is_err());
     }
 
     #[test]

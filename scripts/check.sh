@@ -32,8 +32,9 @@ PROPTEST_CASES=1024 cargo test -q --release -p drbac-bignum -p drbac-crypto
 
 echo "== work ledger (a write costs what it changes: counts, no clock) =="
 # `DelegationGraph::revoked_ids` copies every revocation mark the wallet
-# ever recorded; only the whole-wallet rebuilds routed through planner.rs
-# (the index rebuild and the image export) may pay that.
+# ever recorded; only the whole-wallet copies routed through planner.rs
+# (the index rebuild and a prepopulated SimNet host's journal) may pay
+# that.
 # Everything before a file's first #[cfg(test)] counts as a caller.
 callers=$(find crates src -name '*.rs' ! -name planner.rs -print0 | xargs -0 awk '
     FNR == 1 { tests = 0 }
@@ -63,7 +64,7 @@ if [ "$(grep -c . <<<"$sites")" -ne 1 ] || ! grep -q '^crates/core/src/signed\.r
 fi
 cargo test -q --test work_ledger
 
-echo "== one checkpoint (the index base run; no snapshot image comes back) =="
+echo "== one checkpoint, two formats (no snapshot image, no wallet image, no unread index rows) =="
 # The delegation index's base run is a durable home's only checkpoint.
 # The snapshot image, its framing and its boot branch are gone; the
 # pattern names only them (`NetStats::from_snapshot` reads the metrics
@@ -75,6 +76,17 @@ if [ -n "$stale" ]; then
     exit 1
 fi
 cargo test -q --test checkpoint_crash
+# The wallet persists two formats, the journal and an index holding only
+# what a named read path uses. The retired index rows (`d/` metadata,
+# `i/` issuer, `g/` tag home), their readers and the wallet image format
+# stay gone. `issuer_key` alone names the signed envelope's public key,
+# so the index's key builder is matched by its path and signature.
+retired=$(grep -rnE '\bCertRow\b|keys::issuer_key|fn issuer_key\(issuer|\btag_key\b|\bids_by_issuer\b|\bids_by_tag\b|\bquery_issuer\b|\bexport_bytes\b|\bimport_bytes\b|\bImportReport\b|drbac-wallet-v1' crates src tests || true)
+if [ -n "$retired" ]; then
+    echo "check.sh: a retired index row or the wallet image format is back:" >&2
+    echo "$retired" >&2
+    exit 1
+fi
 
 echo "== chaos suite (seed matrix) =="
 for seed in 1 2 3; do

@@ -8,8 +8,9 @@
 //! * `store/wal.log` — the wallet's write-ahead log (credentials,
 //!   supports, declarations, revocations). Every mutating command
 //!   journals before it applies, so an interrupted command can tear at
-//!   most the final record — which startup truncates. A legacy
-//!   `wallet.bin` image is migrated into the store on first load,
+//!   most the final record — which startup truncates. A home whose
+//!   store never journaled anything beside a pre-store `wallet.bin`
+//!   image is refused, naming the file,
 //! * `index/index.tab` + `index/index.log` + `index/index.prev` — the
 //!   delegation index: an ordered table over the store's contents, and
 //!   the wallet's only checkpoint. Startup is *index open + log-tail
@@ -884,18 +885,18 @@ impl Context {
             fs::remove_file(&legacy_snapshot)
                 .map_err(|e| format!("remove {legacy_snapshot:?}: {e}"))?;
         }
-        // One-time migration from the pre-store image format: a store
-        // that never journaled anything next to a legacy wallet.bin
-        // means this context predates the write-ahead log. Importing
-        // journals every credential (and feeds the attached index), so
-        // from here on the store is authoritative.
+        // A store that never journaled anything beside a `wallet.bin`
+        // means a home from before the write-ahead log. That image format
+        // is no longer read; opening it as an empty wallet would hide
+        // every credential it holds, so refuse and name the file.
         let wallet_path = home.join("wallet.bin");
-        let store_empty = wallet.store().status().next_seq == 1;
-        if store_empty && wallet_path.exists() {
-            let bytes = fs::read(&wallet_path).map_err(|e| e.to_string())?;
-            wallet
-                .import_bytes(&bytes)
-                .map_err(|e| format!("corrupt wallet.bin: {e}"))?;
+        if wallet.store().status().next_seq == 1 && wallet_path.exists() {
+            return Err(format!(
+                "{} is a wallet image from before the write-ahead store, which this \
+                 version no longer reads: open the home once with a release that \
+                 migrates it, or remove the file to start with an empty wallet",
+                wallet_path.display()
+            ));
         }
 
         Ok(Context {

@@ -4,9 +4,6 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
-use drbac::core::{SignedDelegation, SimClock};
-use drbac::wallet::Wallet;
-
 fn drbac(home: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_drbac"))
         .arg("--home")
@@ -302,36 +299,30 @@ fn store_verify_flags_torn_tail_and_recovery_heals_it() {
 }
 
 /// A context created before the write-ahead store (a bare `wallet.bin`
-/// image) is migrated into the store on first load.
+/// image) is refused with an error naming the file — never opened as an
+/// empty wallet — until the image is removed.
 #[test]
-fn legacy_wallet_image_is_migrated_into_the_store() {
+fn legacy_wallet_image_is_refused_naming_the_file() {
     let home = temp_home("legacy");
     ok(&home, &["keygen", "BigISP"]);
     ok(&home, &["keygen", "Maria"]);
+    // The pre-store layout: an image beside a store that never
+    // journaled anything.
+    std::fs::write(home.join("wallet.bin"), b"an image from before the store").unwrap();
+
+    for args in [&["query", "Maria", "BigISP.member"][..], &["list"]] {
+        let err = fails(&home, args);
+        assert!(err.contains("wallet.bin"), "{err}");
+    }
+    let err = fails(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    assert!(err.contains("wallet.bin"), "{err}");
+
+    std::fs::remove_file(home.join("wallet.bin")).unwrap();
     ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
-
-    // Fake the pre-store layout: the wallet image the old code would
-    // have written, built through the library from the exported
-    // credential, with the store and index directories deleted.
-    let inspected = ok(&home, &["store", "inspect"]);
-    assert!(inspected.contains("1 record(s)"), "{inspected}");
-    let listing = ok(&home, &["list"]);
-    let cert_file = home.join("membership.cert");
-    ok(&home, &["export-cert", &listing[1..9], cert_file.to_str().unwrap()]);
-    let cert = SignedDelegation::from_bytes(&std::fs::read(&cert_file).unwrap()).unwrap();
-    let legacy = Wallet::new("legacy", SimClock::new());
-    legacy.publish(cert, vec![]).unwrap();
-    std::fs::write(home.join("wallet.bin"), legacy.export_bytes()).unwrap();
-    std::fs::remove_dir_all(home.join("store")).unwrap();
-    std::fs::remove_dir_all(home.join("index")).unwrap();
-
+    // Once the store has journaled, a stray image beside it is ignored.
+    std::fs::write(home.join("wallet.bin"), b"an image from before the store").unwrap();
     let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
     assert!(answer.starts_with("GRANTED"), "{answer}");
-    let inspected = ok(&home, &["store", "inspect"]);
-    assert!(
-        inspected.contains("publish"),
-        "migration journals the legacy credentials: {inspected}"
-    );
 
     let _ = std::fs::remove_dir_all(&home);
 }

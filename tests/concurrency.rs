@@ -11,9 +11,20 @@ use drbac::core::{
     DelegationId, LocalEntity, Node, Proof, SignedDelegation, SignedRevocation, SimClock,
 };
 use drbac::crypto::SchnorrGroup;
-use drbac::wallet::{ProofMonitor, Wallet};
+use drbac::index::{DelegationIndex, MemTable};
+use drbac::store::WalletStore;
+use drbac::wallet::{DurableWallet, ProofMonitor, Wallet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A fresh wallet booted from an index rebuilt from `wallet`'s contents.
+fn indexed_copy(wallet: &Wallet, addr: &str, clock: SimClock) -> DurableWallet {
+    let index = Arc::new(DelegationIndex::open(Box::new(MemTable::new())).unwrap());
+    wallet.rebuild_index_into(&index, 0).unwrap();
+    let store = Arc::new(WalletStore::in_memory());
+    let (copy, _) = DurableWallet::open_indexed(addr, clock, store, index).unwrap();
+    copy
+}
 
 #[test]
 fn wallet_survives_concurrent_publish_query_revoke() {
@@ -121,11 +132,9 @@ fn wallet_survives_concurrent_publish_query_revoke() {
         4 * 200
     );
 
-    // Export under no contention still works and re-imports.
-    let image = wallet.export_bytes();
-    let restored = Wallet::new("restored", SimClock::new());
-    let report = restored.import_bytes(&image).unwrap();
-    assert_eq!(report.credentials, users.len() * per_user);
+    // A copy under no contention holds every credential.
+    let restored = indexed_copy(&wallet, "restored", SimClock::new());
+    assert_eq!(restored.with_graph(|g| g.len()), users.len() * per_user);
 }
 
 #[test]
@@ -282,12 +291,11 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
     }
 
     // Build the oracle: a fresh wallet on the same clock with the cache
-    // off, fed the exported image (credentials, supports, and revocation
-    // marks).
-    let oracle = Wallet::new("oracle", clock);
+    // off, booted from an index rebuilt from the racing wallet
+    // (credentials, supports, and revocation marks).
+    let oracle = indexed_copy(&wallet, "oracle", clock);
     oracle.set_query_cache(false);
-    let report = oracle.import_bytes(&wallet.export_bytes()).unwrap();
-    assert_eq!(report.credentials, users.len() * per_user);
+    assert_eq!(oracle.with_graph(|g| g.len()), users.len() * per_user);
 
     for user in &users {
         let subject = Node::entity(user.as_ref());

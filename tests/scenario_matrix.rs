@@ -12,7 +12,8 @@ use drbac::core::{
     AttrConstraint, AttrDeclaration, AttrOp, Node, Proof, ProofStep, SignedAttrDeclaration,
     SignedDelegation, SignedRevocation,
 };
-use drbac::wallet::Wallet;
+use drbac::store::WalletStore;
+use drbac::wallet::{DurableWallet, Wallet};
 
 /// One topology: a closure that populates the wallet and returns the
 /// query target plus every credential on the expected proof.
@@ -148,6 +149,8 @@ const TOPOLOGIES: &[(&str, Topology)] = &[
 fn every_topology_survives_the_full_lifecycle() {
     for (i, (name, build)) in TOPOLOGIES.iter().enumerate() {
         let w = world(1000 + i as u64);
+        let store = Arc::new(WalletStore::in_memory());
+        w.wallet.attach_journal(Arc::clone(&store));
         let (target, chain_certs) = build(&w);
         let subject = Node::entity(&w.user);
 
@@ -168,12 +171,11 @@ fn every_topology_survives_the_full_lifecycle() {
             .monitor_external_proof(decoded)
             .unwrap_or_else(|e| panic!("{name}: revalidate {e}"));
 
-        // 3. Wallet persistence preserves the answer.
-        let image = w.wallet.export_bytes();
-        let restored = Wallet::new("restored", w.clock.clone());
-        restored
-            .import_bytes(&image)
-            .unwrap_or_else(|e| panic!("{name}: import {e}"));
+        // 3. Wallet persistence preserves the answer: the journal
+        //    replays into a fresh wallet.
+        let (restored, report) = DurableWallet::open("restored", w.clock.clone(), store)
+            .unwrap_or_else(|e| panic!("{name}: replay {e}"));
+        assert_eq!(report.skipped, 0, "{name}");
         assert!(
             restored.query_direct(&subject, &target, &[]).is_some(),
             "{name}: restored query"

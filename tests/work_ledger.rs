@@ -18,6 +18,12 @@
 //! re-validating a proof built from such credentials, costs no
 //! exponentiation and no allocation.
 //!
+//! The delegation index is held to what its read paths use: a publish
+//! puts its credential's bytes, both adjacency keys, and an expiry and
+//! audit-set key only when it has them; an expiry leaves only its mark;
+//! an acknowledged durable publish costs one fsync. These rows are also
+//! equal at 0 and 5,000 marks.
+//!
 //! The recovery trust boundary is a row too: an indexed boot trusts the
 //! delegation index's base run and re-verifies only the journal records
 //! above its watermark, so it costs one signature check per tail record,
@@ -49,8 +55,8 @@ use drbac::core::{
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::graph::SearchOptions;
-use drbac::index::{DelegationIndex, FileTable};
-use drbac::store::{Medium, MemMedium, WalletStore};
+use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
+use drbac::store::{Medium, MemMedium, StoreError, WalletStore};
 use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -534,6 +540,168 @@ fn a_verified_credential_is_not_checked_again() {
             revalidate_exps: 0,
             revalidate_sig_checks: 0,
         }
+    );
+}
+
+/// Journal fsyncs (group commit or explicit sync).
+const FSYNCS: &str = "drbac.store.fsync.count";
+
+/// A `MemTable` shared with the test, counting the puts applied to it
+/// other than the watermark's.
+#[derive(Clone)]
+struct CountingMem {
+    table: Arc<MemTable>,
+    puts: Arc<AtomicU64>,
+}
+
+impl TableBackend for CountingMem {
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.table.get(key)
+    }
+    fn apply(&self, batch: &[TableOp]) -> Result<(), StoreError> {
+        let puts = batch
+            .iter()
+            .filter(|op| matches!(op, TableOp::Put { key, .. } if key != b"mwatermark"))
+            .count();
+        self.puts.fetch_add(puts as u64, Ordering::Relaxed);
+        self.table.apply(batch)
+    }
+    fn scan(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<(), StoreError> {
+        self.table.scan(start, end, f)
+    }
+    fn stats(&self) -> TableStats {
+        self.table.stats()
+    }
+    fn flush(&self) -> Result<(), StoreError> {
+        self.table.flush()
+    }
+    fn compact(&self) -> Result<(), StoreError> {
+        self.table.compact()
+    }
+    fn reset_with(
+        &self,
+        entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>,
+    ) -> Result<(), StoreError> {
+        self.table.reset_with(entries)
+    }
+}
+
+/// What an indexed durable wallet writes.
+#[derive(Debug, PartialEq, Eq)]
+struct IndexLedger {
+    /// Index puts per publish, besides the watermark: first-party with
+    /// no expiry, first-party with an expiry, and a third-party credential
+    /// with an expiry (its support already in the wallet).
+    publish_puts: [u64; 3],
+    /// The key families left holding an expired credential's id.
+    expire_leaves: Vec<u8>,
+    /// `drbac.store.fsync.count` per acknowledged durable publish.
+    fsyncs_per_publish: u64,
+}
+
+fn index_ledger(marks: usize) -> IndexLedger {
+    let mut rng = StdRng::seed_from_u64(3434);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let admin = LocalEntity::generate("Admin", g.clone(), &mut rng);
+    let user = LocalEntity::generate("User", g, &mut rng);
+    let counting = CountingMem {
+        table: Arc::new(MemTable::new()),
+        puts: Arc::new(AtomicU64::new(0)),
+    };
+    let index = Arc::new(DelegationIndex::open(Box::new(counting.clone())).unwrap());
+    let clock = SimClock::new();
+    let store = Arc::new(WalletStore::in_memory());
+    let (wallet, _) = DurableWallet::open_indexed("ledger.example", clock.clone(), store, index)
+        .unwrap();
+    for i in 0..marks {
+        let mut id = [0xA5u8; 32];
+        id[..8].copy_from_slice(&(i as u64).to_be_bytes());
+        wallet.push_event(DelegationEvent {
+            delegation: DelegationId(id),
+            reason: InvalidationReason::Revoked,
+        });
+    }
+    let member = org.role("member");
+    wallet
+        .publish(
+            org.delegate(Node::entity(&admin), Node::role_admin(member.clone()))
+                .sign(&org)
+                .unwrap(),
+            vec![],
+        )
+        .unwrap();
+
+    let shapes = [
+        org.delegate(Node::entity(&user), Node::role(org.role("staff")))
+            .sign(&org)
+            .unwrap(),
+        org.delegate(Node::entity(&user), Node::role(org.role("guest")))
+            .expires(Timestamp(50))
+            .sign(&org)
+            .unwrap(),
+        admin
+            .delegate(Node::entity(&user), Node::role(member))
+            .expires(Timestamp(500))
+            .sign(&admin)
+            .unwrap(),
+    ];
+    assert_eq!(
+        shapes.each_ref().map(|c| c.delegation().needs_support()),
+        [false, false, true]
+    );
+    let expiring = shapes[1].id();
+    let mut fsyncs = Vec::new();
+    let publish_puts = shapes.map(|cert| {
+        let before = counting.puts.load(Ordering::Relaxed);
+        let ([fsync], _) = delta([FSYNCS], || wallet.publish(cert, vec![]).unwrap());
+        fsyncs.push(fsync);
+        counting.puts.load(Ordering::Relaxed) - before
+    });
+    assert!(fsyncs.iter().all(|&n| n == fsyncs[0]), "{fsyncs:?}");
+
+    clock.advance(drbac::core::Ticks(100));
+    assert_eq!(wallet.process_expiries().0, vec![expiring]);
+    let mut expire_leaves = Vec::new();
+    counting
+        .table
+        .scan(&[], None, &mut |k, _| {
+            if k.ends_with(&expiring.0) {
+                expire_leaves.push(k[0]);
+            }
+            true
+        })
+        .unwrap();
+
+    IndexLedger {
+        publish_puts,
+        expire_leaves,
+        fsyncs_per_publish: fsyncs[0],
+    }
+}
+
+#[test]
+fn an_index_persists_only_what_is_read() {
+    let _serial = serial();
+    let fresh = index_ledger(0);
+    assert_eq!(
+        fresh,
+        IndexLedger {
+            // c, s, o; + e; + e and 3.
+            publish_puts: [3, 4, 5],
+            expire_leaves: vec![b'r'],
+            fsyncs_per_publish: 1,
+        }
+    );
+    assert_eq!(
+        fresh,
+        index_ledger(5_000),
+        "a row moved with the revocation history"
     );
 }
 
