@@ -134,6 +134,7 @@ fn bench_table3_figure2(c: &mut Criterion) {
         &["metric", "count"],
     );
     table_row(&["total messages".into(), stats.total_messages.to_string()]);
+    table_row(&["frame bytes".into(), stats.total_bytes.to_string()]);
     table_row(&[
         "subject queries".into(),
         stats.requests("subject-query").to_string(),

@@ -457,7 +457,7 @@ impl DaemonShared {
                 drop(span);
                 reply
             }
-            Err(e) => Reply::Error(format!("undecodable request: {e}")),
+            Err(e) => Reply::undecodable_request(&e),
         };
         self.served.fetch_add(1, Ordering::Relaxed);
         drbac_obs::static_histogram!("drbac.net.tcp.service.ns")

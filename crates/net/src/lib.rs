@@ -33,8 +33,10 @@
 //!
 //! * **SimNet** (see DESIGN.md §4.2): wallet hosts inside one process on
 //!   a simulated clock, so chaos and parity experiments are exactly
-//!   reproducible; the message patterns, validation work, and
-//!   subscription semantics match the real deployment.
+//!   reproducible. Every request, reply and push crosses as the frame
+//!   [`wire`] builds and is decoded on arrival, so the message patterns,
+//!   byte counts, validation work, and subscription semantics match the
+//!   real deployment.
 //! * **TCP** ([`wire`] + [`TcpTransport`] + [`WalletDaemon`]): each
 //!   wallet served by a socket daemon, messages as length-prefixed
 //!   CRC-framed canonical bytes, delegation subscriptions pushed over a

@@ -1,17 +1,17 @@
 //! The inter-wallet protocol: requests, replies, and one-way pushes.
 //!
-//! These enums are transport-neutral: [`crate::SimNet`] passes them
-//! in-process, [`crate::TcpTransport`] serializes them through the
-//! framed codec in [`crate::wire`] (one frame per message, canonical
-//! payload encoding under per-space domain tags). Anything added here
-//! needs a wire encoding there.
+//! Both substrates carry these enums through the framed codec in
+//! [`crate::wire`] (one frame per message, canonical payload encoding
+//! under per-space domain tags): [`crate::TcpTransport`] over a socket,
+//! [`crate::SimNet`] in memory. Anything added here needs a wire
+//! encoding there.
 
 use std::fmt;
 use std::sync::Arc;
 
 use drbac_core::{
-    AttrConstraint, DelegationId, Node, Proof, SignedAttrDeclaration, SignedDelegation,
-    SignedRevocation, WalletAddr,
+    AttrConstraint, DecodeError, DelegationId, Node, Proof, SignedAttrDeclaration,
+    SignedDelegation, SignedRevocation, WalletAddr,
 };
 use drbac_wallet::DelegationEvent;
 
@@ -82,38 +82,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// Approximate wire size in bytes (canonical encodings of the
-    /// payload plus a small header), for traffic accounting.
-    pub fn encoded_len(&self) -> usize {
-        const HEADER: usize = 16;
-        HEADER
-            + match self {
-                Request::DirectQuery {
-                    subject,
-                    object,
-                    constraints,
-                } => node_len(subject) + node_len(object) + constraints.len() * 48,
-                Request::SubjectQuery {
-                    subject,
-                    constraints,
-                } => node_len(subject) + constraints.len() * 48,
-                Request::ObjectQuery {
-                    object,
-                    constraints,
-                } => node_len(object) + constraints.len() * 48,
-                Request::Publish { cert, supports } => {
-                    cert.to_bytes().len()
-                        + supports.iter().map(|p| p.to_bytes().len()).sum::<usize>()
-                }
-                Request::PublishDeclaration(d) => d.to_bytes().len(),
-                Request::Subscribe { .. } | Request::Unsubscribe { .. } => 32 + 32,
-                Request::Revoke(r) => r.to_bytes().len(),
-                Request::FetchDeclarations => 0,
-                Request::FetchDelegation(_) => 32,
-                Request::Stats | Request::Health => 0,
-            }
-    }
-
     /// Short tag for statistics.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -208,6 +176,12 @@ impl Reply {
         Reply::Error(format!("{}: {what}", Self::OVERLOAD_PREFIX))
     }
 
+    /// The error reply to a request frame whose payload does not decode,
+    /// on either substrate.
+    pub(crate) fn undecodable_request(e: &DecodeError) -> Reply {
+        Reply::Error(format!("undecodable request: {e}"))
+    }
+
     /// `true` when this reply is a backpressure rejection emitted by
     /// [`Reply::overloaded`] — the request was never executed and may
     /// be retried after easing off.
@@ -218,25 +192,6 @@ impl Reply {
     /// `true` for [`Reply::Error`].
     pub fn is_error(&self) -> bool {
         matches!(self, Reply::Error(_))
-    }
-
-    /// Approximate wire size in bytes (see [`Request::encoded_len`]).
-    pub fn encoded_len(&self) -> usize {
-        const HEADER: usize = 16;
-        HEADER
-            + match self {
-                Reply::Proofs(proofs) => proofs.iter().map(|p| p.to_bytes().len()).sum(),
-                Reply::Published(_) => 32,
-                Reply::DeclarationPublished | Reply::Subscribed => 0,
-                Reply::Revoked(_) => 8,
-                Reply::Declarations(ds) => ds.iter().map(|d| d.to_bytes().len()).sum(),
-                Reply::Delegation(c) => c.as_ref().map(|c| c.to_bytes().len()).unwrap_or(0),
-                Reply::Stats(s) => {
-                    s.counters.len() * 48 + s.gauges.len() * 48 + s.histograms.len() * 96
-                }
-                Reply::Health(_) => 64,
-                Reply::Error(m) => m.len(),
-            }
     }
 }
 
@@ -256,13 +211,6 @@ pub struct HealthReport {
     pub subscribers: u64,
     /// Requests served since start (all kinds, including this probe).
     pub served_requests: u64,
-}
-
-fn node_len(node: &Node) -> usize {
-    use drbac_core::{Encode, Writer};
-    let mut w = Writer::default();
-    node.encode(&mut w);
-    w.finish().len()
 }
 
 /// A one-way message (no reply expected).
@@ -296,36 +244,5 @@ mod tests {
     fn reply_error_detection() {
         assert!(Reply::Error("x".into()).is_error());
         assert!(!Reply::Proofs(vec![]).is_error());
-    }
-
-    #[test]
-    fn encoded_lens_scale_with_payload() {
-        use drbac_core::{LocalEntity, Proof, ProofStep};
-        use drbac_crypto::SchnorrGroup;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = SchnorrGroup::test_256();
-        let a = LocalEntity::generate("A", g.clone(), &mut rng);
-        let m = LocalEntity::generate("M", g, &mut rng);
-        let cert = a
-            .delegate(Node::entity(&m), Node::role(a.role("r")))
-            .sign(&a)
-            .unwrap();
-        let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-
-        let publish = Request::Publish {
-            cert: Arc::new(cert.clone()),
-            supports: vec![proof.clone()],
-        };
-        let fetch = Request::FetchDeclarations;
-        assert!(publish.encoded_len() > cert.to_bytes().len());
-        assert!(fetch.encoded_len() < 64);
-
-        let one = Reply::Proofs(vec![proof.clone()]);
-        let two = Reply::Proofs(vec![proof.clone(), proof]);
-        assert!(two.encoded_len() > one.encoded_len());
-        assert!(Reply::Subscribed.encoded_len() < one.encoded_len());
     }
 }

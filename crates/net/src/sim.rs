@@ -14,6 +14,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::host::{Fanout, HostCore};
 use crate::proto::{OneWay, Reply, Request};
 use crate::transport::RetryPolicy;
+use crate::wire::{self, FrameKind};
 
 /// The durable store backing a simulated host's wallet. Crashing a host
 /// hands this back to the caller; restarting recovers from it — the
@@ -144,7 +145,8 @@ pub struct NetStats {
     pub total_messages: u64,
     /// One-way push messages (invalidations).
     pub push_messages: u64,
-    /// Approximate payload bytes on the wire (canonical encodings).
+    /// Frame bytes on the wire, header included: every request, reply
+    /// and push is the frame [`crate::wire`] builds for it.
     pub total_bytes: u64,
     /// Requests that timed out (lost in transit or partitioned).
     pub timeouts: u64,
@@ -302,12 +304,12 @@ impl WalletHost {
     }
 }
 
-/// An in-flight one-way message.
+/// An in-flight push frame.
 struct Envelope {
     deliver_at: Timestamp,
     seq: u64,
     to: WalletAddr,
-    msg: OneWay,
+    frame: Vec<u8>,
 }
 
 impl PartialEq for Envelope {
@@ -472,7 +474,7 @@ impl SimNet {
                 deliver_at,
                 seq,
                 to: envelope.to,
-                msg: envelope.msg,
+                frame: envelope.frame,
             });
         }
         released
@@ -627,7 +629,9 @@ impl SimNet {
     }
 
     /// Sends a synchronous request; the clock advances one latency each
-    /// way and both messages are counted.
+    /// way and both messages are counted. The request and its reply
+    /// cross as the frames a `WalletDaemon` reads and writes: the host
+    /// serves what it decodes, never the caller's value.
     ///
     /// # Errors
     ///
@@ -635,7 +639,9 @@ impl SimNet {
     /// [`NetError::HostDown`] if the host has crashed or been failed;
     /// [`NetError::Timeout`] if the request was lost to the installed
     /// [`FaultPlan`] or the host is behind a partition — the caller
-    /// burns the plan's timeout budget of simulated time waiting.
+    /// burns the plan's timeout budget of simulated time waiting;
+    /// [`NetError::Protocol`] if a frame cannot be built or the reply
+    /// does not decode.
     pub fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError> {
         let host = self
             .host(to)
@@ -659,8 +665,9 @@ impl SimNet {
             return Err(NetError::Timeout(to.clone()));
         }
         let jitter = self.draw_jitter();
+        let request = frame(FrameKind::Request, &wire::encode_request(&req))?;
         self.state.msg_counter.add(2);
-        self.state.bytes_counter.add(req.encoded_len() as u64);
+        self.state.bytes_counter.add(request.len() as u64);
         self.state
             .registry
             .counter(format!("{}{}.count", NetStats::REQUEST_PREFIX, req.kind()))
@@ -671,41 +678,47 @@ impl SimNet {
             "kind" => req.kind(),
         );
         self.state.clock.advance(Ticks(self.state.latency.0 + jitter.0));
-        let (reply, fanout) = host.core.handle(req);
-        if let Some(fanout) = fanout {
-            self.deliver(fanout);
-        }
+        let reply = match wire::decode_request(&payload(&request)?) {
+            Ok(req) => {
+                let (reply, fanout) = host.core.handle(req);
+                if let Some(fanout) = fanout {
+                    self.deliver(fanout);
+                }
+                reply
+            }
+            Err(e) => Reply::undecodable_request(&e),
+        };
+        let reply = frame(FrameKind::Reply, &wire::encode_reply(&reply))?;
         self.state.clock.advance(self.state.latency);
-        self.state.bytes_counter.add(reply.encoded_len() as u64);
-        Ok(reply)
+        self.state.bytes_counter.add(reply.len() as u64);
+        wire::decode_reply(&payload(&reply)?)
+            .map_err(|e| NetError::Protocol(format!("undecodable reply: {e}")))
     }
 
-    /// Enqueues a one-way push for delivery after one latency (plus any
-    /// [`FaultPlan`] jitter).
-    pub fn send(&self, to: &WalletAddr, msg: OneWay) {
-        let jitter = self.draw_jitter();
-        let deliver_at = self
-            .state
-            .clock
-            .now()
-            .after(Ticks(self.state.latency.0 + jitter.0));
-        let seq = self.state.seq.fetch_add(1, Ordering::SeqCst);
-        self.state.msg_counter.inc();
-        self.state.push_msg_counter.inc();
-        self.state.bytes_counter.add(48); // delegation id + reason + header
-        drbac_obs::event!("drbac.net.sim.push", "to" => to.to_string(),);
-        self.state.queue.lock().push(Envelope {
-            deliver_at,
-            seq,
-            to: to.clone(),
-            msg,
-        });
-    }
-
-    /// Enqueues `fanout`'s event as one push per subscriber.
+    /// Enqueues `fanout`'s event as one push frame per subscriber, each
+    /// delivered after one latency (plus any [`FaultPlan`] jitter). The
+    /// frame is encoded once and its bytes cloned per target.
     pub(crate) fn deliver(&self, fanout: Fanout) {
-        for target in &fanout.targets {
-            self.send(target, OneWay::Invalidate(fanout.event));
+        let push = wire::encode_push(&OneWay::Invalidate(fanout.event));
+        let push = frame(FrameKind::Push, &push).expect("a push frame is far below the frame cap");
+        for to in fanout.targets {
+            let jitter = self.draw_jitter();
+            let deliver_at = self
+                .state
+                .clock
+                .now()
+                .after(Ticks(self.state.latency.0 + jitter.0));
+            let seq = self.state.seq.fetch_add(1, Ordering::SeqCst);
+            self.state.msg_counter.inc();
+            self.state.push_msg_counter.inc();
+            self.state.bytes_counter.add(push.len() as u64);
+            drbac_obs::event!("drbac.net.sim.push", "to" => to.to_string(),);
+            self.state.queue.lock().push(Envelope {
+                deliver_at,
+                seq,
+                to,
+                frame: push.clone(),
+            });
         }
     }
 
@@ -739,9 +752,12 @@ impl SimNet {
             let Some(host) = self.host(&envelope.to) else {
                 continue; // host vanished; drop the message
             };
-            let OneWay::Invalidate(event) = envelope.msg;
-            if let Some(cascade) = host.core.relay(event) {
-                self.deliver(cascade);
+            // An undecodable push is dropped, as a `SubscriberLink` drops it.
+            let push = payload(&envelope.frame).map(|p| wire::decode_push(&p));
+            if let Ok(Ok(OneWay::Invalidate(event))) = push {
+                if let Some(cascade) = host.core.relay(event) {
+                    self.deliver(cascade);
+                }
             }
         }
     }
@@ -764,6 +780,21 @@ impl SimNet {
     pub fn registry(&self) -> Arc<drbac_obs::Registry> {
         Arc::clone(&self.state.registry)
     }
+}
+
+/// One frame of `kind` carrying `payload`, as `wire` writes it.
+fn frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+    let mut bytes = Vec::new();
+    wire::write_frame(&mut bytes, kind, payload).map_err(|e| NetError::Protocol(e.to_string()))?;
+    Ok(bytes)
+}
+
+/// The payload of the frame in `bytes`, every header check and the CRC
+/// applied. A bad frame is a protocol violation, as on a socket.
+fn payload(mut bytes: &[u8]) -> Result<Vec<u8>, NetError> {
+    wire::read_frame(&mut bytes)
+        .map(|f| f.payload)
+        .map_err(|e| NetError::Protocol(e.to_string()))
 }
 
 #[cfg(test)]
@@ -915,27 +946,50 @@ mod tests {
         assert_eq!(revoked_count, 2);
     }
 
+    /// Length of the frame `wire` writes for `payload`, header included.
+    fn frame_len(kind: FrameKind, payload: &[u8]) -> u64 {
+        let mut bytes = Vec::new();
+        wire::write_frame(&mut bytes, kind, payload).unwrap();
+        bytes.len() as u64
+    }
+
     #[test]
     fn byte_accounting_tracks_payload_sizes() {
         let f = fx();
         wallet(&f, "w1");
         assert_eq!(f.net.stats().total_bytes, 0);
-        let cert = f.cert("r");
-        let cert_len = cert.to_bytes().len() as u64;
-        f.net.request(&"w1".into(), publish(&cert)).unwrap();
-        let after_publish = f.net.stats().total_bytes;
-        assert!(
-            after_publish >= cert_len,
-            "publish carries the credential bytes"
-        );
 
-        // A query reply carrying a proof adds more than a subscribe ack.
-        f.net.request(&"w1".into(), f.query("r")).unwrap();
-        let after_query = f.net.stats().total_bytes;
+        // A publish round trip costs its request frame plus its reply frame.
+        let cert = f.cert("r");
+        let request = publish(&cert);
+        let request_len = frame_len(FrameKind::Request, &wire::encode_request(&request));
+        let reply = f.net.request(&"w1".into(), request).unwrap();
+        let reply_len = frame_len(FrameKind::Reply, &wire::encode_reply(&reply));
         assert!(
-            after_query > after_publish + cert_len / 2,
-            "reply carried the proof"
+            request_len > cert.to_bytes().len() as u64,
+            "the frame carries the credential"
         );
+        assert_eq!(f.net.stats().total_bytes, request_len + reply_len);
+
+        // One delivered push costs exactly its frame.
+        let f = fx();
+        let (_, _, cert, _) = subscribed_cache(&f);
+        f.net.reset_stats();
+        let revoke = f.revoke(&cert);
+        let request_len = frame_len(FrameKind::Request, &wire::encode_request(&revoke));
+        let reply = f.net.request(&"home".into(), revoke).unwrap();
+        let reply_len = frame_len(FrameKind::Reply, &wire::encode_reply(&reply));
+        let push_len = frame_len(
+            FrameKind::Push,
+            &wire::encode_push(&OneWay::Invalidate(drbac_wallet::DelegationEvent {
+                delegation: cert.id(),
+                reason: drbac_wallet::InvalidationReason::Revoked,
+            })),
+        );
+        assert_eq!(f.net.run_until_idle(), 1);
+        let stats = f.net.stats();
+        assert_eq!(stats.push_messages, 1);
+        assert_eq!(stats.total_bytes, request_len + reply_len + push_len);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Length-prefixed, CRC-framed wire codec for the inter-wallet protocol.
 //!
-//! This module is what lets [`Request`] / [`Reply`] values cross a
-//! real byte stream
-//! (TCP sockets, pipes, files) instead of an in-process channel. It
+//! This module is how [`Request`] / [`Reply`] values cross between
+//! wallets on both substrates: a real byte stream (TCP sockets, pipes,
+//! files) and `SimNet`'s in-memory frames. It
 //! reuses the framing discipline of `drbac-store`'s write-ahead log:
 //! every frame is length-prefixed and carries a CRC-32 (IEEE) of its
 //! payload, and every payload is the workspace's canonical wire

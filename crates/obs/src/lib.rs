@@ -16,7 +16,8 @@
 //!
 //! `drbac.<crate>.<op>.<unit>` — e.g. `drbac.core.proof.validate.ns`
 //! (histogram of nanoseconds), `drbac.wallet.query.cache_hit.count`
-//! (counter), `drbac.net.sim.bytes.total` (counter of bytes). Units:
+//! (counter), `drbac.net.sim.bytes.total` (counter of wire-frame bytes,
+//! header included). Units:
 //! `.count` monotonic counts, `.total` monotonic sums of a quantity,
 //! `.ns` latency histograms in nanoseconds, `.gauge` point-in-time levels.
 //!

@@ -183,6 +183,27 @@ if [ -n "$layout" ]; then
     echo "$layout" >&2
     exit 1
 fi
+# SimNet carries frames: every request, reply and push crosses as the
+# frame wire.rs builds and parses, so the network keeps no size estimate
+# and an in-flight push holds frame bytes, never a decoded `OneWay`.
+estimates=$(grep -rn 'encoded_len' crates/net/src || true)
+if [ -n "$estimates" ]; then
+    echo "check.sh: a wire size estimate is back in crates/net (SimNet counts frame bytes):" >&2
+    echo "$estimates" >&2
+    exit 1
+fi
+sim_code=$(awk '/#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print }' crates/net/src/sim.rs)
+for decoder in decode_request decode_reply decode_push; do
+    if ! grep -q "wire::$decoder(" <<<"$sim_code"; then
+        echo "check.sh: SimNet no longer parses its frames with wire::$decoder" >&2
+        exit 1
+    fi
+done
+envelope=$(awk '/^struct Envelope \{/ { body = 1 } body { print } body && /^\}/ { exit }' crates/net/src/sim.rs)
+if grep -q 'OneWay' <<<"$envelope"; then
+    echo "check.sh: SimNet's Envelope holds a OneWay value instead of a push frame" >&2
+    exit 1
+fi
 cargo test -q --test tcp_loopback --test wire_roundtrip --test daemon_shutdown
 PORT=$((20000 + RANDOM % 20000))
 "$DRBAC" --home "$STORE_HOME" serve "127.0.0.1:$PORT" &

@@ -16,7 +16,9 @@
 //! The second claim extends to the signed envelope: a credential whose
 //! signature has checked is not checked again. Re-verifying it, or
 //! re-validating a proof built from such credentials, costs no
-//! exponentiation and no allocation.
+//! exponentiation and no allocation. The flag never crosses a wire: a
+//! wallet absorbing a credential it has not seen checks its signature
+//! once, whether the proof came over `SimNet` or a TCP socket.
 //!
 //! The delegation index is held to what its read paths use: a publish
 //! puts its credential's bytes, both adjacency keys, and an expiry and
@@ -50,12 +52,14 @@ use drbac::baselines::workload::{funnel, layered_dag, WorkloadSpec};
 use drbac::bignum::BigUint;
 use drbac::core::{
     AttrDeclaration, AttrOp, DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator,
-    RevocationLookup, SignedAttrDeclaration, SignedDelegation, SignedRevocation, SimClock,
-    Timestamp, ValidationContext,
+    RevocationLookup, SignedAttrDeclaration, SignedDelegation, SignedRevocation, SimClock, Ticks,
+    Timestamp, ValidationContext, WalletAddr,
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::graph::SearchOptions;
 use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
+use drbac::net::proto::{Reply, Request};
+use drbac::net::{SimNet, TcpConfig, TcpTransport, Transport, WalletDaemon};
 use drbac::store::{Medium, MemMedium, StoreError, WalletStore};
 use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
@@ -541,6 +545,77 @@ fn a_verified_credential_is_not_checked_again() {
             revalidate_sig_checks: 0,
         }
     );
+}
+
+/// Signature checks at a receiving wallet (paper §5 step 5: the
+/// absorbing wallet "is trusted to verify signatures"), on one substrate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct AbsorbRow {
+    /// Absorbing a proof whose credential the wallet has never seen.
+    never_seen: u64,
+    /// Absorbing a fresh copy of a credential the wallet already holds.
+    already_held: u64,
+}
+
+/// A home wallet holding `Member → Org.staff`, and the query for it.
+fn absorb_world(clock: &SimClock) -> (Wallet, Request) {
+    let mut rng = StdRng::seed_from_u64(3131);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    let grant = org
+        .delegate(Node::entity(&member), Node::role(org.role("staff")))
+        .sign(&org)
+        .unwrap();
+    let home = Wallet::new("home", clock.clone());
+    home.publish(grant, vec![]).unwrap();
+    let query = Request::DirectQuery {
+        subject: Node::entity(&member),
+        object: Node::role(org.role("staff")),
+        constraints: vec![],
+    };
+    (home, query)
+}
+
+/// Asks `home` over `transport` twice; the gateway absorbs each answer.
+fn absorb_row(transport: &dyn Transport, clock: &SimClock, query: &Request) -> AbsorbRow {
+    let home = WalletAddr::new("home");
+    let gateway = Wallet::new("gateway", clock.clone());
+    let ask_and_absorb = || {
+        let Ok(Reply::Proofs(proofs)) = transport.request(&home, query.clone()) else {
+            panic!("the home wallet answers the query");
+        };
+        let absorb = || gateway.absorb_proof(&proofs[0], &home).unwrap();
+        delta([SIG_CHECKS], absorb).0[0]
+    };
+    AbsorbRow {
+        never_seen: ask_and_absorb(),
+        already_held: ask_and_absorb(),
+    }
+}
+
+#[test]
+fn a_receiving_wallet_checks_each_new_signature_once_on_both_substrates() {
+    let _serial = serial();
+    let clock = SimClock::new();
+
+    let (home, query) = absorb_world(&clock);
+    let net = SimNet::new(clock.clone(), Ticks(1));
+    net.add_host("home", home);
+    let simnet = absorb_row(&net, &clock, &query);
+
+    let (home, query) = absorb_world(&clock);
+    let daemon = WalletDaemon::bind("127.0.0.1:0", home, TcpConfig::fast()).unwrap();
+    let tcp = TcpTransport::new(TcpConfig::fast());
+    tcp.add_route("home", daemon.local_addr());
+    let tcp = absorb_row(&tcp, &clock, &query);
+    daemon.shutdown();
+
+    let expected = AbsorbRow {
+        never_seen: 1,
+        already_held: 0,
+    };
+    assert_eq!([simnet, tcp], [expected, expected]);
 }
 
 /// Journal fsyncs (group commit or explicit sync).
