@@ -16,10 +16,19 @@
 //!   * byte-identical proofs between pristine SimNet and TCP (equal
 //!     timing-free decision digests) on every cell.
 //!
-//! Usage: `federation_record [--smoke] [--seed N] [--wallets N] [--out FILE]`.
-//! Smoke mode (small worlds, one TCP cell, ~seconds) is what
-//! `scripts/check.sh` runs; it writes to `target/BENCH_federation.smoke.json`
-//! by default so the committed full-run artifact is never clobbered.
+//! Usage: `federation_record [--smoke] [--seed N] [--wallets N] [--out FILE]
+//! [--check FILE]`. Smoke mode (small worlds, one TCP cell, ~seconds)
+//! writes to `target/BENCH_federation.smoke.json` by default so the
+//! committed full-run artifact is never clobbered.
+//!
+//! `--check FILE` compares the run's timing-free fields, cell by cell,
+//! with a recorded artifact and exits 1 on any difference —
+//! `scripts/check.sh` holds a full run to the committed file this way.
+//! Latencies and revocation lag are clocks and are never compared. Of a
+//! `simnet+chaos` cell only what the faults cannot move is compared: its
+//! message, timeout, retry, push and repair counts and its degraded
+//! split have differed between machines for the same commit and seed
+//! (every decision digest agreeing), and the cause is not known.
 
 use drbac_scenario::{
     run_simnet, run_tcp, Decision, Family, LatencySummary, RunConfig, Scale, ScenarioSpec,
@@ -97,6 +106,97 @@ fn json_report(r: &SoakReport) -> String {
     )
 }
 
+/// The scalar fields `json_report` writes for a cell.
+const SCALARS: [&str; 24] = [
+    "family",
+    "seed",
+    "substrate",
+    "wallets",
+    "publishes",
+    "declarations",
+    "revocations",
+    "queries",
+    "grants",
+    "denials",
+    "degraded_rate",
+    "hard_mismatches",
+    "degraded_mismatches",
+    "unsound",
+    "monitors_opened",
+    "monitors_expected_dead",
+    "monitors_repaired",
+    "termination_failures",
+    "spurious_terminations",
+    "total_messages",
+    "push_messages",
+    "timeouts",
+    "retried_ops",
+    "decision_digest",
+];
+
+/// The scalars of a `simnet+chaos` cell that do not reproduce from one
+/// machine to another.
+const CHAOS_DRIFT: [&str; 7] = [
+    "degraded_rate",
+    "degraded_mismatches",
+    "monitors_repaired",
+    "total_messages",
+    "push_messages",
+    "timeouts",
+    "retried_ops",
+];
+
+/// The scalar after `"key": `, if `key` occurs.
+fn field<'a>(cell: &'a str, key: &str) -> Option<&'a str> {
+    let at = cell.find(&format!("\"{key}\": "))? + key.len() + 4;
+    let rest = &cell[at..];
+    Some(&rest[..rest.find([',', '}', '\n']).unwrap_or(rest.len())])
+}
+
+/// A cell's timing-free fields as `key = value` lines: the compared
+/// scalars, then every `wallets_contacted` summary (overall first, then
+/// per decision unless the cell ran under chaos).
+fn timing_free(cell: &str) -> Vec<String> {
+    let chaos = field(cell, "substrate") == Some("\"simnet+chaos\"");
+    let mut out: Vec<String> = SCALARS
+        .iter()
+        .filter(|key| !(chaos && CHAOS_DRIFT.contains(key)))
+        .map(|key| format!("{key} = {}", field(cell, key).unwrap_or("missing")))
+        .collect();
+    let summaries = cell.split("\"wallets_contacted\": ").skip(1);
+    for (i, summary) in summaries.take(if chaos { 1 } else { 4 }).enumerate() {
+        let end = summary.find('}').map_or(summary.len(), |e| e + 1);
+        out.push(format!("wallets_contacted[{i}] = {}", &summary[..end]));
+    }
+    out
+}
+
+/// The cells of an artifact's text, in order.
+fn cells(json: &str) -> Vec<&str> {
+    let starts: Vec<usize> = json.match_indices("{\"family\": ").map(|(at, _)| at).collect();
+    let ends = starts.iter().skip(1).copied().chain([json.len()]);
+    starts.iter().zip(ends).map(|(&at, end)| &json[at..end]).collect()
+}
+
+/// Every timing-free difference between a run and a recorded artifact.
+fn differences(run: &str, recorded: &str) -> Vec<String> {
+    let (run, recorded) = (cells(run), cells(recorded));
+    let mut out = Vec::new();
+    if run.len() != recorded.len() {
+        out.push(format!("{} cells, recorded {}", run.len(), recorded.len()));
+    }
+    for (new, old) in run.iter().zip(&recorded) {
+        let (new, old) = (timing_free(new), timing_free(old));
+        let name = new[..3].join(" ");
+        for (n, o) in new.iter().zip(&old) {
+            if n != o {
+                out.push(format!("{name}: {n}, recorded {o}"));
+            }
+        }
+    }
+    out
+}
+
 /// The invariants every cell must hold on every substrate.
 fn assert_invariants(r: &SoakReport) {
     let cell = format!("{}/{}/{}", r.family, r.seed, r.substrate);
@@ -116,9 +216,11 @@ fn main() {
     } else {
         String::from("BENCH_federation.json")
     };
+    let mut check = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--check" => check = Some(it.next().expect("--check FILE").clone()),
             "--seed" => seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N"),
             "--wallets" => {
                 wallets = it.next().and_then(|v| v.parse().ok()).expect("--wallets N")
@@ -128,7 +230,7 @@ fn main() {
             other => {
                 eprintln!(
                     "usage: federation_record [--smoke] [--seed N] [--wallets N] [--out FILE] \
-                     (got {other:?})"
+                     [--check FILE] (got {other:?})"
                 );
                 std::process::exit(2);
             }
@@ -232,4 +334,67 @@ fn main() {
         seeds.len(),
         parity_cells,
     );
+
+    if let Some(recorded) = check {
+        let text = std::fs::read_to_string(&recorded)
+            .unwrap_or_else(|e| panic!("read {recorded}: {e}"));
+        let diffs = differences(&json, &text);
+        if !diffs.is_empty() {
+            eprintln!("check: the run differs from {recorded} in timing-free fields:");
+            for d in &diffs {
+                eprintln!("  {d}");
+            }
+            std::process::exit(1);
+        }
+        eprintln!("check: every cell's timing-free fields equal {recorded}'s");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CELL: &str = r#"    {"family": "deep-ladder", "seed": 1, "substrate": "SUB", "wallets": 4, "publishes": 9, "declarations": 0, "revocations": 0, "queries": 2, "grants": 1, "denials": 1, "degraded_rate": 0.5000, "hard_mismatches": 0, "degraded_mismatches": 0, "unsound": 0, "monitors_opened": 1, "monitors_expected_dead": 0, "monitors_repaired": 0, "termination_failures": 0, "spurious_terminations": 0, "total_messages": 40, "push_messages": 0, "timeouts": 3, "retried_ops": 1, "decision_digest": "8784a684f1dda51a",
+     "discovery_ns": {"count": 2, "p50": 100, "p90": 200, "p99": 200, "max": 200},
+     "wallets_contacted": {"count": 2, "p50": 1, "p90": 4, "p99": 4, "max": 4},
+     "by_decision":
+      {"grant": {"discovery_ns": {"count": 1, "p50": 100, "p90": 100, "p99": 100, "max": 100}, "wallets_contacted": {"count": 1, "p50": 1, "p90": 1, "p99": 1, "max": 1}},
+       "deny": {"discovery_ns": {"count": 1, "p50": 200, "p90": 200, "p99": 200, "max": 200}, "wallets_contacted": {"count": 1, "p50": 4, "p90": 4, "p99": 4, "max": 4}},
+       "degraded": {"discovery_ns": {"count": 0, "p50": 0, "p90": 0, "p99": 0, "max": 0}, "wallets_contacted": {"count": 0, "p50": 0, "p90": 0, "p99": 0, "max": 0}}},
+     "revocation_lag": {"count": 0, "p50": 0, "p90": 0, "p99": 0, "max": 0}}"#;
+
+    fn artifact(substrate: &str, edit: impl Fn(String) -> String) -> String {
+        format!("{{\n  \"cells\": [\n{}\n  ]\n}}\n", edit(CELL.replace("SUB", substrate)))
+    }
+
+    #[test]
+    fn check_compares_only_timing_free_fields() {
+        let recorded = artifact("simnet", |c| c);
+        assert_eq!(timing_free(cells(&recorded)[0]).len(), SCALARS.len() + 4);
+        assert!(differences(&recorded, &recorded).is_empty());
+        // Clocks never count.
+        let slower = artifact("simnet", |c| c.replace("\"p50\": 100", "\"p50\": 900"));
+        assert!(differences(&slower, &recorded).is_empty());
+        // A digest, a message count or a per-decision wallet count does.
+        for edit in [
+            ("8784a684f1dda51a", "0000000000000000"),
+            ("\"total_messages\": 40", "\"total_messages\": 41"),
+            ("\"p90\": 1, \"p99\": 1", "\"p90\": 2, \"p99\": 1"),
+        ] {
+            let run = artifact("simnet", |c| c.replace(edit.0, edit.1));
+            assert_eq!(differences(&run, &recorded).len(), 1, "{edit:?}");
+        }
+    }
+
+    #[test]
+    fn a_chaos_cell_is_held_to_what_the_faults_cannot_move() {
+        let recorded = artifact("simnet+chaos", |c| c);
+        let drifted = artifact("simnet+chaos", |c| {
+            c.replace("\"total_messages\": 40", "\"total_messages\": 41")
+                .replace("\"p90\": 1, \"p99\": 1", "\"p90\": 2, \"p99\": 1")
+        });
+        assert!(differences(&drifted, &recorded).is_empty());
+        let diverged = artifact("simnet+chaos", |c| c.replace("\"grants\": 1", "\"grants\": 2"));
+        assert_eq!(differences(&diverged, &recorded).len(), 1);
+    }
 }

@@ -293,14 +293,16 @@ impl DelegationGraph {
     /// violate the constraints, one per reachable node, in deterministic
     /// order (chain length, then delegation ids).
     pub fn subject_query(&self, subject: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        self.every_proof_from(subject, Direction::Forward, opts)
+        drbac_obs::static_histogram!("drbac.graph.search.subject.ns")
+            .time(|| self.every_proof_from(subject, Direction::Forward, opts))
     }
 
     /// Object query (§4.1): enumerate proofs `* ⇒ object` that do not
     /// violate the constraints, one per reaching node, in deterministic
     /// order (chain length, then delegation ids).
     pub fn object_query(&self, object: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        self.every_proof_from(object, Direction::Reverse, opts)
+        drbac_obs::static_histogram!("drbac.graph.search.object.ns")
+            .time(|| self.every_proof_from(object, Direction::Reverse, opts))
     }
 
     /// One proof per node a full search from `start` reaches, sorted by

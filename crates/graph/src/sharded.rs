@@ -240,6 +240,17 @@ impl DelegationGraph {
         shard.supports.get(&(issuer, right.clone())).cloned()
     }
 
+    /// `true` if [`DelegationGraph::provide_support`] of `support` would
+    /// change nothing: it is the proof held under its key, or it has no
+    /// key (its subject is not an entity).
+    pub fn holds_support(&self, support: &Proof) -> bool {
+        let Node::Entity(issuer) = support.subject() else {
+            return true;
+        };
+        let shard = Self::read_edges(self.edge_shard_of_entity(*issuer));
+        shard.supports.get(&(*issuer, support.object().clone())) == Some(support)
+    }
+
     /// Every provided support proof (for persistence).
     pub fn all_supports(&self) -> Vec<Proof> {
         let mut out = Vec::new();

@@ -32,13 +32,14 @@ struct TagEntry {
 /// Records a learned tag with TTL-coherence refresh semantics:
 /// re-observing a tag extends its lifetime (latest expiry wins) and may
 /// promote it to permanent, but never shortens it — a permanent
-/// registration stays permanent.
+/// registration stays permanent. Returns `true` when `tag` was stored
+/// (the key was new); an existing entry keeps its tag.
 fn remember<K: std::hash::Hash + Eq>(
     map: &mut HashMap<K, TagEntry>,
     key: K,
     tag: &DiscoveryTag,
     expires: Option<Timestamp>,
-) {
+) -> bool {
     match map.entry(key) {
         std::collections::hash_map::Entry::Occupied(mut slot) => {
             let entry = slot.get_mut();
@@ -47,12 +48,14 @@ fn remember<K: std::hash::Hash + Eq>(
                 (Some(_), None) => entry.expires = None,
                 _ => {}
             }
+            false
         }
         std::collections::hash_map::Entry::Vacant(slot) => {
             slot.insert(TagEntry {
                 tag: tag.clone(),
                 expires,
             });
+            true
         }
     }
 }
@@ -80,6 +83,12 @@ pub enum TagLookup<'a> {
 pub struct Directory {
     node_tags: HashMap<Node, TagEntry>,
     entity_tags: HashMap<EntityId, TagEntry>,
+    /// Whether any tag ever stored carries the subject-search (`S`) or
+    /// the object-search (`O`) flag. They only ever turn on, so they
+    /// over-approximate the tags held: a direction neither can enable is
+    /// one no lookup can enable either.
+    subject_search: bool,
+    object_search: bool,
 }
 
 impl Directory {
@@ -91,14 +100,21 @@ impl Directory {
     /// Registers a node's discovery tag (out-of-band knowledge; never
     /// expires).
     pub fn register(&mut self, node: Node, tag: DiscoveryTag) {
+        self.note_flags(&tag);
         self.node_tags.insert(node, TagEntry { tag, expires: None });
     }
 
     /// Registers a namespace-wide tag for an entity (fallback for roles in
     /// that namespace; never expires).
     pub fn register_entity(&mut self, entity: EntityId, tag: DiscoveryTag) {
+        self.note_flags(&tag);
         self.entity_tags
             .insert(entity, TagEntry { tag, expires: None });
+    }
+
+    fn note_flags(&mut self, tag: &DiscoveryTag) {
+        self.subject_search |= tag.searchable_from_subject();
+        self.object_search |= tag.searchable_from_object();
     }
 
     /// The tag for `node`: exact registration first, then the namespace
@@ -149,13 +165,19 @@ impl Directory {
         for cert in proof.all_certs() {
             let d = cert.delegation();
             if let Some(tag) = d.subject_tag() {
-                remember(&mut self.node_tags, d.subject().clone(), tag, expiry(tag));
+                if remember(&mut self.node_tags, d.subject().clone(), tag, expiry(tag)) {
+                    self.note_flags(tag);
+                }
             }
             if let Some(tag) = d.object_tag() {
-                remember(&mut self.node_tags, d.object().clone(), tag, expiry(tag));
+                if remember(&mut self.node_tags, d.object().clone(), tag, expiry(tag)) {
+                    self.note_flags(tag);
+                }
             }
             if let Some(tag) = d.issuer_tag() {
-                remember(&mut self.entity_tags, d.issuer(), tag, expiry(tag));
+                if remember(&mut self.entity_tags, d.issuer(), tag, expiry(tag)) {
+                    self.note_flags(tag);
+                }
             }
         }
     }
@@ -225,7 +247,8 @@ pub enum DiscoveryStep {
     /// Absorbed remote sub-proofs into the local wallet and subscribed
     /// for coherence.
     Absorbed {
-        /// Credentials inserted.
+        /// Distinct credentials of each proof the local wallet accepted,
+        /// supports included — held ones too, so not the number inserted.
         certs: usize,
     },
     /// Fetched attribute declarations from a remote wallet.
@@ -612,9 +635,18 @@ impl DiscoveryAgent {
         // combining Maria's presented credential. Flags are read off
         // the unconstrained closures; the frontiers start from the
         // constrained ones, which are the same sets when the query
-        // carries no constraints.
-        let fwd_roots = self.local_forward_roots(run.subject, &[]);
-        let rev_roots = self.local_reverse_roots(run.object, &[]);
+        // carries no constraints. A direction no tag in the directory
+        // can enable needs no roots: its closure is an object (or subject)
+        // query over the whole local wallet, and its flag test below
+        // would find nothing in it.
+        let fwd_roots = match self.directory.subject_search {
+            true => self.local_forward_roots(run.subject, &[]),
+            false => Vec::new(),
+        };
+        let rev_roots = match self.directory.object_search {
+            true => self.local_reverse_roots(run.object, &[]),
+            false => Vec::new(),
+        };
         let tagged = |nodes: &[Node], flag: fn(&DiscoveryTag) -> bool| {
             nodes
                 .iter()
@@ -1598,6 +1630,39 @@ mod tests {
         ));
         // tag_of keeps answering regardless of expiry (diagnostics).
         assert!(dir.tag_of(&node).is_some());
+    }
+
+    #[test]
+    fn directory_search_flags_only_turn_on() {
+        let w = fx();
+        let r1 = Node::role(w.a.role("r1"));
+        let learned = |tag: DiscoveryTag| {
+            let cert =
+                w.a.delegate(Node::entity(&w.m), r1.clone())
+                    .object_tag(tag)
+                    .sign(&w.a)
+                    .unwrap();
+            Proof::from_steps(vec![drbac_core::ProofStep::new(cert)]).unwrap()
+        };
+        let mut dir = Directory::new();
+        assert!(!dir.subject_search && !dir.object_search);
+        dir.register(r1.clone(), DiscoveryTag::new("a.home"));
+        assert!(!dir.subject_search && !dir.object_search);
+        // r1 already has a tag: a learned one is not stored, so its flag
+        // is not noted either.
+        dir.learn_from_proof(&learned(search_tag("a.home")));
+        assert!(!dir.subject_search && !dir.object_search);
+        let mut dir = Directory::new();
+        let object_only = DiscoveryTag::new("a.home").with_object_flag(ObjectFlag::Search);
+        dir.learn_from_proof_at(&learned(object_only.with_ttl(Ticks(1))), Timestamp(0));
+        assert!(!dir.subject_search && dir.object_search);
+        // The learned tag lapses; the flag stays on.
+        assert!(matches!(
+            dir.lookup(&r1, Timestamp(5)),
+            TagLookup::Expired(_)
+        ));
+        dir.register_entity(w.b.id(), search_tag("b.home"));
+        assert!(dir.subject_search && dir.object_search);
     }
 
     #[test]

@@ -557,17 +557,29 @@ impl Wallet {
     pub fn publish_declaration(&self, decl: &SignedAttrDeclaration) -> Result<(), WalletError> {
         drbac_obs::static_counter!("drbac.wallet.publish_declaration.count").inc();
         decl.verify(self.now())?;
-        if !self.state.signed_declarations.lock().contains(decl) {
+        let held = self.state.signed_declarations.lock().contains(decl);
+        let declared = decl.declaration();
+        // A held declaration whose base is still the one in force changes
+        // nothing: discovery re-publishes every declaration of each wallet
+        // it first contacts, and must not wipe the cached grants each time.
+        if held && self.state.graph.declarations().base(&declared.attr) == Some(declared.base) {
+            return Ok(());
+        }
+        if !held {
             self.journal(&StoreEvent::Declare(decl.clone()))?;
         }
-        self.state.graph.insert_declaration(decl.declaration());
+        self.state.graph.insert_declaration(declared);
         // Declarations re-base constraint evaluation and can flip answers
-        // in either direction — drop everything.
+        // in either direction — drop everything, and let a pending watch
+        // see a proof the new base admits.
         self.state.proof_cache.clear();
-        let mut signed = self.state.signed_declarations.lock();
-        if !signed.contains(decl) {
-            signed.push(decl.clone());
+        {
+            let mut signed = self.state.signed_declarations.lock();
+            if !signed.contains(decl) {
+                signed.push(decl.clone());
+            }
         }
+        self.run_watches();
         Ok(())
     }
 
@@ -585,6 +597,11 @@ impl Wallet {
     /// This is paper §5 step 5: "Delegations from this proof are inserted
     /// into the local wallet, which is trusted to verify signatures and
     /// establish its own validation subscriptions."
+    ///
+    /// A proof that adds nothing — every credential already held with
+    /// coherence metadata, every support already registered — is still
+    /// validated, and then changes nothing: no journal record, no cache
+    /// invalidation, no watch re-run.
     ///
     /// # Errors
     ///
@@ -615,11 +632,24 @@ impl Wallet {
         )
         .validate(proof)
         .map_err(WalletError::Validation)?;
+        let graph = &self.state.graph;
+        // Validation first, so a twin with an altered byte is refused
+        // even when its id is held. Discovery re-delivers mostly what the
+        // gateway already absorbed; such a proof costs its validation only.
+        let held = {
+            let cache = self.state.cache_meta.lock();
+            certs
+                .iter()
+                .all(|c| cache.contains_key(&c.id()) && graph.contains(c.id()))
+        };
+        if held && supports_registered(graph, proof) {
+            drbac_obs::static_counter!("drbac.wallet.absorb.unchanged.count").inc();
+            return Ok(());
+        }
         self.journal(&StoreEvent::Absorb {
             proof: proof.clone(),
             source: source.clone(),
         })?;
-        let graph = &self.state.graph;
         let mut cache = self.state.cache_meta.lock();
         for cert in certs {
             let ttl = cert
@@ -1314,6 +1344,15 @@ fn register_supports(graph: &DelegationGraph, proof: &Proof) {
     }
 }
 
+/// `true` if [`register_supports`] would leave `graph` as it is.
+fn supports_registered(graph: &DelegationGraph, proof: &Proof) -> bool {
+    proof.steps().iter().all(|step| {
+        step.supports()
+            .iter()
+            .all(|s| graph.holds_support(s) && supports_registered(graph, s))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1606,6 +1645,50 @@ mod tests {
                 .unwrap();
         f.wallet.publish(cert, vec![]).unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_declaration_that_admits_a_proof_fires_its_watch_and_a_held_one_clears_nothing() {
+        let f = fx();
+        // Undeclared, a subtracted quota starts at 0: the grant's -5
+        // leaves nothing, so a demand for 10 fails until the owner
+        // declares a base of 20.
+        let quota = f.a.attr("quota", AttrOp::Subtract);
+        let cert =
+            f.a.delegate(Node::entity(&f.m), Node::role(f.a.role("r")))
+                .with_attr(quota.clone(), 5.0)
+                .unwrap()
+                .sign(&f.a)
+                .unwrap();
+        f.wallet.publish(cert, vec![]).unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let fired2 = Arc::clone(&fired);
+        let demand = vec![AttrConstraint::at_least(quota.clone(), 10.0)];
+        f.wallet.watch_for_proof(
+            Node::entity(&f.m),
+            Node::role(f.a.role("r")),
+            demand.clone(),
+            move |_| {
+                fired2.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        let decl = SignedAttrDeclaration::sign(
+            AttrDeclaration::new(quota, 20.0).unwrap(),
+            &f.a,
+        )
+        .unwrap();
+        f.wallet.publish_declaration(&decl).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+
+        // The cached grant survives the same declaration published again.
+        assert!(f
+            .wallet
+            .query_direct(&Node::entity(&f.m), &Node::role(f.a.role("r")), &demand)
+            .is_some());
+        let cached = f.wallet.cached_query_answers();
+        f.wallet.publish_declaration(&decl).unwrap();
+        assert_eq!(f.wallet.cached_query_answers(), cached);
     }
 
     #[test]

@@ -118,6 +118,14 @@ test -s target/BENCH_proof_engine.smoke.json
 test -s target/BENCH_wallet_ops.smoke.json
 test -s target/BENCH_federation.smoke.json
 
+echo "== federation record (a full run's timing-free fields equal the committed artifact) =="
+# Every cell's decision digest, counts and wallets-contacted summaries;
+# a simnet+chaos cell's fault-driven counts excepted (federation_record.rs
+# says why). A change that moves the walk on purpose re-records the file
+# with `scripts/bench_record.sh federation`.
+target/release/federation_record --out target/BENCH_federation.check.json \
+    --check BENCH_federation.json >/dev/null
+
 echo "== perf guard (cold proof search vs committed artifact) =="
 target/release/proof_engine_record --guard
 

@@ -9,13 +9,19 @@
 //! Like `tests/chaos.rs`, the interleaving seed comes from
 //! `DRBAC_CHAOS_SEED` (default 2002) so `scripts/check.sh` can sweep a
 //! small seed matrix.
+//!
+//! A second model test holds the wallet's no-op paths to being
+//! invisible: absorbing a proof the wallet already holds and re-publishing
+//! a held declaration write and invalidate nothing, so a wallet with the
+//! cache on must keep answering exactly as one that always searches.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drbac::core::{
-    LocalEntity, Node, Proof, ProofStep, SignedDelegation, SignedRevocation, SimClock, Ticks,
-    Timestamp,
+    AttrConstraint, AttrDeclaration, AttrOp, LocalEntity, Node, Proof, ProofStep,
+    SignedAttrDeclaration, SignedDelegation, SignedRevocation, SimClock, Ticks, Timestamp,
+    WalletAddr,
 };
 use drbac::crypto::SchnorrGroup;
 use drbac::graph::SearchStats;
@@ -308,4 +314,203 @@ fn expired_support_is_not_served_from_cache() {
     // Sweeping afterwards changes nothing observable.
     wallet.process_expiries();
     assert!(wallet.query_direct(&subject, &object, &[]).is_none());
+}
+
+/// One seeded run of the no-op model: every step is applied to a wallet
+/// with the proof cache and to one without, and after every step both
+/// answer the same queries alike. Returns how many absorbs changed
+/// nothing.
+fn noop_model(seed: u64) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = SchnorrGroup::test_256();
+    let a = LocalEntity::generate("Owner", g.clone(), &mut rng);
+    let b = LocalEntity::generate("Broker", g.clone(), &mut rng);
+    let users: Vec<LocalEntity> = (0..3)
+        .map(|i| LocalEntity::generate(format!("U{i}"), g.clone(), &mut rng))
+        .collect();
+    let clock = SimClock::new();
+    let cached = Wallet::new("cached", clock.clone());
+    let plain = Wallet::new("plain", clock.clone());
+    plain.set_query_cache(false);
+    let source = WalletAddr::new("home");
+
+    // A quota that the r0 => r1 step draws down by 5: a constraint of 10
+    // holds under the base of 20 and fails under the base of 10, so
+    // re-publishing either declaration can flip an answer.
+    let quota = a.attr("quota", AttrOp::Subtract);
+    let declarations: Vec<SignedAttrDeclaration> = [10.0, 20.0]
+        .map(|base| {
+            SignedAttrDeclaration::sign(AttrDeclaration::new(quota.clone(), base).unwrap(), &a)
+                .unwrap()
+        })
+        .to_vec();
+    let (r0, r1, tp) = (a.role("r0"), a.role("r1"), a.role("tp"));
+    let ladder = a
+        .delegate(Node::role(r0.clone()), Node::role(r1.clone()))
+        .with_attr(quota.clone(), 5.0)
+        .unwrap()
+        .sign(&a)
+        .unwrap();
+    let admin = a
+        .delegate(Node::entity(&b), Node::role_admin(tp.clone()))
+        .sign(&a)
+        .unwrap();
+    let support = Proof::from_steps(vec![ProofStep::new(admin.clone())]).unwrap();
+    // A second support for the same right: a proof may carry only held
+    // credentials and still change which support is registered.
+    let admin_again = a
+        .delegate(Node::entity(&b), Node::role_admin(tp.clone()))
+        .serial(2)
+        .sign(&a)
+        .unwrap();
+    let other_support = Proof::from_steps(vec![ProofStep::new(admin_again.clone())]).unwrap();
+
+    // Credentials reach the wallets as publishes or inside absorbed
+    // proofs; revocations name any of them by its issuer.
+    let mut certs: Vec<(SignedDelegation, usize)> =
+        vec![(ladder.clone(), 0), (admin, 0), (admin_again, 0)];
+    let mut proofs: Vec<Proof> =
+        vec![Proof::from_steps(vec![ProofStep::new(ladder.clone())]).unwrap()];
+    for (i, u) in users.iter().enumerate() {
+        let grant = a
+            .delegate(Node::entity(u), Node::role(r0.clone()))
+            .expires(Timestamp(30 + 10 * i as u64))
+            .sign(&a)
+            .unwrap();
+        let enroll = b
+            .delegate(Node::entity(u), Node::role(tp.clone()))
+            .sign(&b)
+            .unwrap();
+        proofs.push(Proof::from_steps(vec![ProofStep::new(grant.clone())]).unwrap());
+        proofs.push(
+            Proof::from_steps(vec![
+                ProofStep::new(grant.clone()),
+                ProofStep::new(ladder.clone()),
+            ])
+            .unwrap(),
+        );
+        for support in [&support, &other_support] {
+            proofs.push(
+                Proof::from_steps(vec![
+                    ProofStep::new(enroll.clone()).with_support(support.clone())
+                ])
+                .unwrap(),
+            );
+        }
+        certs.push((grant, 0));
+        certs.push((enroll, 1));
+    }
+    let issuers = [&a, &b];
+    let mut queries: Vec<(Node, Node, Vec<AttrConstraint>)> = Vec::new();
+    for u in &users {
+        for object in [&r0, &r1, &tp] {
+            queries.push((Node::entity(u), Node::role(object.clone()), vec![]));
+        }
+        queries.push((
+            Node::entity(u),
+            Node::role(r1.clone()),
+            vec![AttrConstraint::at_least(quota.clone(), 10.0)],
+        ));
+    }
+
+    let both = |op: &dyn Fn(&Wallet) -> bool| {
+        let (x, y) = (op(&cached), op(&plain));
+        assert_eq!(
+            x, y,
+            "seed {seed}: the wallets disagree on whether a step applied"
+        );
+        x
+    };
+    // Whichever path an accepted absorb took, the wallet ends up holding
+    // the proof: every credential with coherence metadata, every support
+    // registered as delivered.
+    let holds = |w: &Wallet, proof: &Proof| {
+        proof
+            .all_certs()
+            .iter()
+            .all(|c| w.contains(c.id()) && w.cache_entry(c.id()).is_some())
+            && w.with_graph(|g| {
+                proof
+                    .steps()
+                    .iter()
+                    .flat_map(|step| step.supports())
+                    .all(|s| g.holds_support(s))
+            })
+    };
+    let unchanged = || {
+        drbac::obs::global()
+            .counter("drbac.wallet.absorb.unchanged.count")
+            .get()
+    };
+    let unchanged_before = unchanged();
+    for step in 0..160 {
+        match rng.gen_range(0u32..10) {
+            // Absorb a fresh decoded copy — new the first time, held after.
+            0..=2 => {
+                let proof =
+                    Proof::from_bytes(&proofs[rng.gen_range(0..proofs.len())].to_bytes()).unwrap();
+                if both(&|w| w.absorb_proof(&proof, &source).is_ok()) {
+                    assert!(
+                        holds(&cached, &proof) && holds(&plain, &proof),
+                        "seed {seed}, step {step}: an accepted absorb left the proof unheld"
+                    );
+                }
+            }
+            // A twin of a credential: same id, one signature byte flipped.
+            3 => {
+                let (cert, _) = &certs[rng.gen_range(0..certs.len())];
+                let mut bytes = cert.to_bytes();
+                *bytes.last_mut().unwrap() ^= 1;
+                let twin = SignedDelegation::from_bytes(&bytes).unwrap();
+                let proof = Proof::from_steps(vec![ProofStep::new(twin)]).unwrap();
+                both(&|w| w.absorb_proof(&proof, &source).is_ok());
+            }
+            4 => {
+                let (cert, _) = &certs[rng.gen_range(0..certs.len())];
+                let supports = match cert.delegation().needs_support() {
+                    true => vec![support.clone()],
+                    false => vec![],
+                };
+                both(&|w| w.publish(cert.clone(), supports.clone()).is_ok());
+            }
+            5 if rng.gen_range(0..3) == 0 => {
+                let (cert, issuer) = &certs[rng.gen_range(0..certs.len())];
+                let rev = SignedRevocation::revoke(cert, issuers[*issuer], clock.now()).unwrap();
+                both(&|w| w.revoke(&rev).is_ok());
+            }
+            6 => {
+                let decl = &declarations[rng.gen_range(0..declarations.len())];
+                both(&|w| w.publish_declaration(decl).is_ok());
+            }
+            7 => {
+                clock.advance(Ticks(rng.gen_range(1..4)));
+                both(&|w| {
+                    w.process_expiries();
+                    true
+                });
+            }
+            _ => {}
+        }
+        for _ in 0..3 {
+            let (s, o, c) = &queries[rng.gen_range(0..queries.len())];
+            let answers = [&cached, &plain].map(|w| w.query_direct(s, o, c).is_some());
+            assert_eq!(
+                answers[0], answers[1],
+                "seed {seed}, step {step}: {s} => {o} {c:?} answered {} with the cache, {} without",
+                answers[0], answers[1]
+            );
+        }
+        assert_eq!(cached.len(), plain.len(), "seed {seed}, step {step}");
+    }
+    unchanged() - unchanged_before
+}
+
+#[test]
+fn no_op_absorbs_and_declarations_are_invisible_to_answers() {
+    let seed = chaos_seed();
+    let mut unchanged = 0;
+    for salt in 0..3u64 {
+        unchanged += noop_model(seed.wrapping_add(salt.wrapping_mul(0x9E37_79B9)));
+    }
+    assert!(unchanged > 0, "no absorb took the no-op path");
 }

@@ -31,6 +31,13 @@
 //! above its watermark, so it costs one signature check per tail record,
 //! whatever the checkpointed history.
 //!
+//! Discovery pays only for what is new: re-absorbing a proof of held,
+//! cached credentials or re-publishing a held declaration writes nothing
+//! and invalidates nothing, and a discovery computes the local roots of
+//! only the directions its tags can enable. These rows are also equal at
+//! 0 and 5,000 marks, and a small cross-federation soak pins the searches,
+//! journal appends and object queries it runs.
+//!
 //! The third claim is the paper's §4.2.3 search argument (experiment
 //! F-A): the edges each strategy considers on the funnels and layered
 //! DAGs of `crates/bench/benches/search_strategies.rs`, built from the
@@ -51,15 +58,18 @@ use drbac::baselines::strategy::{bidirectional_search, forward_search, reverse_s
 use drbac::baselines::workload::{funnel, layered_dag, WorkloadSpec};
 use drbac::bignum::BigUint;
 use drbac::core::{
-    AttrDeclaration, AttrOp, DelegationId, LocalEntity, Node, Proof, ProofStep, ProofValidator,
-    RevocationLookup, SignedAttrDeclaration, SignedDelegation, SignedRevocation, SimClock, Ticks,
-    Timestamp, ValidationContext, WalletAddr,
+    AttrDeclaration, AttrOp, DelegationId, DiscoveryTag, LocalEntity, Node, ObjectFlag, Proof,
+    ProofStep, ProofValidator, RevocationLookup, SignedAttrDeclaration, SignedDelegation,
+    SignedRevocation, SimClock, SubjectFlag, Ticks, Timestamp, ValidationContext, WalletAddr,
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::graph::SearchOptions;
 use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
 use drbac::net::proto::{Reply, Request};
-use drbac::net::{SimNet, TcpConfig, TcpTransport, Transport, WalletDaemon};
+use drbac::net::{
+    Directory, DiscoveryAgent, SimNet, TcpConfig, TcpTransport, Transport, WalletDaemon,
+};
+use drbac::scenario::{run_simnet, Family, RunConfig, Scale, ScenarioSpec};
 use drbac::store::{Medium, MemMedium, StoreError, WalletStore};
 use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
@@ -616,6 +626,260 @@ fn a_receiving_wallet_checks_each_new_signature_once_on_both_substrates() {
         already_held: 0,
     };
     assert_eq!([simnet, tcp], [expected, expected]);
+}
+
+/// Records appended to any write-ahead store.
+const APPENDS: &str = "drbac.store.append.count";
+/// Batches applied to any delegation index.
+const INDEX_APPLIES: &str = "drbac.index.apply.count";
+/// Direct queries the proof cache answered.
+const CACHE_HITS: &str = "drbac.wallet.query.cache_hit.count";
+/// Absorbed proofs that added nothing.
+const UNCHANGED: &str = "drbac.wallet.absorb.unchanged.count";
+
+/// Graph searches run, `[direct, subject, object]`: the counts of their
+/// latency histograms.
+fn searches() -> [u64; 3] {
+    ["direct", "subject", "object"].map(|kind| {
+        drbac::obs::global()
+            .histogram(format!("drbac.graph.search.{kind}.ns"))
+            .count()
+    })
+}
+
+/// What the discovery path's writes cost an indexed gateway wallet.
+#[derive(Debug, PartialEq, Eq)]
+struct AbsorbLedger {
+    /// `[appends, index applies, negatives swept]` absorbing a proof of
+    /// credentials the wallet does not hold: a chain whose second step is
+    /// third-party and carries its support.
+    new: [u64; 3],
+    /// The same for a fresh copy of that proof, held and cached.
+    held: [u64; 3],
+    /// Cache hits of the denial cached before the held absorb, asked again.
+    denial_hits: u64,
+    /// `[cache entries dropped, appends]` publishing a declaration.
+    declare_new: [u64; 2],
+    /// The same for the held declaration published again.
+    declare_held: [u64; 2],
+}
+
+fn absorb_ledger(marks: usize) -> AbsorbLedger {
+    let mut rng = StdRng::seed_from_u64(3636);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let broker = LocalEntity::generate("Broker", g.clone(), &mut rng);
+    let users: Vec<LocalEntity> = (0..=NEGATIVES)
+        .map(|i| LocalEntity::generate(format!("U{i}"), g.clone(), &mut rng))
+        .collect();
+    let index = Arc::new(DelegationIndex::open(Box::new(MemTable::new())).unwrap());
+    let store = Arc::new(WalletStore::in_memory());
+    let (wallet, _) =
+        DurableWallet::open_indexed("gateway", SimClock::new(), store, index).unwrap();
+    for i in 0..marks {
+        let mut id = [0xA5u8; 32];
+        id[..8].copy_from_slice(&(i as u64).to_be_bytes());
+        wallet.push_event(DelegationEvent {
+            delegation: DelegationId(id),
+            reason: InvalidationReason::Revoked,
+        });
+    }
+
+    let (staff, member) = (org.role("staff"), org.role("member"));
+    let admin = org
+        .delegate(Node::entity(&broker), Node::role_admin(member.clone()))
+        .sign(&org)
+        .unwrap();
+    let proof = Proof::from_steps(vec![
+        ProofStep::new(
+            org.delegate(Node::entity(&users[0]), Node::role(staff.clone()))
+                .sign(&org)
+                .unwrap(),
+        ),
+        ProofStep::new(
+            broker
+                .delegate(Node::role(staff), Node::role(member.clone()))
+                .sign(&broker)
+                .unwrap(),
+        )
+        .with_support(Proof::from_steps(vec![ProofStep::new(admin)]).unwrap()),
+    ])
+    .unwrap();
+    // Each delivery is a fresh decoded copy, as off a wire.
+    let delivered = || Proof::from_bytes(&proof.to_bytes()).unwrap();
+    let home = WalletAddr::new("home");
+    let member = Node::role(member);
+    let cache_answers = || {
+        assert!(wallet
+            .find_proof(&Node::entity(&users[0]), &member, &[])
+            .is_some());
+        for user in &users[1..] {
+            assert!(wallet
+                .find_proof(&Node::entity(user), &member, &[])
+                .is_none());
+        }
+    };
+    for user in &users[1..] {
+        assert!(wallet
+            .find_proof(&Node::entity(user), &member, &[])
+            .is_none());
+    }
+    let (new, ()) = delta([APPENDS, INDEX_APPLIES, SWEPT], || {
+        wallet.absorb_proof(&delivered(), &home).unwrap()
+    });
+    cache_answers();
+    let ([unchanged, appends, applies, swept], ()) =
+        delta([UNCHANGED, APPENDS, INDEX_APPLIES, SWEPT], || {
+            wallet.absorb_proof(&delivered(), &home).unwrap()
+        });
+    assert_eq!(unchanged, 1, "the held proof took the full path");
+    let ([denial_hits], denial) = delta([CACHE_HITS], || {
+        wallet.find_proof(&Node::entity(&users[1]), &member, &[])
+    });
+    assert!(denial.is_none());
+
+    let declaration = SignedAttrDeclaration::sign(
+        AttrDeclaration::new(org.attr("quota", AttrOp::Min), 10.0).unwrap(),
+        &org,
+    )
+    .unwrap();
+    let declare = || {
+        cache_answers();
+        let cached = wallet.cached_query_answers() as u64;
+        let ([appends], ()) = delta([APPENDS], || {
+            wallet.publish_declaration(&declaration).unwrap()
+        });
+        [cached - wallet.cached_query_answers() as u64, appends]
+    };
+    let declare_new = declare();
+    let declare_held = declare();
+    AbsorbLedger {
+        new,
+        held: [appends, applies, swept],
+        denial_hits,
+        declare_new,
+        declare_held,
+    }
+}
+
+#[test]
+fn discovery_writes_cost_only_what_is_new_whatever_the_history() {
+    let _serial = serial();
+    let fresh = absorb_ledger(0);
+    assert_eq!(
+        fresh,
+        AbsorbLedger {
+            new: [1, 1, NEGATIVES as u64],
+            held: [0, 0, 0],
+            denial_hits: 1,
+            // The grant and every denial go; the held one drops nothing.
+            declare_new: [1 + NEGATIVES as u64, 1],
+            declare_held: [0, 0],
+        }
+    );
+    assert_eq!(
+        fresh,
+        absorb_ledger(5_000),
+        "a row moved with the revocation history"
+    );
+}
+
+/// `[direct, subject, object]` graph searches of one discovery of
+/// `Member ⇒ Org.r2`: the gateway holds `Member ⇒ Org.r1`, and `r1`'s
+/// home wallet, tagged with `tag`, holds `r1 ⇒ r2`.
+fn discovery_searches(tag: DiscoveryTag) -> [u64; 3] {
+    let mut rng = StdRng::seed_from_u64(3737);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    let (r1, r2) = (org.role("r1"), org.role("r2"));
+    let clock = SimClock::new();
+    let net = SimNet::new(clock.clone(), Ticks(1));
+    let gateway = net.add_host("gateway", Wallet::new("gateway", clock.clone()));
+    let home = net.add_host("home", Wallet::new("home", clock.clone()));
+    let sign = |subject: Node, object: Node| org.delegate(subject, object).sign(&org).unwrap();
+    gateway
+        .wallet()
+        .publish(sign(Node::entity(&member), Node::role(r1.clone())), vec![])
+        .unwrap();
+    home.wallet()
+        .publish(sign(Node::role(r1.clone()), Node::role(r2.clone())), vec![])
+        .unwrap();
+    let mut directory = Directory::new();
+    directory.register(Node::role(r1), tag);
+    let mut agent = DiscoveryAgent::new(net.clone(), &gateway, directory);
+    let before = searches();
+    assert!(agent
+        .discover(&Node::entity(&member), &Node::role(r2), &[])
+        .found());
+    let after = searches();
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+#[test]
+fn a_discovery_computes_only_the_roots_its_tags_can_use() {
+    let _serial = serial();
+    let home = DiscoveryTag::new("home");
+    let rows = [
+        discovery_searches(home.clone().with_subject_flag(SubjectFlag::Search)),
+        discovery_searches(
+            home.with_subject_flag(SubjectFlag::Search)
+                .with_object_flag(ObjectFlag::Search),
+        ),
+    ];
+    // Direct: the gateway's miss, the home's answer, the gateway's hit.
+    // Subject: the gateway's forward roots. Object: its reverse roots,
+    // only once a tag can search from the object side.
+    assert_eq!(rows, [[3, 1, 0], [3, 1, 1]]);
+}
+
+/// What the gateway and the homes of a small cross-federation soak do.
+#[derive(Debug, PartialEq, Eq)]
+struct FederationLedger {
+    queries: usize,
+    /// `[direct, subject, object]` graph searches.
+    searches: [u64; 3],
+    /// Journal appends, across every host.
+    appends: u64,
+    /// Absorbs, and those that added nothing.
+    absorbs: [u64; 2],
+    /// Cache entries the additions' negative sweeps looked at.
+    swept: u64,
+}
+
+#[test]
+fn a_cross_federation_soak_pays_only_for_what_is_new() {
+    let _serial = serial();
+    let scenario = ScenarioSpec::new(Family::CrossFederation, 1)
+        .with_scale(Scale::federation(8))
+        .generate();
+    let before = searches();
+    let ([appends, absorbs, unchanged, swept], report) = delta(
+        [APPENDS, "drbac.wallet.absorb.count", UNCHANGED, SWEPT],
+        || run_simnet(&scenario, &RunConfig::fault_free()),
+    );
+    let after = searches();
+    assert_eq!(report.hard_mismatches(), 0);
+    assert_eq!(
+        FederationLedger {
+            queries: report.records.len(),
+            searches: std::array::from_fn(|i| after[i] - before[i]),
+            appends,
+            absorbs: [absorbs, unchanged],
+            swept,
+        },
+        FederationLedger {
+            queries: 48,
+            // Roughly four direct searches per query; the tags carry
+            // only `S`, so no object query runs anywhere.
+            searches: [188, 193, 0],
+            // One per publish delivered to a home, one per absorb that
+            // added something.
+            appends: report.publishes as u64 + 23,
+            absorbs: [218, 195],
+            swept: 20,
+        }
+    );
 }
 
 /// Journal fsyncs (group commit or explicit sync).
