@@ -12,14 +12,14 @@
 //! * [`phantom`] — the SPKI/RT0-style *phantom role* encoding of
 //!   third-party delegation, to quantify the namespace pollution dRBAC's
 //!   third-party form avoids;
-//! * [`strategy`] — forward-only, reverse-only, and bidirectional chain
-//!   search over a delegation graph, for the §4.2.3 path-explosion
-//!   experiment;
+//! * [`direction`] — the §4.2.3 search-direction experiment (F-A): the
+//!   shipped discovery agent on funnel federations under `S`, `O` and
+//!   `S`+`O` tags, and authorizing-path counts on layered DAGs;
 //! * [`workload`] — synthetic delegation-forest generators shared by
 //!   tests and benches.
 
 pub mod crl;
+pub mod direction;
 pub mod ocsp;
 pub mod phantom;
-pub mod strategy;
 pub mod workload;

@@ -106,17 +106,16 @@ pub fn layered_dag<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Workloa
 /// everywhere (a `branching`-ary decoy tree) while the narrow side has
 /// in-degree 1 along the chain.
 ///
-/// With `narrow_reverse = true`, decoys fan out *forward*: a
+/// With `wide_forward = true`, decoys fan out *forward*: a
 /// subject-towards-object search must explore `O(branching^depth)` decoy
 /// edges, while an object-towards-subject search walks the in-degree-1
-/// chain in `depth + 1` edges. Bidirectional search expands the smaller
-/// frontier and therefore matches the cheap direction *without knowing in
-/// advance which direction is cheap* — the §4.2.3 claim.
-/// `narrow_reverse = false` mirrors the topology.
+/// chain in `depth + 1` edges. `wide_forward = false` mirrors the
+/// topology. [`crate::direction`] measures discovery on both. The `rng`
+/// only seeds the two entities; the topology is fixed.
 pub fn funnel<R: Rng + ?Sized>(
     branching: usize,
     depth: usize,
-    narrow_reverse: bool,
+    wide_forward: bool,
     rng: &mut R,
 ) -> Workload {
     assert!(branching >= 2 && depth >= 1);
@@ -125,79 +124,49 @@ pub fn funnel<R: Rng + ?Sized>(
     let subject = Node::entity(&user);
     let object = Node::role(owner.role("target"));
     let graph = DelegationGraph::new();
-    let _ = rng; // topology is deterministic; rng only seeds the entities
+    let edge = |from: &Node, to: &Node| {
+        let cert = owner.delegate(from.clone(), to.clone()).sign(&owner);
+        graph.insert(cert.expect("signs"));
+    };
 
     // The real chain subject → p0 → … → p(depth-1) → object.
-    let chain_nodes: Vec<Node> = (0..depth)
-        .map(|i| Node::role(owner.role(&format!("p{i}"))))
+    let roles = (0..depth).map(|i| Node::role(owner.role(&format!("p{i}"))));
+    let chain: Vec<Node> = std::iter::once(subject.clone())
+        .chain(roles)
+        .chain([object.clone()])
         .collect();
-    let mut prev = subject.clone();
-    for node in &chain_nodes {
-        graph.insert(
-            owner
-                .delegate(prev.clone(), node.clone())
-                .sign(&owner)
-                .expect("signs"),
-        );
-        prev = node.clone();
+    for pair in chain.windows(2) {
+        edge(&pair[0], &pair[1]);
     }
-    graph.insert(
-        owner
-            .delegate(prev, object.clone())
-            .sign(&owner)
-            .expect("signs"),
-    );
 
-    // Decoy tree: every chain node sprouts branching−1 extra children,
-    // each the root of a (branching)-ary decoy subtree, in the wide
-    // direction. Each anchor gets its own decoy budget so truncation
-    // cannot starve the anchors nearest one endpoint.
-    let per_anchor_cap = 1500usize;
-    let mut decoy_id = 0usize;
-    let mut spawn = |graph: &DelegationGraph, anchor: &Node, forward: bool| {
-        let budget_end = decoy_id + per_anchor_cap;
-        let mut frontier = vec![anchor.clone()];
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for from in &frontier {
-                let fanout = if from == anchor {
-                    branching - 1
-                } else {
-                    branching
-                };
-                for _ in 0..fanout {
-                    if decoy_id >= budget_end {
-                        return;
-                    }
-                    let d = Node::role(owner.role(&format!("d{decoy_id}")));
-                    decoy_id += 1;
-                    let cert = if forward {
-                        owner.delegate(from.clone(), d.clone())
-                    } else {
-                        owner.delegate(d.clone(), from.clone())
-                    };
-                    graph.insert(cert.sign(&owner).expect("signs"));
-                    next.push(d);
-                }
-            }
-            frontier = next;
-        }
+    // Decoy trees, `depth` levels deep in the wide direction: each anchor
+    // sprouts branching − 1 decoys, and every decoy `branching` more.
+    // Backward decoys anchor on roles only (no edge points into a bare
+    // entity), so the subject anchors only forward ones.
+    let anchors = match wide_forward {
+        true => &chain[..=depth],
+        false => &chain[1..],
     };
-    // Forward decoys can anchor on the (entity) subject; backward decoys
-    // must anchor on role-like nodes only (edges cannot point INTO a bare
-    // entity).
-    let mut anchors = Vec::new();
-    if narrow_reverse {
-        anchors.push(subject.clone());
-        anchors.extend(chain_nodes.iter().cloned());
-    } else {
-        anchors.extend(chain_nodes.iter().cloned());
-        anchors.push(object.clone());
-    }
-    for anchor in &anchors {
-        // narrow_reverse: decoys point forward (wide forward search);
-        // otherwise decoys point backward (wide reverse search).
-        spawn(&graph, anchor, narrow_reverse);
+    let mut decoys = 0usize;
+    for anchor in anchors {
+        let mut frontier = vec![anchor.clone()];
+        for level in 0..depth {
+            let fanout = if level == 0 { branching - 1 } else { branching };
+            let parents = frontier
+                .iter()
+                .flat_map(|from| (0..fanout).map(move |_| from));
+            frontier = parents
+                .map(|from| {
+                    let decoy = Node::role(owner.role(&format!("d{decoys}")));
+                    decoys += 1;
+                    match wide_forward {
+                        true => edge(from, &decoy),
+                        false => edge(&decoy, from),
+                    }
+                    decoy
+                })
+                .collect();
+        }
     }
 
     Workload {
@@ -330,8 +299,8 @@ mod tests {
     #[test]
     fn funnel_connects_in_both_orientations() {
         let mut rng = StdRng::seed_from_u64(10);
-        for narrow_reverse in [true, false] {
-            let w = funnel(3, 3, narrow_reverse, &mut rng);
+        for wide_forward in [true, false] {
+            let w = funnel(3, 3, wide_forward, &mut rng);
             let (proof, _) =
                 w.graph
                     .direct_query(&w.subject, &w.object, &SearchOptions::at(Timestamp(0)));

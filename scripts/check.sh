@@ -62,6 +62,19 @@ if [ "$(grep -c . <<<"$sites")" -ne 1 ] || ! grep -q '^crates/core/src/signed\.r
     echo "$sites" >&2
     exit 1
 fi
+# F-A measures search direction on the shipped discovery path
+# (`drbac_baselines::direction`); the in-memory strategy loops it replaced
+# stay gone. Whole words only: drbac-graph has an unrelated unit test
+# named `reverse_search_respects_depth_limits`.
+strategy=$( (find crates src tests -name strategy.rs
+    grep -rnwE 'forward_search|reverse_search|bidirectional_search|StrategyStats' crates src tests) || true)
+if [ -n "$strategy" ]; then
+    echo "check.sh: the duplicate search-direction implementation is back:" >&2
+    echo "$strategy" >&2
+    exit 1
+fi
+# The ledger also fails when EXPERIMENTS.md's F-A block (between its
+# markers) differs from what `direction::render` prints.
 cargo test -q --test work_ledger
 
 echo "== one checkpoint, two formats (no snapshot image, no wallet image, no unread index rows) =="

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use drbac::baselines::direction::{Cell, Row, Tags};
 use drbac::core::{
     DiscoveryTag, LocalEntity, Node, Proof, ProofStep, SignedDelegation, SignedRevocation,
     SimClock, SubjectFlag, Ticks,
@@ -187,6 +188,57 @@ fn discovery_parity_simnet_vs_tcp() {
     );
     for d in daemons {
         d.shutdown();
+    }
+}
+
+/// One F-A cell, the funnel of branching 2 and depth 3, discovers the
+/// same way over loopback daemons as over SimNet. From the same
+/// placement, in both orientations and under `S`, `O` and `S`+`O` tags,
+/// the decision, the wallets contacted and the hops are equal.
+#[test]
+fn f_a_funnel_discovery_parity_simnet_vs_tcp() {
+    for wide_forward in [true, false] {
+        let cell = Cell {
+            branching: 2,
+            depth: 3,
+            wide_forward,
+            cut: false,
+        };
+        for tags in Tags::ALL {
+            let federation = cell.federation(tags);
+            let sim = federation.discover();
+            let clock = SimClock::new();
+            let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+            let daemons: Vec<WalletDaemon> = (federation.homes.iter())
+                .map(|(addr, certs)| {
+                    let wallet = Wallet::new(addr.clone(), clock.clone());
+                    for cert in certs {
+                        wallet.publish(Arc::clone(cert), vec![]).unwrap();
+                    }
+                    let daemon =
+                        WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::fast()).unwrap();
+                    transport.add_route(addr.clone(), daemon.local_addr());
+                    daemon
+                })
+                .collect();
+            let gateway = Wallet::new("gateway", clock);
+            let mut agent = DiscoveryAgent::new(
+                Arc::clone(&transport),
+                gateway,
+                federation.directory.clone(),
+            );
+            let outcome = agent.discover(&federation.subject, &federation.object, &[]);
+            let tcp = Row::of(&outcome, 0);
+            assert!(sim.found, "{cell:?} under {tags:?}");
+            assert_eq!(
+                (tcp.found, tcp.wallets, tcp.hops),
+                (sim.found, sim.wallets, sim.hops),
+                "{cell:?} under {tags:?}"
+            );
+            for d in daemons {
+                d.shutdown();
+            }
+        }
     }
 }
 

@@ -39,9 +39,12 @@
 //! journal appends and object queries it runs.
 //!
 //! The third claim is the paper's §4.2.3 search argument (experiment
-//! F-A): the edges each strategy considers on the funnels and layered
-//! DAGs of `crates/bench/benches/search_strategies.rs`, built from the
-//! same seeds, are pinned whole.
+//! F-A), pinned whole from `drbac_baselines::direction`, the generator
+//! the `search_strategies` bench prints. On funnel federations the
+//! shipped `DiscoveryAgent` runs under `S`, `O` and `S`+`O` tags, with
+//! its wallets contacted, hops and SimNet messages. On layered DAGs
+//! come the path, enumeration and BFS edge counts. EXPERIMENTS.md's F-A
+//! block must equal the generator's rendering.
 //!
 //! The counts are deltas of process-global `drbac.*` counters, so the
 //! ledger lives in its own test binary and its tests run one at a time
@@ -54,8 +57,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use drbac::baselines::strategy::{bidirectional_search, forward_search, reverse_search};
-use drbac::baselines::workload::{funnel, layered_dag, WorkloadSpec};
+use drbac::baselines::direction::{funnel_tables, path_rows, render, Row};
 use drbac::bignum::BigUint;
 use drbac::core::{
     AttrDeclaration, AttrOp, DelegationId, DiscoveryTag, LocalEntity, Node, ObjectFlag, Proof,
@@ -63,7 +65,6 @@ use drbac::core::{
     SignedRevocation, SimClock, SubjectFlag, Ticks, Timestamp, ValidationContext, WalletAddr,
 };
 use drbac::crypto::{KeyPair, SchnorrGroup};
-use drbac::graph::SearchOptions;
 use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
 use drbac::net::proto::{Reply, Request};
 use drbac::net::{
@@ -1086,56 +1087,81 @@ fn an_indexed_boot_re_verifies_only_the_journal_tail() {
     assert_eq!([boot_sig_checks(8, 3), boot_sig_checks(64, 3)], [3, 3]);
 }
 
-/// Edges considered by `(forward, reverse, bidirectional)` search on a
-/// funnel built exactly as the F-A bench builds it.
-fn funnel_edges(branching: usize, depth: usize, wide_forward: bool, seed: u64) -> [usize; 3] {
-    let w = funnel(
-        branching,
-        depth,
-        wide_forward,
-        &mut StdRng::seed_from_u64(seed),
-    );
-    let now = Timestamp(0);
-    let runs = [
-        forward_search(&w.graph, &w.subject, &w.object, now),
-        reverse_search(&w.graph, &w.subject, &w.object, now),
-        bidirectional_search(&w.graph, &w.subject, &w.object, now),
-    ];
-    assert!(runs.iter().all(|r| r.found));
-    runs.map(|r| r.edges_considered)
+/// EXPERIMENTS.md's F-A block: the lines between its two markers.
+fn experiments_f_a_block() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
+    let text = std::fs::read_to_string(path).expect("EXPERIMENTS.md reads");
+    let (_, rest) = (text.split_once("<!-- F-A tables begin")).expect("the F-A begin marker");
+    let (_, rest) = rest
+        .split_once('\n')
+        .expect("a line after the begin marker");
+    let (block, _) = (rest.split_once("<!-- F-A tables end -->")).expect("the F-A end marker");
+    block.to_string()
 }
 
-/// F-A's three funnel tables: branching 2…5 at depth 5 and depth 2…7 at
-/// branching 3 (wide forward side), and the mirrored funnel.
+/// F-A's funnel tables (§4.2.3), from the shipped `DiscoveryAgent` on
+/// SimNet federations, pinned whole: per row the federation's size, then
+/// `[wallets contacted, hops, messages]` under `S`, `O` and `S`+`O`.
+/// Every provable cell finds the proof in all three settings and every
+/// cut cell denies in all three. EXPERIMENTS.md holds exactly what
+/// `direction::render` prints for these tables.
 #[test]
-fn f_a_edges_considered_on_the_funnels() {
+fn f_a_wallets_contacted_on_the_funnels() {
     let _serial = serial();
-    let by_branching: Vec<[usize; 3]> = (2..=5)
-        .map(|b| funnel_edges(b, 5, true, b as u64))
+    let tables = funnel_tables();
+    for (cell, _, rows) in tables.iter().flat_map(|t| &t.rows) {
+        assert!(
+            rows.iter().all(|r| r.found != cell.cut),
+            "{cell:?}: {rows:?}"
+        );
+    }
+    let counts: Vec<Vec<(usize, [[u64; 3]; 3])>> = (tables.iter())
+        .map(|t| {
+            (t.rows.iter())
+                .map(|(_, size, rows)| {
+                    let row = |r: &Row| [r.wallets as u64, r.hops as u64, r.messages];
+                    (*size, rows.each_ref().map(row))
+                })
+                .collect()
+        })
         .collect();
     assert_eq!(
-        by_branching,
-        [[82, 6, 7], [556, 6, 8], [2149, 6, 9], [2728, 6, 10]]
-    );
-    let by_depth: Vec<[usize; 3]> = (2..=7)
-        .map(|d| funnel_edges(3, d, true, d as u64))
-        .collect();
-    assert_eq!(
-        by_depth,
+        counts,
         [
-            [19, 3, 5],
-            [63, 4, 6],
-            [180, 5, 7],
-            [413, 6, 8],
-            [1098, 7, 9],
-            [3171, 8, 10]
+            // Wide forward side, depth 4, branching 2…4: `S` walks the
+            // decoy tree, `O` the chain's d + 1 homes, `S`+`O` one more.
+            vec![
+                (81, [[16, 16, 156], [5, 5, 38], [6, 6, 54]]),
+                (406, [[76, 76, 744], [5, 5, 38], [6, 6, 60]]),
+                (1281, [[153, 153, 1622], [5, 5, 38], [6, 6, 66]]),
+            ],
+            // Wide forward side, branching 3, depth 2…5.
+            vec![
+                (28, [[8, 8, 72], [3, 3, 22], [3, 3, 32]]),
+                (109, [[26, 26, 252], [4, 4, 30], [4, 4, 40]]),
+                (406, [[76, 76, 744], [5, 5, 38], [6, 6, 60]]),
+                (1459, [[208, 208, 2004], [6, 6, 46], [8, 8, 80]]),
+            ],
+            // Mirrored, branching 3, depth 3…5: the sides swap.
+            vec![
+                (109, [[4, 4, 30], [40, 40, 366], [5, 5, 48]]),
+                (406, [[5, 5, 38], [49, 49, 582], [5, 5, 48]]),
+                (1459, [[6, 6, 46], [314, 314, 2790], [7, 7, 68]]),
+            ],
+            // Cut, branching 3, depth 5, wide forward then mirrored: the
+            // reverse frontier dies at the object's home, and `S`+`O`
+            // still walks the whole forward side (ROADMAP item 7).
+            vec![
+                (1459, [[1458, 1458, 11662], [1, 1, 6], [1459, 1459, 11668]]),
+                (1459, [[6, 6, 46], [243, 243, 1942], [249, 249, 1988]]),
+            ],
         ]
     );
-    let mirrored: Vec<[usize; 3]> = [3usize, 5, 7]
-        .into_iter()
-        .map(|d| funnel_edges(3, d, false, d as u64 + 100))
-        .collect();
-    assert_eq!(mirrored, [[4, 43, 4], [6, 540, 6], [8, 3817, 8]]);
+    assert_eq!(
+        experiments_f_a_block(),
+        render(&tables, &path_rows()),
+        "EXPERIMENTS.md's F-A block is not what the generator prints"
+    );
 }
 
 /// F-A's path-count table on layered DAGs (branching 3, width 3): as
@@ -1143,26 +1169,7 @@ fn f_a_edges_considered_on_the_funnels() {
 #[test]
 fn f_a_paths_grow_as_branching_to_the_depth() {
     let _serial = serial();
-    let opts = SearchOptions::at(Timestamp(0));
-    let rows: Vec<[usize; 3]> = (2..=6)
-        .map(|depth| {
-            let spec = WorkloadSpec {
-                branching: 3,
-                depth,
-                width: 3,
-            };
-            let w = layered_dag(&spec, &mut StdRng::seed_from_u64(depth as u64));
-            let (paths, enumeration) = w
-                .graph
-                .enumerate_proofs(&w.subject, &w.object, &opts, 1_000_000);
-            let (_, bfs) = w.graph.direct_query(&w.subject, &w.object, &opts);
-            [
-                paths.len(),
-                enumeration.edges_considered,
-                bfs.edges_considered,
-            ]
-        })
-        .collect();
+    let rows: Vec<[usize; 3]> = path_rows().into_iter().map(|(_, row)| row).collect();
     assert_eq!(
         rows,
         [
