@@ -16,10 +16,8 @@
 //!   wallet, discovery tag, and the expected effective attribute values
 //!   (BW = 100, storage = 30, hours = 18).
 
-pub mod federation;
 mod resource;
 pub mod scenario;
 
-pub use federation::FederationScenario;
 pub use resource::{AccessError, AccessSession, ProtectedResource, ResilientSession};
 pub use scenario::CoalitionScenario;

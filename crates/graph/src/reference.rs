@@ -83,6 +83,22 @@ pub fn object_query_ref(
     (proofs, engine.stats)
 }
 
+/// The transitive-trust slack of the chain `cert` prepended to `proof`:
+/// the minimum over its steps of `max_extension_depth - position`
+/// (`u64::MAX` when no step is limited).
+fn reverse_slack(cert: &SignedDelegation, proof: &Proof) -> u64 {
+    std::iter::once(cert)
+        .chain(proof.steps().iter().map(|s| s.cert()))
+        .enumerate()
+        .filter_map(|(pos, c)| {
+            c.delegation()
+                .max_extension_depth()
+                .map(|l| l.saturating_sub(pos as u64))
+        })
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
 impl<'g> RefEngine<'g> {
     fn new(graph: &'g DelegationGraph, opts: &'g SearchOptions) -> Self {
         RefEngine {
@@ -100,7 +116,9 @@ impl<'g> RefEngine<'g> {
         dir: Direction,
     ) -> HashMap<Node, Proof> {
         let mut results: HashMap<Node, Proof> = HashMap::new();
-        let mut frontier: HashMap<Node, Vec<AttrAccumulator>> = HashMap::new();
+        // Per node, the admitted `(accumulation, slack)` pairs; forward
+        // arrivals all carry `u64::MAX` slack.
+        let mut frontier: HashMap<Node, Vec<(AttrAccumulator, u64)>> = HashMap::new();
         let mut queue: VecDeque<State> = VecDeque::new();
 
         let initial = State {
@@ -111,7 +129,7 @@ impl<'g> RefEngine<'g> {
         frontier
             .entry(start.clone())
             .or_default()
-            .push(initial.acc.clone());
+            .push((initial.acc.clone(), u64::MAX));
         results.insert(start.clone(), initial.proof.clone());
         queue.push_back(initial);
 
@@ -142,9 +160,17 @@ impl<'g> RefEngine<'g> {
                     continue;
                 }
 
+                // A reverse arrival with less transitive-trust slack can be
+                // extended less far, so it needs its own frontier entry.
+                let slack = match dir {
+                    Direction::Forward => u64::MAX,
+                    Direction::Reverse => reverse_slack(&cert, &state.proof),
+                };
                 if frontier.get(&next_node).is_some_and(|seen| {
-                    seen.iter()
-                        .any(|prev| dominates(prev, &acc, &self.opts.constraints, &self.decls))
+                    seen.iter().any(|(prev, prev_slack)| {
+                        *prev_slack >= slack
+                            && dominates(prev, &acc, &self.opts.constraints, &self.decls)
+                    })
                 }) {
                     continue;
                 }
@@ -173,8 +199,11 @@ impl<'g> RefEngine<'g> {
                 }
 
                 let seen = frontier.entry(next_node.clone()).or_default();
-                seen.retain(|prev| !dominates(&acc, prev, &self.opts.constraints, &self.decls));
-                seen.push(acc.clone());
+                seen.retain(|(prev, prev_slack)| {
+                    !(slack >= *prev_slack
+                        && dominates(&acc, prev, &self.opts.constraints, &self.decls))
+                });
+                seen.push((acc.clone(), slack));
 
                 if proof
                     .accumulate()

@@ -135,10 +135,11 @@ struct StateRec {
     step: Option<ProofStep>,
     /// Primary-chain length so far.
     depth: u32,
-    /// Transitive-trust slack: the minimum over all chain steps of
-    /// `max_extension_depth - position` (`u64::MAX` = unlimited). Updated
-    /// in O(1) per edge; a reverse prepend shifts every position, which
-    /// is exactly a decrement of the whole minimum.
+    /// Transitive-trust slack of a reverse chain: the minimum over its
+    /// steps of `max_extension_depth - position` (`u64::MAX` = unlimited;
+    /// forward search does not track it). Updated in O(1) per edge; a
+    /// reverse prepend shifts every position, which is exactly a
+    /// decrement of the whole minimum.
     slack: u64,
     /// Attribute accumulation in discovery order (used for pruning and
     /// dominance, exactly as the pre-interning engine did).
@@ -158,21 +159,32 @@ struct Candidate {
     satisfies: bool,
 }
 
-/// Pareto frontier of accumulations seen per node. Unconstrained searches
-/// degrade to a plain visited set (any previous visit dominates). For
-/// constrained searches each node keeps its non-dominated effective-value
-/// vectors sorted descending by first component, so a dominance probe
-/// early-exits at the first entry that can no longer dominate — replacing
-/// the old linear scan over full accumulators that degraded quadratically
-/// on attribute-heavy fanout.
+/// Pareto frontier of arrivals seen per node. An arrival is dominated by
+/// an earlier one with at least its effective value under every
+/// constraint and — in reverse search — at least its transitive-trust
+/// slack: a reverse prepend shifts every position, so an arrival with
+/// less slack can be extended less far. (Forward appends never shift
+/// earlier steps, and breadth-first order reaches a node first by its
+/// shortest prefix, so forward search ignores slack.) Unconstrained
+/// forward searches degrade to a plain visited set. Entries are kept
+/// sorted descending by first component, so a dominance probe
+/// early-exits at the first entry that can no longer dominate —
+/// replacing the old linear scan over full accumulators that degraded
+/// quadratically on attribute-heavy fanout.
 struct Frontier {
     /// `(attr, base)` per constraint, precomputed once per search.
     bases: Vec<(AttrRef, f64)>,
-    seen: FastMap<NodeId, Vec<Box<[f64]>>>,
+    /// Whether arrivals differ in slack (reverse search; every forward
+    /// arrival carries `u64::MAX`).
+    by_slack: bool,
+    seen: FastMap<NodeId, Vec<Arrival>>,
 }
 
+/// An admitted arrival: its effective value per constraint, and its slack.
+type Arrival = (Box<[f64]>, u64);
+
 impl Frontier {
-    fn new(constraints: &[AttrConstraint], decls: &DeclarationSet) -> Self {
+    fn new(constraints: &[AttrConstraint], decls: &DeclarationSet, dir: Direction) -> Self {
         let bases = constraints
             .iter()
             .map(|c| {
@@ -184,6 +196,7 @@ impl Frontier {
             .collect();
         Frontier {
             bases,
+            by_slack: dir == Direction::Reverse,
             seen: FastMap::default(),
         }
     }
@@ -196,45 +209,49 @@ impl Frontier {
             .collect()
     }
 
-    /// `true` if a previously admitted accumulation dominates `vals` at
-    /// `node`. Sound to ask early, before the state's sibling candidates
-    /// are admitted: admitted entries are only ever displaced by entries
-    /// that dominate them, so "dominated once" stays true forever.
-    fn is_dominated(&self, node: NodeId, vals: &[f64]) -> bool {
+    /// `true` if a previously admitted arrival dominates `(vals, slack)`
+    /// at `node`. Sound to ask early, before the state's sibling
+    /// candidates are admitted: admitted entries are only ever displaced
+    /// by entries that dominate them, so "dominated once" stays true
+    /// forever.
+    fn is_dominated(&self, node: NodeId, vals: &[f64], slack: u64) -> bool {
         let Some(entries) = self.seen.get(&node) else {
             return false;
         };
-        if self.bases.is_empty() {
+        if self.bases.is_empty() && !self.by_slack {
             return true; // visited-set semantics
         }
-        for entry in entries {
-            if entry[0] < vals[0] {
+        for (entry, entry_slack) in entries {
+            if vals.first().is_some_and(|v| entry[0] < *v) {
                 break; // sorted descending: nothing further can dominate
             }
-            if entry.iter().zip(vals).all(|(a, b)| a >= b) {
+            if *entry_slack >= slack && entry.iter().zip(vals).all(|(a, b)| a >= b) {
                 return true;
             }
         }
         false
     }
 
-    /// Admits `vals` at `node`, evicting entries it dominates. Only
-    /// called after [`Frontier::is_dominated`] returned `false`.
-    fn admit(&mut self, node: NodeId, vals: Box<[f64]>) {
+    /// Admits `(vals, slack)` at `node`, evicting entries it dominates.
+    /// Only called after [`Frontier::is_dominated`] returned `false`.
+    fn admit(&mut self, node: NodeId, vals: Box<[f64]>, slack: u64) {
+        let visited_set = self.bases.is_empty() && !self.by_slack;
         let entries = self.seen.entry(node).or_default();
-        if self.bases.is_empty() {
+        if visited_set {
             return; // key presence is the whole visited mark
         }
+        let first = vals.first().copied().unwrap_or(0.0);
+        let head = |e: &Arrival| e.0.first().copied().unwrap_or(0.0);
         // Entries with a larger first component cannot be dominated by
         // `vals`; only the tail needs filtering.
-        let keep = entries.partition_point(|e| e[0] > vals[0]);
+        let keep = entries.partition_point(|e| head(e) > first);
         let tail = entries.split_off(keep);
         entries.extend(
             tail.into_iter()
-                .filter(|e| !vals.iter().zip(e.iter()).all(|(a, b)| a >= b)),
+                .filter(|(e, s)| !(slack >= *s && vals.iter().zip(e.iter()).all(|(a, b)| a >= b))),
         );
-        let pos = entries.partition_point(|e| e[0] >= vals[0]);
-        entries.insert(pos, vals);
+        let pos = entries.partition_point(|e| head(e) >= first);
+        entries.insert(pos, (vals, slack));
     }
 }
 
@@ -442,7 +459,7 @@ impl<'g> Engine<'g> {
         let start_id = interner.intern(start);
         let target_id = target.map(|t| interner.intern(t));
 
-        let mut frontier = Frontier::new(&self.opts.constraints, &self.decls);
+        let mut frontier = Frontier::new(&self.opts.constraints, &self.decls, dir);
         let mut arena: Vec<StateRec> = vec![StateRec {
             node: start_id,
             pred: NO_PRED,
@@ -452,7 +469,7 @@ impl<'g> Engine<'g> {
             acc: AttrAccumulator::new(),
         }];
         let root_vals = frontier.vals(&arena[0].acc);
-        frontier.admit(start_id, root_vals);
+        frontier.admit(start_id, root_vals, u64::MAX);
         let mut results: FastMap<NodeId, u32> = FastMap::default();
         results.insert(start_id, 0);
         let mut queue: VecDeque<u32> = VecDeque::new();
@@ -494,10 +511,10 @@ impl<'g> Engine<'g> {
         target: Option<NodeId>,
     ) -> Option<u32> {
         for cand in cands {
-            if frontier.is_dominated(cand.far, &cand.vals) {
+            if frontier.is_dominated(cand.far, &cand.vals, cand.slack) {
                 continue;
             }
-            frontier.admit(cand.far, cand.vals);
+            frontier.admit(cand.far, cand.vals, cand.slack);
             let idx = u32::try_from(arena.len()).expect("arena full");
             let depth = arena[parent as usize].depth + 1;
             arena.push(StateRec {
@@ -564,41 +581,25 @@ impl<'g> Engine<'g> {
                 continue;
             }
 
-            let vals = frontier.vals(&acc);
-            if frontier.is_dominated(edge.far, &vals) {
+            // Transitive-trust limits, maintained incrementally: drop
+            // chains the validator would reject. A forward append can only
+            // break the new step's own limit; a reverse prepend shifts
+            // every position, i.e. decrements the chain's slack.
+            let limit = delegation.max_extension_depth();
+            let (depth_ok, slack) = match (dir, state.slack) {
+                (Direction::Forward, _) => {
+                    (limit.is_none_or(|l| u64::from(state.depth) <= l), u64::MAX)
+                }
+                (Direction::Reverse, 0) => (false, 0),
+                (Direction::Reverse, u64::MAX) => (true, limit.unwrap_or(u64::MAX)),
+                (Direction::Reverse, s) => (true, limit.map_or(s - 1, |l| l.min(s - 1))),
+            };
+            if !depth_ok {
                 continue;
             }
 
-            // Transitive-trust limits, maintained incrementally: drop
-            // chains the validator would reject (forward appends can only
-            // break the new step; reverse prepends shift every position,
-            // i.e. decrement the chain's slack).
-            let limit = delegation.max_extension_depth();
-            let (depth_ok, slack) = match dir {
-                Direction::Forward => {
-                    let pos = u64::from(state.depth);
-                    match limit {
-                        Some(l) if pos > l => (false, 0),
-                        Some(l) => (true, state.slack.min(l - pos)),
-                        None => (true, state.slack),
-                    }
-                }
-                Direction::Reverse => {
-                    if state.slack == 0 {
-                        (false, 0)
-                    } else {
-                        let shifted = state.slack - 1;
-                        (
-                            true,
-                            match limit {
-                                Some(l) => shifted.min(l),
-                                None => shifted,
-                            },
-                        )
-                    }
-                }
-            };
-            if !depth_ok {
+            let vals = frontier.vals(&acc);
+            if frontier.is_dominated(edge.far, &vals, slack) {
                 continue;
             }
 
@@ -1431,6 +1432,48 @@ mod tests {
         let (proofs, _) = g.object_query(&Node::role(target), &opts());
         assert_eq!(proofs.len(), 1, "only the unextended proof survives");
         assert_eq!(proofs[0].chain_len(), 1);
+    }
+
+    #[test]
+    fn reverse_search_finds_proofs_behind_a_depth_limited_edge() {
+        // [S -> y], [y -> t] <depth: 0>, [y -> q], [q -> t]. Reverse
+        // search from t reaches y first over the limited edge, with no
+        // slack left; y reached again through q can still be extended
+        // to S, so the first arrival must not hide it.
+        let f = fx();
+        let g = DelegationGraph::new();
+        let [y, q, t] = ["y", "q", "t"].map(|n| Node::role(f.a.role(n)));
+        let subject = Node::entity(&f.maria);
+        for (serial, (from, to, limit)) in [
+            (&subject, &y, None),
+            (&y, &t, Some(0)),
+            (&y, &q, None),
+            (&q, &t, None),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut b = f.a.delegate(from.clone(), to.clone()).serial(serial as u64);
+            if let Some(l) = limit {
+                b = b.max_extension_depth(l);
+            }
+            g.insert(b.sign(&f.a).unwrap());
+        }
+        let (direct, _) = g.direct_query(&subject, &t, &opts());
+        assert_eq!(direct.expect("S => t over q").chain_len(), 3);
+
+        let (proofs, _) = g.object_query(&t, &opts());
+        let (reference, _) = crate::reference::object_query_ref(&g, &t, &opts());
+        let bytes = |ps: &[Proof]| ps.iter().map(Proof::to_bytes).collect::<Vec<_>>();
+        assert_eq!(bytes(&proofs), bytes(&reference));
+        let subjects: Vec<&Node> = proofs.iter().map(Proof::subject).collect();
+        assert_eq!(subjects, [&y, &q, &subject]);
+        assert_eq!(proofs[2].chain_len(), 3, "S reaches t only through q");
+        for p in &proofs {
+            assert!(ProofValidator::new(ValidationContext::at(Timestamp(0)))
+                .validate(p)
+                .is_ok());
+        }
     }
 
     #[test]

@@ -873,8 +873,9 @@ impl DiscoveryAgent {
                         proofs: proofs.len(),
                     },
                 });
-                self.absorb(&proofs, home, &mut run.trace);
-                for p in &proofs {
+                // Only a proof the local wallet accepted may steer the
+                // search: a refused one names nodes nobody vouched for.
+                for p in self.absorb(&proofs, home, &mut run.trace) {
                     let far = match planned.dir {
                         Direction::Forward => p.object(),
                         Direction::Reverse => p.subject(),
@@ -920,11 +921,19 @@ impl DiscoveryAgent {
 
     /// Inserts remote sub-proofs into the local wallet, learns their
     /// discovery tags, and queues a subscription at the source for each
-    /// credential the source has not already acknowledged.
-    fn absorb(&mut self, proofs: &[Proof], source: &WalletAddr, trace: &mut Vec<DiscoveryStep>) {
+    /// credential the source has not already acknowledged. Returns the
+    /// proofs the local wallet accepted.
+    fn absorb<'p>(
+        &mut self,
+        proofs: &'p [Proof],
+        source: &WalletAddr,
+        trace: &mut Vec<DiscoveryStep>,
+    ) -> Vec<&'p Proof> {
         let mut certs = 0;
+        let mut accepted = Vec::with_capacity(proofs.len());
         for proof in proofs {
             if self.local.absorb_proof(proof, source).is_ok() {
+                accepted.push(proof);
                 let now = self.local.now();
                 self.directory.learn_from_proof_at(proof, now);
                 let ids = proof.delegation_ids();
@@ -946,6 +955,7 @@ impl DiscoveryAgent {
                 .add(certs as u64);
             trace.push(DiscoveryStep::Absorbed { certs });
         }
+        accepted
     }
 
     /// Sends the queued subscriptions as one batch and remembers the
@@ -988,7 +998,7 @@ impl DiscoveryAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::WalletHost;
+    use crate::sim::{SimNet, WalletHost};
     use crate::testkit::{fx, Fx};
     use drbac_core::{ObjectFlag, SubjectFlag, Ticks};
     use drbac_wallet::Wallet;
@@ -1663,6 +1673,96 @@ mod tests {
         ));
         dir.register_entity(w.b.id(), search_tag("b.home"));
         assert!(dir.subject_search && dir.object_search);
+    }
+
+    /// Forwards to a SimNet and logs every destination; each proof in a
+    /// reply from `from` that ends at `far` arrives with one signature
+    /// byte flipped.
+    struct Tampering {
+        net: SimNet,
+        from: WalletAddr,
+        far: Node,
+        log: parking_lot::Mutex<Vec<WalletAddr>>,
+    }
+
+    impl Transport for Tampering {
+        fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError> {
+            self.log.lock().push(to.clone());
+            let tamper = |p: Proof| {
+                if *to != self.from || p.object() != &self.far {
+                    return p;
+                }
+                // The signature is the tail of the wire form.
+                let mut bytes = p.steps()[0].cert().to_bytes();
+                *bytes.last_mut().unwrap() ^= 1;
+                let cert = drbac_core::SignedDelegation::from_bytes(&bytes).unwrap();
+                Proof::from_steps(vec![drbac_core::ProofStep::new(cert)]).unwrap()
+            };
+            Ok(match self.net.request(to, req)? {
+                Reply::Proofs(proofs) => Reply::Proofs(proofs.into_iter().map(tamper).collect()),
+                other => other,
+            })
+        }
+    }
+
+    #[test]
+    fn a_refused_proof_does_not_steer_discovery() {
+        // M's home serves M => r1 and M => r2; r2 is homed at wallet.z,
+        // and the copy of M => r2 in the reply is forged. The real proof
+        // runs M => r1 => r3 => T over wallet.b and wallet.c.
+        let w = fx();
+        let local = host(&w, "local");
+        let [r1, r2, r3, t] = ["r1", "r2", "r3", "t"].map(|r| Node::role(w.a.role(r)));
+        let m = Node::entity(&w.m);
+        for (home, subject, object) in [
+            ("wallet.a", &m, &r1),
+            ("wallet.a", &m, &r2),
+            ("wallet.b", &r1, &r3),
+            ("wallet.c", &r3, &t),
+            ("wallet.z", &r2, &t),
+        ] {
+            let cert =
+                w.a.delegate(subject.clone(), object.clone())
+                    .sign(&w.a)
+                    .unwrap();
+            let wallet = match w.net.host(&home.into()) {
+                Some(h) => h,
+                None => host(&w, home),
+            };
+            wallet.wallet().publish(cert, vec![]).unwrap();
+        }
+        let s_tag = |home: &str| DiscoveryTag::new(home).with_subject_flag(SubjectFlag::Search);
+        let mut dir = Directory::new();
+        for (node, home) in [
+            (&m, "wallet.a"),
+            (&r1, "wallet.b"),
+            (&r3, "wallet.c"),
+            (&r2, "wallet.z"),
+        ] {
+            dir.register(node.clone(), s_tag(home));
+        }
+        let transport = Arc::new(Tampering {
+            net: w.net.clone(),
+            from: "wallet.a".into(),
+            far: r2.clone(),
+            log: parking_lot::Mutex::new(Vec::new()),
+        });
+        let mut agent = DiscoveryAgent::new(Arc::clone(&transport), local, dir);
+        let outcome = agent.discover(&m, &t, &[]);
+
+        let proof = outcome.monitor.as_ref().expect("granted over r1").proof();
+        let path: Vec<&Node> = proof
+            .steps()
+            .iter()
+            .map(|s| s.cert().delegation().object())
+            .collect();
+        assert_eq!(path, [&r1, &r3, &t]);
+        let log = transport.log.lock();
+        assert!(log.contains(&"wallet.c".into()));
+        assert!(
+            !log.contains(&"wallet.z".into()),
+            "a forged proof sent the gateway to the wallet it named"
+        );
     }
 
     #[test]

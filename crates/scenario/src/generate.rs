@@ -257,12 +257,14 @@ impl Gen {
     }
 
     /// Signs `[subject -> object] owner(object)` with subject/object
-    /// tags pointing at the nodes' home wallets.
+    /// tags pointing at the nodes' home wallets, and the transitive-trust
+    /// limit `<depth: limit>` if one is given.
     fn delegate(
         &mut self,
         subject: Node,
         object: Node,
         attr: Option<(AttrRef, f64)>,
+        limit: Option<u64>,
     ) -> Arc<SignedDelegation> {
         let issuer = self
             .orgs
@@ -279,6 +281,9 @@ impl Gen {
         if let Some((a, v)) = attr {
             b = b.with_attr(a, v).expect("attr clause on issuer namespace");
         }
+        if let Some(depth) = limit {
+            b = b.max_extension_depth(depth);
+        }
         Arc::new(b.sign(&self.orgs[issuer]).expect("delegation signs"))
     }
 
@@ -289,10 +294,21 @@ impl Gen {
         object: Node,
         attr: Option<(AttrRef, f64)>,
     ) -> Option<Arc<SignedDelegation>> {
+        self.publish_limited(subject, object, attr, None)
+    }
+
+    /// As [`Gen::publish`], with a transitive-trust limit.
+    fn publish_limited(
+        &mut self,
+        subject: Node,
+        object: Node,
+        attr: Option<(AttrRef, f64)>,
+        limit: Option<u64>,
+    ) -> Option<Arc<SignedDelegation>> {
         if subject == object {
             return None;
         }
-        let cert = self.delegate(subject.clone(), object, attr);
+        let cert = self.delegate(subject.clone(), object, attr, limit);
         self.schedule.push(Event::Publish {
             home: self.home_of(&subject),
             cert: Arc::clone(&cert),
@@ -372,13 +388,41 @@ fn ladder_rung(g: &Gen, u: usize, d: usize) -> Node {
     g.role((u + d) % orgs, d % g.spec.scale.roles_per_org)
 }
 
+/// The transitive-trust limit (§6, `<depth: N>`) on the delegation into
+/// rung `d` of user `u`'s ladder. It depends only on the rung role
+/// `(org, r)`, which is entered only from role `(org - 1, r - 1)`: every
+/// ladder's copy of that delegation carries the same limit, so which
+/// copy a remote query returns cannot change a decision. Ladders that
+/// share rung roles reach the delegation at positions a whole number of
+/// laps (`roles_per_org` rungs) apart. By the rung's org, mod 3:
+///
+/// * 1: `<depth: lap>`, where `lap` (1..=roles) is the rung's position
+///   within its lap. A ladder that reaches the rung on its first lap
+///   is granted; one that reaches it a lap later is refused;
+/// * 2: `<depth: 0>`. No ladder can extend it, so its rung and every
+///   rung above it are denied;
+/// * 0: no limit.
+///
+/// A user's own enrolment (`d = 0`) is never limited.
+fn rung_limit(g: &Gen, u: usize, d: usize) -> Option<u64> {
+    let lap = (d.checked_sub(1)? % g.spec.scale.roles_per_org + 1) as u64;
+    match (u + d) % g.spec.scale.orgs % 3 {
+        1 => Some(lap),
+        2 => Some(0),
+        _ => None,
+    }
+}
+
 fn deep_ladder(g: &mut Gen) {
     let depth = ladder_depth(g);
     for u in 0..g.spec.scale.users {
         let mut prev = Node::entity(&g.users[u]);
         for d in 0..depth {
             let rung = ladder_rung(g, u, d);
-            if g.publish(prev.clone(), rung.clone(), None).is_some() {
+            let limit = rung_limit(g, u, d);
+            if g.publish_limited(prev.clone(), rung.clone(), None, limit)
+                .is_some()
+            {
                 prev = rung;
             }
         }
@@ -662,6 +706,72 @@ fn flash_crowd(g: &mut Gen) {
             g.query(s, o);
         } else {
             random_query(g);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::Scale;
+
+    /// Own-ladder queries (a user asking for a rung of their own ladder)
+    /// of a deep-ladder world, by the oracle's decision.
+    #[derive(Default)]
+    struct OwnLadder {
+        /// Grants whose proof uses a credential at exactly its limit.
+        granted_at_limit: usize,
+        /// An unlimited ladder reaches every one of its own rungs, so
+        /// each of these denials is a limit's.
+        denied: usize,
+    }
+
+    fn own_ladder_decisions(spec: &ScenarioSpec) -> OwnLadder {
+        let scenario = spec.generate();
+        let g = Gen::new(spec);
+        let ladders: Vec<Vec<Node>> = (0..spec.scale.users)
+            .map(|u| {
+                (0..ladder_depth(&g))
+                    .map(|d| ladder_rung(&g, u, d))
+                    .collect()
+            })
+            .collect();
+        let mut oracle = Oracle::new();
+        let mut out = OwnLadder::default();
+        for ev in &scenario.schedule {
+            oracle.apply(ev);
+            let Event::Query(q) = ev else { continue };
+            let u = scenario
+                .users
+                .iter()
+                .position(|u| Node::entity(u) == q.subject);
+            if !u.is_some_and(|u| ladders[u].contains(&q.object)) {
+                continue;
+            }
+            let Some(proof) = oracle.answer(q) else {
+                out.denied += 1;
+                continue;
+            };
+            let at_limit = proof.steps().iter().enumerate().any(|(pos, step)| {
+                step.cert().delegation().max_extension_depth() == Some(pos as u64)
+            });
+            out.granted_at_limit += usize::from(at_limit);
+        }
+        out
+    }
+
+    #[test]
+    fn depth_limits_deny_some_own_ladder_queries_and_grant_others() {
+        for scale in [Scale::smoke(), Scale::federation(100)] {
+            for seed in [1, 2, 3] {
+                let spec = ScenarioSpec::new(Family::DeepLadder, seed).with_scale(scale);
+                let own = own_ladder_decisions(&spec);
+                assert!(own.denied > 0, "{scale:?}/{seed}: no own-ladder denial");
+                assert!(
+                    own.granted_at_limit > 0,
+                    "{scale:?}/{seed}: no own-ladder grant at a credential's limit"
+                );
+            }
         }
     }
 }

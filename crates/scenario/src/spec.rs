@@ -13,7 +13,9 @@ use std::fmt;
 pub enum Family {
     /// Long assignment ladders: each user's credential chains through
     /// many role rungs, each rung homed at a different org wallet, so
-    /// discovery must walk the full depth across the federation.
+    /// discovery must walk the full depth across the federation. Some
+    /// rung delegations carry `<depth: N>` limits (§6), so some queries
+    /// for a user's own rungs are denied by a limit alone.
     DeepLadder,
     /// Wide fan-out meshes: users funnel into per-org hub roles which
     /// fan out to many leaf roles — shallow proofs, high branching.

@@ -73,6 +73,15 @@ if [ -n "$strategy" ]; then
     echo "$strategy" >&2
     exit 1
 fi
+# Depth limits across wallets are one generated family (`deep-ladder`),
+# not a second, hand-built scenario layer beside crates/scenario.
+federation=$( (find crates/disco/src/federation.rs examples/federation.rs 2>/dev/null
+    grep -rnw FederationScenario crates src tests examples) || true)
+if [ -n "$federation" ]; then
+    echo "check.sh: the hand-built federation scenario is back:" >&2
+    echo "$federation" >&2
+    exit 1
+fi
 # The ledger also fails when EXPERIMENTS.md's F-A block (between its
 # markers) differs from what `direction::render` prints.
 cargo test -q --test work_ledger

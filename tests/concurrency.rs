@@ -461,6 +461,13 @@ fn optimized_engine_matches_reference_engine_byte_for_byte() {
                     got.iter().map(bytes).collect::<Vec<_>>(),
                     "seed {seed}: object_query({target}) diverged"
                 );
+                // Reverse search is complete: it names Maria exactly when
+                // a forward search from her reaches the role.
+                assert_eq!(
+                    got.iter().any(|p| p.subject() == &subject),
+                    graph.direct_query(&subject, target, opts).0.is_some(),
+                    "seed {seed}: object_query({target}) and direct_query disagree on Maria"
+                );
             }
         }
     }

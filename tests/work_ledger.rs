@@ -70,7 +70,7 @@ use drbac::net::proto::{Reply, Request};
 use drbac::net::{
     Directory, DiscoveryAgent, SimNet, TcpConfig, TcpTransport, Transport, WalletDaemon,
 };
-use drbac::scenario::{run_simnet, Family, RunConfig, Scale, ScenarioSpec};
+use drbac::scenario::{run_simnet, run_tcp, Event, Family, RunConfig, Scale, ScenarioSpec};
 use drbac::store::{Medium, MemMedium, StoreError, WalletStore};
 use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
@@ -881,6 +881,72 @@ fn a_cross_federation_soak_pays_only_for_what_is_new() {
             swept: 20,
         }
     );
+}
+
+/// A deep-ladder soak's own-ladder queries (a user asking for a rung of
+/// their own ladder) by decision, on one substrate.
+#[derive(Debug, PartialEq, Eq)]
+struct LadderLedger {
+    granted: usize,
+    /// An unlimited ladder reaches every one of its own rungs, so each
+    /// of these denials is a `<depth: N>` limit's.
+    limit_denied: usize,
+    hard_mismatches: usize,
+}
+
+#[test]
+fn depth_limits_deny_own_ladder_rungs_alike_on_both_substrates() {
+    let _serial = serial();
+    let scenario = ScenarioSpec::new(Family::DeepLadder, 1)
+        .with_scale(Scale::smoke())
+        .generate();
+    // Each user's ladder, read off the schedule: the user's enrolment
+    // starts it, and the rung publishes that follow extend it.
+    let mut ladders: Vec<(Node, Vec<Node>)> = Vec::new();
+    for ev in &scenario.schedule {
+        if let Event::Publish { cert, .. } = ev {
+            let d = cert.delegation();
+            if matches!(d.subject(), Node::Entity(_)) {
+                ladders.push((d.subject().clone(), Vec::new()));
+            }
+            let (_, rungs) = ladders.last_mut().expect("a ladder starts at its user");
+            rungs.push(d.object().clone());
+        }
+    }
+    let own_ladder: Vec<bool> = scenario
+        .schedule
+        .iter()
+        .filter_map(|ev| match ev {
+            Event::Query(q) => Some(
+                ladders
+                    .iter()
+                    .any(|(user, rungs)| *user == q.subject && rungs.contains(&q.object)),
+            ),
+            _ => None,
+        })
+        .collect();
+    let ledger = |report: drbac::scenario::SoakReport| {
+        let own = || {
+            report
+                .records
+                .iter()
+                .zip(&own_ladder)
+                .filter(|(_, own)| **own)
+        };
+        LadderLedger {
+            granted: own().filter(|(r, _)| r.granted).count(),
+            limit_denied: own().filter(|(r, _)| !r.granted).count(),
+            hard_mismatches: report.hard_mismatches(),
+        }
+    };
+    let simnet = ledger(run_simnet(&scenario, &RunConfig::fault_free()));
+    let tcp = ledger(run_tcp(&scenario).expect("tcp federation deploys"));
+    let want = || LadderLedger {
+        granted: 7,
+        limit_denied: 9,
+        hard_mismatches: 0,
+    };
+    assert_eq!([simnet, tcp], [want(), want()]);
 }
 
 /// Journal fsyncs (group commit or explicit sync).
