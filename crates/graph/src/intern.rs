@@ -34,11 +34,11 @@ impl NodeId {
     }
 }
 
-/// A fast one-word hasher for maps keyed by [`NodeId`] (or other small
+/// A fast one-word hasher for maps keyed by interned node ids (or other small
 /// integer keys). Fibonacci-style multiply-xor, in the spirit of FxHash;
 /// not DoS-resistant, which is fine for ids we assign ourselves.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FastIdHasher(u64);
+pub struct FastIdHasher(u64);
 
 const FAST_SEED: u64 = 0x517c_c1b7_2722_0a95;
 

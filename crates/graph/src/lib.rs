@@ -27,5 +27,6 @@ pub mod reference;
 mod search;
 mod sharded;
 
+pub use intern::FastIdHasher;
 pub use search::{SearchOptions, SearchStats};
 pub use sharded::{DelegationGraph, GraphMetrics};

@@ -74,7 +74,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drbac_core::{DelegationId, WalletAddr};
-use drbac_wallet::{DelegationEvent, Wallet};
+use drbac_wallet::Wallet;
 use parking_lot::Mutex;
 
 use crate::host::{Fanout, HostCore};
@@ -630,14 +630,6 @@ impl WalletDaemon {
     /// Live pump/worker threads (for shutdown-accounting tests).
     pub fn live_threads(&self) -> usize {
         self.shared.live.load(Ordering::SeqCst)
-    }
-
-    /// Fans a locally observed invalidation (e.g. an expiry sweep) out
-    /// to subscribers, once per event.
-    pub fn broadcast_invalidation(&self, event: DelegationEvent) {
-        if let Some(fanout) = self.shared.core.originate_once(event) {
-            self.shared.deliver(fanout);
-        }
     }
 
     /// Stops accepting, closes every open connection, joins the worker

@@ -3,16 +3,17 @@
 //! The paper has one wallet behaviour — publish and the three query
 //! forms (§4.1), delegation subscriptions with push invalidation
 //! (§4.2.2) — and this module is its only implementation in the crate.
-//! A [`HostCore`] owns the [`Wallet`], the volatile `delegation →
-//! subscribers` registry and the seen-events loop guard, and answers
-//! every [`Request`]. It never touches a wire: whenever an invalidation
-//! must travel, the caller is handed a [`Fanout`] — the event and the
-//! subscriber addresses to deliver it to — and moves it however its
-//! deployment does (the simulator enqueues [`crate::SimNet`] messages,
-//! the TCP daemon writes push frames down its subscriber links).
+//! A [`HostCore`] owns the [`Wallet`] and the volatile `delegation →
+//! subscribers` registry, whose fan-out *takes* an id's subscribers, and
+//! answers every [`Request`]. It never touches a wire: whenever an
+//! invalidation must travel, the caller is handed a [`Fanout`] — the
+//! event and the subscriber addresses to deliver it to — and moves it
+//! however its deployment does (the simulator enqueues
+//! [`crate::SimNet`] messages, the TCP daemon writes push frames down
+//! its subscriber links).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use drbac_core::{DelegationId, WalletAddr};
 use drbac_wallet::{DelegationEvent, InvalidationReason, Wallet};
@@ -43,12 +44,10 @@ pub(crate) struct Revalidated {
 /// One wallet plus the volatile state that makes it a network host.
 pub(crate) struct HostCore {
     wallet: Wallet,
-    /// delegation id → remote wallets subscribed to its status. Dies
-    /// with the process; subscribers recover it by resubscribing.
+    /// delegation id → remote wallets subscribed to its status, until
+    /// its first invalidation. Dies with the process; subscribers
+    /// recover it by resubscribing.
     subscribers: Mutex<HashMap<DelegationId, BTreeSet<WalletAddr>>>,
-    /// Events already originated or relayed here (loop guard for
-    /// cascaded pushes).
-    seen_events: Mutex<HashSet<DelegationEvent>>,
 }
 
 impl HostCore {
@@ -56,7 +55,6 @@ impl HostCore {
         HostCore {
             wallet,
             subscribers: Mutex::new(HashMap::new()),
-            seen_events: Mutex::new(HashSet::new()),
         }
     }
 
@@ -73,11 +71,9 @@ impl HostCore {
             .unwrap_or_default()
     }
 
-    /// Drops the subscriber registry and the push dedup memory, the way
-    /// a process crash would.
+    /// Drops the subscriber registry, the way a process crash would.
     pub fn forget_volatile(&self) {
         self.subscribers.lock().clear();
-        self.seen_events.lock().clear();
     }
 
     /// Answers one request. A request that invalidates a delegation
@@ -161,30 +157,25 @@ impl HostCore {
         (reply, None)
     }
 
-    /// Originates an invalidation this host observed first-hand (a
-    /// revocation it honoured, a local expiry, a disowned cached copy):
-    /// the event will not be relayed back in, and its subscribers are
-    /// owed a push.
+    /// Originates an invalidation this host observed (a revocation it
+    /// honoured, a local expiry, a disowned cached copy, a push): each
+    /// subscriber is owed one push, and a later sighting owes nobody.
     fn originate(&self, event: DelegationEvent) -> Fanout {
-        self.seen_events.lock().insert(event);
-        self.fanout(event)
-    }
-
-    /// [`HostCore::originate`] for callers that may report the same
-    /// event more than once: only the first sighting fans out.
-    pub fn originate_once(&self, event: DelegationEvent) -> Option<Fanout> {
-        let first_sighting = self.seen_events.lock().insert(event);
-        first_sighting.then(|| self.fanout(event))
+        let targets = self.subscribers.lock().remove(&event.delegation);
+        Fanout {
+            targets: targets.unwrap_or_default(),
+            event,
+        }
     }
 
     /// Relays an incoming push: applied to the local wallet (monitors,
     /// subscriptions, graph) and cascaded to this host's own
-    /// subscribers exactly once per event, so subscription cycles
+    /// subscribers, if any are left, so subscription cycles
     /// terminate.
     pub fn relay(&self, event: DelegationEvent) -> Option<Fanout> {
-        let fanout = self.originate_once(event)?;
+        let fanout = self.originate(event);
         self.wallet.push_event(event);
-        Some(fanout)
+        (!fanout.targets.is_empty()).then_some(fanout)
     }
 
     /// Drops locally expired delegations and originates one
@@ -249,22 +240,15 @@ impl HostCore {
                         delegation: id,
                         reason: InvalidationReason::Expired,
                     };
-                    let fanout = self.originate(event);
-                    self.wallet.push_event(event);
-                    deliver(fanout);
+                    if let Some(fanout) = self.relay(event) {
+                        deliver(fanout);
+                    }
                     done.dropped += 1;
                 }
                 _ => {}
             }
         }
         done
-    }
-
-    fn fanout(&self, event: DelegationEvent) -> Fanout {
-        Fanout {
-            targets: self.subscribers_of(event.delegation),
-            event,
-        }
     }
 }
 
@@ -406,11 +390,10 @@ mod tests {
             event: revoked,
         };
         assert_eq!(fanout, Some(owed.clone()));
-        // Its own event is not taken back in, nor announced twice —
-        // but a caller that knows the event is its own gets the targets.
+        // Its own event is not taken back in, nor announced twice: a
+        // second origination owes nobody.
         assert_eq!(host.relay(revoked), None);
-        assert_eq!(host.originate_once(revoked), None);
-        assert_eq!(host.originate(revoked), owed);
+        assert_eq!(host.originate(revoked).targets, addrs(&[]));
         // A refused revocation owes nothing.
         let (reply, fanout) = host.handle(f.revoke(&f.cert("other")));
         assert!(reply.is_error() && fanout.is_none());

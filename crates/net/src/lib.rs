@@ -27,9 +27,10 @@
 //!
 //! Two deployment shapes sit under the same [`Transport`] trait, and
 //! one wallet host answers behind both: the private `host` module owns
-//! the only `Request → Reply` dispatch, the subscriber registry, the
-//! push loop guard and cached-credential revalidation, and hands each
-//! deployment the invalidations to deliver.
+//! the only `Request → Reply` dispatch, the subscriber registry (whose
+//! fan-out takes an id's subscribers, so pushes need no loop guard) and
+//! cached-credential revalidation, and hands each deployment the
+//! invalidations to deliver.
 //!
 //! * **SimNet** (see DESIGN.md §4.2): wallet hosts inside one process on
 //!   a simulated clock, so chaos and parity experiments are exactly

@@ -195,8 +195,8 @@ impl NetStats {
     }
 }
 
-/// A wallet attached to the network: the shared host core (wallet,
-/// subscriber registry, push guard) plus the write-ahead store handle
+/// A wallet attached to the network: the shared host core (wallet and
+/// subscriber registry) plus the write-ahead store handle
 /// that crash/restart recovery goes through.
 #[derive(Clone)]
 pub struct WalletHost {
@@ -482,8 +482,8 @@ impl SimNet {
 
     /// Failure injection: crashes the host at `addr`. The host becomes
     /// unreachable and *everything in memory dies with the process* —
-    /// the remote-subscriber registry, the push dedup memory, and the
-    /// wallet's entire contents, volatile and durable alike. What
+    /// the remote-subscriber registry and the wallet's entire contents,
+    /// volatile and durable alike. What
     /// survives is the write-ahead store, whose handle is returned for a
     /// later [`SimNet::restart_host`]; any journal bytes the store had
     /// not yet fsynced are lost too (power-loss semantics). Returns

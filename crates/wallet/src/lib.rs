@@ -21,6 +21,7 @@
 //! inter-wallet protocol that keeps caches coherent lives in `drbac-net`.
 
 mod cache;
+mod dependents;
 mod durable;
 mod events;
 mod monitor;

@@ -2,11 +2,12 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use drbac_core::{AttrSummary, DelegationId, Proof};
 use parking_lot::Mutex;
 
+use crate::dependents::Dependents;
 use crate::events::{DelegationEvent, InvalidationReason};
 
 /// Current status of a monitored proof.
@@ -44,11 +45,13 @@ impl fmt::Display for MonitorStatus {
 type Callback = Box<dyn Fn(&MonitorStatus) + Send + Sync>;
 
 pub(crate) struct MonitorCore {
-    proof: Proof,
+    pub(crate) proof: Proof,
     summary: AttrSummary,
     watched: BTreeSet<DelegationId>,
     status: Mutex<MonitorStatus>,
     callbacks: Mutex<Vec<Callback>>,
+    /// Its handle in the wallet's dependents index, given up on drop.
+    pub(crate) registration: OnceLock<(Weak<Dependents>, u64)>,
 }
 
 impl MonitorCore {
@@ -60,6 +63,7 @@ impl MonitorCore {
             watched,
             status: Mutex::new(MonitorStatus::Valid),
             callbacks: Mutex::new(Vec::new()),
+            registration: OnceLock::new(),
         })
     }
 
@@ -90,6 +94,16 @@ impl MonitorCore {
         );
         for cb in self.callbacks.lock().iter() {
             cb(&new_status);
+        }
+    }
+}
+
+impl Drop for MonitorCore {
+    fn drop(&mut self) {
+        if let Some((index, handle)) = self.registration.get() {
+            if let Some(index) = index.upgrade() {
+                drop(index.remove(*handle));
+            }
         }
     }
 }
@@ -140,12 +154,18 @@ impl ProofMonitor {
     /// Registers a callback fired (once) when the proof is invalidated.
     /// If the proof is already invalid the callback fires immediately.
     pub fn on_invalidate(&self, cb: impl Fn(&MonitorStatus) + Send + Sync + 'static) {
-        let status = self.status();
+        // Read before taking the list, so a callback may call this from
+        // inside a delivery (which holds the list); re-read under it, so
+        // a delivery that flips the status meanwhile still fires `cb`.
+        let mut status = self.status();
         if status.is_valid() {
-            self.core.callbacks.lock().push(Box::new(cb));
-        } else {
-            cb(&status);
+            let mut callbacks = self.core.callbacks.lock();
+            status = self.status();
+            if status.is_valid() {
+                return callbacks.push(Box::new(cb));
+            }
         }
+        cb(&status);
     }
 
     /// The delegation ids this monitor subscribes to.
@@ -240,6 +260,31 @@ mod tests {
         let fired2 = Arc::clone(&fired);
         monitor.on_invalidate(move |_| {
             fired2.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    /// A callback registering another on the same monitor from inside
+    /// the delivery (which holds the callback list) fires it at once.
+    #[test]
+    fn a_callback_may_register_another_during_delivery() {
+        let proof = sample_proof();
+        let id = *proof.delegation_ids().iter().next().unwrap();
+        let core = MonitorCore::new(proof, AttrSummary::default());
+        let monitor = ProofMonitor {
+            core: Arc::clone(&core),
+        };
+        let fired = Arc::new(AtomicUsize::new(0));
+        let (inner, count) = (monitor.clone(), Arc::clone(&fired));
+        monitor.on_invalidate(move |_| {
+            let count = Arc::clone(&count);
+            inner.on_invalidate(move |_| {
+                count.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        core.deliver(DelegationEvent {
+            delegation: id,
+            reason: InvalidationReason::Revoked,
         });
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }

@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use drbac_core::{
     AttrConstraint, DelegationId, Node, Proof, ProofValidator, SignedAttrDeclaration,
@@ -15,6 +15,7 @@ use drbac_store::{StoreEvent, WalletStore};
 use parking_lot::Mutex;
 
 use crate::cache::{ProofCache, QueryKey};
+use crate::dependents::{Dependent, Dependents};
 use crate::events::{DelegationEvent, InvalidationReason, SubscriptionId};
 use crate::monitor::{MonitorCore, ProofMonitor};
 
@@ -89,7 +90,6 @@ impl CacheEntry {
     }
 }
 
-type SubCallback = Arc<dyn Fn(DelegationEvent) + Send + Sync>;
 type WatchCallback = Box<dyn Fn(ProofMonitor) + Send + Sync>;
 
 struct ProofWatch {
@@ -201,12 +201,12 @@ pub(crate) struct WalletState {
     /// provers and publishers don't serialize (there is deliberately no
     /// outer wallet-wide graph lock any more).
     pub(crate) graph: DelegationGraph,
-    subscriptions: Mutex<HashMap<DelegationId, Vec<(SubscriptionId, SubCallback)>>>,
-    monitors: Mutex<HashMap<DelegationId, Vec<Weak<MonitorCore>>>>,
+    /// Local subscriptions and proof monitors, by the credential whose
+    /// death they wait for (`dependents.rs`).
+    pub(crate) dependents: Arc<Dependents>,
     watches: Mutex<Vec<ProofWatch>>,
     pub(crate) cache_meta: Mutex<HashMap<DelegationId, CacheEntry>>,
     pub(crate) signed_declarations: Mutex<Vec<SignedAttrDeclaration>>,
-    next_subscription: AtomicU64,
     /// The revocation-coherent direct-query answer cache; entries track
     /// the delegation ids their proofs depend on and die with them.
     pub(crate) proof_cache: ProofCache,
@@ -283,12 +283,10 @@ impl Wallet {
                 addr: addr.into(),
                 clock,
                 graph: DelegationGraph::new(),
-                subscriptions: Mutex::new(HashMap::new()),
-                monitors: Mutex::new(HashMap::new()),
+                dependents: Arc::default(),
                 watches: Mutex::new(Vec::new()),
                 cache_meta: Mutex::new(HashMap::new()),
                 signed_declarations: Mutex::new(Vec::new()),
-                next_subscription: AtomicU64::new(0),
                 proof_cache: ProofCache::default(),
                 inflight: Mutex::new(HashMap::new()),
                 cache_enabled: std::sync::atomic::AtomicBool::new(true),
@@ -626,7 +624,7 @@ impl Wallet {
         // what the remote wallet served and the monitor registered next
         // (`monitor_external_proof`) is what rejects a locally revoked
         // credential. Checking here would change what discovery absorbs —
-        // a decision about semantics (ROADMAP item 6), not about cost.
+        // a decision about semantics (ROADMAP item 16), not about cost.
         ProofValidator::new(
             ValidationContext::at(now).with_declarations(self.state.graph.declarations()),
         )
@@ -712,8 +710,7 @@ impl Wallet {
     /// the way a process crash would. Durable contents (credentials,
     /// supports, declarations, revocations) are untouched.
     pub fn clear_volatile(&self) {
-        self.state.subscriptions.lock().clear();
-        self.state.monitors.lock().clear();
+        self.state.dependents.clear();
         self.state.watches.lock().clear();
         self.state.cache_meta.lock().clear();
         self.state.proof_cache.clear();
@@ -1006,54 +1003,39 @@ impl Wallet {
     fn monitor_proof(&self, proof: Proof, summary: drbac_core::AttrSummary) -> ProofMonitor {
         drbac_obs::static_counter!("drbac.wallet.monitor.register.count").inc();
         let core = MonitorCore::new(proof, summary);
-        let mut monitors = self.state.monitors.lock();
-        for id in core.watched() {
-            let slot = monitors.entry(*id).or_default();
-            // Garbage-collect registrations whose monitors were dropped,
-            // so long-lived wallets don't accumulate dead weak refs.
-            slot.retain(|weak| weak.strong_count() > 0);
-            slot.push(Arc::downgrade(&core));
-        }
+        let graph = &self.state.graph;
+        self.state.dependents.watch(&core, |cert| {
+            if graph.is_revoked(cert.id()) {
+                Some(InvalidationReason::Revoked)
+            } else {
+                cert.delegation().is_expired(self.now()).then_some(InvalidationReason::Expired)
+            }
+        });
         ProofMonitor { core }
     }
 
-    /// Number of live monitor registrations (diagnostics).
+    /// Number of proof monitors the wallet holds registrations for: those
+    /// neither fired nor dropped (diagnostics).
     pub fn live_monitor_registrations(&self) -> usize {
-        self.state
-            .monitors
-            .lock()
-            .values()
-            .map(|v| v.iter().filter(|w| w.strong_count() > 0).count())
-            .sum()
+        self.state.dependents.monitors()
     }
 
     /// Registers a delegation subscription: `callback` fires when `id` is
-    /// invalidated (push model, §4.2.2).
+    /// invalidated (push model, §4.2.2). The subscription ends with the
+    /// first invalidation it reports.
     pub fn subscribe(
         &self,
         id: DelegationId,
         callback: impl Fn(DelegationEvent) + Send + Sync + 'static,
     ) -> SubscriptionId {
-        let sub = SubscriptionId(self.state.next_subscription.fetch_add(1, Ordering::SeqCst));
-        self.state
-            .subscriptions
-            .lock()
-            .entry(id)
-            .or_default()
-            .push((sub, Arc::new(callback)));
-        sub
+        let callback = Dependent::Subscription(Box::new(callback));
+        SubscriptionId(self.state.dependents.insert(vec![id], callback))
     }
 
-    /// Removes a subscription. Returns `true` if it existed.
+    /// Removes a subscription. Returns `true` if it had neither been
+    /// removed nor fired.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        let mut subs = self.state.subscriptions.lock();
-        let mut found = false;
-        for list in subs.values_mut() {
-            let before = list.len();
-            list.retain(|(s, _)| *s != id);
-            found |= list.len() != before;
-        }
-        found
+        self.state.dependents.remove(id.0).is_some()
     }
 
     /// Registers a *pending-proof watch* (§4.2.2): if the wallet cannot
@@ -1181,35 +1163,16 @@ impl Wallet {
         self.state.cache_meta.lock().remove(&event.delegation);
         self.state.proof_cache.invalidate_dep(event.delegation);
 
+        // A repeat of the event finds only what registered since.
         let mut delivered = 0;
-        // Snapshot subscriber callbacks and fire them without holding the
-        // lock (callbacks may re-enter the wallet).
-        let callbacks: Vec<SubCallback> = self
-            .state
-            .subscriptions
-            .lock()
-            .get(&event.delegation)
-            .map(|subs| subs.iter().map(|(_, cb)| Arc::clone(cb)).collect())
-            .unwrap_or_default();
-        for cb in callbacks {
-            cb(event);
-            delivered += 1;
-        }
-        // Collect live monitors and deliver with the lock released:
-        // monitor callbacks may also call back into this wallet.
-        let cores: Vec<Arc<MonitorCore>> = {
-            let mut monitors = self.state.monitors.lock();
-            match monitors.get_mut(&event.delegation) {
-                Some(list) => {
-                    let cores: Vec<_> = list.iter().filter_map(Weak::upgrade).collect();
-                    list.retain(|weak| weak.strong_count() > 0);
-                    cores
-                }
-                None => Vec::new(),
+        for dependent in self.state.dependents.take(event.delegation) {
+            match dependent {
+                Dependent::Subscription(callback) => callback(event),
+                Dependent::Monitor(core) => match core.upgrade() {
+                    Some(core) => core.deliver(event),
+                    None => continue, // dropped as the event came
+                },
             }
-        };
-        for core in cores {
-            core.deliver(event);
             delivered += 1;
         }
         delivered

@@ -82,6 +82,22 @@ if [ -n "$federation" ]; then
     echo "$federation" >&2
     exit 1
 fi
+# A credential's dependents live in one index (crates/wallet/src/
+# dependents.rs), and a host's fan-out takes the id's subscribers, so no
+# loop guard is needed: the wallet's separate subscription and monitor
+# registries, the host's seen-events set and the daemon's uncalled
+# broadcast stay gone.
+dependents=$( (grep -rnwE 'seen_events|originate_once|broadcast_invalidation' crates src tests examples
+    awk '/^pub\(crate\) struct WalletState \{/ { body = 1 }
+        body && /^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?(subscriptions|monitors)[[:space:]]*:/ {
+            print FILENAME ":" FNR ": " $0
+        }
+        body && /^\}/ { body = 0 }' crates/wallet/src/wallet.rs) || true)
+if [ -n "$dependents" ]; then
+    echo "check.sh: a second dependents registry or the push loop guard is back:" >&2
+    echo "$dependents" >&2
+    exit 1
+fi
 # The ledger also fails when EXPERIMENTS.md's F-A block (between its
 # markers) differs from what `direction::render` prints.
 cargo test -q --test work_ledger

@@ -357,6 +357,19 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
         }
     }
     assert!(checked > 0, "the sweep invalidated at least one monitored proof");
+    // Every collected monitor, the racing ones included: one watching a
+    // revoked credential is invalid and fired once, even when it was
+    // registered while that revocation was fanning out.
+    for (monitor, fired) in monitors.iter() {
+        if monitor.watched().iter().any(|id| wallet.is_revoked(*id)) {
+            assert!(!monitor.is_valid(), "a monitor outlived a revocation it raced");
+            assert_eq!(
+                fired.load(Ordering::SeqCst),
+                1,
+                "a monitor that raced a revocation fired other than once"
+            );
+        }
+    }
 }
 
 /// Cross-seed engine oracle: the optimized search engine (interned ids,

@@ -38,6 +38,12 @@
 //! 0 and 5,000 marks, and a small cross-federation soak pins the searches,
 //! journal appends and object queries it runs.
 //!
+//! A credential's dependents cost what they touch: an `unsubscribe`
+//! visits one entry of the wallet's dependents index however many it
+//! holds, a proof monitor leaves the index when it is dropped or fires,
+//! and a host's fan-out takes the id's remote subscribers, so the same
+//! event relayed back in owes nobody a push.
+//!
 //! The third claim is the paper's §4.2.3 search argument (experiment
 //! F-A), pinned whole from `drbac_baselines::direction`, the generator
 //! the `search_strategies` bench prints. On funnel federations the
@@ -1246,4 +1252,120 @@ fn f_a_paths_grow_as_branching_to_the_depth() {
             [729, 1821, 49]
         ]
     );
+}
+
+/// Entries of the wallet's dependents index an operation looked at.
+const VISITED: &str = "drbac.wallet.dependents.visited.count";
+
+/// Dependents-index entries one `unsubscribe` visits with `live`
+/// subscriptions held, one per distinct id.
+fn unsubscribe_visits(live: u64) -> u64 {
+    let wallet = Wallet::new("w", SimClock::new());
+    let subs: Vec<_> = (0..live)
+        .map(|i| {
+            let mut id = [0u8; 32];
+            id[..8].copy_from_slice(&i.to_be_bytes());
+            wallet.subscribe(DelegationId(id), |_| {})
+        })
+        .collect();
+    let ([visited], removed) = delta([VISITED], || wallet.unsubscribe(subs[subs.len() / 2]));
+    assert!(removed);
+    visited
+}
+
+#[test]
+fn an_unsubscribe_visits_one_entry_whatever_the_subscriptions() {
+    let _serial = serial();
+    assert_eq!([unsubscribe_visits(10), unsubscribe_visits(10_000)], [1, 1]);
+}
+
+/// 10^4 monitors on one credential: all dropped, or all alive when it
+/// is revoked, the wallet holds no registration for any of them.
+#[test]
+fn monitors_leave_the_index_when_dropped_or_fired() {
+    let _serial = serial();
+    const MONITORS: usize = 10_000;
+    let mut rng = StdRng::seed_from_u64(4343);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    let clock = SimClock::new();
+    let wallet = Wallet::new("w", clock.clone());
+    let (subject, object) = (Node::entity(&member), Node::role(org.role("r")));
+    let cert = org
+        .delegate(subject.clone(), object.clone())
+        .sign(&org)
+        .unwrap();
+    wallet.publish(cert.clone(), vec![]).unwrap();
+    let monitors = || -> Vec<_> {
+        (0..MONITORS)
+            .map(|_| wallet.query_direct(&subject, &object, &[]).unwrap())
+            .collect()
+    };
+
+    let dropped = monitors();
+    assert_eq!(wallet.live_monitor_registrations(), MONITORS);
+    drop(dropped);
+    assert_eq!(wallet.live_monitor_registrations(), 0, "dropped monitors");
+
+    let live = monitors();
+    let revocation = SignedRevocation::revoke(&cert, &org, clock.now()).unwrap();
+    let ([visited], delivered) = delta([VISITED], || wallet.revoke(&revocation).unwrap());
+    assert_eq!((visited, delivered), (MONITORS as u64, MONITORS));
+    assert_eq!(wallet.live_monitor_registrations(), 0, "fired monitors");
+    assert!(live.iter().all(|m| !m.is_valid()));
+}
+
+/// A SimNet host revoking a credential with 10^3 remote subscribers
+/// owes each one push and then holds none of them; the same event
+/// relayed back in owes nobody.
+#[test]
+fn a_host_fans_an_invalidation_out_once_and_forgets_its_subscribers() {
+    let _serial = serial();
+    const SUBSCRIBERS: usize = 1_000;
+    let mut rng = StdRng::seed_from_u64(4344);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    let clock = SimClock::new();
+    let net = SimNet::new(clock.clone(), Ticks(1));
+    let home = net.add_host("home", Wallet::new("home", clock.clone()));
+    let mirror = net.add_host("mirror", Wallet::new("mirror", clock.clone()));
+    let cert = org
+        .delegate(Node::entity(&member), Node::role(org.role("r")))
+        .sign(&org)
+        .unwrap();
+    let id = cert.id();
+    let revocation = SignedRevocation::revoke(&cert, &org, clock.now()).unwrap();
+    for host in [&home, &mirror] {
+        host.wallet().publish(cert.clone(), vec![]).unwrap();
+    }
+    let subscribe = |at: &str, subscriber: String| {
+        let request = Request::Subscribe {
+            delegation: id,
+            subscriber: WalletAddr::new(subscriber),
+        };
+        assert!(matches!(
+            net.request(&WalletAddr::new(at), request),
+            Ok(Reply::Subscribed)
+        ));
+    };
+    for i in 0..SUBSCRIBERS {
+        subscribe("home", format!("c{i}"));
+    }
+    // The event comes back to `home` through `mirror`.
+    subscribe("mirror", "home".into());
+    let revoke = |at: &str| {
+        net.reset_stats();
+        let reply = net.request(&WalletAddr::new(at), Request::Revoke(revocation.clone()));
+        assert!(matches!(reply, Ok(Reply::Revoked(_))));
+        net.run_until_idle();
+        net.stats().push_messages
+    };
+
+    assert_eq!(revoke("home"), SUBSCRIBERS as u64);
+    assert_eq!(home.subscribers_of(id).len(), 0);
+    // `mirror` pushes to `home`, whose relay owes nobody.
+    assert_eq!(revoke("mirror"), 1);
+    assert_eq!(mirror.subscribers_of(id).len(), 0);
 }
