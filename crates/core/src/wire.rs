@@ -2,9 +2,9 @@
 //!
 //! Signatures must bind to a byte representation that is identical on
 //! every host, so credentials are encoded with this deterministic,
-//! length-prefixed binary format rather than serde (whose output varies by
-//! format). Serde derives on model types exist separately for storage and
-//! interchange; *signing bytes always come from here*.
+//! length-prefixed binary format. It is the only encoding the model types
+//! have: signing bytes, the write-ahead log's records (`drbac-store`) and
+//! the network's frame payloads (`drbac-net`'s `wire`) all come from here.
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! TCP wallet daemon and the persistent subscriber connection.
 //!
 //! [`WalletDaemon`] is the socket-facing counterpart of the simulator's
-//! [`WalletHost`](crate::WalletHost): the same host core answers one
+//! [`WalletHost`](crate::WalletHost): the same host functions answer one
 //! wallet's [`Request`]/[`Reply`](crate::proto::Reply) protocol, here
 //! over [`wire`](crate::wire) frames. Since the multiplexing rewrite
 //! (DESIGN.md §4.10, `docs/PROTOCOL.md`) the hot path is built for
@@ -41,20 +41,20 @@
 //! *persistent subscriber connection*: a client opens a dedicated
 //! stream, sends a push-register frame naming its wallet address, and
 //! the daemon queues [`OneWay::Invalidate`] frames for that stream
-//! whenever a delegation the client subscribed to is invalidated. The
-//! writer pump the register started, or a reply written first, takes
-//! them under the socket lock — pushes and replies on one connection
-//! never interleave mid-frame, and a push queued while a request was
-//! served precedes that request's reply.
+//! whenever a delegation the client subscribed to is invalidated, by
+//! whatever path (the push links are the sink its subscription holds in
+//! the wallet). The writer pump the register started, or a reply
+//! written first, takes them under the socket lock — pushes and replies
+//! on one connection never interleave mid-frame, and a push queued
+//! while a request was served precedes that request's reply.
 //!
 //! [`SubscriberLink`] is the client side of that connection. When the
 //! daemon dies mid-subscription the link notices (read error),
 //! reconnects with backoff, re-registers, and **resubscribes** every
 //! cached credential from that home — the same revalidation routine
-//! as the simulator's `resubscribe_cached`: the daemon's subscriber
-//! registry is volatile, so a daemon restart silently unsubscribed us,
-//! and any invalidation issued before we re-register would otherwise
-//! be lost.
+//! as the simulator's `resubscribe_cached`: a daemon's subscriptions
+//! are volatile, so a daemon restart silently unsubscribed us, and any
+//! invalidation issued before we re-register would otherwise be lost.
 //! Each recovery increments `drbac.net.tcp.reconnect.count`.
 //!
 //! Shutdown joins every pump and worker: sockets are shut down to
@@ -66,6 +66,7 @@
 //! `drbac.net.tcp.shutdown.abandoned.count` — shutdown always returns.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::fmt::Display;
 use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,10 +75,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drbac_core::{DelegationId, WalletAddr};
-use drbac_wallet::Wallet;
+use drbac_wallet::{CacheEntry, DelegationEvent, PushSink, Wallet};
 use parking_lot::Mutex;
 
-use crate::host::{Fanout, HostCore};
+use crate::host;
 use crate::proto::{HealthReport, OneWay, Reply, Request};
 use crate::sim::NetError;
 use crate::tcp::{TcpConfig, TcpTransport};
@@ -255,7 +256,7 @@ impl Conn {
 
     /// Queues a push for the next holder of `sock`. `false` when the
     /// connection is closed or its push queue is full — the frame was
-    /// dropped. Only [`DaemonShared::deliver`] calls this: replies are
+    /// dropped. Only [`PushLinks::push`] calls this: replies are
     /// written by the thread that produced them.
     fn send(&self, frame: OutFrame) -> bool {
         let mut state = match self.out.lock() {
@@ -387,15 +388,39 @@ impl JobQueue {
     }
 }
 
+/// Subscriber wallet address → the connection its pushes travel on: the
+/// sink the daemon's subscriptions hold in the wallet.
+#[derive(Default)]
+struct PushLinks(Mutex<HashMap<WalletAddr, Arc<Conn>>>);
+
+impl PushSink for PushLinks {
+    /// Queues `event` as a push frame on every target's connection. A
+    /// link whose queue is closed or full is dropped — the subscriber's
+    /// [`SubscriberLink`] will reconnect and resubscribe, recovering
+    /// anything it missed by revalidation.
+    fn push(&self, event: DelegationEvent, targets: BTreeSet<WalletAddr>) {
+        let payload = wire::encode_push(&OneWay::Invalidate(event));
+        for target in targets {
+            let link = self.0.lock().get(&target).cloned();
+            let Some(link) = link else { continue };
+            let queued = link.send(OutFrame {
+                kind: FrameKind::Push,
+                request_id: None,
+                payload: payload.clone(),
+            });
+            if !queued {
+                self.0.lock().remove(&target);
+            }
+        }
+    }
+}
+
 /// State shared between the accept loop, pumps, workers, and the
 /// daemon handle.
 struct DaemonShared {
-    /// The wallet, its subscriber registry and every request's
-    /// semantics — shared with the simulator's hosts.
-    core: HostCore,
+    wallet: Wallet,
     config: DaemonConfig,
-    /// subscriber wallet address → the connection its pushes travel on.
-    push_links: Mutex<HashMap<WalletAddr, Arc<Conn>>>,
+    links: Arc<PushLinks>,
     /// Live connections: socket handle (for shutdown) + state.
     conns: Mutex<HashMap<u64, (TcpStream, Arc<Conn>)>>,
     /// Pending pipelined requests for the worker pool.
@@ -415,28 +440,19 @@ struct DaemonShared {
 
 impl DaemonShared {
     /// Handles one request: the scrapes need this process's uptime,
-    /// request and link counts; everything else is the host core's.
+    /// request and link counts; everything else is the host's.
     fn handle(&self, req: Request) -> Reply {
         match req {
             Request::Stats => Reply::Stats(drbac_obs::global().snapshot()),
-            Request::Health => {
-                let wallet = self.core.wallet();
-                Reply::Health(HealthReport {
-                    ok: !self.closed.load(Ordering::SeqCst),
-                    wallet: wallet.addr().to_string(),
-                    uptime_ns: self.start.elapsed().as_nanos() as u64,
-                    delegations: wallet.len() as u64,
-                    subscribers: self.push_links.lock().len() as u64,
-                    served_requests: self.served.load(Ordering::Relaxed),
-                })
-            }
-            req => {
-                let (reply, fanout) = self.core.handle(req);
-                if let Some(fanout) = fanout {
-                    self.deliver(fanout);
-                }
-                reply
-            }
+            Request::Health => Reply::Health(HealthReport {
+                ok: !self.closed.load(Ordering::SeqCst),
+                wallet: self.wallet.addr().to_string(),
+                uptime_ns: self.start.elapsed().as_nanos() as u64,
+                delegations: self.wallet.len() as u64,
+                subscribers: self.links.0.lock().len() as u64,
+                served_requests: self.served.load(Ordering::Relaxed),
+            }),
+            req => host::handle(&self.wallet, &self.links, req),
         }
     }
 
@@ -464,26 +480,6 @@ impl DaemonShared {
             .record(rx.elapsed().as_nanos() as u64);
         drbac_obs::clear_current_trace();
         reply
-    }
-
-    /// Queues `fanout`'s event as a push frame on every target's
-    /// connection. A link whose queue is closed or full is dropped —
-    /// the subscriber's [`SubscriberLink`] will reconnect and
-    /// resubscribe, recovering anything it missed by revalidation.
-    fn deliver(&self, fanout: Fanout) {
-        let payload = wire::encode_push(&OneWay::Invalidate(fanout.event));
-        for target in fanout.targets {
-            let link = self.push_links.lock().get(&target).cloned();
-            let Some(link) = link else { continue };
-            let queued = link.send(OutFrame {
-                kind: FrameKind::Push,
-                request_id: None,
-                payload: payload.clone(),
-            });
-            if !queued {
-                self.push_links.lock().remove(&target);
-            }
-        }
     }
 
     /// Spawns a tracked thread: counted in `live`, handle registered
@@ -579,10 +575,10 @@ impl WalletDaemon {
         let local_addr = listener.local_addr()?;
         let workers = daemon.effective_workers();
         let shared = Arc::new(DaemonShared {
-            core: HostCore::new(wallet),
+            wallet,
             jobs: JobQueue::new(daemon.queue_capacity),
             config: daemon,
-            push_links: Mutex::new(HashMap::new()),
+            links: Arc::default(),
             conns: Mutex::new(HashMap::new()),
             live: AtomicUsize::new(0),
             threads: Mutex::new(Vec::new()),
@@ -619,12 +615,14 @@ impl WalletDaemon {
 
     /// The served wallet (shared state).
     pub fn wallet(&self) -> &Wallet {
-        self.shared.core.wallet()
+        &self.shared.wallet
     }
 
-    /// Subscriber wallet addresses currently registered for `id`.
+    /// Subscriber wallet addresses registered for `id` through this daemon.
     pub fn subscribers_of(&self, id: DelegationId) -> BTreeSet<WalletAddr> {
-        self.shared.core.subscribers_of(id)
+        self.shared
+            .wallet
+            .remote_subscribers(id, &*self.shared.links)
     }
 
     /// Live pump/worker threads (for shutdown-accounting tests).
@@ -643,7 +641,7 @@ impl WalletDaemon {
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(500));
         // Stop the worker pool: no new jobs, queued jobs abandoned.
         self.shared.jobs.close();
-        self.shared.push_links.lock().clear();
+        self.shared.links.0.lock().clear();
         if let Some(t) = self.accept_thread.lock().take() {
             let _ = t.join();
         }
@@ -894,10 +892,7 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
                         }
                         pump = true;
                     }
-                    shared
-                        .push_links
-                        .lock()
-                        .insert(subscriber.clone(), Arc::clone(&conn));
+                    (shared.links.0.lock()).insert(subscriber.clone(), Arc::clone(&conn));
                     registered = Some(subscriber);
                 }
                 // Clients never push to the daemon; replies make no sense
@@ -934,7 +929,7 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     // *this* connection — a reconnected subscriber may have already
     // replaced it.
     if let Some(subscriber) = registered {
-        let mut links = shared.push_links.lock();
+        let mut links = shared.links.0.lock();
         if links
             .get(&subscriber)
             .is_some_and(|c| Arc::ptr_eq(c, &conn))
@@ -958,9 +953,10 @@ fn overload(request_id: u64, what: &str) -> OutFrame {
 
 /// Client side of the persistent push connection: registers with a
 /// wallet daemon, applies incoming [`OneWay::Invalidate`] events to the
-/// local wallet, and — when the connection drops — reconnects,
-/// re-registers, and resubscribes every tracked delegation through the
-/// revalidation routine the simulator's `resubscribe_cached` runs.
+/// local wallet (so its own subscribers hear of them), and — when the
+/// connection drops — reconnects, re-registers, and resubscribes every
+/// tracked delegation through the revalidation routine the simulator's
+/// `resubscribe_cached` runs.
 pub struct SubscriberLink {
     inner: Arc<LinkInner>,
     reader: Mutex<Option<JoinHandle<()>>>,
@@ -970,9 +966,8 @@ struct LinkInner {
     /// Wallet address of the daemon we subscribe at.
     home: WalletAddr,
     /// The local wallet events are applied to (and whose cached
-    /// credentials are revalidated after a reconnect), as a host with
-    /// no subscribers of its own.
-    core: HostCore,
+    /// credentials are revalidated after a reconnect).
+    wallet: Wallet,
     /// Transport used for resubscribe/revalidate requests and for
     /// resolving `home` to a socket address.
     transport: Arc<TcpTransport>,
@@ -988,15 +983,16 @@ impl std::fmt::Debug for SubscriberLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubscriberLink")
             .field("home", &self.inner.home)
-            .field("subscriber", self.inner.core.wallet().addr())
+            .field("subscriber", self.inner.wallet.addr())
             .finish()
     }
 }
 
 impl SubscriberLink {
     /// Opens the persistent connection to the daemon serving `home`
-    /// and starts the reader thread. Returns once the link is
-    /// registered (or has started its first reconnect attempts).
+    /// and starts the reader thread. Returns once the daemon has
+    /// registered the link, so a push for a subscription made after
+    /// this returns finds it.
     ///
     /// # Errors
     ///
@@ -1009,7 +1005,7 @@ impl SubscriberLink {
     ) -> Result<SubscriberLink, NetError> {
         let inner = Arc::new(LinkInner {
             home: home.into(),
-            core: HostCore::new(wallet),
+            wallet,
             transport,
             tracked: Mutex::new(BTreeSet::new()),
             current: Mutex::new(None),
@@ -1063,25 +1059,45 @@ impl Drop for SubscriberLink {
 }
 
 impl LinkInner {
-    /// Connects to the daemon and sends the push-register frame.
+    /// Connects and push-registers, returning once the daemon has the
+    /// link: a strict `Health` request rides behind the register frame,
+    /// and the daemon serves one connection's frames in order. Pushes
+    /// ahead of its reply are applied.
     fn establish(&self) -> Result<TcpStream, NetError> {
+        let fail = |e: &dyn Display| NetError::Protocol(format!("push-register failed: {e}"));
         let mut stream = self.transport.connect_raw(&self.home)?;
+        // Both frames leave in one write: one segment on a no-delay
+        // socket, one wakeup for the daemon's reader.
+        let register = wire::encode_push_register(self.wallet.addr());
+        let health = wire::encode_request(&Request::Health);
+        let mut frames = Vec::new();
+        wire::write_frame(&mut frames, FrameKind::PushRegister, &register)
+            .and_then(|()| wire::write_frame(&mut frames, FrameKind::Request, &health))
+            .map_err(|e| fail(&e))?;
+        stream.write_all(&frames).map_err(|e| fail(&e))?;
+        // Under the transport's read deadline: a daemon that never
+        // answers fails the attempt.
+        loop {
+            let frame = wire::read_frame(&mut stream).map_err(|e| fail(&e))?;
+            match frame.kind {
+                FrameKind::Push => self.apply(&frame.payload),
+                FrameKind::Reply => break,
+                _ => {}
+            }
+        }
         // Push frames arrive whenever the daemon has something to say;
         // the reader must block past any read deadline.
-        stream
-            .set_read_timeout(None)
-            .map_err(|e| NetError::Protocol(format!("cannot clear read deadline: {e}")))?;
-        // The frame leaves in one write: one segment on a no-delay
-        // socket, one wakeup for the daemon's reader.
-        let payload = wire::encode_push_register(self.core.wallet().addr());
-        let mut frame = Vec::new();
-        wire::write_frame(&mut frame, FrameKind::PushRegister, &payload)
-            .map_err(|e| NetError::Protocol(format!("push-register failed: {e}")))?;
-        stream
-            .write_all(&frame)
-            .and_then(|()| stream.flush())
-            .map_err(|e| NetError::Protocol(format!("push-register failed: {e}")))?;
+        stream.set_read_timeout(None).map_err(|e| fail(&e))?;
         Ok(stream)
+    }
+
+    /// Applies one push frame's invalidation to the wallet; an
+    /// undecodable one is dropped.
+    fn apply(&self, payload: &[u8]) {
+        if let Ok(OneWay::Invalidate(event)) = wire::decode_push(payload) {
+            drbac_obs::static_counter!("drbac.net.tcp.push.rx.count").inc();
+            self.wallet.push_event(event);
+        }
     }
 
     /// Registers this link's wallet as a subscriber of `id` at `home`.
@@ -1091,7 +1107,7 @@ impl LinkInner {
             &self.home,
             &Request::Subscribe {
                 delegation: id,
-                subscriber: self.core.wallet().addr().clone(),
+                subscriber: self.wallet.addr().clone(),
             },
         );
     }
@@ -1102,29 +1118,18 @@ impl LinkInner {
     /// home disowns are invalidated locally (the push we missed while
     /// disconnected is reconstructed from state, not replayed).
     fn resubscribe(&self) {
-        let wallet = self.core.wallet();
-        let cached: Vec<(DelegationId, WalletAddr)> = wallet
-            .cache_entries()
-            .into_iter()
-            .filter(|(_, entry)| entry.source == self.home)
-            .map(|(id, entry)| (id, entry.source))
-            .collect();
+        let wallet = &self.wallet;
+        let from_home = |entry: &CacheEntry| entry.source == self.home;
         // Tracked ids the cache does not hold have nothing to
         // revalidate: re-register them and move on.
         let tracked = self.tracked.lock().clone();
         for id in tracked {
-            if !cached.iter().any(|(c, _)| *c == id) {
+            if !wallet.cache_entry(id).is_some_and(|entry| from_home(&entry)) {
                 self.subscribe(id);
             }
         }
-        // The link's wallet has no subscribers of its own to cascade to.
-        self.core.revalidate(
-            self.transport.as_ref(),
-            &RetryPolicy::standard(),
-            Some(wallet.addr()),
-            cached,
-            |_| {},
-        );
+        let (transport, retry) = (self.transport.as_ref(), RetryPolicy::standard());
+        host::revalidate(wallet, transport, &retry, Some(wallet.addr()), from_home);
     }
 }
 
@@ -1133,12 +1138,7 @@ impl LinkInner {
 fn reader_loop(mut stream: TcpStream, inner: Arc<LinkInner>) {
     loop {
         match wire::read_frame(&mut stream) {
-            Ok(frame) if frame.kind == FrameKind::Push => {
-                if let Ok(OneWay::Invalidate(event)) = wire::decode_push(&frame.payload) {
-                    drbac_obs::static_counter!("drbac.net.tcp.push.rx.count").inc();
-                    inner.core.wallet().push_event(event);
-                }
-            }
+            Ok(frame) if frame.kind == FrameKind::Push => inner.apply(&frame.payload),
             Ok(_) => {} // unexpected kind: ignore, keep the link up
             Err(_) => {
                 if inner.closed.load(Ordering::SeqCst) {
@@ -1150,7 +1150,7 @@ fn reader_loop(mut stream: TcpStream, inner: Arc<LinkInner>) {
                 drbac_obs::event!(
                     "drbac.net.tcp.reconnect",
                     "home" => inner.home.to_string(),
-                    "subscriber" => inner.core.wallet().addr().to_string(),
+                    "subscriber" => inner.wallet.addr().to_string(),
                 );
                 let mut attempt: u64 = 0;
                 let next = loop {

@@ -557,12 +557,6 @@ impl DiscoveryAgent {
         }
     }
 
-    /// The (mutable) directory, e.g. to register tags learned out of
-    /// band.
-    pub fn directory_mut(&mut self) -> &mut Directory {
-        &mut self.directory
-    }
-
     /// Discovers a proof `subject ⇒ object` satisfying `constraints`,
     /// following discovery tags across wallets.
     pub fn discover(

@@ -1,36 +1,26 @@
-//! The wallet host core: the one place request semantics live.
+//! The wallet host: the one place request semantics live.
 //!
 //! The paper has one wallet behaviour — publish and the three query
 //! forms (§4.1), delegation subscriptions with push invalidation
-//! (§4.2.2) — and this module is its only implementation in the crate.
-//! A [`HostCore`] owns the [`Wallet`] and the volatile `delegation →
-//! subscribers` registry, whose fan-out *takes* an id's subscribers, and
-//! answers every [`Request`]. It never touches a wire: whenever an
-//! invalidation must travel, the caller is handed a [`Fanout`] — the
-//! event and the subscriber addresses to deliver it to — and moves it
-//! however its deployment does (the simulator enqueues
-//! [`crate::SimNet`] messages, the TCP daemon writes push frames down
-//! its subscriber links).
+//! (§4.2.2) — and this module is its only implementation in the crate:
+//! [`handle`] answers every [`Request`] against a [`Wallet`], and
+//! [`revalidate`] re-checks cached credentials at their sources. Neither
+//! keeps state of its own. A `Subscribe` makes the subscriber a
+//! dependent in the wallet's own index, reached through the serving
+//! host's [`PushSink`] (the simulator enqueues [`crate::SimNet`]
+//! messages, the TCP daemon writes push frames down its subscriber
+//! links), so every death fans out from [`Wallet::push_event`] —
+//! whatever path killed the credential, and once.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-use drbac_core::{DelegationId, WalletAddr};
-use drbac_wallet::{DelegationEvent, InvalidationReason, Wallet};
-use parking_lot::Mutex;
+use drbac_core::WalletAddr;
+use drbac_wallet::{CacheEntry, DelegationEvent, InvalidationReason, PushSink, Wallet};
 
 use crate::proto::{Reply, Request};
 use crate::transport::{RetryPolicy, Transport};
 
-/// An invalidation on its way out: deliver `event` to every wallet in
-/// `targets` (possibly none).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Fanout {
-    pub targets: BTreeSet<WalletAddr>,
-    pub event: DelegationEvent,
-}
-
-/// What one [`HostCore::revalidate`] pass did.
+/// What one [`revalidate`] pass did.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Revalidated {
     /// Push subscriptions the source acknowledged.
@@ -41,215 +31,124 @@ pub(crate) struct Revalidated {
     pub dropped: usize,
 }
 
-/// One wallet plus the volatile state that makes it a network host.
-pub(crate) struct HostCore {
-    wallet: Wallet,
-    /// delegation id → remote wallets subscribed to its status, until
-    /// its first invalidation. Dies with the process; subscribers
-    /// recover it by resubscribing.
-    subscribers: Mutex<HashMap<DelegationId, BTreeSet<WalletAddr>>>,
+/// Answers one request against `wallet`; `sink` is the serving host's.
+pub(crate) fn handle<S: PushSink + 'static>(wallet: &Wallet, sink: &Arc<S>, req: Request) -> Reply {
+    match req {
+        Request::DirectQuery {
+            subject,
+            object,
+            constraints,
+        } => match wallet.find_proof(&subject, &object, &constraints) {
+            Some(p) => Reply::Proofs(vec![p]),
+            None => Reply::Proofs(vec![]),
+        },
+        Request::SubjectQuery {
+            subject,
+            constraints,
+        } => Reply::Proofs(wallet.query_subject(&subject, &constraints)),
+        Request::ObjectQuery {
+            object,
+            constraints,
+        } => Reply::Proofs(wallet.query_object(&object, &constraints)),
+        Request::Publish { cert, supports } => match wallet.publish(cert, supports) {
+            Ok(id) => Reply::Published(id),
+            Err(e) => Reply::Error(e.to_string()),
+        },
+        Request::PublishDeclaration(decl) => match wallet.publish_declaration(&decl) {
+            Ok(()) => Reply::DeclarationPublished,
+            Err(e) => Reply::Error(e.to_string()),
+        },
+        Request::Subscribe {
+            delegation,
+            subscriber,
+        } => {
+            wallet.subscribe_remote(
+                delegation,
+                subscriber,
+                Arc::clone(sink) as Arc<dyn PushSink>,
+            );
+            Reply::Subscribed
+        }
+        Request::Unsubscribe {
+            delegation,
+            subscriber,
+        } => {
+            wallet.unsubscribe_remote(delegation, &subscriber, &**sink);
+            Reply::Subscribed
+        }
+        // Counts local notifications; remote ones leave through sinks.
+        Request::Revoke(revocation) => match wallet.revoke(&revocation) {
+            Ok(delivered) => Reply::Revoked(delivered),
+            Err(e) => Reply::Error(e.to_string()),
+        },
+        Request::FetchDeclarations => Reply::Declarations(wallet.signed_declarations()),
+        Request::FetchDelegation(id) => {
+            let now = wallet.now();
+            let live = wallet
+                .get(id)
+                .filter(|c| !wallet.is_revoked(id) && !c.delegation().is_expired(now));
+            Reply::Delegation(live)
+        }
+        // A scrape needs the serving process's uptime, request and
+        // link counts, which only a daemon has; simulated hosts
+        // share one process and one global registry, so a per-host
+        // answer would mislead.
+        Request::Stats | Request::Health => {
+            Reply::Error("stats/health are served by TCP daemons".into())
+        }
+    }
 }
 
-impl HostCore {
-    pub fn new(wallet: Wallet) -> Self {
-        HostCore {
-            wallet,
-            subscribers: Mutex::new(HashMap::new()),
+/// Revalidates the cached credentials of `wallet` that `which` selects
+/// against the wallets they were fetched from, in id order: each is
+/// re-fetched from its source over `transport` under `retry`. With
+/// `resubscribe_as` set, the push subscription is re-registered under
+/// that address first — the recovery step after a source restart,
+/// whose volatile subscriptions silently forgot us. An entry the source still vouches for restarts
+/// its TTL window; one it disowns is invalidated locally (an `Expired`
+/// event); an unreachable source leaves the entry untouched — TTL
+/// refresh remains the backstop.
+pub(crate) fn revalidate(
+    wallet: &Wallet,
+    transport: &dyn Transport,
+    retry: &RetryPolicy,
+    resubscribe_as: Option<&WalletAddr>,
+    which: impl Fn(&CacheEntry) -> bool,
+) -> Revalidated {
+    let mut done = Revalidated::default();
+    let selected = wallet.cache_entries().into_iter().filter(|(_, e)| which(e));
+    for (id, CacheEntry { source, .. }) in selected {
+        if let Some(subscriber) = resubscribe_as {
+            let subscribe = Request::Subscribe {
+                delegation: id,
+                subscriber: subscriber.clone(),
+            };
+            if matches!(
+                retry.run(transport, &source, &subscribe).reply,
+                Ok(Reply::Subscribed)
+            ) {
+                done.resubscribed += 1;
+            }
         }
-    }
-
-    pub fn wallet(&self) -> &Wallet {
-        &self.wallet
-    }
-
-    /// Remote wallets currently subscribed to `id`.
-    pub fn subscribers_of(&self, id: DelegationId) -> BTreeSet<WalletAddr> {
-        self.subscribers
-            .lock()
-            .get(&id)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Drops the subscriber registry, the way a process crash would.
-    pub fn forget_volatile(&self) {
-        self.subscribers.lock().clear();
-    }
-
-    /// Answers one request. A request that invalidates a delegation
-    /// also returns the push its subscribers are owed.
-    pub fn handle(&self, req: Request) -> (Reply, Option<Fanout>) {
-        let reply = match req {
-            Request::DirectQuery {
-                subject,
-                object,
-                constraints,
-            } => match self.wallet.find_proof(&subject, &object, &constraints) {
-                Some(p) => Reply::Proofs(vec![p]),
-                None => Reply::Proofs(vec![]),
-            },
-            Request::SubjectQuery {
-                subject,
-                constraints,
-            } => Reply::Proofs(self.wallet.query_subject(&subject, &constraints)),
-            Request::ObjectQuery {
-                object,
-                constraints,
-            } => Reply::Proofs(self.wallet.query_object(&object, &constraints)),
-            Request::Publish { cert, supports } => match self.wallet.publish(cert, supports) {
-                Ok(id) => Reply::Published(id),
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::PublishDeclaration(decl) => match self.wallet.publish_declaration(&decl) {
-                Ok(()) => Reply::DeclarationPublished,
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::Subscribe {
-                delegation,
-                subscriber,
-            } => {
-                self.subscribers
-                    .lock()
-                    .entry(delegation)
-                    .or_default()
-                    .insert(subscriber);
-                Reply::Subscribed
+        match retry
+            .run(transport, &source, &Request::FetchDelegation(id))
+            .reply
+        {
+            Ok(Reply::Delegation(Some(_))) => {
+                wallet.mark_refreshed(id);
+                done.refreshed += 1;
             }
-            Request::Unsubscribe {
-                delegation,
-                subscriber,
-            } => {
-                if let Entry::Occupied(mut watchers) = self.subscribers.lock().entry(delegation) {
-                    watchers.get_mut().remove(&subscriber);
-                    if watchers.get().is_empty() {
-                        watchers.remove();
-                    }
-                }
-                Reply::Subscribed
-            }
-            Request::Revoke(revocation) => match self.wallet.revoke(&revocation) {
-                Ok(delivered) => {
-                    let fanout = self.originate(DelegationEvent {
-                        delegation: revocation.delegation_id(),
-                        reason: InvalidationReason::Revoked,
-                    });
-                    return (Reply::Revoked(delivered), Some(fanout));
-                }
-                Err(e) => Reply::Error(e.to_string()),
-            },
-            Request::FetchDeclarations => Reply::Declarations(self.wallet.signed_declarations()),
-            Request::FetchDelegation(id) => {
-                let now = self.wallet.now();
-                let live = self
-                    .wallet
-                    .get(id)
-                    .filter(|c| !self.wallet.is_revoked(id) && !c.delegation().is_expired(now));
-                Reply::Delegation(live)
-            }
-            // A scrape needs the serving process's uptime, request and
-            // link counts, which only a daemon has; simulated hosts
-            // share one process and one global registry, so a per-host
-            // answer would mislead.
-            Request::Stats | Request::Health => {
-                Reply::Error("stats/health are served by TCP daemons".into())
-            }
-        };
-        (reply, None)
-    }
-
-    /// Originates an invalidation this host observed (a revocation it
-    /// honoured, a local expiry, a disowned cached copy, a push): each
-    /// subscriber is owed one push, and a later sighting owes nobody.
-    fn originate(&self, event: DelegationEvent) -> Fanout {
-        let targets = self.subscribers.lock().remove(&event.delegation);
-        Fanout {
-            targets: targets.unwrap_or_default(),
-            event,
-        }
-    }
-
-    /// Relays an incoming push: applied to the local wallet (monitors,
-    /// subscriptions, graph) and cascaded to this host's own
-    /// subscribers, if any are left, so subscription cycles
-    /// terminate.
-    pub fn relay(&self, event: DelegationEvent) -> Option<Fanout> {
-        let fanout = self.originate(event);
-        self.wallet.push_event(event);
-        (!fanout.targets.is_empty()).then_some(fanout)
-    }
-
-    /// Drops locally expired delegations and originates one
-    /// invalidation per expiry. Drive after advancing the clock. Costs
-    /// O(expired): the wallet names the ids it swept, so a lazily booted
-    /// wallet is never hydrated for it.
-    pub fn process_expiries(&self) -> Vec<Fanout> {
-        let (expired, _) = self.wallet.process_expiries();
-        expired
-            .into_iter()
-            .map(|delegation| {
-                self.originate(DelegationEvent {
-                    delegation,
-                    reason: InvalidationReason::Expired,
-                })
-            })
-            .collect()
-    }
-
-    /// Revalidates cached credentials against the wallets they were
-    /// fetched from: each `(delegation, source)` entry is re-fetched
-    /// over `transport` under `retry`. With `resubscribe_as` set, the
-    /// push subscription is re-registered under that address first —
-    /// the recovery step after a source restart, whose volatile
-    /// registry silently forgot us. An entry the source still vouches
-    /// for restarts its TTL window; one it disowns is invalidated
-    /// locally (an `Expired` event) and handed to `deliver` for this
-    /// host's own subscribers; an unreachable source leaves the entry
-    /// untouched — TTL refresh remains the backstop.
-    pub fn revalidate(
-        &self,
-        transport: &dyn Transport,
-        retry: &RetryPolicy,
-        resubscribe_as: Option<&WalletAddr>,
-        entries: impl IntoIterator<Item = (DelegationId, WalletAddr)>,
-        mut deliver: impl FnMut(Fanout),
-    ) -> Revalidated {
-        let mut done = Revalidated::default();
-        for (id, source) in entries {
-            if let Some(subscriber) = resubscribe_as {
-                let subscribe = Request::Subscribe {
+            Ok(Reply::Delegation(None)) => {
+                wallet.push_event(DelegationEvent {
                     delegation: id,
-                    subscriber: subscriber.clone(),
-                };
-                if matches!(
-                    retry.run(transport, &source, &subscribe).reply,
-                    Ok(Reply::Subscribed)
-                ) {
-                    done.resubscribed += 1;
-                }
+                    reason: InvalidationReason::Expired,
+                });
+                done.dropped += 1;
             }
-            match retry
-                .run(transport, &source, &Request::FetchDelegation(id))
-                .reply
-            {
-                Ok(Reply::Delegation(Some(_))) => {
-                    self.wallet.mark_refreshed(id);
-                    done.refreshed += 1;
-                }
-                Ok(Reply::Delegation(None)) => {
-                    let event = DelegationEvent {
-                        delegation: id,
-                        reason: InvalidationReason::Expired,
-                    };
-                    if let Some(fanout) = self.relay(event) {
-                        deliver(fanout);
-                    }
-                    done.dropped += 1;
-                }
-                _ => {}
-            }
+            _ => {}
         }
-        done
     }
+    done
 }
 
 #[cfg(test)]
@@ -258,14 +157,35 @@ mod tests {
     use crate::sim::NetError;
     use crate::testkit::{fx, proof_of, publish, Fx};
     use crate::wire::encode_reply;
-    use drbac_core::{AttrDeclaration, AttrOp, Node, SignedAttrDeclaration, Ticks, Timestamp};
+    use drbac_core::{
+        AttrDeclaration, AttrOp, DelegationId, Node, SignedAttrDeclaration, Ticks, Timestamp,
+    };
     use drbac_index::{DelegationIndex, MemTable};
     use drbac_store::WalletStore;
     use drbac_wallet::DurableWallet;
-    use std::sync::Arc;
+    use parking_lot::Mutex;
+    use std::collections::{BTreeSet, HashMap};
 
-    fn host_at(f: &Fx, addr: &str) -> HostCore {
-        HostCore::new(Wallet::new(addr, f.clock.clone()))
+    /// A host's sink that records every push a wallet's fan-out hands it.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(DelegationEvent, BTreeSet<WalletAddr>)>>);
+
+    impl PushSink for Recorder {
+        fn push(&self, event: DelegationEvent, targets: BTreeSet<WalletAddr>) {
+            self.0.lock().push((event, targets));
+        }
+    }
+
+    impl Recorder {
+        /// The pushes recorded since the last call.
+        fn owed(&self) -> Vec<(DelegationEvent, BTreeSet<WalletAddr>)> {
+            std::mem::take(&mut *self.0.lock())
+        }
+    }
+
+    /// A wallet at `addr` and the recording sink of the host serving it.
+    fn host_at(f: &Fx, addr: &str) -> (Wallet, Arc<Recorder>) {
+        (Wallet::new(addr, f.clock.clone()), Arc::default())
     }
 
     fn sub(delegation: DelegationId, subscriber: &str) -> Request {
@@ -290,13 +210,21 @@ mod tests {
         names.iter().map(|n| (*n).into()).collect()
     }
 
+    fn short_lived(f: &Fx) -> drbac_core::SignedDelegation {
+        (f.a)
+            .delegate(Node::entity(&f.m), Node::role(f.a.role("short")))
+            .expires(Timestamp(5))
+            .sign(&f.a)
+            .unwrap()
+    }
+
     /// Every request kind against one wallet, in script order: each
     /// reply encodes to exactly the expected reply's bytes, and only an
     /// honoured revocation owes a push.
     #[test]
     fn every_request_kind_has_its_reply() {
         let f = fx();
-        let host = host_at(&f, "w");
+        let (wallet, sink) = host_at(&f, "w");
         let (cert, stranger) = (f.cert("r"), f.cert("never-published"));
         let (id, proof) = (cert.id(), proof_of(&cert));
         let bw = AttrDeclaration::new(f.a.attr("BW", AttrOp::Min), 200.0).unwrap();
@@ -334,20 +262,27 @@ mod tests {
         ];
         for (step, (request, expected, owes_push)) in script.into_iter().enumerate() {
             let what = format!("step {step}: {request}");
-            let (reply, fanout) = host.handle(request);
+            let reply = handle(&wallet, &sink, request);
             assert_eq!(
                 encode_reply(&reply),
                 encode_reply(&expected),
                 "{what}: {reply:?}"
             );
-            assert_eq!(fanout.is_some(), owes_push, "{what}");
+            assert_eq!(sink.owed().len(), usize::from(owes_push), "{what}");
         }
     }
 
     #[test]
     fn registry_drops_a_delegation_when_its_last_subscriber_leaves() {
-        let host = host_at(&fx(), "w");
+        let (wallet, sink) = host_at(&fx(), "w");
+        let other: Arc<Recorder> = Arc::default();
         let (d1, d2) = (DelegationId([1; 32]), DelegationId([2; 32]));
+        let watched = || {
+            [d1, d2]
+                .iter()
+                .filter(|d| !wallet.remote_subscribers(**d, &*sink).is_empty())
+                .count()
+        };
         // (request, subscribers of d1 afterwards, delegations watched afterwards)
         let script: Vec<(Request, &[&str], usize)> = vec![
             (unsub(d1, "a"), &[], 0), // nothing to remove, nothing created
@@ -360,98 +295,140 @@ mod tests {
             (unsub(d1, "b"), &[], 1), // last one out: the entry goes too
             (unsub(d2, "a"), &[], 0),
         ];
-        for (step, (request, of_d1, watched)) in script.into_iter().enumerate() {
-            let (reply, fanout) = host.handle(request);
-            assert!(
-                matches!(reply, Reply::Subscribed) && fanout.is_none(),
+        for (step, (request, of_d1, after)) in script.into_iter().enumerate() {
+            // The same subscriber through another host is another entry,
+            // which neither host's requests touch.
+            handle(&wallet, &other, sub(d1, "a"));
+            let reply = handle(&wallet, &sink, request);
+            assert!(matches!(reply, Reply::Subscribed), "step {step}");
+            assert_eq!(
+                wallet.remote_subscribers(d1, &*sink),
+                addrs(of_d1),
                 "step {step}"
             );
-            assert_eq!(host.subscribers_of(d1), addrs(of_d1), "step {step}");
-            assert_eq!(host.subscribers.lock().len(), watched, "step {step}");
+            assert_eq!(watched(), after, "step {step}");
+            assert_eq!(wallet.remote_subscribers(d1, &*other), addrs(&["a"]));
         }
+        assert!(sink.owed().is_empty() && other.owed().is_empty());
     }
 
+    /// Each subscriber is owed one push per death, through its own
+    /// host's sink, and a later sighting of the event owes nobody.
     #[test]
-    fn revoke_originates_one_event_per_subscriber() {
+    fn revoke_owes_one_push_per_subscriber() {
         let f = fx();
-        let host = host_at(&f, "home");
+        let (wallet, sink) = host_at(&f, "home");
         let cert = f.cert("r");
         let revoked = event(cert.id(), InvalidationReason::Revoked);
-        host.wallet().publish(cert.clone(), vec![]).unwrap();
-        for peer in ["c1", "c2", "c3"] {
-            host.handle(sub(cert.id(), peer));
+        wallet.publish(cert.clone(), vec![]).unwrap();
+        for peer in ["c3", "c1", "c2"] {
+            handle(&wallet, &sink, sub(cert.id(), peer));
         }
-        host.handle(sub(DelegationId([9; 32]), "bystander"));
+        handle(&wallet, &sink, sub(DelegationId([9; 32]), "bystander"));
 
-        let (reply, fanout) = host.handle(f.revoke(&cert));
-        assert!(matches!(reply, Reply::Revoked(_)));
-        let owed = Fanout {
-            targets: addrs(&["c1", "c2", "c3"]),
-            event: revoked,
-        };
-        assert_eq!(fanout, Some(owed.clone()));
+        let reply = handle(&wallet, &sink, f.revoke(&cert));
+        assert!(
+            matches!(reply, Reply::Revoked(0)),
+            "remote pushes are not counted"
+        );
+        assert_eq!(sink.owed(), [(revoked, addrs(&["c1", "c2", "c3"]))]);
         // Its own event is not taken back in, nor announced twice: a
-        // second origination owes nobody.
-        assert_eq!(host.relay(revoked), None);
-        assert_eq!(host.originate(revoked).targets, addrs(&[]));
+        // second sighting owes nobody.
+        assert_eq!(wallet.push_event(revoked), 0);
+        assert_eq!(sink.owed(), []);
         // A refused revocation owes nothing.
-        let (reply, fanout) = host.handle(f.revoke(&f.cert("other")));
-        assert!(reply.is_error() && fanout.is_none());
+        let reply = handle(&wallet, &sink, f.revoke(&f.cert("other")));
+        assert!(reply.is_error());
+        assert_eq!(sink.owed(), []);
+        assert_eq!(wallet.remote_subscribers(cert.id(), &*sink), addrs(&[]));
     }
 
-    /// Two hosts subscribed to each other: the relay guard applies and
-    /// cascades each event once per host, so the ping-pong terminates.
+    /// A subscription to an id already dead here registers nothing: the
+    /// subscriber is pushed the death at once, whichever way it died. An
+    /// id never held here registers as before.
     #[test]
-    fn mutually_subscribed_hosts_relay_once_and_terminate() {
+    fn a_subscribe_after_the_death_is_pushed_the_death_at_once() {
         let f = fx();
-        let hosts = HashMap::from([("w1", host_at(&f, "w1")), ("w2", host_at(&f, "w2"))]);
-        let (w1, w2) = (&hosts["w1"], &hosts["w2"]);
-        let cert = f.cert("r");
-        w1.wallet().publish(cert.clone(), vec![]).unwrap();
-        w2.wallet()
-            .absorb_proof(&proof_of(&cert), &"w1".into())
-            .unwrap();
-        w1.handle(sub(cert.id(), "w2"));
-        w2.handle(sub(cert.id(), "w1"));
-        let (m, r) = (Node::entity(&f.m), Node::role(f.a.role("r")));
-        let monitor = w2.wallet().query_direct(&m, &r, &[]).unwrap();
+        let (wallet, sink) = host_at(&f, "home");
+        let (revoked, short) = (f.cert("r"), short_lived(&f));
+        wallet.publish(revoked.clone(), vec![]).unwrap();
+        wallet.publish(short.clone(), vec![]).unwrap();
+        handle(&wallet, &sink, f.revoke(&revoked));
+        f.clock.advance(Ticks(10));
 
-        let mut in_flight: Vec<Fanout> = w1.handle(f.revoke(&cert)).1.into_iter().collect();
+        let reply = handle(&wallet, &sink, sub(revoked.id(), "late"));
+        assert!(matches!(reply, Reply::Subscribed));
+        let death = event(revoked.id(), InvalidationReason::Revoked);
+        assert_eq!(sink.owed(), [(death, addrs(&["late"]))]);
+        assert_eq!(wallet.remote_subscribers(revoked.id(), &*sink), addrs(&[]));
+
+        // Lapsed but not yet swept: the sweep would find nobody.
+        handle(&wallet, &sink, sub(short.id(), "late"));
+        let death = event(short.id(), InvalidationReason::Expired);
+        assert_eq!(sink.owed(), [(death, addrs(&["late"]))]);
+        assert_eq!(wallet.process_expiries().0, [short.id()]);
+        assert_eq!(sink.owed(), []);
+
+        let unknown = DelegationId([7; 32]);
+        handle(&wallet, &sink, sub(unknown, "late"));
+        assert_eq!(sink.owed(), []);
+        assert_eq!(wallet.remote_subscribers(unknown, &*sink), addrs(&["late"]));
+    }
+
+    /// Two wallets subscribed to each other: each death is taken once
+    /// per wallet, so the ping-pong terminates.
+    #[test]
+    fn mutually_subscribed_wallets_push_once_and_terminate() {
+        let f = fx();
+        let sink: Arc<Recorder> = Arc::default();
+        let wallets = HashMap::from([
+            ("w1", Wallet::new("w1", f.clock.clone())),
+            ("w2", Wallet::new("w2", f.clock.clone())),
+        ]);
+        let (w1, w2) = (&wallets["w1"], &wallets["w2"]);
+        let cert = f.cert("r");
+        w1.publish(cert.clone(), vec![]).unwrap();
+        w2.absorb_proof(&proof_of(&cert), &"w1".into()).unwrap();
+        handle(w1, &sink, sub(cert.id(), "w2"));
+        handle(w2, &sink, sub(cert.id(), "w1"));
+        let (m, r) = (Node::entity(&f.m), Node::role(f.a.role("r")));
+        let monitor = w2.query_direct(&m, &r, &[]).unwrap();
+
+        handle(w1, &sink, f.revoke(&cert));
         let mut delivered = Vec::new();
-        while let Some(Fanout { targets, event }) = in_flight.pop() {
+        loop {
+            let Some((event, targets)) = sink.0.lock().pop() else {
+                break;
+            };
             for to in targets {
                 assert!(delivered.len() < 8, "push ping-pong: {delivered:?}");
-                in_flight.extend(hosts[to.as_str()].relay(event));
+                wallets[to.as_str()].push_event(event);
                 delivered.push(to);
             }
         }
-        // w1 → w2 (applied, cascaded back) → w1 (its own event: dropped).
+        // w1 → w2 (applied, pushed back) → w1 (its own event: dropped).
         assert_eq!(delivered, ["w2".into(), "w1".into()]);
-        assert!(!monitor.is_valid(), "the relayed push reached w2's monitor");
-        assert!(w2.wallet().is_revoked(cert.id()));
+        assert!(!monitor.is_valid(), "the push reached w2's monitor");
+        assert!(w2.is_revoked(cert.id()));
     }
 
     #[test]
-    fn expiry_sweep_originates_like_a_revocation() {
+    fn expiry_sweep_owes_pushes_like_a_revocation() {
         let f = fx();
-        let host = host_at(&f, "home");
-        let short = (f.a)
-            .delegate(Node::entity(&f.m), Node::role(f.a.role("short")))
-            .expires(Timestamp(5))
-            .sign(&f.a)
-            .unwrap();
-        host.wallet().publish(short.clone(), vec![]).unwrap();
-        host.wallet().publish(f.cert("forever"), vec![]).unwrap();
-        host.handle(sub(short.id(), "cache"));
+        let (wallet, sink) = host_at(&f, "home");
+        let short = short_lived(&f);
+        wallet.publish(short.clone(), vec![]).unwrap();
+        wallet.publish(f.cert("forever"), vec![]).unwrap();
+        handle(&wallet, &sink, sub(short.id(), "cache"));
 
-        assert_eq!(host.process_expiries(), [], "nothing has lapsed yet");
+        wallet.process_expiries();
+        assert_eq!(sink.owed(), [], "nothing has lapsed yet");
         f.clock.advance(Ticks(10));
-        let owed = Fanout {
-            targets: addrs(&["cache"]),
-            event: event(short.id(), InvalidationReason::Expired),
-        };
-        assert_eq!(host.process_expiries(), [owed]);
-        assert_eq!(host.process_expiries(), [], "swept once");
+        let expired = event(short.id(), InvalidationReason::Expired);
+        assert_eq!(wallet.process_expiries().0, [short.id()]);
+        assert_eq!(sink.owed(), [(expired, addrs(&["cache"]))]);
+        assert_eq!(wallet.process_expiries().0, [], "swept once");
+        assert_eq!(sink.owed(), []);
     }
 
     /// On a lazily booted indexed wallet the sweep finds what lapsed in
@@ -462,11 +439,7 @@ mod tests {
         let f = fx();
         let store = Arc::new(WalletStore::in_memory());
         let index = Arc::new(DelegationIndex::open(Box::new(MemTable::new())).unwrap());
-        let short = (f.a)
-            .delegate(Node::entity(&f.m), Node::role(f.a.role("short")))
-            .expires(Timestamp(5))
-            .sign(&f.a)
-            .unwrap();
+        let short = short_lived(&f);
         {
             let (w, _) = DurableWallet::open("home", f.clock.clone(), Arc::clone(&store)).unwrap();
             w.attach_index(Arc::clone(&index));
@@ -478,8 +451,8 @@ mod tests {
         let (wallet, boot) =
             DurableWallet::open_indexed("home", f.clock.clone(), store, index).unwrap();
         assert!(boot.lazy && wallet.is_empty(), "nothing hydrated at boot");
-        let host = HostCore::new(wallet.wallet().clone());
-        host.handle(sub(short.id(), "cache"));
+        let sink: Arc<Recorder> = Arc::default();
+        handle(wallet.wallet(), &sink, sub(short.id(), "cache"));
 
         f.clock.advance(Ticks(10));
         let full_hydrations = || {
@@ -488,11 +461,9 @@ mod tests {
                 .get()
         };
         let before = full_hydrations();
-        let owed = Fanout {
-            targets: addrs(&["cache"]),
-            event: event(short.id(), InvalidationReason::Expired),
-        };
-        assert_eq!(host.process_expiries(), [owed]);
+        let expired = event(short.id(), InvalidationReason::Expired);
+        assert_eq!(wallet.process_expiries().0, [short.id()]);
+        assert_eq!(sink.owed(), [(expired, addrs(&["cache"]))]);
         assert_eq!(full_hydrations(), before, "the sweep hydrated the wallet");
         assert!(wallet.is_empty());
     }
@@ -525,16 +496,16 @@ mod tests {
     fn revalidation_refreshes_drops_and_keeps() {
         for resubscribe in [false, true] {
             let f = fx();
-            let host = host_at(&f, "cache");
+            let (wallet, sink) = host_at(&f, "cache");
             let (keep, lose, dark) = (f.cert("keep"), f.cert("lose"), f.cert("dark"));
             for cert in [&keep, &lose, &dark] {
-                host.wallet()
+                wallet
                     .absorb_proof(&proof_of(cert), &"home".into())
                     .unwrap();
             }
-            host.handle(sub(lose.id(), "downstream"));
+            handle(&wallet, &sink, sub(lose.id(), "downstream"));
             f.clock.advance(Ticks(11));
-            assert_eq!(host.wallet().stale_entries().len(), 3);
+            assert_eq!(wallet.stale_entries().len(), 3);
 
             let transport = Scripted {
                 vouched: HashMap::from([
@@ -545,13 +516,12 @@ mod tests {
                 log: Mutex::new(Vec::new()),
             };
             let me: WalletAddr = "cache".into();
-            let mut pushed = Vec::new();
-            let done = host.revalidate(
+            let done = revalidate(
+                &wallet,
                 &transport,
                 &RetryPolicy::none(),
                 resubscribe.then_some(&me),
-                [&keep, &lose, &dark].map(|c| (c.id(), "home".into())),
-                |fanout| pushed.push(fanout),
+                |entry| entry.source.as_str() == "home",
             );
             let resubscribed = if resubscribe { 3 } else { 0 };
             assert_eq!(
@@ -573,24 +543,15 @@ mod tests {
             );
 
             // Refreshed: TTL window restarted. Unreachable: kept, still stale.
-            assert_eq!(host.wallet().stale_entries(), [dark.id()]);
-            assert!(host.wallet().cache_entry(keep.id()).is_some());
-            // Disowned: a local `Expired` event, cascaded to our own subscriber.
-            assert!(!host.wallet().contains(lose.id()));
-            assert!(host.wallet().cache_entry(lose.id()).is_none());
+            assert_eq!(wallet.stale_entries(), [dark.id()]);
+            assert!(wallet.cache_entry(keep.id()).is_some());
+            // Disowned: a local `Expired` event, pushed to our own subscriber.
+            assert!(!wallet.contains(lose.id()));
+            assert!(wallet.cache_entry(lose.id()).is_none());
             let expired = event(lose.id(), InvalidationReason::Expired);
-            assert_eq!(
-                pushed,
-                [Fanout {
-                    targets: addrs(&["downstream"]),
-                    event: expired
-                }]
-            );
-            assert_eq!(
-                host.relay(expired),
-                None,
-                "our own event is not relayed back"
-            );
+            assert_eq!(sink.owed(), [(expired, addrs(&["downstream"]))]);
+            assert_eq!(wallet.push_event(expired), 0);
+            assert_eq!(sink.owed(), [], "our own event is not pushed again");
         }
     }
 }

@@ -3,15 +3,15 @@
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use drbac_core::{DelegationId, SimClock, Ticks, Timestamp, WalletAddr};
 use drbac_store::{StoreEvent, WalletStore};
-use drbac_wallet::{RecoveryReport, Wallet};
+use drbac_wallet::{CacheEntry, DelegationEvent, PushSink, RecoveryReport, Wallet};
 use parking_lot::{Mutex, RwLock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::host::{Fanout, HostCore};
+use crate::host;
 use crate::proto::{OneWay, Reply, Request};
 use crate::transport::RetryPolicy;
 use crate::wire::{self, FrameKind};
@@ -195,13 +195,14 @@ impl NetStats {
     }
 }
 
-/// A wallet attached to the network: the shared host core (wallet and
-/// subscriber registry) plus the write-ahead store handle
-/// that crash/restart recovery goes through.
+/// A wallet attached to the network: the wallet, the network's push
+/// sink its remote subscribers are reached through, and the write-ahead
+/// store handle that crash/restart recovery goes through.
 #[derive(Clone)]
 pub struct WalletHost {
     addr: WalletAddr,
-    core: Arc<HostCore>,
+    wallet: Wallet,
+    sink: Arc<SimSink>,
     /// The write-ahead store journaling this wallet's mutations.
     store: Arc<Mutex<StoreHandle>>,
 }
@@ -236,7 +237,7 @@ impl WalletHost {
 
     /// The wallet served by this host.
     pub fn wallet(&self) -> &Wallet {
-        self.core.wallet()
+        &self.wallet
     }
 
     /// The write-ahead store currently journaling this host's wallet.
@@ -244,9 +245,9 @@ impl WalletHost {
         self.store.lock().clone()
     }
 
-    /// Remote wallets currently subscribed to `id`.
+    /// Remote wallets currently subscribed to `id` through this network.
     pub fn subscribers_of(&self, id: DelegationId) -> BTreeSet<WalletAddr> {
-        self.core.subscribers_of(id)
+        self.wallet.remote_subscribers(id, &*self.sink)
     }
 
     /// Revalidates every stale cached credential against its recorded
@@ -254,15 +255,9 @@ impl WalletHost {
     /// for are invalidated locally and cascaded; an unreachable source
     /// leaves the stale entry for now. Returns `(refreshed, dropped)`.
     pub fn refresh_stale(&self, net: &SimNet) -> (usize, usize) {
-        let wallet = self.wallet();
-        let stale: Vec<(DelegationId, WalletAddr)> = wallet
-            .stale_entries()
-            .into_iter()
-            .filter_map(|id| Some((id, wallet.cache_entry(id)?.source)))
-            .collect();
-        let done = self
-            .core
-            .revalidate(net, &RetryPolicy::none(), None, stale, |f| net.deliver(f));
+        let now = self.wallet.now();
+        let stale = |entry: &CacheEntry| entry.is_stale(now);
+        let done = host::revalidate(&self.wallet, net, &RetryPolicy::none(), None, stale);
         (done.refreshed, done.dropped)
     }
 
@@ -277,30 +272,27 @@ impl WalletHost {
     /// Entries a source disowns are invalidated locally and cascaded.
     /// Returns `(resubscribed, dropped)`.
     pub fn resubscribe_cached(&self, net: &SimNet) -> (usize, usize) {
-        let cached = self
-            .wallet()
-            .cache_entries()
-            .into_iter()
-            .map(|(id, entry)| (id, entry.source));
-        let done = self.core.revalidate(
-            net,
-            &RetryPolicy::standard(),
-            Some(&self.addr),
-            cached,
-            |f| net.deliver(f),
-        );
+        let retry = RetryPolicy::standard();
+        let done = host::revalidate(&self.wallet, net, &retry, Some(&self.addr), |_| true);
         (done.resubscribed, done.dropped)
     }
 
-    /// Processes local expiries and pushes resulting invalidations to
-    /// subscribers. Drive after advancing the clock.
-    pub fn process_expiries(&self, net: &SimNet) -> usize {
-        let expired = self.core.process_expiries();
-        let count = expired.len();
-        for fanout in expired {
-            net.deliver(fanout);
+    /// Processes local expiries (the wallet pushes its subscribers) and
+    /// returns how many lapsed. Drive after advancing the clock.
+    pub fn process_expiries(&self) -> usize {
+        self.wallet.process_expiries().0.len()
+    }
+}
+
+/// The push sink of a network's hosts. Weak: the network owns the
+/// wallets that hold it.
+struct SimSink(Weak<SimState>);
+
+impl PushSink for SimSink {
+    fn push(&self, event: DelegationEvent, targets: BTreeSet<WalletAddr>) {
+        if let Some(state) = self.0.upgrade() {
+            SimNet { state }.deliver(event, targets);
         }
-        count
     }
 }
 
@@ -358,6 +350,8 @@ struct SimState {
     partitioned: Mutex<HashSet<WalletAddr>>,
     /// Pushes addressed into a partition, waiting for the heal.
     parked: Mutex<Vec<Envelope>>,
+    /// The sink every host on this network accepts subscriptions for.
+    sink: Arc<SimSink>,
 }
 
 /// A deterministic discrete-event network of wallet hosts.
@@ -412,7 +406,7 @@ impl SimNet {
         let bytes_counter = registry.counter(NetStats::BYTES);
         let timeout_counter = registry.counter(NetStats::TIMEOUTS);
         SimNet {
-            state: Arc::new(SimState {
+            state: Arc::new_cyclic(|state| SimState {
                 clock,
                 latency,
                 hosts: RwLock::new(HashMap::new()),
@@ -429,6 +423,7 @@ impl SimNet {
                 faults: Mutex::new(None),
                 partitioned: Mutex::new(HashSet::new()),
                 parked: Mutex::new(Vec::new()),
+                sink: Arc::new(SimSink(state.clone())),
             }),
         }
     }
@@ -438,11 +433,6 @@ impl SimNet {
     /// replays the same fault schedule.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
         *self.state.faults.lock() = plan.map(FaultInjector::new);
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.state.faults.lock().as_ref().map(|f| f.plan.clone())
     }
 
     /// Failure injection: cuts `addr` off behind a network partition.
@@ -482,8 +472,8 @@ impl SimNet {
 
     /// Failure injection: crashes the host at `addr`. The host becomes
     /// unreachable and *everything in memory dies with the process* —
-    /// the remote-subscriber registry and the wallet's entire contents,
-    /// volatile and durable alike. What
+    /// the wallet's entire contents, its remote subscribers, volatile
+    /// and durable alike. What
     /// survives is the write-ahead store, whose handle is returned for a
     /// later [`SimNet::restart_host`]; any journal bytes the store had
     /// not yet fsynced are lost too (power-loss semantics). Returns
@@ -491,7 +481,6 @@ impl SimNet {
     pub fn crash_host(&self, addr: &WalletAddr) -> Option<StoreHandle> {
         let host = self.host(addr)?;
         self.state.down.lock().insert(addr.clone());
-        host.core.forget_volatile();
         host.wallet().detach_journal();
         host.wallet().wipe();
         let store = host.store.lock().clone();
@@ -574,7 +563,8 @@ impl SimNet {
         wallet.attach_journal(Arc::clone(&store));
         let host = WalletHost {
             addr: addr.clone(),
-            core: Arc::new(HostCore::new(wallet)),
+            wallet,
+            sink: Arc::clone(&self.state.sink),
             store: Arc::new(Mutex::new(store)),
         };
         self.state.hosts.write().insert(addr, host.clone());
@@ -679,13 +669,7 @@ impl SimNet {
         );
         self.state.clock.advance(Ticks(self.state.latency.0 + jitter.0));
         let reply = match wire::decode_request(&payload(&request)?) {
-            Ok(req) => {
-                let (reply, fanout) = host.core.handle(req);
-                if let Some(fanout) = fanout {
-                    self.deliver(fanout);
-                }
-                reply
-            }
+            Ok(req) => host::handle(&host.wallet, &host.sink, req),
             Err(e) => Reply::undecodable_request(&e),
         };
         let reply = frame(FrameKind::Reply, &wire::encode_reply(&reply))?;
@@ -695,13 +679,13 @@ impl SimNet {
             .map_err(|e| NetError::Protocol(format!("undecodable reply: {e}")))
     }
 
-    /// Enqueues `fanout`'s event as one push frame per subscriber, each
-    /// delivered after one latency (plus any [`FaultPlan`] jitter). The
-    /// frame is encoded once and its bytes cloned per target.
-    pub(crate) fn deliver(&self, fanout: Fanout) {
-        let push = wire::encode_push(&OneWay::Invalidate(fanout.event));
+    /// Enqueues `event` as one push frame per target, each delivered
+    /// after one latency (plus any [`FaultPlan`] jitter). The frame is
+    /// encoded once and its bytes cloned per target.
+    fn deliver(&self, event: DelegationEvent, targets: BTreeSet<WalletAddr>) {
+        let push = wire::encode_push(&OneWay::Invalidate(event));
         let push = frame(FrameKind::Push, &push).expect("a push frame is far below the frame cap");
-        for to in fanout.targets {
+        for to in targets {
             let jitter = self.draw_jitter();
             let deliver_at = self
                 .state
@@ -752,12 +736,11 @@ impl SimNet {
             let Some(host) = self.host(&envelope.to) else {
                 continue; // host vanished; drop the message
             };
-            // An undecodable push is dropped, as a `SubscriberLink` drops it.
+            // An undecodable push is dropped, as a `SubscriberLink` drops
+            // it. An applied one reaches the wallet's own subscribers.
             let push = payload(&envelope.frame).map(|p| wire::decode_push(&p));
             if let Ok(Ok(OneWay::Invalidate(event))) = push {
-                if let Some(cascade) = host.core.relay(event) {
-                    self.deliver(cascade);
-                }
+                host.wallet.push_event(event);
             }
         }
     }
@@ -1177,11 +1160,17 @@ mod tests {
         assert!(monitor.is_valid(), "cache is dangerously stale");
 
         // Recovery: re-register subscriptions and revalidate the cache.
-        // The missed revocation is caught by the revalidation fetch.
+        // The missed revocation is caught by the revalidation fetch. The
+        // resubscription of an id already revoked at home registers
+        // nothing and is pushed the death at once.
         let (resubscribed, dropped) = cache.resubscribe_cached(&f.net);
         assert_eq!((resubscribed, dropped), (1, 1));
         assert!(!monitor.is_valid(), "revalidation caught the revocation");
-        assert_eq!(home.subscribers_of(cert.id()).len(), 1, "resubscribed");
+        assert!(
+            home.subscribers_of(cert.id()).is_empty(),
+            "a dead id registers nothing"
+        );
+        assert_eq!(f.net.run_until_idle(), 1, "the death was pushed at once");
     }
 
     #[test]

@@ -1,23 +1,31 @@
 //! The dependents index: who is owed word when a credential dies.
 //!
 //! Paper §4.2.2 builds a proof monitor from delegation subscriptions,
-//! "one for each delegation in the proof". Both kinds of dependent live
-//! here under one rule: a dependent is registered by handle, removed by
-//! handle in O(1), and *taken* (fired once, then dropped) when a
-//! credential it waits on dies, so a repeat of that event finds nobody.
+//! "one for each delegation in the proof". Every dependent — a local
+//! subscription, a monitor, the remote wallets subscribed through a
+//! host — lives here under one rule: it is registered by handle,
+//! removed by handle in O(1), and *taken* (fired once, then dropped)
+//! when a credential it waits on dies, so a repeat finds nobody.
 //! Nothing is fired or dropped under the lock: callbacks may re-enter
 //! the wallet, and a monitor's destructor takes the lock.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Weak};
 
-use drbac_core::{DelegationId, Proof, SignedDelegation};
+use drbac_core::{DelegationId, Proof, SignedDelegation, WalletAddr};
 use drbac_graph::FastIdHasher;
 use parking_lot::Mutex;
 
 use crate::events::{DelegationEvent, InvalidationReason};
 use crate::monitor::MonitorCore;
+
+/// How a host reaches the remote wallets subscribed through it (the
+/// simulator's push queue, a daemon's push links).
+pub trait PushSink: Send + Sync {
+    /// Carries `event` to each of `targets`, after the local dependents.
+    fn push(&self, event: DelegationEvent, targets: BTreeSet<WalletAddr>);
+}
 
 /// Somebody to tell when a credential dies.
 pub(crate) enum Dependent {
@@ -26,6 +34,8 @@ pub(crate) enum Dependent {
     /// A proof monitor, waiting on every id it watches. Weak: the index
     /// never keeps a monitor alive.
     Monitor(Weak<MonitorCore>),
+    /// The remote wallets subscribed to one id through one host's sink.
+    Remote(Arc<dyn PushSink>, Remotes),
 }
 
 #[derive(Default)]
@@ -37,6 +47,8 @@ pub(crate) struct Dependents {
 /// no DoS-resistant hash; SipHash would dominate a registration.
 type Handles = BuildHasherDefault<FastIdHasher>;
 
+type Remotes = BTreeSet<WalletAddr>;
+
 #[derive(Default)]
 struct Inner {
     /// Never reused, so a stale handle stays stale.
@@ -46,6 +58,29 @@ struct Inner {
 }
 
 impl Inner {
+    fn insert(&mut self, ids: Vec<DelegationId>, dependent: Dependent) -> u64 {
+        let handle = self.next;
+        self.next += 1;
+        for id in &ids {
+            self.by_id.entry(*id).or_default().insert(handle);
+        }
+        self.entries.insert(handle, (ids, dependent));
+        handle
+    }
+
+    /// `id`'s subscriber set through `sink`, and its handle.
+    fn remote(&mut self, id: DelegationId, sink: &dyn PushSink) -> Option<(u64, &mut Remotes)> {
+        let of_sink = |h: &&u64| {
+            matches!(&self.entries[*h].1,
+            Dependent::Remote(s, _) if std::ptr::addr_eq(Arc::as_ptr(s), sink))
+        };
+        let handle = *self.by_id.get(&id)?.iter().find(of_sink)?;
+        match &mut self.entries.get_mut(&handle)?.1 {
+            Dependent::Remote(_, addrs) => Some((handle, addrs)),
+            _ => None,
+        }
+    }
+
     fn remove(&mut self, handle: u64) -> Option<Dependent> {
         let (ids, dependent) = self.entries.remove(&handle)?;
         drbac_obs::static_counter!("drbac.wallet.dependents.visited.count").inc();
@@ -63,14 +98,58 @@ impl Inner {
 
 impl Dependents {
     pub(crate) fn insert(&self, ids: Vec<DelegationId>, dependent: Dependent) -> u64 {
+        self.inner.lock().insert(ids, dependent)
+    }
+
+    /// Adds `addr` to `id`'s subscribers through `sink`, then asks
+    /// `dead` about `id`, as [`Self::watch`] does: a death fanned out
+    /// before this registration is pushed to `addr` here instead.
+    pub(crate) fn subscribe_remote(
+        &self,
+        id: DelegationId,
+        addr: WalletAddr,
+        sink: Arc<dyn PushSink>,
+        dead: impl FnOnce() -> Option<InvalidationReason>,
+    ) {
         let mut inner = self.inner.lock();
-        let handle = inner.next;
-        inner.next += 1;
-        for id in &ids {
-            inner.by_id.entry(*id).or_default().insert(handle);
+        if let Some((_, addrs)) = inner.remote(id, &*sink) {
+            addrs.insert(addr.clone());
+        } else {
+            let entry = Dependent::Remote(Arc::clone(&sink), BTreeSet::from([addr.clone()]));
+            inner.insert(vec![id], entry);
         }
-        inner.entries.insert(handle, (ids, dependent));
-        handle
+        drop(inner);
+        if let Some(reason) = dead().filter(|_| self.unsubscribe_remote(id, &addr, &*sink)) {
+            let event = DelegationEvent {
+                delegation: id,
+                reason,
+            };
+            sink.push(event, BTreeSet::from([addr]));
+        }
+    }
+
+    /// Removes `addr` from `id`'s subscribers through `sink`, and the
+    /// set when it empties; `false` if `addr` was not in it.
+    pub(crate) fn unsubscribe_remote(
+        &self,
+        id: DelegationId,
+        addr: &WalletAddr,
+        sink: &dyn PushSink,
+    ) -> bool {
+        let mut inner = self.inner.lock();
+        let Some((handle, addrs)) = inner.remote(id, sink) else {
+            return false;
+        };
+        let removed = addrs.remove(addr);
+        let emptied = addrs.is_empty().then(|| inner.remove(handle));
+        drop((inner, emptied)); // unlock, then drop the emptied entry
+        removed
+    }
+
+    pub(crate) fn remote_subscribers(&self, id: DelegationId, sink: &dyn PushSink) -> Remotes {
+        let mut inner = self.inner.lock();
+        let addrs = inner.remote(id, sink).map(|(_, addrs)| addrs.clone());
+        addrs.unwrap_or_default()
     }
 
     /// `None` if `handle` was removed or taken before. The caller drops
@@ -183,6 +262,21 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::OnceLock;
 
+    /// A host's sink that records what it is handed.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(DelegationEvent, BTreeSet<WalletAddr>)>>);
+
+    impl PushSink for Recorder {
+        fn push(&self, event: DelegationEvent, targets: BTreeSet<WalletAddr>) {
+            self.0.lock().push((event, targets));
+        }
+    }
+
+    /// Remote subscriber addresses and the hosts' sinks the model picks
+    /// from.
+    const ADDRS: [&str; 2] = ["r0", "r1"];
+    const SINKS: usize = 2;
+
     /// `[M → A.r0..r3]`, then `[A.r0 → A.s]`: five credentials, three of
     /// them with an expiry. Target `r_i` is proven by credential `i`
     /// alone, target `s` (index 4) by credentials 0 and 4.
@@ -241,6 +335,14 @@ mod tests {
     #[derive(Clone, Debug)]
     enum Op {
         Subscribe(usize),
+        /// A remote wallet's subscription through a host, or its
+        /// withdrawal.
+        Remote {
+            cred: usize,
+            addr: usize,
+            sink: usize,
+            subscribe: bool,
+        },
         /// Picks among every subscription handle issued so far, live or
         /// stale.
         Unsubscribe(usize),
@@ -261,6 +363,14 @@ mod tests {
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0..CREDS).prop_map(Op::Subscribe),
+            (0..CREDS, 0..ADDRS.len(), 0..SINKS, any::<bool>()).prop_map(
+                |(cred, addr, sink, subscribe)| Op::Remote {
+                    cred,
+                    addr,
+                    sink,
+                    subscribe
+                }
+            ),
             (0usize..16).prop_map(Op::Unsubscribe),
             (0..CREDS, any::<bool>()).prop_map(|(target, keep)| Op::Query { target, keep }),
             (0..CREDS).prop_map(Op::Revoke),
@@ -269,11 +379,15 @@ mod tests {
         ]
     }
 
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, PartialEq)]
     enum Owner {
         Sub,
         Monitor(usize),
+        /// One sink's subscriber set.
+        Remote(usize),
     }
+
+    type Pushes = Vec<(DelegationEvent, BTreeSet<WalletAddr>)>;
 
     /// The naive oracle: every registration ever made, in a `Vec`, and
     /// a loop over it.
@@ -287,11 +401,44 @@ mod tests {
         sub_fired: BTreeMap<u64, usize>,
         /// Expected firing per monitor ever registered.
         monitor_fired: Vec<bool>,
+        /// The addresses in each remote entry, by handle.
+        addrs: BTreeMap<u64, BTreeSet<usize>>,
+        /// Expected pushes per sink.
+        pushed: [Pushes; SINKS],
     }
 
     impl Oracle {
         fn alive(&self, cred: usize) -> bool {
             self.held[cred] && !self.revoked[cred] && EXPIRES[cred].is_none_or(|at| self.now <= at)
+        }
+
+        /// Why a subscription to `cred` made now is owed its death at
+        /// once: revoked here, or held past its expiry.
+        fn dead(&self, cred: usize) -> Option<InvalidationReason> {
+            let lapsed = EXPIRES[cred].is_some_and(|at| self.now > at);
+            match () {
+                _ if self.revoked[cred] => Some(InvalidationReason::Revoked),
+                _ if self.held[cred] && lapsed => Some(InvalidationReason::Expired),
+                _ => None,
+            }
+        }
+
+        fn push(&mut self, sink: usize, cred: usize, reason: InvalidationReason, to: &[usize]) {
+            let event = DelegationEvent {
+                delegation: world().certs[cred].id(),
+                reason,
+            };
+            let to = to.iter().map(|a| WalletAddr::from(ADDRS[*a])).collect();
+            self.pushed[sink].push((event, to));
+        }
+
+        /// Takes `addr` out of remote entry `handle`, which goes when it
+        /// empties; `false` if it was not in it.
+        fn unsubscribe(&mut self, handle: u64, addr: usize) -> bool {
+            let addrs = self.addrs.get_mut(&handle).unwrap();
+            let removed = addrs.remove(&addr);
+            self.entries[handle as usize].3 = !addrs.is_empty();
+            removed
         }
 
         /// `cred` dies: every live entry waiting on it fires and is
@@ -302,16 +449,25 @@ mod tests {
                 InvalidationReason::Expired => self.held[cred] = false,
             }
             let mut delivered = 0;
+            let mut remote = Vec::new();
             for (handle, on, owner, alive) in &mut self.entries {
                 if !*alive || !on.contains(&cred) {
                     continue;
                 }
                 *alive = false;
-                delivered += 1;
                 match owner {
                     Owner::Sub => *self.sub_fired.get_mut(handle).unwrap() += 1,
                     Owner::Monitor(m) => self.monitor_fired[*m] = true,
+                    Owner::Remote(sink) => {
+                        remote.push((*sink, *handle));
+                        continue;
+                    }
                 }
+                delivered += 1;
+            }
+            for (sink, handle) in remote {
+                let to: Vec<usize> = self.addrs[&handle].iter().copied().collect();
+                self.push(sink, cred, reason, &to);
             }
             delivered
         }
@@ -346,7 +502,10 @@ mod tests {
             entries: Vec::new(),
             sub_fired: BTreeMap::new(),
             monitor_fired: Vec::new(),
+            addrs: BTreeMap::new(),
+            pushed: Default::default(),
         };
+        let sinks: [Arc<Recorder>; SINKS] = Default::default();
         let mut subs: Vec<(SubscriptionId, Arc<AtomicUsize>)> = Vec::new();
         let mut kept: Vec<(usize, ProofMonitor, Arc<AtomicUsize>)> = Vec::new();
         let counter = || Arc::new(AtomicUsize::new(0));
@@ -362,6 +521,35 @@ mod tests {
                     oracle.entries.push((sub.0, vec![cred], Owner::Sub, true));
                     oracle.sub_fired.insert(sub.0, 0);
                     subs.push((sub, fired));
+                }
+                Op::Remote {
+                    cred,
+                    addr,
+                    sink,
+                    subscribe,
+                } => {
+                    let (id, at) = (w.certs[cred].id(), WalletAddr::from(ADDRS[addr]));
+                    let live = (oracle.entries.iter())
+                        .find(|e| e.3 && e.2 == Owner::Remote(sink) && e.1 == [cred])
+                        .map(|e| e.0);
+                    if subscribe {
+                        wallet.subscribe_remote(id, at, Arc::clone(&sinks[sink]) as _);
+                        let handle = live.unwrap_or_else(|| {
+                            let handle = oracle.entries.len() as u64;
+                            let entry = (handle, vec![cred], Owner::Remote(sink), true);
+                            oracle.entries.push(entry);
+                            handle
+                        });
+                        oracle.addrs.entry(handle).or_default().insert(addr);
+                        if let Some(reason) = oracle.dead(cred) {
+                            oracle.unsubscribe(handle, addr);
+                            oracle.push(sink, cred, reason, &[addr]);
+                        }
+                    } else {
+                        let removed = wallet.unsubscribe_remote(id, &at, &*sinks[sink]);
+                        let want = live.is_some_and(|h| oracle.unsubscribe(h, addr));
+                        prop_assert_eq!(removed, want, "step {}", step);
+                    }
                 }
                 Op::Unsubscribe(pick) => {
                     if let Some((sub, _)) = subs.get(pick % subs.len().max(1)) {
@@ -446,6 +634,9 @@ mod tests {
             for (sub, fired) in &subs {
                 prop_assert_eq!(fired.load(Ordering::SeqCst), oracle.sub_fired[&sub.0]);
             }
+            for (sink, want) in sinks.iter().zip(&oracle.pushed) {
+                prop_assert_eq!(&*sink.0.lock(), want, "step {}: {:?}", step, op);
+            }
             for (m, monitor, fired) in &kept {
                 let want = oracle.monitor_fired[*m];
                 prop_assert_eq!(fired.load(Ordering::SeqCst), usize::from(want));
@@ -458,9 +649,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Subscriptions and monitors against the naive oracle: each
-        /// fires exactly when a credential it depends on dies, at most
-        /// once, and the index holds exactly the live registrations
+        /// Subscriptions, monitors and remote subscribers against the
+        /// naive oracle: each fires exactly when a credential it depends
+        /// on dies, at most once (a remote one at once if it subscribed
+        /// after the death), each sink gets one address-sorted push per
+        /// death, and the index holds exactly the live registrations
         /// after every step.
         #[test]
         fn the_index_matches_a_naive_oracle(ops in prop::collection::vec(op(), 1..40)) {

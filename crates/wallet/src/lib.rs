@@ -28,6 +28,7 @@ mod monitor;
 mod planner;
 mod wallet;
 
+pub use dependents::PushSink;
 pub use durable::{DurableWallet, IndexedBootReport};
 pub use events::{DelegationEvent, InvalidationReason, SubscriptionId};
 pub use monitor::{MonitorStatus, ProofMonitor};

@@ -1,6 +1,6 @@
 //! The wallet itself.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use drbac_store::{StoreEvent, WalletStore};
 use parking_lot::Mutex;
 
 use crate::cache::{ProofCache, QueryKey};
-use crate::dependents::{Dependent, Dependents};
+use crate::dependents::{Dependent, Dependents, PushSink};
 use crate::events::{DelegationEvent, InvalidationReason, SubscriptionId};
 use crate::monitor::{MonitorCore, ProofMonitor};
 
@@ -693,27 +693,15 @@ impl Wallet {
     }
 
     /// Coherence metadata for every cached delegation, as
-    /// `(delegation, entry)` pairs in unspecified order. Used to
-    /// re-register push subscriptions at each entry's source wallet
-    /// after the source restarts.
+    /// `(delegation, entry)` pairs in id order, so a simulated recovery
+    /// repeats exactly. Used to re-register push subscriptions at each
+    /// entry's source wallet after the source restarts.
     pub fn cache_entries(&self) -> Vec<(DelegationId, CacheEntry)> {
-        self.state
-            .cache_meta
-            .lock()
-            .iter()
+        let mut entries: Vec<(DelegationId, CacheEntry)> = (self.state.cache_meta.lock().iter())
             .map(|(id, entry)| (*id, entry.clone()))
-            .collect()
-    }
-
-    /// Drops all volatile state — subscriptions, proof monitors, pending
-    /// proof watches, cache-coherence metadata and cached query answers —
-    /// the way a process crash would. Durable contents (credentials,
-    /// supports, declarations, revocations) are untouched.
-    pub fn clear_volatile(&self) {
-        self.state.dependents.clear();
-        self.state.watches.lock().clear();
-        self.state.cache_meta.lock().clear();
-        self.state.proof_cache.clear();
+            .collect();
+        entries.sort_unstable_by_key(|(id, _)| *id);
+        entries
     }
 
     /// Ids of cached entries whose TTL has lapsed.
@@ -1003,15 +991,17 @@ impl Wallet {
     fn monitor_proof(&self, proof: Proof, summary: drbac_core::AttrSummary) -> ProofMonitor {
         drbac_obs::static_counter!("drbac.wallet.monitor.register.count").inc();
         let core = MonitorCore::new(proof, summary);
-        let graph = &self.state.graph;
-        self.state.dependents.watch(&core, |cert| {
-            if graph.is_revoked(cert.id()) {
-                Some(InvalidationReason::Revoked)
-            } else {
-                cert.delegation().is_expired(self.now()).then_some(InvalidationReason::Expired)
-            }
-        });
+        self.state.dependents.watch(&core, |cert| self.death(cert));
         ProofMonitor { core }
+    }
+
+    /// Why `cert` is dead here, if it is: revoked, or past its expiry.
+    fn death(&self, cert: &SignedDelegation) -> Option<InvalidationReason> {
+        let expired = cert.delegation().is_expired(self.now());
+        match self.state.graph.is_revoked(cert.id()) {
+            true => Some(InvalidationReason::Revoked),
+            false => expired.then_some(InvalidationReason::Expired),
+        }
     }
 
     /// Number of proof monitors the wallet holds registrations for: those
@@ -1036,6 +1026,46 @@ impl Wallet {
     /// removed nor fired.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
         self.state.dependents.remove(id.0).is_some()
+    }
+
+    /// Registers remote wallet `subscriber` for `id`'s invalidation,
+    /// pushed through the accepting host's `sink` (§4.2.2); idempotent
+    /// per `(id, subscriber, sink)`, ended by the first invalidation. An
+    /// id dead here (revoked, or held past its expiry) registers nothing
+    /// and is pushed its death at once; one never held registers.
+    pub fn subscribe_remote(
+        &self,
+        id: DelegationId,
+        subscriber: WalletAddr,
+        sink: Arc<dyn PushSink>,
+    ) {
+        let dead = || match self.is_revoked(id) {
+            true => Some(InvalidationReason::Revoked),
+            false => self.get(id).and_then(|cert| self.death(&cert)),
+        };
+        (self.state.dependents).subscribe_remote(id, subscriber, sink, dead);
+    }
+
+    /// Removes `subscriber`'s subscription to `id` through `sink`;
+    /// `true` if it had neither been removed nor fired.
+    pub fn unsubscribe_remote(
+        &self,
+        id: DelegationId,
+        subscriber: &WalletAddr,
+        sink: &dyn PushSink,
+    ) -> bool {
+        self.state
+            .dependents
+            .unsubscribe_remote(id, subscriber, sink)
+    }
+
+    /// Remote wallets currently subscribed to `id` through `sink`.
+    pub fn remote_subscribers(
+        &self,
+        id: DelegationId,
+        sink: &dyn PushSink,
+    ) -> BTreeSet<WalletAddr> {
+        self.state.dependents.remote_subscribers(id, sink)
     }
 
     /// Registers a *pending-proof watch* (§4.2.2): if the wallet cannot
@@ -1163,8 +1193,10 @@ impl Wallet {
         self.state.cache_meta.lock().remove(&event.delegation);
         self.state.proof_cache.invalidate_dep(event.delegation);
 
-        // A repeat of the event finds only what registered since.
+        // A repeat of the event finds only what registered since. Local
+        // dependents fire first; each sink then pushes its subscribers.
         let mut delivered = 0;
+        let mut remote = Vec::new();
         for dependent in self.state.dependents.take(event.delegation) {
             match dependent {
                 Dependent::Subscription(callback) => callback(event),
@@ -1172,8 +1204,15 @@ impl Wallet {
                     Some(core) => core.deliver(event),
                     None => continue, // dropped as the event came
                 },
+                Dependent::Remote(sink, targets) => {
+                    remote.push((sink, targets));
+                    continue;
+                }
             }
             delivered += 1;
+        }
+        for (sink, targets) in remote {
+            sink.push(event, targets);
         }
         delivered
     }
@@ -1197,7 +1236,10 @@ impl Wallet {
     pub fn wipe(&self) {
         self.state.graph.clear();
         self.state.signed_declarations.lock().clear();
-        self.clear_volatile();
+        self.state.dependents.clear();
+        self.state.watches.lock().clear();
+        self.state.cache_meta.lock().clear();
+        self.state.proof_cache.clear();
     }
 
     /// Rebuilds this wallet's durable contents from `store` by replaying

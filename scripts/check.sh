@@ -83,11 +83,14 @@ if [ -n "$federation" ]; then
     exit 1
 fi
 # A credential's dependents live in one index (crates/wallet/src/
-# dependents.rs), and a host's fan-out takes the id's subscribers, so no
-# loop guard is needed: the wallet's separate subscription and monitor
-# registries, the host's seen-events set and the daemon's uncalled
-# broadcast stay gone.
+# dependents.rs), remote subscribers included, and every death fans out
+# from `Wallet::push_event`, taking the id's dependents, so no loop guard
+# is needed: the wallet's separate subscription and monitor registries,
+# the host's seen-events set, the daemon's uncalled broadcast, and the
+# host-side registry with its fan-out (`HostCore`, `Fanout`,
+# `originate`, `relay`) stay gone.
 dependents=$( (grep -rnwE 'seen_events|originate_once|broadcast_invalidation' crates src tests examples
+    grep -rnE 'struct (HostCore|Fanout)\b|fn (originate|relay)\b' crates/net/src
     awk '/^pub\(crate\) struct WalletState \{/ { body = 1 }
         body && /^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?(subscriptions|monitors)[[:space:]]*:/ {
             print FILENAME ":" FNR ": " $0
@@ -196,16 +199,16 @@ echo "== tcp (loopback parity suite + shutdown accounting + serve/--remote round
 # A daemon connection's out-queue carries only pushes: every reply is
 # written by the thread that produced it, and only push-registered
 # connections run the writer pump that drains the queue. So the only
-# caller of `Conn::send`/`send_batch` is the push fan-out,
-# `DaemonShared::deliver`. `Conn` is private to daemon.rs.
+# caller of `Conn::send`/`send_batch` is the push fan-out, the daemon's
+# sink `PushLinks::push`. `Conn` is private to daemon.rs.
 senders=$(awk '
     /#\[cfg\(test\)\]/ { exit }
     match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
-    /\.send(_batch)?\(/ && !/^[[:space:]]*\/\// && cur != "deliver" {
+    /\.send(_batch)?\(/ && !/^[[:space:]]*\/\// && cur != "push" {
         print FILENAME ":" FNR ": " $0
     }' crates/net/src/daemon.rs)
 if [ -n "$senders" ]; then
-    echo "check.sh: Conn::send/send_batch has a caller other than DaemonShared::deliver:" >&2
+    echo "check.sh: Conn::send/send_batch has a caller other than PushLinks::push:" >&2
     echo "$senders" >&2
     exit 1
 fi

@@ -130,7 +130,7 @@ fn expiring_partnership_terminates_sessions() {
     assert!(monitor.is_valid());
 
     clock.advance(Ticks(60));
-    assert_eq!(home.process_expiries(&net), 1);
+    assert_eq!(home.process_expiries(), 1);
     net.run_until_idle();
     assert!(!monitor.is_valid());
     assert!(server

@@ -6,7 +6,8 @@
 //! cannot exercise: killing a daemon mid-subscription and watching the
 //! `SubscriberLink` reconnect, resubscribe, and keep delivering pushes.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use drbac::baselines::direction::{Cell, Row, Tags};
@@ -20,7 +21,7 @@ use drbac::net::{
     Directory, DiscoveryAgent, RetryPolicy, SimNet, SubscriberLink, Switchboard, TcpConfig,
     TcpTransport, Transport, WalletDaemon,
 };
-use drbac::wallet::Wallet;
+use drbac::wallet::{DelegationEvent, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1456,5 +1457,254 @@ fn a_push_queued_while_serving_precedes_the_strict_reply() {
             Ok(Reply::Revoked(_))
         ));
     }
+    daemon.shutdown();
+}
+
+/// `Owner`/`Member` keys from `seed` and `[Member → Owner.r]`.
+fn owner_member_cert(seed: u64) -> (LocalEntity, LocalEntity, Arc<SignedDelegation>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let group = SchnorrGroup::test_256();
+    let owner = LocalEntity::generate("Owner", group.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", group, &mut rng);
+    let cert = owner
+        .delegate(Node::entity(&member), Node::role(owner.role("r")))
+        .sign(&owner)
+        .unwrap();
+    (owner, member, Arc::new(cert))
+}
+
+fn single_step(cert: &Arc<SignedDelegation>) -> Proof {
+    Proof::from_steps(vec![ProofStep::new(Arc::clone(cert))]).unwrap()
+}
+
+/// The events `wallet` hears of `id`, through a local subscription.
+fn heard(wallet: &Wallet, id: drbac::core::DelegationId) -> Arc<Mutex<Vec<DelegationEvent>>> {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&events);
+    wallet.subscribe(id, move |event| log.lock().unwrap().push(event));
+    events
+}
+
+fn revoked(cert: &SignedDelegation) -> DelegationEvent {
+    DelegationEvent {
+        delegation: cert.id(),
+        reason: InvalidationReason::Revoked,
+    }
+}
+
+/// A link that tracks an id its home has already revoked is pushed the
+/// death at once: the home registers nothing for a dead id, and tells
+/// the subscriber instead of leaving it waiting forever.
+#[test]
+fn a_link_tracking_an_id_already_revoked_at_home_is_pushed_its_death() {
+    let (owner, member, cert) = owner_member_cert(48);
+    let clock = SimClock::new();
+    let home = Wallet::new("home", clock.clone());
+    home.publish(Arc::clone(&cert), vec![]).unwrap();
+    let subscriber = Wallet::new("server", clock.clone());
+    subscriber
+        .absorb_proof(&single_step(&cert), &"home".into())
+        .unwrap();
+    home.revoke(&SignedRevocation::revoke(&cert, &owner, clock.now()).unwrap())
+        .unwrap();
+
+    let daemon = WalletDaemon::bind("127.0.0.1:0", home, TcpConfig::fast()).unwrap();
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    transport.add_route("home", daemon.local_addr());
+    let monitor = subscriber
+        .query_direct(&Node::entity(&member), &Node::role(owner.role("r")), &[])
+        .unwrap();
+    let link = SubscriberLink::open("home", subscriber.clone(), Arc::clone(&transport)).unwrap();
+    link.track(cert.id());
+    assert!(
+        wait_until(Duration::from_secs(2), || !monitor.is_valid()),
+        "the subscriber's wallet saw the push"
+    );
+    assert!(subscriber.is_revoked(cert.id()));
+    assert!(
+        daemon.subscribers_of(cert.id()).is_empty(),
+        "nothing registered"
+    );
+    link.close();
+    daemon.shutdown();
+}
+
+/// `SubscriberLink::open` returns only once the daemon has registered
+/// the link: a `Health` sent on another connection right after counts
+/// it, every round.
+#[test]
+fn open_returns_once_the_daemon_counts_the_link() {
+    const ROUNDS: usize = 200;
+    let clock = SimClock::new();
+    let daemon = WalletDaemon::bind(
+        "127.0.0.1:0",
+        Wallet::new("home.barrier", clock.clone()),
+        TcpConfig::fast(),
+    )
+    .unwrap();
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    transport.add_route("home.barrier", daemon.local_addr());
+    let links = || match transport.request(&"home.barrier".into(), Request::Health) {
+        Ok(Reply::Health(health)) => health.subscribers,
+        other => panic!("expected a health report, got {other:?}"),
+    };
+    for round in 0..ROUNDS {
+        let wallet = Wallet::new(format!("sub{round}").as_str(), clock.clone());
+        let link = SubscriberLink::open("home.barrier", wallet, Arc::clone(&transport)).unwrap();
+        assert_eq!(links(), 1, "round {round}: the link was not registered yet");
+        link.close();
+        assert!(
+            wait_until(Duration::from_secs(2), || links() == 0),
+            "round {round}: the closed link stayed registered"
+        );
+    }
+    daemon.shutdown();
+}
+
+/// The three-tier chain: home `h` holds `c`; mid `m` absorbed `c` from
+/// `h` and is subscribed there; leaf `l` absorbed `c` from `m`, is
+/// subscribed at `m` and monitors a proof through `c`. Revoking `c` at
+/// `h` reaches `l`'s monitor through `m` — on TCP through `m`'s own
+/// link and daemon, on SimNet through its host — with one push per
+/// tier on both.
+#[test]
+fn a_revocation_cascades_through_a_mid_tier_link_over_tcp_and_simnet() {
+    let (owner, member, cert) = owner_member_cert(49);
+    let (m_node, r_node) = (Node::entity(&member), Node::role(owner.role("r")));
+    let revocation =
+        |clock: &SimClock| SignedRevocation::revoke(&cert, &owner, clock.now()).unwrap();
+
+    // --- SimNet shape -------------------------------------------------
+    let clock = SimClock::new();
+    let net = SimNet::new(clock.clone(), Ticks(1));
+    let [h, m, l] = ["h", "m", "l"].map(|a| net.add_host(a, Wallet::new(a, clock.clone())));
+    h.wallet().publish(Arc::clone(&cert), vec![]).unwrap();
+    m.wallet()
+        .absorb_proof(&single_step(&cert), h.addr())
+        .unwrap();
+    l.wallet()
+        .absorb_proof(&single_step(&cert), m.addr())
+        .unwrap();
+    for (at, subscriber) in [(&h, &m), (&m, &l)] {
+        let subscribe = Request::Subscribe {
+            delegation: cert.id(),
+            subscriber: subscriber.addr().clone(),
+        };
+        assert!(matches!(
+            net.request(at.addr(), subscribe),
+            Ok(Reply::Subscribed)
+        ));
+    }
+    let sim_heard = [&m, &l].map(|w| heard(w.wallet(), cert.id()));
+    let sim_monitor = l.wallet().query_direct(&m_node, &r_node, &[]).unwrap();
+    net.reset_stats();
+    let reply = net.request(h.addr(), Request::Revoke(revocation(&clock)));
+    assert!(matches!(reply, Ok(Reply::Revoked(_))));
+    assert_eq!(net.run_until_idle(), 2);
+    assert_eq!(net.stats().push_messages, 2, "one push per tier");
+    assert!(!sim_monitor.is_valid());
+
+    // --- TCP shape ----------------------------------------------------
+    let clock = SimClock::new();
+    let [h, m, l] = ["h", "m", "l"].map(|a| Wallet::new(a, clock.clone()));
+    h.publish(Arc::clone(&cert), vec![]).unwrap();
+    m.absorb_proof(&single_step(&cert), &"h".into()).unwrap();
+    l.absorb_proof(&single_step(&cert), &"m".into()).unwrap();
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    let h_daemon = WalletDaemon::bind("127.0.0.1:0", h, TcpConfig::fast()).unwrap();
+    let m_daemon = WalletDaemon::bind("127.0.0.1:0", m.clone(), TcpConfig::fast()).unwrap();
+    transport.add_route("h", h_daemon.local_addr());
+    transport.add_route("m", m_daemon.local_addr());
+    let m_link = SubscriberLink::open("h", m.clone(), Arc::clone(&transport)).unwrap();
+    let l_link = SubscriberLink::open("m", l.clone(), Arc::clone(&transport)).unwrap();
+    m_link.track(cert.id());
+    l_link.track(cert.id());
+    assert_eq!(h_daemon.subscribers_of(cert.id()).len(), 1);
+    assert_eq!(m_daemon.subscribers_of(cert.id()).len(), 1);
+    let tcp_heard = [&m, &l].map(|w| heard(w, cert.id()));
+    let tcp_monitor = l.query_direct(&m_node, &r_node, &[]).unwrap();
+    let reply = transport.request(&"h".into(), Request::Revoke(revocation(&clock)));
+    assert!(matches!(reply, Ok(Reply::Revoked(_))));
+    assert!(
+        wait_until(Duration::from_secs(2), || !tcp_monitor.is_valid()),
+        "the push through m's link reached l's monitor"
+    );
+
+    for (tier, (sim, tcp)) in ["m", "l"].iter().zip(sim_heard.iter().zip(&tcp_heard)) {
+        let want = [revoked(&cert)];
+        assert_eq!(*sim.lock().unwrap(), want, "SimNet tier {tier}");
+        assert_eq!(*tcp.lock().unwrap(), want, "TCP tier {tier}");
+    }
+    assert!(m_daemon.subscribers_of(cert.id()).is_empty());
+    l_link.close();
+    m_link.close();
+    m_daemon.shutdown();
+    h_daemon.shutdown();
+}
+
+/// One wallet served by a SimNet host and a TCP daemon at once: each
+/// host's subscribers are its own, and a death — here a direct
+/// `Wallet::revoke`, through neither host — reaches each subscriber
+/// through the host it subscribed at, once.
+#[test]
+fn a_wallet_served_twice_pushes_each_hosts_subscribers_through_that_host() {
+    let (owner, member, cert) = owner_member_cert(50);
+    let (m_node, r_node) = (Node::entity(&member), Node::role(owner.role("r")));
+    let clock = SimClock::new();
+    let home = Wallet::new("home", clock.clone());
+    home.publish(Arc::clone(&cert), vec![]).unwrap();
+
+    let net = SimNet::new(clock.clone(), Ticks(1));
+    let sim_home = net.add_host("home", home.clone());
+    let sim_sub = net.add_host("sim.sub", Wallet::new("sim.sub", clock.clone()));
+    sim_sub
+        .wallet()
+        .absorb_proof(&single_step(&cert), sim_home.addr())
+        .unwrap();
+    let subscribe = Request::Subscribe {
+        delegation: cert.id(),
+        subscriber: sim_sub.addr().clone(),
+    };
+    assert!(matches!(
+        net.request(sim_home.addr(), subscribe),
+        Ok(Reply::Subscribed)
+    ));
+
+    let daemon = WalletDaemon::bind("127.0.0.1:0", home.clone(), TcpConfig::fast()).unwrap();
+    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
+    transport.add_route("home", daemon.local_addr());
+    let tcp_sub = Wallet::new("tcp.sub", clock.clone());
+    tcp_sub
+        .absorb_proof(&single_step(&cert), &"home".into())
+        .unwrap();
+    let link = SubscriberLink::open("home", tcp_sub.clone(), Arc::clone(&transport)).unwrap();
+    link.track(cert.id());
+
+    let addrs = |names: &[&str]| names.iter().map(|n| (*n).into()).collect::<BTreeSet<_>>();
+    assert_eq!(sim_home.subscribers_of(cert.id()), addrs(&["sim.sub"]));
+    assert_eq!(daemon.subscribers_of(cert.id()), addrs(&["tcp.sub"]));
+
+    let sim_monitor = sim_sub
+        .wallet()
+        .query_direct(&m_node, &r_node, &[])
+        .unwrap();
+    let tcp_monitor = tcp_sub.query_direct(&m_node, &r_node, &[]).unwrap();
+    net.reset_stats();
+    home.revoke(&SignedRevocation::revoke(&cert, &owner, clock.now()).unwrap())
+        .unwrap();
+    assert_eq!(
+        net.run_until_idle(),
+        1,
+        "SimNet carries only its own subscriber's push"
+    );
+    assert_eq!(net.stats().push_messages, 1);
+    assert!(!sim_monitor.is_valid());
+    assert!(
+        wait_until(Duration::from_secs(2), || !tcp_monitor.is_valid()),
+        "the daemon pushed its own subscriber"
+    );
+    assert!(sim_home.subscribers_of(cert.id()).is_empty());
+    assert!(daemon.subscribers_of(cert.id()).is_empty());
+    link.close();
     daemon.shutdown();
 }
