@@ -3,39 +3,25 @@
 //! [`WalletDaemon`] is the socket-facing counterpart of the simulator's
 //! [`WalletHost`](crate::WalletHost): the same host functions answer one
 //! wallet's [`Request`]/[`Reply`](crate::proto::Reply) protocol, here
-//! over [`wire`](crate::wire) frames. Since the multiplexing rewrite
-//! (DESIGN.md §4.10, `docs/PROTOCOL.md`) the hot path is built for
-//! heavy traffic instead of thread-per-connection request/reply:
+//! over [`wire`](crate::wire) frames (DESIGN.md §4.10,
+//! `docs/PROTOCOL.md`):
 //!
-//! * **Bounded worker pool.** Pipelined requests (those carrying a
-//!   request id) are decoded and executed by a fixed pool of
-//!   [`DaemonConfig::workers`] threads fed from one bounded job queue —
-//!   connection count no longer dictates handler concurrency.
-//! * **One reader per connection; a writer pump only for push links.**
-//!   Each accepted connection gets a reader thread (frames in). Every
-//!   reply is written by the thread that produced it — the reader for
-//!   strict replies and overload notices, a worker for runs of pipelined
-//!   replies — through one `BufWriter` behind a mutex whose holder
-//!   first writes any queued pushes, then its own frames, and flushes
-//!   before releasing, so consecutive frames coalesce into few
-//!   syscalls (`drbac.net.tcp.write.coalesced.count`) and leave in the
-//!   order the daemon produced them. Only a connection that
-//!   push-registers gets a second thread, a writer pump that carries
-//!   pushes while no reply is on its way.
-//! * **Explicit backpressure.** A connection may have at most
-//!   [`DaemonConfig::max_inflight`] pipelined requests outstanding and
-//!   the daemon at most [`DaemonConfig::queue_capacity`] queued jobs;
-//!   beyond either bound the daemon answers
-//!   [`Reply::overloaded`](crate::proto::Reply::overloaded) immediately
-//!   (`drbac.net.tcp.overload.count`) instead of queueing silently.
+//! * **One thread serves a connection.** Each accepted connection gets
+//!   a reader thread. It reads frames a drain at a time (one
+//!   [`wire::read_frames`] call, at most 32 frames), serves every
+//!   request of the drain in arrival order, with or without a request
+//!   id, and writes the drain's replies in one locked, flushed write
+//!   behind any queued pushes, so consecutive frames coalesce into few
+//!   syscalls (`drbac.net.tcp.write.coalesced.count`). Only a
+//!   connection that push-registers gets a second thread, a writer pump
+//!   that carries pushes while no reply is on its way.
+//! * **Backpressure is TCP flow control.** The reader reads a
+//!   connection's next frames only after writing its replies to the
+//!   previous ones, so a client that stops reading stalls only its own
+//!   connection, until the write deadline fails the write and drops it.
 //!   Beyond [`DaemonConfig::max_connections`] concurrent connections,
 //!   new accepts are closed on arrival
 //!   (`drbac.net.tcp.conn.rejected.count`).
-//! * **Strict requests stay inline.** A request without a request id
-//!   is served on the reader thread, in order, and answered by a reply
-//!   without one — the cheaper round trip for a lone request. Only
-//!   requests with an id enter the worker pool. See `docs/PROTOCOL.md`
-//!   §5.
 //!
 //! Delegation-subscription pushes (paper §4.2.2) travel over a
 //! *persistent subscriber connection*: a client opens a dedicated
@@ -57,9 +43,9 @@
 //! invalidation issued before we re-register would otherwise be lost.
 //! Each recovery increments `drbac.net.tcp.reconnect.count`.
 //!
-//! Shutdown joins every pump and worker: sockets are shut down to
-//! unblock readers, queues are closed to unblock writer pumps and workers,
-//! and remaining threads are joined under
+//! Shutdown joins every pump: sockets are shut down to unblock
+//! readers, push queues are closed to unblock writer pumps, and
+//! remaining threads are joined under
 //! [`DaemonConfig::shutdown_deadline`]. A thread still live past the
 //! deadline (e.g. wedged in a blocking syscall a peer refuses to
 //! complete) is abandoned and counted in
@@ -85,62 +71,33 @@ use crate::tcp::{TcpConfig, TcpTransport};
 use crate::transport::{RetryPolicy, Transport};
 use crate::wire::{self, FrameKind, TraceContext};
 
-/// Front-door sizing and backpressure knobs for [`WalletDaemon`].
-///
-/// The tuning guidance — what to raise first under reconnect storms,
-/// overload replies, or stale pools — lives in `docs/OPERATIONS.md`.
+/// Front-door limits for [`WalletDaemon`] (`docs/OPERATIONS.md`).
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Worker threads executing pipelined requests (those carrying a
-    /// request id). `0`
-    /// means auto: one per available core (minimum 1).
-    pub workers: usize,
     /// Global cap on concurrent connections; accepts beyond it are
     /// closed immediately (`drbac.net.tcp.conn.rejected.count`).
     pub max_connections: usize,
-    /// Per-connection cap on outstanding pipelined requests; the
-    /// excess gets an immediate overload reply.
-    pub max_inflight: usize,
-    /// Bound on the global pending-job queue; when full, new pipelined
-    /// requests get an immediate overload reply.
-    pub queue_capacity: usize,
-    /// How long [`WalletDaemon::shutdown`] waits for pumps and workers
-    /// to join before abandoning stragglers.
+    /// How long [`WalletDaemon::shutdown`] waits for pumps to join
+    /// before abandoning stragglers.
     pub shutdown_deadline: Duration,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            workers: 0,
             max_connections: 1024,
-            max_inflight: 128,
-            queue_capacity: 4096,
             shutdown_deadline: Duration::from_secs(5),
         }
     }
 }
 
-impl DaemonConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        // One worker per core. On a single-core host a second worker
-        // never runs concurrently anyway — it only adds wakeups that
-        // find an empty queue and splits request batches in half.
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .max(1)
-    }
+/// Frames one reader takes off its connection per drain: the replies
+/// to at most this many requests are written before the next read.
+const DRAIN_FRAMES: usize = 32;
 
-    /// Push-queue bound: headroom for pushes to a slow subscriber
-    /// before the daemon gives up on the link.
-    fn out_capacity(&self) -> usize {
-        (2 * self.max_inflight + 16).max(64)
-    }
-}
+/// Push-queue bound: headroom for pushes to a slow subscriber before
+/// the daemon gives up on the link.
+const PUSH_QUEUE_CAPACITY: usize = 272;
 
 /// One frame on its way to a connection's socket.
 struct OutFrame {
@@ -152,8 +109,8 @@ struct OutFrame {
 }
 
 /// State of one accepted connection, shared between its reader, the
-/// worker pool, the push fan-out and — once the connection
-/// push-registers — its writer pump.
+/// push fan-out and — once the connection push-registers — its writer
+/// pump.
 struct Conn {
     id: u64,
     /// Pushes awaiting the socket. Whichever thread next holds `sock`
@@ -161,17 +118,13 @@ struct Conn {
     /// reply is on its way.
     out: StdMutex<OutState>,
     out_cv: Condvar,
-    out_capacity: usize,
-    /// The buffered write half of the socket. The reader (strict and
-    /// overload replies), workers (pipelined replies) and the writer
-    /// pump take this lock per batch and empty `out` ahead of their own
-    /// frames while holding it, so frames leave in the order the daemon
-    /// produced them; every holder flushes before releasing, so the
-    /// buffer never carries another thread's partial frames.
+    /// The buffered write half of the socket. The reader (replies) and
+    /// the writer pump take this lock per batch and empty `out` ahead
+    /// of their own frames while holding it, so a push queued before a
+    /// reply is written leaves ahead of it; every holder flushes before
+    /// releasing, so the buffer never carries another thread's partial
+    /// frames.
     sock: StdMutex<Option<BufWriter<TcpStream>>>,
-    /// Outstanding pipelined requests (incremented at admission,
-    /// decremented when the reply is written).
-    inflight: AtomicUsize,
 }
 
 struct OutState {
@@ -180,7 +133,7 @@ struct OutState {
 }
 
 impl Conn {
-    fn new(id: u64, out_capacity: usize, write_half: TcpStream) -> Conn {
+    fn new(id: u64, write_half: TcpStream) -> Conn {
         Conn {
             id,
             out: StdMutex::new(OutState {
@@ -188,9 +141,7 @@ impl Conn {
                 closed: false,
             }),
             out_cv: Condvar::new(),
-            out_capacity,
             sock: StdMutex::new(Some(BufWriter::with_capacity(64 * 1024, write_half))),
-            inflight: AtomicUsize::new(0),
         }
     }
 
@@ -257,13 +208,13 @@ impl Conn {
     /// Queues a push for the next holder of `sock`. `false` when the
     /// connection is closed or its push queue is full — the frame was
     /// dropped. Only [`PushLinks::push`] calls this: replies are
-    /// written by the thread that produced them.
+    /// written by the connection's reader.
     fn send(&self, frame: OutFrame) -> bool {
         let mut state = match self.out.lock() {
             Ok(s) => s,
             Err(_) => return false,
         };
-        if state.closed || state.items.len() >= self.out_capacity {
+        if state.closed || state.items.len() >= PUSH_QUEUE_CAPACITY {
             return false;
         }
         state.items.push_back(frame);
@@ -302,92 +253,6 @@ impl Conn {
     }
 }
 
-/// A decoded-but-unexecuted pipelined request, queued for the worker
-/// pool.
-struct Job {
-    conn: Arc<Conn>,
-    request_id: u64,
-    payload: Vec<u8>,
-    trace: Option<TraceContext>,
-    rx: Instant,
-}
-
-/// The global bounded job queue feeding the worker pool.
-struct JobQueue {
-    state: StdMutex<JobState>,
-    cv: Condvar,
-    capacity: usize,
-}
-
-struct JobState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> JobQueue {
-        JobQueue {
-            state: StdMutex::new(JobState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Admits as many of `batch` as capacity allows in one lock and one
-    /// wakeup, returning how many were taken (the caller owes overload
-    /// replies for the rest). Zero when the queue is closed.
-    fn push_batch(&self, batch: &mut Vec<Job>) -> usize {
-        let Ok(mut state) = self.state.lock() else {
-            return 0;
-        };
-        if state.closed {
-            return 0;
-        }
-        let room = self.capacity.saturating_sub(state.jobs.len());
-        let take = room.min(batch.len());
-        state.jobs.extend(batch.drain(..take));
-        drbac_obs::static_gauge!("drbac.net.tcp.queue.depth").set(state.jobs.len() as i64);
-        drop(state);
-        // Wake one worker per WORKER_BATCH of new work: a worker drains
-        // up to that many jobs in one pop, so waking the whole pool for
-        // a small batch just schedules threads that find an empty queue.
-        // (A missed wakeup is impossible — workers re-check the queue
-        // before waiting.)
-        for _ in 0..take.div_ceil(WORKER_BATCH) {
-            self.cv.notify_one();
-        }
-        take
-    }
-
-    /// Blocks for work, then takes up to `max` queued jobs in one
-    /// lock: a worker serving a burst back-to-back skips the per-job
-    /// wakeup round trip and can batch its replies per connection.
-    /// `None` once the queue is closed and drained.
-    fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
-        let mut state = self.state.lock().ok()?;
-        loop {
-            if !state.jobs.is_empty() {
-                let n = state.jobs.len().min(max);
-                return Some(state.jobs.drain(..n).collect());
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.cv.wait(state).ok()?;
-        }
-    }
-
-    fn close(&self) {
-        if let Ok(mut state) = self.state.lock() {
-            state.closed = true;
-        }
-        self.cv.notify_all();
-    }
-}
-
 /// Subscriber wallet address → the connection its pushes travel on: the
 /// sink the daemon's subscriptions hold in the wallet.
 #[derive(Default)]
@@ -415,17 +280,14 @@ impl PushSink for PushLinks {
     }
 }
 
-/// State shared between the accept loop, pumps, workers, and the
-/// daemon handle.
+/// State shared between the accept loop, pumps and the daemon handle.
 struct DaemonShared {
     wallet: Wallet,
     config: DaemonConfig,
     links: Arc<PushLinks>,
     /// Live connections: socket handle (for shutdown) + state.
     conns: Mutex<HashMap<u64, (TcpStream, Arc<Conn>)>>,
-    /// Pending pipelined requests for the worker pool.
-    jobs: JobQueue,
-    /// Pump/worker threads still running (readers, writers, workers).
+    /// Pump threads still running (readers and writers).
     live: AtomicUsize,
     /// Join handles for everything `live` counts. Finished handles are
     /// reaped opportunistically so the vec stays proportional to live
@@ -457,9 +319,10 @@ impl DaemonShared {
     }
 
     /// Decodes and executes one request payload: trace adoption, serve
-    /// span, served accounting, and the service-time histogram
-    /// (frame-rx → reply-encoded; the async write is not included).
-    fn serve(&self, payload: &[u8], trace: Option<TraceContext>, rx: Instant) -> Reply {
+    /// span, served accounting, and the service-time histogram (decode
+    /// → reply; the write is not included).
+    fn serve(&self, payload: &[u8], trace: Option<TraceContext>) -> Reply {
+        let start = Instant::now();
         if let Some(ctx) = trace {
             drbac_obs::set_current_trace(ctx.trace_id, ctx.parent_span);
         }
@@ -477,7 +340,7 @@ impl DaemonShared {
         };
         self.served.fetch_add(1, Ordering::Relaxed);
         drbac_obs::static_histogram!("drbac.net.tcp.service.ns")
-            .record(rx.elapsed().as_nanos() as u64);
+            .record(start.elapsed().as_nanos() as u64);
         drbac_obs::clear_current_trace();
         reply
     }
@@ -558,12 +421,11 @@ impl WalletDaemon {
         Self::bind_with(listen, wallet, config, DaemonConfig::default())
     }
 
-    /// Binds with explicit front-door sizing (workers, connection cap,
-    /// in-flight cap, queue bound — see [`DaemonConfig`]).
+    /// Binds with explicit front-door limits (see [`DaemonConfig`]).
     ///
     /// # Errors
     ///
-    /// [`io::Error`] if the listener cannot bind or the worker pool
+    /// [`io::Error`] if the listener cannot bind or the accept thread
     /// cannot spawn.
     pub fn bind_with(
         listen: impl ToSocketAddrs,
@@ -573,10 +435,8 @@ impl WalletDaemon {
     ) -> io::Result<WalletDaemon> {
         let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?;
-        let workers = daemon.effective_workers();
         let shared = Arc::new(DaemonShared {
             wallet,
-            jobs: JobQueue::new(daemon.queue_capacity),
             config: daemon,
             links: Arc::default(),
             conns: Mutex::new(HashMap::new()),
@@ -586,12 +446,6 @@ impl WalletDaemon {
             start: Instant::now(),
             served: AtomicU64::new(0),
         });
-        for w in 0..workers {
-            let worker_shared = Arc::clone(&shared);
-            shared.spawn_tracked(format!("drbac-daemon-worker-{w}"), move || {
-                worker_loop(worker_shared)
-            })?;
-        }
         let accept_shared = Arc::clone(&shared);
         let write_timeout = tcp.write_timeout;
         let accept_thread = std::thread::Builder::new()
@@ -625,13 +479,13 @@ impl WalletDaemon {
             .remote_subscribers(id, &*self.shared.links)
     }
 
-    /// Live pump/worker threads (for shutdown-accounting tests).
+    /// Live pump threads (for shutdown-accounting tests).
     pub fn live_threads(&self) -> usize {
         self.shared.live.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, closes every open connection, joins the worker
-    /// pool and all per-connection pumps (abandoning any thread still
+    /// Stops accepting, closes every open connection, joins all
+    /// per-connection pumps (abandoning any thread still
     /// wedged past [`DaemonConfig::shutdown_deadline`]). Idempotent.
     pub fn shutdown(&self) {
         if self.shared.closed.swap(true, Ordering::SeqCst) {
@@ -639,8 +493,6 @@ impl WalletDaemon {
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(500));
-        // Stop the worker pool: no new jobs, queued jobs abandoned.
-        self.shared.jobs.close();
         self.shared.links.0.lock().clear();
         if let Some(t) = self.accept_thread.lock().take() {
             let _ = t.join();
@@ -687,43 +539,6 @@ impl Drop for WalletDaemon {
     }
 }
 
-/// How many jobs one worker takes from the queue per wakeup. Bounds
-/// the head-of-line delay a deep burst imposes on jobs behind it while
-/// still amortizing the queue and writer wakeups across the run.
-const WORKER_BATCH: usize = 32;
-
-/// Executes pipelined requests from the shared job queue until the
-/// queue closes at shutdown. Jobs are taken in batches, their replies
-/// grouped per connection and written straight to each socket — one
-/// lock, one flush per run, no handoff.
-fn worker_loop(shared: Arc<DaemonShared>) {
-    while let Some(jobs) = shared.jobs.pop_batch(WORKER_BATCH) {
-        // Serve in arrival order, grouping replies per connection.
-        // A burst is usually one connection's window, so the grouping
-        // degenerates to a single batched write.
-        let mut runs: Vec<(Arc<Conn>, Vec<OutFrame>)> = Vec::new();
-        for job in jobs {
-            let reply = shared.serve(&job.payload, job.trace, job.rx);
-            let frame = OutFrame {
-                kind: FrameKind::Reply,
-                request_id: Some(job.request_id),
-                payload: wire::encode_reply(&reply),
-            };
-            match runs.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &job.conn)) {
-                Some((_, frames)) => frames.push(frame),
-                None => runs.push((job.conn, vec![frame])),
-            }
-        }
-        for (conn, frames) in runs {
-            let n = frames.len();
-            // A batch that cannot be written means the connection died;
-            // the client will observe the close and resubmit elsewhere.
-            let _ = conn.write_now(frames);
-            conn.inflight.fetch_sub(n, Ordering::SeqCst);
-        }
-    }
-}
-
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<DaemonShared>,
@@ -742,9 +557,9 @@ fn accept_loop(
         }
         drbac_obs::static_counter!("drbac.net.tcp.accept.count").inc();
         if shared.conns.lock().len() >= shared.config.max_connections {
-            // Over the connection cap: close immediately. We cannot
-            // send an overload reply before reading a request, and
-            // reading would hold the very resources the cap protects.
+            // Over the connection cap: close immediately. Reading a
+            // request to answer would hold the very resources the cap
+            // protects.
             drbac_obs::static_counter!("drbac.net.tcp.conn.rejected.count").inc();
             let _ = stream.shutdown(Shutdown::Both);
             continue;
@@ -761,11 +576,7 @@ fn accept_loop(
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         };
-        let conn = Arc::new(Conn::new(
-            next_conn_id,
-            shared.config.out_capacity(),
-            write_half,
-        ));
+        let conn = Arc::new(Conn::new(next_conn_id, write_half));
         shared
             .conns
             .lock()
@@ -803,11 +614,9 @@ fn writer_pump(conn: Arc<Conn>) {
 /// malformed, or the daemon shuts down. Never panics on bad input — a
 /// protocol violation just drops the connection.
 ///
-/// Requests without an id are served inline here and their replies
-/// written from this thread (strict request/reply order); requests with
-/// an id are admitted against the in-flight and queue bounds and handed
-/// to the worker pool, and the overload replies for those refused are
-/// written from here too.
+/// Every request of a drain is served here, in arrival order, and the
+/// drain's replies — echoing each request's id, if it carried one —
+/// leave in one write before the next drain is read.
 fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     // Buffered reads: one syscall slurps every frame a pipelining
     // client flushed in a batch, instead of 2+ syscalls per frame.
@@ -817,15 +626,11 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     // Whether this connection's writer pump is running (spawned at the
     // first push-register).
     let mut pump = false;
-    // Pipelined jobs accumulated across one drain of the read buffer,
-    // admitted to the worker queue in a single lock + wakeup.
-    let mut jobs: Vec<Job> = Vec::new();
-    // Overload replies owed from the same drain, written in one batch.
-    let mut overloads: Vec<OutFrame> = Vec::new();
-    // Frames of one drain of the read buffer.
+    // Frames of one drain of the read buffer, and their replies.
     let mut batch: Vec<wire::Frame> = Vec::new();
+    let mut replies: Vec<OutFrame> = Vec::new();
     'conn: loop {
-        let read = wire::read_frames(&mut reader, WORKER_BATCH, &mut batch);
+        let read = wire::read_frames(&mut reader, DRAIN_FRAMES, &mut batch);
         if shared.closed.load(Ordering::SeqCst) {
             break 'conn;
         }
@@ -836,42 +641,15 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
         let mut dead = read.is_err();
         for frame in batch.drain(..) {
             match frame.kind {
-                FrameKind::Request => match frame.request_id {
-                    Some(request_id) => {
-                        mux_count += 1;
-                        // Backpressure: per-connection in-flight cap, then
-                        // the global queue bound. Either rejection is an
-                        // immediate overload reply, never a silent queue.
-                        if conn.inflight.load(Ordering::SeqCst) >= shared.config.max_inflight {
-                            overloads.push(overload(request_id, "per-connection in-flight cap"));
-                            continue;
-                        }
-                        conn.inflight.fetch_add(1, Ordering::SeqCst);
-                        jobs.push(Job {
-                            conn: Arc::clone(&conn),
-                            request_id,
-                            payload: frame.payload,
-                            trace: frame.trace,
-                            rx: Instant::now(),
-                        });
-                    }
-                    None => {
-                        // Strict request/reply: serve inline on this thread
-                        // so replies keep arrival order, and write the reply
-                        // from here — behind any pushes the request itself
-                        // queued on this connection.
-                        let reply = shared.serve(&frame.payload, frame.trace, Instant::now());
-                        let written = conn.write_now([OutFrame {
-                            kind: FrameKind::Reply,
-                            request_id: None,
-                            payload: wire::encode_reply(&reply),
-                        }]);
-                        if !written {
-                            dead = true;
-                            break;
-                        }
-                    }
-                },
+                FrameKind::Request => {
+                    mux_count += u64::from(frame.request_id.is_some());
+                    let reply = shared.serve(&frame.payload, frame.trace);
+                    replies.push(OutFrame {
+                        kind: FrameKind::Reply,
+                        request_id: frame.request_id,
+                        payload: wire::encode_reply(&reply),
+                    });
+                }
                 FrameKind::PushRegister => {
                     let Ok(subscriber) = wire::decode_push_register(&frame.payload) else {
                         dead = true;
@@ -907,19 +685,11 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
         if mux_count > 0 {
             drbac_obs::static_counter!("drbac.net.tcp.mux.rx.count").add(mux_count);
         }
-        if !jobs.is_empty() {
-            shared.jobs.push_batch(&mut jobs);
-            // Whatever the queue had no room for is still in `jobs`.
-            for job in jobs.drain(..) {
-                job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-                overloads.push(overload(job.request_id, "job queue full"));
-            }
-        }
-        if !overloads.is_empty() {
-            drbac_obs::static_counter!("drbac.net.tcp.overload.count").add(overloads.len() as u64);
-            if !conn.write_now(overloads.drain(..)) {
-                dead = true;
-            }
+        // Behind any pushes the drain's requests queued on this
+        // connection. Until this write completes, nothing more is read:
+        // a client that stops reading stalls only itself.
+        if !replies.is_empty() && !conn.write_now(replies.drain(..)) {
+            dead = true;
         }
         if dead {
             break 'conn;
@@ -940,15 +710,6 @@ fn reader_pump(stream: TcpStream, conn: Arc<Conn>, shared: Arc<DaemonShared>) {
     shared.conns.lock().remove(&conn.id);
     conn.close_out();
     let _ = reader.get_ref().shutdown(Shutdown::Both);
-}
-
-/// The overload reply refusing pipelined request `request_id`.
-fn overload(request_id: u64, what: &str) -> OutFrame {
-    OutFrame {
-        kind: FrameKind::Reply,
-        request_id: Some(request_id),
-        payload: wire::encode_reply(&Reply::overloaded(what)),
-    }
 }
 
 /// Client side of the persistent push connection: registers with a

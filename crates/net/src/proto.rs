@@ -164,29 +164,10 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Message prefix of every overload reply (see [`Reply::overloaded`]).
-    pub const OVERLOAD_PREFIX: &'static str = "overloaded";
-
-    /// An explicit backpressure rejection: the daemon refused to queue
-    /// this request (per-connection in-flight cap or global job queue
-    /// full). Encoded as a [`Reply::Error`] with a canonical prefix so
-    /// pre-backpressure peers decode it as an ordinary error while new
-    /// clients can tell "shed load and retry later" from "bad request".
-    pub fn overloaded(what: &str) -> Reply {
-        Reply::Error(format!("{}: {what}", Self::OVERLOAD_PREFIX))
-    }
-
     /// The error reply to a request frame whose payload does not decode,
     /// on either substrate.
     pub(crate) fn undecodable_request(e: &DecodeError) -> Reply {
         Reply::Error(format!("undecodable request: {e}"))
-    }
-
-    /// `true` when this reply is a backpressure rejection emitted by
-    /// [`Reply::overloaded`] — the request was never executed and may
-    /// be retried after easing off.
-    pub fn is_overload(&self) -> bool {
-        matches!(self, Reply::Error(m) if m.starts_with(Self::OVERLOAD_PREFIX))
     }
 
     /// `true` for [`Reply::Error`].

@@ -23,9 +23,9 @@
 //!
 //! [`Transport::request_batch`] is scatter-gather over the same pool:
 //! per destination one pooled connection is checked out exclusively,
-//! the destination's requests leave as frames carrying request ids in
-//! one coalesced write, and the replies — in whatever order the
-//! daemon's workers finish — are gathered by id. No reader thread and
+//! the destination's requests leave as frames carrying request ids, a
+//! window of at most 32 per coalesced write, and each window's replies
+//! are gathered by id before the next is written. No reader thread and
 //! no connection beyond the pooled one (see `docs/PROTOCOL.md` §5).
 
 use std::collections::{HashMap, VecDeque};
@@ -237,17 +237,11 @@ impl TcpTransport {
     }
 }
 
-/// Requests one batch keeps in flight per connection: a quarter of the
-/// daemon's default `max_inflight` (128), so a default daemon never
-/// answers a batch with `overloaded:`. A daemon configured lower does,
-/// and [`BatchConn::gather`] resends exactly those entries.
+/// Requests one batch keeps in flight per connection. A client writes
+/// at most one window before it reads, so the daemon's reply writes
+/// never wait on a client that is still writing: a window's requests
+/// fit in the socket buffers whether or not the daemon reads them.
 const BATCH_FLIGHT: usize = 32;
-
-/// Consecutive rounds in which a daemon answered nothing but
-/// `overloaded:` before the remaining entries fail as timeouts (the
-/// caller's [`RetryPolicy`](crate::RetryPolicy) takes over on the
-/// strict path, which the daemon serves inline and never sheds).
-const BATCH_STALLED_ROUNDS: u32 = 8;
 
 /// One destination's share of a [`Transport::request_batch`] call: an
 /// exclusively held connection plus the entries still owed a reply.
@@ -257,13 +251,11 @@ struct BatchConn<'a> {
     /// Whether `stream` came out of the pool — it may have been closed
     /// by the peer while idle, which only shows on first use.
     pooled: bool,
-    /// Batch indices not yet written (or to be written again).
+    /// Batch indices not yet written.
     waiting: VecDeque<usize>,
     /// Batch indices written and awaiting their reply; an index doubles
     /// as the frame's request id.
     flight: Vec<usize>,
-    /// How many entries the next write may carry.
-    window: usize,
     sent: Instant,
 }
 
@@ -308,7 +300,6 @@ impl TcpTransport {
                 pooled,
                 waiting,
                 flight: Vec::new(),
-                window: BATCH_FLIGHT,
                 sent: Instant::now(),
             };
             match conn.scatter(self, batch, trace) {
@@ -339,7 +330,7 @@ impl BatchConn<'_> {
         trace: Option<wire::TraceContext>,
     ) -> Result<(), NetError> {
         debug_assert!(self.flight.is_empty());
-        let n = self.window.min(self.waiting.len());
+        let n = BATCH_FLIGHT.min(self.waiting.len());
         self.flight.extend(self.waiting.drain(..n));
         self.send_flight(transport, batch, trace)
     }
@@ -384,9 +375,8 @@ impl BatchConn<'_> {
     }
 
     /// Reads replies until nothing of this destination is owed any
-    /// more, matching them to entries by request id. `overloaded:`
-    /// replies put their entry back in line; the next write carries
-    /// only as many entries as the daemon just proved it admits.
+    /// more, matching them to entries by request id and writing the
+    /// next window once the previous one is answered.
     fn gather(
         &mut self,
         transport: &TcpTransport,
@@ -394,12 +384,9 @@ impl BatchConn<'_> {
         trace: Option<wire::TraceContext>,
         results: &mut [Option<Result<Reply, NetError>>],
     ) -> Result<(), NetError> {
-        let mut stalled = 0;
         while !self.flight.is_empty() {
-            let in_flight = self.flight.len();
-            let mut shed = 0;
-            // Buffered: the daemon's workers flush runs of replies, so
-            // one read collects many frames.
+            // Buffered: the daemon flushes a drain's replies together,
+            // so one read collects many frames.
             let mut reader = std::io::BufReader::with_capacity(16 * 1024, &self.stream);
             let mut answered = 0;
             while !self.flight.is_empty() {
@@ -433,17 +420,10 @@ impl BatchConn<'_> {
                 answered += 1;
                 drbac_obs::static_histogram!("drbac.net.tcp.request.ns")
                     .record(self.sent.elapsed().as_nanos() as u64);
-                match wire::decode_reply(&frame.payload) {
-                    Ok(reply) if reply.is_overload() => {
-                        shed += 1;
-                        self.waiting.push_back(i);
-                    }
-                    Ok(reply) => results[i] = Some(Ok(reply)),
-                    Err(e) => {
-                        results[i] =
-                            Some(Err(NetError::Protocol(format!("undecodable reply: {e}"))))
-                    }
-                }
+                results[i] = Some(
+                    wire::decode_reply(&frame.payload)
+                        .map_err(|e| NetError::Protocol(format!("undecodable reply: {e}"))),
+                );
             }
             // Nothing but the owed replies may have arrived, or the
             // stream would go back to the pool out of step.
@@ -455,27 +435,9 @@ impl BatchConn<'_> {
             // The stream has proven itself; a later failure is the
             // daemon dying, not an idle close.
             self.pooled = false;
-            if self.waiting.is_empty() {
-                return Ok(());
+            if !self.waiting.is_empty() {
+                self.scatter(transport, batch, trace)?;
             }
-            if shed == in_flight {
-                stalled += 1;
-                if stalled >= BATCH_STALLED_ROUNDS {
-                    for i in self.waiting.drain(..) {
-                        results[i] = Some(Err(NetError::Timeout(self.to.clone())));
-                    }
-                    return Ok(());
-                }
-                // The daemon frees a slot when its reply is written;
-                // give its worker the moment it needs to say so.
-                std::thread::sleep(Duration::from_micros(200 << stalled));
-            } else {
-                stalled = 0;
-            }
-            if shed > 0 {
-                self.window = (in_flight - shed).max(1);
-            }
-            self.scatter(transport, batch, trace)?;
         }
         Ok(())
     }
@@ -874,7 +836,7 @@ impl Drop for PipelinedClient {
 /// counted in `drbac.net.tcp.pipeline.orphan.count` — they are not an
 /// error, just late. A read failure fans out to every waiter.
 fn pipeline_reader(stream: TcpStream, pending: Arc<PendingMap>, to: WalletAddr) {
-    // Buffered reads: the daemon's workers flush reply batches,
+    // Buffered reads: the daemon flushes each drain's replies together,
     // so one syscall here collects many replies.
     let mut stream = std::io::BufReader::with_capacity(64 * 1024, stream);
     let mut batch: Vec<wire::Frame> = Vec::new();

@@ -482,6 +482,18 @@ fn format_scaled(v: u64) -> String {
     }
 }
 
+/// Guard returned by [`Histogram::start_timer`].
+pub struct HistogramTimer {
+    histogram: Arc<Histogram>,
+    start: Instant,
+}
+
+impl Drop for HistogramTimer {
+    fn drop(&mut self) {
+        self.histogram.record_duration(self.start.elapsed());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,17 +686,5 @@ mod tests {
         }
         h.time(|| ());
         assert_eq!(h.count(), 2);
-    }
-}
-
-/// Guard returned by [`Histogram::start_timer`].
-pub struct HistogramTimer {
-    histogram: Arc<Histogram>,
-    start: Instant,
-}
-
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.start.elapsed());
     }
 }

@@ -26,8 +26,8 @@ use drbac_core::{
 };
 use drbac_net::proto::{Reply, Request};
 use drbac_net::{
-    DaemonConfig, DiscoveryAgent, FaultPlan, NetError, RetryPolicy, SimNet, SubscriberLink,
-    TcpConfig, TcpTransport, WalletDaemon, WalletHost,
+    DiscoveryAgent, FaultPlan, NetError, RetryPolicy, SimNet, SubscriberLink, TcpConfig,
+    TcpTransport, WalletDaemon, WalletHost,
 };
 use drbac_wallet::{DelegationEvent, InvalidationReason, ProofMonitor, Wallet};
 use drbac_core::SimClock;
@@ -488,14 +488,7 @@ impl TcpFederation {
         for i in 0..scenario.wallets() {
             let addr = Scenario::wallet_addr(i);
             let wallet = Wallet::new(addr.as_str(), clock.clone());
-            // One request worker per daemon: the default pool (one per
-            // core) is sized for a daemon that owns its host, and here a
-            // whole federation of them shares this process.
-            let sizing = DaemonConfig {
-                workers: 1,
-                ..DaemonConfig::default()
-            };
-            let daemon = WalletDaemon::bind_with("127.0.0.1:0", wallet, TcpConfig::fast(), sizing)
+            let daemon = WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::fast())
                 .map_err(|e| NetError::Protocol(format!("bind daemon {i}: {e}")))?;
             transport.add_route(addr.as_str(), daemon.local_addr());
             daemons.push(daemon);

@@ -197,7 +197,7 @@ test ! -e "$STORE_HOME/store/snapshot.bin"
 
 echo "== tcp (loopback parity suite + shutdown accounting + serve/--remote round trip) =="
 # A daemon connection's out-queue carries only pushes: every reply is
-# written by the thread that produced it, and only push-registered
+# written by its connection's reader, and only push-registered
 # connections run the writer pump that drains the queue. So the only
 # caller of `Conn::send`/`send_batch` is the push fan-out, the daemon's
 # sink `PushLinks::push`. `Conn` is private to daemon.rs.
@@ -210,6 +210,15 @@ senders=$(awk '
 if [ -n "$senders" ]; then
     echo "check.sh: Conn::send/send_batch has a caller other than PushLinks::push:" >&2
     echo "$senders" >&2
+    exit 1
+fi
+# The daemon serves every request on its connection's reader, so TCP flow
+# control is its backpressure: the worker pool, its job queue and the
+# overload reply stay gone.
+pool=$(grep -rnwE 'JobQueue|worker_loop|is_overload|OVERLOAD_PREFIX|queue_capacity' crates src tests examples || true)
+if [ -n "$pool" ]; then
+    echo "check.sh: the daemon's worker pool or overload reply is back:" >&2
+    echo "$pool" >&2
     exit 1
 fi
 # One frame format, and only wire.rs knows its layout: the retired
@@ -279,5 +288,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
+# Tests, benches and examples too; the vendored shims are not linted.
+cargo clippy --workspace --all-targets --exclude proptest --exclude rand --exclude criterion \
+    --exclude parking_lot -- -D warnings
 
 echo "check.sh: all green"

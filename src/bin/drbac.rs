@@ -133,7 +133,7 @@ fn usage() -> String {
     "usage: drbac [--home DIR] [--remote HOST:PORT] <command>\n\
      (--remote ADDR / DRBAC_REMOTE routes query/delegate/declare/revoke to a daemon)\n\
      commands:\n\
-     \x20 serve <host:port> [--trace-out FILE] [--io-workers N] [--max-conns N] [--max-inflight N]\n\
+     \x20 serve <host:port> [--trace-out FILE] [--max-conns N]\n\
      \x20                   serve this wallet as a TCP daemon (tuning: docs/OPERATIONS.md)\n\
      \x20                                       (--trace-out streams spans as JSONL for\n\
      \x20                                       `drbac trace --follow`)\n\
@@ -1241,8 +1241,7 @@ impl Context {
     /// daemon. Remote mutations journal through the same write-ahead
     /// store as local commands; stop with ctrl-c.
     fn serve(&self, args: &[String]) -> Result<String, String> {
-        const USAGE: &str = "usage: serve <host:port> [--trace-out FILE] [--io-workers N] \
-                             [--max-conns N] [--max-inflight N] [--queue N] \
+        const USAGE: &str = "usage: serve <host:port> [--trace-out FILE] [--max-conns N] \
                              (e.g. serve 127.0.0.1:7070)\n\
                              tuning guidance: docs/OPERATIONS.md";
         let mut rest: Vec<String> = args.to_vec();
@@ -1254,26 +1253,19 @@ impl Context {
             trace_out = Some(rest.remove(pos + 1));
             rest.remove(pos);
         }
-        // Front-door sizing knobs (DaemonConfig); defaults are fine for
-        // development, see docs/OPERATIONS.md before raising them.
+        // The connection cap (DaemonConfig); the default is fine for
+        // development, see docs/OPERATIONS.md before raising it.
         let mut daemon_config = drbac::net::DaemonConfig::default();
-        let mut flag = |name: &str, slot: &mut usize| -> Result<(), String> {
-            if let Some(pos) = rest.iter().position(|a| a == name) {
-                if pos + 1 >= rest.len() {
-                    return Err(format!("{name} requires a number"));
-                }
-                *slot = rest
-                    .remove(pos + 1)
-                    .parse()
-                    .map_err(|e| format!("{name}: {e}"))?;
-                rest.remove(pos);
+        if let Some(pos) = rest.iter().position(|a| a == "--max-conns") {
+            if pos + 1 >= rest.len() {
+                return Err("--max-conns requires a number".into());
             }
-            Ok(())
-        };
-        flag("--io-workers", &mut daemon_config.workers)?;
-        flag("--max-conns", &mut daemon_config.max_connections)?;
-        flag("--max-inflight", &mut daemon_config.max_inflight)?;
-        flag("--queue", &mut daemon_config.queue_capacity)?;
+            daemon_config.max_connections = rest
+                .remove(pos + 1)
+                .parse()
+                .map_err(|e| format!("--max-conns: {e}"))?;
+            rest.remove(pos);
+        }
         let [addr] = rest.as_slice() else {
             return Err(USAGE.into());
         };

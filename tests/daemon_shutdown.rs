@@ -1,6 +1,6 @@
 //! Shutdown-accounting regression suite: `WalletDaemon::shutdown` must
-//! join every thread it ever spawned — pumps, workers, per-connection
-//! readers/writers — even when a client is wedged mid-frame, instead
+//! join every thread it ever spawned — per-connection readers and
+//! writer pumps — even when a client is wedged mid-frame, instead
 //! of leaking detached threads the way the thread-per-connection
 //! daemon did. `docs/OPERATIONS.md` leans on this behavior for
 //! rolling restarts; `live_threads()` is the accounting seam.
@@ -26,17 +26,17 @@ fn wait_until(timeout: Duration, cond: impl Fn() -> bool) -> bool {
     cond()
 }
 
-/// An idle daemon shuts down promptly and accounts for every thread:
-/// the worker pool joins and `live_threads` lands on zero.
+/// An idle daemon holds no thread beyond its accept loop: threads
+/// come with connections. Shutdown is prompt and idempotent.
 #[test]
-fn idle_shutdown_joins_the_worker_pool() {
+fn an_idle_daemon_holds_no_threads() {
     let daemon = WalletDaemon::bind(
         "127.0.0.1:0",
         Wallet::new("home.idle", SimClock::new()),
         TcpConfig::fast(),
     )
     .unwrap();
-    assert!(daemon.live_threads() >= 1, "the worker pool is running");
+    assert_eq!(daemon.live_threads(), 0, "no thread before a connection");
     daemon.shutdown();
     assert_eq!(daemon.live_threads(), 0, "every thread joined");
     // Idempotent: a second shutdown is a no-op, not a deadlock.
@@ -124,25 +124,20 @@ fn round_trip(s: &mut std::net::TcpStream) {
     ));
 }
 
-/// Thread accounting per connection: a strict connection costs one
-/// thread, its reader, which writes its own replies. Push-registering
-/// adds the connection's writer pump, once however often it registers.
-/// Shutdown joins them all.
+/// Thread accounting per connection: a connection costs one thread,
+/// its reader, which writes its own replies — strict or pipelined.
+/// Push-registering adds the connection's writer pump, once however
+/// often it registers. Shutdown joins them all.
 #[test]
 fn a_connection_costs_one_thread_until_it_push_registers() {
-    const WORKERS: usize = 2;
     const K: usize = 3;
-    let daemon = WalletDaemon::bind_with(
+    let daemon = WalletDaemon::bind(
         "127.0.0.1:0",
         Wallet::new("home.threads", SimClock::new()),
         TcpConfig::fast(),
-        DaemonConfig {
-            workers: WORKERS,
-            ..DaemonConfig::default()
-        },
     )
     .unwrap();
-    assert_eq!(daemon.live_threads(), WORKERS, "the worker pool alone");
+    assert_eq!(daemon.live_threads(), 0, "no thread before a connection");
 
     let mut conns: Vec<std::net::TcpStream> = (0..K)
         .map(|_| {
@@ -153,10 +148,23 @@ fn a_connection_costs_one_thread_until_it_push_registers() {
             s
         })
         .collect();
+    assert_eq!(daemon.live_threads(), K, "one thread per strict connection");
+
+    // A pipelined connection: a window of requests carrying ids, all
+    // answered, costs its reader and nothing more.
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("home.threads", daemon.local_addr());
+    let pipelined = transport.pipelined(&"home.threads".into()).unwrap();
+    let ids = pipelined
+        .send_many(&vec![Request::FetchDeclarations; 8])
+        .unwrap();
+    for id in ids {
+        assert!(matches!(pipelined.wait(id), Ok(Reply::Declarations(_))));
+    }
     assert_eq!(
         daemon.live_threads(),
-        WORKERS + K,
-        "one thread per strict connection"
+        K + 1,
+        "one thread per pipelined connection"
     );
 
     let register = wire::encode_push_register(&"subscriber".into());
@@ -165,12 +173,13 @@ fn a_connection_costs_one_thread_until_it_push_registers() {
         round_trip(&mut conns[0]);
         assert_eq!(
             daemon.live_threads(),
-            WORKERS + K + 1,
+            K + 2,
             "a push link adds its writer pump, once"
         );
     }
 
     daemon.shutdown();
     assert_eq!(daemon.live_threads(), 0, "every thread joined");
+    drop(pipelined);
     drop(conns);
 }

@@ -733,53 +733,80 @@ fn pipelined_query_parity_simnet_vs_tcp() {
     }
 }
 
-/// Backpressure is an explicit reply, not a silent stall: with the job
-/// queue bound set to zero every pipelined request is shed with an
-/// `overloaded:` error echoing its id — while strict requests (no id)
-/// on the same daemon still serve (they never touch the queue).
+/// Head-of-line isolation: a pipelined client that stops reading
+/// stalls only its own connection. Client A sends 64 subject queries,
+/// each answered by 200 proofs — far more reply bytes than the socket
+/// buffers between A and the daemon hold — and never reads; client B's
+/// one pipelined request on its own connection is still answered.
+/// Shutdown then joins every thread while A still holds its unread
+/// connection.
 #[test]
-fn pipelined_overload_is_explicit_and_v1_still_serves() {
-    use drbac::net::DaemonConfig;
+fn a_pipelined_client_that_stops_reading_stalls_only_its_own_connection() {
+    use drbac::net::wire::{self, FrameKind};
+    use std::io::Write as _;
 
-    let clock = SimClock::new();
-    let wallet = Wallet::new("home.shed", clock);
-    let daemon = WalletDaemon::bind_with(
-        "127.0.0.1:0",
-        wallet,
-        TcpConfig::fast(),
-        DaemonConfig {
-            queue_capacity: 0,
-            ..DaemonConfig::default()
-        },
-    )
-    .unwrap();
-    let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
-    transport.add_route("home.shed", daemon.local_addr());
-
-    let client = transport.pipelined(&"home.shed".into()).unwrap();
-    let window: Vec<Request> = (0..4).map(|_| Request::FetchDeclarations).collect();
-    let ids = client.send_many(&window).unwrap();
-    for id in ids {
-        let reply = client.wait(id).unwrap();
-        assert!(
-            reply.is_overload(),
-            "queue_capacity=0 must shed every pipelined request, got {reply:?}"
-        );
-        assert!(
-            matches!(&reply, Reply::Error(m) if m.contains("job queue full")),
-            "the overload reply names the tripped bound: {reply:?}"
-        );
+    const PROOFS: usize = 200;
+    const REQUESTS: u64 = 64;
+    let mut rng = StdRng::seed_from_u64(48);
+    let group = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", group.clone(), &mut rng);
+    let user = LocalEntity::generate("User", group, &mut rng);
+    let wallet = Wallet::new("home.hol", SimClock::new());
+    for i in 0..PROOFS {
+        let cert = org
+            .delegate(Node::entity(&user), Node::role(org.role(&format!("r{i}"))))
+            .sign(&org)
+            .unwrap();
+        wallet.publish(cert, vec![]).unwrap();
     }
+    // The default write deadline: longer than B is prepared to wait.
+    let daemon = WalletDaemon::bind("127.0.0.1:0", wallet, TcpConfig::default()).unwrap();
+    let transport = TcpTransport::new(TcpConfig::fast());
+    transport.add_route("home.hol", daemon.local_addr());
+    // Requests the daemon has served, less these probes: each probe is
+    // itself served and counted by the probes after it.
+    let probes = std::cell::Cell::new(0);
+    let served = || match transport.request(&"home.hol".into(), Request::Health) {
+        Ok(Reply::Health(h)) => {
+            probes.set(probes.get() + 1);
+            h.served_requests - (probes.get() - 1)
+        }
+        other => panic!("health: {other:?}"),
+    };
+    let before = served();
 
-    // Strict requests are served inline on the reader thread and
-    // never queue — the shed daemon still answers them.
-    let reply = transport
-        .request(&"home.shed".into(), Request::FetchDeclarations)
-        .unwrap();
-    assert!(matches!(reply, Reply::Declarations(_)));
+    let query = wire::encode_request(&Request::SubjectQuery {
+        subject: Node::entity(&user),
+        constraints: vec![],
+    });
+    let mut frames = Vec::new();
+    for id in 0..REQUESTS {
+        wire::write_frame_mux(&mut frames, FrameKind::Request, &query, id, None).unwrap();
+    }
+    let mut a = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+    a.write_all(&frames).unwrap();
+    // Wait until the daemon has served a drain of A's queries and is
+    // writing their replies to a client that never reads.
+    assert!(
+        wait_until(Duration::from_secs(5), || served() >= before + 32),
+        "the daemon took up A's queries"
+    );
 
-    client.close();
+    // B: a deadlock detector, not a latency bound.
+    let mut b = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let fetch = wire::encode_request(&Request::FetchDeclarations);
+    wire::write_frame_mux(&mut b, FrameKind::Request, &fetch, 9, None).unwrap();
+    let frame = wire::read_frame(&mut b).expect("B is answered while A is stalled");
+    assert_eq!(frame.request_id, Some(9));
+    assert!(matches!(
+        wire::decode_reply(&frame.payload),
+        Ok(Reply::Declarations(_))
+    ));
+
     daemon.shutdown();
+    assert_eq!(daemon.live_threads(), 0, "A's stalled reader joined too");
+    drop((a, b));
 }
 
 /// A strict request gets the one frame format back: version
@@ -1102,15 +1129,17 @@ fn discovery_degrades_when_a_home_dies_mid_level() {
     );
 }
 
-/// Backpressure on the batch path: a level that puts far more requests
-/// on one connection than the daemon admits is chunked and the shed
-/// entries resent — `overloaded:` never reaches the agent, every
-/// frontier node gets its answer, and the run is not degraded.
+/// Windows on the batch path: a level that puts more requests on one
+/// connection than the batch client's window (32) is written a window
+/// at a time, each window's replies read before the next is sent —
+/// every frontier node gets its answer and the run is not degraded.
 #[test]
-fn batch_backpressure_resends_overloaded_entries() {
-    use drbac::net::{DaemonConfig, DiscoveryStep};
+fn a_level_wider_than_the_batch_window_is_chunked() {
+    use drbac::net::DiscoveryStep;
 
-    const FANOUT: usize = 16;
+    const FANOUT: usize = 40;
+    // One level carries two requests per role to w.wide.
+    const _: () = assert!(2 * FANOUT > 2 * 32);
     let mut rng = StdRng::seed_from_u64(44);
     let group = SchnorrGroup::test_256();
     let clock = SimClock::new();
@@ -1137,12 +1166,7 @@ fn batch_backpressure_resends_overloaded_entries() {
     )
     .unwrap();
 
-    let tight = DaemonConfig {
-        max_inflight: 2,
-        ..DaemonConfig::default()
-    };
-    let wide_daemon =
-        WalletDaemon::bind_with("127.0.0.1:0", wide, TcpConfig::fast(), tight).unwrap();
+    let wide_daemon = WalletDaemon::bind("127.0.0.1:0", wide, TcpConfig::fast()).unwrap();
     let far_daemon = WalletDaemon::bind("127.0.0.1:0", far, TcpConfig::fast()).unwrap();
     let transport = Arc::new(TcpTransport::new(TcpConfig::fast()));
     transport.add_route("w.wide", wide_daemon.local_addr());
@@ -1155,16 +1179,11 @@ fn batch_backpressure_resends_overloaded_entries() {
     let local = Wallet::new("agent.tcp", clock);
     let mut agent = DiscoveryAgent::new(Arc::clone(&transport), local, directory);
 
-    // A denial walks the whole fan: one level carries two requests per
-    // role to a daemon that admits two at a time.
-    let shed_before = counter("drbac.net.tcp.overload.count");
+    // A denial walks the whole fan: one level carries more than two
+    // windows of requests on one connection.
     let denied = agent.discover(&Node::entity(&user), &Node::role(org.role("nowhere")), &[]);
     assert!(!denied.found());
     assert!(!denied.degraded, "trace: {:?}", denied.trace);
-    assert!(
-        counter("drbac.net.tcp.overload.count") > shed_before,
-        "the tight daemon shed part of the level"
-    );
     let answered =
         |pick: fn(&DiscoveryStep) -> bool| denied.trace.iter().filter(|s| pick(s)).count();
     // The user, every role, and Org.target (found behind r0), each
