@@ -172,12 +172,6 @@ impl LocalEntity {
     pub fn sign_bytes(&self, msg: &[u8]) -> Signature {
         self.keys.sign(msg)
     }
-
-    /// Diffie–Hellman shared secret with a peer (see
-    /// [`KeyPair::shared_secret`]).
-    pub fn shared_secret(&self, peer: &PublicKey) -> Option<[u8; 32]> {
-        self.keys.shared_secret(peer)
-    }
 }
 
 impl fmt::Display for LocalEntity {

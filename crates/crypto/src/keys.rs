@@ -309,23 +309,6 @@ impl KeyPair {
         }
         Some(KeyPair::from_secret_exponent(group, x))
     }
-
-    /// Diffie–Hellman shared secret with a peer key in the same group:
-    /// `SHA-256(tag ‖ peer_y^x)`. Both sides derive the same value, which
-    /// the switchboard uses to key its channel cipher.
-    ///
-    /// Returns `None` if the peer key is from a different group or is not
-    /// a valid subgroup element.
-    pub fn shared_secret(&self, peer: &PublicKey) -> Option<[u8; 32]> {
-        if peer.group() != &self.secret.group || !peer.is_valid() {
-            return None;
-        }
-        let s = self.secret.group.pow(peer.y(), &self.secret.x);
-        let mut h = Sha256::new();
-        h.update(b"drbac-dh-v1");
-        h.update(&s.to_bytes_be());
-        Some(h.finalize())
-    }
 }
 
 #[cfg(test)]
@@ -384,24 +367,6 @@ mod tests {
         let kp = pair(3);
         let dbg = format!("{:?}", kp);
         assert!(dbg.contains("<redacted>"));
-    }
-
-    #[test]
-    fn dh_shared_secret_is_symmetric_and_group_bound() {
-        let a = pair(21);
-        let b = pair(22);
-        let ab = a.shared_secret(b.public_key()).unwrap();
-        let ba = b.shared_secret(a.public_key()).unwrap();
-        assert_eq!(ab, ba, "both sides derive the same key");
-        let c = pair(23);
-        assert_ne!(
-            ab,
-            a.shared_secret(c.public_key()).unwrap(),
-            "distinct per peer"
-        );
-        // Cross-group keys are refused.
-        let modp = KeyPair::from_secret_exponent(SchnorrGroup::modp_2048(), BigUint::from(5u64));
-        assert!(a.shared_secret(modp.public_key()).is_none());
     }
 
     #[test]

@@ -33,14 +33,12 @@
 
 mod fingerprint;
 mod group;
-mod hmac;
 mod keys;
 mod sha256;
 mod sign;
 
 pub use fingerprint::KeyFingerprint;
 pub use group::{GroupId, SchnorrGroup};
-pub use hmac::{hmac_sha256, verify_hmac_sha256};
 pub use keys::{KeyPair, PublicKey, SecretKey};
 pub use sha256::{sha256, Sha256};
 pub use sign::Signature;

@@ -10,7 +10,10 @@
 //!
 //! * [`ProtectedResource`] — registers a resource behind a role (plus
 //!   optional attribute constraints) and hands out monitored
-//!   [`AccessSession`]s;
+//!   [`AccessSession`]s, authorized against its own wallet, through
+//!   discovery, or at the principal's home wallet over a transport. It is
+//!   the one role gate: a session lives exactly as long as its proof's
+//!   monitor stays valid (§4.2.2);
 //! * [`scenario`] — the paper's complete BigISP/AirNet case study
 //!   (Table 3, Figure 2, §5), reconstructed end to end: every delegation,
 //!   wallet, discovery tag, and the expected effective attribute values

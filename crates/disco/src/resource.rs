@@ -1,11 +1,12 @@
 //! Protected resources and monitored access sessions.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use drbac_core::{AttrConstraint, AttrSummary, Node, Role, Timestamp};
-use drbac_net::DiscoveryAgent;
+use drbac_core::{AttrConstraint, AttrSummary, Node, Role, Timestamp, WalletAddr};
+use drbac_net::proto::{Reply, Request};
+use drbac_net::{DiscoveryAgent, RetryPolicy, Transport};
 use drbac_wallet::{MonitorStatus, ProofMonitor, Wallet};
 
 /// Errors from authorization attempts.
@@ -17,6 +18,15 @@ pub enum AccessError {
         principal: String,
         /// The role the resource requires.
         required: String,
+    },
+    /// The principal's home wallet could not be reached within the retry
+    /// budget, or did not acknowledge the subscriptions that keep the
+    /// session coherent, so the gate could not be evaluated either way.
+    Unreachable {
+        /// The home wallet's address.
+        home: String,
+        /// What went wrong.
+        error: String,
     },
 }
 
@@ -31,6 +41,9 @@ impl fmt::Display for AccessError {
                     f,
                     "access denied: no proof that {principal} holds {required}"
                 )
+            }
+            AccessError::Unreachable { home, error } => {
+                write!(f, "home wallet {home} unreachable: {error}")
             }
         }
     }
@@ -136,6 +149,64 @@ impl ProtectedResource {
         Ok(self.session(principal, monitor))
     }
 
+    /// Authorizes `principal` against its home wallet `home`, reached
+    /// over `transport`: one direct query under `retry`, carrying the
+    /// resource's constraints. The resource's own wallet re-validates
+    /// every returned proof, never trusting the home's word, and the
+    /// first that answers this query opens the session. A subscription
+    /// at `home` for each of that proof's delegations lets a later
+    /// revocation there push to this wallet and end the session.
+    ///
+    /// # Errors
+    ///
+    /// [`AccessError::Denied`] when no returned proof answers the query
+    /// here; [`AccessError::Unreachable`] when `home` cannot be reached
+    /// within the retry budget or does not acknowledge every
+    /// subscription.
+    pub fn authorize_remote(
+        &self,
+        principal: &Node,
+        transport: &dyn Transport,
+        home: &WalletAddr,
+        retry: &RetryPolicy,
+    ) -> Result<AccessSession, AccessError> {
+        let unreachable = |error: String| AccessError::Unreachable {
+            home: home.to_string(),
+            error,
+        };
+        let ask = |req: Request| {
+            let outcome = retry.run(transport, home, &req);
+            outcome.reply.map_err(|e| unreachable(e.to_string()))
+        };
+        let object = Node::role(self.required_role.clone());
+        let proofs = match ask(Request::DirectQuery {
+            subject: principal.clone(),
+            object: object.clone(),
+            constraints: self.constraints.clone(),
+        })? {
+            Reply::Proofs(proofs) => proofs,
+            other => return Err(unreachable(format!("bad reply {other:?}"))),
+        };
+        let monitor = proofs
+            .into_iter()
+            .find_map(|proof| {
+                self.wallet
+                    .monitor_external_proof(proof, principal, &object, &self.constraints)
+                    .ok()
+            })
+            .ok_or_else(|| self.denied(principal))?;
+        for delegation in monitor.proof().delegation_ids() {
+            match ask(Request::Subscribe {
+                delegation,
+                subscriber: self.wallet.addr().clone(),
+            })? {
+                Reply::Subscribed => {}
+                other => return Err(unreachable(format!("subscribe answered {other:?}"))),
+            }
+        }
+        Ok(self.session(principal, monitor))
+    }
+
     fn denied(&self, principal: &Node) -> AccessError {
         AccessError::Denied {
             principal: principal.to_string(),
@@ -144,16 +215,12 @@ impl ProtectedResource {
     }
 
     fn session(&self, principal: &Node, monitor: ProofMonitor) -> AccessSession {
-        let terminated = Arc::new(AtomicBool::new(false));
-        let t2 = Arc::clone(&terminated);
-        monitor.on_invalidate(move |_| t2.store(true, Ordering::SeqCst));
         AccessSession {
             resource: self.name.clone(),
             principal: principal.clone(),
             granted: monitor.summary().clone(),
             started_at: self.wallet.now(),
             monitor,
-            terminated,
         }
     }
 }
@@ -271,7 +338,6 @@ pub struct AccessSession {
     granted: AttrSummary,
     started_at: Timestamp,
     monitor: ProofMonitor,
-    terminated: Arc<AtomicBool>,
 }
 
 impl AccessSession {
@@ -298,7 +364,7 @@ impl AccessSession {
 
     /// `true` while the authorizing proof remains valid.
     pub fn is_active(&self) -> bool {
-        !self.terminated.load(Ordering::SeqCst) && self.monitor.is_valid()
+        self.monitor.is_valid()
     }
 
     /// The underlying proof monitor.
@@ -315,10 +381,13 @@ impl AccessSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drbac_core::{AttrOp, LocalEntity, SignedRevocation, SimClock};
+    use drbac_core::{AttrOp, LocalEntity, Proof, ProofStep, SignedRevocation, SimClock, Ticks};
     use drbac_crypto::SchnorrGroup;
+    use drbac_net::{FaultPlan, NetError, SimNet};
+    use parking_lot::Mutex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicBool;
 
     struct Fx {
         airnet: LocalEntity,
@@ -472,5 +541,233 @@ mod tests {
         let resource = ProtectedResource::new("uplink", f.airnet.role("access"), f.wallet.clone());
         let session = resource.authorize(&Node::entity(&f.maria)).unwrap();
         assert_eq!(session.grants().get(&bw), Some(75.0));
+    }
+
+    fn entities() -> (LocalEntity, LocalEntity) {
+        let mut rng = StdRng::seed_from_u64(101);
+        let g = SchnorrGroup::test_256();
+        let a = LocalEntity::generate("A", g.clone(), &mut rng);
+        let b = LocalEntity::generate("B", g, &mut rng);
+        (a, b)
+    }
+
+    fn proof_of(cert: drbac_core::SignedDelegation) -> Proof {
+        Proof::from_steps(vec![ProofStep::new(cert)]).unwrap()
+    }
+
+    /// A home wallet that answers every role lookup with a fixed set of
+    /// proofs — stands in for a buggy or compromised remote wallet that
+    /// returns whatever it likes — and acknowledges subscriptions only
+    /// if `subscribes`. It keeps the constraints each lookup carried.
+    struct CannedProofs {
+        proofs: Vec<Proof>,
+        subscribes: bool,
+        asked: Mutex<Vec<Vec<AttrConstraint>>>,
+    }
+
+    impl CannedProofs {
+        fn new(proofs: Vec<Proof>) -> Self {
+            CannedProofs {
+                proofs,
+                subscribes: true,
+                asked: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl Transport for CannedProofs {
+        fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError> {
+            match req {
+                Request::DirectQuery { constraints, .. } => {
+                    self.asked.lock().push(constraints);
+                    Ok(Reply::Proofs(self.proofs.clone()))
+                }
+                _ if self.subscribes => Ok(Reply::Subscribed),
+                _ => Err(NetError::Timeout(to.clone())),
+            }
+        }
+    }
+
+    #[test]
+    fn remote_role_gate_survives_loss_and_closes_on_revocation() {
+        let (a, b) = entities();
+        let clock = SimClock::new();
+        let net = SimNet::new(clock.clone(), Ticks(1));
+        let resp = net.add_host("resp.wallet", Wallet::new("resp.wallet", clock.clone()));
+        let verifier = net
+            .add_host("init.wallet", Wallet::new("init.wallet", clock.clone()))
+            .wallet()
+            .clone();
+        let role = b.role("feed-subscriber");
+        let cert = b
+            .delegate(Node::entity(&a), Node::role(role.clone()))
+            .sign(&b)
+            .unwrap();
+        resp.wallet().publish(cert.clone(), vec![]).unwrap();
+        let resource = ProtectedResource::new("feed", role, verifier);
+
+        // Lossy but not hopeless: the bounded retry rides it out
+        // (seed 3 loses the first lookup attempt).
+        net.set_fault_plan(Some(FaultPlan::seeded(3).with_request_loss(0.4)));
+        let session = resource
+            .authorize_remote(
+                &Node::entity(&a),
+                &net,
+                &"resp.wallet".into(),
+                &RetryPolicy::standard(),
+            )
+            .unwrap();
+        assert!(session.is_active());
+        net.set_fault_plan(None);
+
+        // Revocation at the home wallet pushes to the resource's wallet
+        // and ends the session through its monitor.
+        let revocation = SignedRevocation::revoke(&cert, &b, clock.now()).unwrap();
+        net.request(&"resp.wallet".into(), Request::Revoke(revocation))
+            .unwrap();
+        net.run_until_idle();
+        assert!(!session.is_active(), "revocation push ended the session");
+
+        // An unreachable home wallet is a distinct, retriable-later
+        // error — not an authoritative role rejection.
+        net.partition_host(&"resp.wallet".into());
+        let err = resource.authorize_remote(
+            &Node::entity(&a),
+            &net,
+            &"resp.wallet".into(),
+            &RetryPolicy::standard(),
+        );
+        assert!(matches!(err, Err(AccessError::Unreachable { .. })));
+    }
+
+    #[test]
+    fn remote_role_gate_rejects_proofs_for_wrong_endpoints() {
+        let (a, b) = entities();
+        let c = LocalEntity::generate("C", SchnorrGroup::test_256(), &mut StdRng::seed_from_u64(7));
+        let verifier = Wallet::new("init.wallet", SimClock::new());
+        let role = b.role("feed-subscriber");
+        // Both proofs validate as chains, but neither binds *this*
+        // principal to *this* role: one proves C holds the role, the
+        // other proves A holds a different role.
+        let wrong_subject = b
+            .delegate(Node::entity(&c), Node::role(role.clone()))
+            .sign(&b)
+            .unwrap();
+        let wrong_object = b
+            .delegate(Node::entity(&a), Node::role(b.role("other-role")))
+            .sign(&b)
+            .unwrap();
+        let transport = CannedProofs::new(vec![proof_of(wrong_subject), proof_of(wrong_object)]);
+        let err = ProtectedResource::new("feed", role, verifier).authorize_remote(
+            &Node::entity(&a),
+            &transport,
+            &"resp.wallet".into(),
+            &RetryPolicy::none(),
+        );
+        assert!(matches!(err, Err(AccessError::Denied { .. })));
+    }
+
+    #[test]
+    fn remote_role_gate_tries_later_proofs_when_first_fails_locally() {
+        let (a, b) = entities();
+        let clock = SimClock::new();
+        let verifier = Wallet::new("init.wallet", clock.clone());
+        let role = b.role("feed-subscriber");
+        let cert1 = b
+            .delegate(Node::entity(&a), Node::role(role.clone()))
+            .serial(1)
+            .sign(&b)
+            .unwrap();
+        let cert2 = b
+            .delegate(Node::entity(&a), Node::role(role.clone()))
+            .serial(2)
+            .sign(&b)
+            .unwrap();
+        // The verifier knows the first delegation is revoked; the home
+        // doesn't, and returns its stale proof first.
+        verifier.publish(cert1.clone(), vec![]).unwrap();
+        let revocation = SignedRevocation::revoke(&cert1, &b, clock.now()).unwrap();
+        verifier.revoke(&revocation).unwrap();
+        let transport = CannedProofs::new(vec![proof_of(cert1), proof_of(cert2)]);
+        let session = ProtectedResource::new("feed", role, verifier)
+            .authorize_remote(
+                &Node::entity(&a),
+                &transport,
+                &"resp.wallet".into(),
+                &RetryPolicy::none(),
+            )
+            .expect("the second, still-valid proof opens the gate");
+        assert!(session.is_active());
+    }
+
+    /// A session whose home never acknowledges its coherence
+    /// subscription would outlive a revocation there, so it never opens.
+    #[test]
+    fn remote_role_gate_refuses_when_subscription_unacknowledged() {
+        let (a, b) = entities();
+        let verifier = Wallet::new("init.wallet", SimClock::new());
+        let role = b.role("feed-subscriber");
+        let cert = b
+            .delegate(Node::entity(&a), Node::role(role.clone()))
+            .sign(&b)
+            .unwrap();
+        let transport = CannedProofs {
+            subscribes: false,
+            ..CannedProofs::new(vec![proof_of(cert)])
+        };
+        let result = ProtectedResource::new("feed", role, verifier).authorize_remote(
+            &Node::entity(&a),
+            &transport,
+            &"resp.wallet".into(),
+            &RetryPolicy::standard(),
+        );
+        assert!(
+            matches!(result, Err(AccessError::Unreachable { .. })),
+            "opened without a coherence subscription: {:?}",
+            result.map(|s| s.is_active())
+        );
+    }
+
+    #[test]
+    fn remote_role_gate_checks_the_resources_constraints() {
+        let (a, b) = entities();
+        let verifier = Wallet::new("init.wallet", SimClock::new());
+        let role = b.role("feed-subscriber");
+        let bw = b.attr("BW", AttrOp::Min);
+        let grant = |serial, value| {
+            let cert = b
+                .delegate(Node::entity(&a), Node::role(role.clone()))
+                .serial(serial)
+                .with_attr(bw.clone(), value)
+                .unwrap()
+                .sign(&b)
+                .unwrap();
+            proof_of(cert)
+        };
+        let (short, enough) = (grant(1, 40.0), grant(2, 60.0));
+        let at_least_50 = AttrConstraint::at_least(bw.clone(), 50.0);
+        let resource = ProtectedResource::new("feed", role.clone(), verifier)
+            .with_constraint(at_least_50.clone());
+        let authorize = |transport: &CannedProofs| {
+            resource.authorize_remote(
+                &Node::entity(&a),
+                transport,
+                &"resp.wallet".into(),
+                &RetryPolicy::none(),
+            )
+        };
+
+        let alone = CannedProofs::new(vec![short.clone()]);
+        assert!(matches!(authorize(&alone), Err(AccessError::Denied { .. })));
+        assert_eq!(
+            *alone.asked.lock(),
+            vec![vec![at_least_50]],
+            "constraints travel"
+        );
+
+        let session = authorize(&CannedProofs::new(vec![short, enough]))
+            .expect("the second proof meets the constraint");
+        assert!(session.is_active());
+        assert_eq!(session.grants().get(&bw), Some(60.0));
     }
 }

@@ -733,7 +733,7 @@ struct LinkInner {
     /// resolving `home` to a socket address.
     transport: Arc<TcpTransport>,
     /// Delegations to resubscribe beyond what the wallet's cache
-    /// records (e.g. ids a switchboard gate monitors).
+    /// records (e.g. ids a remote role gate's session monitors).
     tracked: Mutex<BTreeSet<DelegationId>>,
     /// Current connection, so `close` can unblock the reader.
     current: Mutex<Option<TcpStream>>,

@@ -3,8 +3,11 @@
 //! Distributed dRBAC infrastructure (paper §4.2).
 //!
 //! The paper's prototype ran wallets on Java hosts connected by the
-//! Switchboard secure-communication layer. This crate reproduces that
-//! architecture on a deterministic substrate:
+//! Switchboard secure-communication layer (its reference \[8\]). This
+//! crate reproduces the wallet-to-wallet protocol on a deterministic
+//! substrate; transport confidentiality, which the paper leaves to
+//! Switchboard, is out of scope, and the role gate on an application
+//! session is `drbac-disco`'s `ProtectedResource`:
 //!
 //! * [`proto`] — the inter-wallet request/reply and push message types;
 //! * [`SimNet`] / [`WalletHost`] — a discrete-event simulated network of
@@ -12,16 +15,13 @@
 //!   ([`NetStats`]), so tests can assert the exact step-by-step behaviour
 //!   of the paper's Figure 2 walkthrough;
 //! * [`DiscoveryAgent`] — the §4.2.1 tag-directed distributed discovery
-//!   algorithm (forward, reverse, and bidirectional modes);
-//! * [`Switchboard`] — credentialed secure channels (handshake with real
-//!   signatures, optionally gated on a continuously monitored role proof),
-//!   modelled after the Switchboard abstraction the paper builds on (its reference \[8\]).
+//!   algorithm (forward, reverse, and bidirectional modes).
 //!
 //! The simulator also injects faults deterministically: a seeded
 //! [`FaultPlan`] adds request loss, latency jitter and timeouts, and the
 //! network supports partitions (with parked, redelivered pushes) and
-//! wallet crash/restart. [`RetryPolicy`] gives discovery and switchboard
-//! lookups bounded retries with exponential backoff, and
+//! wallet crash/restart. [`RetryPolicy`] gives discovery and remote
+//! role-gate lookups bounded retries with exponential backoff, and
 //! [`DiscoveryOutcome::degraded`](DiscoveryOutcome) records when an
 //! answer survived on retries or skipped an unreachable wallet.
 //!
@@ -50,7 +50,6 @@ mod discovery;
 mod host;
 pub mod proto;
 mod sim;
-mod switchboard;
 mod tcp;
 #[cfg(test)]
 mod testkit;
@@ -64,6 +63,5 @@ pub use discovery::{
 };
 pub use proto::HealthReport;
 pub use sim::{FaultPlan, NetError, NetStats, SimNet, StoreHandle, WalletHost};
-pub use switchboard::{Channel, ChannelError, Switchboard};
 pub use tcp::{PipelinedClient, TcpConfig, TcpTransport};
 pub use transport::{RetryOutcome, RetryPolicy, Transport};

@@ -976,15 +976,24 @@ impl Wallet {
         out
     }
 
-    /// Wraps an externally obtained proof in a monitor after validating
-    /// it against this wallet's context.
+    /// Wraps an externally obtained proof in a monitor after validating,
+    /// against this wallet's context, that it answers the direct query
+    /// `subject ⇒ object` under `constraints`.
     ///
     /// # Errors
     ///
-    /// [`WalletError::Validation`] if the proof does not validate here.
-    pub fn monitor_external_proof(&self, proof: Proof) -> Result<ProofMonitor, WalletError> {
+    /// [`WalletError::Validation`] if the proof does not validate here or
+    /// answers a different query.
+    pub fn monitor_external_proof(
+        &self,
+        proof: Proof,
+        subject: &Node,
+        object: &Node,
+        constraints: &[AttrConstraint],
+    ) -> Result<ProofMonitor, WalletError> {
         let now = self.now();
-        let summary = ProofValidator::new(self.validation_ctx(now)).validate(&proof)?;
+        let summary = ProofValidator::new(self.validation_ctx(now))
+            .validate_query(&proof, subject, object, constraints)?;
         Ok(self.monitor_proof(proof, summary))
     }
 
@@ -1955,13 +1964,26 @@ mod tests {
                 .sign(&f.a)
                 .unwrap();
         let proof = Proof::from_steps(vec![ProofStep::new(cert.clone())]).unwrap();
-        assert!(f.wallet.monitor_external_proof(proof.clone()).is_ok());
+        let monitor = |p: &Proof| {
+            f.wallet
+                .monitor_external_proof(p.clone(), p.subject(), p.object(), &[])
+        };
+        assert!(monitor(&proof).is_ok());
+        // A valid proof of another query is no answer to this one.
+        let other_subject = Node::entity(&f.b);
+        let answer = f
+            .wallet
+            .monitor_external_proof(proof.clone(), &other_subject, proof.object(), &[]);
+        assert!(matches!(
+            answer,
+            Err(WalletError::Validation(ValidationError::TargetMismatch { .. }))
+        ));
         // After learning of a revocation, the same proof is rejected.
         f.wallet.publish(cert.clone(), vec![]).unwrap();
         let revocation = SignedRevocation::revoke(&cert, &f.a, Timestamp(0)).unwrap();
         f.wallet.revoke(&revocation).unwrap();
         assert!(matches!(
-            f.wallet.monitor_external_proof(proof),
+            monitor(&proof),
             Err(WalletError::Validation(ValidationError::Revoked(_)))
         ));
 
@@ -1989,13 +2011,13 @@ mod tests {
                 .sign(&f.b)
                 .unwrap();
         let nested = Proof::from_steps(vec![ProofStep::new(enroll).with_support(outer)]).unwrap();
-        assert!(f.wallet.monitor_external_proof(nested.clone()).is_ok());
+        assert!(monitor(&nested).is_ok());
         f.wallet.push_event(DelegationEvent {
             delegation: root_id,
             reason: InvalidationReason::Revoked,
         });
         assert_eq!(
-            f.wallet.monitor_external_proof(nested).err(),
+            monitor(&nested).err(),
             Some(WalletError::Validation(ValidationError::Revoked(root_id)))
         );
     }

@@ -1,7 +1,7 @@
 //! Continuous monitoring of a long-lived interaction (§4.2.2): a
-//! role-gated data feed over a switchboard channel, terminated mid-stream
-//! by a pushed revocation, then re-established through an alternate
-//! delegation path.
+//! role-gated data feed behind a `ProtectedResource`, terminated
+//! mid-stream by a pushed revocation, then re-established through an
+//! alternate delegation path.
 //!
 //! ```sh
 //! cargo run --example continuous_monitoring
@@ -9,12 +9,26 @@
 
 use drbac::core::{LocalEntity, Node, SignedRevocation, SimClock};
 use drbac::crypto::SchnorrGroup;
-use drbac::net::Switchboard;
+use drbac::disco::{AccessSession, ProtectedResource};
 use drbac::wallet::Wallet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc;
 use std::time::Duration;
+
+/// Delivers `frames` while the session stays active; `None` once it has
+/// ended.
+fn deliver(session: &AccessSession, frames: &[String]) -> Option<usize> {
+    let mut sent = 0;
+    for frame in frames {
+        if !session.is_active() {
+            return None;
+        }
+        println!("{}: {frame}", session.resource());
+        sent += 1;
+    }
+    Some(sent)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(11);
@@ -42,30 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sign(&broker)?;
     wallet.publish(enrollment.clone(), vec![])?;
 
-    // Establish a role-gated secure channel: the client must prove the
-    // subscriber role; the channel stays open only while the proof holds.
-    let switchboard = Switchboard::new();
-    let channel = switchboard.connect_role_gated(
-        &client,
-        &provider,
-        &wallet,
-        subscriber_role.clone(),
-        clock.now(),
-        &mut rng,
-    )?;
-    println!("channel open: {}", channel.is_open());
+    // The feed is a resource behind the subscriber role: the client must
+    // prove the role, and the session lives only while the proof holds.
+    let feed = ProtectedResource::new("price-feed", subscriber_role.clone(), wallet.clone());
+    let principal = Node::entity(&client);
+    let session = feed.authorize(&principal)?;
+    println!("session active: {}", session.is_active());
 
-    // Stream a few sealed frames.
-    for i in 0..3 {
-        let frame = format!("tick {i}: price=42.{i}");
-        let sealed = channel.seal(frame.as_bytes())?;
-        let opened = channel.open(&sealed)?;
-        println!(
-            "frame {i}: {} ({} sealed bytes)",
-            String::from_utf8_lossy(&opened),
-            sealed.len()
-        );
-    }
+    let ticks: Vec<String> = (0..3).map(|i| format!("tick {i}: price=42.{i}")).collect();
+    assert_eq!(deliver(&session, &ticks), Some(3));
 
     // A delegation subscription pushes the revocation event onto a
     // channel the moment it happens — the push model of §4.2.2, no
@@ -81,32 +80,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let event = events.recv_timeout(Duration::from_secs(2))?;
     println!("push received: {event}");
-    println!("channel open: {}", channel.is_open());
-    assert!(!channel.is_open());
-    assert!(channel.seal(b"more data").is_err());
+    println!("session active: {}", session.is_active());
+    assert!(!session.is_active());
+    assert_eq!(deliver(&session, &["more data".to_string()]), None);
+    assert!(feed.authorize(&principal).is_err());
 
     // Path 2: the provider re-enrolls the client directly; a fresh proof
-    // and channel restore service.
+    // and session restore service.
     println!("\nprovider re-enrolls the client directly...");
     wallet.publish(
         provider
-            .delegate(Node::entity(&client), Node::role(subscriber_role.clone()))
+            .delegate(Node::entity(&client), Node::role(subscriber_role))
             .sign(&provider)?,
         vec![],
     )?;
-    let channel2 = switchboard.connect_role_gated(
-        &client,
-        &provider,
-        &wallet,
-        subscriber_role,
-        clock.now(),
-        &mut rng,
-    )?;
-    println!("new channel open: {}", channel2.is_open());
-    let sealed = channel2.seal(b"service restored")?;
-    println!(
-        "frame: {}",
-        String::from_utf8_lossy(&channel2.open(&sealed)?)
+    let session2 = feed.authorize(&principal)?;
+    println!("new session active: {}", session2.is_active());
+    assert_eq!(
+        deliver(&session2, &["service restored".to_string()]),
+        Some(1)
     );
 
     Ok(())

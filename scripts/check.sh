@@ -101,6 +101,18 @@ if [ -n "$dependents" ]; then
     echo "$dependents" >&2
     exit 1
 fi
+# One role gate: `ProtectedResource` hands out the only monitored
+# session, local or remote. The switchboard's channel with its
+# illustrative cipher, in-process handshake and channel key, and the HMAC
+# and Diffie–Hellman helpers only it used, stay gone.
+gate=$( (find crates src tests examples -name switchboard.rs
+    grep -rnE 'struct (Switchboard|Channel)\b|ChannelError|hmac_sha256|fn shared_secret' \
+        crates src tests examples) || true)
+if [ -n "$gate" ]; then
+    echo "check.sh: the switchboard or its channel crypto is back:" >&2
+    echo "$gate" >&2
+    exit 1
+fi
 # The ledger also fails when EXPERIMENTS.md's F-A block (between its
 # markers) differs from what `direction::render` prints.
 cargo test -q --test work_ledger

@@ -22,11 +22,11 @@
 //! | [`wallet`] | credential repositories: publication, queries, proof monitors, subscriptions, persistence |
 //! | [`store`] | durability: CRC-framed write-ahead log of wallet events, snapshots, compaction, crash recovery |
 //! | [`index`] | the indexed delegation store: ordered tables (memory / file) with secondary indexes by subject, object, issuer, expiry, and tag, powering millisecond boots and O(answer) queries |
-//! | [`net`] | simulated network, tag-directed discovery, switchboard channels, threaded services, registry audit |
-//! | [`disco`] | application layer: protected resources, (resilient) monitored sessions, the paper's scenarios |
+//! | [`net`] | simulated network, TCP daemon and transport, tag-directed discovery, subscription push, registry audit |
+//! | [`disco`] | application layer: protected resources (the one role gate, local or remote), (resilient) monitored sessions, the paper's scenarios |
 //! | [`scenario`] | coalition-scale scenario generator (seven topology families, seeded schedules, oracle ground truth) and the SimNet/TCP federation soak runners |
 //! | [`obs`] | observability: metrics registry (counters/gauges/histograms), span & event tracing, JSONL export |
-//! | [`crypto`] / [`bignum`] | the from-scratch PKI substrate (SHA-256, HMAC, Schnorr, big integers) |
+//! | [`crypto`] / [`bignum`] | the from-scratch PKI substrate (SHA-256, Schnorr, big integers) |
 //! | [`baselines`] | OCSP / CRL / phantom-role / unidirectional-search comparators for the experiment harness |
 //!
 //! # Example

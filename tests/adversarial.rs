@@ -291,7 +291,9 @@ fn revoked_credential_does_not_resurrect() {
 
     // Replaying the (validly signed!) proof at the cache is now rejected.
     assert!(matches!(
-        cache.wallet().monitor_external_proof(proof),
+        cache
+            .wallet()
+            .monitor_external_proof(proof.clone(), proof.subject(), proof.object(), &[]),
         Err(WalletError::Validation(ValidationError::Revoked(_)))
     ));
 }

@@ -168,7 +168,7 @@ fn every_topology_survives_the_full_lifecycle() {
         assert_eq!(&decoded, monitor.proof(), "{name}");
         let fresh = Wallet::new("fresh", w.clock.clone());
         fresh
-            .monitor_external_proof(decoded)
+            .monitor_external_proof(decoded, &subject, &target, &[])
             .unwrap_or_else(|e| panic!("{name}: revalidate {e}"));
 
         // 3. Wallet persistence preserves the answer: the journal

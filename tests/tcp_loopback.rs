@@ -1,6 +1,6 @@
 //! Loopback TCP parity suite: the flows `tests/end_to_end.rs` proves
-//! over `SimNet` — cross-wallet discovery, role-gated switchboard
-//! connect, revocation push — must behave identically when every
+//! over `SimNet` — cross-wallet discovery, the remote role gate,
+//! revocation push — must behave identically when every
 //! wallet sits behind a real `WalletDaemon` socket and the agent's
 //! transport is `TcpTransport`. Plus the failure path the simulator
 //! cannot exercise: killing a daemon mid-subscription and watching the
@@ -16,10 +16,11 @@ use drbac::core::{
     SimClock, SubjectFlag, Ticks,
 };
 use drbac::crypto::SchnorrGroup;
+use drbac::disco::ProtectedResource;
 use drbac::net::proto::{Reply, Request};
 use drbac::net::{
-    Directory, DiscoveryAgent, RetryPolicy, SimNet, SubscriberLink, Switchboard, TcpConfig,
-    TcpTransport, Transport, WalletDaemon,
+    Directory, DiscoveryAgent, RetryPolicy, SimNet, SubscriberLink, TcpConfig, TcpTransport,
+    Transport, WalletDaemon,
 };
 use drbac::wallet::{DelegationEvent, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
@@ -243,9 +244,9 @@ fn f_a_funnel_discovery_parity_simnet_vs_tcp() {
     }
 }
 
-/// Role-gated switchboard connect works unchanged over TCP, and a
-/// revocation delivered to the daemon pushes through the verifier's
-/// subscriber link and closes the channel.
+/// The remote role gate works unchanged over TCP, and a revocation
+/// delivered to the daemon pushes through the verifier's subscriber link
+/// and ends the session.
 #[test]
 fn role_gated_connect_and_revocation_push_over_tcp() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -271,21 +272,16 @@ fn role_gated_connect_and_revocation_push_over_tcp() {
     let verifier = Wallet::new("verifier", clock.clone());
     let link = SubscriberLink::open("home", verifier.clone(), Arc::clone(&transport)).unwrap();
 
-    let switchboard = Switchboard::new();
-    let channel = switchboard
-        .connect_role_gated_remote(
-            &member,
-            &owner,
+    let resource = ProtectedResource::new("feed", owner.role("r"), verifier);
+    let session = resource
+        .authorize_remote(
+            &Node::entity(&member),
             transport.as_ref(),
             &"home".into(),
-            &verifier,
-            owner.role("r"),
             &RetryPolicy::standard(),
-            clock.now(),
-            &mut rng,
         )
         .expect("role proven over TCP");
-    assert!(channel.is_open());
+    assert!(session.is_active());
     assert!(
         wait_until(Duration::from_secs(2), || {
             !daemon.subscribers_of(cert_id).is_empty()
@@ -293,7 +289,7 @@ fn role_gated_connect_and_revocation_push_over_tcp() {
         "connect registered a coherence subscription at the daemon"
     );
 
-    // Revoke at the home daemon: the push must close the channel.
+    // Revoke at the home daemon: the push must end the session.
     let revocation = {
         let cert = daemon.wallet().get(cert_id).unwrap();
         SignedRevocation::revoke(&cert, &owner, clock.now()).unwrap()
@@ -303,8 +299,8 @@ fn role_gated_connect_and_revocation_push_over_tcp() {
         .unwrap();
     assert!(matches!(reply, Reply::Revoked(_)));
     assert!(
-        wait_until(Duration::from_secs(2), || !channel.is_open()),
-        "revocation push closed the role-gated channel"
+        wait_until(Duration::from_secs(2), || !session.is_active()),
+        "revocation push ended the role-gated session"
     );
     link.close();
     daemon.shutdown();

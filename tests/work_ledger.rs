@@ -292,7 +292,12 @@ fn ledger(marks: usize) -> Ledger {
     });
     let (monitor_external, _monitor) = delta([READS, CONTEXTS], || {
         wallet
-            .monitor_external_proof(third_party_proof.clone())
+            .monitor_external_proof(
+                third_party_proof.clone(),
+                third_party_proof.subject(),
+                third_party_proof.object(),
+                &[],
+            )
             .unwrap()
     });
 
