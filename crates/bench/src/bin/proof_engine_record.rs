@@ -1,7 +1,7 @@
 //! Records the concurrent proof-engine benchmark into
 //! `BENCH_proof_engine.json`.
 //!
-//! Three measurements, two workloads:
+//! Two measurements, two workloads:
 //!
 //! * **Baseline workload** — 8 users × depth-4 role ladders, 32 shared
 //!   keys, no attributes: the workload the pre-refactor 341,705 ns/query
@@ -12,35 +12,25 @@
 //!   attribute-carrying delegations per rung (distinct BW/CPU trade-offs,
 //!   so constrained search must carry Pareto-incomparable accumulator
 //!   alternatives through every level — the frontier work the interned
-//!   engine optimizes). Queries carry two loose constraints. Both
-//!   thread-sweep series run on this workload: the cold flash-crowd
-//!   series (cache off, every thread walking the key list in the same
-//!   order) and the warm-amortization series (cache on). Warm
-//!   amortization is a ratio of miss cost to hit cost, so it is only a
-//!   meaningful statistic while misses are expensive — on the baseline
-//!   workload the interned engine drove misses so close to hit cost
-//!   that the ratio dissolves into scheduler noise.
+//!   engine optimizes). Queries carry two loose constraints. The
+//!   warm-amortization thread sweep (cache on) runs on this workload.
+//!   Warm amortization is a ratio of miss cost to hit cost, so it is
+//!   only a meaningful statistic while misses are expensive — on the
+//!   baseline workload the interned engine drove misses so close to hit
+//!   cost that the ratio dissolves into scheduler noise.
 //!
-//! The machine this runs on may have a single core, so neither
-//! multi-thread series measures CPU parallelism:
-//!
-//! * **Warm scaling** is cache-sharing amortization: more threads mean
-//!   the one-off cold miss per key is amortized over proportionally more
-//!   served queries — the property the revocation-coherent proof cache
-//!   exists to provide.
-//! * **Cold scaling** is query coalescing (singleflight): a flash crowd
-//!   asking the same questions in the same order collapses concurrent
-//!   identical searches onto one leader. One thread gets no coalescing
-//!   and pays every search; four threads share most of them. The stress
-//!   workload keeps individual searches expensive enough (hundreds of
-//!   microseconds) that coalescing visibly beats scheduler overhead.
+//! The machine this runs on may have a single core, so the thread sweep
+//! does not measure CPU parallelism: it is cache-sharing amortization.
+//! More threads mean the one-off cold miss per key is amortized over
+//! proportionally more served queries — the property the
+//! revocation-coherent proof cache exists to provide.
 //!
 //! Methodology: every point is measured over several repetitions, each
 //! against a freshly built world (so every rep starts truly cold), after
 //! one discarded warm-up rep that absorbs one-time process costs
 //! (allocator growth, lazy statics, page faults). The artifact records
 //! min/mean/stddev per point; the headline `ns_per_query` is the mean,
-//! while the cross-thread speedup ratios are computed from the minima,
+//! while the cross-thread speedup ratio is computed from the minima,
 //! which are stable under the strictly additive noise of a shared host.
 //!
 //! Usage: `proof_engine_record [--smoke] [--guard] [--out PATH]`.
@@ -56,9 +46,8 @@
 //!
 //! A full run (no flags) writes `BENCH_proof_engine.json` and enforces
 //! the acceptance thresholds: `cold_single_thread_vs_pre_pr ≥ 1.0`
-//! (recorded as a speedup ratio over the pre-refactor baseline), cold
-//! 4-thread throughput strictly above cold 1-thread, and warm 1→4
-//! amortization ≥ 2.5x.
+//! (recorded as a speedup ratio over the pre-refactor baseline) and warm
+//! 1→4 amortization ≥ 2.5x.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -227,12 +216,9 @@ fn build_stress_world() -> World {
 }
 
 /// Runs `threads` provers and returns (total queries, elapsed ns).
-///
-/// Warm runs stagger each thread's start offset so the cache fills from
-/// several directions; cold runs drive every thread through the keys in
-/// the same (convoy) order so identical in-flight queries coalesce —
-/// see the module docs.
-fn run(world: &World, threads: usize, queries_per_thread: usize, warm: bool) -> (usize, u128) {
+/// Each thread starts at a staggered offset in the key list, so a warm
+/// cache fills from several directions.
+fn run(world: &World, threads: usize, queries_per_thread: usize) -> (usize, u128) {
     let keys = &world.keys;
     let constraints = &world.constraints;
     let start = Instant::now();
@@ -241,8 +227,7 @@ fn run(world: &World, threads: usize, queries_per_thread: usize, warm: bool) -> 
             let wallet = world.wallet.clone();
             scope.spawn(move || {
                 for i in 0..queries_per_thread {
-                    let idx = if warm { t * 7 + i } else { i };
-                    let (subject, object) = &keys[idx % keys.len()];
+                    let (subject, object) = &keys[(t * 7 + i) % keys.len()];
                     black_box(wallet.find_proof(subject, object, constraints));
                 }
             });
@@ -281,7 +266,7 @@ fn measure<F: Fn() -> World>(
     for rep in 0..=reps {
         let world = build();
         world.wallet.set_query_cache(warm);
-        let (queries, ns) = run(&world, threads, queries_per_thread, warm);
+        let (queries, ns) = run(&world, threads, queries_per_thread);
         if rep == 0 {
             continue; // warm-up pass: absorbs one-time process costs
         }
@@ -300,15 +285,11 @@ fn measure<F: Fn() -> World>(
     }
 }
 
-fn series<F: Fn() -> World>(
-    build: &F,
-    warm: bool,
-    queries_per_thread: usize,
-    reps: usize,
-) -> Vec<Point> {
+/// The warm-cache thread sweep.
+fn warm_series<F: Fn() -> World>(build: &F, queries_per_thread: usize, reps: usize) -> Vec<Point> {
     [1usize, 2, 4, 8]
         .into_iter()
-        .map(|threads| measure(build, warm, threads, queries_per_thread, reps))
+        .map(|threads| measure(build, true, threads, queries_per_thread, reps))
         .collect()
 }
 
@@ -399,17 +380,15 @@ fn main() {
             }
         });
 
-    let (warm_q, cold_q, reps) = if smoke { (24, 4, 1) } else { (64, 32, 5) };
+    let (warm_q, cold_q, reps) = if smoke { (24, 32, 1) } else { (64, 64, 5) };
 
-    let warm = series(&build_stress_world, true, warm_q, reps);
-    let cold_base = measure(&build_world, false, 1, cold_q.max(16) * 2, reps);
-    let cold = series(&build_stress_world, false, cold_q, reps);
-    // Scaling ratios are computed from the per-point minima: scheduler
+    let warm = warm_series(&build_stress_world, warm_q, reps);
+    let cold_base = measure(&build_world, false, 1, cold_q, reps);
+    // The scaling ratio is computed from the per-point minima: scheduler
     // and frequency noise on a shared box is strictly additive, so the
     // min over reps is the stable estimate of each configuration's true
     // cost, where a mean ratio can swing ±40% run to run.
     let speedup_1_to_4 = warm[0].min_ns / warm[2].min_ns;
-    let cold_coalesce_1_to_4 = cold[0].min_ns / cold[2].min_ns;
     // Speedup over the pre-refactor baseline, same workload both sides:
     // >1.0 means faster than the engine this PR series started from.
     let cold_vs_pre_pr = PRE_PR_COLD_NS_PER_QUERY / cold_base.mean_ns;
@@ -419,10 +398,8 @@ fn main() {
          \"baseline_workload\": {{\"users\": {USERS}, \"ladder_depth\": {BASE_DEPTH}, \"shared_keys\": {}}},\n  \
          \"stress_workload\": {{\"users\": {USERS}, \"ladder_depth\": {STRESS_DEPTH}, \"rung_fanout\": {STRESS_FANOUT}, \"constrained\": true, \"shared_keys\": {}}},\n  \
          \"warm_cache\": {},\n  \
-         \"cold_cache_stress\": {},\n  \
          \"cold_baseline_single_thread\": {},\n  \
          \"warm_speedup_1_to_4_threads\": {speedup_1_to_4:.2},\n  \
-         \"cold_coalesce_speedup_1_to_4_threads\": {cold_coalesce_1_to_4:.2},\n  \
          \"cold_single_thread_ns_per_query\": {:.0},\n  \
          \"cold_single_thread_min_ns_per_query\": {:.0},\n  \
          \"pre_pr_cold_single_thread_ns_per_query\": {PRE_PR_COLD_NS_PER_QUERY:.0},\n  \
@@ -430,7 +407,6 @@ fn main() {
         USERS * BASE_DEPTH,
         USERS * 4,
         json_series(&warm),
-        json_series(&cold),
         json_point(&cold_base),
         cold_base.mean_ns,
         cold_base.min_ns,
@@ -447,19 +423,11 @@ fn main() {
             cold_base.mean_ns
         );
         assert!(
-            cold_coalesce_1_to_4 > 1.0 && cold[2].qps() > cold[0].qps(),
-            "cold 4-thread throughput must beat cold 1-thread (coalescing; got \
-             {cold_coalesce_1_to_4:.2}x min-based, {:.1} vs {:.1} q/s mean-based)",
-            cold[2].qps(),
-            cold[0].qps()
-        );
-        assert!(
             speedup_1_to_4 >= 2.5,
             "warm-cache throughput must scale ≥2.5x from 1 to 4 threads (got {speedup_1_to_4:.2}x)"
         );
         eprintln!(
             "acceptance: cold single-thread {cold_vs_pre_pr:.3}x of pre-refactor baseline (≥1.0), \
-             cold 1→4 coalescing {cold_coalesce_1_to_4:.2}x (>1.0), \
              warm 1→4 amortization {speedup_1_to_4:.2}x (≥2.5)"
         );
     }

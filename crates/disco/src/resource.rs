@@ -162,7 +162,8 @@ impl ProtectedResource {
     /// [`AccessError::Denied`] when no returned proof answers the query
     /// here; [`AccessError::Unreachable`] when `home` cannot be reached
     /// within the retry budget or does not acknowledge every
-    /// subscription.
+    /// subscription. The subscriptions it did acknowledge are then
+    /// withdrawn with one best-effort `Unsubscribe` each.
     pub fn authorize_remote(
         &self,
         principal: &Node,
@@ -195,14 +196,30 @@ impl ProtectedResource {
                     .ok()
             })
             .ok_or_else(|| self.denied(principal))?;
+        let subscriber = self.wallet.addr();
+        let mut acknowledged = Vec::new();
         for delegation in monitor.proof().delegation_ids() {
-            match ask(Request::Subscribe {
+            let failure = match ask(Request::Subscribe {
                 delegation,
-                subscriber: self.wallet.addr().clone(),
-            })? {
-                Reply::Subscribed => {}
-                other => return Err(unreachable(format!("subscribe answered {other:?}"))),
+                subscriber: subscriber.clone(),
+            }) {
+                Ok(Reply::Subscribed) => {
+                    acknowledged.push(delegation);
+                    continue;
+                }
+                Ok(other) => unreachable(format!("subscribe answered {other:?}")),
+                Err(e) => e,
+            };
+            for delegation in acknowledged {
+                let _ = transport.request(
+                    home,
+                    Request::Unsubscribe {
+                        delegation,
+                        subscriber: subscriber.clone(),
+                    },
+                );
             }
+            return Err(failure);
         }
         Ok(self.session(principal, monitor))
     }
@@ -381,7 +398,9 @@ impl AccessSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drbac_core::{AttrOp, LocalEntity, Proof, ProofStep, SignedRevocation, SimClock, Ticks};
+    use drbac_core::{
+        AttrOp, DelegationId, LocalEntity, Proof, ProofStep, SignedRevocation, SimClock, Ticks,
+    };
     use drbac_crypto::SchnorrGroup;
     use drbac_net::{FaultPlan, NetError, SimNet};
     use parking_lot::Mutex;
@@ -726,6 +745,70 @@ mod tests {
             "opened without a coherence subscription: {:?}",
             result.map(|s| s.is_active())
         );
+    }
+
+    /// A home that acknowledges the first subscription and times out the
+    /// second is told to drop the first: the gate stays shut and leaves
+    /// no subscription behind.
+    #[test]
+    fn remote_role_gate_withdraws_acknowledged_subscriptions_when_one_fails() {
+        let (a, b) = entities();
+        let verifier = Wallet::new("init.wallet", SimClock::new());
+        let role = b.role("feed-subscriber");
+        let first = b
+            .delegate(Node::entity(&a), Node::role(b.role("staff")))
+            .sign(&b)
+            .unwrap();
+        let second = b
+            .delegate(Node::role(b.role("staff")), Node::role(role.clone()))
+            .sign(&b)
+            .unwrap();
+        let proof = Proof::from_steps(vec![ProofStep::new(first), ProofStep::new(second)]).unwrap();
+        let ids: Vec<DelegationId> = proof.delegation_ids().into_iter().collect();
+
+        /// Answers the query with `proof`, acknowledges the first
+        /// `Subscribe`, times out every later one, and records every
+        /// `Unsubscribe`.
+        struct FailsSecondSubscribe {
+            proof: Proof,
+            subscribes: Mutex<usize>,
+            unsubscribed: Mutex<Vec<DelegationId>>,
+        }
+        impl Transport for FailsSecondSubscribe {
+            fn request(&self, to: &WalletAddr, req: Request) -> Result<Reply, NetError> {
+                match req {
+                    Request::DirectQuery { .. } => Ok(Reply::Proofs(vec![self.proof.clone()])),
+                    Request::Subscribe { .. } => {
+                        let mut n = self.subscribes.lock();
+                        *n += 1;
+                        if *n == 1 {
+                            Ok(Reply::Subscribed)
+                        } else {
+                            Err(NetError::Timeout(to.clone()))
+                        }
+                    }
+                    Request::Unsubscribe { delegation, .. } => {
+                        self.unsubscribed.lock().push(delegation);
+                        Ok(Reply::Subscribed)
+                    }
+                    other => panic!("unexpected request {other}"),
+                }
+            }
+        }
+        let transport = FailsSecondSubscribe {
+            proof,
+            subscribes: Mutex::new(0),
+            unsubscribed: Mutex::new(Vec::new()),
+        };
+        let result = ProtectedResource::new("feed", role, verifier).authorize_remote(
+            &Node::entity(&a),
+            &transport,
+            &"resp.wallet".into(),
+            &RetryPolicy::none(),
+        );
+        assert!(matches!(result, Err(AccessError::Unreachable { .. })));
+        assert_eq!(*transport.subscribes.lock(), 2);
+        assert_eq!(*transport.unsubscribed.lock(), vec![ids[0]]);
     }
 
     #[test]

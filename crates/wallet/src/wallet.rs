@@ -99,101 +99,6 @@ struct ProofWatch {
     callback: WatchCallback,
 }
 
-/// The published result of one in-flight cold query.
-enum FlightOutcome {
-    /// The leader finished; followers may reuse this answer (after a
-    /// cheap freshness check).
-    Done(Option<(Proof, drbac_core::AttrSummary)>),
-    /// The leader unwound without an answer (panic or early drop);
-    /// followers must run their own search.
-    Abandoned,
-}
-
-/// One in-flight cold query that identical concurrent queries can wait
-/// on instead of searching the same graph again (singleflight). Uses the
-/// std `Mutex`/`Condvar` pair directly: the vendored `parking_lot` shim
-/// has no `Condvar`, and poisoning is absorbed in place because the
-/// outcome slot is always coherent (a flight either publishes or is
-/// marked abandoned by the leader's drop guard).
-struct Flight {
-    slot: std::sync::Mutex<Option<FlightOutcome>>,
-    cv: std::sync::Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            slot: std::sync::Mutex::new(None),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn publish(&self, outcome: FlightOutcome) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(outcome);
-        self.cv.notify_all();
-    }
-
-    /// Blocks until the leader publishes. `None` means the flight was
-    /// abandoned.
-    ///
-    /// Graph searches are short (tens of microseconds warm), so parking
-    /// on the condvar immediately would spend more on the two context
-    /// switches than the coalescing saves. Followers first yield the
-    /// processor a bounded number of times — on a loaded single core each
-    /// yield hands the timeslice to the leader — and only park if the
-    /// flight is still unresolved after that.
-    fn wait(&self) -> Option<Option<(Proof, drbac_core::AttrSummary)>> {
-        for _ in 0..64 {
-            {
-                let slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-                match &*slot {
-                    Some(FlightOutcome::Done(answer)) => return Some(answer.clone()),
-                    Some(FlightOutcome::Abandoned) => return None,
-                    None => {}
-                }
-            }
-            std::thread::yield_now();
-        }
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match &*slot {
-                Some(FlightOutcome::Done(answer)) => return Some(answer.clone()),
-                Some(FlightOutcome::Abandoned) => return None,
-                None => slot = self.cv.wait(slot).unwrap_or_else(|e| e.into_inner()),
-            }
-        }
-    }
-}
-
-/// Removes the leader's flight from the in-flight table and guarantees an
-/// outcome is published exactly once — `Abandoned` if the leader unwinds
-/// before calling [`FlightGuard::finish`], so followers never block on a
-/// dead flight.
-struct FlightGuard<'a> {
-    state: &'a WalletState,
-    key: QueryKey,
-    flight: Arc<Flight>,
-    published: bool,
-}
-
-impl FlightGuard<'_> {
-    fn finish(mut self, answer: Option<(Proof, drbac_core::AttrSummary)>) {
-        self.published = true;
-        self.state.inflight.lock().remove(&self.key);
-        self.flight.publish(FlightOutcome::Done(answer));
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.state.inflight.lock().remove(&self.key);
-            self.flight.publish(FlightOutcome::Abandoned);
-        }
-    }
-}
-
 pub(crate) struct WalletState {
     pub(crate) addr: WalletAddr,
     pub(crate) clock: SimClock,
@@ -210,10 +115,6 @@ pub(crate) struct WalletState {
     /// The revocation-coherent direct-query answer cache; entries track
     /// the delegation ids their proofs depend on and die with them.
     pub(crate) proof_cache: ProofCache,
-    /// Cold queries currently being answered, keyed like the proof cache.
-    /// Concurrent identical queries coalesce onto the leader's search
-    /// (singleflight) instead of repeating it.
-    inflight: Mutex<HashMap<QueryKey, Arc<Flight>>>,
     cache_enabled: std::sync::atomic::AtomicBool,
     /// The attached write-ahead store, if any. Mutations are journaled
     /// here *before* they are applied to the graph.
@@ -288,7 +189,6 @@ impl Wallet {
                 cache_meta: Mutex::new(HashMap::new()),
                 signed_declarations: Mutex::new(Vec::new()),
                 proof_cache: ProofCache::default(),
-                inflight: Mutex::new(HashMap::new()),
                 cache_enabled: std::sync::atomic::AtomicBool::new(true),
                 journal: Mutex::new(None),
                 index: Mutex::new(None),
@@ -380,8 +280,7 @@ impl Wallet {
     /// safe on the answer path: `revoke` marks the graph *before* it
     /// sweeps the proof cache (`invalidate_dep`), `cached_answer`
     /// captures the cache epoch before it searches, so an answer that
-    /// raced a revoke is never stored, and `flight_answer_fresh`
-    /// re-checks every credential of a coalesced answer.
+    /// raced a revoke is never stored.
     fn validation_ctx(&self, now: Timestamp) -> ValidationContext<&DelegationGraph> {
         drbac_obs::static_counter!("drbac.wallet.validation_ctx.count").inc();
         ValidationContext::at(now)
@@ -753,15 +652,6 @@ impl Wallet {
     /// cache epoch is captured *before* the search so an invalidation
     /// racing with us discards our insert rather than losing the
     /// invalidation.
-    ///
-    /// Concurrent identical cold queries coalesce (singleflight): the
-    /// first one in becomes the *leader* and runs the search; the rest
-    /// wait on its [`Flight`] and reuse the answer after a cheap
-    /// freshness check (no credential revoked or expired since). This is
-    /// what keeps a flash crowd of provers asking the same question from
-    /// multiplying search work — and it works whether or not the answer
-    /// cache is enabled, since the flight lives only as long as the
-    /// leader's search.
     fn cached_answer(
         &self,
         subject: &Node,
@@ -775,57 +665,12 @@ impl Wallet {
         if cache_enabled {
             if let Some(found) = self.state.proof_cache.get(&key, now) {
                 drbac_obs::static_counter!("drbac.wallet.query.cache_hit.count").inc();
-                drbac_obs::static_counter!("drbac.graph.proof_cache.hit.count").inc();
                 drbac_obs::static_histogram!("drbac.wallet.query.warm.ns")
                     .record(start.elapsed().as_nanos() as u64);
                 return (found, SearchStats::default());
             }
         }
-
         drbac_obs::static_counter!("drbac.wallet.query.cache_miss.count").inc();
-        drbac_obs::static_counter!("drbac.graph.proof_cache.miss.count").inc();
-
-        // Join or lead the flight for this key.
-        let flight = loop {
-            let claim = {
-                let mut inflight = self.state.inflight.lock();
-                if let Some(f) = inflight.get(&key) {
-                    Err(Arc::clone(f))
-                } else {
-                    let f = Arc::new(Flight::new());
-                    inflight.insert(key.clone(), Arc::clone(&f));
-                    Ok(f)
-                }
-            };
-            match claim {
-                Ok(f) => break f, // we lead
-                Err(f) => match f.wait() {
-                    Some(answer) if self.flight_answer_fresh(&answer, now) => {
-                        drbac_obs::static_counter!("drbac.wallet.query.coalesced.count").inc();
-                        drbac_obs::static_histogram!("drbac.wallet.query.cold.ns")
-                            .record(start.elapsed().as_nanos() as u64);
-                        return (answer, SearchStats::default());
-                    }
-                    // Stale or abandoned: compete to lead a fresh search.
-                    _ => continue,
-                },
-            }
-        };
-        let guard = FlightGuard {
-            state: &self.state,
-            key: key.clone(),
-            flight,
-            published: false,
-        };
-        // Group-commit window: yield once between opening the flight and
-        // starting the search, so provers that arrive within the same
-        // scheduling quantum get to attach to this flight instead of
-        // repeating the whole search after it completes. On a saturated
-        // single core this is what actually forms the convoy — without
-        // it the leader runs its entire timeslice and concurrent
-        // identical queries never overlap a flight. Costs one bounced
-        // timeslice when nobody else is waiting.
-        std::thread::yield_now();
 
         // The epoch is taken before hydration: an index read failure
         // inside it moves the epoch, so a denial it caused is not cached.
@@ -842,27 +687,9 @@ impl Wallet {
         if cache_enabled {
             self.state.proof_cache.insert(key, answer.clone(), epoch);
         }
-        guard.finish(answer.clone());
         drbac_obs::static_histogram!("drbac.wallet.query.cold.ns")
             .record(start.elapsed().as_nanos() as u64);
         (answer, stats)
-    }
-
-    /// Whether a coalesced flight answer is still usable at `now`:
-    /// positive answers need every credential (supports included)
-    /// unrevoked and unexpired; negatives are monotone under the
-    /// revocation/expiry the leader saw, so they pass as-is.
-    fn flight_answer_fresh(
-        &self,
-        answer: &Option<(Proof, drbac_core::AttrSummary)>,
-        now: Timestamp,
-    ) -> bool {
-        match answer {
-            None => true,
-            Some((proof, _)) => proof.all_certs().iter().all(|c| {
-                !self.state.graph.is_revoked(c.id()) && !c.delegation().is_expired(now)
-            }),
-        }
     }
 
     /// As [`Wallet::query_direct`] but returning the bare validated proof

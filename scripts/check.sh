@@ -113,6 +113,18 @@ if [ -n "$gate" ]; then
     echo "$gate" >&2
     exit 1
 fi
+# One cold-query path: `Wallet::cached_answer` looks the answer up,
+# captures the cache epoch, plans, searches, validates and inserts. The
+# singleflight (its flight table, drop guard and condvar), its counter
+# and the scheduler yields it put on every cache miss stay gone.
+flight=$( (grep -rnE 'struct Flight\b|FlightGuard|FlightOutcome|flight_answer_fresh|query\.coalesced\.count' \
+        crates src tests examples
+    grep -rn 'yield_now' crates/wallet/src) || true)
+if [ -n "$flight" ]; then
+    echo "check.sh: the wallet's singleflight or a cold-path yield is back:" >&2
+    echo "$flight" >&2
+    exit 1
+fi
 # The ledger also fails when EXPERIMENTS.md's F-A block (between its
 # markers) differs from what `direction::render` prints.
 cargo test -q --test work_ledger
@@ -297,6 +309,9 @@ trap 'rm -rf "$STORE_HOME"' EXIT
 
 echo "== docs (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
+echo "== fmt (the workspace is rustfmt-clean) =="
+cargo fmt --all --check
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
