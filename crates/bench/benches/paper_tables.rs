@@ -171,8 +171,7 @@ fn bench_table3_figure2(c: &mut Criterion) {
             .with_request_loss(0.1)
             .with_latency_jitter(Ticks(1))
     };
-    let chaotic =
-        CoalitionScenario::build_with_faults(&mut StdRng::seed_from_u64(3), chaos_plan());
+    let chaotic = CoalitionScenario::build_with_faults(&mut StdRng::seed_from_u64(3), chaos_plan());
     let chaos_outcome = chaotic.establish_access();
     assert!(chaos_outcome.found());
     let chaos_stats = chaotic.net.stats();

@@ -173,9 +173,16 @@ fn timing_free(cell: &str) -> Vec<String> {
 
 /// The cells of an artifact's text, in order.
 fn cells(json: &str) -> Vec<&str> {
-    let starts: Vec<usize> = json.match_indices("{\"family\": ").map(|(at, _)| at).collect();
+    let starts: Vec<usize> = json
+        .match_indices("{\"family\": ")
+        .map(|(at, _)| at)
+        .collect();
     let ends = starts.iter().skip(1).copied().chain([json.len()]);
-    starts.iter().zip(ends).map(|(&at, end)| &json[at..end]).collect()
+    starts
+        .iter()
+        .zip(ends)
+        .map(|(&at, end)| &json[at..end])
+        .collect()
 }
 
 /// Every timing-free difference between a run and a recorded artifact.
@@ -201,9 +208,19 @@ fn differences(run: &str, recorded: &str) -> Vec<String> {
 fn assert_invariants(r: &SoakReport) {
     let cell = format!("{}/{}/{}", r.family, r.seed, r.substrate);
     assert_eq!(r.unsound, 0, "{cell}: unsound proofs");
-    assert_eq!(r.hard_mismatches(), 0, "{cell}: non-degraded oracle divergence");
-    assert_eq!(r.termination_failures, 0, "{cell}: sessions outlived revocation");
-    assert_eq!(r.spurious_terminations, 0, "{cell}: live sessions terminated");
+    assert_eq!(
+        r.hard_mismatches(),
+        0,
+        "{cell}: non-degraded oracle divergence"
+    );
+    assert_eq!(
+        r.termination_failures, 0,
+        "{cell}: sessions outlived revocation"
+    );
+    assert_eq!(
+        r.spurious_terminations, 0,
+        "{cell}: live sessions terminated"
+    );
 }
 
 fn main() {
@@ -222,9 +239,7 @@ fn main() {
         match a.as_str() {
             "--check" => check = Some(it.next().expect("--check FILE").clone()),
             "--seed" => seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--wallets" => {
-                wallets = it.next().and_then(|v| v.parse().ok()).expect("--wallets N")
-            }
+            "--wallets" => wallets = it.next().and_then(|v| v.parse().ok()).expect("--wallets N"),
             "--out" => out = it.next().expect("--out FILE").clone(),
             "--smoke" => {}
             other => {
@@ -237,7 +252,11 @@ fn main() {
         }
     }
 
-    let seeds: Vec<u64> = if smoke { vec![seed] } else { FULL_SEEDS.to_vec() };
+    let seeds: Vec<u64> = if smoke {
+        vec![seed]
+    } else {
+        FULL_SEEDS.to_vec()
+    };
     let scale = if smoke {
         Scale::smoke()
     } else {
@@ -303,7 +322,11 @@ fn main() {
          \"cells\": [\n{}\n  ]\n}}\n",
         Family::ALL.len(),
         seeds,
-        reports.iter().map(json_report).collect::<Vec<_>>().join(",\n"),
+        reports
+            .iter()
+            .map(json_report)
+            .collect::<Vec<_>>()
+            .join(",\n"),
     );
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -318,7 +341,9 @@ fn main() {
         assert!(Family::ALL.len() >= 6, "≥ 6 topology families");
         assert!(seeds.len() >= 3, "≥ 3 seeds per family");
         assert!(
-            reports.iter().any(|r| r.substrate == "tcp" && r.wallets >= 100),
+            reports
+                .iter()
+                .any(|r| r.substrate == "tcp" && r.wallets >= 100),
             "a real TCP federation of ≥ 100 wallets"
         );
         assert_eq!(
@@ -336,8 +361,8 @@ fn main() {
     );
 
     if let Some(recorded) = check {
-        let text = std::fs::read_to_string(&recorded)
-            .unwrap_or_else(|e| panic!("read {recorded}: {e}"));
+        let text =
+            std::fs::read_to_string(&recorded).unwrap_or_else(|e| panic!("read {recorded}: {e}"));
         let diffs = differences(&json, &text);
         if !diffs.is_empty() {
             eprintln!("check: the run differs from {recorded} in timing-free fields:");
@@ -364,7 +389,10 @@ mod tests {
      "revocation_lag": {"count": 0, "p50": 0, "p90": 0, "p99": 0, "max": 0}}"#;
 
     fn artifact(substrate: &str, edit: impl Fn(String) -> String) -> String {
-        format!("{{\n  \"cells\": [\n{}\n  ]\n}}\n", edit(CELL.replace("SUB", substrate)))
+        format!(
+            "{{\n  \"cells\": [\n{}\n  ]\n}}\n",
+            edit(CELL.replace("SUB", substrate))
+        )
     }
 
     #[test]
@@ -394,7 +422,9 @@ mod tests {
                 .replace("\"p90\": 1, \"p99\": 1", "\"p90\": 2, \"p99\": 1")
         });
         assert!(differences(&drifted, &recorded).is_empty());
-        let diverged = artifact("simnet+chaos", |c| c.replace("\"grants\": 1", "\"grants\": 2"));
+        let diverged = artifact("simnet+chaos", |c| {
+            c.replace("\"grants\": 1", "\"grants\": 2")
+        });
         assert_eq!(differences(&diverged, &recorded).len(), 1);
     }
 }

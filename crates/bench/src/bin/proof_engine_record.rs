@@ -355,7 +355,9 @@ fn run_guard() {
          (> {GUARD_MAX_REGRESSION}x) against the committed BENCH_proof_engine.json \
          ({:.0} ns vs {:.0} ns). If the slowdown is intentional, re-record the \
          artifact with a full `scripts/bench_record.sh proof` run.",
-        ratio, point.min_ns, committed
+        ratio,
+        point.min_ns,
+        committed
     );
 }
 

@@ -135,7 +135,10 @@ fn build_world(n: usize) -> World {
             }
             certs.push(Arc::new(
                 owner
-                    .delegate(Node::entity(user), Node::role(owner.role(&format!("p{u}x{j}"))))
+                    .delegate(
+                        Node::entity(user),
+                        Node::role(owner.role(&format!("p{u}x{j}"))),
+                    )
                     .sign(&owner)
                     .unwrap(),
             ));
@@ -361,7 +364,11 @@ fn measure_size(n: usize, smoke: bool) -> SizePoint {
     }
     let boot_replay = stat(&replay_samples);
     let replayed = replayed.expect("at least one replay rep");
-    assert_eq!(replayed.len(), world.delegations, "replay recovered everything");
+    assert_eq!(
+        replayed.len(),
+        world.delegations,
+        "replay recovered everything"
+    );
 
     let mut samples = Vec::new();
     for rep in 0..=query_sweeps {
@@ -429,9 +436,8 @@ fn committed_guard_ms(path: &str) -> Option<f64> {
 /// `--guard`: quick indexed-boot tripwire at 10^4 against the committed
 /// artifact — min over reps vs committed mean, as in the proof guard.
 fn run_guard() {
-    let committed = committed_guard_ms("BENCH_wallet_ops.json").expect(
-        "BENCH_wallet_ops.json with boot_indexed_guard_ms (run a full record first)",
-    );
+    let committed = committed_guard_ms("BENCH_wallet_ops.json")
+        .expect("BENCH_wallet_ops.json with boot_indexed_guard_ms (run a full record first)");
     let world = build_world(10_000);
     let point = boot_indexed_ms(&world, 5);
     let ratio = point.min / committed;
@@ -445,7 +451,8 @@ fn run_guard() {
          (> {GUARD_MAX_REGRESSION}x) against the committed BENCH_wallet_ops.json \
          ({:.2} ms vs {:.2} ms). If the slowdown is intentional, re-record the \
          artifact with a full `scripts/bench_record.sh wallet` run.",
-        point.min, committed
+        point.min,
+        committed
     );
 }
 

@@ -5,7 +5,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
-
 /// An arbitrary-precision unsigned integer.
 ///
 /// Stored as little-endian `u64` limbs with no trailing zero limbs

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-
 use crate::entity::EntityId;
 use crate::error::ModelError;
 

@@ -15,7 +15,6 @@
 
 use std::fmt;
 
-
 use crate::clock::Ticks;
 use crate::role::Role;
 

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-
 /// SHA-256 fingerprint of a public key's canonical encoding.
 ///
 /// dRBAC names every namespace by the public key of its owning entity; the

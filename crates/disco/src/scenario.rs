@@ -338,7 +338,11 @@ impl CoalitionScenario {
             SignedRevocation::revoke(&self.partnership_cert, &self.sheila, self.clock.now())
                 .expect("Sheila issued it");
         RetryPolicy::standard()
-            .run(&self.net, &BIGISP_WALLET.into(), &Request::Revoke(revocation))
+            .run(
+                &self.net,
+                &BIGISP_WALLET.into(),
+                &Request::Revoke(revocation),
+            )
             .reply
             .expect("home wallet reachable within the retry budget");
         self.net.run_until_idle()

@@ -166,7 +166,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = LocalEntity::generate("A", SchnorrGroup::test_256(), &mut rng);
         let interner = NodeInterner::default();
-        let nodes: Vec<Node> = (0..32).map(|i| Node::role(a.role(&format!("r{i}")))).collect();
+        let nodes: Vec<Node> = (0..32)
+            .map(|i| Node::role(a.role(&format!("r{i}"))))
+            .collect();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

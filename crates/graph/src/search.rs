@@ -1574,7 +1574,9 @@ mod tests {
                 let r = Node::role(f.a.role(&format!("c{chain}d{depth}")));
                 let mut b = f.a.delegate(prev.clone(), r.clone());
                 if chain == 1 {
-                    b = b.with_attr(bw.clone(), 400.0 - 100.0 * depth as f64).unwrap();
+                    b = b
+                        .with_attr(bw.clone(), 400.0 - 100.0 * depth as f64)
+                        .unwrap();
                 }
                 g.insert(b.sign(&f.a).unwrap());
                 prev = r;
@@ -1588,12 +1590,9 @@ mod tests {
         g.insert(f.a.delegate(c2, c0).serial(7).sign(&f.a).unwrap());
         // Third-party edge with discoverable support.
         g.insert(
-            f.a.delegate(
-                Node::entity(&f.b),
-                Node::role_admin(f.a.role("member")),
-            )
-            .sign(&f.a)
-            .unwrap(),
+            f.a.delegate(Node::entity(&f.b), Node::role_admin(f.a.role("member")))
+                .sign(&f.a)
+                .unwrap(),
         );
         g.insert(
             f.b.delegate(Node::role(f.a.role("c0d3")), Node::role(f.a.role("member")))

@@ -56,7 +56,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use drbac_store::{crc32, FileMedium, MemMedium, Medium, StoreError};
+use drbac_store::{crc32, FileMedium, Medium, MemMedium, StoreError};
 
 use crate::table::{TableBackend, TableOp, TableStats};
 
@@ -366,7 +366,10 @@ fn build_base(
     let mut prev: Option<Vec<u8>> = None;
     let mut count = 0u64;
 
-    let flush_block = |out: &mut Vec<u8>, block: &mut Vec<u8>, first: &mut Option<Vec<u8>>, l1: &mut Vec<Fence>| {
+    let flush_block = |out: &mut Vec<u8>,
+                       block: &mut Vec<u8>,
+                       first: &mut Option<Vec<u8>>,
+                       l1: &mut Vec<Fence>| {
         if block.is_empty() {
             return;
         }
@@ -453,7 +456,9 @@ impl DeltaState {
         let bytes = log.read_all()?;
         let mut map = BTreeMap::new();
         let mut valid_len = 0u64;
-        if !bytes.is_empty() && bytes.len() >= INDEX_LOG_MAGIC.len() && bytes[..8] == INDEX_LOG_MAGIC
+        if !bytes.is_empty()
+            && bytes.len() >= INDEX_LOG_MAGIC.len()
+            && bytes[..8] == INDEX_LOG_MAGIC
         {
             valid_len = INDEX_LOG_MAGIC.len() as u64;
             let mut at = INDEX_LOG_MAGIC.len();
@@ -655,7 +660,11 @@ impl FileTable {
     /// once every block has been read.
     fn checked_previous(dir: &Path) -> Result<Option<(Vec<u8>, FileTable)>, StoreError> {
         let [_, _, prev] = Self::files(dir);
-        let bytes = if prev.exists() { std::fs::read(&prev)? } else { Vec::new() };
+        let bytes = if prev.exists() {
+            std::fs::read(&prev)?
+        } else {
+            Vec::new()
+        };
         if bytes.is_empty() {
             return Ok(None);
         }
@@ -893,8 +902,16 @@ mod tests {
         (t, base, log)
     }
 
-    fn reopen(base: &MemMedium, log: &MemMedium, prev: &MemMedium) -> Result<FileTable, StoreError> {
-        FileTable::from_media(Box::new(base.clone()), Box::new(log.clone()), Box::new(prev.clone()))
+    fn reopen(
+        base: &MemMedium,
+        log: &MemMedium,
+        prev: &MemMedium,
+    ) -> Result<FileTable, StoreError> {
+        FileTable::from_media(
+            Box::new(base.clone()),
+            Box::new(log.clone()),
+            Box::new(prev.clone()),
+        )
     }
 
     fn key(i: u32) -> Vec<u8> {
@@ -916,7 +933,10 @@ mod tests {
         let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
         assert_eq!(reopened.get(&key(42)).unwrap(), Some(b"fresh".to_vec()));
         assert_eq!(reopened.get(&key(43)).unwrap(), None);
-        assert_eq!(reopened.get(&key(7)).unwrap(), Some(7u32.to_be_bytes().to_vec()));
+        assert_eq!(
+            reopened.get(&key(7)).unwrap(),
+            Some(7u32.to_be_bytes().to_vec())
+        );
         assert_eq!(reopened.entries().unwrap(), 499);
 
         // Ordered scans cross block boundaries and respect bounds.
@@ -1021,7 +1041,11 @@ mod tests {
         let t = reopen(&base, &log, &prev).unwrap();
         t.apply(&[put(b"w", b"1")]).unwrap();
         t.compact().unwrap();
-        assert_eq!(t.previous_get(b"w").unwrap(), None, "the first run replaced an empty one");
+        assert_eq!(
+            t.previous_get(b"w").unwrap(),
+            None,
+            "the first run replaced an empty one"
+        );
         t.apply(&[put(b"w", b"2")]).unwrap();
         t.compact().unwrap();
         assert_eq!(t.get(b"w").unwrap(), Some(b"2".to_vec()));
@@ -1040,7 +1064,10 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(!FileTable::restore_previous(&dir).unwrap(), "no previous run yet");
+        assert!(
+            !FileTable::restore_previous(&dir).unwrap(),
+            "no previous run yet"
+        );
         {
             let t = FileTable::open_dir(&dir).unwrap();
             t.apply(&[put(b"w", b"1")]).unwrap();
@@ -1055,7 +1082,11 @@ mod tests {
         assert!(FileTable::open_dir(&dir).is_err());
         assert!(FileTable::restore_previous(&dir).unwrap());
         let t = FileTable::open_dir(&dir).unwrap();
-        assert_eq!(t.get(b"w").unwrap(), Some(b"1".to_vec()), "delta log dropped with the run");
+        assert_eq!(
+            t.get(b"w").unwrap(),
+            Some(b"1".to_vec()),
+            "delta log dropped with the run"
+        );
 
         let mut bytes = std::fs::read(&prev).unwrap();
         bytes[0] ^= 0xFF;

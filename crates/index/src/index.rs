@@ -315,8 +315,9 @@ impl DelegationIndex {
         f: &mut dyn FnMut(Arc<SignedDelegation>),
     ) -> Result<(), StoreError> {
         let mut err = None;
-        self.table.scan_prefix(&[keys::P_CERT], &mut |_, v| {
-            match SignedDelegation::from_bytes(v) {
+        self.table.scan_prefix(
+            &[keys::P_CERT],
+            &mut |_, v| match SignedDelegation::from_bytes(v) {
                 Ok(cert) => {
                     f(Arc::new(cert));
                     true
@@ -325,8 +326,8 @@ impl DelegationIndex {
                     err = Some(StoreError::Corrupt(format!("indexed cert: {e}")));
                     false
                 }
-            }
-        })?;
+            },
+        )?;
         match err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -341,8 +342,9 @@ impl DelegationIndex {
     pub fn declarations(&self) -> Result<Vec<SignedAttrDeclaration>, StoreError> {
         let mut out = Vec::new();
         let mut err = None;
-        self.table.scan_prefix(&[keys::P_DECL], &mut |_, v| {
-            match SignedAttrDeclaration::from_bytes(v) {
+        self.table.scan_prefix(
+            &[keys::P_DECL],
+            &mut |_, v| match SignedAttrDeclaration::from_bytes(v) {
                 Ok(d) => {
                     out.push(d);
                     true
@@ -351,8 +353,8 @@ impl DelegationIndex {
                     err = Some(StoreError::Corrupt(format!("indexed declaration: {e}")));
                     false
                 }
-            }
-        })?;
+            },
+        )?;
         match err {
             Some(e) => Err(e),
             None => Ok(out),
@@ -639,7 +641,12 @@ fn stage_cert(batch: &mut Vec<TableOp>, cert: &SignedDelegation) {
         key: keys::cert_key(id),
         value: cert.to_bytes(),
     });
-    let mut key = |key| batch.push(TableOp::Put { key, value: Vec::new() });
+    let mut key = |key| {
+        batch.push(TableOp::Put {
+            key,
+            value: Vec::new(),
+        })
+    };
     key(keys::subject_key(&keys::node_key(d.subject()), id));
     key(keys::object_key(&keys::node_key(d.object()), id));
     if let Some(at) = d.expires() {
@@ -727,7 +734,8 @@ mod tests {
             .unwrap();
         let cert = Arc::new(cert);
         let id = cert.id();
-        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert))).unwrap();
+        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert)))
+            .unwrap();
 
         // Only families a read path uses: bytes, adjacency, expiry, meta.
         let mut families = Vec::new();
@@ -837,9 +845,15 @@ mod tests {
     fn apply_refuses_a_sequence_gap() {
         let (a, b) = entities();
         let idx = index();
-        let cert = Arc::new(a.delegate(Node::entity(&b), Node::role(a.role("r"))).sign(&a).unwrap());
-        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert))).unwrap();
-        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert))).unwrap();
+        let cert = Arc::new(
+            a.delegate(Node::entity(&b), Node::role(a.role("r")))
+                .sign(&a)
+                .unwrap(),
+        );
+        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert)))
+            .unwrap();
+        idx.apply(1, &StoreEvent::Publish(Arc::clone(&cert)))
+            .unwrap();
         assert!(idx.apply(3, &StoreEvent::RevokeMark(cert.id())).is_err());
         assert_eq!(idx.watermark(), Some(1));
         idx.apply(2, &StoreEvent::RevokeMark(cert.id())).unwrap();

@@ -158,9 +158,7 @@ mod tests {
         // Length-prefixed role names: "r" must not be a key prefix of "rx".
         let fp = drbac_crypto::KeyFingerprint([7u8; 32]);
         let e = EntityId(fp);
-        let role = |name: &str| {
-            drbac_core::Role::new(e, drbac_core::RoleName::new(name).unwrap())
-        };
+        let role = |name: &str| drbac_core::Role::new(e, drbac_core::RoleName::new(name).unwrap());
         let r1 = node_key(&Node::Role(role("r")));
         let r2 = node_key(&Node::Role(role("rx")));
         assert!(!r2.starts_with(&r1));

@@ -306,7 +306,10 @@ mod tests {
         .unwrap();
         assert_eq!(seen, vec![b"b/1".to_vec(), b"b/2".to_vec()]);
         assert_eq!(t.entries().unwrap(), 3);
-        t.apply(&[TableOp::Delete { key: b"b/1".to_vec() }]).unwrap();
+        t.apply(&[TableOp::Delete {
+            key: b"b/1".to_vec(),
+        }])
+        .unwrap();
         assert_eq!(t.get(b"b/1").unwrap(), None);
         assert_eq!(t.entries().unwrap(), 2);
     }

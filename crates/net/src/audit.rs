@@ -83,7 +83,8 @@ pub fn audit_store_compliance(net: &SimNet, hosts: &[WalletAddr]) -> Vec<StoreVi
         for cert in certs {
             let d = cert.delegation();
             if let Some(tag) = d.subject_tag() {
-                if requires_subject_registry(tag) && seen.insert((cert.id(), AuditEndpoint::Subject))
+                if requires_subject_registry(tag)
+                    && seen.insert((cert.id(), AuditEndpoint::Subject))
                 {
                     let home = tag.home().clone();
                     if !wallet_holds(net, &home, &cert) {
@@ -97,7 +98,8 @@ pub fn audit_store_compliance(net: &SimNet, hosts: &[WalletAddr]) -> Vec<StoreVi
                 }
             }
             if let Some(tag) = d.object_tag() {
-                if requires_object_registry(tag) && seen.insert((cert.id(), AuditEndpoint::Object)) {
+                if requires_object_registry(tag) && seen.insert((cert.id(), AuditEndpoint::Object))
+                {
                     let home = tag.home().clone();
                     if !wallet_holds(net, &home, &cert) {
                         violations.push(StoreViolation {
@@ -242,8 +244,7 @@ mod tests {
                 .publish(cert.clone(), vec![])
                 .unwrap();
         }
-        let hosts: Vec<WalletAddr> =
-            vec!["home".into(), "elsewhere".into(), "elsewhere2".into()];
+        let hosts: Vec<WalletAddr> = vec!["home".into(), "elsewhere".into(), "elsewhere2".into()];
         let violations = audit_store_compliance(&f.net, &hosts);
         // Both endpoints' tags fire, each exactly once, attributed to the
         // first host in sweep order that revealed the credential.

@@ -539,11 +539,7 @@ impl Drop for WalletDaemon {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<DaemonShared>,
-    write_timeout: Option<Duration>,
-) {
+fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>, write_timeout: Option<Duration>) {
     let mut next_conn_id: u64 = 0;
     loop {
         let Ok((stream, _peer)) = listener.accept() else {
@@ -571,8 +567,7 @@ fn accept_loop(
         let _ = stream.set_write_timeout(write_timeout);
         let _ = stream.set_nodelay(true);
         next_conn_id += 1;
-        let (Ok(write_half), Ok(shutdown_handle)) = (stream.try_clone(), stream.try_clone())
-        else {
+        let (Ok(write_half), Ok(shutdown_handle)) = (stream.try_clone(), stream.try_clone()) else {
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         };
@@ -773,9 +768,11 @@ impl SubscriberLink {
             closed: AtomicBool::new(false),
         });
         let stream = inner.establish()?;
-        *inner.current.lock() = Some(stream.try_clone().map_err(|e| {
-            NetError::Protocol(format!("cannot clone subscriber stream: {e}"))
-        })?);
+        *inner.current.lock() = Some(
+            stream
+                .try_clone()
+                .map_err(|e| NetError::Protocol(format!("cannot clone subscriber stream: {e}")))?,
+        );
         let reader_inner = Arc::clone(&inner);
         let reader = std::thread::Builder::new()
             .name(format!("drbac-sublink-{}", inner.home))
@@ -885,7 +882,10 @@ impl LinkInner {
         // revalidate: re-register them and move on.
         let tracked = self.tracked.lock().clone();
         for id in tracked {
-            if !wallet.cache_entry(id).is_some_and(|entry| from_home(&entry)) {
+            if !wallet
+                .cache_entry(id)
+                .is_some_and(|entry| from_home(&entry))
+            {
                 self.subscribe(id);
             }
         }

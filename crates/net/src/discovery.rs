@@ -1399,11 +1399,7 @@ mod tests {
         dir.register(Node::entity(&w.m), search_tag("wallet.a"));
         dir.register(Node::role(r1), search_tag("wallet.a"));
         let mut agent = DiscoveryAgent::new(w.net.clone(), local, dir);
-        let outcome = agent.discover(
-            &Node::entity(&w.m),
-            &Node::role(w.a.role("unrelated")),
-            &[],
-        );
+        let outcome = agent.discover(&Node::entity(&w.m), &Node::role(w.a.role("unrelated")), &[]);
         assert!(!outcome.found());
         assert!(!outcome.wallets_contacted.is_empty());
     }

@@ -667,7 +667,9 @@ impl SimNet {
             "to" => to.to_string(),
             "kind" => req.kind(),
         );
-        self.state.clock.advance(Ticks(self.state.latency.0 + jitter.0));
+        self.state
+            .clock
+            .advance(Ticks(self.state.latency.0 + jitter.0));
         let reply = match wire::decode_request(&payload(&request)?) {
             Ok(req) => host::handle(&host.wallet, &host.sink, req),
             Err(e) => Reply::undecodable_request(&e),
@@ -1080,8 +1082,10 @@ mod tests {
         let a = outcomes(7);
         assert_eq!(a, outcomes(7), "same seed, same schedule");
         assert_ne!(a, outcomes(8), "different seed, different schedule");
-        assert!(a.iter().any(|ok| *ok) && a.iter().any(|ok| !ok),
-            "30% loss over 32 requests should show both outcomes");
+        assert!(
+            a.iter().any(|ok| *ok) && a.iter().any(|ok| !ok),
+            "30% loss over 32 requests should show both outcomes"
+        );
 
         // Timeouts are visible in the stats view and errors are typed.
         let f = fx();
@@ -1184,14 +1188,14 @@ mod tests {
         );
         // M may grant A.tp (A's admin grant); M grants it to U: a
         // third-party credential whose support is derivable in-wallet.
-        let admin = f.a
-            .delegate(Node::entity(&f.m), Node::role_admin(f.a.role("tp")))
-            .sign(&f.a)
-            .unwrap();
-        let granted = f.m
-            .delegate(Node::entity(&u), Node::role(f.a.role("tp")))
-            .sign(&f.m)
-            .unwrap();
+        let admin =
+            f.a.delegate(Node::entity(&f.m), Node::role_admin(f.a.role("tp")))
+                .sign(&f.a)
+                .unwrap();
+        let granted =
+            f.m.delegate(Node::entity(&u), Node::role(f.a.role("tp")))
+                .sign(&f.m)
+                .unwrap();
         let pre = Wallet::new("pre", f.clock.clone());
         pre.publish(admin, vec![]).unwrap();
         pre.publish(granted, vec![]).unwrap();
@@ -1207,7 +1211,11 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         };
         let before = proofs(f.net.request(&"pre".into(), query()));
-        assert_eq!(before.len(), 1, "granted through the third-party credential");
+        assert_eq!(
+            before.len(),
+            1,
+            "granted through the third-party credential"
+        );
 
         let store = f.net.crash_host(&"pre".into()).unwrap();
         let report = f.net.restart_host(&"pre".into(), &store).unwrap();
@@ -1258,9 +1266,8 @@ mod tests {
         let elapsed = |seed: u64| {
             let f = fx();
             wallet(&f, "w1");
-            f.net.set_fault_plan(Some(
-                FaultPlan::seeded(seed).with_latency_jitter(Ticks(3)),
-            ));
+            f.net
+                .set_fault_plan(Some(FaultPlan::seeded(seed).with_latency_jitter(Ticks(3))));
             for _ in 0..8 {
                 f.net
                     .request(&"w1".into(), Request::FetchDeclarations)

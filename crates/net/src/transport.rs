@@ -207,16 +207,16 @@ mod tests {
 
     #[test]
     fn retry_recovers_from_transient_timeouts() {
-        let flaky = Flaky {
-            failures: 2.into(),
-        };
-        let outcome = RetryPolicy::standard().run(&flaky, &"w1".into(), &Request::FetchDeclarations);
+        let flaky = Flaky { failures: 2.into() };
+        let outcome =
+            RetryPolicy::standard().run(&flaky, &"w1".into(), &Request::FetchDeclarations);
         assert!(matches!(outcome.reply, Ok(Reply::Subscribed)));
         assert_eq!(outcome.attempts, 3);
         assert!(outcome.degraded(), "needed retries");
 
         // A clean first try is not degraded.
-        let outcome = RetryPolicy::standard().run(&flaky, &"w1".into(), &Request::FetchDeclarations);
+        let outcome =
+            RetryPolicy::standard().run(&flaky, &"w1".into(), &Request::FetchDeclarations);
         assert_eq!(outcome.attempts, 1);
         assert!(!outcome.degraded());
     }
@@ -226,7 +226,8 @@ mod tests {
         let flaky = Flaky {
             failures: 100.into(),
         };
-        let outcome = RetryPolicy::standard().run(&flaky, &"w1".into(), &Request::FetchDeclarations);
+        let outcome =
+            RetryPolicy::standard().run(&flaky, &"w1".into(), &Request::FetchDeclarations);
         assert!(matches!(outcome.reply, Err(NetError::Timeout(_))));
         assert_eq!(outcome.attempts, 3, "policy allows exactly 3 attempts");
         assert!(outcome.degraded());

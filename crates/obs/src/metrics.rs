@@ -196,9 +196,9 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.count.load(Ordering::Relaxed)))
+        self.shards.iter().fold(0u64, |acc, s| {
+            acc.saturating_add(s.count.load(Ordering::Relaxed))
+        })
     }
 
     pub fn reset(&self) {
@@ -225,9 +225,7 @@ impl Histogram {
                 *merged = merged.saturating_add(b.load(Ordering::Relaxed));
             }
         }
-        let count = buckets
-            .iter()
-            .fold(0u64, |acc, n| acc.saturating_add(*n));
+        let count = buckets.iter().fold(0u64, |acc, n| acc.saturating_add(*n));
         let quantile = |q: f64| -> u64 {
             if count == 0 {
                 return 0;

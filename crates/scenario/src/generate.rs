@@ -177,7 +177,10 @@ impl Scenario {
                 }
                 Event::Query(q) => {
                     h = fnv64_extend(h, &[3, u8::from(q.strict)]);
-                    h = fnv64_extend(h, format!("{}=>{}{:?}", q.subject, q.object, q.constraints).as_bytes());
+                    h = fnv64_extend(
+                        h,
+                        format!("{}=>{}{:?}", q.subject, q.object, q.constraints).as_bytes(),
+                    );
                 }
             }
         }
@@ -455,7 +458,9 @@ fn wide_fanout(g: &mut Gen) {
     for k in 0..fanout {
         let src = g.role(k % orgs, 0);
         let dst_org = g.rng.gen_range(0..orgs);
-        let dst_r = 1 + g.rng.gen_range(0..g.spec.scale.roles_per_org.saturating_sub(1).max(1));
+        let dst_r = 1 + g
+            .rng
+            .gen_range(0..g.spec.scale.roles_per_org.saturating_sub(1).max(1));
         let dst = g.role(dst_org, dst_r.min(g.spec.scale.roles_per_org - 1));
         g.publish(src, dst, None);
     }
@@ -578,10 +583,16 @@ fn mesh_edge(g: &mut Gen) -> (Node, Node) {
         Node::entity(&g.users[s])
     } else {
         let r = s - n_users;
-        g.role(r / g.spec.scale.roles_per_org, r % g.spec.scale.roles_per_org)
+        g.role(
+            r / g.spec.scale.roles_per_org,
+            r % g.spec.scale.roles_per_org,
+        )
     };
     let o = g.rng.gen_range(0..n_roles);
-    let object = g.role(o / g.spec.scale.roles_per_org, o % g.spec.scale.roles_per_org);
+    let object = g.role(
+        o / g.spec.scale.roles_per_org,
+        o % g.spec.scale.roles_per_org,
+    );
     (subject, object)
 }
 
@@ -692,12 +703,7 @@ fn flash_crowd(g: &mut Gen) {
     }
     // Hot pairs: each hot user against the top of their own ladder.
     let hot: Vec<(Node, Node)> = (0..hot_users)
-        .map(|u| {
-            (
-                Node::entity(&g.users[u]),
-                ladder_rung(g, u, depth - 1),
-            )
-        })
+        .map(|u| (Node::entity(&g.users[u]), ladder_rung(g, u, depth - 1)))
         .collect();
     for q in 0..g.spec.scale.queries {
         if q % 5 < 4 {

@@ -21,16 +21,14 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drbac_core::{
-    DelegationId, ProofValidator, Ticks, Timestamp, ValidationContext, WalletAddr,
-};
+use drbac_core::SimClock;
+use drbac_core::{DelegationId, ProofValidator, Ticks, Timestamp, ValidationContext, WalletAddr};
 use drbac_net::proto::{Reply, Request};
 use drbac_net::{
     DiscoveryAgent, FaultPlan, NetError, RetryPolicy, SimNet, SubscriberLink, TcpConfig,
     TcpTransport, WalletDaemon, WalletHost,
 };
 use drbac_wallet::{DelegationEvent, InvalidationReason, ProofMonitor, Wallet};
-use drbac_core::SimClock;
 
 use crate::generate::{Event, Scenario};
 use crate::report::{fnv64, LatencySummary, QueryRecord, SoakReport};

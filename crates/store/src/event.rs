@@ -86,10 +86,9 @@ impl StoreEvent {
             StoreEvent::Support(proof) => {
                 format!("support {} => {}", proof.subject(), proof.object())
             }
-            StoreEvent::Absorb { proof, source } => format!(
-                "absorb {} cert(s) from {source}",
-                proof.all_certs().len()
-            ),
+            StoreEvent::Absorb { proof, source } => {
+                format!("absorb {} cert(s) from {source}", proof.all_certs().len())
+            }
             StoreEvent::Revoke(rev) => format!("revoke #{}", rev.delegation_id()),
             StoreEvent::RevokeMark(id) => format!("revoke-mark #{id}"),
             StoreEvent::Expire(id) => format!("expire #{id}"),

@@ -35,7 +35,7 @@ mod wal;
 
 pub use crc::crc32;
 pub use event::StoreEvent;
-pub use medium::{FileMedium, MemMedium, Medium};
+pub use medium::{FileMedium, Medium, MemMedium};
 pub use wal::{
     scan_log, Corruption, IndexCheck, Recovered, ScanOutcome, ScannedRecord, StoreConfig,
     StoreError, StoreStatus, VerifyReport, WalletStore, LOG_MAGIC,

@@ -29,7 +29,7 @@ use drbac_core::{Reader, Writer};
 
 use crate::crc::crc32;
 use crate::event::StoreEvent;
-use crate::medium::{FileMedium, MemMedium, Medium};
+use crate::medium::{FileMedium, Medium, MemMedium};
 
 /// Leading magic of a write-ahead log.
 pub const LOG_MAGIC: [u8; 8] = *b"drbacWL1";
@@ -615,7 +615,11 @@ impl WalletStore {
         let _timer = drbac_obs::static_histogram!("drbac.store.recover.scan.ns").start_timer();
         let (outcome, truncated_bytes) = self.scan_and_heal()?;
         Ok(Recovered {
-            events: outcome.records.into_iter().map(|r| (r.seq, r.event)).collect(),
+            events: outcome
+                .records
+                .into_iter()
+                .map(|r| (r.seq, r.event))
+                .collect(),
             truncated_bytes,
             torn_tail: outcome.corruption.as_ref().is_some_and(Corruption::is_torn),
             corruption: outcome.corruption.map(|c| c.to_string()),
@@ -815,7 +819,10 @@ mod tests {
         bytes[second_start + FRAME_HEADER + 4] ^= 0x40; // flip a payload bit of record 2
         let damaged = scan_log(&bytes);
         assert_eq!(damaged.records.len(), 1);
-        assert!(matches!(damaged.corruption, Some(Corruption::BadCrc { .. })));
+        assert!(matches!(
+            damaged.corruption,
+            Some(Corruption::BadCrc { .. })
+        ));
         assert_eq!(damaged.valid_len, second_start);
     }
 
@@ -827,7 +834,11 @@ mod tests {
         }
         store.truncate_through(3).unwrap();
         let status = store.status();
-        assert_eq!((status.first_seq, status.records), (Some(3), 3), "seq 3 is the anchor");
+        assert_eq!(
+            (status.first_seq, status.records),
+            (Some(3), 3),
+            "seq 3 is the anchor"
+        );
         // Truncating through the tip keeps the tip: the log never
         // empties, so numbering cannot restart.
         store.truncate_through(5).unwrap();

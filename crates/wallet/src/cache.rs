@@ -99,7 +99,11 @@ impl ProofCache {
     /// Looks up a cached answer valid at `now`. Entries past their
     /// minimum expiry are dropped on the way out (a proof must not
     /// outlive its earliest-expiring edge).
-    pub(crate) fn get(&self, key: &QueryKey, now: Timestamp) -> Option<Option<(Proof, AttrSummary)>> {
+    pub(crate) fn get(
+        &self,
+        key: &QueryKey,
+        now: Timestamp,
+    ) -> Option<Option<(Proof, AttrSummary)>> {
         let mut inner = self.inner.lock();
         let expired = match inner.entries.get(key) {
             None => return inner.negatives.contains(key).then_some(None),
@@ -256,11 +260,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let g = SchnorrGroup::test_256();
         let a = LocalEntity::generate("K", g, &mut rng);
-        QueryKey::new(
-            &Node::entity(&a),
-            &Node::role(a.role("r")),
-            &[],
-        )
+        QueryKey::new(&Node::entity(&a), &Node::role(a.role("r")), &[])
     }
 
     #[test]
@@ -280,7 +280,10 @@ mod tests {
         let cache = ProofCache::default();
         let (proof, _) = proof_with_expiry(Some(Timestamp(5)));
         cache.insert(key(1), Some((proof, AttrSummary::default())), cache.epoch());
-        assert!(cache.get(&key(1), Timestamp(5)).is_some(), "valid at expiry");
+        assert!(
+            cache.get(&key(1), Timestamp(5)).is_some(),
+            "valid at expiry"
+        );
         assert!(cache.get(&key(1), Timestamp(6)).is_none(), "dead after");
         assert_eq!(cache.len(), 0, "expired entry dropped");
     }

@@ -464,7 +464,10 @@ mod tests {
         let index = Arc::new(DelegationIndex::open(Box::new(table.clone())).unwrap());
         let (reborn, report) =
             DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index).unwrap();
-        assert!(report.lazy, "index was current; boot must take the fast path");
+        assert!(
+            report.lazy,
+            "index was current; boot must take the fast path"
+        );
         assert_eq!(report.caught_up, 2);
         assert!(reborn.len() < 12, "lazy boot must not hydrate everything");
 
@@ -494,8 +497,10 @@ mod tests {
         let store = Arc::new(WalletStore::in_memory());
         {
             let (w, _) = DurableWallet::open("w", SimClock::new(), Arc::clone(&store)).unwrap();
-            let cert =
-                a.delegate(Node::entity(&m), Node::role(a.role("r"))).sign(&a).unwrap();
+            let cert = a
+                .delegate(Node::entity(&m), Node::role(a.role("r")))
+                .sign(&a)
+                .unwrap();
             w.publish(cert, vec![]).unwrap();
         }
         // A brand-new (empty, no-watermark) index against a non-empty
@@ -603,7 +608,9 @@ mod tests {
         let store = Arc::new(WalletStore::in_memory());
         let media = [(); 3].map(|_| drbac_store::MemMedium::new());
         let index = move |fail| {
-            let [tab, log, prev] = media.clone().map(|m| Box::new(m) as Box<dyn drbac_store::Medium>);
+            let [tab, log, prev] = media
+                .clone()
+                .map(|m| Box::new(m) as Box<dyn drbac_store::Medium>);
             let table = drbac_index::FileTable::from_media(tab, log, prev).unwrap();
             Arc::new(DelegationIndex::open(Box::new(Flaky { table, fail })).unwrap())
         };
@@ -629,8 +636,9 @@ mod tests {
     #[test]
     fn a_checkpointed_journal_without_its_index_refuses_to_boot() {
         let (store, _, _, _) = checkpointed_home();
-        let err = DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), mem_index())
-            .unwrap_err();
+        let err =
+            DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), mem_index())
+                .unwrap_err();
         assert!(err.to_string().contains("drbac store verify"), "{err}");
         let err = DurableWallet::open("w", SimClock::new(), store).unwrap_err();
         assert!(err.to_string().contains("drbac store verify"), "{err}");
@@ -648,7 +656,10 @@ mod tests {
         fail.store(true, std::sync::atomic::Ordering::SeqCst);
         // The failed hydration may deny a grant (never the reverse)...
         assert!(w.query_direct(&subject, &object, &[]).is_none());
-        assert!(w.indexed(), "the index holds the only copy of the history: kept");
+        assert!(
+            w.indexed(),
+            "the index holds the only copy of the history: kept"
+        );
         // ...and the next query that needs the neighborhood retries it.
         fail.store(false, std::sync::atomic::Ordering::SeqCst);
         assert!(w.query_direct(&subject, &object, &[]).is_some());

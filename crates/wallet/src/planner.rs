@@ -90,16 +90,16 @@ impl Wallet {
     /// falls back to graph walks; a lazily booted wallet should be
     /// fully recovered first (see [`Wallet::recover_from_store`]).
     pub fn detach_index(&self) -> Option<Arc<DelegationIndex>> {
-        self.state
-            .index
-            .lock()
-            .take()
-            .map(|h| Arc::clone(&h.index))
+        self.state.index.lock().take().map(|h| Arc::clone(&h.index))
     }
 
     /// The attached delegation index, if any.
     pub fn index(&self) -> Option<Arc<DelegationIndex>> {
-        self.state.index.lock().as_ref().map(|h| Arc::clone(&h.index))
+        self.state
+            .index
+            .lock()
+            .as_ref()
+            .map(|h| Arc::clone(&h.index))
     }
 
     /// Whether an index is attached and serving queries.

@@ -819,8 +819,12 @@ impl Wallet {
         constraints: &[AttrConstraint],
     ) -> Result<ProofMonitor, WalletError> {
         let now = self.now();
-        let summary = ProofValidator::new(self.validation_ctx(now))
-            .validate_query(&proof, subject, object, constraints)?;
+        let summary = ProofValidator::new(self.validation_ctx(now)).validate_query(
+            &proof,
+            subject,
+            object,
+            constraints,
+        )?;
         Ok(self.monitor_proof(proof, summary))
     }
 
@@ -1514,11 +1518,8 @@ mod tests {
             },
         );
         assert_eq!(fired.load(Ordering::SeqCst), 0);
-        let decl = SignedAttrDeclaration::sign(
-            AttrDeclaration::new(quota, 20.0).unwrap(),
-            &f.a,
-        )
-        .unwrap();
+        let decl =
+            SignedAttrDeclaration::sign(AttrDeclaration::new(quota, 20.0).unwrap(), &f.a).unwrap();
         f.wallet.publish_declaration(&decl).unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
 
@@ -1798,12 +1799,14 @@ mod tests {
         assert!(monitor(&proof).is_ok());
         // A valid proof of another query is no answer to this one.
         let other_subject = Node::entity(&f.b);
-        let answer = f
-            .wallet
-            .monitor_external_proof(proof.clone(), &other_subject, proof.object(), &[]);
+        let answer =
+            f.wallet
+                .monitor_external_proof(proof.clone(), &other_subject, proof.object(), &[]);
         assert!(matches!(
             answer,
-            Err(WalletError::Validation(ValidationError::TargetMismatch { .. }))
+            Err(WalletError::Validation(
+                ValidationError::TargetMismatch { .. }
+            ))
         ));
         // After learning of a revocation, the same proof is rejected.
         f.wallet.publish(cert.clone(), vec![]).unwrap();

@@ -35,7 +35,11 @@ fn main() {
     let delivered = scenario.revoke_partnership();
     println!(
         "partnership revoked: {delivered} push delivered, monitor now {}",
-        if monitor.is_valid() { "valid" } else { "invalid" }
+        if monitor.is_valid() {
+            "valid"
+        } else {
+            "invalid"
+        }
     );
     obs::clear_recorder();
 

@@ -97,11 +97,8 @@ fn main() {
     // request/reply exchange on a pooled TCP connection.
     let mut directory = Directory::new();
     directory.learn_from_proof(&presented);
-    let mut agent = DiscoveryAgent::new(
-        Arc::clone(&transport),
-        s.server.wallet().clone(),
-        directory,
-    );
+    let mut agent =
+        DiscoveryAgent::new(Arc::clone(&transport), s.server.wallet().clone(), directory);
     let outcome = agent.discover(&Node::entity(&s.maria), &Node::role(s.access_role()), &[]);
     assert!(outcome.found(), "trace: {:?}", outcome.trace);
     let monitor = outcome.monitor.as_ref().expect("access granted");
@@ -140,11 +137,8 @@ fn main() {
     let presented = s.present_credentials();
     let mut directory = Directory::new();
     directory.learn_from_proof(&presented);
-    let mut agent = DiscoveryAgent::new(
-        Arc::clone(&transport),
-        s.server.wallet().clone(),
-        directory,
-    );
+    let mut agent =
+        DiscoveryAgent::new(Arc::clone(&transport), s.server.wallet().clone(), directory);
     let retry = agent.discover(&Node::entity(&s.maria), &Node::role(s.access_role()), &[]);
     println!("re-discovery after revocation denied: {}", !retry.found());
     assert!(!retry.found());

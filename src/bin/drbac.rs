@@ -214,7 +214,10 @@ fn health_command(args: &[String]) -> Result<String, String> {
     };
     let transport = TcpTransport::new(TcpConfig::default());
     let outcome = RetryPolicy::standard().run(&transport, &addr.as_str().into(), &Request::Health);
-    match outcome.reply.map_err(|e| format!("{addr} unreachable: {e}"))? {
+    match outcome
+        .reply
+        .map_err(|e| format!("{addr} unreachable: {e}"))?
+    {
         Reply::Health(h) => {
             let line = format!(
                 "{} wallet={} uptime={:.1}s delegations={} subscribers={} served={}\n",
@@ -248,7 +251,9 @@ fn run_scenario_trace(args: &[String]) -> Result<String, String> {
     let file = match args {
         [] => None,
         [path] => Some(path.clone()),
-        _ => return Err("usage: trace [file.jsonl] | trace --follow <file.jsonl> [trace-id]".into()),
+        _ => {
+            return Err("usage: trace [file.jsonl] | trace --follow <file.jsonl> [trace-id]".into())
+        }
     };
     let recorder = drbac::obs::RingRecorder::install(65536);
     let result = run_coalition_walkthrough(None);
@@ -350,7 +355,9 @@ fn trace_follow(args: &[String]) -> Result<String, String> {
             }
             Err(e) if offset > 0 => {
                 // We had been following it: the export is gone, stop.
-                return Ok(format!("trace export {path} disappeared ({e}); {shown} line(s) shown\n"));
+                return Ok(format!(
+                    "trace export {path} disappeared ({e}); {shown} line(s) shown\n"
+                ));
             }
             Err(_) => {} // not created yet: keep waiting
         }
@@ -388,7 +395,11 @@ fn run_coalition_walkthrough(chaos: Option<u64>) -> Result<(drbac::obs::Snapshot
     let outcome = scenario.establish_access();
     let mut out = String::new();
     if let Some(seed) = chaos {
-        writeln!(out, "chaos: fault plan seed {seed} (10% loss, 1-tick jitter)").unwrap();
+        writeln!(
+            out,
+            "chaos: fault plan seed {seed} (10% loss, 1-tick jitter)"
+        )
+        .unwrap();
     }
     writeln!(
         out,
@@ -434,7 +445,10 @@ fn open_index(home: &Path) -> Result<Arc<DelegationIndex>, String> {
 /// The one boot route: open the index, then `open_indexed` heals the log
 /// and catches up on the records above the index's watermark (a full
 /// replay that rebuilds the index while the log starts at seq 1).
-fn boot(home: &Path, store: Arc<WalletStore>) -> Result<(DurableWallet, IndexedBootReport), String> {
+fn boot(
+    home: &Path,
+    store: Arc<WalletStore>,
+) -> Result<(DurableWallet, IndexedBootReport), String> {
     let index = open_index(home)?;
     DurableWallet::open_indexed(WALLET_ADDR, SimClock::new(), store, index)
         .map_err(|e| e.to_string())
@@ -446,7 +460,9 @@ fn boot(home: &Path, store: Arc<WalletStore>) -> Result<(DurableWallet, IndexedB
 fn open_wallet(home: &Path, store: Arc<WalletStore>) -> Result<DurableWallet, String> {
     boot(home, Arc::clone(&store))
         .or_else(|why| {
-            drbac::obs::global().counter("drbac.index.degraded.count").inc();
+            drbac::obs::global()
+                .counter("drbac.index.degraded.count")
+                .inc();
             eprintln!("warning: delegation index unusable ({why}); repairing it");
             repair_index(home, &store)?;
             boot(home, store)
@@ -479,7 +495,9 @@ fn repair_index(home: &Path, store: &WalletStore) -> Result<(), String> {
     match FileTable::restore_previous(&dir) {
         Ok(true) => Ok(()),
         Ok(false) => Err(refuse("the index keeps no previous base run".into())),
-        Err(e) => Err(refuse(format!("the index's previous base run is damaged ({e})"))),
+        Err(e) => Err(refuse(format!(
+            "the index's previous base run is damaged ({e})"
+        ))),
     }
 }
 
@@ -497,7 +515,8 @@ fn journal_events(store: &WalletStore) -> Result<Vec<(u64, drbac::store::StoreEv
 /// regenerates the index from the log (and its previous base run, once
 /// the log is truncated).
 fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: store <inspect|verify|compact|index status|index verify|index rebuild>";
+    const USAGE: &str =
+        "usage: store <inspect|verify|compact|index status|index verify|index rebuild>";
     let sub = match args {
         [sub] => sub.clone(),
         [a, b] if a == "index" => format!("index {b}"),
@@ -538,9 +557,7 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                         writeln!(
                             out,
                             "index: watermark {}, {} base entr{} + {} delta op(s){}",
-                            index
-                                .watermark()
-                                .map_or("(none)".into(), |w| w.to_string()),
+                            index.watermark().map_or("(none)".into(), |w| w.to_string()),
                             stats.base_entries,
                             if stats.base_entries == 1 { "y" } else { "ies" },
                             stats.delta_ops,
@@ -606,9 +623,7 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                         "index: {} entr{}, watermark {}, {} missing, {} orphaned{}",
                         check.entries,
                         if check.entries == 1 { "y" } else { "ies" },
-                        check
-                            .watermark
-                            .map_or("(none)".into(), |w| w.to_string()),
+                        check.watermark.map_or("(none)".into(), |w| w.to_string()),
                         check.missing,
                         check.orphaned,
                         match &check.corruption {
@@ -650,10 +665,7 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 out.push_str("clean\n");
                 Ok(out)
             } else {
-                let index_dirty = report
-                    .index
-                    .as_ref()
-                    .is_some_and(|check| !check.is_clean());
+                let index_dirty = report.index.as_ref().is_some_and(|check| !check.is_clean());
                 let log_dirty = report.corruption.is_some() || report.trailing_bytes > 0;
                 let detail = report.corruption.clone().unwrap_or_else(|| {
                     "index disagrees with the log (run `drbac store index rebuild`)".into()
@@ -704,9 +716,7 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             writeln!(
                 out,
                 "watermark: {} (store tip: seq {tip}{})",
-                index
-                    .watermark()
-                    .map_or("(none)".into(), |w| w.to_string()),
+                index.watermark().map_or("(none)".into(), |w| w.to_string()),
                 match index.watermark() {
                     Some(w) if w == tip => "; current".to_string(),
                     Some(w) if w < tip => format!("; {} record(s) behind", tip - w),
@@ -752,9 +762,7 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 "{} entr{}, watermark {}, {} missing, {} orphaned\n",
                 check.entries,
                 if check.entries == 1 { "y" } else { "ies" },
-                check
-                    .watermark
-                    .map_or("(none)".into(), |w| w.to_string()),
+                check.watermark.map_or("(none)".into(), |w| w.to_string()),
                 check.missing,
                 check.orphaned
             );
@@ -780,8 +788,14 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             Ok(format!(
                 "rebuilt by {}: {} delegation(s) indexed, watermark {}\n",
                 match report.recovery {
-                    Some(r) => format!("full replay of {} event(s) ({} skipped)", r.replayed, r.skipped),
-                    None => format!("catching up {} record(s) on the previous base run", report.caught_up),
+                    Some(r) => format!(
+                        "full replay of {} event(s) ({} skipped)",
+                        r.replayed, r.skipped
+                    ),
+                    None => format!(
+                        "catching up {} record(s) on the previous base run",
+                        report.caught_up
+                    ),
                 },
                 index.cert_count().map_err(|e| e.to_string())?,
                 report.watermark

@@ -239,7 +239,10 @@ fn store_subcommands_inspect_verify_compact() {
     let compacted = ok(&home, &["store", "compact"]);
     assert!(compacted.contains("log kept whole"), "{compacted}");
     let compacted = ok(&home, &["store", "compact"]);
-    assert!(compacted.contains("log truncated through seq 3"), "{compacted}");
+    assert!(
+        compacted.contains("log truncated through seq 3"),
+        "{compacted}"
+    );
     let inspected = ok(&home, &["store", "inspect"]);
     assert!(inspected.contains("1 record(s)"), "{inspected}");
     assert!(inspected.contains("records below seq 3"), "{inspected}");
@@ -251,10 +254,16 @@ fn store_subcommands_inspect_verify_compact() {
     // index, and new mutations journal on top of it.
     let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
     assert!(answer.starts_with("GRANTED"), "{answer}");
-    ok(&home, &["delegate", "[Maria -> BigISP.memberServices] BigISP"]);
+    ok(
+        &home,
+        &["delegate", "[Maria -> BigISP.memberServices] BigISP"],
+    );
     let inspected = ok(&home, &["store", "inspect"]);
     assert!(inspected.contains("2 record(s)"), "{inspected}");
-    assert!(inspected.contains("#     4"), "numbering continues: {inspected}");
+    assert!(
+        inspected.contains("#     4"),
+        "numbering continues: {inspected}"
+    );
 
     let _ = std::fs::remove_dir_all(&home);
 }
@@ -339,14 +348,24 @@ fn pre_checkpoint_home_with_a_snapshot_image_boots_from_its_index() {
     ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
     let store = home.join("store");
     std::fs::write(store.join("wal.log"), b"drbacWL1").unwrap();
-    std::fs::write(store.join("snapshot.bin"), b"drbacSN1 an image the log was compacted behind").unwrap();
+    std::fs::write(
+        store.join("snapshot.bin"),
+        b"drbacSN1 an image the log was compacted behind",
+    )
+    .unwrap();
 
     let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
     assert!(answer.starts_with("GRANTED"), "{answer}");
-    assert!(!store.join("snapshot.bin").exists(), "the old image is removed");
+    assert!(
+        !store.join("snapshot.bin").exists(),
+        "the old image is removed"
+    );
     ok(&home, &["delegate", "[BigISP -> BigISP.member] BigISP"]);
     let inspected = ok(&home, &["store", "inspect"]);
-    assert!(inspected.contains("#     2"), "numbering continues after the index: {inspected}");
+    assert!(
+        inspected.contains("#     2"),
+        "numbering continues after the index: {inspected}"
+    );
     let verified = ok(&home, &["store", "verify"]);
     assert!(verified.contains("clean"), "{verified}");
 
@@ -366,7 +385,10 @@ fn checkpointed_home_restores_its_index_or_refuses() {
     ok(&home, &["store", "compact"]);
     ok(&home, &["delegate", "[BigISP -> BigISP.member] BigISP"]);
     let compacted = ok(&home, &["store", "compact"]);
-    assert!(compacted.contains("log truncated through seq 1"), "{compacted}");
+    assert!(
+        compacted.contains("log truncated through seq 1"),
+        "{compacted}"
+    );
     ok(&home, &["delegate", "[Maria -> BigISP.admin] BigISP"]);
     ok(&home, &["store", "compact"]);
     let inspected = ok(&home, &["store", "inspect"]);
@@ -394,8 +416,16 @@ fn checkpointed_home_restores_its_index_or_refuses() {
     assert!(err.contains("drbac store verify"), "{err}");
     let err = fails(&home, &["store", "index", "rebuild"]);
     assert!(err.contains("nothing was changed"), "{err}");
-    assert_eq!(std::fs::read(index.join("index.tab")).unwrap(), b"not an index");
-    assert!(std::fs::read(home.join("store").join("wal.log")).unwrap().len() > 8);
+    assert_eq!(
+        std::fs::read(index.join("index.tab")).unwrap(),
+        b"not an index"
+    );
+    assert!(
+        std::fs::read(home.join("store").join("wal.log"))
+            .unwrap()
+            .len()
+            > 8
+    );
 
     let _ = std::fs::remove_dir_all(&home);
 }
@@ -422,23 +452,35 @@ fn store_verify_checks_the_previous_base_run() {
     ok(&home, &["delegate", "[BigISP -> BigISP.member] BigISP"]);
     ok(&home, &["store", "compact"]);
     let verified = ok(&home, &["store", "verify"]);
-    assert!(verified.contains("previous base run: watermark 1"), "{verified}");
+    assert!(
+        verified.contains("previous base run: watermark 1"),
+        "{verified}"
+    );
 
     // The log still starts at seq 1: it can rebuild everything alone.
     flip(40);
     let verified = ok(&home, &["store", "verify"]);
     assert!(verified.contains("(seq 1..2)"), "{verified}");
-    assert!(verified.contains("DAMAGED — index/index.prev"), "{verified}");
+    assert!(
+        verified.contains("DAMAGED — index/index.prev"),
+        "{verified}"
+    );
 
     // The next checkpoint replaces the run and truncates the log.
     ok(&home, &["delegate", "[Maria -> BigISP.admin] BigISP"]);
     ok(&home, &["store", "compact"]);
     let verified = ok(&home, &["store", "verify"]);
     assert!(verified.contains("(seq 2..3)"), "{verified}");
-    assert!(verified.contains("previous base run: watermark 2"), "{verified}");
+    assert!(
+        verified.contains("previous base run: watermark 2"),
+        "{verified}"
+    );
     flip(40);
     let err = fails(&home, &["store", "verify"]);
-    assert!(err.contains("NOT CLEAN — index/index.prev is damaged"), "{err}");
+    assert!(
+        err.contains("NOT CLEAN — index/index.prev is damaged"),
+        "{err}"
+    );
 
     let _ = std::fs::remove_dir_all(&home);
 }

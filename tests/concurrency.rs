@@ -356,13 +356,19 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
             checked += 1;
         }
     }
-    assert!(checked > 0, "the sweep invalidated at least one monitored proof");
+    assert!(
+        checked > 0,
+        "the sweep invalidated at least one monitored proof"
+    );
     // Every collected monitor, the racing ones included: one watching a
     // revoked credential is invalid and fired once, even when it was
     // registered while that revocation was fanning out.
     for (monitor, fired) in monitors.iter() {
         if monitor.watched().iter().any(|id| wallet.is_revoked(*id)) {
-            assert!(!monitor.is_valid(), "a monitor outlived a revocation it raced");
+            assert!(
+                !monitor.is_valid(),
+                "a monitor outlived a revocation it raced"
+            );
             assert_eq!(
                 fired.load(Ordering::SeqCst),
                 1,
@@ -501,7 +507,10 @@ fn identical_cold_queries_from_many_threads_each_search_and_agree() {
         let r = Node::role(owner.role(&format!("l{i}")));
         wallet
             .publish(
-                owner.delegate(prev.clone(), r.clone()).sign(&owner).unwrap(),
+                owner
+                    .delegate(prev.clone(), r.clone())
+                    .sign(&owner)
+                    .unwrap(),
                 vec![],
             )
             .unwrap();
@@ -529,8 +538,7 @@ fn identical_cold_queries_from_many_threads_each_search_and_agree() {
             let searched = Arc::clone(&searched);
             scope.spawn(move || {
                 for _ in 0..50 {
-                    let (monitor, stats) =
-                        wallet.query_direct_with_stats(&subject, &target, &[]);
+                    let (monitor, stats) = wallet.query_direct_with_stats(&subject, &target, &[]);
                     if monitor.is_some_and(|m| m.proof() == expected) {
                         hits.fetch_add(1, Ordering::Relaxed);
                     }
@@ -541,7 +549,11 @@ fn identical_cold_queries_from_many_threads_each_search_and_agree() {
             });
         }
     });
-    assert_eq!(hits.load(Ordering::Relaxed), 8 * 50, "every caller got the same proof");
+    assert_eq!(
+        hits.load(Ordering::Relaxed),
+        8 * 50,
+        "every caller got the same proof"
+    );
     assert_eq!(
         searched.load(Ordering::Relaxed),
         8 * 50,

@@ -228,25 +228,31 @@ fn run_workload(
     let bw = owner.attr("BW", AttrOp::Min);
     wallet
         .publish_declaration(
-            &SignedAttrDeclaration::sign(AttrDeclaration::new(bw, 1000.0).unwrap(), owner)
-                .unwrap(),
+            &SignedAttrDeclaration::sign(AttrDeclaration::new(bw, 1000.0).unwrap(), owner).unwrap(),
         )
         .unwrap();
     let mut admin_certs = Vec::new();
     for (i, b) in brokers.iter().enumerate() {
         let cert: Arc<SignedDelegation> = Arc::new(
             owner
-                .delegate(Node::entity(b), Node::role_admin(owner.role(&format!("tp{i}"))))
+                .delegate(
+                    Node::entity(b),
+                    Node::role_admin(owner.role(&format!("tp{i}"))),
+                )
                 .sign(owner)
                 .unwrap(),
         );
         wallet.publish(Arc::clone(&cert), vec![]).unwrap();
         touched.certs.push(Arc::clone(&cert));
-        touched.objects.push(Node::role(owner.role(&format!("tp{i}"))));
+        touched
+            .objects
+            .push(Node::role(owner.role(&format!("tp{i}"))));
         admin_certs.push(cert);
     }
     for k in 0..6 {
-        touched.objects.push(Node::role(owner.role(&format!("r{k}"))));
+        touched
+            .objects
+            .push(Node::role(owner.role(&format!("r{k}"))));
     }
 
     // `(cert, signer)` pairs eligible for revocation. Admin certs are
@@ -272,7 +278,10 @@ fn run_workload(
             // A plain delegation into one of the owner's roles.
             0 => {
                 let cert = owner
-                    .delegate(Node::entity(&users[u]), Node::role(owner.role(&format!("r{k}"))))
+                    .delegate(
+                        Node::entity(&users[u]),
+                        Node::role(owner.role(&format!("r{k}"))),
+                    )
                     .serial(step as u64)
                     .sign(owner)
                     .unwrap();
@@ -284,7 +293,10 @@ fn run_workload(
             // The same, with a bounded lifetime.
             1 => {
                 let cert = owner
-                    .delegate(Node::entity(&users[u]), Node::role(owner.role(&format!("r{k}"))))
+                    .delegate(
+                        Node::entity(&users[u]),
+                        Node::role(owner.role(&format!("r{k}"))),
+                    )
                     .serial(step as u64)
                     .expires(clock.now().after(Ticks(rng.gen_range(5..30u64))))
                     .sign(owner)
@@ -370,7 +382,9 @@ fn run_workload(
                 wallet.absorb_proof(&proof, &source).unwrap();
                 revocable.push((Arc::clone(&cert), ext.clone()));
                 touched.certs.push(cert);
-                touched.objects.push(Node::role(ext.role(&format!("g{step}"))));
+                touched
+                    .objects
+                    .push(Node::role(ext.role(&format!("g{step}"))));
             }
             // Time passes; lapsed credentials are swept and journaled.
             _ => {
@@ -416,7 +430,11 @@ fn audit_report(wallet: &DurableWallet) -> Vec<String> {
 /// shutdown, reopen both ways, and hold the two wallets to the equality
 /// contract.
 fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
-    let ctx = format!("seed {seed}, backend {}, scenario {}", backend.label(), scenario.label());
+    let ctx = format!(
+        "seed {seed}, backend {}, scenario {}",
+        backend.label(),
+        scenario.label()
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let actors = Actors::generate(&mut rng);
     let clock = SimClock::new();
@@ -431,8 +449,7 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     let touched;
     {
         let index = backend.open();
-        let (live, _) =
-            DurableWallet::open("w.oracle", clock.clone(), Arc::clone(&store)).unwrap();
+        let (live, _) = DurableWallet::open("w.oracle", clock.clone(), Arc::clone(&store)).unwrap();
         live.attach_index(Arc::clone(&index));
         touched = run_workload(&mut rng, &actors, &live, &clock, scenario, &index);
         match scenario {
@@ -449,7 +466,11 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     // The oracle: full journal replay, no index anywhere.
     let oracle_store = if scenario == Scenario::Compacted {
         let truncated = store.status().first_seq != Some(1);
-        assert_eq!(truncated, backend.label() == "file", "{ctx}: truncation follows the backend");
+        assert_eq!(
+            truncated,
+            backend.label() == "file",
+            "{ctx}: truncation follows the backend"
+        );
         let mut images = touched.log_images.clone();
         images.push(store.log_bytes().unwrap());
         uncompacted(&images)
@@ -463,9 +484,13 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     // The subject: an indexed boot over whatever survived the scenario.
     let clock_idx = SimClock::new();
     clock_idx.advance(Ticks(end));
-    let (reborn, report) =
-        DurableWallet::open_indexed("w.oracle", clock_idx.clone(), Arc::clone(&store), backend.open())
-            .unwrap();
+    let (reborn, report) = DurableWallet::open_indexed(
+        "w.oracle",
+        clock_idx.clone(),
+        Arc::clone(&store),
+        backend.open(),
+    )
+    .unwrap();
     if scenario != Scenario::Crash {
         assert!(report.lazy, "{ctx}: a current index must boot lazily");
     }
@@ -507,7 +532,12 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     // The audit sweep (index-routed vs full scan) and revocation lookups.
     if audit_report(&reborn) != audit_report(&full) {
         let ids = |w: &DurableWallet| {
-            w.with_graph(|g| g.iter_certs().iter().map(|c| format!("{:?}", c.id())).collect::<BTreeSet<_>>())
+            w.with_graph(|g| {
+                g.iter_certs()
+                    .iter()
+                    .map(|c| format!("{:?}", c.id()))
+                    .collect::<BTreeSet<_>>()
+            })
         };
         let (ri, fi) = (ids(&reborn), ids(&full));
         let only_r: Vec<_> = ri.difference(&fi).collect();
@@ -546,12 +576,19 @@ fn run_case(seed: u64, mut backend: Backend, scenario: Scenario) {
     let graph_view = |w: &DurableWallet| {
         w.with_graph(|g| {
             (
-                g.iter_certs().iter().map(|c| c.id()).collect::<BTreeSet<_>>(),
+                g.iter_certs()
+                    .iter()
+                    .map(|c| c.id())
+                    .collect::<BTreeSet<_>>(),
                 g.revoked_ids(),
             )
         })
     };
-    assert_eq!(graph_view(&reborn), graph_view(&full), "{ctx}: materialized graphs diverged");
+    assert_eq!(
+        graph_view(&reborn),
+        graph_view(&full),
+        "{ctx}: materialized graphs diverged"
+    );
 }
 
 fn seeds() -> Vec<u64> {

@@ -243,7 +243,11 @@ fn revoking_a_support_proof_invalidates_cached_third_party_answers() {
         .expect("Maria is enrolled");
     let (cached, stats) = wallet.query_direct_with_stats(&subject, &object, &[]);
     let cached = cached.expect("warm cache still grants");
-    assert_eq!(stats, SearchStats::default(), "second query should hit the cache");
+    assert_eq!(
+        stats,
+        SearchStats::default(),
+        "second query should hit the cache"
+    );
     assert!(
         cached.proof().delegation_ids().contains(&admin_grant.id()),
         "the cached proof's dependency set includes its support grant"

@@ -147,9 +147,11 @@ fn discovery_parity_simnet_vs_tcp() {
         net.add_host(format!("w{i}").as_str(), w.clone());
     }
     let sim_local = Wallet::new("agent.sim", sim_chain.clock.clone());
-    let presented = Proof::from_steps(vec![ProofStep::new(Arc::clone(&sim_chain.user_cert))])
+    let presented =
+        Proof::from_steps(vec![ProofStep::new(Arc::clone(&sim_chain.user_cert))]).unwrap();
+    sim_local
+        .absorb_proof(&presented, &"user.device".into())
         .unwrap();
-    sim_local.absorb_proof(&presented, &"user.device".into()).unwrap();
     let mut sim_agent = DiscoveryAgent::new(net.clone(), sim_local, directory_for(&sim_chain));
     let sim_outcome = sim_agent.discover(
         &Node::entity(&sim_chain.user),
@@ -162,14 +164,13 @@ fn discovery_parity_simnet_vs_tcp() {
     let tcp_chain = build_chain(41);
     let (daemons, transport) = serve_chain(&tcp_chain);
     let tcp_local = Wallet::new("agent.tcp", tcp_chain.clock.clone());
-    let presented = Proof::from_steps(vec![ProofStep::new(Arc::clone(&tcp_chain.user_cert))])
+    let presented =
+        Proof::from_steps(vec![ProofStep::new(Arc::clone(&tcp_chain.user_cert))]).unwrap();
+    tcp_local
+        .absorb_proof(&presented, &"user.device".into())
         .unwrap();
-    tcp_local.absorb_proof(&presented, &"user.device".into()).unwrap();
-    let mut tcp_agent = DiscoveryAgent::new(
-        Arc::clone(&transport),
-        tcp_local,
-        directory_for(&tcp_chain),
-    );
+    let mut tcp_agent =
+        DiscoveryAgent::new(Arc::clone(&transport), tcp_local, directory_for(&tcp_chain));
     let tcp_outcome = tcp_agent.discover(
         &Node::entity(&tcp_chain.user),
         &Node::role(tcp_chain.orgs[2].role("resource")),
@@ -183,7 +184,11 @@ fn discovery_parity_simnet_vs_tcp() {
     assert_eq!(sim_proof.chain_len(), tcp_proof.chain_len());
     assert_eq!(sim_proof.subject(), tcp_proof.subject());
     assert_eq!(sim_proof.object(), tcp_proof.object());
-    assert_eq!(sim_proof.to_bytes(), tcp_proof.to_bytes(), "same wire bytes");
+    assert_eq!(
+        sim_proof.to_bytes(),
+        tcp_proof.to_bytes(),
+        "same wire bytes"
+    );
     assert_eq!(
         sim_outcome.wallets_contacted, tcp_outcome.wallets_contacted,
         "same wallets contacted"
@@ -342,7 +347,8 @@ fn revocation_push_parity_simnet_vs_tcp() {
         .unwrap();
     assert!(sim_monitor.is_valid());
     let revocation = SignedRevocation::revoke(&cert, &owner, clock.now()).unwrap();
-    net.request(&"home".into(), Request::Revoke(revocation)).unwrap();
+    net.request(&"home".into(), Request::Revoke(revocation))
+        .unwrap();
     net.run_until_idle();
     let sim_invalidated = !sim_monitor.is_valid();
     let sim_requery = server
@@ -587,9 +593,7 @@ fn query_trace_spans_client_and_daemon_sides() {
 
     let request_start = events
         .iter()
-        .find(|e| {
-            e.kind == drbac::obs::TraceKind::SpanStart && e.name == "drbac.net.tcp.request"
-        })
+        .find(|e| e.kind == drbac::obs::TraceKind::SpanStart && e.name == "drbac.net.tcp.request")
         .expect("client-side request span");
     let serve_start = events
         .iter()
@@ -937,7 +941,10 @@ fn strict_and_pipelined_requests_mix_on_one_connection() {
     echoed.sort_unstable();
     assert_eq!(echoed, [5, 6]);
     assert!(
-        matches!(strict.as_slice(), [Reply::Declarations(_), Reply::Delegation(None)]),
+        matches!(
+            strict.as_slice(),
+            [Reply::Declarations(_), Reply::Delegation(None)]
+        ),
         "the id-less replies keep request order: {strict:?}"
     );
     drop(s);

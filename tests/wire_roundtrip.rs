@@ -276,7 +276,10 @@ mod frame {
             let mut bad = frame.clone();
             bad[pos] ^= 0x40;
             assert!(
-                matches!(read_frame(&mut bad.as_slice()).unwrap_err(), WireError::Crc { .. }),
+                matches!(
+                    read_frame(&mut bad.as_slice()).unwrap_err(),
+                    WireError::Crc { .. }
+                ),
                 "payload flip at {pos} escaped the checksum"
             );
         }
@@ -328,7 +331,10 @@ mod frame {
             let mut bad = frame.clone();
             bad[pos] ^= 0x40;
             assert!(
-                matches!(read_frame(&mut bad.as_slice()).unwrap_err(), WireError::Crc { .. }),
+                matches!(
+                    read_frame(&mut bad.as_slice()).unwrap_err(),
+                    WireError::Crc { .. }
+                ),
                 "traced-frame payload flip at {pos} escaped the checksum"
             );
         }
@@ -645,13 +651,19 @@ mod mux {
             let mut out = Vec::new();
             let read = read_frames(&mut r, usize::MAX, &mut out);
             if len < first.len() {
-                assert!(matches!(read, Err(WireError::Io(_))), "prefix of {len} bytes");
+                assert!(
+                    matches!(read, Err(WireError::Io(_))),
+                    "prefix of {len} bytes"
+                );
                 continue;
             }
             read.unwrap();
             let whole = if len == both.len() { 2 } else { 1 };
             assert_eq!(out.len(), whole, "prefix of {len} bytes");
-            assert_eq!(r.buffer().len(), len - first.len() - (whole - 1) * second.len());
+            assert_eq!(
+                r.buffer().len(),
+                len - first.len() - (whole - 1) * second.len()
+            );
         }
         let mut out = Vec::new();
         let read = read_frames(&mut BufReader::new(&b"not a frame at all"[..]), 8, &mut out);

@@ -1034,8 +1034,8 @@ fn index_ledger(marks: usize) -> IndexLedger {
     let index = Arc::new(DelegationIndex::open(Box::new(counting.clone())).unwrap());
     let clock = SimClock::new();
     let store = Arc::new(WalletStore::in_memory());
-    let (wallet, _) = DurableWallet::open_indexed("ledger.example", clock.clone(), store, index)
-        .unwrap();
+    let (wallet, _) =
+        DurableWallet::open_indexed("ledger.example", clock.clone(), store, index).unwrap();
     for i in 0..marks {
         let mut id = [0xA5u8; 32];
         id[..8].copy_from_slice(&(i as u64).to_be_bytes());
@@ -1137,12 +1137,16 @@ fn boot_sig_checks(history: usize, tail: usize) -> u64 {
         let table = FileTable::from_media(tab, log, prev).unwrap();
         Arc::new(DelegationIndex::open(Box::new(table)).unwrap())
     };
-    let boot = || DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index()).unwrap();
+    let boot =
+        || DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index()).unwrap();
     {
         let (wallet, _) = boot();
         for i in 0..history + tail {
             let cert = org
-                .delegate(Node::entity(&member), Node::role(org.role(&format!("r{i}"))))
+                .delegate(
+                    Node::entity(&member),
+                    Node::role(org.role(&format!("r{i}"))),
+                )
                 .sign(&org)
                 .unwrap();
             wallet.publish(cert, vec![]).unwrap();
@@ -1152,7 +1156,10 @@ fn boot_sig_checks(history: usize, tail: usize) -> u64 {
         }
     }
     media[1].lose_unsynced();
-    assert!(store.status().first_seq > Some(1), "the journal was truncated");
+    assert!(
+        store.status().first_seq > Some(1),
+        "the journal was truncated"
+    );
     let ([sig_checks], (_, report)) = delta([SIG_CHECKS], boot);
     assert_eq!((report.lazy, report.caught_up), (true, tail));
     sig_checks
