@@ -89,7 +89,6 @@ struct World {
     store: Arc<WalletStore>,
     checkpointed: Arc<WalletStore>,
     tab: MemMedium,
-    log: MemMedium,
     probes: Vec<Node>,
     delegations: usize,
 }
@@ -176,14 +175,8 @@ fn build_world(n: usize) -> World {
         .expect("checkpoint truncation");
 
     let tab = MemMedium::new();
-    let log = MemMedium::new();
     let index = DelegationIndex::open(Box::new(
-        FileTable::from_media(
-            Box::new(tab.clone()),
-            Box::new(log.clone()),
-            Box::new(MemMedium::new()),
-        )
-        .unwrap(),
+        FileTable::from_media(Box::new(tab.clone()), Box::new(MemMedium::new())).unwrap(),
     ))
     .expect("open index");
     index
@@ -198,13 +191,11 @@ fn build_world(n: usize) -> World {
             certs.len() as u64,
         )
         .expect("bulk index rebuild");
-    index.flush().expect("index flush");
 
     World {
         store,
         checkpointed,
         tab,
-        log,
         probes: probe_users.iter().map(Node::entity).collect(),
         delegations: certs.len(),
     }
@@ -213,12 +204,7 @@ fn build_world(n: usize) -> World {
 fn open_index(world: &World) -> Arc<DelegationIndex> {
     Arc::new(
         DelegationIndex::open(Box::new(
-            FileTable::from_media(
-                Box::new(world.tab.clone()),
-                Box::new(world.log.clone()),
-                Box::new(MemMedium::new()),
-            )
-            .unwrap(),
+            FileTable::from_media(Box::new(world.tab.clone()), Box::new(MemMedium::new())).unwrap(),
         ))
         .expect("reopen index"),
     )

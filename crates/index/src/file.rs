@@ -1,5 +1,5 @@
 //! The file-backed ordered table: an immutable three-level sorted run
-//! plus a CRC-framed delta log, both over the store's [`Medium`] seam.
+//! over the store's [`Medium`] seam, plus an in-memory overlay.
 //!
 //! ## Base file (`index.tab`)
 //!
@@ -23,21 +23,16 @@
 //! CRC the WAL frames use), so bit rot anywhere is detected before the
 //! bytes are trusted. An empty file is an empty table.
 //!
-//! ## Delta log (`index.log`)
+//! ## Overlay
 //!
-//! Mutations land in an in-memory overlay and are journaled as one
-//! CRC-framed record per [`TableBackend::apply`] batch — torn tails
-//! lose whole batches, never half of one:
-//!
-//! ```text
-//! log     := magic:8 ("drbacIL1") | record…
-//! record  := len:u32be | crc:u32be | ops       (crc = crc32(ops))
-//! ops     := (op:u8 | klen:u32be | key [| vlen:u32be | value])…
-//! ```
-//!
+//! Mutations land in an in-memory overlay only. The table writes no log
+//! of its own: the wallet's journal already holds every record the
+//! overlay reflects, and an indexed boot rebuilds the overlay by
+//! applying the journal records above the base run's watermark again.
 //! [`TableBackend::compact`] merges the overlay into a fresh base
-//! (atomic [`Medium::replace`]) and resets the log, keeping reopen
-//! replay bounded.
+//! (atomic [`Medium::replace`]); so does `apply` once the overlay holds
+//! `DELTA_MAX_OPS` keys, which bounds both the overlay and the journal
+//! tail a boot applies.
 //!
 //! ## Previous run (`index.prev`)
 //!
@@ -62,34 +57,26 @@ use crate::table::{TableBackend, TableOp, TableStats};
 
 /// Decoded `(key, value)` entries of one base-file block.
 type Entries = Vec<(Vec<u8>, Vec<u8>)>;
-/// Decoded delta-log ops: `(key, Some(value))` puts, `(key, None)` deletes.
-type DeltaOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
-
-/// Leading magic of the delta log.
-pub const INDEX_LOG_MAGIC: [u8; 8] = *b"drbacIL1";
+/// The overlay: `Some` = pending put, `None` = pending delete.
+type Overlay = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
 
 /// Trailing magic of the base file.
 pub const INDEX_TAB_MAGIC: [u8; 8] = *b"drbacIT1";
 
 const TRAILER: usize = 8 + 8 + 8 + 4 + 4 + 8;
-const FRAME_HEADER: usize = 8;
 /// Entries are packed into blocks of roughly this many bytes.
 const TARGET_BLOCK_BYTES: usize = 4096;
 /// L1 fences are grouped this many blocks per L2 entry.
 const GROUP_BLOCKS: usize = 64;
-/// A single record/block length above this is corruption, not an
+/// A single fence/block length above this is corruption, not an
 /// allocation request.
 const MAX_REGION: usize = 1 << 26;
-/// Auto-compaction thresholds: merge the overlay into the base once it
-/// holds this many ops or its log grows past this many bytes.
+/// Auto-compaction threshold: merge the overlay into the base once it
+/// holds this many keys.
 const DELTA_MAX_OPS: usize = 1 << 16;
-const DELTA_MAX_BYTES: u64 = 32 << 20;
 /// Decoded blocks kept hot (FIFO eviction); at the default block size
 /// this bounds the cache near 4 MiB plus key overhead.
 const BLOCK_CACHE: usize = 1024;
-
-const OP_PUT: u8 = 1;
-const OP_DEL: u8 = 2;
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
@@ -439,141 +426,11 @@ fn build_base(
     Ok(out)
 }
 
-struct DeltaState {
-    log: Box<dyn Medium>,
-    /// The overlay: `Some` = pending put, `None` = pending delete.
-    map: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Length of the log's longest valid prefix.
-    valid_len: u64,
-    /// Bytes beyond `valid_len` exist on the medium (torn tail found at
-    /// open; truncated lazily by the next append).
-    dirty_tail: bool,
-    unsynced: bool,
-}
-
-impl DeltaState {
-    fn open(log: Box<dyn Medium>) -> Result<Self, StoreError> {
-        let bytes = log.read_all()?;
-        let mut map = BTreeMap::new();
-        let mut valid_len = 0u64;
-        if !bytes.is_empty()
-            && bytes.len() >= INDEX_LOG_MAGIC.len()
-            && bytes[..8] == INDEX_LOG_MAGIC
-        {
-            valid_len = INDEX_LOG_MAGIC.len() as u64;
-            let mut at = INDEX_LOG_MAGIC.len();
-            while bytes.len() - at >= FRAME_HEADER {
-                let len = be32(&bytes[at..at + 4]) as usize;
-                let crc = be32(&bytes[at + 4..at + 8]);
-                if len > MAX_REGION || bytes.len() - at - FRAME_HEADER < len {
-                    break;
-                }
-                let payload = &bytes[at + FRAME_HEADER..at + FRAME_HEADER + len];
-                if crc32(payload) != crc {
-                    break;
-                }
-                let Ok(ops) = Self::decode_ops(payload) else {
-                    break;
-                };
-                for (key, value) in ops {
-                    map.insert(key, value);
-                }
-                at += FRAME_HEADER + len;
-                valid_len = at as u64;
-            }
-        }
-        let dirty_tail = valid_len < bytes.len() as u64;
-        Ok(DeltaState {
-            log,
-            map,
-            valid_len,
-            dirty_tail,
-            unsynced: false,
-        })
-    }
-
-    fn decode_ops(payload: &[u8]) -> Result<DeltaOps, StoreError> {
-        let mut ops = Vec::new();
-        let mut at = 0usize;
-        while at < payload.len() {
-            if payload.len() - at < 5 {
-                return Err(corrupt("torn delta op"));
-            }
-            let op = payload[at];
-            let klen = be32(&payload[at + 1..at + 5]) as usize;
-            at += 5;
-            if klen > MAX_REGION || payload.len() - at < klen {
-                return Err(corrupt("torn delta key"));
-            }
-            let key = payload[at..at + klen].to_vec();
-            at += klen;
-            match op {
-                OP_PUT => {
-                    if payload.len() - at < 4 {
-                        return Err(corrupt("torn delta value header"));
-                    }
-                    let vlen = be32(&payload[at..at + 4]) as usize;
-                    at += 4;
-                    if vlen > MAX_REGION || payload.len() - at < vlen {
-                        return Err(corrupt("torn delta value"));
-                    }
-                    let value = payload[at..at + vlen].to_vec();
-                    at += vlen;
-                    ops.push((key, Some(value)));
-                }
-                OP_DEL => ops.push((key, None)),
-                _ => return Err(corrupt(format!("unknown delta op {op}"))),
-            }
-        }
-        Ok(ops)
-    }
-
-    fn encode_frame(batch: &[TableOp]) -> Vec<u8> {
-        let mut payload = Vec::new();
-        for op in batch {
-            match op {
-                TableOp::Put { key, value } => {
-                    payload.push(OP_PUT);
-                    payload.extend_from_slice(&(key.len() as u32).to_be_bytes());
-                    payload.extend_from_slice(key);
-                    payload.extend_from_slice(&(value.len() as u32).to_be_bytes());
-                    payload.extend_from_slice(value);
-                }
-                TableOp::Delete { key } => {
-                    payload.push(OP_DEL);
-                    payload.extend_from_slice(&(key.len() as u32).to_be_bytes());
-                    payload.extend_from_slice(key);
-                }
-            }
-        }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-        frame.extend_from_slice(&payload);
-        frame
-    }
-
-    /// Makes the log appendable: writes the magic on first use,
-    /// truncates a torn tail.
-    fn prepare_tail(&mut self) -> Result<(), StoreError> {
-        if self.valid_len < INDEX_LOG_MAGIC.len() as u64 {
-            self.log.replace(&INDEX_LOG_MAGIC)?;
-            self.valid_len = INDEX_LOG_MAGIC.len() as u64;
-            self.dirty_tail = false;
-        } else if self.dirty_tail {
-            self.log.truncate(self.valid_len)?;
-            self.log.sync()?;
-            self.dirty_tail = false;
-        }
-        Ok(())
-    }
-}
-
-/// The file-backed [`TableBackend`]: immutable sorted base + delta
+/// The file-backed [`TableBackend`]: immutable sorted base + in-memory
 /// overlay + the previous base run, all over [`Medium`] so the oracle
-/// tests can run it on in-memory media with power-loss simulation.
+/// tests can run it on in-memory media.
 pub struct FileTable {
-    delta: Mutex<DeltaState>,
+    overlay: Mutex<Overlay>,
     base: Mutex<BaseState>,
     /// The previous run. A damaged one reads as absent: it then licenses
     /// no journal truncation, which is the safe side.
@@ -581,31 +438,25 @@ pub struct FileTable {
 }
 
 impl FileTable {
-    /// Opens a table over explicit media (base run, delta log, previous
-    /// run). Reads only the base trailer + top fences and replays the
-    /// delta log — open cost is bounded by the delta, not the table.
+    /// Opens a table over explicit media (base run, previous run). Reads
+    /// only the base trailer + top fences: open cost is bounded by the
+    /// fence array, not the table. The overlay starts empty.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure; [`StoreError::Corrupt`] if
-    /// the base file fails its framing or CRCs (a torn delta *tail* is
-    /// not an error — the longest valid prefix is used).
-    pub fn from_media(
-        base: Box<dyn Medium>,
-        log: Box<dyn Medium>,
-        prev: Box<dyn Medium>,
-    ) -> Result<Self, StoreError> {
+    /// the base file fails its framing or CRCs.
+    pub fn from_media(base: Box<dyn Medium>, prev: Box<dyn Medium>) -> Result<Self, StoreError> {
         let mut prev = BaseState::unloaded(prev);
         let _ = prev.reload();
         Ok(FileTable {
-            delta: Mutex::new(DeltaState::open(log)?),
+            overlay: Mutex::new(Overlay::new()),
             base: Mutex::new(BaseState::open(base)?),
             prev: Mutex::new(prev),
         })
     }
 
-    /// Opens (creating as needed) `index.tab` + `index.log` +
-    /// `index.prev` in `dir`.
+    /// Opens (creating as needed) `index.tab` + `index.prev` in `dir`.
     ///
     /// # Errors
     ///
@@ -613,22 +464,20 @@ impl FileTable {
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(StoreError::from)?;
-        let [base, log, prev] = Self::files(dir).map(FileMedium::open);
-        Self::from_media(Box::new(base?), Box::new(log?), Box::new(prev?))
+        let [base, prev] = Self::files(dir).map(FileMedium::open);
+        Self::from_media(Box::new(base?), Box::new(prev?))
     }
 
-    /// The base run, delta log and previous run of the index in `dir`.
-    pub fn files(dir: &Path) -> [std::path::PathBuf; 3] {
-        ["index.tab", "index.log", "index.prev"].map(|f| dir.join(f))
+    /// The base run and previous run of the index in `dir`.
+    pub fn files(dir: &Path) -> [std::path::PathBuf; 2] {
+        ["index.tab", "index.prev"].map(|f| dir.join(f))
     }
 
-    /// Makes the previous base run of the index in `dir` current again:
-    /// empties the delta log (its batches belong to the run being
-    /// replaced), then copies the previous run over the base. A wallet
-    /// booted over the result catches up from the journal above the
-    /// run's watermark. The previous run is read in full first, so a
-    /// damaged one is an error and nothing changes; so is a missing one,
-    /// reported as `Ok(false)`.
+    /// Makes the previous base run of the index in `dir` current again
+    /// by copying it over the base. A wallet booted over the result
+    /// catches up from the journal above the run's watermark. The
+    /// previous run is read in full first, so a damaged one is an error
+    /// and nothing changes; so is a missing one, reported as `Ok(false)`.
     ///
     /// # Errors
     ///
@@ -638,8 +487,7 @@ impl FileTable {
         let Some((bytes, _)) = Self::checked_previous(dir.as_ref())? else {
             return Ok(false);
         };
-        let [base, log, _] = Self::files(dir.as_ref());
-        FileMedium::open(log)?.replace(&INDEX_LOG_MAGIC)?;
+        let [base, _] = Self::files(dir.as_ref());
         FileMedium::open(base)?.replace(&bytes)?;
         Ok(true)
     }
@@ -659,7 +507,7 @@ impl FileTable {
     /// The bytes of the previous run in `dir` and a table over them,
     /// once every block has been read.
     fn checked_previous(dir: &Path) -> Result<Option<(Vec<u8>, FileTable)>, StoreError> {
-        let [_, _, prev] = Self::files(dir);
+        let [_, prev] = Self::files(dir);
         let bytes = if prev.exists() {
             std::fs::read(&prev)?
         } else {
@@ -671,35 +519,21 @@ impl FileTable {
         let table = FileTable::from_media(
             Box::new(MemMedium::with_contents(bytes.clone())),
             Box::new(MemMedium::new()),
-            Box::new(MemMedium::new()),
         )?;
         table.entries()?;
         Ok(Some((bytes, table)))
-    }
-
-    /// Power-loss simulation passthrough (meaningful on [`MemMedium`]
-    /// media): drops unsynced delta-log bytes, then reloads the overlay
-    /// from what survived.
-    ///
-    /// [`MemMedium`]: drbac_store::MemMedium
-    pub fn lose_unsynced(&self) -> Result<(), StoreError> {
-        let mut delta = self.delta.lock();
-        delta.log.lose_unsynced();
-        let log = std::mem::replace(&mut delta.log, Box::new(drbac_store::MemMedium::new()));
-        *delta = DeltaState::open(log)?;
-        Ok(())
     }
 
     /// Folds the overlay into a new base run. With `prev`, the run being
     /// replaced is copied there first; its blocks were all CRC-checked
     /// by the merge scan.
     fn compact_locked(
-        delta: &mut DeltaState,
+        overlay: &mut Overlay,
         base: &mut BaseState,
         prev: Option<&mut BaseState>,
     ) -> Result<(), StoreError> {
         let mut merged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        merged_scan(base, &delta.map, &[], None, &mut |k, v| {
+        merged_scan(base, overlay, &[], None, &mut |k, v| {
             merged.push((k.to_vec(), v.to_vec()));
             true
         })?;
@@ -710,28 +544,23 @@ impl FileTable {
         }
         base.medium.replace(&image)?;
         base.reload()?;
-        delta.map.clear();
-        delta.log.replace(&INDEX_LOG_MAGIC)?;
-        delta.valid_len = INDEX_LOG_MAGIC.len() as u64;
-        delta.dirty_tail = false;
-        delta.unsynced = false;
+        overlay.clear();
         drbac_obs::static_counter!("drbac.index.compact.count").inc();
         Ok(())
     }
 }
 
-/// Merges the base stream with the delta overlay for `start <= key <
-/// end`. The overlay wins on key collisions; tombstones suppress base
-/// entries.
+/// Merges the base stream with the overlay for `start <= key < end`.
+/// The overlay wins on key collisions; tombstones suppress base entries.
 fn merged_scan(
     base: &mut BaseState,
-    delta: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    overlay: &Overlay,
     start: &[u8],
     end: Option<&[u8]>,
     f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
 ) -> Result<(), StoreError> {
     let upper = end.map_or(Bound::Unbounded, |e| Bound::Excluded(e.to_vec()));
-    let overlay: Vec<(&Vec<u8>, &Option<Vec<u8>>)> = delta
+    let overlay: Vec<(&Vec<u8>, &Option<Vec<u8>>)> = overlay
         .range((Bound::Included(start.to_vec()), upper))
         .collect();
     let mut oi = 0usize;
@@ -783,32 +612,27 @@ fn merged_scan(
 
 impl TableBackend for FileTable {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        if let Some(pending) = self.delta.lock().map.get(key) {
+        if let Some(pending) = self.overlay.lock().get(key) {
             return Ok(pending.clone());
         }
         self.base.lock().get(key)
     }
 
     fn apply(&self, batch: &[TableOp]) -> Result<(), StoreError> {
-        let mut delta = self.delta.lock();
-        delta.prepare_tail()?;
-        let frame = DeltaState::encode_frame(batch);
-        delta.log.append(&frame)?;
-        delta.valid_len += frame.len() as u64;
-        delta.unsynced = true;
+        let mut overlay = self.overlay.lock();
         for op in batch {
             match op {
                 TableOp::Put { key, value } => {
-                    delta.map.insert(key.clone(), Some(value.clone()));
+                    overlay.insert(key.clone(), Some(value.clone()));
                 }
                 TableOp::Delete { key } => {
-                    delta.map.insert(key.clone(), None);
+                    overlay.insert(key.clone(), None);
                 }
             }
         }
-        if delta.map.len() >= DELTA_MAX_OPS || delta.valid_len >= DELTA_MAX_BYTES {
+        if overlay.len() >= DELTA_MAX_OPS {
             let mut base = self.base.lock();
-            Self::compact_locked(&mut delta, &mut base, None)?;
+            Self::compact_locked(&mut overlay, &mut base, None)?;
         }
         Ok(())
     }
@@ -819,13 +643,12 @@ impl TableBackend for FileTable {
         end: Option<&[u8]>,
         f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<(), StoreError> {
-        // Clone the in-range overlay so the delta lock is not held
-        // across block reads; post-compaction overlays are small.
-        let overlay: BTreeMap<Vec<u8>, Option<Vec<u8>>> = {
-            let delta = self.delta.lock();
+        // Clone the in-range overlay so its lock is not held across
+        // block reads; post-compaction overlays are small.
+        let overlay: Overlay = {
+            let overlay = self.overlay.lock();
             let upper = end.map_or(Bound::Unbounded, |e| Bound::Excluded(e.to_vec()));
-            delta
-                .map
+            overlay
                 .range((Bound::Included(start.to_vec()), upper))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect()
@@ -835,30 +658,20 @@ impl TableBackend for FileTable {
     }
 
     fn stats(&self) -> TableStats {
-        let delta = self.delta.lock();
+        let overlay = self.overlay.lock();
         let base = self.base.lock();
         TableStats {
             base_entries: base.meta.as_ref().map_or(0, |m| m.entries),
             base_bytes: base.meta.as_ref().map_or(0, |m| m.bytes),
-            delta_ops: delta.map.len() as u64,
-            delta_bytes: delta.valid_len,
+            delta_ops: overlay.len() as u64,
         }
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        let mut delta = self.delta.lock();
-        if delta.unsynced {
-            delta.log.sync()?;
-            delta.unsynced = false;
-        }
-        Ok(())
     }
 
     fn compact(&self) -> Result<(), StoreError> {
-        let mut delta = self.delta.lock();
+        let mut overlay = self.overlay.lock();
         let mut base = self.base.lock();
         let mut prev = self.prev.lock();
-        Self::compact_locked(&mut delta, &mut base, Some(&mut prev))
+        Self::compact_locked(&mut overlay, &mut base, Some(&mut prev))
     }
 
     fn previous_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
@@ -869,16 +682,12 @@ impl TableBackend for FileTable {
         &self,
         entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>,
     ) -> Result<(), StoreError> {
-        let mut delta = self.delta.lock();
+        let mut overlay = self.overlay.lock();
         let mut base = self.base.lock();
         let image = build_base(entries)?;
         base.medium.replace(&image)?;
         base.reload()?;
-        delta.map.clear();
-        delta.log.replace(&INDEX_LOG_MAGIC)?;
-        delta.valid_len = INDEX_LOG_MAGIC.len() as u64;
-        delta.dirty_tail = false;
-        delta.unsynced = false;
+        overlay.clear();
         Ok(())
     }
 }
@@ -895,23 +704,14 @@ mod tests {
         }
     }
 
-    fn mem_table() -> (FileTable, MemMedium, MemMedium) {
+    fn mem_table() -> (FileTable, MemMedium) {
         let base = MemMedium::new();
-        let log = MemMedium::new();
-        let t = reopen(&base, &log, &MemMedium::new()).unwrap();
-        (t, base, log)
+        let t = reopen(&base, &MemMedium::new()).unwrap();
+        (t, base)
     }
 
-    fn reopen(
-        base: &MemMedium,
-        log: &MemMedium,
-        prev: &MemMedium,
-    ) -> Result<FileTable, StoreError> {
-        FileTable::from_media(
-            Box::new(base.clone()),
-            Box::new(log.clone()),
-            Box::new(prev.clone()),
-        )
+    fn reopen(base: &MemMedium, prev: &MemMedium) -> Result<FileTable, StoreError> {
+        FileTable::from_media(Box::new(base.clone()), Box::new(prev.clone()))
     }
 
     fn key(i: u32) -> Vec<u8> {
@@ -920,24 +720,28 @@ mod tests {
 
     #[test]
     fn round_trips_through_compaction_and_reopen() {
-        let (t, base, log) = mem_table();
+        let (t, base) = mem_table();
         for i in 0..500u32 {
             t.apply(&[put(&key(i), &i.to_be_bytes())]).unwrap();
         }
         t.compact().unwrap();
-        // Post-compaction mutations live in the overlay.
+        // Post-compaction mutations live in the overlay only.
         t.apply(&[put(&key(42), b"fresh"), TableOp::Delete { key: key(43) }])
             .unwrap();
-        t.flush().unwrap();
+        assert_eq!(t.get(&key(42)).unwrap(), Some(b"fresh".to_vec()));
+        assert_eq!(t.get(&key(43)).unwrap(), None);
+        assert_eq!(t.entries().unwrap(), 499);
 
-        let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
-        assert_eq!(reopened.get(&key(42)).unwrap(), Some(b"fresh".to_vec()));
-        assert_eq!(reopened.get(&key(43)).unwrap(), None);
+        // A reopen sees the base run: the overlay is rebuilt by whoever
+        // applied it (the wallet, from its journal).
+        let reopened = reopen(&base, &MemMedium::new()).unwrap();
         assert_eq!(
-            reopened.get(&key(7)).unwrap(),
-            Some(7u32.to_be_bytes().to_vec())
+            reopened.get(&key(42)).unwrap(),
+            Some(42u32.to_be_bytes().to_vec())
         );
-        assert_eq!(reopened.entries().unwrap(), 499);
+        assert!(reopened.get(&key(43)).unwrap().is_some());
+        assert_eq!(reopened.entries().unwrap(), 500);
+        assert_eq!(reopened.stats().delta_ops, 0);
 
         // Ordered scans cross block boundaries and respect bounds.
         let mut seen = Vec::new();
@@ -951,31 +755,8 @@ mod tests {
     }
 
     #[test]
-    fn torn_delta_tail_loses_whole_batches_only() {
-        let (t, base, log) = mem_table();
-        t.apply(&[put(b"a", b"1")]).unwrap();
-        t.flush().unwrap();
-        t.apply(&[put(b"b", b"2"), put(b"c", b"3")]).unwrap(); // never flushed
-        t.lose_unsynced().unwrap();
-        assert_eq!(t.get(b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(t.get(b"b").unwrap(), None, "unsynced batch fully gone");
-        assert_eq!(t.get(b"c").unwrap(), None);
-
-        // A bit-flipped tail is also dropped at the frame boundary.
-        t.apply(&[put(b"d", b"4")]).unwrap();
-        t.flush().unwrap();
-        let mut bytes = log.read_all().unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        log.replace(&bytes).unwrap();
-        let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
-        assert_eq!(reopened.get(b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(reopened.get(b"d").unwrap(), None);
-    }
-
-    #[test]
     fn corrupt_base_is_an_error_not_a_panic() {
-        let (t, base, log) = mem_table();
+        let (t, base) = mem_table();
         for i in 0..200u32 {
             t.apply(&[put(&key(i), b"v")]).unwrap();
         }
@@ -983,7 +764,7 @@ mod tests {
         let mut bytes = base.read_all().unwrap();
         bytes[40] ^= 0x01; // damage a data block
         base.replace(&bytes).unwrap();
-        let reopened = reopen(&base, &log, &MemMedium::new()).unwrap();
+        let reopened = reopen(&base, &MemMedium::new()).unwrap();
         // Open succeeds (trailer + L2 intact); the damaged block is
         // caught by its fence CRC on first touch.
         let err = reopened.get(&key(0)).unwrap_err();
@@ -992,7 +773,7 @@ mod tests {
 
     #[test]
     fn bulk_load_builds_a_scannable_base() {
-        let (t, _base, _log) = mem_table();
+        let (t, _base) = mem_table();
         let mut input = (0..10_000u32).map(|i| (key(i), i.to_be_bytes().to_vec()));
         t.reset_with(&mut input).unwrap();
         assert_eq!(t.entries().unwrap(), 10_000);
@@ -1013,7 +794,7 @@ mod tests {
 
     #[test]
     fn overlay_shadows_base_in_scans() {
-        let (t, _base, _log) = mem_table();
+        let (t, _base) = mem_table();
         let mut input = (0..100u32).map(|i| (key(i), b"base".to_vec()));
         t.reset_with(&mut input).unwrap();
         t.apply(&[
@@ -1037,8 +818,8 @@ mod tests {
 
     #[test]
     fn explicit_compaction_keeps_the_run_it_replaces() {
-        let (base, log, prev) = (MemMedium::new(), MemMedium::new(), MemMedium::new());
-        let t = reopen(&base, &log, &prev).unwrap();
+        let (base, prev) = (MemMedium::new(), MemMedium::new());
+        let t = reopen(&base, &prev).unwrap();
         t.apply(&[put(b"w", b"1")]).unwrap();
         t.compact().unwrap();
         assert_eq!(
@@ -1052,7 +833,7 @@ mod tests {
         assert_eq!(t.previous_get(b"w").unwrap(), Some(b"1".to_vec()));
         // A damaged previous run reads as absent, never as an error at open.
         prev.replace(b"junk").unwrap();
-        let reopened = reopen(&base, &log, &prev).unwrap();
+        let reopened = reopen(&base, &prev).unwrap();
         assert_eq!(reopened.previous_get(b"w").unwrap(), None);
     }
 
@@ -1075,9 +856,8 @@ mod tests {
             t.apply(&[put(b"w", b"2")]).unwrap();
             t.compact().unwrap();
             t.apply(&[put(b"w", b"3")]).unwrap();
-            t.flush().unwrap();
         }
-        let [tab, _, prev] = FileTable::files(&dir);
+        let [tab, prev] = FileTable::files(&dir);
         std::fs::write(&tab, b"damaged").unwrap();
         assert!(FileTable::open_dir(&dir).is_err());
         assert!(FileTable::restore_previous(&dir).unwrap());
@@ -1085,7 +865,7 @@ mod tests {
         assert_eq!(
             t.get(b"w").unwrap(),
             Some(b"1".to_vec()),
-            "delta log dropped with the run"
+            "the previous run is current again"
         );
 
         let mut bytes = std::fs::read(&prev).unwrap();

@@ -3,13 +3,15 @@
 //!
 //! The index is a *projection* of the write-ahead log. `m/watermark`
 //! records the last journal sequence number applied; a wallet boots by
-//! opening the index, seeding the cheap-but-global state (declarations,
-//! support proofs, revocation marks, absorbed-cert coherence), and
-//! replaying only the log records past the watermark. Credentials
-//! themselves hydrate lazily from `c/` rows as queries touch their
-//! graph neighborhoods — decoded *without* re-verifying signatures,
-//! because every indexed credential was admission-verified before it
-//! was journaled, and the index never leaves the wallet that wrote it.
+//! opening the index, applying the log records past the watermark of
+//! its base run (the same [`DelegationIndex::apply`] the live write
+//! path makes), and seeding the cheap-but-global state (declarations,
+//! support proofs, revocation marks, absorbed-cert coherence).
+//! Credentials themselves hydrate lazily from `c/` rows as queries
+//! touch their graph neighborhoods — decoded *without* re-verifying
+//! signatures, because every indexed credential was admission-verified
+//! before it was journaled, and neither the index nor the journal
+//! leaves the wallet that wrote them.
 //!
 //! The index is also the wallet's only checkpoint: its compacted base
 //! run holds every record up to its watermark, so the journal below the
@@ -58,6 +60,8 @@ struct MetaCache {
 pub struct DelegationIndex {
     table: Box<dyn TableBackend>,
     meta: Mutex<MetaCache>,
+    /// Opened over a format-1 table and stamped format 2 in memory only.
+    restamped: bool,
 }
 
 impl DelegationIndex {
@@ -67,10 +71,12 @@ impl DelegationIndex {
     /// A format-1 table opens too: every family this format reads is laid
     /// out the same, and its `d/`, `i/` and `g/` rows are left in place,
     /// unread (an expiry drops only the current families' keys; a rebuild
-    /// drops them all). The table is stamped format 2 — not rewritten,
-    /// since a large table's retired rows would not fit one delta batch —
-    /// so a binary that still maintains those rows refuses it instead of
-    /// misreading credentials written without them.
+    /// drops them all). The table is stamped format 2 in memory, and
+    /// [`DelegationIndex::restamped`] says so: a booting wallet compacts
+    /// it so the stamp is durable (its retired rows are kept, not
+    /// deleted), and a read-only open leaves every file as it was. A
+    /// binary that still maintains those rows then refuses the compacted
+    /// table instead of misreading credentials written without them.
     ///
     /// # Errors
     ///
@@ -79,9 +85,9 @@ impl DelegationIndex {
     pub fn open(table: Box<dyn TableBackend>) -> Result<DelegationIndex, StoreError> {
         let format = read_u64(&*table, &keys::meta_key("format"))?;
         match format {
-            // A fresh table is stamped eagerly so a crash between first
-            // apply and first flush still leaves a self-describing file;
-            // a format-1 table is restamped in place (see above).
+            // A fresh table's stamp reaches its base run with the first
+            // record (see `apply`); a format-1 table's with the booting
+            // wallet's compaction (see above).
             None | Some(1) => {
                 table.apply(&[put_u64(keys::meta_key("format"), FORMAT_VERSION)])?;
             }
@@ -100,7 +106,15 @@ impl DelegationIndex {
         Ok(DelegationIndex {
             table,
             meta: Mutex::new(meta),
+            restamped: format == Some(1),
         })
+    }
+
+    /// `true` when [`DelegationIndex::open`] found a format-1 table and
+    /// stamped it format 2 in memory only: the next
+    /// [`DelegationIndex::compact`] makes the stamp durable.
+    pub fn restamped(&self) -> bool {
+        self.restamped
     }
 
     /// The last journal sequence number applied, if any event ever was.
@@ -108,14 +122,51 @@ impl DelegationIndex {
         self.meta.lock().watermark
     }
 
+    /// Whether this index covers a journal whose records run from
+    /// `first_seq` (`None`: no record) to `last_seq`: its watermark `w`
+    /// must satisfy `first_seq − 1 ≤ w ≤ last_seq`, so every record it
+    /// lacks is still in the journal and it holds none the journal never
+    /// wrote. An empty journal beside a watermark is covered (the index
+    /// holds all history), and an index with no watermark covers only an
+    /// empty journal. `Err` says which bound fails.
+    ///
+    /// # Errors
+    ///
+    /// The reason the index does not cover the journal.
+    pub fn covers(&self, first_seq: Option<u64>, last_seq: u64) -> Result<(), String> {
+        match (self.watermark(), first_seq) {
+            (None, None) | (Some(_), None) => Ok(()),
+            (None, Some(_)) => Err("index has no watermark for a non-empty store".into()),
+            (Some(w), Some(first)) if w + 1 < first => Err(format!(
+                "index watermark {w} is behind the log's first record ({first})"
+            )),
+            (Some(w), Some(_)) if w > last_seq => Err(format!(
+                "index watermark {w} is ahead of the log tail ({last_seq})"
+            )),
+            (Some(_), Some(_)) => Ok(()),
+        }
+    }
+
+    /// The watermark of the run this index was opened over, as a
+    /// checkpoint counts a run (see
+    /// [`DelegationIndex::previous_watermark`]): for an index opened over
+    /// a previous run file alone, before anything is applied to it.
+    pub fn run_watermark(&self) -> Option<u64> {
+        counted_run(self.watermark())
+    }
+
     /// Applies one journaled event at sequence `seq` as a single atomic
-    /// batch (one CRC-framed record on the file backend). Re-applying an
-    /// already-applied event is harmless — every op is an idempotent
-    /// put or delete — which is what makes log-tail catch-up after a
-    /// crash between WAL append and index apply safe. Skipping one is
-    /// not: an event past `watermark + 1` is refused, so after a failed
-    /// apply the watermark stays below the lost event and the next boot
-    /// catches up from there.
+    /// batch. Re-applying an already-applied event is harmless — every op
+    /// is an idempotent put or delete — which is what makes log-tail
+    /// catch-up at boot safe. Skipping one is not: an event past
+    /// `watermark + 1` is refused, so after a failed apply the watermark
+    /// stays below the lost event and the next boot catches up from
+    /// there.
+    ///
+    /// An index with no watermark that is handed seq 1 starts beside an
+    /// empty journal. It first writes that down — an empty base run at
+    /// watermark 0 — so a boot that finds no later base run catches up
+    /// from seq 1 instead of rebuilding.
     ///
     /// # Errors
     ///
@@ -128,6 +179,16 @@ impl DelegationIndex {
             return Err(StoreError::Corrupt(format!(
                 "index at watermark {w} cannot apply seq {seq}: the records between were never applied"
             )));
+        }
+        if meta.watermark.is_none() && seq == 1 {
+            let mut stamp = [
+                (keys::meta_key("format"), FORMAT_VERSION),
+                (keys::meta_key("watermark"), 0),
+            ]
+            .map(|(key, v)| (key, v.to_be_bytes().to_vec()))
+            .into_iter();
+            self.table.reset_with(&mut stamp)?;
+            meta.watermark = Some(0);
         }
         let mut staged = *meta;
         let mut batch = Vec::new();
@@ -437,16 +498,18 @@ impl DelegationIndex {
         self.table.stats()
     }
 
-    /// Makes applied batches durable.
+    /// Does nothing: applied batches are durable through the journal they
+    /// came from, and through a base run once compacted. Kept for callers
+    /// written when the index had a delta log of its own to sync.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on backend failure.
+    /// Never.
     pub fn flush(&self) -> Result<(), StoreError> {
-        self.table.flush()
+        Ok(())
     }
 
-    /// Folds the delta log into the sorted base. On a file backend the
+    /// Folds the overlay into the sorted base. On a file backend the
     /// base run it replaces becomes the previous run.
     ///
     /// # Errors
@@ -461,7 +524,9 @@ impl DelegationIndex {
     /// plus the journal, should the current run go bad. `None` when there
     /// is no previous run (first compaction, or a backend with no durable
     /// runs such as [`MemTable`](crate::MemTable)): the journal then stays
-    /// whole.
+    /// whole. A run at watermark 0 — the stamp a fresh index writes with
+    /// its first record (see [`DelegationIndex::apply`]) — holds no record
+    /// and counts as none.
     ///
     /// # Errors
     ///
@@ -469,7 +534,7 @@ impl DelegationIndex {
     pub fn previous_watermark(&self) -> Result<Option<u64>, StoreError> {
         match self.table.previous_get(&keys::meta_key("watermark"))? {
             None => Ok(None),
-            Some(v) => decode_u64(&v).map(Some),
+            Some(v) => decode_u64(&v).map(|w| counted_run(Some(w))),
         }
     }
 
@@ -546,8 +611,10 @@ impl DelegationIndex {
 
     /// Cross-checks this index against the journal's records `events`,
     /// after reading every entry so a damaged block fails its CRC here.
-    /// A journal that starts at seq 1 holds every record the index ever
-    /// applied, so both directions are checked: every id the records
+    /// Only the records at or below the watermark are compared: the ones
+    /// above it are the overlay a boot rebuilds from the journal. A
+    /// journal that starts at seq 1 holds every record the index ever
+    /// applied, so both directions are checked: every id those records
     /// leave live is indexed, and nothing else is. A checkpointed journal
     /// starts later: entries at or below its first record are trusted
     /// from the base run, so only the ids its records name are checked —
@@ -566,7 +633,10 @@ impl DelegationIndex {
         self.table.entries()?;
         let mut expected: BTreeSet<DelegationId> = BTreeSet::new();
         let mut expired: BTreeSet<DelegationId> = BTreeSet::new();
-        for (_, event) in events {
+        let applied = events
+            .iter()
+            .take_while(|(seq, _)| check.watermark.is_some_and(|w| *seq <= w));
+        for (_, event) in applied {
             let published = match event {
                 StoreEvent::Publish(cert) => vec![cert.id()],
                 StoreEvent::Support(proof) | StoreEvent::Absorb { proof, .. } => {
@@ -690,6 +760,12 @@ fn put_u64(key: Vec<u8>, v: u64) -> TableOp {
     }
 }
 
+/// A run at watermark 0 holds no record, so a checkpoint counts it as no
+/// run at all.
+fn counted_run(watermark: Option<u64>) -> Option<u64> {
+    watermark.filter(|&w| w > 0)
+}
+
 fn read_u64(table: &dyn TableBackend, key: &[u8]) -> Result<Option<u64>, StoreError> {
     table.get(key)?.map(|v| decode_u64(&v)).transpose()
 }
@@ -717,6 +793,30 @@ mod tests {
             LocalEntity::generate("A", g.clone(), &mut rng),
             LocalEntity::generate("B", g, &mut rng),
         )
+    }
+
+    #[test]
+    fn a_format_1_table_is_restamped_in_memory_until_compacted() {
+        let (tab, prev) = (drbac_store::MemMedium::new(), drbac_store::MemMedium::new());
+        let table =
+            || crate::FileTable::from_media(Box::new(tab.clone()), Box::new(prev.clone())).unwrap();
+        let format = || read_u64(&table(), &keys::meta_key("format")).unwrap();
+        let old = table();
+        old.apply(&[put_u64(keys::meta_key("format"), 1)]).unwrap();
+        old.compact().unwrap();
+
+        // A read-only open changes no file.
+        let index = DelegationIndex::open(Box::new(table())).unwrap();
+        assert!(index.restamped());
+        drop(index);
+        assert_eq!(format(), Some(1));
+
+        let index = DelegationIndex::open(Box::new(table())).unwrap();
+        index.compact().unwrap();
+        assert_eq!(format(), Some(FORMAT_VERSION));
+        assert!(!DelegationIndex::open(Box::new(table()))
+            .unwrap()
+            .restamped());
     }
 
     fn index() -> DelegationIndex {
@@ -811,13 +911,16 @@ mod tests {
             .verify_against(&[(1, StoreEvent::Publish(Arc::clone(&cert1)))])
             .unwrap();
         assert!(clean.is_clean(), "{clean:?}");
-        // Journal shows cert2 too: it is missing from the index.
-        let check = idx
-            .verify_against(&[
-                (1, StoreEvent::Publish(Arc::clone(&cert1))),
-                (2, StoreEvent::Publish(Arc::clone(&cert2))),
-            ])
-            .unwrap();
+        let journal = [
+            (1, StoreEvent::Publish(Arc::clone(&cert1))),
+            (2, StoreEvent::Publish(Arc::clone(&cert2))),
+        ];
+        // A record above the watermark is the overlay a boot rebuilds.
+        let check = idx.verify_against(&journal).unwrap();
+        assert!(check.is_clean(), "{check:?}");
+        // At or below it, the journal's cert2 is missing from the index.
+        idx.apply(2, &StoreEvent::RevokeMark(cert1.id())).unwrap();
+        let check = idx.verify_against(&journal).unwrap();
         assert_eq!(check.missing, 1);
         assert_eq!(check.orphaned, 0);
         // A whole journal that only expires cert1: it is orphaned.
@@ -881,9 +984,6 @@ mod tests {
             }
             fn stats(&self) -> TableStats {
                 self.0.stats()
-            }
-            fn flush(&self) -> Result<(), StoreError> {
-                self.0.flush()
             }
             fn compact(&self) -> Result<(), StoreError> {
                 self.0.compact()

@@ -18,10 +18,10 @@
 //! * [`MemTable`] — `BTreeMap` backend for simulation and oracle tests.
 //! * [`FileTable`] — the durable backend: an immutable sorted base file
 //!   with two fence levels (open reads the 40-byte trailer plus the
-//!   top-level fences only) and a CRC-framed delta log, both stored
-//!   through `drbac-store`'s [`Medium`](drbac_store::Medium) seam. Reads
-//!   fetch and CRC-check 4 KiB blocks lazily; the delta log folds into
-//!   the base automatically as it grows.
+//!   top-level fences only), stored through `drbac-store`'s
+//!   [`Medium`](drbac_store::Medium) seam, under an in-memory overlay.
+//!   Reads fetch and CRC-check 4 KiB blocks lazily; the overlay folds
+//!   into the base automatically as it grows.
 //! * [`DelegationIndex`] — the dRBAC-specific keyspaces over a table
 //!   (see [`keys`] for the layout), with one `apply(seq, event)` batch
 //!   per journal record, prefix-scan queries for the wallet's planner,
@@ -29,10 +29,10 @@
 //!   index/WAL cross-check ([`DelegationIndex::verify_against`]).
 //!
 //! The watermark invariant ties the two stores together: the index has
-//! applied exactly the journal prefix up to `m/watermark`. A crash
-//! between a WAL append and its index batch leaves the watermark one
-//! behind — healed by replaying the log tail past the watermark, which
-//! is idempotent. The index never becomes *ahead* of the log it
+//! applied exactly the journal prefix up to `m/watermark`. On disk that
+//! is the base run's watermark: the overlay above it dies with the
+//! process, and a boot rebuilds it by applying the journal records past
+//! the watermark again, which is idempotent. The index never becomes *ahead* of the log it
 //! projects unless the log itself lost data; that case (and any framing
 //! damage) is detected at open and answered by a rebuild, never a
 //! panic.
@@ -42,7 +42,7 @@ mod index;
 pub mod keys;
 mod table;
 
-pub use file::{FileTable, INDEX_LOG_MAGIC, INDEX_TAB_MAGIC};
+pub use file::{FileTable, INDEX_TAB_MAGIC};
 pub use index::{DelegationIndex, IndexCheck, Mark, RebuildSource};
 pub use keys::node_key;
 pub use table::{prefix_end, MemTable, TableBackend, TableOp, TableStats};

@@ -41,7 +41,7 @@ impl TableOp {
     }
 }
 
-/// Cheap size/shape numbers for `drbac store index status`.
+/// Cheap size/shape numbers for `drbac store inspect`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TableStats {
     /// Entries in the immutable sorted base (0 for purely in-memory
@@ -49,19 +49,18 @@ pub struct TableStats {
     pub base_entries: u64,
     /// Bytes of the sorted base file.
     pub base_bytes: u64,
-    /// Un-compacted delta operations (puts and deletes) on top of the
-    /// base.
+    /// Keys in the overlay on top of the base (puts and deletes not yet
+    /// compacted).
     pub delta_ops: u64,
-    /// Bytes of the delta log.
-    pub delta_bytes: u64,
 }
 
 /// An ordered byte-key/byte-value table.
 ///
-/// Keys are compared lexicographically as byte strings. Batches are
-/// atomic: after a crash, either every op of an applied batch is
-/// visible or none is (the file backend frames each batch as one
-/// CRC-checked record).
+/// Keys are compared lexicographically as byte strings. A batch is
+/// applied whole. Nothing applied outlives the process until
+/// [`TableBackend::compact`] (or a backend's own fold) writes it into a
+/// base run: the journal the batches were derived from is the durable
+/// copy.
 pub trait TableBackend: Send + Sync {
     /// Looks up one key.
     ///
@@ -109,13 +108,6 @@ pub trait TableBackend: Send + Sync {
 
     /// Cheap size/shape numbers from bookkeeping (no full scan).
     fn stats(&self) -> TableStats;
-
-    /// Makes applied batches durable (fsync of the delta log).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on backend I/O failure.
-    fn flush(&self) -> Result<(), StoreError>;
 
     /// Merges accumulated deltas into the sorted base so the next open
     /// replays (almost) nothing. A backend whose runs live on a durable
@@ -244,10 +236,6 @@ impl TableBackend for MemTable {
             delta_ops: self.map.lock().len() as u64,
             ..TableStats::default()
         }
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
     }
 
     fn compact(&self) -> Result<(), StoreError> {

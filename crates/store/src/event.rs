@@ -11,8 +11,10 @@ use drbac_core::{
 /// A single durable wallet mutation, as journaled by the write-ahead
 /// log. Replaying the events of a log that starts at seq 1 — or the
 /// records above the delegation index's watermark, on top of the index —
-/// reconstructs the wallet's durable state; every replayed credential is
-/// re-verified, so a journal is no more trusted than the wire.
+/// reconstructs the wallet's durable state. A full replay re-verifies
+/// every credential; an indexed boot applies the records above the
+/// watermark to the index without re-verifying them, as it trusts the
+/// index itself: the wallet wrote both after admitting each credential.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreEvent {
     /// A credential accepted by `Wallet::publish` (its issuer-provided

@@ -493,7 +493,14 @@ pub struct WalletStore {
 }
 
 impl WalletStore {
-    fn from_media(log: Box<dyn Medium>, config: StoreConfig) -> Result<Self, StoreError> {
+    /// A store over an explicit log medium (e.g. a wrapper that counts
+    /// its writes). Like [`WalletStore::open_dir`], opening never
+    /// modifies the log.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the medium cannot be read.
+    pub fn from_media(log: Box<dyn Medium>, config: StoreConfig) -> Result<Self, StoreError> {
         let mut inner = Inner {
             log,
             next_seq: 1,

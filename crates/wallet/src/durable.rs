@@ -4,9 +4,9 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use drbac_core::{Node, SimClock, Ticks, WalletAddr};
+use drbac_core::{SimClock, Ticks, WalletAddr};
 use drbac_index::DelegationIndex;
-use drbac_store::{StoreEvent, WalletStore};
+use drbac_store::WalletStore;
 
 use crate::wallet::{CacheEntry, RecoveryReport, Wallet, WalletError};
 
@@ -78,19 +78,25 @@ impl DurableWallet {
     /// reach from the index's `c/` rows — so a million-credential wallet
     /// is answering in milliseconds instead of re-verifying its history.
     ///
-    /// The index covers the journal when its watermark `w` satisfies
+    /// The index covers the journal ([`DelegationIndex::covers`]) when its
+    /// watermark `w` satisfies
     /// `first logged seq − 1 ≤ w ≤ last logged seq`: everything at or
     /// below `w` is served from the index, and the records above `w`
-    /// (the tail) are replayed through the ordinary verify path. An
-    /// empty journal next to a watermark means the index holds all
-    /// history; numbering continues after `w`. Otherwise — missing
+    /// (the tail) are applied to the index again, through
+    /// [`DelegationIndex::apply`] as the live write path does, without
+    /// re-verifying them: this wallet admitted each before journaling
+    /// it. An empty journal next to a watermark means the index holds
+    /// all history; numbering continues after `w`. Otherwise — missing
     /// watermark, index behind the first record or ahead of the tail,
     /// unreadable index — the index is stale:
     /// - while the journal still starts at seq 1, the wallet falls back to
-    ///   a full [`DurableWallet::open`] replay and rebuilds the index from
-    ///   the recovered contents;
+    ///   a full [`DurableWallet::open`] replay, which re-verifies every
+    ///   record, and rebuilds the index from the recovered contents;
     /// - once a checkpoint has truncated the journal, nothing else holds
     ///   the records below it, so boot refuses.
+    ///
+    /// A format-1 index that boots is compacted once, so the format-2
+    /// stamp [`DelegationIndex::open`] gave it is durable.
     ///
     /// # Errors
     ///
@@ -109,6 +115,11 @@ impl DurableWallet {
         match Self::seed_from_index(&wallet, &store, &index) {
             Ok(report) => {
                 drop(timer);
+                if index.restamped() {
+                    index
+                        .compact()
+                        .map_err(|e| WalletError::Storage(e.to_string()))?;
+                }
                 wallet.attach_journal(Arc::clone(&store));
                 Ok((DurableWallet { wallet, store }, report))
             }
@@ -158,11 +169,11 @@ impl DurableWallet {
         }
     }
 
-    /// The fast path of [`DurableWallet::open_indexed`]: seeds the
-    /// wallet's eager state (declarations, support proofs, revocation
-    /// marks, cache coherence metadata) from the index, attaches it
-    /// lazily, and replays the log tail above the watermark. Any index
-    /// trouble returns `Err(reason)` before the tail is applied.
+    /// The fast path of [`DurableWallet::open_indexed`]: applies the log
+    /// tail above the watermark to the index, seeds the wallet's eager
+    /// state (declarations, support proofs, revocation marks, cache
+    /// coherence metadata) from it and attaches it lazily. Any index
+    /// trouble returns `Err(reason)` before the wallet is seeded.
     fn seed_from_index(
         wallet: &Wallet,
         store: &Arc<WalletStore>,
@@ -175,35 +186,34 @@ impl DurableWallet {
         let first_seq = tail.records.first().map(|r| r.seq);
         let last_seq = tail.records.last().map_or(0, |r| r.seq);
 
-        let watermark = match index.watermark() {
-            Some(w) => w,
-            None if last_seq == 0 => {
-                // Fresh store, fresh index: nothing to seed or catch up.
-                wallet.attach_index(Arc::clone(index));
-                return Ok(IndexedBootReport {
-                    lazy: false,
-                    watermark: 0,
-                    caught_up: 0,
-                    recovery: None,
-                });
-            }
-            None => return Err("index has no watermark for a non-empty store".into()),
+        index.covers(first_seq, last_seq)?;
+        let Some(watermark) = index.watermark() else {
+            // Fresh store, fresh index: nothing to seed or catch up. The
+            // first record stamps the index durably at watermark 0
+            // (`DelegationIndex::apply`), so the next boot catches up from
+            // seq 1.
+            wallet.attach_index(Arc::clone(index));
+            return Ok(IndexedBootReport {
+                lazy: false,
+                watermark: 0,
+                caught_up: 0,
+                recovery: None,
+            });
         };
-        match first_seq {
-            // Every record the index lacks is still in the log.
-            Some(first) if watermark + 1 < first => {
-                return Err(format!(
-                    "index watermark {watermark} is behind the log's first record ({first})"
-                ));
-            }
-            Some(_) if watermark > last_seq => {
-                return Err(format!(
-                    "index watermark {watermark} is ahead of the log tail ({last_seq})"
-                ));
-            }
-            Some(_) => {}
+        if first_seq.is_none() {
             // An empty log beside a watermark: the index is all there is.
-            None => store.continue_after(watermark),
+            store.continue_after(watermark);
+        }
+
+        // Tail catch-up: the records above the watermark rebuild the
+        // overlay the last process held, at their original sequence
+        // numbers.
+        let mut caught_up = 0usize;
+        for record in tail.records.iter().filter(|r| r.seq > watermark) {
+            index
+                .apply(record.seq, &record.event)
+                .map_err(|e| format!("index catch-up at seq {}: {e}", record.seq))?;
+            caught_up += 1;
         }
 
         // Eager state. Declarations and support proofs feed every
@@ -253,46 +263,6 @@ impl DurableWallet {
         }
 
         wallet.attach_index_lazy(Arc::clone(index));
-
-        // Tail catch-up: records above the watermark replay through the
-        // ordinary verify path (the journal is still detached, so
-        // nothing is double-logged) and are applied to the index at
-        // their original sequence numbers.
-        let mut caught_up = 0usize;
-        for record in tail.records {
-            if record.seq <= watermark {
-                continue;
-            }
-            match &record.event {
-                // `publish` enforces the support rule with a live graph
-                // query from the issuer; `revoke` needs the certificate
-                // present. Hydrate those neighborhoods first.
-                StoreEvent::Publish(cert) => {
-                    wallet.plan_forward(&Node::Entity(cert.delegation().issuer()));
-                }
-                StoreEvent::Revoke(revocation) => {
-                    let id = revocation.delegation_id();
-                    if wallet.state.graph.get(id).is_none() {
-                        if let Ok(Some(cert)) = index.cert(id) {
-                            wallet.insert_cert(cert);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            if let Err(e) = wallet.apply_event(record.event.clone()) {
-                drbac_obs::event!(
-                    "drbac.index.boot.tail_skipped",
-                    "seq" => record.seq,
-                    "error" => e.to_string(),
-                );
-            }
-            index
-                .apply(record.seq, &record.event)
-                .map_err(|e| format!("index catch-up at seq {}: {e}", record.seq))?;
-            caught_up += 1;
-        }
-
         Ok(IndexedBootReport {
             lazy: true,
             watermark,
@@ -311,7 +281,7 @@ impl DurableWallet {
         &self.store
     }
 
-    /// Checkpoints the wallet: syncs the journal, folds the index delta
+    /// Checkpoints the wallet: syncs the journal, folds the index overlay
     /// into a new durable base run (the run it replaces becomes the
     /// previous run), and only then truncates the journal through the
     /// *previous* run's watermark. Either run plus the journal above it
@@ -331,7 +301,6 @@ impl DurableWallet {
         let Some(index) = self.wallet.index() else {
             return Ok(None);
         };
-        index.flush().map_err(storage)?;
         index.compact().map_err(storage)?;
         let through = index.previous_watermark().map_err(storage)?;
         if let Some(seq) = through {
@@ -350,8 +319,8 @@ pub struct IndexedBootReport {
     pub lazy: bool,
     /// The index watermark the boot keyed off.
     pub watermark: u64,
-    /// Log-tail records replayed above the watermark (fast path), or
-    /// total records replayed (fallback).
+    /// Log-tail records applied to the index above the watermark (fast
+    /// path), or total records replayed (fallback).
     pub caught_up: usize,
     /// The full-replay report when the boot fell back.
     pub recovery: Option<RecoveryReport>,
@@ -383,6 +352,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Held by the tests that move `drbac.index.degraded.count`, so one
+    /// that reads it sees only its own boots.
+    static DEGRADES: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
     fn mem_index() -> Arc<DelegationIndex> {
         Arc::new(DelegationIndex::open(Box::new(MemTable::new())).unwrap())
     }
@@ -412,9 +385,6 @@ mod tests {
         }
         fn stats(&self) -> drbac_index::TableStats {
             self.0.stats()
-        }
-        fn flush(&self) -> Result<(), drbac_store::StoreError> {
-            self.0.flush()
         }
         fn compact(&self) -> Result<(), drbac_store::StoreError> {
             self.0.compact()
@@ -448,9 +418,8 @@ mod tests {
                 w.publish(cert, vec![]).unwrap();
             }
             w.checkpoint().unwrap();
-            // Two more after the checkpoint, with the index detached (a
-            // crash before its delta log synced): the log tail the next
-            // boot must catch up on.
+            // Two more after the checkpoint, with the index detached: the
+            // log tail the next boot must catch up on.
             w.detach_index().unwrap();
             for i in 10..12 {
                 let cert = a
@@ -490,6 +459,7 @@ mod tests {
 
     #[test]
     fn stale_index_falls_back_to_full_replay_and_rebuilds() {
+        let _degrades = DEGRADES.lock();
         let mut rng = StdRng::seed_from_u64(23);
         let g = SchnorrGroup::test_256();
         let a = LocalEntity::generate("A", g.clone(), &mut rng);
@@ -576,9 +546,6 @@ mod tests {
         fn stats(&self) -> drbac_index::TableStats {
             self.table.stats()
         }
-        fn flush(&self) -> Result<(), drbac_store::StoreError> {
-            self.table.flush()
-        }
         fn compact(&self) -> Result<(), drbac_store::StoreError> {
             self.table.compact()
         }
@@ -606,12 +573,12 @@ mod tests {
         let a = LocalEntity::generate("A", g.clone(), &mut rng);
         let m = LocalEntity::generate("M", g, &mut rng);
         let store = Arc::new(WalletStore::in_memory());
-        let media = [(); 3].map(|_| drbac_store::MemMedium::new());
+        let media = [(); 2].map(|_| drbac_store::MemMedium::new());
         let index = move |fail| {
-            let [tab, log, prev] = media
+            let [tab, prev] = media
                 .clone()
                 .map(|m| Box::new(m) as Box<dyn drbac_store::Medium>);
-            let table = drbac_index::FileTable::from_media(tab, log, prev).unwrap();
+            let table = drbac_index::FileTable::from_media(tab, prev).unwrap();
             Arc::new(DelegationIndex::open(Box::new(Flaky { table, fail })).unwrap())
         };
         let never = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -646,6 +613,7 @@ mod tests {
 
     #[test]
     fn a_lazy_checkpointed_wallet_keeps_its_index_through_a_read_failure() {
+        let _degrades = DEGRADES.lock();
         let (store, index, a, m) = checkpointed_home();
         let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let (w, report) =
@@ -663,5 +631,54 @@ mod tests {
         // ...and the next query that needs the neighborhood retries it.
         fail.store(false, std::sync::atomic::Ordering::SeqCst);
         assert!(w.query_direct(&subject, &object, &[]).is_some());
+    }
+
+    #[test]
+    fn a_fresh_home_that_never_compacted_boots_lazily_from_its_journal() {
+        let _degrades = DEGRADES.lock();
+        let mut rng = StdRng::seed_from_u64(37);
+        let g = SchnorrGroup::test_256();
+        let a = LocalEntity::generate("A", g.clone(), &mut rng);
+        let m = LocalEntity::generate("M", g, &mut rng);
+        let store = Arc::new(WalletStore::in_memory());
+        let media = [(); 2].map(|_| drbac_store::MemMedium::new());
+        let index = || {
+            let [tab, prev] = media
+                .clone()
+                .map(|m| Box::new(m) as Box<dyn drbac_store::Medium>);
+            let table = drbac_index::FileTable::from_media(tab, prev).unwrap();
+            Arc::new(DelegationIndex::open(Box::new(table)).unwrap())
+        };
+        {
+            let (w, report) =
+                DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index())
+                    .unwrap();
+            assert_eq!((report.lazy, report.caught_up), (false, 0));
+            for i in 0..3 {
+                let cert = a
+                    .delegate(Node::entity(&m), Node::role(a.role(&format!("r{i}"))))
+                    .sign(&a)
+                    .unwrap();
+                w.publish(cert, vec![]).unwrap();
+            }
+        }
+
+        let degraded = drbac_obs::static_counter!("drbac.index.degraded.count");
+        let before = degraded.get();
+        let (reborn, report) =
+            DurableWallet::open_indexed("w", SimClock::new(), Arc::clone(&store), index()).unwrap();
+        assert!(report.lazy && report.recovery.is_none(), "{report:?}");
+        assert_eq!((report.watermark, report.caught_up), (0, 3));
+        assert_eq!(degraded.get(), before, "no fallback, no degraded index");
+
+        let (full, _) = DurableWallet::open("w", SimClock::new(), store).unwrap();
+        let answers = |w: &DurableWallet| -> Vec<Vec<u8>> {
+            w.query_subject(&Node::entity(&m), &[])
+                .iter()
+                .map(|p| p.to_bytes())
+                .collect()
+        };
+        assert_eq!(answers(&full).len(), 3);
+        assert_eq!(answers(&reborn), answers(&full));
     }
 }

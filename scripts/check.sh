@@ -140,6 +140,17 @@ if [ -n "$stale" ]; then
     echo "$stale" >&2
     exit 1
 fi
+# The journal is the index's delta: the index writes no log of its own,
+# so the delta log's framing, its magic, its power-loss hook and the
+# table flush that synced it stay gone. (`DelegationIndex::flush` stays
+# as a documented no-op.)
+delta_log=$( (grep -rnE 'INDEX_LOG_MAGIC|drbacIL1|fn lose_unsynced' crates/index
+    grep -nE 'fn flush' crates/index/src/table.rs) || true)
+if [ -n "$delta_log" ]; then
+    echo "check.sh: the index's delta log is back:" >&2
+    echo "$delta_log" >&2
+    exit 1
+fi
 cargo test -q --test checkpoint_crash
 # The wallet persists two formats, the journal and an index holding only
 # what a named read path uses. The retired index rows (`d/` metadata,
@@ -217,6 +228,7 @@ done
 "$DRBAC" --home "$STORE_HOME" store compact | grep -q 'log truncated through seq 3'
 "$DRBAC" --home "$STORE_HOME" store verify
 test ! -e "$STORE_HOME/store/snapshot.bin"
+test "$(ls "$STORE_HOME/index")" = "$(printf 'index.prev\nindex.tab')"
 "$DRBAC" --home "$STORE_HOME" query Maria BigISP.member | grep -q GRANTED
 
 echo "== tcp (loopback parity suite + shutdown accounting + serve/--remote round trip) =="

@@ -11,16 +11,17 @@
 //!   most the final record — which startup truncates. A home whose
 //!   store never journaled anything beside a pre-store `wallet.bin`
 //!   image is refused, naming the file,
-//! * `index/index.tab` + `index/index.log` + `index/index.prev` — the
-//!   delegation index: an ordered table over the store's contents, and
-//!   the wallet's only checkpoint. Startup is *index open + log-tail
-//!   catch-up*; queries are prefix scans. A checkpoint (`drbac store
-//!   compact`, and automatically once the index delta grows) folds the
-//!   delta into a new base run, keeps the run it replaced as
-//!   `index.prev`, and truncates the log through that previous run's
-//!   watermark. A stale or unreadable index is rebuilt by full replay
-//!   while the log still starts at seq 1, and restored from
-//!   `index.prev` plus the log once it does not; without a usable
+//! * `index/index.tab` + `index/index.prev` — the delegation index: an
+//!   ordered table over the store's contents, and the wallet's only
+//!   checkpoint. Startup is *index open + log-tail catch-up*: the log
+//!   records above the base run's watermark are applied to the index
+//!   again. Queries are prefix scans. A checkpoint (`drbac store
+//!   compact`, and automatically once the index's in-memory overlay
+//!   grows) folds the overlay into a new base run, keeps the run it
+//!   replaced as `index.prev`, and truncates the log through that
+//!   previous run's watermark. A stale or unreadable index is rebuilt
+//!   by full replay while the log still starts at seq 1, and restored
+//!   from `index.prev` plus the log once it does not; without a usable
 //!   previous run startup refuses and points at `drbac store verify`.
 //!
 //! ```text
@@ -32,7 +33,7 @@
 //! drbac query <Subject> <Object> [attr min]..  ask "does S have R?"
 //! drbac revoke <id-prefix>                     revoke a delegation
 //! drbac store inspect|verify|compact           examine / check / compact the log
-//! drbac store index status|verify|rebuild      delegation-index health and repair
+//! drbac store index rebuild                    regenerate the delegation index
 //! ```
 //!
 //! The delegation argument uses the paper's syntax, e.g.
@@ -158,10 +159,8 @@ fn usage() -> String {
      \x20 store inspect                         list the write-ahead log's records\n\
      \x20 store verify                          read-only integrity check, log + index\n\
      \x20                                       cross-check (exit 1 if damaged)\n\
-     \x20 store compact                         checkpoint: fold the index delta into a new\n\
-     \x20                                       base run and drop the log records it covers\n\
-     \x20 store index status                    delegation-index watermark and table shape\n\
-     \x20 store index verify                    cross-check the index against the log\n\
+     \x20 store compact                         checkpoint: fold the index into a new base\n\
+     \x20                                       run and drop the log records it covers\n\
      \x20 store index rebuild                   regenerate the index from the log (and its\n\
      \x20                                       previous base run, once the log is truncated)\n"
         .to_string()
@@ -433,8 +432,8 @@ fn run_coalition_walkthrough(chaos: Option<u64>) -> Result<(drbac::obs::Snapshot
 const WALLET_ADDR: &str = "drbac-cli";
 
 /// Opens the context's delegation index (`index/index.tab` +
-/// `index/index.log` + `index/index.prev`). An `Err` means the current
-/// run is unusable; [`repair_index`] is the way back.
+/// `index/index.prev`). An `Err` means the current run is unusable;
+/// [`repair_index`] is the way back.
 fn open_index(home: &Path) -> Result<Arc<DelegationIndex>, String> {
     let table = FileTable::open_dir(home.join("index")).map_err(|e| e.to_string())?;
     DelegationIndex::open(Box::new(table))
@@ -456,8 +455,10 @@ fn boot(
 
 /// Boots the context's wallet; when the index will not open or no
 /// longer covers the log, repairs it once ([`repair_index`]) and boots
-/// again.
+/// again. A home whose leftovers from an older release may hold records
+/// nothing else does is refused first ([`refuse_uncovered_leftovers`]).
 fn open_wallet(home: &Path, store: Arc<WalletStore>) -> Result<DurableWallet, String> {
+    refuse_uncovered_leftovers(home, &store)?;
     boot(home, Arc::clone(&store))
         .or_else(|why| {
             drbac::obs::global()
@@ -468,6 +469,40 @@ fn open_wallet(home: &Path, store: Arc<WalletStore>) -> Result<DurableWallet, St
             boot(home, store)
         })
         .map(|(wallet, _)| wallet)
+}
+
+/// Refuses — before any file changes — a home that an older release
+/// left with records in a file this one no longer reads: the index's
+/// delta log `index/index.log`, or `store/snapshot.bin`, the image the
+/// log was once compacted behind. The boot removes both afterwards, so
+/// it may start only when something it does read holds their records:
+/// * a delta log holding more than its 8-byte magic, only beside a log
+///   that holds records (the boot checks that they reach down to the
+///   index's base run) and no snapshot;
+/// * a snapshot, only beside a log that holds records or an index base
+///   run that holds one (watermark above 0).
+fn refuse_uncovered_leftovers(home: &Path, store: &WalletStore) -> Result<(), String> {
+    let snapshot = home.join("store").join("snapshot.bin");
+    let delta_log = home.join("index").join("index.log");
+    let log_empty = store.status().first_seq.is_none();
+    let delta_holds_records = fs::metadata(&delta_log).is_ok_and(|m| m.len() > 8);
+    let index_holds_records = || {
+        home.join("index").join("index.tab").exists()
+            && open_index(home).is_ok_and(|index| index.watermark().is_some_and(|w| w > 0))
+    };
+    let uncovered = if delta_holds_records && (log_empty || snapshot.exists()) {
+        delta_log
+    } else if snapshot.exists() && log_empty && !index_holds_records() {
+        snapshot
+    } else {
+        return Ok(());
+    };
+    Err(format!(
+        "{} was left by an older release and may hold records that neither the log \
+         nor the index's base run holds: open the home once with the previous release \
+         and run `drbac store compact` there — nothing was changed",
+        uncovered.display()
+    ))
 }
 
 /// Puts the context's index where the next boot can rebuild or catch it
@@ -508,15 +543,14 @@ fn journal_events(store: &WalletStore) -> Result<Vec<(u64, drbac::store::StoreEv
     Ok(scan.records.into_iter().map(|r| (r.seq, r.event)).collect())
 }
 
-/// `drbac store <inspect|verify|compact|index …>` — direct access to
-/// the context's write-ahead store and its delegation index. `inspect`
-/// and `verify` are read-only (they report damage rather than healing
-/// it); `compact` boots the wallet and checkpoints it; `index rebuild`
-/// regenerates the index from the log (and its previous base run, once
-/// the log is truncated).
+/// `drbac store <inspect|verify|compact|index rebuild>` — direct access
+/// to the context's write-ahead store and its delegation index.
+/// `inspect` and `verify` are read-only (they report damage rather than
+/// healing it); `compact` boots the wallet and checkpoints it; `index
+/// rebuild` regenerates the index from the log (and its previous base
+/// run, once the log is truncated).
 fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
-    const USAGE: &str =
-        "usage: store <inspect|verify|compact|index status|index verify|index rebuild>";
+    const USAGE: &str = "usage: store <inspect|verify|compact|index rebuild>";
     let sub = match args {
         [sub] => sub.clone(),
         [a, b] if a == "index" => format!("index {b}"),
@@ -548,23 +582,44 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             if let Some(corruption) = &scan.corruption {
                 writeln!(out, "damage beyond the valid prefix: {corruption}").unwrap();
             }
-            let index_dir = home.join("index");
-            if index_dir.join("index.tab").exists() || index_dir.join("index.log").exists() {
+            if home.join("index").join("index.tab").exists() {
                 match open_index(home) {
                     Ok(index) => {
                         let stats = index.stats();
-                        let current = index.watermark() == Some(status.next_seq.saturating_sub(1));
+                        let watermark = index.watermark();
+                        let last_seq = scan.records.last().map_or(0, |r| r.seq);
+                        let covers = index.covers(status.first_seq, last_seq).is_ok();
                         writeln!(
                             out,
-                            "index: watermark {}, {} base entr{} + {} delta op(s){}",
-                            index.watermark().map_or("(none)".into(), |w| w.to_string()),
+                            "index: watermark {}, {} base entr{}, {} indexed delegation(s){}",
+                            watermark.map_or("(none)".into(), |w| w.to_string()),
                             stats.base_entries,
                             if stats.base_entries == 1 { "y" } else { "ies" },
-                            stats.delta_ops,
-                            if current {
+                            index.cert_count().map_err(|e| e.to_string())?,
+                            if covers {
                                 ""
                             } else {
-                                " — STALE (next boot rebuilds it)"
+                                " — STALE (it does not cover the log; the next boot repairs it)"
+                            }
+                        )
+                        .unwrap();
+                        let above = (scan.records.iter())
+                            .filter(|r| watermark.is_none_or(|w| r.seq > w))
+                            .count();
+                        writeln!(
+                            out,
+                            "index: {above} record(s) above the watermark (replayed at boot)"
+                        )
+                        .unwrap();
+                        writeln!(
+                            out,
+                            "index: previous base run {}",
+                            match index.previous_watermark() {
+                                Ok(Some(w)) =>
+                                    format!("at watermark {w} (the log is kept from there)"),
+                                Ok(None) =>
+                                    "(none; the next checkpoint keeps the log whole)".into(),
+                                Err(e) => format!("UNREADABLE ({e})"),
                             }
                         )
                         .unwrap();
@@ -586,9 +641,7 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
         "verify" => {
             let mut report = store.verify().map_err(|e| e.to_string())?;
             let index_dir = home.join("index");
-            let index_present =
-                index_dir.join("index.tab").exists() || index_dir.join("index.log").exists();
-            if index_present {
+            if index_dir.join("index.tab").exists() {
                 report.index = Some(match open_index(home) {
                     Ok(index) => {
                         let events = journal_events(&store)?;
@@ -642,13 +695,9 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             let mut prev_damage = None;
             match FileTable::read_previous(&index_dir)
                 .and_then(|run| run.map(|t| DelegationIndex::open(Box::new(t))).transpose())
+                .map(|run| run.and_then(|prev| prev.run_watermark()))
             {
-                Ok(Some(prev)) => writeln!(
-                    out,
-                    "previous base run: watermark {}",
-                    prev.watermark().map_or("(none)".into(), |w| w.to_string())
-                )
-                .unwrap(),
+                Ok(Some(w)) => writeln!(out, "previous base run: watermark {w}").unwrap(),
                 Ok(None) => writeln!(out, "previous base run: (none)").unwrap(),
                 Err(e) => {
                     writeln!(out, "previous base run: DAMAGED — index/index.prev: {e}").unwrap();
@@ -705,75 +754,6 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
                 after.log_bytes
             ))
         }
-        "index status" => {
-            let index = open_index(home).map_err(|e| {
-                format!("index unusable: {e}\nrun `drbac store index rebuild` to regenerate")
-            })?;
-            let stats = index.stats();
-            let status = store.status();
-            let tip = status.next_seq.saturating_sub(1);
-            let mut out = String::new();
-            writeln!(
-                out,
-                "watermark: {} (store tip: seq {tip}{})",
-                index.watermark().map_or("(none)".into(), |w| w.to_string()),
-                match index.watermark() {
-                    Some(w) if w == tip => "; current".to_string(),
-                    Some(w) if w < tip => format!("; {} record(s) behind", tip - w),
-                    Some(_) => "; AHEAD of the log".to_string(),
-                    None => String::new(),
-                }
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "base: {} entr{} ({} bytes); delta: {} op(s) ({} bytes)",
-                stats.base_entries,
-                if stats.base_entries == 1 { "y" } else { "ies" },
-                stats.base_bytes,
-                stats.delta_ops,
-                stats.delta_bytes
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "indexed delegations: {}",
-                index.cert_count().map_err(|e| e.to_string())?
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "previous base run: {}",
-                match index.previous_watermark() {
-                    Ok(Some(w)) => format!("watermark {w} (the log is kept from there)"),
-                    Ok(None) => "(none; the next checkpoint keeps the log whole)".into(),
-                    Err(e) => format!("UNREADABLE ({e})"),
-                }
-            )
-            .unwrap();
-            Ok(out)
-        }
-        "index verify" => {
-            let index = open_index(home).map_err(|e| format!("index unusable: {e}"))?;
-            let check = index
-                .verify_against(&journal_events(&store)?)
-                .map_err(|e| e.to_string())?;
-            let summary = format!(
-                "{} entr{}, watermark {}, {} missing, {} orphaned\n",
-                check.entries,
-                if check.entries == 1 { "y" } else { "ies" },
-                check.watermark.map_or("(none)".into(), |w| w.to_string()),
-                check.missing,
-                check.orphaned
-            );
-            if check.is_clean() {
-                Ok(format!("{summary}clean\n"))
-            } else {
-                Err(format!(
-                    "{summary}NOT CLEAN — run `drbac store index rebuild`"
-                ))
-            }
-        }
         "index rebuild" => {
             // Remove the index (log at seq 1) or restore its previous base
             // run (checkpointed log) — refusing before any file changes
@@ -781,10 +761,10 @@ fn store_command(home: &Path, args: &[String]) -> Result<String, String> {
             // the removed index, a catch-up completes the restored one.
             // Also the store → indexed-store migration.
             let store = Arc::new(store);
+            refuse_uncovered_leftovers(home, &store)?;
             repair_index(home, &store)?;
             let (wallet, report) = boot(home, store)?;
             let index = wallet.index().ok_or("the rebuilt index did not attach")?;
-            index.flush().map_err(|e| e.to_string())?;
             Ok(format!(
                 "rebuilt by {}: {} delegation(s) indexed, watermark {}\n",
                 match report.recovery {
@@ -834,11 +814,12 @@ fn extract_remote(args: &mut Vec<String>) -> Result<Option<String>, String> {
     Ok(std::env::var("DRBAC_REMOTE").ok())
 }
 
-/// Checkpoint once the index delta holds this many ops (about 64
-/// writes), so a long-lived context's startup replays a short delta and
-/// its log holds about two checkpoints' worth of records. The trigger is
-/// the delta, not the log: right after a checkpoint the log still holds
-/// the records since the previous one.
+/// Checkpoint once the index overlay holds this many ops (about 64
+/// writes), so a long-lived context's startup applies a short log tail
+/// and its log holds about two checkpoints' worth of records. The
+/// trigger is the overlay, which a boot rebuilds from the records above
+/// the base run, not the log: right after a checkpoint the log still
+/// holds the records since the previous one.
 const CHECKPOINT_DELTA_OPS: u64 = 512;
 
 struct Context {
@@ -890,14 +871,18 @@ impl Context {
                 .map_err(|e| format!("open store in {home:?}: {e}"))?,
         );
         let wallet = open_wallet(home, store)?;
-        // A home written before the index became the only checkpoint may
-        // still carry the image the log used to be compacted behind. The
-        // index covers everything it held (the boot above checked the
-        // watermark against the log), so it goes.
-        let legacy_snapshot = home.join("store").join("snapshot.bin");
-        if legacy_snapshot.exists() {
-            fs::remove_file(&legacy_snapshot)
-                .map_err(|e| format!("remove {legacy_snapshot:?}: {e}"))?;
+        // A home from an older release may still carry the image the log
+        // used to be compacted behind, or the index's old delta log. The
+        // boot above started only once the log or the index's base run
+        // held their records (`refuse_uncovered_leftovers`), and checked
+        // the index's watermark against the log, so both go.
+        for legacy in [
+            home.join("store").join("snapshot.bin"),
+            home.join("index").join("index.log"),
+        ] {
+            if legacy.exists() {
+                fs::remove_file(&legacy).map_err(|e| format!("remove {legacy:?}: {e}"))?;
+            }
         }
         // A store that never journaled anything beside a `wallet.bin`
         // means a home from before the write-ahead log. That image format
@@ -930,15 +915,11 @@ impl Context {
         }
         fs::write(self.home.join("entities.bin"), w.finish()).map_err(|e| e.to_string())?;
         // Wallet mutations were already journaled as they happened;
-        // force the tail to disk and keep the log short.
+        // force the tail to disk and keep the log short. The index's
+        // overlay is rebuilt from the log at the next boot; checkpointing
+        // once it grows keeps that catch-up short.
         self.wallet.store().sync().map_err(|e| e.to_string())?;
-        // Same for the index's delta log — an unsynced index is merely
-        // behind at next boot (caught up from the log), but syncing here
-        // keeps the fast boot path fast.
         if let Some(index) = self.wallet.index() {
-            if let Err(e) = index.flush() {
-                eprintln!("warning: index flush failed ({e}); next boot catches it up");
-            }
             if index.stats().delta_ops >= CHECKPOINT_DELTA_OPS {
                 self.wallet.checkpoint().map_err(|e| e.to_string())?;
             }

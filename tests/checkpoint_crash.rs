@@ -1,7 +1,7 @@
 //! Crash at every step of a checkpoint.
 //!
 //! A checkpoint (`DurableWallet::checkpoint`) syncs the journal, folds the
-//! index delta into a new base run (copying the run it replaces to the
+//! index overlay into a new base run (copying the run it replaces to the
 //! previous-run medium first), and only then truncates the journal
 //! through the previous run's watermark. These tests interrupt it at
 //! each of those steps — by power loss (`lose_unsynced` on every medium)
@@ -61,10 +61,10 @@ impl Medium for Faulty {
     }
 }
 
-/// One durable home: the journal and the index's three media.
+/// One durable home: the journal and the index's two media.
 struct Home {
     store: Arc<WalletStore>,
-    media: [MemMedium; 3],
+    media: [MemMedium; 2],
     replaces: Arc<AtomicUsize>,
 }
 
@@ -72,7 +72,7 @@ impl Home {
     fn new() -> Home {
         Home {
             store: Arc::new(WalletStore::in_memory()),
-            media: [MemMedium::new(), MemMedium::new(), MemMedium::new()],
+            media: [MemMedium::new(), MemMedium::new()],
             replaces: Arc::new(AtomicUsize::new(0)),
         }
     }
@@ -81,14 +81,14 @@ impl Home {
     /// now on fails.
     fn index(&self, fail_at: usize) -> Arc<DelegationIndex> {
         self.replaces.store(0, Ordering::SeqCst);
-        let [tab, log, prev] = self.media.clone().map(|inner| {
+        let [tab, prev] = self.media.clone().map(|inner| {
             Box::new(Faulty {
                 inner,
                 replaces: Arc::clone(&self.replaces),
                 fail_at,
             }) as Box<dyn Medium>
         });
-        let table = FileTable::from_media(tab, log, prev).expect("index media open");
+        let table = FileTable::from_media(tab, prev).expect("index media open");
         Arc::new(DelegationIndex::open(Box::new(table)).expect("index opens"))
     }
 
@@ -244,9 +244,9 @@ fn power_loss_after_each_checkpoint_step_loses_no_acked_write() {
 
 #[test]
 fn a_failed_replace_at_any_point_of_a_checkpoint_loses_no_acked_write() {
-    // A checkpoint over this home replaces the previous run, the base run
-    // and the delta log, in that order; k = 4 never fires.
-    for fail_at in 1..=4 {
+    // A checkpoint over this home replaces the previous run and the base
+    // run, in that order; k = 3 never fires.
+    for fail_at in 1..=3 {
         let (mut writer, mut acked) = (Writer::new(), Acked::default());
         let home = checkpointed_home(&mut writer, &mut acked);
         {
@@ -254,7 +254,7 @@ fn a_failed_replace_at_any_point_of_a_checkpoint_loses_no_acked_write() {
             let result = wallet.checkpoint();
             assert_eq!(
                 result.is_err(),
-                fail_at <= 3,
+                fail_at <= 2,
                 "replace {fail_at}: {result:?}"
             );
         }

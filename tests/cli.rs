@@ -340,12 +340,16 @@ fn legacy_wallet_image_is_refused_naming_the_file() {
 /// was compacted behind `store/snapshot.bin` (here, down to the bare
 /// magic) while the index stayed current. It boots from the index,
 /// answers, continues the sequence numbering, and drops the old image.
+/// The index keeps state at rest only in its base run, so `store compact`
+/// makes it current here; a home whose index is not current is refused
+/// (the next test).
 #[test]
 fn pre_checkpoint_home_with_a_snapshot_image_boots_from_its_index() {
     let home = temp_home("prechange");
     ok(&home, &["keygen", "BigISP"]);
     ok(&home, &["keygen", "Maria"]);
     ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    ok(&home, &["store", "compact"]);
     let store = home.join("store");
     std::fs::write(store.join("wal.log"), b"drbacWL1").unwrap();
     std::fs::write(
@@ -366,6 +370,100 @@ fn pre_checkpoint_home_with_a_snapshot_image_boots_from_its_index() {
         inspected.contains("#     2"),
         "numbering continues after the index: {inspected}"
     );
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("clean"), "{verified}");
+
+    let _ = std::fs::remove_dir_all(&home);
+}
+
+/// A home whose leftovers from an older release may hold records that
+/// neither the log nor the index's base run does is refused before any
+/// file changes, naming the file and the previous release's `store
+/// compact`: a snapshot image beside an empty log and an index that holds
+/// no record, or a delta log with records beside an empty log.
+#[test]
+fn a_home_whose_leftovers_hold_uncovered_records_is_refused_unchanged() {
+    let imaged = temp_home("leftovers");
+    ok(&imaged, &["keygen", "BigISP"]);
+    ok(&imaged, &["keygen", "Maria"]);
+    ok(&imaged, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    let (store, index) = (imaged.join("store"), imaged.join("index"));
+    std::fs::write(store.join("wal.log"), b"drbacWL1").unwrap();
+    let image = b"drbacSN1 an image the log was compacted behind";
+    std::fs::write(store.join("snapshot.bin"), image).unwrap();
+    let tab = std::fs::read(index.join("index.tab")).unwrap();
+    for args in [
+        &["query", "Maria", "BigISP.member"][..],
+        &["store", "compact"],
+        &["store", "index", "rebuild"],
+    ] {
+        let err = fails(&imaged, args);
+        assert!(
+            err.contains("snapshot.bin")
+                && err.contains("`drbac store compact`")
+                && err.contains("nothing was changed"),
+            "{args:?}: {err}"
+        );
+        assert_eq!(std::fs::read(store.join("snapshot.bin")).unwrap(), image);
+        assert_eq!(std::fs::read(store.join("wal.log")).unwrap(), b"drbacWL1");
+        assert_eq!(std::fs::read(index.join("index.tab")).unwrap(), tab);
+    }
+
+    // A current base run beside the image, but a delta log with records.
+    let home = temp_home("leftovers-delta");
+    ok(&home, &["keygen", "BigISP"]);
+    ok(&home, &["keygen", "Maria"]);
+    ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    let (store, index) = (home.join("store"), home.join("index"));
+    std::fs::write(store.join("wal.log"), b"drbacWL1").unwrap();
+    let delta = b"drbacIL1 records an older release never folded";
+    std::fs::write(index.join("index.log"), delta).unwrap();
+    let err = fails(&home, &["query", "Maria", "BigISP.member"]);
+    assert!(
+        err.contains("index.log") && err.contains("nothing was changed"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(index.join("index.log")).unwrap(), delta);
+    // Folded by the previous release, the delta log is its bare magic.
+    std::fs::write(index.join("index.log"), b"drbacIL1").unwrap();
+    let answer = ok(&home, &["query", "Maria", "BigISP.member"]);
+    assert!(answer.starts_with("GRANTED"), "{answer}");
+    assert!(!index.join("index.log").exists());
+
+    let _ = std::fs::remove_dir_all(&imaged);
+    let _ = std::fs::remove_dir_all(&home);
+}
+
+/// A home written when the index kept a delta log of its own: a leftover
+/// `index/index.log` is never read — the boot catches the index up from
+/// the log above its base run — and the first command that boots removes
+/// it. `store inspect` and `store verify` leave it where it is.
+#[test]
+fn a_leftover_index_delta_log_is_ignored_and_removed() {
+    let home = temp_home("deltalog");
+    ok(&home, &["keygen", "BigISP"]);
+    ok(&home, &["keygen", "Maria"]);
+    ok(&home, &["delegate", "[Maria -> BigISP.member] BigISP"]);
+    ok(&home, &["store", "compact"]);
+    ok(&home, &["delegate", "[Maria -> BigISP.admin] BigISP"]);
+    let leftover = home.join("index").join("index.log");
+    std::fs::write(&leftover, b"garbage where an older delta log was").unwrap();
+
+    let inspected = ok(&home, &["store", "inspect"]);
+    assert!(
+        inspected.contains("index: watermark 1, ")
+            && inspected.contains("1 record(s) above the watermark (replayed at boot)")
+            && !inspected.contains("STALE"),
+        "{inspected}"
+    );
+    let verified = ok(&home, &["store", "verify"]);
+    assert!(verified.contains("clean"), "{verified}");
+    assert!(leftover.exists(), "inspect and verify are read-only");
+
+    let answer = ok(&home, &["query", "Maria", "BigISP.admin"]);
+    assert!(answer.starts_with("GRANTED"), "{answer}");
+    assert!(!leftover.exists(), "the boot removed the leftover");
     let verified = ok(&home, &["store", "verify"]);
     assert!(verified.contains("clean"), "{verified}");
 

@@ -20,13 +20,13 @@ use rand::SeedableRng;
 
 const FORMAT_KEY: &[u8] = b"mformat";
 
-/// A file table over the three shared in-memory media of one index.
-fn table(media: &[MemMedium; 3]) -> FileTable {
-    let [tab, log, prev] = media.clone().map(|m| Box::new(m) as Box<dyn Medium>);
-    FileTable::from_media(tab, log, prev).unwrap()
+/// A file table over the two shared in-memory media of one index.
+fn table(media: &[MemMedium; 2]) -> FileTable {
+    let [tab, prev] = media.clone().map(|m| Box::new(m) as Box<dyn Medium>);
+    FileTable::from_media(tab, prev).unwrap()
 }
 
-fn format(media: &[MemMedium; 3]) -> u64 {
+fn format(media: &[MemMedium; 2]) -> u64 {
     let value = table(media).get(FORMAT_KEY).unwrap().expect("stamped");
     u64::from_be_bytes(value.try_into().unwrap())
 }
@@ -61,7 +61,7 @@ fn a_format_1_table_opens_answers_expires_and_is_restamped() {
     let user = LocalEntity::generate("User", g, &mut rng);
     let clock = SimClock::new();
     let store = Arc::new(WalletStore::in_memory());
-    let media = [MemMedium::new(), MemMedium::new(), MemMedium::new()];
+    let media = [MemMedium::new(), MemMedium::new()];
     let boot = || {
         let index = Arc::new(DelegationIndex::open(Box::new(table(&media))).unwrap());
         DurableWallet::open_indexed("home", clock.clone(), Arc::clone(&store), index).unwrap()

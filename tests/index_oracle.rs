@@ -14,7 +14,7 @@
 //!   index state for the scenario:
 //!   - `Clean`: index flushed, graceful shutdown (fast lazy boot);
 //!   - `Crash`: power loss — the store drops its unsynced group-commit
-//!     tail, and the index either loses its unflushed delta batches
+//!     tail, and the index either keeps only its base runs
 //!     (`FileTable`) or is wiped entirely (`MemTable`), forcing either
 //!     a log-tail catch-up or a full fallback rebuild;
 //!   - `Compacted`: two checkpoints mid-workload. On the file backend
@@ -40,7 +40,7 @@ use drbac::core::{
 };
 use drbac::crypto::SchnorrGroup;
 use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
-use drbac::store::{scan_log, Medium, MemMedium, StoreConfig, StoreError, WalletStore};
+use drbac::store::{scan_log, MemMedium, StoreConfig, StoreError, WalletStore};
 use drbac::wallet::DurableWallet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,9 +71,6 @@ impl TableBackend for SharedMem {
     fn stats(&self) -> TableStats {
         self.0.stats()
     }
-    fn flush(&self) -> Result<(), StoreError> {
-        self.0.flush()
-    }
     fn compact(&self) -> Result<(), StoreError> {
         self.0.compact()
     }
@@ -88,9 +85,8 @@ impl TableBackend for SharedMem {
 /// The index storage that outlives wallet handles in a case.
 enum Backend {
     Mem(Arc<MemTable>),
-    /// `(index.tab, index.log, index.prev)` as shared in-memory media
-    /// with power-loss simulation.
-    File(MemMedium, MemMedium, MemMedium),
+    /// `(index.tab, index.prev)` as shared in-memory media.
+    File(MemMedium, MemMedium),
 }
 
 impl Backend {
@@ -99,7 +95,7 @@ impl Backend {
     }
 
     fn file() -> Self {
-        Backend::File(MemMedium::new(), MemMedium::new(), MemMedium::new())
+        Backend::File(MemMedium::new(), MemMedium::new())
     }
 
     fn label(&self) -> &'static str {
@@ -113,13 +109,9 @@ impl Backend {
     fn open(&self) -> Arc<DelegationIndex> {
         let table: Box<dyn TableBackend> = match self {
             Backend::Mem(t) => Box::new(SharedMem(Arc::clone(t))),
-            Backend::File(tab, log, prev) => Box::new(
-                FileTable::from_media(
-                    Box::new(tab.clone()),
-                    Box::new(log.clone()),
-                    Box::new(prev.clone()),
-                )
-                .expect("reopen index media"),
+            Backend::File(tab, prev) => Box::new(
+                FileTable::from_media(Box::new(tab.clone()), Box::new(prev.clone()))
+                    .expect("reopen index media"),
             ),
         };
         Arc::new(DelegationIndex::open(table).expect("open index"))
@@ -127,12 +119,11 @@ impl Backend {
 
     /// Simulates power loss on the index side. A `MemTable` has no
     /// durable form at all, so a crash wipes it (the fallback-rebuild
-    /// path); a `FileTable` keeps its synced prefix and loses the
-    /// unflushed delta batches.
+    /// path); a `FileTable` keeps its base runs, which every reopen
+    /// reads without the overlay.
     fn crash(&mut self) {
-        match self {
-            Backend::Mem(t) => *t = Arc::new(MemTable::new()),
-            Backend::File(_, log, _) => log.lose_unsynced(),
+        if let Backend::Mem(t) = self {
+            *t = Arc::new(MemTable::new());
         }
     }
 }
@@ -269,7 +260,6 @@ fn run_workload(
             wallet.checkpoint().expect("mid-workload checkpoint");
         }
         if scenario == Scenario::Crash && step == STEPS / 2 {
-            // The surviving prefix of the index's delta log.
             index.flush().expect("mid-workload index flush");
         }
         let u = rng.gen_range(0..users.len());
