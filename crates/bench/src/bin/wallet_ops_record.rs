@@ -21,6 +21,13 @@
 //! * **indexed boot** — `DurableWallet::open_indexed`: index trailer
 //!   read + a one-record log scan; milliseconds at any size, and the
 //!   graph hydrates lazily from the index on demand.
+//! * **indexed boot over a whole journal** (`boot_indexed_full_journal`)
+//!   — the same boot over the untruncated log, every record at or below
+//!   the watermark: the shape of a served home, which never checkpoints.
+//!   The boot frames the whole journal and decodes none of it.
+//! * **indexed boot with a 16k tail** (`boot_indexed_tail_16k`) — the
+//!   checkpointed log plus 16,000 publishes above the watermark, which
+//!   the boot decodes and applies to the index.
 //! * **replay boot** — `DurableWallet::open` over the untruncated log:
 //!   decodes and re-verifies every credential (~140 µs each ⇒ ~2
 //!   minutes at 10^6).
@@ -82,12 +89,16 @@ const AUDIT_TP: usize = 64;
 /// `--guard` fails when the indexed boot is this much slower than the
 /// committed artifact (see the module docs for why 1.5x, not 1.25x).
 const GUARD_MAX_REGRESSION: f64 = 1.5;
+/// Records above the watermark in the tail-boot row's journal.
+const TAIL: usize = 16_000;
 
 /// A prebuilt restart state: checkpointed store + current index media,
-/// and the whole log for the replay side.
+/// the whole log for the replay side, and the checkpointed log with
+/// [`TAIL`] more records above the watermark.
 struct World {
     store: Arc<WalletStore>,
     checkpointed: Arc<WalletStore>,
+    tailed: Arc<WalletStore>,
     tab: MemMedium,
     probes: Vec<Node>,
     delegations: usize,
@@ -173,6 +184,21 @@ fn build_world(n: usize) -> World {
     checkpointed
         .truncate_through(certs.len() as u64)
         .expect("checkpoint truncation");
+    let tailed = Arc::new(WalletStore::from_log_bytes(
+        checkpointed.log_bytes().expect("log bytes"),
+    ));
+    for i in 0..TAIL {
+        let cert = owner
+            .delegate(
+                Node::entity(&bulk_users[i % BULK_USERS]),
+                Node::role(owner.role(&format!("t{i}"))),
+            )
+            .sign(&owner)
+            .unwrap();
+        tailed
+            .append(&StoreEvent::Publish(Arc::new(cert)))
+            .expect("tail append");
+    }
 
     let tab = MemMedium::new();
     let index = DelegationIndex::open(Box::new(
@@ -195,6 +221,7 @@ fn build_world(n: usize) -> World {
     World {
         store,
         checkpointed,
+        tailed,
         tab,
         probes: probe_users.iter().map(Node::entity).collect(),
         delegations: certs.len(),
@@ -250,18 +277,31 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> Stat {
     stat(&samples)
 }
 
-/// Measures the indexed boot (index open + `open_indexed`) in ms.
+/// Measures the indexed boot (index open + `open_indexed`) of the
+/// checkpointed journal in ms.
 fn boot_indexed_ms(world: &World, reps: usize) -> Stat {
+    boot_indexed_over_ms(world, &world.checkpointed, 0, reps)
+}
+
+/// Measures the indexed boot over `journal`, which holds `tail` records
+/// above the index's watermark, in ms.
+fn boot_indexed_over_ms(
+    world: &World,
+    journal: &Arc<WalletStore>,
+    tail: usize,
+    reps: usize,
+) -> Stat {
     time_ms(reps, || {
         let index = open_index(world);
         let (wallet, report) = DurableWallet::open_indexed(
             "bench.wallet-ops",
             SimClock::new(),
-            Arc::clone(&world.checkpointed),
+            Arc::clone(journal),
             index,
         )
         .expect("indexed boot");
         assert!(report.lazy, "a current index must boot on the fast path");
+        assert_eq!(report.caught_up, tail, "the tail above the watermark");
         black_box(wallet);
     })
 }
@@ -270,6 +310,8 @@ fn boot_indexed_ms(world: &World, reps: usize) -> Stat {
 struct SizePoint {
     delegations: usize,
     boot_indexed: Stat,
+    boot_indexed_full_journal: Stat,
+    boot_indexed_tail_16k: Stat,
     boot_replay: Stat,
     cold_query: Stat,
     query_indexed: Stat,
@@ -288,6 +330,8 @@ fn measure_size(n: usize, smoke: bool) -> SizePoint {
     let query_sweeps = if smoke { 2 } else { 8 };
 
     let boot_indexed = boot_indexed_ms(&world, boot_reps);
+    let boot_indexed_full_journal = boot_indexed_over_ms(&world, &world.store, 0, boot_reps);
+    let boot_indexed_tail_16k = boot_indexed_over_ms(&world, &world.tailed, TAIL, boot_reps);
 
     // One indexed wallet for the query measurements.
     let (indexed, report) = DurableWallet::open_indexed(
@@ -379,6 +423,8 @@ fn measure_size(n: usize, smoke: bool) -> SizePoint {
     SizePoint {
         delegations: world.delegations,
         boot_indexed,
+        boot_indexed_full_journal,
+        boot_indexed_tail_16k,
         boot_replay,
         cold_query,
         query_indexed,
@@ -391,11 +437,15 @@ fn measure_size(n: usize, smoke: bool) -> SizePoint {
 fn json_point(p: &SizePoint) -> String {
     let boot_speedup = p.boot_replay.mean / p.boot_indexed.mean;
     format!(
-        "    {{\"delegations\": {}, \"boot_indexed\": {}, \"boot_replay\": {}, \
+        "    {{\"delegations\": {}, \"boot_indexed\": {}, \
+         \"boot_indexed_full_journal\": {}, \"boot_indexed_tail_16k\": {}, \
+         \"boot_replay\": {}, \
          \"boot_speedup\": {:.1}, \"cold_query\": {}, \"query_indexed\": {}, \
          \"query_walk\": {}, \"audit_indexed\": {}, \"audit_walk\": {}}}",
         p.delegations,
         json_stat(&p.boot_indexed, "ms"),
+        json_stat(&p.boot_indexed_full_journal, "ms"),
+        json_stat(&p.boot_indexed_tail_16k, "ms"),
         json_stat(&p.boot_replay, "ms"),
         boot_speedup,
         json_stat(&p.cold_query, "ns"),

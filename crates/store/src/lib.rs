@@ -21,12 +21,25 @@
 //!   property tests (including power-loss simulation of unsynced
 //!   tails); [`FileMedium`] backs the CLI's on-disk store.
 //!
+//! **Reading the log** is two steps: *framing* — one implementation
+//! that streams a [`Medium`] in bounded `read_at` windows and checks the
+//! magic, lengths, CRCs and strictly increasing sequence numbers — and
+//! *decoding* a framed payload into a [`StoreEvent`], which only the
+//! callers that need events run. [`WalletStore::recover`],
+//! [`WalletStore::read_log`] and [`scan_log`] decode every record and
+//! [`WalletStore::verify`] decodes each and drops it; opening a store,
+//! [`WalletStore::heal_tail`] and [`WalletStore::truncate_through`]
+//! frame only, and [`WalletStore::replay_above`] decodes only the
+//! records above a watermark. No boot path holds the whole log in one
+//! buffer.
+//!
 //! **Recovery invariant:** a log that starts at seq 1 replays into the
 //! whole wallet; a truncated one replays the tail above the index's
-//! watermark (`drbac-wallet`'s indexed boot). A torn or corrupted log tail (detected by the
-//! length/CRC framing and the strictly-increasing sequence numbers) is
-//! *truncated, never a panic*: the store recovers exactly the longest
-//! valid prefix of the log. See `DESIGN.md` §4.4 for the full model.
+//! watermark (`drbac-wallet`'s indexed boot). A torn or corrupted log
+//! tail (detected by the length/CRC framing and the strictly-increasing
+//! sequence numbers) is *truncated, never a panic*: the store recovers
+//! exactly the longest valid prefix of the log. See `DESIGN.md` §4.4
+//! for the full model.
 
 mod crc;
 mod event;

@@ -236,7 +236,10 @@ impl Medium for FileMedium {
     fn read_all(&self) -> io::Result<Vec<u8>> {
         let mut file = self.file.lock();
         file.seek(SeekFrom::Start(0))?;
-        let mut buf = Vec::new();
+        // Sized from the file, so a whole-log read holds one buffer of
+        // the log's size rather than a doubling series of them.
+        let len = usize::try_from(file.metadata()?.len()).unwrap_or(0);
+        let mut buf = Vec::with_capacity(len);
         file.read_to_end(&mut buf)?;
         Ok(buf)
     }

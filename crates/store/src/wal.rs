@@ -2,6 +2,11 @@
 //! corruption taxonomy, and the [`WalletStore`] handle providing
 //! group-committed appends, checkpoint truncation, and crash recovery.
 //!
+//! A scan is two steps: framing (`Frames`, the one implementation of
+//! the frame checks, streaming the medium in bounded windows) and
+//! decoding a framed payload (`decode_payload`), which only the callers
+//! that need events run.
+//!
 //! ## Frame format
 //!
 //! A log is the 8-byte [`LOG_MAGIC`] followed by records:
@@ -25,7 +30,7 @@ use std::path::Path;
 
 use parking_lot::Mutex;
 
-use drbac_core::{Reader, Writer};
+use drbac_core::{DecodeError, Reader, Writer};
 
 use crate::crc::crc32;
 use crate::event::StoreEvent;
@@ -206,96 +211,257 @@ pub struct ScanOutcome {
 /// the scan and is reported as [`Corruption`], with `valid_len` marking
 /// the boundary of the intact prefix.
 pub fn scan_log(bytes: &[u8]) -> ScanOutcome {
-    if bytes.is_empty() {
-        // A never-written medium: valid, vacuously.
-        return ScanOutcome {
-            records: Vec::new(),
-            valid_len: 0,
-            corruption: None,
-        };
-    }
-    if bytes.len() < LOG_MAGIC.len() || bytes[..LOG_MAGIC.len()] != LOG_MAGIC {
-        return ScanOutcome {
-            records: Vec::new(),
-            valid_len: 0,
-            corruption: Some(Corruption::BadMagic),
-        };
-    }
+    Frames::new(Source::Bytes(bytes))
+        .and_then(decode_all)
+        .expect("framing a byte slice reads no medium")
+}
 
-    let mut records = Vec::new();
-    let mut offset = LOG_MAGIC.len();
-    let mut prev_seq: Option<u64> = None;
-    let mut corruption = None;
+/// Bytes a framing scan reads from a medium at a time; a frame longer
+/// than this is read whole, so one read never exceeds
+/// `max(SCAN_CHUNK, largest frame)`.
+const SCAN_CHUNK: usize = 64 << 10;
 
-    while offset < bytes.len() {
-        if bytes.len() - offset < FRAME_HEADER {
-            corruption = Some(Corruption::TornHeader { offset });
-            break;
+/// Where a framing scan reads the log from.
+enum Source<'a> {
+    Bytes(&'a [u8]),
+    Medium(&'a dyn Medium),
+}
+
+/// One record whose framing checked out — length, size cap, CRC and a
+/// sequence number above the previous one — with its payload not yet
+/// decoded.
+struct Frame<'a> {
+    /// Byte offset of the record's header.
+    offset: usize,
+    seq: u64,
+    /// The whole payload, `seq` and kind included.
+    payload: &'a [u8],
+    /// Byte offset one past the frame.
+    end: usize,
+}
+
+/// What a framing scan found in the log's longest valid prefix.
+struct Span {
+    records: u64,
+    first_seq: Option<u64>,
+    last_seq: Option<u64>,
+    /// Length of the longest valid prefix (magic included; 0 for an
+    /// empty or headless log).
+    valid_len: usize,
+    /// Bytes on the medium, valid or not.
+    len: usize,
+    corruption: Option<Corruption>,
+}
+
+/// The framing scan: the one implementation of the log's frame checks.
+/// It walks the records in order, reading a medium in [`SCAN_CHUNK`]
+/// windows, and stops at the first violation. Decoding a payload is the
+/// caller's step ([`decode_payload`]); a caller that finds one
+/// undecodable ends the valid prefix before it with [`Frames::reject`].
+struct Frames<'a> {
+    source: Source<'a>,
+    /// The bytes read from a medium, starting at `window_at`.
+    window: Vec<u8>,
+    window_at: usize,
+    /// Offset of the next frame.
+    offset: usize,
+    /// The last frame handed out, counted into `span` by the next call
+    /// unless rejected.
+    pending: Option<(u64, usize)>,
+    span: Span,
+}
+
+impl<'a> Frames<'a> {
+    /// Starts a scan: checks the magic (reading at most one window).
+    fn new(source: Source<'a>) -> Result<Self, StoreError> {
+        let len = match source {
+            Source::Bytes(bytes) => bytes.len(),
+            Source::Medium(medium) => usize::try_from(medium.len()?)
+                .map_err(|_| StoreError::Corrupt("log larger than the address space".into()))?,
+        };
+        let mut frames = Frames {
+            source,
+            window: Vec::new(),
+            window_at: 0,
+            offset: LOG_MAGIC.len(),
+            pending: None,
+            span: Span {
+                records: 0,
+                first_seq: None,
+                last_seq: None,
+                valid_len: 0,
+                len,
+                corruption: None,
+            },
+        };
+        if len == 0 {
+            // A never-written medium: valid, vacuously.
+            frames.offset = 0;
+        } else if len < LOG_MAGIC.len() || frames.load(0, LOG_MAGIC.len())? != LOG_MAGIC {
+            frames.offset = len;
+            frames.span.corruption = Some(Corruption::BadMagic);
+        } else {
+            frames.span.valid_len = LOG_MAGIC.len();
         }
-        let len =
-            u32::from_be_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_be_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
+        Ok(frames)
+    }
+
+    /// The `n` bytes at `at`, reading a window from a medium unless the
+    /// current one holds them. The caller checked they lie within `len`.
+    fn load(&mut self, at: usize, n: usize) -> Result<&[u8], StoreError> {
+        let medium = match self.source {
+            Source::Bytes(bytes) => return Ok(&bytes[at..at + n]),
+            Source::Medium(medium) => medium,
+        };
+        if at < self.window_at || at + n > self.window_at + self.window.len() {
+            let want = n.max(SCAN_CHUNK).min(self.span.len - at);
+            self.window = medium.read_at(at as u64, want)?;
+            self.window_at = at;
+            if self.window.len() < n {
+                return Err(StoreError::Io(format!(
+                    "log read at byte {at} returned {} of {n} bytes",
+                    self.window.len()
+                )));
+            }
+        }
+        Ok(&self.window[at - self.window_at..][..n])
+    }
+
+    /// Counts the frame handed out last into the valid prefix.
+    fn commit(&mut self) {
+        if let Some((seq, end)) = self.pending.take() {
+            self.span.records += 1;
+            self.span.first_seq.get_or_insert(seq);
+            self.span.last_seq = Some(seq);
+            self.span.valid_len = end;
+        }
+    }
+
+    /// Ends the scan at the frame handed out last: its payload did not
+    /// decode, so the valid prefix stops before it.
+    fn reject(&mut self, corruption: Corruption) {
+        self.pending = None;
+        self.span.corruption = Some(corruption);
+    }
+
+    /// The next well-framed record, or `None` at the end of the valid
+    /// prefix (the span says why it ended).
+    fn next(&mut self) -> Result<Option<Frame<'_>>, StoreError> {
+        self.commit();
+        let offset = self.offset;
+        if self.span.corruption.is_some() || offset >= self.span.len {
+            return Ok(None);
+        }
+        let left = self.span.len - offset;
+        if left < FRAME_HEADER {
+            return self.stop(Corruption::TornHeader { offset });
+        }
+        let header = self.load(offset, FRAME_HEADER)?;
+        let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
         if len > MAX_RECORD {
-            corruption = Some(Corruption::OversizeRecord { offset, len });
-            break;
+            return self.stop(Corruption::OversizeRecord { offset, len });
         }
-        let have = bytes.len() - offset - FRAME_HEADER;
+        let have = left - FRAME_HEADER;
         if have < len {
-            corruption = Some(Corruption::TornRecord {
+            return self.stop(Corruption::TornRecord {
                 offset,
                 need: len,
                 have,
             });
-            break;
         }
-        let payload = &bytes[offset + FRAME_HEADER..offset + FRAME_HEADER + len];
+        let payload = &self.load(offset, FRAME_HEADER + len)?[FRAME_HEADER..];
         if crc32(payload) != crc {
-            corruption = Some(Corruption::BadCrc { offset });
-            break;
+            return self.stop(Corruption::BadCrc { offset });
         }
-        let decoded = (|| {
-            let mut r = Reader::new(payload);
-            let seq = r.u64()?;
-            let kind = r.u8()?;
-            let event = StoreEvent::decode_body(kind, &mut r)?;
-            r.finish()?;
-            Ok::<_, drbac_core::DecodeError>((seq, event))
-        })();
-        let (seq, event) = match decoded {
-            Ok(ok) => ok,
+        let seq = match Reader::new(payload).u64() {
+            Ok(seq) => seq,
             Err(e) => {
-                corruption = Some(Corruption::BadPayload {
+                return self.stop(Corruption::BadPayload {
                     offset,
                     error: e.to_string(),
-                });
-                break;
+                })
             }
         };
-        if let Some(prev) = prev_seq {
-            if seq <= prev {
-                corruption = Some(Corruption::NonMonotonicSeq {
-                    offset,
-                    prev,
-                    found: seq,
-                });
-                break;
-            }
+        if let Some(prev) = self.span.last_seq.filter(|&prev| seq <= prev) {
+            return self.stop(Corruption::NonMonotonicSeq {
+                offset,
+                prev,
+                found: seq,
+            });
         }
-        prev_seq = Some(seq);
-        offset += FRAME_HEADER + len;
-        records.push(ScannedRecord {
+        let end = offset + FRAME_HEADER + len;
+        self.offset = end;
+        self.pending = Some((seq, end));
+        // The window still holds the frame: this load reads nothing.
+        let payload = &self.load(offset, FRAME_HEADER + len)?[FRAME_HEADER..];
+        Ok(Some(Frame {
+            offset,
             seq,
-            event,
-            end: offset,
-        });
+            payload,
+            end,
+        }))
     }
 
-    let valid_len = records.last().map_or(LOG_MAGIC.len(), |r| r.end);
-    ScanOutcome {
-        records,
-        valid_len,
-        corruption,
+    fn stop(&mut self, corruption: Corruption) -> Result<Option<Frame<'_>>, StoreError> {
+        self.span.corruption = Some(corruption);
+        Ok(None)
     }
+
+    fn finish(mut self) -> Span {
+        self.commit();
+        self.span
+    }
+}
+
+/// Decodes a framed payload into its event — the one place a journal
+/// record is decoded, counted by `drbac.store.record.decoded.count`.
+fn decode_payload(payload: &[u8]) -> Result<StoreEvent, DecodeError> {
+    drbac_obs::static_counter!("drbac.store.record.decoded.count").inc();
+    let mut r = Reader::new(payload);
+    r.u64()?;
+    let kind = r.u8()?;
+    let event = StoreEvent::decode_body(kind, &mut r)?;
+    r.finish()?;
+    Ok(event)
+}
+
+/// The corruption a payload that framed but did not decode is.
+fn bad_payload(offset: usize, error: DecodeError) -> Corruption {
+    Corruption::BadPayload {
+        offset,
+        error: error.to_string(),
+    }
+}
+
+/// Frames and decodes every record of the valid prefix, handing each to
+/// `each` as `(seq, event, end)`; the first payload that does not
+/// decode ends the prefix.
+fn decode_each(
+    mut frames: Frames<'_>,
+    mut each: impl FnMut(u64, StoreEvent, usize),
+) -> Result<Span, StoreError> {
+    while let Some(frame) = frames.next()? {
+        let (offset, seq, end) = (frame.offset, frame.seq, frame.end);
+        match decode_payload(frame.payload) {
+            Ok(event) => each(seq, event, end),
+            Err(e) => frames.reject(bad_payload(offset, e)),
+        }
+    }
+    Ok(frames.finish())
+}
+
+/// Frames and decodes every record of the valid prefix, keeping them.
+fn decode_all(frames: Frames<'_>) -> Result<ScanOutcome, StoreError> {
+    let mut records = Vec::new();
+    let span = decode_each(frames, |seq, event, end| {
+        records.push(ScannedRecord { seq, event, end });
+    })?;
+    Ok(ScanOutcome {
+        records,
+        valid_len: span.valid_len,
+        corruption: span.corruption,
+    })
 }
 
 fn encode_frame(seq: u64, event: &StoreEvent) -> Vec<u8> {
@@ -340,6 +506,8 @@ pub struct StoreStatus {
     /// whole history, later once a checkpoint truncated it, `None` for
     /// an empty log.
     pub first_seq: Option<u64>,
+    /// The last record's sequence number, `None` for an empty log.
+    pub last_seq: Option<u64>,
 }
 
 /// The result of a read-only integrity check (`drbac store verify`).
@@ -416,6 +584,8 @@ struct Inner {
     records: u64,
     /// The first valid record's sequence number.
     first_seq: Option<u64>,
+    /// The last valid record's sequence number.
+    last_seq: Option<u64>,
     /// Appends since the last fsync.
     unsynced: u64,
     /// Length of the log's longest valid prefix.
@@ -428,40 +598,51 @@ struct Inner {
 }
 
 impl Inner {
+    /// A framing scan of the log as it sits on the medium.
+    fn frames(&self) -> Result<Frames<'_>, StoreError> {
+        Frames::new(Source::Medium(&*self.log))
+    }
+
+    /// Frames the whole log without decoding a record.
+    fn frame_all(&self) -> Result<Span, StoreError> {
+        let mut frames = self.frames()?;
+        while frames.next()?.is_some() {}
+        Ok(frames.finish())
+    }
+
     /// Refreshes bookkeeping from the medium without modifying it.
-    fn reload(&mut self) -> Result<ScanOutcome, StoreError> {
-        let bytes = self.log.read_all()?;
-        let outcome = scan_log(&bytes);
-        self.count(&outcome);
-        self.valid_len = outcome.valid_len as u64;
-        self.dirty_tail = outcome.valid_len < bytes.len();
-        Ok(outcome)
+    fn reload(&mut self) -> Result<(), StoreError> {
+        let span = self.frame_all()?;
+        self.count(&span);
+        self.valid_len = span.valid_len as u64;
+        self.dirty_tail = span.valid_len < span.len;
+        Ok(())
     }
 
     /// Record bookkeeping from a scan of the surviving records.
-    fn count(&mut self, outcome: &ScanOutcome) {
-        self.records = outcome.records.len() as u64;
-        self.first_seq = outcome.records.first().map(|r| r.seq);
-        let last_seq = outcome.records.last().map_or(0, |r| r.seq);
-        self.next_seq = (last_seq + 1).max(self.floor);
+    fn count(&mut self, span: &Span) {
+        self.records = span.records;
+        self.first_seq = span.first_seq;
+        self.last_seq = span.last_seq;
+        self.next_seq = (span.last_seq.unwrap_or(0) + 1).max(self.floor);
     }
 
-    /// Truncates a torn or corrupt tail found by `outcome` (or writes
-    /// the magic into an empty or headless log) and refreshes the
+    /// Truncates a torn or corrupt tail found by `span` (or writes the
+    /// magic into an empty or headless log) and refreshes the
     /// bookkeeping. Returns the bytes dropped.
-    fn heal(&mut self, bytes_len: usize, outcome: &ScanOutcome) -> Result<u64, StoreError> {
-        let truncated = (bytes_len - outcome.valid_len) as u64;
-        if outcome.valid_len < LOG_MAGIC.len() {
+    fn heal(&mut self, span: &Span) -> Result<u64, StoreError> {
+        let truncated = (span.len - span.valid_len) as u64;
+        if span.valid_len < LOG_MAGIC.len() {
             self.log.replace(&LOG_MAGIC)?;
         } else if truncated > 0 {
-            self.log.truncate(outcome.valid_len as u64)?;
+            self.log.truncate(span.valid_len as u64)?;
             self.log.sync()?;
         }
         if truncated > 0 {
             drbac_obs::static_counter!("drbac.store.recover.truncated.bytes.total").add(truncated);
         }
-        self.count(outcome);
-        self.valid_len = outcome.valid_len.max(LOG_MAGIC.len()) as u64;
+        self.count(span);
+        self.valid_len = span.valid_len.max(LOG_MAGIC.len()) as u64;
         self.dirty_tail = false;
         self.unsynced = 0;
         Ok(truncated)
@@ -480,6 +661,16 @@ impl Inner {
             self.dirty_tail = false;
         }
         Ok(())
+    }
+
+    fn status(&self) -> StoreStatus {
+        StoreStatus {
+            records: self.records,
+            log_bytes: self.valid_len,
+            next_seq: self.next_seq,
+            first_seq: self.first_seq,
+            last_seq: self.last_seq,
+        }
     }
 }
 
@@ -507,6 +698,7 @@ impl WalletStore {
             floor: 1,
             records: 0,
             first_seq: None,
+            last_seq: None,
             unsynced: 0,
             valid_len: 0,
             dirty_tail: false,
@@ -579,6 +771,7 @@ impl WalletStore {
         inner.next_seq = seq + 1;
         inner.records += 1;
         inner.first_seq.get_or_insert(seq);
+        inner.last_seq = Some(seq);
         inner.unsynced += 1;
         drbac_obs::static_counter!("drbac.store.append.count").inc();
         drbac_obs::static_counter!("drbac.store.append.bytes.total").add(frame.len() as u64);
@@ -620,54 +813,70 @@ impl WalletStore {
     /// error: it is reported in the returned [`Recovered`].
     pub fn recover(&self) -> Result<Recovered, StoreError> {
         let _timer = drbac_obs::static_histogram!("drbac.store.recover.scan.ns").start_timer();
-        let (outcome, truncated_bytes) = self.scan_and_heal()?;
-        Ok(Recovered {
-            events: outcome
-                .records
-                .into_iter()
-                .map(|r| (r.seq, r.event))
-                .collect(),
-            truncated_bytes,
-            torn_tail: outcome.corruption.as_ref().is_some_and(Corruption::is_torn),
-            corruption: outcome.corruption.map(|c| c.to_string()),
-        })
-    }
-
-    fn scan_and_heal(&self) -> Result<(ScanOutcome, u64), StoreError> {
         let mut inner = self.inner.lock();
-        let bytes = inner.log.read_all()?;
-        let outcome = scan_log(&bytes);
-        let truncated = inner.heal(bytes.len(), &outcome)?;
-        Ok((outcome, truncated))
+        let mut events = Vec::new();
+        let span = decode_each(inner.frames()?, |seq, event, _| events.push((seq, event)))?;
+        let truncated_bytes = inner.heal(&span)?;
+        Ok(Recovered {
+            events,
+            truncated_bytes,
+            torn_tail: span.corruption.as_ref().is_some_and(Corruption::is_torn),
+            corruption: span.corruption.map(|c| c.to_string()),
+        })
     }
 
     /// The checkpoint's log step: drops every record below the last one
     /// at or under `seq`, which stays as the anchor that keeps sequence
     /// numbers continuous. Call it only once everything up to `seq` is
     /// durable elsewhere. A no-op when no record lies at or under `seq`
-    /// beyond the first. The rewrite is one atomic [`Medium::replace`].
+    /// beyond the first. The anchor is found by framing alone, and only
+    /// the surviving suffix is read back; the rewrite is one atomic
+    /// [`Medium::replace`].
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure (the log is then unchanged).
     pub fn truncate_through(&self, seq: u64) -> Result<(), StoreError> {
         let mut inner = self.inner.lock();
-        let bytes = inner.log.read_all()?;
-        let outcome = scan_log(&bytes);
         // Sequence numbers increase, so the survivors are a suffix
-        // starting at the anchor.
-        let anchor = outcome.records.iter().rposition(|r| r.seq <= seq);
-        let Some(anchor @ 1..) = anchor else {
+        // starting at the anchor: (its offset, records before it, seq).
+        let mut anchor = None;
+        let mut frames = inner.frames()?;
+        let mut before = 0u64;
+        while let Some(frame) = frames.next()? {
+            if frame.seq <= seq {
+                anchor = Some((frame.offset, before, frame.seq));
+            }
+            before += 1;
+        }
+        let span = frames.finish();
+        let Some((keep_from, dropped @ 1.., first)) = anchor else {
             return Ok(());
         };
-        let keep_from = outcome.records[anchor - 1].end;
-        let mut rebuilt = Vec::with_capacity(LOG_MAGIC.len() + outcome.valid_len - keep_from);
+        let suffix = inner
+            .log
+            .read_at(keep_from as u64, span.valid_len - keep_from)?;
+        if suffix.len() != span.valid_len - keep_from {
+            return Err(StoreError::Io(format!(
+                "log read at byte {keep_from} returned {} of {} bytes",
+                suffix.len(),
+                span.valid_len - keep_from
+            )));
+        }
+        let mut rebuilt = Vec::with_capacity(LOG_MAGIC.len() + suffix.len());
         rebuilt.extend_from_slice(&LOG_MAGIC);
-        rebuilt.extend_from_slice(&bytes[keep_from..outcome.valid_len]);
+        rebuilt.extend_from_slice(&suffix);
+        drop(suffix);
         inner.log.replace(&rebuilt)?;
         drbac_obs::static_counter!("drbac.store.compact.count").inc();
-        let survivors = scan_log(&rebuilt);
-        inner.heal(rebuilt.len(), &survivors)?;
+        inner.heal(&Span {
+            records: span.records - dropped,
+            first_seq: Some(first),
+            last_seq: span.last_seq,
+            valid_len: rebuilt.len(),
+            len: rebuilt.len(),
+            corruption: None,
+        })?;
         Ok(())
     }
 
@@ -681,25 +890,25 @@ impl WalletStore {
         inner.next_seq = inner.next_seq.max(inner.floor);
     }
 
-    /// A read-only integrity check of the log as it sits on the medium.
-    /// Never modifies it.
+    /// A read-only integrity check of the log as it sits on the medium:
+    /// frames every record and decodes each payload, keeping none.
+    /// Never modifies the log.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure.
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let inner = self.inner.lock();
-        let bytes = inner.log.read_all()?;
-        let outcome = scan_log(&bytes);
+        let span = decode_each(inner.frames()?, |_, _, _| {})?;
         Ok(VerifyReport {
-            log_bytes: bytes.len() as u64,
-            records: outcome.records.len() as u64,
-            first_seq: outcome.records.first().map(|r| r.seq),
-            last_seq: outcome.records.last().map(|r| r.seq),
-            valid_len: outcome.valid_len as u64,
-            trailing_bytes: (bytes.len() - outcome.valid_len) as u64,
-            torn_tail: outcome.corruption.as_ref().is_some_and(Corruption::is_torn),
-            corruption: outcome.corruption.map(|c| c.to_string()),
+            log_bytes: span.len as u64,
+            records: span.records,
+            first_seq: span.first_seq,
+            last_seq: span.last_seq,
+            valid_len: span.valid_len as u64,
+            trailing_bytes: (span.len - span.valid_len) as u64,
+            torn_tail: span.corruption.as_ref().is_some_and(Corruption::is_torn),
+            corruption: span.corruption.map(|c| c.to_string()),
             index: None,
         })
     }
@@ -707,36 +916,66 @@ impl WalletStore {
     /// A cheap summary from the store's bookkeeping (no medium reads
     /// beyond what open already did).
     pub fn status(&self) -> StoreStatus {
-        let inner = self.inner.lock();
-        StoreStatus {
-            records: inner.records,
-            log_bytes: inner.valid_len,
-            next_seq: inner.next_seq,
-            first_seq: inner.first_seq,
-        }
+        self.inner.lock().status()
     }
 
-    /// Scans the log and truncates any torn or corrupt tail — the
-    /// healing [`WalletStore::recover`] performs, without handing the
-    /// events over. The indexed boot path uses this so a
-    /// crash-interrupted append can't linger just because the full
-    /// replay was skipped. Returns the scan of the surviving prefix.
+    /// Frames the log and truncates any torn or corrupt tail — the
+    /// healing [`WalletStore::recover`] performs, without decoding a
+    /// record. The indexed boot path uses this so a crash-interrupted
+    /// append can't linger just because the full replay was skipped. A
+    /// record that frames but does not decode is not found here: it is
+    /// left for [`WalletStore::replay_above`], [`WalletStore::recover`]
+    /// and [`WalletStore::verify`]. Returns the healed log's status.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure.
-    pub fn heal_tail(&self) -> Result<ScanOutcome, StoreError> {
-        Ok(self.scan_and_heal()?.0)
+    pub fn heal_tail(&self) -> Result<StoreStatus, StoreError> {
+        let mut inner = self.inner.lock();
+        let span = inner.frame_all()?;
+        inner.heal(&span)?;
+        Ok(inner.status())
     }
 
-    /// Scans the log as found on the medium (for `drbac store inspect`).
+    /// Hands each record of the valid prefix above `seq` to `apply`, in
+    /// log order, decoding only those; the records at or below `seq`
+    /// are framed and skipped. Returns how many were applied.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on medium failure; [`StoreError::Corrupt`]
+    /// for a record above `seq` that does not decode (nothing after it
+    /// is applied); and whatever `apply` returns, which stops the replay.
+    pub fn replay_above(
+        &self,
+        seq: u64,
+        mut apply: impl FnMut(u64, StoreEvent) -> Result<(), StoreError>,
+    ) -> Result<usize, StoreError> {
+        let inner = self.inner.lock();
+        let mut frames = inner.frames()?;
+        let mut applied = 0;
+        while let Some(frame) = frames.next()? {
+            if frame.seq <= seq {
+                continue;
+            }
+            let event = decode_payload(frame.payload).map_err(|e| {
+                let corruption = bad_payload(frame.offset, e);
+                StoreError::Corrupt(format!("record {}: {corruption}", frame.seq))
+            })?;
+            apply(frame.seq, event)?;
+            applied += 1;
+        }
+        Ok(applied)
+    }
+
+    /// Decodes the log as found on the medium (for `drbac store
+    /// inspect`).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on medium failure.
     pub fn read_log(&self) -> Result<ScanOutcome, StoreError> {
-        let inner = self.inner.lock();
-        Ok(scan_log(&inner.log.read_all()?))
+        decode_all(self.inner.lock().frames()?)
     }
 
     /// The raw log bytes (test and benchmark helper).
@@ -978,6 +1217,61 @@ mod tests {
             assert_eq!(store.append(&mark(7)).unwrap(), 5);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn framing_streams_windows_and_frames_a_record_larger_than_one() {
+        // 3,000 marks span several windows; record 1,501 is larger than
+        // a window and frames, but does not decode (an unknown kind).
+        let mut bytes = LOG_MAGIC.to_vec();
+        for seq in 1..=3_000u64 {
+            if seq == 1_501 {
+                let mut payload = seq.to_be_bytes().to_vec();
+                payload.push(0xEE);
+                payload.resize(SCAN_CHUNK + 100, 7);
+                bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+                bytes.extend_from_slice(&crc32(&payload).to_be_bytes());
+                bytes.extend_from_slice(&payload);
+            } else {
+                bytes.extend_from_slice(&encode_frame(seq, &mark(seq as u8)));
+            }
+        }
+        assert!(bytes.len() > 3 * SCAN_CHUNK);
+        let store = WalletStore::from_log_bytes(bytes.clone());
+        let status = store.heal_tail().unwrap();
+        assert_eq!(
+            (status.records, status.first_seq, status.last_seq),
+            (3_000, Some(1), Some(3_000)),
+            "framing alone passes the undecodable record"
+        );
+        assert_eq!(status.log_bytes, bytes.len() as u64);
+        let mut applied = Vec::new();
+        let replayed = store.replay_above(2_998, |seq, event| {
+            applied.push((seq, event));
+            Ok(())
+        });
+        assert_eq!(replayed, Ok(2));
+        let tail: Vec<_> = (2_999..=3_000).map(|seq| (seq, mark(seq as u8))).collect();
+        assert_eq!(applied, tail);
+        let undecodable = store.replay_above(1_500, |_, _| Ok(()));
+        assert!(matches!(undecodable, Err(StoreError::Corrupt(_))));
+
+        // Decoding stops there, over the medium and over the bytes alike.
+        let scan = scan_log(&bytes);
+        assert_eq!(scan.records.len(), 1_500);
+        assert!(matches!(
+            scan.corruption,
+            Some(Corruption::BadPayload { .. })
+        ));
+        let report = store.verify().unwrap();
+        assert_eq!(
+            (report.records, report.valid_len),
+            (1_500, scan.valid_len as u64)
+        );
+        assert_eq!(store.read_log().unwrap(), scan);
+        let recovered = store.recover().unwrap();
+        assert_eq!(recovered.events.len(), 1_500);
+        assert_eq!(store.status().log_bytes, scan.valid_len as u64);
     }
 
     #[test]

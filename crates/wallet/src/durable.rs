@@ -179,14 +179,13 @@ impl DurableWallet {
         store: &Arc<WalletStore>,
         index: &Arc<DelegationIndex>,
     ) -> Result<IndexedBootReport, String> {
-        // Heal while scanning: a torn final append must be truncated
+        // Heal while framing: a torn final append must be truncated
         // here exactly as a full recover() would, since this boot path
-        // otherwise never touches the damaged bytes.
-        let tail = store.heal_tail().map_err(|e| format!("log scan: {e}"))?;
-        let first_seq = tail.records.first().map(|r| r.seq);
-        let last_seq = tail.records.last().map_or(0, |r| r.seq);
+        // otherwise never touches the damaged bytes. No record is
+        // decoded yet.
+        let log = store.heal_tail().map_err(|e| format!("log scan: {e}"))?;
 
-        index.covers(first_seq, last_seq)?;
+        index.covers(log.first_seq, log.last_seq.unwrap_or(0))?;
         let Some(watermark) = index.watermark() else {
             // Fresh store, fresh index: nothing to seed or catch up. The
             // first record stamps the index durably at watermark 0
@@ -200,21 +199,21 @@ impl DurableWallet {
                 recovery: None,
             });
         };
-        if first_seq.is_none() {
+        if log.first_seq.is_none() {
             // An empty log beside a watermark: the index is all there is.
             store.continue_after(watermark);
         }
 
         // Tail catch-up: the records above the watermark rebuild the
         // overlay the last process held, at their original sequence
-        // numbers.
-        let mut caught_up = 0usize;
-        for record in tail.records.iter().filter(|r| r.seq > watermark) {
-            index
-                .apply(record.seq, &record.event)
-                .map_err(|e| format!("index catch-up at seq {}: {e}", record.seq))?;
-            caught_up += 1;
-        }
+        // numbers. Only they are decoded: the index already holds the
+        // effect of every record at or below the watermark, so one of
+        // those that frames but does not decode is left to `store
+        // verify`. One above it that does not decode sends the boot to
+        // the full replay, which truncates the log there.
+        let caught_up = store
+            .replay_above(watermark, |seq, event| index.apply(seq, &event))
+            .map_err(|e| format!("index catch-up above seq {watermark}: {e}"))?;
 
         // Eager state. Declarations and support proofs feed every
         // validation context; marks make `is_revoked` answer correctly
@@ -680,5 +679,137 @@ mod tests {
         };
         assert_eq!(answers(&full).len(), 3);
         assert_eq!(answers(&reborn), answers(&full));
+    }
+
+    /// A served home: an indexed wallet over a journal medium that took
+    /// `before` publishes (`A.r0`, … for M), one checkpoint — the first,
+    /// so the journal stays whole and the index's watermark is `before`
+    /// — and then `after` more. Returns the journal and its index media.
+    fn served_home(
+        before: usize,
+        after: usize,
+    ) -> (
+        drbac_store::MemMedium,
+        [drbac_store::MemMedium; 2],
+        LocalEntity,
+        LocalEntity,
+    ) {
+        let mut rng = StdRng::seed_from_u64(41);
+        let g = SchnorrGroup::test_256();
+        let a = LocalEntity::generate("A", g.clone(), &mut rng);
+        let m = LocalEntity::generate("M", g, &mut rng);
+        let journal = drbac_store::MemMedium::new();
+        let media = [(); 2].map(|_| drbac_store::MemMedium::new());
+        let (w, _) = reopen(&journal, &media);
+        for i in 0..before + after {
+            if i == before {
+                assert_eq!(w.checkpoint().unwrap(), None, "the journal stays whole");
+            }
+            let cert = a
+                .delegate(Node::entity(&m), Node::role(a.role(&format!("r{i}"))))
+                .sign(&a)
+                .unwrap();
+            w.publish(cert, vec![]).unwrap();
+        }
+        (journal, media, a, m)
+    }
+
+    /// Boots the home held by `journal` and the index `media`.
+    fn reopen(
+        journal: &drbac_store::MemMedium,
+        media: &[drbac_store::MemMedium; 2],
+    ) -> (DurableWallet, IndexedBootReport) {
+        let store = drbac_store::WalletStore::from_media(
+            Box::new(journal.clone()),
+            drbac_store::StoreConfig::default(),
+        )
+        .unwrap();
+        let [tab, prev] = media
+            .clone()
+            .map(|m| Box::new(m) as Box<dyn drbac_store::Medium>);
+        let table = drbac_index::FileTable::from_media(tab, prev).unwrap();
+        let index = Arc::new(DelegationIndex::open(Box::new(table)).unwrap());
+        DurableWallet::open_indexed("w", SimClock::new(), Arc::new(store), index).unwrap()
+    }
+
+    /// Replaces the journal's record `seq` with one that passes its CRC
+    /// but does not decode (an unknown event kind), and returns its byte
+    /// offset.
+    fn swap_in_undecodable(journal: &drbac_store::MemMedium, seq: u64) -> usize {
+        use drbac_store::Medium;
+        let log = journal.read_all().unwrap();
+        let scan = drbac_store::scan_log(&log);
+        let at = scan.records.iter().position(|r| r.seq == seq).unwrap();
+        let (start, end) = (scan.records[at - 1].end, scan.records[at].end);
+        let mut payload = seq.to_be_bytes().to_vec();
+        payload.push(0xEE);
+        let mut rebuilt = log[..start].to_vec();
+        rebuilt.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        rebuilt.extend_from_slice(&drbac_store::crc32(&payload).to_be_bytes());
+        rebuilt.extend_from_slice(&payload);
+        rebuilt.extend_from_slice(&log[end..]);
+        journal.replace(&rebuilt).unwrap();
+        start
+    }
+
+    #[test]
+    fn an_undecodable_record_under_the_watermark_leaves_the_boot_lazy() {
+        let _degrades = DEGRADES.lock();
+        let (journal, media, a, m) = served_home(3, 1);
+        let offset = swap_in_undecodable(&journal, 2);
+        let degraded = drbac_obs::static_counter!("drbac.index.degraded.count");
+        let before = degraded.get();
+
+        let (w, report) = reopen(&journal, &media);
+        assert!(report.lazy && report.recovery.is_none(), "{report:?}");
+        assert_eq!((report.watermark, report.caught_up), (3, 1));
+        assert_eq!(degraded.get(), before, "no fallback");
+        // The index holds the record's effect; the log keeps every record.
+        for i in 0..4 {
+            let object = Node::role(a.role(&format!("r{i}")));
+            assert!(
+                w.query_direct(&Node::entity(&m), &object, &[]).is_some(),
+                "r{i}"
+            );
+        }
+        let cert = a
+            .delegate(Node::entity(&m), Node::role(a.role("r4")))
+            .sign(&a)
+            .unwrap();
+        w.publish(cert, vec![]).unwrap();
+        assert_eq!(
+            (w.store().status().records, w.store().status().last_seq),
+            (5, Some(5))
+        );
+
+        let report = w.store().verify().unwrap();
+        assert_eq!((report.records, report.valid_len), (1, offset as u64));
+        assert!(
+            report
+                .corruption
+                .is_some_and(|c| c.starts_with(&format!("undecodable payload at byte {offset}"))),
+            "store verify reports it"
+        );
+    }
+
+    #[test]
+    fn an_undecodable_record_above_the_watermark_takes_the_full_replay() {
+        let _degrades = DEGRADES.lock();
+        let (journal, media, a, m) = served_home(2, 3);
+        let offset = swap_in_undecodable(&journal, 4);
+
+        let (w, report) = reopen(&journal, &media);
+        assert!(!report.lazy, "{report:?}");
+        let recovery = report.recovery.expect("the full replay ran");
+        assert_eq!(recovery.replayed, 3, "the prefix before the record");
+        assert!(recovery.truncated_bytes > 0 && !recovery.torn_tail);
+        assert_eq!(w.store().status().last_seq, Some(3));
+        assert_eq!(w.store().status().log_bytes, offset as u64);
+        for i in 0..5 {
+            let object = Node::role(a.role(&format!("r{i}")));
+            let held = w.query_direct(&Node::entity(&m), &object, &[]).is_some();
+            assert_eq!(held, i < 3, "r{i}");
+        }
+        assert!(w.store().verify().unwrap().is_clean());
     }
 }

@@ -1121,22 +1121,31 @@ fn an_index_persists_only_what_is_read() {
 }
 
 /// A shared `MemMedium` counting its writes (appends, truncations,
-/// replacements) and its syncs.
+/// replacements) and its syncs, its whole-medium reads and the largest
+/// single ranged read.
 #[derive(Clone, Default)]
 struct CountingMedium {
     inner: MemMedium,
     writes: Arc<AtomicU64>,
     syncs: Arc<AtomicU64>,
+    read_alls: Arc<AtomicU64>,
+    largest_read: Arc<AtomicU64>,
 }
 
 impl CountingMedium {
     fn counts(&self) -> [u64; 2] {
         [&self.writes, &self.syncs].map(|n| n.load(Ordering::Relaxed))
     }
+
+    /// `[read_all calls, largest read_at]` since the last call.
+    fn take_reads(&self) -> [u64; 2] {
+        [&self.read_alls, &self.largest_read].map(|n| n.swap(0, Ordering::Relaxed))
+    }
 }
 
 impl Medium for CountingMedium {
     fn read_all(&self) -> std::io::Result<Vec<u8>> {
+        self.read_alls.fetch_add(1, Ordering::Relaxed);
         self.inner.read_all()
     }
     fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
@@ -1156,7 +1165,12 @@ impl Medium for CountingMedium {
         self.inner.sync()
     }
     fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-        self.inner.read_at(offset, len)
+        let bytes = self.inner.read_at(offset, len)?;
+        (self.largest_read).fetch_max(bytes.len() as u64, Ordering::Relaxed);
+        Ok(bytes)
+    }
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
     }
 }
 
@@ -1239,6 +1253,83 @@ fn boot_sig_checks(history: usize, tail: usize) -> u64 {
 fn an_indexed_boot_checks_no_signature_and_applies_only_the_journal_tail() {
     let _serial = serial();
     assert_eq!([boot_sig_checks(8, 3), boot_sig_checks(64, 3)], [0, 0]);
+}
+
+/// Journal records decoded, by the one decode function.
+const DECODED: &str = "drbac.store.record.decoded.count";
+/// The store's framing window: a scan reads at most this much at once,
+/// or one frame when that is larger.
+const SCAN_CHUNK: u64 = 64 << 10;
+
+/// An indexed boot of a served home — one that compacted `history`
+/// publishes with its journal untruncated (`drbac serve` never
+/// checkpoints), then took 3 more — from opening its journal on:
+/// `[records decoded, journal read_all calls, largest journal read,
+/// journal bytes]`.
+fn served_boot(history: usize) -> [u64; 4] {
+    let mut rng = StdRng::seed_from_u64(3737);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let member = LocalEntity::generate("Member", g, &mut rng);
+    let journal = CountingMedium::default();
+    let media = [MemMedium::new(), MemMedium::new()];
+    let boot = || {
+        let store = WalletStore::from_media(Box::new(journal.clone()), StoreConfig::default());
+        let [tab, prev] = media.clone().map(|m| Box::new(m) as Box<dyn Medium>);
+        let table = FileTable::from_media(tab, prev).unwrap();
+        let index = Arc::new(DelegationIndex::open(Box::new(table)).unwrap());
+        DurableWallet::open_indexed("w", SimClock::new(), Arc::new(store.unwrap()), index).unwrap()
+    };
+    {
+        let (wallet, _) = boot();
+        for i in 0..history + 3 {
+            if i == history {
+                assert_eq!(
+                    wallet.checkpoint().unwrap(),
+                    None,
+                    "the journal stays whole"
+                );
+            }
+            let cert = org
+                .delegate(
+                    Node::entity(&member),
+                    Node::role(org.role(&format!("r{i}"))),
+                )
+                .sign(&org)
+                .unwrap();
+            wallet.publish(cert, vec![]).unwrap();
+        }
+    }
+    journal.take_reads();
+    let ([decoded], (_, report)) = delta([DECODED], boot);
+    assert_eq!(
+        (report.lazy, report.watermark, report.caught_up),
+        (true, history as u64, 3)
+    );
+    let [read_alls, largest_read] = journal.take_reads();
+    [decoded, read_alls, largest_read, journal.len().unwrap()]
+}
+
+#[test]
+fn an_indexed_boot_decodes_only_the_records_it_applies() {
+    let _serial = serial();
+    assert_eq!([served_boot(8)[0], served_boot(64)[0]], [3, 3]);
+}
+
+#[test]
+fn an_indexed_boot_reads_the_journal_in_bounded_chunks() {
+    let _serial = serial();
+    // 256 publishes make a journal larger than the window, so the bound
+    // is one the scan keeps rather than the log's own size.
+    for history in [8, 64, 256] {
+        let [_, read_alls, largest_read, bytes] = served_boot(history);
+        assert_eq!(read_alls, 0, "history {history}: a whole-log read");
+        assert!(
+            largest_read <= SCAN_CHUNK,
+            "history {history}: one read of {largest_read} bytes"
+        );
+        assert_eq!(bytes > SCAN_CHUNK, history == 256, "{bytes} journal bytes");
+    }
 }
 
 /// EXPERIMENTS.md's F-A block: the lines between its two markers.
