@@ -15,6 +15,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::attr::{AttrAccumulator, AttrConstraint, AttrSummary, DeclarationSet};
@@ -176,17 +177,11 @@ impl Proof {
     /// proofs, deduplicated — the set a proof monitor subscribes to.
     pub fn delegation_ids(&self) -> BTreeSet<DelegationId> {
         let mut out = BTreeSet::new();
-        self.collect_ids(&mut out);
+        let _ = self.try_for_each_cert(&mut |cert| {
+            out.insert(cert.id());
+            ControlFlow::<()>::Continue(())
+        });
         out
-    }
-
-    fn collect_ids(&self, out: &mut BTreeSet<DelegationId>) {
-        for step in &self.steps {
-            out.insert(step.cert().id());
-            for s in step.supports() {
-                s.collect_ids(out);
-            }
-        }
     }
 
     /// `true` if every step's transitive-trust limit (if any) is
@@ -206,17 +201,27 @@ impl Proof {
     /// Iterates over every credential in the proof (chain and supports).
     pub fn all_certs(&self) -> Vec<Arc<SignedDelegation>> {
         let mut out = Vec::new();
-        self.collect_certs(&mut out);
+        let _ = self.try_for_each_cert(&mut |cert| {
+            out.push(Arc::clone(cert));
+            ControlFlow::<()>::Continue(())
+        });
         out
     }
 
-    fn collect_certs(&self, out: &mut Vec<Arc<SignedDelegation>>) {
+    /// Calls `f` on every credential in the proof — its chain and,
+    /// recursively, its supports' — in that order, until `f` breaks;
+    /// allocates nothing. A credential used twice is visited twice.
+    pub fn try_for_each_cert<B>(
+        &self,
+        f: &mut impl FnMut(&Arc<SignedDelegation>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         for step in &self.steps {
-            out.push(step.cert_arc());
-            for s in step.supports() {
-                s.collect_certs(out);
+            f(&step.cert)?;
+            for support in &step.supports {
+                support.try_for_each_cert(f)?;
             }
         }
+        ControlFlow::Continue(())
     }
 }
 

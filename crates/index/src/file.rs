@@ -55,8 +55,6 @@ use drbac_store::{crc32, FileMedium, Medium, MemMedium, StoreError};
 
 use crate::table::{TableBackend, TableOp, TableStats};
 
-/// Decoded `(key, value)` entries of one base-file block.
-type Entries = Vec<(Vec<u8>, Vec<u8>)>;
 /// The overlay: `Some` = pending put, `None` = pending delete.
 type Overlay = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
 
@@ -74,8 +72,9 @@ const MAX_REGION: usize = 1 << 26;
 /// Auto-compaction threshold: merge the overlay into the base once it
 /// holds this many keys.
 const DELTA_MAX_OPS: usize = 1 << 16;
-/// Decoded blocks kept hot (FIFO eviction); at the default block size
-/// this bounds the cache near 4 MiB plus key overhead.
+/// Blocks kept hot (FIFO eviction). A block is held as read, plus four
+/// bytes per entry, so at the default block size this bounds the cache
+/// near 4 MiB.
 const BLOCK_CACHE: usize = 1024;
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
@@ -135,25 +134,63 @@ fn push_fence(out: &mut Vec<u8>, f: &Fence) {
     out.extend_from_slice(&f.crc.to_be_bytes());
 }
 
-fn parse_block(bytes: &[u8]) -> Result<Entries, StoreError> {
-    let mut entries = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        if bytes.len() - at < 8 {
-            return Err(corrupt("torn block entry header"));
+/// One base-file block as read: its CRC-checked bytes plus the offset
+/// of each entry. Lookups binary-search the offsets and scans slice keys
+/// and values out of the bytes, so nothing is copied per entry.
+struct Block {
+    bytes: Box<[u8]>,
+    offsets: Box<[u32]>,
+}
+
+impl Block {
+    /// Frames `bytes` into entries; a block shorter than its entries
+    /// claim is corrupt.
+    fn parse(bytes: Vec<u8>) -> Result<Self, StoreError> {
+        let mut offsets = Vec::new();
+        let mut at = 0usize;
+        while at < bytes.len() {
+            if bytes.len() - at < 8 {
+                return Err(corrupt("torn block entry header"));
+            }
+            let klen = be32(&bytes[at..at + 4]) as usize;
+            let vlen = be32(&bytes[at + 4..at + 8]) as usize;
+            if klen > MAX_REGION || vlen > MAX_REGION || bytes.len() - at - 8 < klen + vlen {
+                return Err(corrupt("torn block entry"));
+            }
+            offsets.push(u32::try_from(at).map_err(|_| corrupt("block longer than 4 GiB"))?);
+            at += 8 + klen + vlen;
         }
-        let klen = be32(&bytes[at..at + 4]) as usize;
-        let vlen = be32(&bytes[at + 4..at + 8]) as usize;
-        at += 8;
-        if klen > MAX_REGION || vlen > MAX_REGION || bytes.len() - at < klen + vlen {
-            return Err(corrupt("torn block entry"));
-        }
-        let key = bytes[at..at + klen].to_vec();
-        let value = bytes[at + klen..at + klen + vlen].to_vec();
-        at += klen + vlen;
-        entries.push((key, value));
+        Ok(Block {
+            bytes: bytes.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+        })
     }
-    Ok(entries)
+
+    /// The key and value of the entry starting at byte `at`.
+    fn entry_at(&self, at: u32) -> (&[u8], &[u8]) {
+        let at = at as usize;
+        let klen = be32(&self.bytes[at..at + 4]) as usize;
+        let vlen = be32(&self.bytes[at + 4..at + 8]) as usize;
+        let (key, rest) = self.bytes[at + 8..].split_at(klen);
+        (key, &rest[..vlen])
+    }
+
+    /// The value stored under `key`.
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        let i = self
+            .offsets
+            .binary_search_by(|&at| self.entry_at(at).0.cmp(key))
+            .ok()?;
+        Some(self.entry_at(self.offsets[i]).1)
+    }
+
+    /// Entries with keys `>= start`, in order.
+    fn entries_from(&self, start: &[u8]) -> impl Iterator<Item = (&[u8], &[u8])> {
+        let from = self
+            .offsets
+            .partition_point(|&at| self.entry_at(at).0 < start);
+        self.offsets[from..].iter().map(|&at| self.entry_at(at))
+    }
 }
 
 /// Parsed trailer + L2 of a non-empty base file.
@@ -168,8 +205,8 @@ struct BaseState {
     meta: Option<BaseMeta>,
     /// L1 fence groups by group index.
     group_cache: HashMap<usize, Arc<Vec<Fence>>>,
-    /// Decoded blocks by file offset, FIFO-evicted.
-    block_cache: HashMap<u64, Arc<Entries>>,
+    /// Blocks by file offset, FIFO-evicted.
+    block_cache: HashMap<u64, Arc<Block>>,
     block_order: VecDeque<u64>,
 }
 
@@ -247,7 +284,7 @@ impl BaseState {
         Ok(group)
     }
 
-    fn block(&mut self, fence: &Fence) -> Result<Arc<Entries>, StoreError> {
+    fn block(&mut self, fence: &Fence) -> Result<Arc<Block>, StoreError> {
         if let Some(b) = self.block_cache.get(&fence.off) {
             return Ok(b.clone());
         }
@@ -258,7 +295,7 @@ impl BaseState {
                 fence.off
             )));
         }
-        let block = Arc::new(parse_block(&bytes)?);
+        let block = Arc::new(Block::parse(bytes)?);
         if self.block_order.len() >= BLOCK_CACHE {
             if let Some(evict) = self.block_order.pop_front() {
                 self.block_cache.remove(&evict);
@@ -288,10 +325,7 @@ impl BaseState {
         let group = self.group(gi)?;
         let bi = Self::fence_at(&group, key);
         let block = self.block(&group[bi])?;
-        Ok(block
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| block[i].1.clone()))
+        Ok(block.get(key).map(<[u8]>::to_vec))
     }
 
     /// Streams base entries with `start <= key < end` in order.
@@ -321,9 +355,8 @@ impl BaseState {
                     return Ok(true);
                 }
                 let block = self.block(fence)?;
-                let from = block.partition_point(|(k, _)| k.as_slice() < start);
-                for (k, v) in &block[from..] {
-                    if end.is_some_and(|e| k.as_slice() >= e) {
+                for (k, v) in block.entries_from(start) {
+                    if end.is_some_and(|e| k >= e) {
                         return Ok(true);
                     }
                     if !f(k, v) {
@@ -532,7 +565,7 @@ impl FileTable {
         base: &mut BaseState,
         prev: Option<&mut BaseState>,
     ) -> Result<(), StoreError> {
-        let mut merged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut merged = Vec::new();
         merged_scan(base, overlay, &[], None, &mut |k, v| {
             merged.push((k.to_vec(), v.to_vec()));
             true

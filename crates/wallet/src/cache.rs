@@ -28,8 +28,10 @@
 //! [`ProofCache::insert`] refuses to store an answer computed against an
 //! older epoch.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use drbac_core::{AttrConstraint, AttrRef, AttrSummary, DelegationId, Node, Proof, Timestamp};
 use parking_lot::Mutex;
@@ -56,28 +58,47 @@ impl QueryKey {
     }
 }
 
-/// A memoized grant.
-#[derive(Debug, Clone)]
+/// A key as the cache holds it: allocated once, shared by the answer
+/// map, the reverse index and the negatives set, and looked up by
+/// borrow (`Arc<QueryKey>: Borrow<QueryKey>`).
+type SharedKey = Arc<QueryKey>;
+
+/// A memoized grant. The delegation ids it depends on are read from
+/// the proof itself ([`Proof::try_for_each_cert`]), not kept beside it.
+#[derive(Debug)]
 struct CacheSlot {
     found: (Proof, AttrSummary),
-    /// Every delegation id the proof depends on (recursive, including
-    /// support proofs).
-    deps: BTreeSet<DelegationId>,
     /// Earliest expiry among the proof's credentials; `None` when none
     /// of them expire.
     min_expiry: Option<Timestamp>,
 }
 
+impl CacheSlot {
+    fn depends_on(&self, id: DelegationId) -> bool {
+        self.found
+            .0
+            .try_for_each_cert(&mut |cert| {
+                if cert.id() == id {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .is_break()
+    }
+}
+
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// Cached grants.
-    entries: HashMap<QueryKey, CacheSlot>,
+    /// Cached grants, each slot behind one box so spare map capacity
+    /// costs a pointer per bucket.
+    entries: HashMap<SharedKey, Box<CacheSlot>>,
     /// Reverse index: delegation id → keys of entries depending on it.
-    rev: HashMap<DelegationId, HashSet<QueryKey>>,
+    rev: HashMap<DelegationId, HashSet<SharedKey>>,
     /// Cached denials, apart from the grants: a denial has no
     /// dependencies and no expiry, and an addition drops all of them
     /// without walking a single grant.
-    negatives: HashSet<QueryKey>,
+    negatives: HashSet<SharedKey>,
 }
 
 /// See the module docs.
@@ -135,28 +156,27 @@ impl ProofCache {
             deregister(&mut inner, &key, &old);
         }
         let Some(found) = found else {
-            inner.negatives.insert(key);
+            inner.negatives.insert(Arc::new(key));
             return;
         };
         inner.negatives.remove(&key);
-        let deps = found.0.delegation_ids();
-        let min_expiry = found
-            .0
-            .all_certs()
-            .iter()
-            .filter_map(|c| c.delegation().expires())
-            .min();
-        for id in &deps {
-            inner.rev.entry(*id).or_default().insert(key.clone());
-        }
-        inner.entries.insert(
-            key,
-            CacheSlot {
-                found,
-                deps,
-                min_expiry,
-            },
-        );
+        let key = Arc::new(key);
+        let mut min_expiry = None;
+        let _ = found.0.try_for_each_cert(&mut |cert| {
+            inner
+                .rev
+                .entry(cert.id())
+                .or_default()
+                .insert(Arc::clone(&key));
+            min_expiry = min_expiry
+                .into_iter()
+                .chain(cert.delegation().expires())
+                .min();
+            ControlFlow::<()>::Continue(())
+        });
+        inner
+            .entries
+            .insert(key, Box::new(CacheSlot { found, min_expiry }));
     }
 
     /// Drops every entry whose proof depends on `id` (revoked or
@@ -176,14 +196,13 @@ impl ProofCache {
             let depends = inner
                 .entries
                 .get(&key)
-                .is_some_and(|slot| slot.deps.contains(&id));
+                .is_some_and(|slot| slot.depends_on(id));
             if !depends {
                 continue;
             }
             if let Some(slot) = inner.entries.remove(&key) {
-                let mut remaining = slot;
-                remaining.deps.remove(&id);
-                deregister(&mut inner, &key, &remaining);
+                // `id`'s own reverse entry is already gone.
+                deregister(&mut inner, &key, &slot);
                 dropped += 1;
             }
         }
@@ -206,13 +225,13 @@ impl ProofCache {
         inner.negatives.clear();
     }
 
-    /// Drops everything (declaration changes, wipes, toggles).
+    /// Drops everything (declaration changes, wipes, toggles), tables
+    /// included: the old maps are swapped out under the lock and freed
+    /// after it is released.
     pub(crate) fn clear(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.rev.clear();
-        inner.negatives.clear();
+        let old = std::mem::take(&mut *self.inner.lock());
+        drop(old);
     }
 
     /// Number of cached answers (diagnostics).
@@ -222,16 +241,18 @@ impl ProofCache {
     }
 }
 
-/// Removes `key` from the reverse index of every dep in `slot`.
+/// Removes `key` from the reverse index of every id `slot` depends on.
 fn deregister(inner: &mut CacheInner, key: &QueryKey, slot: &CacheSlot) {
-    for id in &slot.deps {
-        if let Some(keys) = inner.rev.get_mut(id) {
+    let _ = slot.found.0.try_for_each_cert(&mut |cert| {
+        let id = cert.id();
+        if let Some(keys) = inner.rev.get_mut(&id) {
             keys.remove(key);
             if keys.is_empty() {
-                inner.rev.remove(id);
+                inner.rev.remove(&id);
             }
         }
-    }
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 #[cfg(test)]
@@ -320,6 +341,127 @@ mod tests {
             .get(&key(2), Timestamp(0))
             .is_some_and(|a| a.is_some()));
         assert!(cache.inner.lock().negatives.is_empty());
+    }
+
+    /// `n` two-credential proofs `M{i} → A.r → A.s`, each with its own
+    /// first credential and all sharing the second: each proof and its
+    /// own id, and the shared (hot) id.
+    fn shared_chain(n: usize) -> (Vec<(Proof, DelegationId)>, DelegationId) {
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = SchnorrGroup::test_256();
+        let a = LocalEntity::generate("A", g.clone(), &mut rng);
+        let hot = Arc::new(
+            a.delegate(Node::role(a.role("r")), Node::role(a.role("s")))
+                .sign(&a)
+                .unwrap(),
+        );
+        let proofs = (0..n)
+            .map(|i| {
+                let m = LocalEntity::generate(format!("M{i}"), g.clone(), &mut rng);
+                let own = a
+                    .delegate(Node::entity(&m), Node::role(a.role("r")))
+                    .sign(&a)
+                    .unwrap();
+                let id = own.id();
+                let steps = vec![ProofStep::new(own), ProofStep::new(Arc::clone(&hot))];
+                (Proof::from_steps(steps).unwrap(), id)
+            })
+            .collect();
+        (proofs, hot.id())
+    }
+
+    /// Caches `proofs[i]` under `key(i)`.
+    fn fill(cache: &ProofCache, proofs: &[(Proof, DelegationId)]) {
+        for (i, (proof, _)) in proofs.iter().enumerate() {
+            let found = Some((proof.clone(), AttrSummary::default()));
+            cache.insert(key(i as u8), found, cache.epoch());
+        }
+    }
+
+    #[test]
+    fn a_replaced_answer_leaves_no_reverse_entry_behind() {
+        let cache = ProofCache::default();
+        let (first, old) = proof_with_expiry(None);
+        let (second, new) = proof_with_expiry(Some(Timestamp(9)));
+        assert_ne!(old, new);
+        cache.insert(key(1), Some((first, AttrSummary::default())), cache.epoch());
+        cache.insert(
+            key(1),
+            Some((second, AttrSummary::default())),
+            cache.epoch(),
+        );
+        let rev: Vec<DelegationId> = cache.inner.lock().rev.keys().copied().collect();
+        assert_eq!(rev, [new], "only the replacement's id is indexed");
+        cache.invalidate_dep(old);
+        assert!(cache
+            .get(&key(1), Timestamp(0))
+            .is_some_and(|a| a.is_some()));
+    }
+
+    #[test]
+    fn the_reverse_index_empties_with_the_cache() {
+        let (proofs, hot) = shared_chain(4);
+        let cache = ProofCache::default();
+        let rev_ids = |cache: &ProofCache| cache.inner.lock().rev.len();
+
+        fill(&cache, &proofs);
+        assert_eq!(rev_ids(&cache), proofs.len() + 1);
+        for (_, own) in &proofs {
+            cache.invalidate_dep(*own);
+        }
+        assert_eq!((cache.len(), rev_ids(&cache)), (0, 0), "own ids");
+
+        fill(&cache, &proofs);
+        cache.invalidate_dep(hot);
+        assert_eq!((cache.len(), rev_ids(&cache)), (0, 0), "the hot id");
+
+        fill(&cache, &proofs);
+        cache.clear();
+        assert_eq!((cache.len(), rev_ids(&cache)), (0, 0), "a clear");
+
+        let (expiring, _) = proof_with_expiry(Some(Timestamp(5)));
+        cache.insert(
+            key(9),
+            Some((expiring, AttrSummary::default())),
+            cache.epoch(),
+        );
+        assert!(cache.get(&key(9), Timestamp(6)).is_none());
+        assert_eq!((cache.len(), rev_ids(&cache)), (0, 0), "an expiry");
+    }
+
+    #[test]
+    fn invalidating_an_id_drops_exactly_its_dependents() {
+        const N: usize = 8;
+        let (proofs, hot) = shared_chain(N);
+        let cache = ProofCache::default();
+        fill(&cache, &proofs);
+        let invalidated = || {
+            drbac_obs::global()
+                .counter("drbac.graph.proof_cache.invalidated.count")
+                .get()
+        };
+        let cached = |i: usize| {
+            cache
+                .get(&key(i as u8), Timestamp(0))
+                .is_some_and(|a| a.is_some())
+        };
+
+        // An own id takes its one answer, off the hot id's entry too.
+        let before = invalidated();
+        cache.invalidate_dep(proofs[3].1);
+        // Other tests in this process may count invalidations of their
+        // own meanwhile; none can take one back.
+        assert!(invalidated() - before >= 1);
+        assert_eq!(cache.len(), N - 1);
+        assert!((0..N).all(|i| cached(i) == (i != 3)));
+        assert_eq!(cache.inner.lock().rev[&hot].len(), N - 1);
+
+        // The hot id takes every answer left.
+        let before = invalidated();
+        cache.invalidate_dep(hot);
+        assert!(invalidated() - before >= N as u64 - 1);
+        assert_eq!(cache.len(), 0);
+        assert!(cache.inner.lock().rev.is_empty());
     }
 
     #[test]

@@ -128,6 +128,18 @@ fi
 # The ledger also fails when EXPERIMENTS.md's F-A block (between its
 # markers) differs from what `direction::render` prints.
 cargo test -q --test work_ledger
+# A served answer is held once (the ledger's memory rows measure it):
+# the proof cache reads the ids an answer depends on from its proof,
+# and an index block is cached as read, its bytes plus entry offsets.
+# The per-answer id set and the block parsed into a key and a value
+# vector per entry stay gone.
+held=$( (grep -HnE 'BTreeSet<DelegationId>' crates/wallet/src/cache.rs
+    grep -HnE 'Vec<\(Vec<u8>, *Vec<u8>\)>' crates/index/src/file.rs) || true)
+if [ -n "$held" ]; then
+    echo "check.sh: a cached answer's id set or a parsed index block is back:" >&2
+    echo "$held" >&2
+    exit 1
+fi
 
 echo "== one checkpoint, two formats (no snapshot image, no wallet image, no unread index rows) =="
 # The delegation index's base run is a durable home's only checkpoint.

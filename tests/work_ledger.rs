@@ -45,6 +45,11 @@
 //! and a host's fan-out takes the id's remote subscribers, so the same
 //! event relayed back in owes nobody a push.
 //!
+//! Memory is a row too: the counting allocator also keeps live bytes,
+//! so the ledger pins what one cached grant and one cached index block
+//! hold, that a cleared proof cache holds nothing, and the allocations
+//! of a warm hit and of decoding a proof reply.
+//!
 //! The third claim is the paper's §4.2.3 search argument (experiment
 //! F-A), pinned whole from `drbac_baselines::direction`, the generator
 //! the `search_strategies` bench prints. On funnel federations the
@@ -74,6 +79,7 @@ use drbac::core::{
 use drbac::crypto::{KeyPair, SchnorrGroup};
 use drbac::index::{DelegationIndex, FileTable, MemTable, TableBackend, TableOp, TableStats};
 use drbac::net::proto::{Reply, Request};
+use drbac::net::wire;
 use drbac::net::{
     Directory, DiscoveryAgent, SimNet, TcpConfig, TcpTransport, Transport, WalletDaemon,
 };
@@ -83,33 +89,43 @@ use drbac::wallet::{DelegationEvent, DurableWallet, InvalidationReason, Wallet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The system allocator, counting allocations per thread (so a row is
-/// not disturbed by the test harness's own threads).
+/// The system allocator, counting allocations and live bytes (allocated
+/// less freed) per thread, so a row is not disturbed by the test
+/// harness's own threads.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+/// One allocation (or reallocation) that changed the live bytes by
+/// `bytes`.
+fn count_allocation(bytes: i64) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    count_live(bytes);
+}
+
+fn count_live(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` that never allocates.
+// upholds the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -122,6 +138,14 @@ fn allocations<T>(op: impl FnOnce() -> T) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     drop(op());
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Bytes this thread's heap holds after `op` beyond what it held before
+/// (frees count against); `op`'s result is dropped first.
+fn held_bytes<T>(op: impl FnOnce() -> T) -> i64 {
+    let before = LIVE_BYTES.with(Cell::get);
+    drop(op());
+    LIVE_BYTES.with(Cell::get) - before
 }
 
 /// Held by every test for its whole run.
@@ -1541,4 +1565,125 @@ fn a_host_fans_an_invalidation_out_once_and_forgets_its_subscribers() {
     // `mirror` pushes to `home`, whose relay owes nobody.
     assert_eq!(revoke("mirror"), 1);
     assert_eq!(mirror.subscribers_of(id).len(), 0);
+}
+
+/// Grants of the top of a `LADDER`-rung ladder the memory row caches,
+/// one user each.
+const CACHED_GRANTS: usize = 64;
+
+/// What a served answer holds and allocates.
+#[derive(Debug, PartialEq, Eq)]
+struct AnswerMemory {
+    /// Bytes the proof cache holds per cached `LADDER`-credential grant.
+    per_grant: i64,
+    /// Bytes still held after `set_query_cache(false)`, beyond the
+    /// figure before the cache held anything.
+    after_clear: i64,
+    /// Heap allocations of a warm `find_proof` hit.
+    warm_hit_allocs: u64,
+    /// Heap allocations decoding a reply that carries the ladder proof.
+    decode_reply_allocs: u64,
+}
+
+fn answer_memory() -> AnswerMemory {
+    let mut rng = StdRng::seed_from_u64(2002);
+    let g = SchnorrGroup::test_256();
+    let org = LocalEntity::generate("Org", g.clone(), &mut rng);
+    let users: Vec<LocalEntity> = (0..CACHED_GRANTS)
+        .map(|i| LocalEntity::generate(format!("U{i}"), g.clone(), &mut rng))
+        .collect();
+    let sign = |subject: Node, object: Node| -> Arc<SignedDelegation> {
+        Arc::new(org.delegate(subject, object).sign(&org).unwrap())
+    };
+    let wallet = Wallet::new("memory.example", SimClock::new());
+    let rung = |i: usize| Node::role(org.role(&format!("rung{i}")));
+    for i in 1..LADDER {
+        wallet.publish(sign(rung(i - 1), rung(i)), vec![]).unwrap();
+    }
+    for user in &users {
+        wallet
+            .publish(sign(Node::entity(user), rung(0)), vec![])
+            .unwrap();
+    }
+    let top = rung(LADDER - 1);
+    let grant = |user: &LocalEntity| {
+        wallet
+            .find_proof(&Node::entity(user), &top, &[])
+            .expect("the ladder is provable")
+    };
+    let sweep = || users.iter().for_each(|user| drop(grant(user)));
+
+    // With the cache off, a first sweep settles whatever searching and
+    // validating keep (metric handles registered on first use, …); a
+    // second holds nothing, so what the cached sweep holds is the
+    // cache's.
+    wallet.set_query_cache(false);
+    sweep();
+    assert_eq!(held_bytes(sweep), 0, "an uncached sweep holds nothing");
+    wallet.set_query_cache(true);
+    let cached = held_bytes(sweep);
+    assert_eq!(wallet.cached_query_answers(), CACHED_GRANTS);
+
+    let proof = grant(&users[0]);
+    assert_eq!(proof.all_certs().len(), LADDER);
+    let warm_hit_allocs = allocations(|| grant(&users[0]));
+    let cleared = held_bytes(|| wallet.set_query_cache(false));
+    assert_eq!(wallet.cached_query_answers(), 0);
+
+    let reply = wire::encode_reply(&Reply::Proofs(vec![proof]));
+    drop(wire::decode_reply(&reply).unwrap());
+    let decode_reply_allocs = allocations(|| wire::decode_reply(&reply).unwrap());
+
+    AnswerMemory {
+        per_grant: cached / CACHED_GRANTS as i64,
+        after_clear: cached + cleared,
+        warm_hit_allocs,
+        decode_reply_allocs,
+    }
+}
+
+/// The proof cache holds one shared key, one boxed slot and the proof
+/// per answer, plus the reverse index's entries, and a cleared cache
+/// gives its tables back.
+#[test]
+fn a_cached_answer_is_held_once_and_freed_by_a_clear() {
+    let _serial = serial();
+    assert_eq!(
+        answer_memory(),
+        AnswerMemory {
+            per_grant: 801,
+            after_clear: 0,
+            // The key's role name, the proof's steps, its object's name.
+            warm_hit_allocs: 3,
+            decode_reply_allocs: 27,
+        }
+    );
+}
+
+/// An index block holds the bytes it was read as plus one `u32` offset
+/// per entry: bytes held by the one block a point read loads, its
+/// on-disk length, and its entries.
+fn index_block_memory() -> [i64; 3] {
+    // 7-byte keys and 32-byte values: 47 bytes an entry on disk, so the
+    // 4 KiB target block size packs 88 of them (4,136 bytes).
+    const ENTRY: i64 = 8 + 7 + 32;
+    const PER_BLOCK: u32 = 88;
+    let key = |i: u32| format!("k{i:06}").into_bytes();
+    let table =
+        FileTable::from_media(Box::new(MemMedium::new()), Box::new(MemMedium::new())).unwrap();
+    let mut entries = (0..8 * PER_BLOCK).map(|i| (key(i), vec![0xA5; 32]));
+    table.reset_with(&mut entries).unwrap();
+    // The first read loads the fence group and sizes the cache's tables.
+    assert!(table.get(&key(0)).unwrap().is_some());
+    let held = held_bytes(|| table.get(&key(PER_BLOCK)).unwrap().expect("present"));
+    [held, ENTRY * PER_BLOCK as i64, PER_BLOCK as i64]
+}
+
+/// A cached block holds its bytes as read, a `u32` offset per entry and
+/// its 48-byte shared handle (an `Arc` of two boxed slices).
+#[test]
+fn an_index_block_is_held_as_read() {
+    let _serial = serial();
+    let [held, on_disk, entries] = index_block_memory();
+    assert_eq!(held, on_disk + 4 * entries + 48);
 }
