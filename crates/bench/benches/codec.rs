@@ -1,11 +1,15 @@
 //! Wire-codec and syntax throughput: serialization cost of credentials
-//! and proofs (what every inter-wallet message pays), plus the textual
-//! parser/renderer.
+//! and proofs (what every inter-wallet message pays), the frame checksum
+//! and framing every network message pays on both ends, plus the
+//! textual parser/renderer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use drbac_core::syntax::{parse_delegation, render_delegation, SyntaxContext};
 use drbac_core::{LocalEntity, Node, Proof, ProofStep, SignedDelegation};
 use drbac_crypto::SchnorrGroup;
+use drbac_net::proto::Reply;
+use drbac_net::wire::{self, FrameKind};
+use drbac_store::{crc32, crc32_portable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -59,6 +63,50 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CRC-32 on the table path and on the path `crc32` dispatches to
+/// on this CPU, at a small frame, a typical reply and a large block;
+/// then one four-step grant's reply written and read back as a frame.
+fn bench_frame(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec/frame");
+    for len in [64usize, 1024, 64 * 1024] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(BenchmarkId::new("crc32_portable", len), |b| {
+            b.iter(|| black_box(crc32_portable(black_box(&data))))
+        });
+        group.bench_function(BenchmarkId::new("crc32", len), |b| {
+            b.iter(|| black_box(crc32(black_box(&data))))
+        });
+    }
+
+    let (a, m, _, _) = fixtures();
+    let mut steps = Vec::new();
+    let mut prev = Node::entity(&m);
+    for i in 0..4 {
+        let next = Node::role(a.role(&format!("rung{i}")));
+        steps.push(ProofStep::new(
+            a.delegate(prev, next.clone()).sign(&a).unwrap(),
+        ));
+        prev = next;
+    }
+    let reply = Reply::Proofs(vec![Proof::from_steps(steps).unwrap()]);
+    let payload = wire::encode_reply(&reply);
+    let mut frame = Vec::new();
+    wire::write_frame(&mut frame, FrameKind::Reply, &payload).unwrap();
+    group.throughput(Throughput::Bytes(frame.len() as u64));
+    group.bench_function(BenchmarkId::new("encode_reply4", payload.len()), |b| {
+        b.iter(|| black_box(wire::encode_reply(black_box(&reply))))
+    });
+    group.bench_function(BenchmarkId::new("write_read_frame4", frame.len()), |b| {
+        b.iter(|| {
+            frame.clear();
+            wire::write_frame(&mut frame, FrameKind::Reply, black_box(&payload)).unwrap();
+            black_box(wire::read_frame(&mut frame.as_slice()).unwrap())
+        })
+    });
+    group.finish();
+}
+
 fn bench_syntax(c: &mut Criterion) {
     let (a, m, cert, _) = fixtures();
     let mut ctx = SyntaxContext::new();
@@ -79,6 +127,6 @@ fn bench_syntax(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_wire, bench_syntax
+    targets = bench_wire, bench_frame, bench_syntax
 }
 criterion_main!(benches);

@@ -141,21 +141,35 @@ impl BigUint {
     /// Big-endian byte representation with no leading zero bytes
     /// (empty for the value 0).
     pub fn to_bytes_be(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.limbs.len() * 8);
-        for (i, &limb) in self.limbs.iter().enumerate().rev() {
-            let bytes = limb.to_be_bytes();
-            if i == self.limbs.len() - 1 {
-                // Skip leading zeros of the most significant limb.
-                let skip = bytes.iter().take_while(|&&b| b == 0).count();
-                out.extend_from_slice(&bytes[skip.min(7)..]);
-            } else {
-                out.extend_from_slice(&bytes);
-            }
-        }
-        if out == [0] {
-            out.clear();
-        }
+        let mut out = Vec::with_capacity(self.byte_len());
+        self.extend_bytes_be(&mut out);
         out
+    }
+
+    /// Length of [`BigUint::to_bytes_be`]'s output.
+    ///
+    /// ```
+    /// # use drbac_bignum::BigUint;
+    /// assert_eq!(BigUint::from(256u64).byte_len(), 2);
+    /// assert_eq!(BigUint::zero().byte_len(), 0);
+    /// ```
+    pub fn byte_len(&self) -> usize {
+        self.bits().div_ceil(8)
+    }
+
+    /// Appends [`BigUint::to_bytes_be`]'s bytes to `out` without
+    /// building them apart.
+    pub fn extend_bytes_be(&self, out: &mut Vec<u8>) {
+        let Some((&top, rest)) = self.limbs.split_last() else {
+            return;
+        };
+        // The limbs have no trailing zero, so only the top limb has
+        // leading zero bytes to skip.
+        let top_len = self.byte_len() - 8 * rest.len();
+        out.extend_from_slice(&top.to_be_bytes()[8 - top_len..]);
+        for limb in rest.iter().rev() {
+            out.extend_from_slice(&limb.to_be_bytes());
+        }
     }
 
     /// Parses a hexadecimal string (no prefix, case-insensitive).

@@ -73,7 +73,7 @@ pub use revocation::{RevocationNotice, SignedRevocation};
 pub use role::{Role, RoleName};
 pub use signed::Signed;
 pub use tag::{DiscoveryTag, ObjectFlag, SubjectFlag, WalletAddr};
-pub use wire::{Decode, DecodeError, Encode, Reader, Writer};
+pub use wire::{encode_tagged, Decode, DecodeError, Encode, Reader, Writer};
 
 /// Graph node / delegation endpoint: an entity, a role, a role's
 /// right-of-assignment (`R'`), or an attribute's right-of-assignment.

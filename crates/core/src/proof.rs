@@ -279,10 +279,7 @@ impl Proof {
     /// Serializes the whole proof DAG (chain, supports, credentials) into
     /// its canonical wire form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::wire::{Encode, Writer};
-        let mut w = Writer::tagged(b"drbac-proof-v1");
-        self.encode(&mut w);
-        w.finish()
+        crate::wire::encode_tagged(b"drbac-proof-v1", self)
     }
 
     /// Deserializes a proof produced by [`Proof::to_bytes`]. Chain

@@ -21,7 +21,7 @@ use drbac_crypto::{sha256, PublicKey, Signature};
 use crate::clock::Timestamp;
 use crate::entity::{EntityId, LocalEntity};
 use crate::error::ValidationError;
-use crate::wire::{Decode, DecodeError, Encode, Reader, Writer};
+use crate::wire::{encode_tagged, Decode, DecodeError, Encode, Reader, Writer};
 
 /// What an issuer signs. Public only so it can bound [`Signed`]; this
 /// module is private, so the three bodies in this crate are the only
@@ -37,9 +37,7 @@ pub trait Body: Encode + Decode {
 
     /// The canonical bytes the signature covers.
     fn signing_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(Self::SIGN_TAG);
-        self.encode(&mut w);
-        w.finish()
+        encode_tagged(Self::SIGN_TAG, self)
     }
 }
 
@@ -128,9 +126,14 @@ impl<B: Body> Signed<B> {
     /// Serializes the body, issuer key and signature into the canonical
     /// wire form, suitable for transmission or storage.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(B::WIRE_TAG);
-        self.encode(&mut w);
-        w.finish()
+        encode_tagged(B::WIRE_TAG, self)
+    }
+
+    /// Appends [`Signed::to_bytes`] to `w` as one length-prefixed byte
+    /// string — what `w.bytes(&self.to_bytes())` appends — without
+    /// building the bytes apart.
+    pub fn encode_as_bytes(&self, w: &mut Writer) {
+        w.tagged_bytes(B::WIRE_TAG, self);
     }
 
     /// Deserializes the output of `to_bytes`. The result is structurally

@@ -5,7 +5,14 @@
 //! length-prefixed binary format. It is the only encoding the model types
 //! have: signing bytes, the write-ahead log's records (`drbac-store`) and
 //! the network's frame payloads (`drbac-net`'s `wire`) all come from here.
+//!
+//! A value's bytes cost one allocation: [`encode_tagged`] writes into a
+//! per-thread scratch buffer and copies out exactly the bytes written, so
+//! neither a reply on the wire nor a credential kept in the journal or
+//! the index carries slack capacity, and big integers and nested
+//! credentials write straight into the buffer they belong to.
 
+use std::cell::Cell;
 use std::fmt;
 
 use drbac_crypto::KeyFingerprint;
@@ -68,6 +75,18 @@ impl Writer {
         self.bytes(s.as_bytes());
     }
 
+    /// Appends `encode_tagged(tag, value)` as a length-prefixed byte
+    /// string — what `self.bytes(&encode_tagged(tag, value))` appends —
+    /// encoding in place and patching the length afterwards.
+    pub fn tagged_bytes<T: Encode + ?Sized>(&mut self, tag: &[u8], value: &T) {
+        let at = self.buf.len();
+        self.u64(0);
+        self.bytes(tag);
+        value.encode(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_be_bytes());
+    }
+
     /// Appends a length-prefixed list of encodable items.
     pub fn list<T: Encode>(&mut self, items: &[T]) {
         self.u64(items.len() as u64);
@@ -91,6 +110,40 @@ impl Writer {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
+}
+
+/// Largest scratch buffer a thread keeps between encodes; a larger one
+/// (a reply carrying thousands of credentials) is freed after its
+/// encode rather than held by the thread.
+const SCRATCH_KEEP: usize = 16 * 1024;
+
+thread_local! {
+    /// This thread's encode buffer. Its growth is paid once per thread,
+    /// not once per value.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// `tag` and then `value`'s canonical encoding — the bytes
+/// `Writer::tagged(tag)`, `value.encode` and [`Writer::finish`] return —
+/// in a buffer allocated once at its exact length.
+///
+/// The encode runs in this thread's scratch buffer and copies out the
+/// bytes it wrote. A nested call (an [`Encode`] impl that encodes a
+/// value apart) finds the scratch taken and encodes into a fresh one,
+/// with the same result.
+pub fn encode_tagged<T: Encode + ?Sized>(tag: &[u8], value: &T) -> Vec<u8> {
+    let mut w = Writer {
+        buf: SCRATCH.try_with(Cell::take).unwrap_or_default(),
+    };
+    w.buf.clear();
+    w.bytes(tag);
+    value.encode(&mut w);
+    let out = w.buf.as_slice().to_vec();
+    if w.buf.capacity() <= SCRATCH_KEEP {
+        // Fails only while the thread is being torn down.
+        let _ = SCRATCH.try_with(|scratch| scratch.set(w.buf));
+    }
+    out
 }
 
 /// Types with a canonical wire encoding.
@@ -470,8 +523,10 @@ impl Decode for ObjectFlag {
 }
 
 impl Encode for drbac_bignum::BigUint {
+    /// As `w.bytes(&self.to_bytes_be())`, with no temporary.
     fn encode(&self, w: &mut Writer) {
-        w.bytes(&self.to_bytes_be());
+        w.u64(self.byte_len() as u64);
+        self.extend_bytes_be(&mut w.buf);
     }
 }
 
@@ -582,7 +637,10 @@ impl Decode for DiscoveryTag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drbac_bignum::BigUint;
     use drbac_crypto::KeyFingerprint;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
 
     fn ns(b: u8) -> EntityId {
         EntityId(KeyFingerprint([b; 32]))
@@ -739,6 +797,85 @@ mod tests {
             .contains("end of input"));
         assert!(DecodeError::InvalidTag(9).to_string().contains("0x09"));
         assert!(DecodeError::TrailingBytes(4).to_string().contains('4'));
+    }
+
+    /// `to_bytes_be` as a plain specification: every limb big-endian,
+    /// then the leading zero bytes dropped.
+    fn be_bytes_oracle(n: &BigUint) -> Vec<u8> {
+        let full: Vec<u8> = n
+            .as_limbs()
+            .iter()
+            .rev()
+            .flat_map(|l| l.to_be_bytes())
+            .collect();
+        let skip = full.iter().take_while(|&&b| b == 0).count();
+        full[skip..].to_vec()
+    }
+
+    fn assert_encodes_as_bytes(n: &BigUint) {
+        let mut direct = Writer::default();
+        n.encode(&mut direct);
+        let mut via_vec = Writer::default();
+        via_vec.bytes(&n.to_bytes_be());
+        assert_eq!(direct.finish(), via_vec.finish(), "{n:?}");
+        assert_eq!(n.to_bytes_be(), be_bytes_oracle(n), "{n:?}");
+    }
+
+    #[test]
+    fn big_integers_encode_as_their_big_endian_bytes() {
+        let two64 = BigUint::from_limbs(vec![0, 1]);
+        for n in [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from(u64::MAX),
+            two64,
+            // Top limbs with 7, 1 and 6 leading zero bytes.
+            BigUint::from_limbs(vec![u64::MAX, 0xFF]),
+            BigUint::from_limbs(vec![7, 0x00FF_FFFF_FFFF_FFFF]),
+            BigUint::from_limbs(vec![1, 2, 0x0100]),
+        ] {
+            assert_encodes_as_bytes(&n);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        for limbs in [4, 32] {
+            for _ in 0..64 {
+                let n = BigUint::from_limbs((0..limbs).map(|_| rng.next_u64()).collect());
+                assert_encodes_as_bytes(&n);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn any_big_integer_encodes_as_its_big_endian_bytes(
+            limbs in prop::collection::vec(any::<u64>(), 0..33),
+            top_zero_bytes in 0u32..8,
+        ) {
+            let mut limbs = limbs;
+            if let Some(top) = limbs.last_mut() {
+                *top >>= 8 * top_zero_bytes;
+            }
+            assert_encodes_as_bytes(&BigUint::from_limbs(limbs));
+        }
+    }
+
+    #[test]
+    fn encode_tagged_is_the_writer_output_at_its_exact_length() {
+        let role = Role::new(ns(1), RoleName::new("member").unwrap());
+        let mut w = Writer::tagged(b"t");
+        role.encode(&mut w);
+        let expected = w.finish();
+        for _ in 0..2 {
+            let bytes = encode_tagged(b"t", &role);
+            assert_eq!(bytes, expected);
+            assert_eq!(bytes.capacity(), bytes.len(), "no slack capacity");
+        }
+        // In place and apart, a nested encoding is the same bytes.
+        let mut nested = Writer::default();
+        nested.tagged_bytes(b"t", &role);
+        let mut apart = Writer::default();
+        apart.bytes(&expected);
+        assert_eq!(nested.finish(), apart.finish());
     }
 
     #[test]

@@ -72,7 +72,7 @@ use std::io::{BufReader, Read, Write};
 use std::sync::Arc;
 
 use drbac_core::{
-    Decode, DecodeError, DelegationId, Encode, Node, Reader, SignedAttrDeclaration,
+    encode_tagged, Decode, DecodeError, DelegationId, Encode, Node, Reader, SignedAttrDeclaration,
     SignedDelegation, SignedRevocation, WalletAddr, Writer,
 };
 use drbac_store::crc32;
@@ -525,7 +525,7 @@ impl Encode for Request {
             }
             Request::PublishDeclaration(decl) => {
                 w.u8(REQ_PUBLISH_DECLARATION);
-                w.bytes(&decl.to_bytes());
+                decl.encode_as_bytes(w);
             }
             Request::Subscribe {
                 delegation,
@@ -545,7 +545,7 @@ impl Encode for Request {
             }
             Request::Revoke(rev) => {
                 w.u8(REQ_REVOKE);
-                w.bytes(&rev.to_bytes());
+                rev.encode_as_bytes(w);
             }
             Request::FetchDeclarations => w.u8(REQ_FETCH_DECLARATIONS),
             Request::FetchDelegation(id) => {
@@ -727,7 +727,7 @@ impl Encode for Reply {
                 w.u8(REP_DECLARATIONS);
                 w.u64(ds.len() as u64);
                 for d in ds {
-                    w.bytes(&d.to_bytes());
+                    d.encode_as_bytes(w);
                 }
             }
             Reply::Delegation(c) => {
@@ -831,12 +831,6 @@ const REQUEST_TAG: &[u8] = b"drbac-req-v1";
 const REPLY_TAG: &[u8] = b"drbac-rep-v1";
 const PUSH_TAG: &[u8] = b"drbac-push-v1";
 const REGISTER_TAG: &[u8] = b"drbac-sub-v1";
-
-fn encode_tagged<T: Encode>(tag: &[u8], value: &T) -> Vec<u8> {
-    let mut w = Writer::tagged(tag);
-    value.encode(&mut w);
-    w.finish()
-}
 
 fn decode_tagged<T: Decode>(tag: &'static [u8], bytes: &[u8]) -> Result<T, DecodeError> {
     let mut r = Reader::tagged(bytes, tag)?;

@@ -101,13 +101,13 @@ impl StoreEvent {
     pub fn encode_body(&self, w: &mut Writer) {
         match self {
             StoreEvent::Publish(cert) => cert.as_ref().encode(w),
-            StoreEvent::Declare(decl) => w.bytes(&decl.to_bytes()),
+            StoreEvent::Declare(decl) => decl.encode_as_bytes(w),
             StoreEvent::Support(proof) => proof.encode(w),
             StoreEvent::Absorb { proof, source } => {
                 proof.encode(w);
                 w.str(source.as_str());
             }
-            StoreEvent::Revoke(rev) => w.bytes(&rev.to_bytes()),
+            StoreEvent::Revoke(rev) => rev.encode_as_bytes(w),
             StoreEvent::RevokeMark(id) | StoreEvent::Expire(id) => w.bytes(&id.0),
         }
     }

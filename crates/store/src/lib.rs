@@ -46,7 +46,7 @@ mod event;
 mod medium;
 mod wal;
 
-pub use crc::crc32;
+pub use crc::{crc32, crc32_portable};
 pub use event::StoreEvent;
 pub use medium::{FileMedium, Medium, MemMedium};
 pub use wal::{

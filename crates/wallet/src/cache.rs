@@ -28,21 +28,24 @@
 //! [`ProofCache::insert`] refuses to store an answer computed against an
 //! older epoch.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use drbac_core::{AttrConstraint, AttrRef, AttrSummary, DelegationId, Node, Proof, Timestamp};
+use drbac_core::{AttrConstraint, AttrSummary, DelegationId, Node, Proof, Timestamp};
 use parking_lot::Mutex;
 
-/// Cache key for a direct query: endpoints plus constraints (operand
-/// bit-patterns keep `f64` hashable without loss).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Cache key for a direct query: endpoints plus constraints, as the
+/// cache owns it. Hashed and compared as its [`QueryRef`], so a lookup
+/// borrows the caller's fields and only an insert allocates a key.
+#[derive(Debug)]
 pub(crate) struct QueryKey {
     subject: Node,
     object: Node,
-    constraints: Vec<(AttrRef, u64)>,
+    constraints: Vec<AttrConstraint>,
 }
 
 impl QueryKey {
@@ -50,18 +53,107 @@ impl QueryKey {
         QueryKey {
             subject: subject.clone(),
             object: object.clone(),
-            constraints: constraints
-                .iter()
-                .map(|c| (c.attr.clone(), c.at_least.to_bits()))
-                .collect(),
+            constraints: constraints.to_vec(),
         }
     }
 }
 
+/// A direct query's key borrowed from the caller — what a lookup
+/// hashes, with nothing cloned.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryRef<'a> {
+    pub(crate) subject: &'a Node,
+    pub(crate) object: &'a Node,
+    pub(crate) constraints: &'a [AttrConstraint],
+}
+
+/// Operands compare and hash by bit pattern: that keeps `f64` hashable
+/// without loss, and `0.0` apart from `-0.0`.
+impl PartialEq for QueryRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.subject == other.subject
+            && self.object == other.object
+            && self.constraints.len() == other.constraints.len()
+            && (self.constraints.iter().zip(other.constraints))
+                .all(|(a, b)| a.attr == b.attr && a.at_least.to_bits() == b.at_least.to_bits())
+    }
+}
+
+impl Eq for QueryRef<'_> {}
+
+impl Hash for QueryRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.subject.hash(state);
+        self.object.hash(state);
+        state.write_usize(self.constraints.len());
+        for c in self.constraints {
+            c.attr.hash(state);
+            c.at_least.to_bits().hash(state);
+        }
+    }
+}
+
+/// Either form of a key. The cache's maps hold `Arc<QueryKey>` and are
+/// searched with `&dyn KeyFields` (`Arc<QueryKey>: Borrow<dyn
+/// KeyFields>`); both forms hash and compare as their [`QueryRef`], as
+/// `Borrow` requires.
+pub(crate) trait KeyFields {
+    fn fields(&self) -> QueryRef<'_>;
+}
+
+impl KeyFields for QueryKey {
+    fn fields(&self) -> QueryRef<'_> {
+        QueryRef {
+            subject: &self.subject,
+            object: &self.object,
+            constraints: &self.constraints,
+        }
+    }
+}
+
+impl KeyFields for QueryRef<'_> {
+    fn fields(&self) -> QueryRef<'_> {
+        *self
+    }
+}
+
+impl PartialEq for dyn KeyFields + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for dyn KeyFields + '_ {}
+
+impl Hash for dyn KeyFields + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fields().hash(state);
+    }
+}
+
 /// A key as the cache holds it: allocated once, shared by the answer
-/// map, the reverse index and the negatives set, and looked up by
-/// borrow (`Arc<QueryKey>: Borrow<QueryKey>`).
+/// map, the reverse index and the negatives set.
 type SharedKey = Arc<QueryKey>;
+
+impl<'a> Borrow<dyn KeyFields + 'a> for SharedKey {
+    fn borrow(&self) -> &(dyn KeyFields + 'a) {
+        &**self
+    }
+}
+
+impl PartialEq for QueryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for QueryKey {}
+
+impl Hash for QueryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fields().hash(state);
+    }
+}
 
 /// A memoized grant. The delegation ids it depends on are read from
 /// the proof itself ([`Proof::try_for_each_cert`]), not kept beside it.
@@ -122,7 +214,7 @@ impl ProofCache {
     /// outlive its earliest-expiring edge).
     pub(crate) fn get(
         &self,
-        key: &QueryKey,
+        key: &dyn KeyFields,
         now: Timestamp,
     ) -> Option<Option<(Proof, AttrSummary)>> {
         let mut inner = self.inner.lock();
@@ -202,7 +294,7 @@ impl ProofCache {
             }
             if let Some(slot) = inner.entries.remove(&key) {
                 // `id`'s own reverse entry is already gone.
-                deregister(&mut inner, &key, &slot);
+                deregister(&mut inner, &*key, &slot);
                 dropped += 1;
             }
         }
@@ -242,7 +334,7 @@ impl ProofCache {
 }
 
 /// Removes `key` from the reverse index of every id `slot` depends on.
-fn deregister(inner: &mut CacheInner, key: &QueryKey, slot: &CacheSlot) {
+fn deregister(inner: &mut CacheInner, key: &dyn KeyFields, slot: &CacheSlot) {
     let _ = slot.found.0.try_for_each_cert(&mut |cert| {
         let id = cert.id();
         if let Some(keys) = inner.rev.get_mut(&id) {

@@ -14,7 +14,7 @@ use drbac_graph::{DelegationGraph, SearchOptions, SearchStats};
 use drbac_store::{StoreEvent, WalletStore};
 use parking_lot::Mutex;
 
-use crate::cache::{ProofCache, QueryKey};
+use crate::cache::{ProofCache, QueryKey, QueryRef};
 use crate::dependents::{Dependent, Dependents, PushSink};
 use crate::events::{DelegationEvent, InvalidationReason, SubscriptionId};
 use crate::monitor::{MonitorCore, ProofMonitor};
@@ -661,8 +661,12 @@ impl Wallet {
     ) -> (Option<(Proof, drbac_core::AttrSummary)>, SearchStats) {
         let start = std::time::Instant::now();
         let cache_enabled = self.state.cache_enabled.load(Ordering::SeqCst);
-        let key = QueryKey::new(subject, object, constraints);
         if cache_enabled {
+            let key = QueryRef {
+                subject,
+                object,
+                constraints,
+            };
             if let Some(found) = self.state.proof_cache.get(&key, now) {
                 drbac_obs::static_counter!("drbac.wallet.query.cache_hit.count").inc();
                 drbac_obs::static_histogram!("drbac.wallet.query.warm.ns")
@@ -685,6 +689,7 @@ impl Wallet {
                 .map(|summary| (proof, summary))
         });
         if cache_enabled {
+            let key = QueryKey::new(subject, object, constraints);
             self.state.proof_cache.insert(key, answer.clone(), epoch);
         }
         drbac_obs::static_histogram!("drbac.wallet.query.cold.ns")

@@ -1581,6 +1581,8 @@ struct AnswerMemory {
     after_clear: i64,
     /// Heap allocations of a warm `find_proof` hit.
     warm_hit_allocs: u64,
+    /// Heap allocations encoding a reply that carries the ladder proof.
+    encode_reply_allocs: u64,
     /// Heap allocations decoding a reply that carries the ladder proof.
     decode_reply_allocs: u64,
 }
@@ -1630,7 +1632,9 @@ fn answer_memory() -> AnswerMemory {
     let cleared = held_bytes(|| wallet.set_query_cache(false));
     assert_eq!(wallet.cached_query_answers(), 0);
 
-    let reply = wire::encode_reply(&Reply::Proofs(vec![proof]));
+    let grant_reply = Reply::Proofs(vec![proof]);
+    let reply = wire::encode_reply(&grant_reply);
+    let encode_reply_allocs = allocations(|| wire::encode_reply(&grant_reply));
     drop(wire::decode_reply(&reply).unwrap());
     let decode_reply_allocs = allocations(|| wire::decode_reply(&reply).unwrap());
 
@@ -1638,6 +1642,7 @@ fn answer_memory() -> AnswerMemory {
         per_grant: cached / CACHED_GRANTS as i64,
         after_clear: cached + cleared,
         warm_hit_allocs,
+        encode_reply_allocs,
         decode_reply_allocs,
     }
 }
@@ -1653,8 +1658,12 @@ fn a_cached_answer_is_held_once_and_freed_by_a_clear() {
         AnswerMemory {
             per_grant: 801,
             after_clear: 0,
-            // The key's role name, the proof's steps, its object's name.
-            warm_hit_allocs: 3,
+            // The proof's steps and its object's name; the lookup
+            // borrows the caller's key.
+            warm_hit_allocs: 2,
+            // The reply's bytes, copied out of the thread's scratch
+            // buffer at their exact length.
+            encode_reply_allocs: 1,
             decode_reply_allocs: 27,
         }
     );
